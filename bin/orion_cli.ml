@@ -291,7 +291,7 @@ let explain_cmd =
 
 (* run a registered app's parallel loop through the unified engine:
    simulated, on the domain pool, or on real worker processes *)
-let run_app name ~machines ~wpm ~domains ~procs ~tcp ~comms ~passes ~scale
+let run_app name ~machines ~wpm ~domains ~procs ~tcp ~passes ~scale
     ~ckpt_dir ~ckpt_every ~resume =
   if name = "list" then begin
     print_registry ();
@@ -380,7 +380,7 @@ let run_app name ~machines ~wpm ~domains ~procs ~tcp ~comms ~passes ~scale
         else
         match
           Orion.Engine.run inst.Orion.App.inst_session inst ~mode
-            ~passes:remaining ~scale ?comms ?checkpoint ()
+            ~passes:remaining ~scale ?checkpoint ()
         with
         | exception (Orion.Engine.Distributed_error _ as exn) ->
             Printf.eprintf "orion run: %s\n"
@@ -403,20 +403,18 @@ let run_app name ~machines ~wpm ~domains ~procs ~tcp ~comms ~passes ~scale
                 else 0.0
               in
               Printf.printf
-                "bytes shipped (--comms %s): %.0f  (full-policy %.0f, saved \
-                 %.1f%%)\n"
-                r.Orion.Engine.ep_comms r.Orion.Engine.ep_bytes_shipped full
-                saved;
+                "bytes shipped: %.0f  (per-record Marshal %.0f, saved %.1f%%)\n"
+                r.Orion.Engine.ep_bytes_shipped full saved;
               List.iter
                 (fun (arr, b) ->
-                  let policy =
+                  let key_mode =
                     match
                       List.assoc_opt arr r.Orion.Engine.ep_policy_by_array
                     with
                     | Some p -> Printf.sprintf "  [%s]" p
                     | None -> ""
                   in
-                  Printf.printf "  %-16s %.0f%s\n" arr b policy)
+                  Printf.printf "  %-16s %.0f%s\n" arr b key_mode)
                 r.Orion.Engine.ep_bytes_by_array
             end;
             if r.Orion.Engine.ep_sim_time > 0.0 then
@@ -436,16 +434,16 @@ let run_app name ~machines ~wpm ~domains ~procs ~tcp ~comms ~passes ~scale
             0)
 
 let run_cmd =
-  let run arrays machines wpm log seed profile app domains procs tcp comms
-      passes scale ckpt_dir ckpt_every resume file =
+  let run arrays machines wpm log seed profile app domains procs tcp passes
+      scale ckpt_dir ckpt_every resume file =
     setup_log log;
     match (app, file) with
     | Some _, Some _ ->
         prerr_endline "orion run: give either FILE or --app, not both";
         1
     | Some name, None ->
-        run_app name ~machines ~wpm ~domains ~procs ~tcp ~comms ~passes
-          ~scale ~ckpt_dir ~ckpt_every ~resume
+        run_app name ~machines ~wpm ~domains ~procs ~tcp ~passes ~scale
+          ~ckpt_dir ~ckpt_every ~resume
     | None, None ->
         prerr_endline "orion run: need an OrionScript FILE or --app NAME";
         1
@@ -519,15 +517,6 @@ let run_cmd =
           ~doc:
             "use TCP loopback instead of Unix domain sockets for --procs")
   in
-  let comms =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "comms" ] ~docv:"POLICY"
-          ~doc:
-            "communication policy for --procs: auto | full | delta | topk:K \
-             | budget:BYTES (default: ORION_COMMS, or auto)")
-  in
   let passes =
     Arg.(
       value & opt int 1
@@ -573,7 +562,7 @@ let run_cmd =
   let term =
     Term.(
       const run $ arrays_arg $ machines_arg $ wpm_arg $ log_arg $ seed $ profile
-      $ app_arg $ domains $ procs $ tcp $ comms $ passes $ scale $ ckpt_dir
+      $ app_arg $ domains $ procs $ tcp $ passes $ scale $ ckpt_dir
       $ ckpt_every $ resume $ file_pos)
   in
   Cmd.v
@@ -637,8 +626,7 @@ let apps_cmd =
     Term.(const run $ const ())
 
 let bench_cmd =
-  let run machines wpm log mode apps domains procs tcp comms passes scale out
-      =
+  let run machines wpm log mode apps domains procs tcp passes scale out =
     setup_log log;
     let scale = resolve_scale scale in
     let apps = match apps with [] -> None | l -> Some l in
@@ -650,16 +638,14 @@ let bench_cmd =
             Option.value out ~default:Orion_tune.Tune_bench.default_out
           in
           Orion_tune.Tune_bench.run ?apps ~domains_list:domains
-            ~procs_list:procs
-            ~comms:(match comms with c :: _ -> c | [] -> "auto")
-            ~passes ~transport ~scale ~out ~num_machines:machines
+            ~procs_list:procs ~passes ~transport ~scale ~out ~num_machines:machines
             ~workers_per_machine:wpm ()
       | #Orion_apps.Bench.mode as mode ->
           let out =
             Option.value out ~default:(Orion_apps.Bench.default_out mode)
           in
           Orion_apps.Bench.run ~mode ~scale ~out ?apps ~domains_list:domains
-            ~procs_list:procs ~comms ~passes ~transport
+            ~procs_list:procs ~passes ~transport
             ~num_machines:machines ~workers_per_machine:wpm ()
     with
     | exception (Orion.Engine.Distributed_error _ as exn) ->
@@ -722,17 +708,6 @@ let bench_cmd =
             "use TCP loopback instead of Unix domain sockets \
              (speedup-distributed)")
   in
-  let comms =
-    Arg.(
-      value
-      & opt (list string) [ "auto" ]
-      & info [ "comms" ] ~docv:"POLICIES"
-          ~doc:
-            "comma-separated communication policies to measure \
-             (speedup-distributed): auto | full | delta | topk:K | \
-             budget:BYTES — a full-policy baseline row always runs first \
-             so bytes-saved and loss-drift columns have a reference")
-  in
   let passes =
     Arg.(
       value & opt int 3
@@ -760,7 +735,7 @@ let bench_cmd =
   let term =
     Term.(
       const run $ machines_arg $ wpm_arg $ log_arg $ mode $ apps $ domains
-      $ procs $ tcp $ comms $ passes $ scale $ out)
+      $ procs $ tcp $ passes $ scale $ out)
   in
   Cmd.v
     (Cmd.info "bench"
@@ -1240,8 +1215,8 @@ let tune_cmd =
      adopted schedule sequence and require equal results.  Exit 1 when
      an adopted re-plan was not race-checker-validated or the replay
      diverges. *)
-  let run machines wpm log app mode domains procs tcp comms passes scale
-      json out =
+  let run machines wpm log app mode domains procs tcp passes scale json out
+      =
     setup_log log;
     if app = "list" then begin
       print_registry ();
@@ -1262,7 +1237,7 @@ let tune_cmd =
           in
           match
             Orion_tune.Tune_bench.run_app ~app:a ~mode ~passes ~scale
-              ~num_machines:machines ~workers_per_machine:wpm ?comms ()
+              ~num_machines:machines ~workers_per_machine:wpm ()
           with
           | exception (Orion.Engine.Distributed_error _ as exn) ->
               Printf.eprintf "orion tune: %s\n"
@@ -1328,13 +1303,6 @@ let tune_cmd =
             "use TCP loopback instead of Unix domain sockets (--mode \
              distributed)")
   in
-  let comms =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "comms" ] ~docv:"POLICY"
-          ~doc:"communication policy for --mode distributed")
-  in
   let passes =
     Arg.(value & opt int 3 & info [ "passes" ] ~docv:"N" ~doc:"training passes")
   in
@@ -1358,7 +1326,7 @@ let tune_cmd =
   let term =
     Term.(
       const run $ machines_arg $ wpm_arg $ log_arg $ app_arg $ mode $ domains
-      $ procs $ tcp $ comms $ passes $ scale $ json $ out)
+      $ procs $ tcp $ passes $ scale $ json $ out)
   in
   Cmd.v
     (Cmd.info "tune"

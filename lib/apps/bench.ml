@@ -1,8 +1,8 @@
 (* One front door for the three benchmark suites.  Each suite keeps
    its own result types and payload shape (CI asserts on them), but
    every envelope written here also carries a uniform "rows" list with
-   the same columns — app, mode, workers, comms policy, wall seconds,
-   bytes shipped/full — so downstream tooling can read any
+   the same columns — app, mode, workers, wall seconds, bytes
+   shipped/full — so downstream tooling can read any
    BENCH_*.json without knowing which suite produced it. *)
 
 module Report = Orion.Report
@@ -35,7 +35,6 @@ type row = {
   row_app : string;
   row_mode : string;  (** engine mode: ["sim"], ["parallel"], ["distributed"] *)
   row_workers : int;  (** domains or worker processes *)
-  row_comms : string;  (** communication policy ([local] off the wire) *)
   row_wall_seconds : float;
   row_speedup : float option;
   row_loss : float option;  (** final training loss, when measured *)
@@ -55,7 +54,6 @@ let row_json (r : row) : Report.json =
       ("app", Report.Str r.row_app);
       ("mode", Report.Str r.row_mode);
       ("workers", Report.Int r.row_workers);
-      ("comms", Report.Str r.row_comms);
       ("wall_seconds", Report.Float r.row_wall_seconds);
       ("speedup", opt_float r.row_speedup);
       ("loss", opt_float r.row_loss);
@@ -79,7 +77,6 @@ let speedup_rows (results : Speedup.app_result list) : row list =
             row_app = a.Speedup.res_app;
             row_mode = "parallel";
             row_workers = r.Speedup.run_domains;
-            row_comms = r.Speedup.run_comms;
             row_wall_seconds = r.Speedup.run_wall_seconds;
             row_speedup = Some r.Speedup.run_speedup;
             row_loss = None;
@@ -101,7 +98,6 @@ let dist_rows (results : Dist_bench.app_result list) : row list =
             row_app = a.Dist_bench.res_app;
             row_mode = "distributed";
             row_workers = r.Dist_bench.run_procs;
-            row_comms = r.Dist_bench.run_comms;
             row_wall_seconds = r.Dist_bench.run_wall_seconds;
             row_speedup = Some r.Dist_bench.run_speedup;
             row_loss = r.Dist_bench.run_loss;
@@ -126,7 +122,6 @@ let convergence_rows (results : Convergence.result list) : row list =
         row_app = r.Convergence.cv_app;
         row_mode = r.Convergence.cv_mode;
         row_workers = r.Convergence.cv_domains;
-        row_comms = r.Convergence.cv_comms;
         row_wall_seconds =
           (match final with
           | Some p -> p.Convergence.pt_wall
@@ -200,7 +195,7 @@ let run_convergence ?apps ~domains_list ~passes ~scale ~num_machines
     selected
 
 let run ~(mode : mode) ~scale ~out ?apps ?(domains_list = [ 1; 2; 4; 8 ])
-    ?(procs_list = [ 1; 2; 4 ]) ?(comms = [ "auto" ]) ?(passes = 3)
+    ?(procs_list = [ 1; 2; 4 ]) ?(passes = 3)
     ?(transport = `Unix) ?(num_machines = 2) ?(workers_per_machine = 2)
     ?(print = true) () : row list =
   let payload, rows =
@@ -214,7 +209,7 @@ let run ~(mode : mode) ~scale ~out ?apps ?(domains_list = [ 1; 2; 4; 8 ])
         (payload, speedup_rows results)
     | `Speedup_distributed ->
         let results, payload =
-          Dist_bench.run ?apps ~procs_list ~comms ~passes ~scale ~transport ()
+          Dist_bench.run ?apps ~procs_list ~passes ~scale ~transport ()
         in
         if print then Dist_bench.print_results results;
         (payload, dist_rows results)

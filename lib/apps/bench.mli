@@ -1,12 +1,12 @@
 (** Unified benchmark front door, behind [orion bench].
 
     All three suites — multicore speedup ({!Speedup}), distributed
-    speedup with communication policies ({!Dist_bench}), and
+    speedup with wire-byte accounting ({!Dist_bench}), and
     loss-vs-wall-time convergence ({!Convergence}) — run through one
     {!run} call.  Each keeps its suite-specific payload, but every
     written envelope also carries a uniform ["rows"] list with the
-    same columns (app, mode, workers, comms policy, wall seconds,
-    bytes shipped vs full-policy bytes), so tooling can read any
+    same columns (app, mode, workers, wall seconds, bytes shipped vs
+    per-record [Marshal] bytes), so tooling can read any
     [BENCH_*.json] without knowing which suite produced it. *)
 
 type mode = [ `Speedup | `Speedup_distributed | `Convergence ]
@@ -23,7 +23,6 @@ type row = {
   row_app : string;
   row_mode : string;  (** engine mode: ["sim"], ["parallel"], ["distributed"] *)
   row_workers : int;  (** domains or worker processes *)
-  row_comms : string;  (** communication policy ([local] off the wire) *)
   row_wall_seconds : float;
   row_speedup : float option;
   row_loss : float option;  (** final training loss, when measured *)
@@ -48,11 +47,10 @@ val write_file : string -> string -> unit
 (** Run one benchmark suite and write its enveloped JSON (with the
     uniform ["rows"] section appended) to [out] (see {!default_out}
     for the conventional paths).  [domains_list] drives [`Speedup] and
-    [`Convergence]; [procs_list], [comms], and [transport] drive
+    [`Convergence]; [procs_list] and [transport] drive
     [`Speedup_distributed].  [print] (default true) emits the
     human-readable tables on stdout.  Returns the rows.
-    @raise Orion.Engine.Distributed_error when a distributed run fails
-    @raise Invalid_argument on a malformed [comms] policy spec *)
+    @raise Orion.Engine.Distributed_error when a distributed run fails *)
 val run :
   mode:mode ->
   scale:float ->
@@ -60,7 +58,6 @@ val run :
   ?apps:string list ->
   ?domains_list:int list ->
   ?procs_list:int list ->
-  ?comms:string list ->
   ?passes:int ->
   ?transport:Orion.Engine.transport ->
   ?num_machines:int ->

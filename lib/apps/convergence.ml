@@ -21,7 +21,6 @@ type result = {
   cv_domains : int;
   cv_passes : int;
   cv_scale : float;
-  cv_comms : string;
   cv_bytes_shipped : float;
   cv_bytes_full : float;
   cv_points : point list;
@@ -29,7 +28,7 @@ type result = {
 
 let run (app : Orion.App.t) ~(mode : Orion.Engine.mode) ~passes
     ?(scale = 1.0) ?(num_machines = 2) ?(workers_per_machine = 2)
-    ?pipeline_depth ?comms () : result =
+    ?pipeline_depth () : result =
   let loss_of =
     match app.Orion.App.app_loss with
     | Some f -> f
@@ -74,14 +73,12 @@ let run (app : Orion.App.t) ~(mode : Orion.Engine.mode) ~passes
       :: !points
   in
   record ~pass:0 ~report:None;
-  let comms_used = ref "local" in
   let bytes_shipped = ref 0.0 and bytes_full = ref 0.0 in
   for pass = 1 to passes do
     let r =
       Orion.Engine.run inst.Orion.App.inst_session inst ~mode ~passes:1
-        ?pipeline_depth ~scale ~telemetry:true ?comms ()
+        ?pipeline_depth ~scale ~telemetry:true ()
     in
-    comms_used := r.Orion.Engine.ep_comms;
     bytes_shipped := !bytes_shipped +. r.Orion.Engine.ep_bytes_shipped;
     bytes_full := !bytes_full +. r.Orion.Engine.ep_bytes_full;
     (* fold buffered accumulators into the model (e.g. SLR's gradient
@@ -101,7 +98,6 @@ let run (app : Orion.App.t) ~(mode : Orion.Engine.mode) ~passes
     cv_domains = domains;
     cv_passes = passes;
     cv_scale = scale;
-    cv_comms = !comms_used;
     cv_bytes_shipped = !bytes_shipped;
     cv_bytes_full = !bytes_full;
     cv_points = List.rev !points;
@@ -117,7 +113,6 @@ let result_payload r =
       ("domains", R.Int r.cv_domains);
       ("passes", R.Int r.cv_passes);
       ("scale", R.Float r.cv_scale);
-      ("comms", R.Str r.cv_comms);
       ("bytes_shipped", R.Float r.cv_bytes_shipped);
       ("bytes_full", R.Float r.cv_bytes_full);
       ( "points",

@@ -24,15 +24,12 @@ type result = {
   cv_domains : int;
   cv_passes : int;
   cv_scale : float;
-  cv_comms : string;
-      (** communication policy in effect (["local"] off the wire) *)
   cv_bytes_shipped : float;  (** summed over all measured passes *)
   cv_bytes_full : float;
   cv_points : point list;  (** pass order, starting at pass 0 *)
 }
 
-(** Run [app] for [passes] passes under [mode], measuring after each;
-    [comms] selects the distributed communication policy.
+(** Run [app] for [passes] passes under [mode], measuring after each.
     @raise Invalid_argument when the app declares no [app_loss] *)
 val run :
   Orion.App.t ->
@@ -42,7 +39,6 @@ val run :
   ?num_machines:int ->
   ?workers_per_machine:int ->
   ?pipeline_depth:int ->
-  ?comms:string ->
   unit ->
   result
 

@@ -22,9 +22,6 @@ module App = Orion.App
 
 type run = {
   run_domains : int;
-  run_comms : string;
-      (** communication policy — always ["local"]: the domain pool
-          shares memory, nothing crosses a wire *)
   run_wall_seconds : float;
   run_entries : int;
   run_steals : int;
@@ -119,7 +116,6 @@ let bench_app (app : App.t) ~domains_list ~passes ~scale ~available_cores
         in
         {
           run_domains = domains;
-          run_comms = r.Orion.Engine.ep_comms;
           run_wall_seconds = r.Orion.Engine.ep_wall_seconds;
           run_entries = r.Orion.Engine.ep_entries;
           run_steals = r.Orion.Engine.ep_steals;
@@ -168,7 +164,6 @@ let run_json (r : run) : Report.json =
   Report.Obj
     [
       ("domains", Report.Int r.run_domains);
-      ("comms", Report.Str r.run_comms);
       ("wall_seconds", Report.Float r.run_wall_seconds);
       ("entries", Report.Int r.run_entries);
       ("steals", Report.Int r.run_steals);

@@ -8,9 +8,6 @@
 
 type run = {
   run_domains : int;
-  run_comms : string;
-      (** communication policy — always ["local"]: the domain pool
-          shares memory, nothing crosses a wire *)
   run_wall_seconds : float;
   run_entries : int;
   run_steals : int;

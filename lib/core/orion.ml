@@ -32,8 +32,8 @@ module Prefetch = Orion_analysis.Prefetch
 module Cost_model = Orion_sim.Cost_model
 module Cluster = Orion_sim.Cluster
 module Recorder = Orion_sim.Recorder
-module Trace = Orion_sim.Trace
-module Metrics = Orion_sim.Metrics
+module Trace = Orion_obs.Trace
+module Metrics = Orion_obs.Metrics
 module Clock = Orion_obs.Clock
 module Telemetry = Orion_obs.Telemetry
 module Dist_array = Orion_dsm.Dist_array
@@ -149,7 +149,8 @@ let rotated_bytes session (plan : Plan.t) ~time_parts =
     partitions = workers × [pipeline_depth] for unordered 2D loops
     (multiple time indices per worker enable pipelining, Fig. 8). *)
 let compile session ~(plan : Plan.t) ~(iter : 'v Dist_array.t)
-    ?pipeline_depth ?(shuffle_seed = Some 17) () : 'v compiled =
+    ?pipeline_depth ?(shuffle_seed = Some Schedule.default_shuffle_seed) () :
+    'v compiled =
   let workers = Cluster.num_workers session.cluster in
   let depth =
     Option.value pipeline_depth ~default:session.default_pipeline_depth
@@ -607,17 +608,13 @@ module Engine = struct
             only: partition ship + prefetch + tokens + flushes) *)
     ep_bytes_by_array : (string * float) list;
         (** [ep_bytes_shipped] broken down per DistArray *)
-    ep_comms : string;
-        (** the communication policy the run used ([`Distributed]
-            only; ["local"] for [`Sim] / [`Parallel], which never
-            touch the wire) *)
     ep_bytes_full : float;
-        (** what the same traffic would have cost under the [full]
-            policy — the before side of bytes-saved accounting
-            ([`Distributed] only) *)
+        (** what the same traffic costs as one [Marshal]ed record per
+            write or partition — the before side of bytes-saved
+            accounting ([`Distributed] only) *)
     ep_policy_by_array : (string * string) list;
-        (** the per-DistArray encode decision the policy settled on
-            (empty under [full] and for the local modes) *)
+        (** the per-DistArray key mode the wire encoder settled on
+            (["sparse"] or ["dense"]; empty for the local modes) *)
     ep_telemetry : Telemetry.summary option;
         (** wall-clock telemetry of the real run: merged span timeline,
             per-pass metrics, measured block costs ([None] for [`Sim] —
@@ -646,7 +643,6 @@ module Engine = struct
             (List.map
                (fun (name, b) -> (name, Report.Float b))
                r.ep_bytes_by_array) );
-        ("comms", Report.Str r.ep_comms);
         ("bytes_full", Report.Float r.ep_bytes_full);
         ( "policy_by_array",
           Report.Obj
@@ -757,7 +753,6 @@ module Engine = struct
     pipeline_depth:int option ->
     scale:float ->
     telemetry:bool ->
-    comms:string option ->
     checkpoint:(int * checkpoint_sink) option ->
     replanner:replanner option ->
     report
@@ -766,10 +761,9 @@ module Engine = struct
 
   (* Rebuild plan/schedule/model for an adopted re-plan.  Strategy or
      depth switches recompile from scratch; explicit space boundaries
-     then override the histogram-balanced cut (same shuffle seed as
-     [compile]'s default, so independently rebuilt schedules
-     fingerprint identically).  Unimodular schedules never re-balance:
-     their time partitions are exact wavefronts. *)
+     then override the histogram-balanced cut ([Schedule.rebalance]).
+     Unimodular schedules never re-balance: their time partitions are
+     exact wavefronts. *)
   let apply_replan session ~(plan : Plan.t) ~iter ~depth (rp : replan) =
     let plan =
       match rp.rp_strategy with
@@ -779,18 +773,10 @@ module Engine = struct
     let depth = Option.value rp.rp_pipeline_depth ~default:depth in
     let c = compile session ~plan ~iter ~pipeline_depth:depth () in
     let schedule =
-      match (rp.rp_space_boundaries, plan.Plan.strategy) with
-      | Some sb, Plan.One_d { space_dim } ->
-          Schedule.partition_1d_with ~shuffle_seed:17 iter ~space_dim
-            ~space_boundaries:sb
-      | Some sb, Plan.Data_parallel ->
-          Schedule.partition_1d_with ~shuffle_seed:17 iter ~space_dim:0
-            ~space_boundaries:sb
-      | Some sb, Plan.Two_d { space_dim; time_dim } ->
-          Schedule.partition_2d_with ~shuffle_seed:17 iter ~space_dim
-            ~time_dim ~space_boundaries:sb
-            ~time_parts:c.schedule.Schedule.time_parts
-      | (Some _ | None), _ -> c.schedule
+      Option.bind rp.rp_space_boundaries (fun space_boundaries ->
+          Schedule.rebalance plan.Plan.strategy iter ~space_boundaries
+            ~time_parts:c.schedule.Schedule.time_parts)
+      |> Option.value ~default:c.schedule
     in
     let c = { c with schedule } in
     let sp = schedule.Schedule.space_parts
@@ -807,7 +793,7 @@ module Engine = struct
       instance). *)
   let run (session : session) (inst : App.instance) ~(mode : mode)
       ?(passes = 1) ?pipeline_depth ?(scale = 1.0)
-      ?(telemetry = Telemetry.default_enabled ()) ?comms ?checkpoint
+      ?(telemetry = Telemetry.default_enabled ()) ?checkpoint
       ?replanner () : report =
     (* re-planning feeds on measured block costs *)
     let telemetry = telemetry || Option.is_some replanner in
@@ -821,7 +807,7 @@ module Engine = struct
         match !distributed_runner with
         | Some f ->
             f session inst ~procs ~transport ~passes ~pipeline_depth ~scale
-              ~telemetry ~comms ~checkpoint ~replanner
+              ~telemetry ~checkpoint ~replanner
         | None ->
             raise
               (Distributed_error
@@ -899,7 +885,6 @@ module Engine = struct
           ep_sim_time = Cluster.now session.cluster -. sim0;
           ep_bytes_shipped = 0.0;
           ep_bytes_by_array = [];
-          ep_comms = "local";
           ep_bytes_full = 0.0;
           ep_policy_by_array = [];
           ep_telemetry = None;
@@ -1023,7 +1008,6 @@ module Engine = struct
           ep_sim_time = 0.0;
           ep_bytes_shipped = 0.0;
           ep_bytes_by_array = [];
-          ep_comms = "local";
           ep_bytes_full = 0.0;
           ep_policy_by_array = [];
           ep_telemetry =

@@ -29,8 +29,8 @@ module Prefetch = Orion_analysis.Prefetch
 module Cost_model = Orion_sim.Cost_model
 module Cluster = Orion_sim.Cluster
 module Recorder = Orion_sim.Recorder
-module Trace = Orion_sim.Trace
-module Metrics = Orion_sim.Metrics
+module Trace = Orion_obs.Trace
+module Metrics = Orion_obs.Metrics
 module Clock = Orion_obs.Clock
 module Telemetry = Orion_obs.Telemetry
 module Dist_array = Orion_dsm.Dist_array
@@ -308,15 +308,12 @@ module Engine : sig
             only: partition ship + prefetch + tokens + flushes) *)
     ep_bytes_by_array : (string * float) list;
         (** [ep_bytes_shipped] broken down per DistArray *)
-    ep_comms : string;
-        (** the communication policy the run used ([`Distributed]
-            only; ["local"] for [`Sim] / [`Parallel]) *)
     ep_bytes_full : float;
-        (** what the same traffic would have cost under the [full]
-            policy ([`Distributed] only) *)
+        (** what the same traffic costs as one [Marshal]ed record per
+            write or partition ([`Distributed] only) *)
     ep_policy_by_array : (string * string) list;
-        (** the per-DistArray encode decision the policy settled on
-            (empty under [full] and for the local modes) *)
+        (** the per-DistArray key mode the wire encoder settled on
+            (["sparse"] or ["dense"]; empty for the local modes) *)
     ep_telemetry : Telemetry.summary option;
         (** wall-clock telemetry of the real run: merged span timeline,
             per-pass metrics, measured block costs ([None] for [`Sim] —
@@ -375,7 +372,6 @@ module Engine : sig
     pipeline_depth:int option ->
     scale:float ->
     telemetry:bool ->
-    comms:string option ->
     checkpoint:(int * checkpoint_sink) option ->
     replanner:replanner option ->
     report
@@ -388,10 +384,7 @@ module Engine : sig
       workers rebuild the instance from the app registry).
       [telemetry] (default {!Telemetry.default_enabled}) turns
       wall-clock span recording on for the real modes; the summary
-      lands in [ep_telemetry].  [comms] selects the [`Distributed]
-      communication policy ([Orion_net.Policy.spec_of_string] syntax:
-      ["auto" | "full" | "delta" | "topk:K" | "budget:BYTES"]; default
-      the [ORION_COMMS] environment variable, then ["auto"]).
+      lands in [ep_telemetry].
       [checkpoint] registers a pass-boundary {!checkpoint_sink} invoked
       every [every] completed passes, in all three modes.
       [replanner] closes the measurement loop: it is consulted at every
@@ -409,7 +402,6 @@ module Engine : sig
     ?pipeline_depth:int ->
     ?scale:float ->
     ?telemetry:bool ->
-    ?comms:string ->
     ?checkpoint:int * checkpoint_sink ->
     ?replanner:replanner ->
     unit ->

@@ -152,7 +152,7 @@ type stats = {
 }
 
 (* One linear scan of the stored entries; callers (the distributed
-   policy layer) are expected to take it once per pass, not per
+   wire encoder) are expected to take it once per pass, not per
    message.  [st_density] is nnz over the full cell count, guarded so
    zero-dimensional / empty arrays report 0 instead of dividing by
    zero. *)

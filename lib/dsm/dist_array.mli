@@ -54,8 +54,8 @@ val count : 'a t -> int
 
 val is_sparse : 'a t -> bool
 
-(** Density / occupancy statistics, the input to the distributed
-    communication-policy choice ([lib/net]'s [Policy]). *)
+(** Density / occupancy statistics, the input to the distributed wire
+    encoder's key-mode choice ([lib/net]'s [Policy]). *)
 type stats = {
   st_cells : int;  (** product of [dims] (0 for zero-dim arrays) *)
   st_stored : int;  (** stored entries (dense: every cell) *)

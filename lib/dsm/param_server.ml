@@ -130,15 +130,15 @@ let communicate_round t ~budget_bytes_per_worker =
          The background transfer is traced without advancing the clock
          — it overlaps the worker's ongoing computation. *)
       Orion_sim.Cluster.compute_raw cluster ~worker:w
-        ~category:Orion_sim.Trace.Marshal ~label:t.name
+        ~category:Orion_obs.Trace.Marshal ~label:t.name
         (Orion_sim.Cost_model.marshal_time
            cluster.Orion_sim.Cluster.cost bytes);
       let transfer_sec =
         Orion_sim.Cost_model.transfer_time
           cluster.Orion_sim.Cluster.cost bytes
       in
-      Orion_sim.Trace.add cluster.Orion_sim.Cluster.trace ~label:t.name
-        ~bytes ~worker:w ~category:Orion_sim.Trace.Transfer
+      Orion_obs.Trace.add cluster.Orion_sim.Cluster.trace ~label:t.name
+        ~bytes ~worker:w ~category:Orion_obs.Trace.Transfer
         ~start_sec:(Orion_sim.Cluster.clock cluster w)
         ~duration_sec:transfer_sec;
       Orion_sim.Recorder.record cluster.Orion_sim.Cluster.recorder
@@ -165,7 +165,7 @@ let random_access_read t ~worker i =
   let cluster = t.cluster in
   let lat = cluster.Orion_sim.Cluster.cost.network_latency_sec in
   Orion_sim.Cluster.compute_raw cluster ~worker
-    ~category:Orion_sim.Trace.Idle ~label:t.name (2.0 *. lat);
+    ~category:Orion_obs.Trace.Idle ~label:t.name (2.0 *. lat);
   t.master.(i)
 
 (** A bulk prefetch of [n] entries: one round trip plus streaming. *)
@@ -181,8 +181,8 @@ let bulk_fetch t ~worker ~n =
   Orion_sim.Recorder.record cluster.Orion_sim.Cluster.recorder
     ~start_sec:start ~duration_sec:transfer_sec ~bytes;
   Orion_sim.Cluster.compute_raw cluster ~worker
-    ~category:Orion_sim.Trace.Transfer ~label:t.name ~bytes
+    ~category:Orion_obs.Trace.Transfer ~label:t.name ~bytes
     ((2.0 *. lat) +. transfer_sec);
   Orion_sim.Cluster.compute_raw cluster ~worker
-    ~category:Orion_sim.Trace.Marshal ~label:t.name
+    ~category:Orion_obs.Trace.Marshal ~label:t.name
     (Orion_sim.Cost_model.marshal_time cost bytes)

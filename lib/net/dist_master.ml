@@ -26,7 +26,7 @@ module Partitioner = Orion_dsm.Partitioner
 module Plan = Orion_analysis.Plan
 module Schedule = Orion_runtime.Schedule
 module Domain_exec = Orion_runtime.Domain_exec
-module Trace = Orion_sim.Trace
+module Trace = Orion_obs.Trace
 module Cluster = Orion_sim.Cluster
 module Telemetry = Orion_obs.Telemetry
 
@@ -34,13 +34,6 @@ type spawn = [ `Fork | `Exec of string ]
 
 let spawn_env = "ORION_DIST_SPAWN"  (* "fork" or "exec:<path>" *)
 let worker_exe_env = "ORION_WORKER_EXE"
-let timeout_env = Dist_worker.timeout_env
-let comms_env = "ORION_COMMS"  (* default --comms when none is given *)
-
-let master_timeout () =
-  match Sys.getenv_opt timeout_env with
-  | Some s -> ( match float_of_string_opt s with Some f -> f | None -> 120.0)
-  | None -> 120.0
 
 (** Pick how to start workers: [ORION_DIST_SPAWN] override, then
     [ORION_WORKER_EXE], then the [orion_worker] executable next to the
@@ -144,7 +137,7 @@ type worker_state = {
   mutable st_done : Wire.worker_stats option;
 }
 
-let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
+let run ~(materialize : Dist_worker.materialize) ?spawn
     (session : Orion.session) (inst : Orion.App.instance) ~procs
     ~(transport : Orion.Engine.transport) ~passes ~pipeline_depth ~scale
     ~telemetry ?(checkpoint : (int * Orion.Engine.checkpoint_sink) option)
@@ -152,19 +145,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
   if procs < 1 then err "procs must be >= 1, got %d" procs;
   (* the re-planner decides from shipped block costs *)
   let telemetry = telemetry || replanner <> None in
-  (* explicit argument, then the environment (which exec'd/forked
-     workers of nested tools inherit), then auto *)
-  let comms_str =
-    match comms with
-    | Some c -> c
-    | None -> Option.value (Sys.getenv_opt comms_env) ~default:"auto"
-  in
-  let comms_spec =
-    match Policy.spec_of_string comms_str with
-    | Ok spec -> spec
-    | Error e -> err "bad comms policy: %s" e
-  in
-  let comms_str = Policy.spec_to_string comms_spec in
+  let timeout = Dist_worker.timeout_seconds ~default:120.0 in
   (* a worker dying mid-run must surface as EPIPE on our next send to
      it (handled by the supervision loop), not kill the master *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -177,7 +158,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
       procs cluster_workers;
   let t0 = Unix.gettimeofday () in
   let w0 = Orion_obs.Clock.now () in
-  let deadline = t0 +. master_timeout () in
+  let deadline = t0 +. timeout in
   let plan = Orion.analyze_loop session inst.Orion.App.inst_loop in
   let compiled =
     Orion.compile session ~plan ~iter:inst.Orion.App.inst_iter
@@ -199,24 +180,9 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
      honored distributed: tp and the model pin the happens-before edges
      and the (pass, natural-order) final assembly, so they never change
      mid-run. *)
-  let rebuild_schedule new_boundaries =
-    match plan.Plan.strategy with
-    | Plan.One_d { space_dim } ->
-        Some
-          (Schedule.partition_1d_with ~shuffle_seed:17
-             inst.Orion.App.inst_iter ~space_dim
-             ~space_boundaries:new_boundaries)
-    | Plan.Data_parallel ->
-        Some
-          (Schedule.partition_1d_with ~shuffle_seed:17
-             inst.Orion.App.inst_iter ~space_dim:0
-             ~space_boundaries:new_boundaries)
-    | Plan.Two_d { space_dim; time_dim } ->
-        Some
-          (Schedule.partition_2d_with ~shuffle_seed:17
-             inst.Orion.App.inst_iter ~space_dim ~time_dim
-             ~space_boundaries:new_boundaries ~time_parts:tp)
-    | Plan.Two_d_unimodular _ -> None
+  let rebuild_schedule space_boundaries =
+    Schedule.rebalance plan.Plan.strategy inst.Orion.App.inst_iter
+      ~space_boundaries ~time_parts:tp
   in
   (* ranks whose pass-N telemetry has arrived; the directive broadcasts
      once all [nw] have reported *)
@@ -465,7 +431,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
     let check_deadline what =
       if Unix.gettimeofday () > deadline then
         fail_cleanup "timed out waiting for %s (%.0fs)" what
-          (master_timeout ())
+          timeout
     in
     (* -- accept + hello --------------------------------------------- *)
     let connected = ref 0 in
@@ -516,7 +482,6 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
              p_fingerprint = fingerprint;
              p_telemetry = telemetry;
              p_report_passes = checkpoint <> None;
-             p_comms = comms_str;
              p_adapt = replanner <> None;
            })
     done;
@@ -540,10 +505,9 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
         inst.Orion.App.inst_arrays
     in
     let ship_parts rank (msg : Wire.part_payload list -> Wire.msg) parts =
-      (* the policy picks the encoding (raw Marshal under [full], the
-         packed sparse index/value codec otherwise); both the encoded
-         bytes and the full-policy equivalent are accounted *)
-      let payloads, accounts = Policy.prepare_parts comms_spec parts in
+      (* both the packed bytes and the raw [Marshal] equivalent are
+         accounted *)
+      let payloads, accounts = Policy.prepare_parts parts in
       let t_send = Unix.gettimeofday () in
       Transport.send (conn rank) (msg payloads);
       let elapsed = Unix.gettimeofday () -. t_send in
@@ -870,7 +834,6 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
       ep_sim_time = 0.0;
       ep_bytes_shipped = List.fold_left (fun acc (_, b) -> acc +. b) 0.0 bytes_list;
       ep_bytes_by_array = bytes_list;
-      ep_comms = comms_str;
       ep_bytes_full =
         List.fold_left (fun acc (_, b) -> acc +. b) 0.0 bytes_full_list;
       ep_policy_by_array = sorted_bindings policy_by_array;
@@ -884,8 +847,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
            in
            let comms =
              {
-               Telemetry.cs_policy = comms_str;
-               cs_bytes_shipped =
+               Telemetry.cs_bytes_shipped =
                  List.fold_left (fun acc (_, b) -> acc +. b) 0.0 bytes_list;
                cs_bytes_full =
                  List.fold_left
@@ -910,6 +872,6 @@ let install ~(materialize : Dist_worker.materialize) =
   Orion.Engine.distributed_runner :=
     Some
       (fun session inst ~procs ~transport ~passes ~pipeline_depth ~scale
-           ~telemetry ~comms ~checkpoint ~replanner ->
-        run ~materialize ?comms session inst ~procs ~transport ~passes
+           ~telemetry ~checkpoint ~replanner ->
+        run ~materialize session inst ~procs ~transport ~passes
           ~pipeline_depth ~scale ~telemetry ?checkpoint ?replanner ())

@@ -59,10 +59,27 @@ let timeout_env = "ORION_DIST_TIMEOUT"
 let abort_rank_env = "ORION_DIST_ABORT_RANK"
 let abort_after_env = "ORION_DIST_ABORT_AFTER"
 
-let deadline_seconds () =
+(** The [ORION_DIST_TIMEOUT] deadline in seconds, else [default] (also
+    when the variable is empty).  A malformed, non-finite or
+    non-positive value is a {!Orion.Engine.Distributed_error} naming
+    the variable: a past deadline would misreport a "timed out", and
+    [nan] would disable the deadline altogether. *)
+let timeout_seconds ~default =
   match Sys.getenv_opt timeout_env with
-  | Some s -> ( match float_of_string_opt s with Some f -> f | None -> 300.0)
-  | None -> 300.0
+  | None | Some "" -> default
+  | Some s -> (
+      match float_of_string_opt (String.trim s) with
+      | Some f when Float.is_finite f && f > 0.0 -> f
+      | _ ->
+          raise
+            (Orion.Engine.Distributed_error
+               {
+                 de_rank = None;
+                 de_reason =
+                   Printf.sprintf
+                     "%s=%S: expected a positive, finite number of seconds"
+                     timeout_env s;
+               }))
 
 (** Fault injection for the failure-path tests: the designated rank
     calls [Unix._exit 13] just before executing its [n]-th block. *)
@@ -139,18 +156,13 @@ let expand_keys (dims : int array) (subs : Value.concrete_sub array) :
 
 let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     ~(like : Transport.addr) : unit =
-  let deadline = Unix.gettimeofday () +. deadline_seconds () in
+  let deadline = Unix.gettimeofday () +. timeout_seconds ~default:300.0 in
   let recv_master what = recv_with_deadline master ~deadline ~what in
   (* -- plan ------------------------------------------------------- *)
   let p =
     match recv_master "plan" with
     | Wire.Plan p -> p
     | m -> fail "expected plan, got %s" (Wire.tag m)
-  in
-  let comms =
-    match Policy.spec_of_string p.p_comms with
-    | Ok spec -> spec
-    | Error e -> fail "bad comms policy in plan: %s" e
   in
   let inst =
     match
@@ -184,24 +196,13 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
       (Domain_exec.model_to_string p.p_model);
   if Schedule.fingerprint !sched <> p.p_fingerprint then
     fail "schedule fingerprint mismatch (nondeterministic compile?)";
-  (* rebuild under a re-balanced space cut, with [Orion.compile]'s
-     shuffle seed so master and workers fingerprint identically *)
-  let rebuild_schedule new_boundaries =
-    match plan.Plan.strategy with
-    | Plan.One_d { space_dim } ->
-        Schedule.partition_1d_with ~shuffle_seed:17
-          inst.Orion.App.inst_iter ~space_dim
-          ~space_boundaries:new_boundaries
-    | Plan.Data_parallel ->
-        Schedule.partition_1d_with ~shuffle_seed:17
-          inst.Orion.App.inst_iter ~space_dim:0
-          ~space_boundaries:new_boundaries
-    | Plan.Two_d { space_dim; time_dim } ->
-        Schedule.partition_2d_with ~shuffle_seed:17
-          inst.Orion.App.inst_iter ~space_dim ~time_dim
-          ~space_boundaries:new_boundaries ~time_parts:tp
-    | Plan.Two_d_unimodular _ ->
-        fail "repartition is unsupported for unimodular schedules"
+  let rebuild_schedule space_boundaries =
+    match
+      Schedule.rebalance plan.Plan.strategy inst.Orion.App.inst_iter
+        ~space_boundaries ~time_parts:tp
+    with
+    | Some s -> s
+    | None -> fail "repartition is unsupported for unimodular schedules"
   in
   if rank < 0 || rank >= sp then fail "rank %d out of range (sp = %d)" rank sp;
   if p.p_procs <> sp then
@@ -423,14 +424,15 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
       known_log := bw :: !known_log;
       incr klen
     end;
-    (* apply unconditionally, not only on first sight: a lossy policy's
-       pass-sync flush re-delivers residual writes for blocks learned
-       earlier, and last-writer-wins application is idempotent *)
+    (* apply unconditionally, not only on first sight: a block can
+       arrive again from another peer, and a deduplicated payload may
+       have carried only some of its writes; last-writer-wins
+       application is idempotent, so re-applying is always safe *)
     let version = (bw.bw_pass, pos bw.bw_block) in
     Array.iter (apply_write ~version) bw.bw_writes
   in
   let apply_entries entries = List.iter learn entries in
-  (* -- communication policy ----------------------------------------- *)
+  (* -- wire encoding ------------------------------------------------- *)
   let linearize name key =
     match Hashtbl.find_opt arr_tbl name with
     | Some a -> Dist_array.linearize a key
@@ -441,7 +443,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     | Some a -> Dist_array.delinearize a lin
     | None -> fail "packed payload for unknown array %S" name
   in
-  let sender = Policy.sender comms ~peers:sp ~linearize ~pos in
+  let sender = Policy.sender ~linearize ~pos in
   (* migration shipments, keyed (pass, sending rank) *)
   let reparts : (int * int, Wire.part list) Hashtbl.t = Hashtbl.create 16 in
   let handle = function
@@ -482,10 +484,9 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   in
   (* per-peer cursor into [known_log]; entries the peer authored itself
      are filtered out of the payload (it has them by construction).
-     The comms policy then decides what actually goes on the wire:
      [prepare_payload] returns the encoded payload plus its actual
      bytes (which label the telemetry Transfer span around the send),
-     accumulating both the actual and the full-policy-equivalent bytes
+     accumulating both the actual and the per-write [Marshal] bytes
      per array for the final stats. *)
   let sent_upto = Array.make sp 0 in
   let bytes_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
@@ -501,10 +502,8 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
       (fun (bw : Wire.block_writes) -> owner bw.bw_block <> q)
       (List.rev (take n !known_log))
   in
-  let prepare_payload q ~sync =
-    let payload, accounts =
-      Policy.prepare sender ~peer:q ~sync (fresh_entries q)
-    in
+  let prepare_payload q =
+    let payload, accounts = Policy.prepare sender (fresh_entries q) in
     let bytes = ref 0.0 in
     List.iter
       (fun (name, actual, full) ->
@@ -618,9 +617,8 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   let t0 = Orion_obs.Clock.now () in
   for pass = 0 to p.p_passes - 1 do
     let pass_start = tel_now () in
-    (* refresh the policy's per-array stats once per pass (not per
-       token): density decides the packed key encoding, and the
-       per-pass byte budget resets here *)
+    (* refresh the per-array stats once per pass (not per token):
+       density decides the packed key encoding *)
     Policy.note_pass sender
       (List.filter_map
          (fun (n, a) ->
@@ -678,7 +676,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
               List.iter
                 (fun dst ->
                   let q = owner dst in
-                  let payload, bytes = prepare_payload q ~sync:false in
+                  let payload, bytes = prepare_payload q in
                   let send_start = tel_now () in
                   send_peer q
                     (Wire.Rotation_token
@@ -698,10 +696,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
        from globally consistent DistArray state *)
     for q = 0 to sp - 1 do
       if q <> rank then begin
-        (* the barrier flush bypasses ranking and budgets and folds in
-           every residual held for this peer, so pass + 1 starts from
-           globally consistent state under every policy *)
-        let payload, bytes = prepare_payload q ~sync:true in
+        let payload, bytes = prepare_payload q in
         let send_start = tel_now () in
         send_peer q
           (Wire.Pass_sync
@@ -850,7 +845,10 @@ let connect_and_serve ~(materialize : materialize) ~rank ~master_addr : unit =
   | () -> Transport.close_conn master
   | exception e ->
       let reason =
-        match e with Worker_error s -> s | e -> Printexc.to_string e
+        match e with
+        | Worker_error s -> s
+        | Orion.Engine.Distributed_error { de_reason; _ } -> de_reason
+        | e -> Printexc.to_string e
       in
       (try Transport.send master (Wire.Fatal { f_rank = rank; f_reason = reason })
        with _ -> ());

@@ -1,4 +1,5 @@
-(** Pluggable communication policies: see [policy.mli] for the model.
+(** The wire encoding of DistArray state: see [policy.mli] for the
+    model.
 
     Layout of the packed codecs (all integers are unsigned LEB128
     varints, float values are 8 little-endian bytes of IEEE-754 bits,
@@ -20,44 +21,6 @@
     agree across processes. *)
 
 module Dist_array = Orion_dsm.Dist_array
-
-type spec = Auto | Full | Delta | Topk of int | Budget of float
-
-let spec_to_string = function
-  | Auto -> "auto"
-  | Full -> "full"
-  | Delta -> "delta"
-  | Topk k -> Printf.sprintf "topk:%d" k
-  | Budget b -> Printf.sprintf "budget:%.0f" b
-
-let usage = "expected full | delta | topk:K | budget:BYTES | auto"
-
-let spec_of_string s =
-  let s = String.trim (String.lowercase_ascii s) in
-  match s with
-  | "" | "auto" -> Ok Auto
-  | "full" -> Ok Full
-  | "delta" -> Ok Delta
-  | _ -> (
-      match String.index_opt s ':' with
-      | Some i -> (
-          let head = String.sub s 0 i
-          and arg = String.sub s (i + 1) (String.length s - i - 1) in
-          match head with
-          | "topk" -> (
-              match int_of_string_opt arg with
-              | Some k when k > 0 -> Ok (Topk k)
-              | _ -> Error (Printf.sprintf "bad top-k count %S: %s" arg usage))
-          | "budget" -> (
-              match float_of_string_opt arg with
-              | Some b when b > 0.0 -> Ok (Budget b)
-              | _ ->
-                  Error (Printf.sprintf "bad byte budget %S: %s" arg usage))
-          | _ -> Error (Printf.sprintf "unknown comms policy %S: %s" s usage))
-      | None -> Error (Printf.sprintf "unknown comms policy %S: %s" s usage))
-
-let spec_of_string_exn s =
-  match spec_of_string s with Ok p -> p | Error e -> invalid_arg e
 
 (* ------------------------------------------------------------------ *)
 (* Varints and float bits                                              *)
@@ -295,31 +258,20 @@ let part_mode (p : Wire.part) : [ `Sparse | `Dense ] =
   then `Dense
   else `Sparse
 
-let prepare_parts spec (parts : Wire.part list) :
+let prepare_parts (parts : Wire.part list) :
     Wire.part_payload list * (string * float * float) list =
-  let accounts = ref [] in
-  let payloads =
-    List.map
-      (fun (p : Wire.part) ->
-        let full = float_of_int (Dist_array.partition_size_bytes p) in
-        match spec with
-        | Full ->
-            accounts := (p.Dist_array.pt_array, full, full) :: !accounts;
-            Wire.Part p
-        | Auto | Delta | Topk _ | Budget _ ->
-            let b = encode_part ~mode:(part_mode p) p in
-            accounts :=
-              (p.Dist_array.pt_array, float_of_int (Bytes.length b), full)
-              :: !accounts;
-            Wire.Packed_part b)
-      parts
-  in
-  (payloads, List.rev !accounts)
+  List.split
+    (List.map
+       (fun (p : Wire.part) ->
+         let b = encode_part ~mode:(part_mode p) p in
+         ( b,
+           ( p.Dist_array.pt_array,
+             float_of_int (Bytes.length b),
+             float_of_int (Dist_array.partition_size_bytes p) ) ))
+       parts)
 
 let decode_parts (payloads : Wire.part_payload list) : Wire.part list =
-  List.map
-    (function Wire.Part p -> p | Wire.Packed_part b -> decode_part b)
-    payloads
+  List.map decode_part payloads
 
 (* ------------------------------------------------------------------ *)
 (* Journal-entry codec                                                 *)
@@ -393,15 +345,13 @@ let decode_groups ~(delinearize : string -> int -> int array) (b : bytes) :
     [] groups
   |> List.rev
 
-let decode_entries ~delinearize = function
-  | Wire.Entries l -> l
-  | Wire.Packed_entries b -> decode_groups ~delinearize b
+let decode_entries = decode_groups
 
 (* ------------------------------------------------------------------ *)
-(* The sender: dedup, ranking, residual carryover, budgets             *)
+(* The sender: dedup to the newest write, per-array key modes          *)
 (* ------------------------------------------------------------------ *)
 
-(* A deduplicated candidate write. *)
+(* A deduplicated write. *)
 type cand = {
   c_array : string;
   c_lin : int;
@@ -412,79 +362,35 @@ type cand = {
 }
 
 type sender = {
-  s_spec : spec;
   s_linearize : string -> int array -> int;
   s_pos : int -> int;
-  (* per-peer: last value shipped per (array, linearized key) — the
-     baseline the top-k magnitude ranking measures change against *)
-  s_shipped : (string * int, float) Hashtbl.t array;
-  (* per-peer suppressed residuals, merged into the next send *)
-  s_residuals : (string * int, cand) Hashtbl.t array;
   (* per-array key-encoding decision, refreshed once per pass *)
   s_modes : (string, [ `Sparse | `Dense ]) Hashtbl.t;
-  mutable s_budget_left : float;  (** per-pass, [Budget] only *)
 }
 
-let sender spec ~peers ~linearize ~pos =
-  {
-    s_spec = spec;
-    s_linearize = linearize;
-    s_pos = pos;
-    s_shipped = Array.init peers (fun _ -> Hashtbl.create 64);
-    s_residuals = Array.init peers (fun _ -> Hashtbl.create 16);
-    s_modes = Hashtbl.create 8;
-    s_budget_left = (match spec with Budget b -> b | _ -> infinity);
-  }
+let sender ~linearize ~pos =
+  { s_linearize = linearize; s_pos = pos; s_modes = Hashtbl.create 8 }
 
 let mode_label = function `Sparse -> "sparse" | `Dense -> "dense"
 
-let spec_label = function
-  | Auto -> "delta"
-  | Full -> "full"
-  | Delta -> "delta"
-  | Topk _ -> "topk"
-  | Budget _ -> "budget"
-
+(* run-length keys pay off once most cells are populated; index/value
+   wins below that *)
 let note_pass s stats =
-  (match s.s_spec with
-  | Budget b -> s.s_budget_left <- b
-  | _ -> ());
-  match s.s_spec with
-  | Full ->
-      (* nothing to decide, but remember the array names so the
-         per-array policy report covers [full] runs too *)
-      List.iter
-        (fun (name, _) -> Hashtbl.replace s.s_modes name `Sparse)
-        stats
-  | Delta ->
-      (* fixed sparse index/value encoding for every array *)
-      List.iter
-        (fun (name, _) -> Hashtbl.replace s.s_modes name `Sparse)
-        stats
-  | Auto | Topk _ | Budget _ ->
-      (* density-driven: run-length keys pay off once most cells are
-         populated; index/value wins below that *)
-      List.iter
-        (fun (name, (st : Dist_array.stats)) ->
-          Hashtbl.replace s.s_modes name
-            (if st.Dist_array.st_density >= 0.5 then `Dense else `Sparse))
-        stats
+  List.iter
+    (fun (name, (st : Dist_array.stats)) ->
+      Hashtbl.replace s.s_modes name
+        (if st.Dist_array.st_density >= 0.5 then `Dense else `Sparse))
+    stats
 
 let decisions s =
-  let label mode =
-    match s.s_spec with
-    (* no encode decision under [full]; everything is Marshal *)
-    | Full -> spec_label s.s_spec
-    | _ -> spec_label s.s_spec ^ "+" ^ mode_label mode
-  in
-  Hashtbl.fold (fun name mode acc -> (name, label mode) :: acc) s.s_modes []
+  Hashtbl.fold (fun name mode acc -> (name, mode_label mode) :: acc) s.s_modes []
   |> List.sort compare
 
 let mode_for s name =
   Option.value (Hashtbl.find_opt s.s_modes name) ~default:`Sparse
 
-(* The [full] policy's cost of one write: the per-write Marshal size
-   the v3 runtime charged (and still charges under [full]). *)
+(* The cost of one write in the per-write [Marshal] framing the v3
+   runtime used: the before side of the bytes-saved accounting. *)
 let full_write_bytes (w : Wire.write) =
   float_of_int (Bytes.length (Marshal.to_bytes (w.w_key, w.w_value) []))
 
@@ -501,170 +407,68 @@ let full_bytes_by_array (entries : Wire.block_writes list) =
     entries;
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
-(* Estimated packed cost of one candidate, used by the budget
-   admission check (the exact size is only known after encoding). *)
-let est_cand_bytes (c : cand) = float_of_int (varint_len c.c_lin + 9)
-
-let prepare s ~peer ~sync (entries : Wire.block_writes list) :
+let prepare s (entries : Wire.block_writes list) :
     Wire.entries_payload * (string * float * float) list =
   let full = full_bytes_by_array entries in
-  match s.s_spec with
-  | Full ->
-      (Wire.Entries entries, List.map (fun (n, b) -> (n, b, b)) full)
-  | _ ->
-      (* -- dedup to the newest write per (array, element) ----------- *)
-      let cands : (string * int, cand) Hashtbl.t = Hashtbl.create 64 in
-      List.iter
-        (fun (bw : Wire.block_writes) ->
-          Array.iter
-            (fun (w : Wire.write) ->
-              let lin = s.s_linearize w.Wire.w_array w.Wire.w_key in
-              let c =
-                {
-                  c_array = w.Wire.w_array;
-                  c_lin = lin;
-                  c_value = w.Wire.w_value;
-                  c_pass = bw.bw_pass;
-                  c_block = bw.bw_block;
-                  c_vpos = s.s_pos bw.bw_block;
-                }
-              in
-              match Hashtbl.find_opt cands (c.c_array, lin) with
-              | Some prev
-                when (prev.c_pass, prev.c_vpos) > (c.c_pass, c.c_vpos) ->
-                  ()
-              | _ -> Hashtbl.replace cands (c.c_array, lin) c)
-            bw.bw_writes)
-        entries;
-      (* -- fold in this peer's residuals at the pass barrier -------- *)
-      let residuals = s.s_residuals.(peer) in
-      if sync then begin
-        Hashtbl.iter
-          (fun key (r : cand) ->
-            match Hashtbl.find_opt cands key with
-            | Some c when (c.c_pass, c.c_vpos) >= (r.c_pass, r.c_vpos) -> ()
-            | _ -> Hashtbl.replace cands key r)
-          residuals;
-        Hashtbl.reset residuals
-      end;
-      let all = Hashtbl.fold (fun _ c acc -> c :: acc) cands [] in
-      (* -- rank and select under the policy ------------------------- *)
-      let shipped = s.s_shipped.(peer) in
-      let kept, suppressed =
-        let lossless l = (l, []) in
-        if sync then lossless all
-        else
-          match s.s_spec with
-          | Full | Auto | Delta -> lossless all
-          | Topk k ->
-              let ranked =
-                List.sort
-                  (fun a b ->
-                    let mag c =
-                      match Hashtbl.find_opt shipped (c.c_array, c.c_lin) with
-                      | Some prev -> Float.abs (c.c_value -. prev)
-                      | None -> Float.abs c.c_value
-                    in
-                    compare
-                      (-.mag a, a.c_array, a.c_lin)
-                      (-.mag b, b.c_array, b.c_lin))
-                  all
-              in
-              let rec split i acc = function
-                | [] -> (List.rev acc, [])
-                | l when i >= k -> (List.rev acc, l)
-                | c :: tl -> split (i + 1) (c :: acc) tl
-              in
-              split 0 [] ranked
-          | Budget _ ->
-              let ranked =
-                List.sort
-                  (fun a b ->
-                    let mag c =
-                      match Hashtbl.find_opt shipped (c.c_array, c.c_lin) with
-                      | Some prev -> Float.abs (c.c_value -. prev)
-                      | None -> Float.abs c.c_value
-                    in
-                    compare
-                      (-.mag a, a.c_array, a.c_lin)
-                      (-.mag b, b.c_array, b.c_lin))
-                  all
-              in
-              let kept = ref [] and dropped = ref [] in
-              List.iter
-                (fun c ->
-                  let cost = est_cand_bytes c in
-                  if cost <= s.s_budget_left then begin
-                    s.s_budget_left <- s.s_budget_left -. cost;
-                    kept := c :: !kept
-                  end
-                  else dropped := c :: !dropped)
-                ranked;
-              (List.rev !kept, List.rev !dropped)
-      in
-      (* -- carry suppressed writes as residuals; note kept ones ----- *)
-      List.iter
-        (fun (c : cand) ->
-          let key = (c.c_array, c.c_lin) in
-          match Hashtbl.find_opt residuals key with
+  (* -- dedup to the newest write per (array, element) --------------- *)
+  let cands : (string * int, cand) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun (bw : Wire.block_writes) ->
+      Array.iter
+        (fun (w : Wire.write) ->
+          let lin = s.s_linearize w.Wire.w_array w.Wire.w_key in
+          let c =
+            {
+              c_array = w.Wire.w_array;
+              c_lin = lin;
+              c_value = w.Wire.w_value;
+              c_pass = bw.bw_pass;
+              c_block = bw.bw_block;
+              c_vpos = s.s_pos bw.bw_block;
+            }
+          in
+          match Hashtbl.find_opt cands (c.c_array, lin) with
           | Some prev when (prev.c_pass, prev.c_vpos) > (c.c_pass, c.c_vpos) ->
               ()
-          | _ -> Hashtbl.replace residuals key c)
-        suppressed;
-      List.iter
-        (fun (c : cand) ->
-          let key = (c.c_array, c.c_lin) in
-          Hashtbl.replace shipped key c.c_value;
-          (* a kept write supersedes any older residual for the cell *)
-          match Hashtbl.find_opt residuals key with
-          | Some prev when (c.c_pass, c.c_vpos) >= (prev.c_pass, prev.c_vpos)
-            ->
-              Hashtbl.remove residuals key
-          | _ -> ())
-        kept;
-      (* -- group by (pass, block, array), ascending ----------------- *)
-      let sorted =
-        List.sort
-          (fun a b ->
-            compare
-              (a.c_pass, a.c_vpos, a.c_array, a.c_lin)
-              (b.c_pass, b.c_vpos, b.c_array, b.c_lin))
-          kept
-      in
-      let groups =
-        List.fold_left
-          (fun acc c ->
-            match acc with
-            | (p, blk, name, cs) :: tl
-              when p = c.c_pass && blk = c.c_block && name = c.c_array ->
-                (p, blk, name, c :: cs) :: tl
-            | _ -> (c.c_pass, c.c_block, c.c_array, [ c ]) :: acc)
-          [] sorted
-        |> List.rev_map (fun (p, blk, name, cs) ->
-               let cs = Array.of_list (List.rev cs) in
-               {
-                 g_array = name;
-                 g_pass = p;
-                 g_block = blk;
-                 g_keys = Array.map (fun c -> c.c_lin) cs;
-                 g_values = Array.map (fun c -> c.c_value) cs;
-               })
-        |> List.rev
-      in
-      let bytes, per_array = encode_groups ~mode_for:(mode_for s) groups in
-      let actual name =
-        Option.value (List.assoc_opt name per_array) ~default:0.0
-      in
-      (* every array that had traffic (kept or not) appears in the
-         accounting, so the full-policy baseline stays comparable *)
-      let names =
-        List.sort_uniq compare
-          (List.map fst full @ List.map fst per_array)
-      in
-      let accounts =
-        List.map
-          (fun n ->
-            (n, actual n, Option.value (List.assoc_opt n full) ~default:0.0))
-          names
-      in
-      (Wire.Packed_entries bytes, accounts)
+          | _ -> Hashtbl.replace cands (c.c_array, lin) c)
+        bw.bw_writes)
+    entries;
+  (* -- group by (pass, block, array), ascending --------------------- *)
+  let sorted =
+    List.sort
+      (fun a b ->
+        compare
+          (a.c_pass, a.c_vpos, a.c_array, a.c_lin)
+          (b.c_pass, b.c_vpos, b.c_array, b.c_lin))
+      (Hashtbl.fold (fun _ c acc -> c :: acc) cands [])
+  in
+  let groups =
+    List.fold_left
+      (fun acc c ->
+        match acc with
+        | (p, blk, name, cs) :: tl
+          when p = c.c_pass && blk = c.c_block && name = c.c_array ->
+            (p, blk, name, c :: cs) :: tl
+        | _ -> (c.c_pass, c.c_block, c.c_array, [ c ]) :: acc)
+      [] sorted
+    |> List.rev_map (fun (p, blk, name, cs) ->
+           let cs = Array.of_list (List.rev cs) in
+           {
+             g_array = name;
+             g_pass = p;
+             g_block = blk;
+             g_keys = Array.map (fun c -> c.c_lin) cs;
+             g_values = Array.map (fun c -> c.c_value) cs;
+           })
+    |> List.rev
+  in
+  let bytes, per_array = encode_groups ~mode_for:(mode_for s) groups in
+  (* dedup never drops an array outright, so [full] names every array
+     that had traffic *)
+  let accounts =
+    List.map
+      (fun (n, f) ->
+        (n, Option.value (List.assoc_opt n per_array) ~default:0.0, f))
+      full
+  in
+  (bytes, accounts)

@@ -1,60 +1,33 @@
-(** Pluggable communication policies for the distributed runtime.
+(** The one wire encoding of DistArray state in the distributed runtime.
 
-    How rotation tokens, pass syncs, partition ships and prefetch
-    responses are encoded and filtered is a policy {e value}, selected
-    at runtime ([--comms], [ORION_COMMS]) and carried to every worker
-    in the {!Wire.plan} — not a format baked into the protocol:
+    Rotation tokens, pass syncs, partition ships and prefetch responses
+    all travel in the packed codec below:
 
-    - [full] — ship every journaled write, [Marshal]-encoded: the
-      v3-era behavior, and the byte-accounting baseline.
-    - [delta] — deduplicate each payload to the newest write per
+    - journal payloads are deduplicated to the newest write per
       (array, element) before encoding (receivers apply
-      last-writer-wins, so intermediate values are dead weight), and
-      use the packed codec below.  Bitwise-equal to [full]: the
-      receiver's post-payload state is identical.
-    - [topk:K] — [delta], then keep only the [K] writes with the
-      largest change since this peer last saw the element; the rest
-      become per-peer residuals merged into the next send (the
-      Bösen-style managed-communication rule, promoted from the
-      [lib/baselines] simulation to the real socket runtime).
-    - [budget:BYTES] — [topk] under a per-worker per-pass byte budget
-      instead of a fixed count.
-    - [auto] (default) — [delta] semantics with the per-array key
-      encoding chosen from observed {!Orion_dsm.Dist_array.stats}
-      density (sparse index/value for low-density arrays, run-length
-      keys for dense ones), refreshed once per pass.
+      last-writer-wins, so intermediate values are dead weight) — the
+      receiver's post-payload state is identical to shipping every
+      write;
+    - each array's key encoding is chosen from observed
+      {!Orion_dsm.Dist_array.stats} density (sparse index/value for
+      low-density arrays, run-length keys for dense ones), refreshed
+      once per pass; partitions choose per partition.
 
-    Every policy flushes {e all} residuals in the {!Wire.Pass_sync}
-    barrier, so pass boundaries are globally consistent and lossy
-    policies trade only mid-pass staleness for bandwidth.  Suppression
-    never loses final state: the master assembles results from each
-    worker's own-block journal, which is always exact.
+    The codec is sparse index/value: per (array, pass, block) group,
+    ascending linearized keys as varint deltas (or run-length ranges
+    for dense arrays), IEEE float bits raw or run-length encoded,
+    whichever is smaller.  Decoding is exact (float bits are
+    preserved).
 
-    The packed codec is sparse index/value: per (array, pass, block)
-    group, ascending linearized keys as varint deltas (or run-length
-    ranges for dense arrays), IEEE float bits raw or run-length
-    encoded, whichever is smaller.  Decoding is exact (float bits are
-    preserved). *)
+    Senders also count what the same traffic would have cost as one
+    [Marshal]ed record per write (the v3 framing): the before side of
+    the bytes-saved accounting. *)
 
 module Dist_array = Orion_dsm.Dist_array
 
-(** A parsed [--comms] spec. *)
-type spec = Auto | Full | Delta | Topk of int | Budget of float
+(** {1 Worker side: encoding journal traffic} *)
 
-val spec_to_string : spec -> string
-
-(** Parse ["auto" | "full" | "delta" | "topk:K" | "budget:BYTES"].
-    [Error] carries a usage message naming the bad input. *)
-val spec_of_string : string -> (spec, string) result
-
-(** [spec_of_string] or [invalid_arg]. *)
-val spec_of_string_exn : string -> spec
-
-(** {1 Worker side: filtering + encoding journal traffic} *)
-
-(** Per-worker sender state: per-peer last-shipped element values (the
-    ranking input), per-peer suppressed residuals, the per-pass byte
-    budget, and the per-array encode decisions. *)
+(** Per-worker sender state: the per-array key-mode decisions. *)
 type sender
 
 (** [linearize name key] maps a structured key of array [name] to its
@@ -62,30 +35,21 @@ type sender
     so indices agree); [pos blk] is the natural-order position of
     block [blk], the version component last-writer-wins ordering uses. *)
 val sender :
-  spec ->
-  peers:int ->
-  linearize:(string -> int array -> int) ->
-  pos:(int -> int) ->
-  sender
+  linearize:(string -> int array -> int) -> pos:(int -> int) -> sender
 
-(** Refresh the per-array encode decisions from stats sampled at a
-    pass boundary (once per pass, not per token) and reset the pass
-    byte budget. *)
+(** Refresh the per-array key modes from stats sampled at a pass
+    boundary (once per pass, not per token). *)
 val note_pass : sender -> (string * Dist_array.stats) list -> unit
 
-(** The per-array encode decision labels settled on so far (for
-    reporting), sorted by array name. *)
+(** The per-array key modes (["sparse"] or ["dense"]) settled on so
+    far (for reporting), sorted by array name. *)
 val decisions : sender -> (string * string) list
 
-(** Filter + encode one payload for [peer].  Returns the wire payload
-    plus per-array (actual bytes as encoded, bytes the [full] policy
-    would have spent).  [sync] marks the pass-barrier flush: ranking
-    and budgets are bypassed and all residuals held for [peer] are
-    folded in and cleared. *)
+(** Deduplicate + encode one payload.  Returns the wire payload plus
+    per-array (actual bytes as encoded, per-write [Marshal] bytes of
+    the same writes). *)
 val prepare :
   sender ->
-  peer:int ->
-  sync:bool ->
   Wire.block_writes list ->
   Wire.entries_payload * (string * float * float) list
 
@@ -102,15 +66,11 @@ val decode_entries :
 
 (** {1 Partition ships and prefetches (master side)} *)
 
-(** Encode partitions for the wire under [spec]: [full] ships raw
-    [Marshal] partitions; every other policy uses the packed codec
-    with the key mode chosen per partition from its observed density.
-    Returns the payloads plus per-array (actual bytes, [full]-policy
-    bytes). *)
+(** Encode partitions, the key mode chosen per partition from its
+    density.  Returns the payloads plus per-array (actual bytes,
+    [Marshal]ed partition bytes). *)
 val prepare_parts :
-  spec ->
-  Wire.part list ->
-  Wire.part_payload list * (string * float * float) list
+  Wire.part list -> Wire.part_payload list * (string * float * float) list
 
 val decode_parts : Wire.part_payload list -> Wire.part list
 

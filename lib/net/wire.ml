@@ -26,7 +26,7 @@
 (* v2: plan carries [p_telemetry]; workers ship [Pass_telemetry]
    v3: plan carries [p_report_passes]; workers ship [Pass_report] after
        each pass barrier so the master can checkpoint pass boundaries
-   v4: communication policies ([Policy]) — plan carries [p_comms];
+   v4: selectable communication policies — plan names the policy;
        rotation tokens, pass syncs, partition ships and prefetch
        responses carry policy-encoded payload variants; [Peer_hello]
        carries the protocol version so peers negotiate explicitly
@@ -35,8 +35,12 @@
        ([Continue] or [Repartition]); a [Repartition] re-balances the
        space cut from measured block costs, workers migrating
        locally-partitioned array regions peer-to-peer ([Repart_ship])
-       and re-verifying the rebuilt schedule by fingerprint *)
-let version = 5
+       and re-verifying the rebuilt schedule by fingerprint
+   v6: one lossless encoding — the plan no longer names a policy;
+       journal payloads and shipped partitions are always
+       {!Policy}-packed bytes (no [Marshal]ed write logs or
+       partitions inside them) *)
+let version = 6
 
 (** One journaled DistArray element write, in execution order. *)
 type write = { w_array : string; w_key : int array; w_value : float }
@@ -50,12 +54,9 @@ type block_writes = {
   bw_writes : write array;
 }
 
-(** Journal entries as a comms policy put them on the wire: either the
-    raw block logs ([Marshal]; the [full] policy) or the [Policy] codec
-    (deduplicated, sparse index/value, varint/RLE). *)
-type entries_payload =
-  | Entries of block_writes list
-  | Packed_entries of bytes
+(** Journal entries as they travel: the {!Policy} codec (deduplicated,
+    sparse index/value, varint/RLE). *)
+type entries_payload = bytes
 
 type worker_stats = {
   ws_rank : int;
@@ -64,21 +65,18 @@ type worker_stats = {
   ws_wall_seconds : float;
   ws_bytes_sent : float;  (** wire bytes this worker sent to peers *)
   ws_bytes_by_array : (string * float) list;
-      (** journal bytes shipped to peers, per DistArray, as encoded by
-          the active comms policy *)
+      (** journal bytes shipped to peers, per DistArray, as encoded *)
   ws_bytes_full_by_array : (string * float) list;
-      (** what the same journal traffic would have cost under the
-          [full] policy (per-write [Marshal]) — the before side of the
-          bytes-saved accounting *)
+      (** what the same journal traffic costs as one [Marshal]ed record
+          per write — the before side of the bytes-saved accounting *)
   ws_policy_by_array : (string * string) list;
-      (** the per-DistArray encode decision the policy settled on *)
+      (** the per-DistArray key mode the encoder settled on *)
 }
 
 type part = float Orion_dsm.Dist_array.partition
 
-(** A shipped partition: raw ([Marshal]; the [full] policy) or the
-    [Policy] sparse index/value codec. *)
-type part_payload = Part of part | Packed_part of bytes
+(** A shipped partition in the {!Policy} sparse index/value codec. *)
+type part_payload = bytes
 
 (** The full run description a worker needs to rebuild and verify its
     slice (a named record so workers can pass it around whole). *)
@@ -103,9 +101,6 @@ type plan = {
   p_report_passes : bool;
       (** ship a {!Pass_report} after each pass barrier so the master
           can assemble pass-boundary checkpoints *)
-  p_comms : string;
-      (** the communication policy spec ([Policy.spec_of_string]) every
-          worker must apply to its peer traffic *)
   p_adapt : bool;
       (** adaptive re-planning: after every pass but the last, wait at
           the barrier for the master's [Continue] / [Repartition]
@@ -133,8 +128,8 @@ type msg =
       rt_entries : entries_payload;
           (** the sender's journal entries this receiver has not seen
               yet (per-peer cursor; FIFO channels make the receiver's
-              knowledge happens-before-closed), encoded and possibly
-              filtered by the active comms policy *)
+              knowledge happens-before-closed), deduplicated and
+              packed *)
     }
   | Pass_sync of {
       ps_pass : int;
@@ -142,9 +137,8 @@ type msg =
       ps_entries : entries_payload;
     }
       (** all-to-all barrier at the end of each pass, flushing the
-          remaining journal entries {e and} every residual the policy
-          suppressed mid-pass (pass boundaries are globally
-          consistent under every policy) *)
+          remaining journal entries (pass boundaries are globally
+          consistent) *)
   | Pass_telemetry of {
       pt_rank : int;
       pt_pass : int;

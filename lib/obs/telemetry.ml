@@ -198,11 +198,10 @@ let block_costs_for_pass t ~pass =
 (* Summaries                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** What the run's communication policy did to the wire: the policy
-    name, actual bytes shipped vs the [full]-policy equivalent of the
-    same traffic, and the per-array encode decisions. *)
+(** What the wire encoding did to the traffic: actual bytes shipped
+    vs the per-record [Marshal] equivalent of the same traffic, and the
+    per-array key modes. *)
 type comms_summary = {
-  cs_policy : string;
   cs_bytes_shipped : float;
   cs_bytes_full : float;
   cs_by_array : (string * string) list;
@@ -243,7 +242,6 @@ let summarize t ~mode ?comms ~windows () =
 let comms_summary_json cs : Orion_report.json =
   Orion_report.Obj
     [
-      ("policy", Orion_report.Str cs.cs_policy);
       ("bytes_shipped", Orion_report.Float cs.cs_bytes_shipped);
       ("bytes_full", Orion_report.Float cs.cs_bytes_full);
       ( "savings_fraction",

@@ -92,11 +92,10 @@ val block_costs : t -> block_cost list
     have run under different partitions). *)
 val block_costs_for_pass : t -> pass:int -> block_cost list
 
-(** What the run's communication policy did to the wire: the policy
-    name, actual bytes shipped vs the [full]-policy equivalent of the
-    same traffic, and the per-array encode decisions. *)
+(** What the wire encoding did to the traffic: actual bytes shipped
+    vs the per-record [Marshal] equivalent of the same traffic, and the
+    per-array key modes. *)
 type comms_summary = {
-  cs_policy : string;
   cs_bytes_shipped : float;
   cs_bytes_full : float;
   cs_by_array : (string * string) list;
@@ -115,7 +114,7 @@ type summary = {
 
 (** Fold a finished run into a summary; [windows] lists each pass's
     [(pass, start, finish)] on the telemetry clock; [comms] attaches
-    the communication-policy byte accounting (distributed runs). *)
+    the wire-encoding byte accounting (distributed runs). *)
 val summarize :
   t ->
   mode:string ->

@@ -126,12 +126,12 @@ let run_2d_ordered cluster ?(compute = Measured) ?(rotated_label = "rotated")
              is recorded at its start (the clock *before* the charge —
              recording after the charge used to shift the Fig.-12-style
              bandwidth series one transfer-window late) *)
-          Cluster.compute_raw cluster ~worker:w ~category:Orion_sim.Trace.Marshal
+          Cluster.compute_raw cluster ~worker:w ~category:Orion_obs.Trace.Marshal
             ~label:rotated_label
             (2.0 *. Orion_sim.Cost_model.marshal_time cost bytes);
           let start = Cluster.clock cluster w in
           Cluster.compute_raw cluster ~worker:w
-            ~category:Orion_sim.Trace.Transfer ~label:rotated_label ~bytes
+            ~category:Orion_obs.Trace.Transfer ~label:rotated_label ~bytes
             (Orion_sim.Cost_model.transfer_time cost bytes
             +. cost.network_latency_sec);
           Orion_sim.Recorder.record cluster.Cluster.recorder ~start_sec:start

@@ -142,11 +142,9 @@ let partition_2d ?shuffle_seed iter ~space_dim ~time_dim ~space_parts
         Partitioner.part_of ~boundaries:tb key.(time_dim) ))
     (Dist_array.entries iter)
 
-(** 1D partitioning with caller-supplied boundaries (adaptive
-    re-planning: the boundaries come from measured block costs instead
-    of the entry histogram).  Master and workers rebuild re-balanced
-    schedules through this entry point with the same shuffle seed, so
-    fingerprints still agree. *)
+(* 1D partitioning with caller-supplied boundaries (adaptive
+   re-planning: the boundaries come from measured block costs instead
+   of the entry histogram). *)
 let partition_1d_with ?shuffle_seed iter ~space_dim ~space_boundaries:sb =
   let space_parts = Partitioner.num_parts sb in
   build ?shuffle_seed ~space_parts ~time_parts:1 ~space_boundaries:sb
@@ -155,10 +153,10 @@ let partition_1d_with ?shuffle_seed iter ~space_dim ~space_boundaries:sb =
       (Partitioner.part_of ~boundaries:sb key.(space_dim), 0))
     (Dist_array.entries iter)
 
-(** 2D partitioning with caller-supplied space boundaries; time
-    boundaries stay histogram-balanced (the distributed runtime keeps
-    [time_parts] and the model fixed across a re-plan, so only the
-    space cut moves). *)
+(* 2D partitioning with caller-supplied space boundaries; time
+   boundaries stay histogram-balanced (the distributed runtime keeps
+   [time_parts] and the model fixed across a re-plan, so only the space
+   cut moves). *)
 let partition_2d_with ?shuffle_seed iter ~space_dim ~time_dim
     ~space_boundaries:sb ~time_parts =
   let t_counts = Partitioner.histogram iter ~dim:time_dim in
@@ -223,3 +221,23 @@ let partition_unimodular ?shuffle_seed iter ~matrix ~space_parts
       ( Partitioner.part_of ~boundaries:sb (c.(1) - s_lo),
         Partitioner.part_of ~boundaries:tb (c.(0) - t_lo) ))
     entries
+
+let default_shuffle_seed = 17
+
+(* The engine, the distributed master and workers, and the re-planner
+   all rebuild re-balanced schedules here, with the one shuffle seed,
+   so their fingerprints agree by construction. *)
+let rebalance (strategy : Orion_analysis.Plan.strategy) iter
+    ~space_boundaries ~time_parts =
+  let shuffle_seed = default_shuffle_seed in
+  match strategy with
+  | Orion_analysis.Plan.One_d { space_dim } ->
+      Some (partition_1d_with ~shuffle_seed iter ~space_dim ~space_boundaries)
+  | Orion_analysis.Plan.Data_parallel ->
+      Some
+        (partition_1d_with ~shuffle_seed iter ~space_dim:0 ~space_boundaries)
+  | Orion_analysis.Plan.Two_d { space_dim; time_dim } ->
+      Some
+        (partition_2d_with ~shuffle_seed iter ~space_dim ~time_dim
+           ~space_boundaries ~time_parts)
+  | Orion_analysis.Plan.Two_d_unimodular _ -> None

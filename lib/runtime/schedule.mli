@@ -49,27 +49,6 @@ val partition_2d :
   time_parts:int ->
   'v t
 
-(** 1D partitioning with caller-supplied space boundaries (adaptive
-    re-planning).  Pass the same [shuffle_seed] the original compile
-    used so fingerprints of independently rebuilt schedules agree. *)
-val partition_1d_with :
-  ?shuffle_seed:int ->
-  'v Orion_dsm.Dist_array.t ->
-  space_dim:int ->
-  space_boundaries:Orion_dsm.Partitioner.boundaries ->
-  'v t
-
-(** 2D partitioning with caller-supplied space boundaries; time
-    boundaries stay histogram-balanced over [time_parts]. *)
-val partition_2d_with :
-  ?shuffle_seed:int ->
-  'v Orion_dsm.Dist_array.t ->
-  space_dim:int ->
-  time_dim:int ->
-  space_boundaries:Orion_dsm.Partitioner.boundaries ->
-  time_parts:int ->
-  'v t
-
 (** Partition the transformed iteration space: time = transformed dim
     0 with one partition per distinct value (dependences may connect
     consecutive values across space partitions), space = transformed
@@ -81,3 +60,21 @@ val partition_unimodular :
   space_parts:int ->
   time_parts:int ->
   'v t
+
+(** The shuffle seed every schedule build uses ([Orion.compile]'s
+    default and every {!rebalance}), so independently built schedules
+    fingerprint identically. *)
+val default_shuffle_seed : int
+
+(** Rebuild [strategy]'s schedule over [iter] under a caller-supplied
+    space cut (adaptive re-planning: the boundaries come from measured
+    block costs instead of the entry histogram), with
+    {!default_shuffle_seed}.  Time boundaries stay histogram-balanced
+    over [time_parts] (2D only).  [None] for unimodular strategies,
+    whose time partitions are exact wavefronts. *)
+val rebalance :
+  Orion_analysis.Plan.strategy ->
+  'v Orion_dsm.Dist_array.t ->
+  space_boundaries:Orion_dsm.Partitioner.boundaries ->
+  time_parts:int ->
+  'v t option

@@ -7,7 +7,7 @@
     receiver's clock with the arrival time.  Barriers align all clocks.
 
     Every charge also emits a categorized span on the cluster's
-    {!Trace}, so per-worker timelines (compute vs. marshal vs. transfer
+    {!Orion_obs.Trace}, so per-worker timelines (compute vs. marshal vs. transfer
     vs. waiting) can be exported and aggregated after a run.  The
     optional [label] arguments name what the time was spent on (a
     schedule block, a rotated DistArray, a parameter server).
@@ -15,6 +15,8 @@
     The real numeric work is executed in-process by the caller; the
     cluster only accounts for *when* each piece would have happened on
     the paper's testbed. *)
+
+open Orion_obs
 
 type t = {
   num_machines : int;

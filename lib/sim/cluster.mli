@@ -2,7 +2,7 @@
     computation and communication charging.  Numeric work executes
     in-process; the cluster only accounts for *when* it would have
     happened on the paper's testbed.  Every charge also emits a
-    categorized span on the cluster's {!Trace}; the optional [label]
+    categorized span on the cluster's {!Orion_obs.Trace}; the optional [label]
     arguments name what the time was spent on. *)
 
 type t = {
@@ -11,14 +11,14 @@ type t = {
   cost : Cost_model.t;
   clocks : float array;
   recorder : Recorder.t;
-  trace : Trace.t;
+  trace : Orion_obs.Trace.t;
   mutable bytes_sent : float;
   mutable messages_sent : int;
 }
 
 val create :
   ?recorder:Recorder.t ->
-  ?trace:Trace.t ->
+  ?trace:Orion_obs.Trace.t ->
   num_machines:int ->
   workers_per_machine:int ->
   cost:Cost_model.t ->
@@ -44,7 +44,7 @@ val compute : ?label:string -> t -> worker:int -> float -> unit
     the traced span (default [Compute]); [bytes] attributes
     communication volume to it. *)
 val compute_raw :
-  ?category:Trace.category ->
+  ?category:Orion_obs.Trace.category ->
   ?label:string ->
   ?bytes:float ->
   t ->
@@ -79,7 +79,7 @@ val all_reduce : ?label:string -> t -> bytes_per_worker:float -> unit
 
 (** Per-pass metrics over this cluster's trace (spans starting at or
     after [since]; default the whole run). *)
-val metrics : ?since:float -> t -> Metrics.t
+val metrics : ?since:float -> t -> Orion_obs.Metrics.t
 
 (** Reset clocks and counters (keeps the recorder and the trace). *)
 val reset : t -> unit

@@ -146,21 +146,9 @@ let make ?(margin = 0.1) ~(app : Orion.App.t) ~(inst : Orion.App.instance)
     done;
     !acc
   in
-  let candidate_schedule nb =
-    match plan.Plan.strategy with
-    | Plan.One_d { space_dim } ->
-        Some
-          (Schedule.partition_1d_with ~shuffle_seed:17 inst.inst_iter
-             ~space_dim ~space_boundaries:nb)
-    | Plan.Data_parallel ->
-        Some
-          (Schedule.partition_1d_with ~shuffle_seed:17 inst.inst_iter
-             ~space_dim:0 ~space_boundaries:nb)
-    | Plan.Two_d { space_dim; time_dim } ->
-        Some
-          (Schedule.partition_2d_with ~shuffle_seed:17 inst.inst_iter
-             ~space_dim ~time_dim ~space_boundaries:nb ~time_parts:tp)
-    | Plan.Two_d_unimodular _ -> None
+  let candidate_schedule space_boundaries =
+    Schedule.rebalance plan.Plan.strategy inst.inst_iter ~space_boundaries
+      ~time_parts:tp
   in
   let fn ~pass ~costs =
     match space_dim with

@@ -83,7 +83,7 @@ let outputs_equal ~tolerance (a : App.instance) (b : App.instance) =
     a.App.inst_outputs
 
 let run_app ~(app : App.t) ~(mode : mode) ~passes ~scale ~num_machines
-    ~workers_per_machine ?comms () =
+    ~workers_per_machine () =
   let make, engine_mode, mode_str, workers =
     match mode with
     | `Parallel d ->
@@ -108,7 +108,7 @@ let run_app ~(app : App.t) ~(mode : mode) ~passes ~scale ~num_machines
   let s_inst = make () in
   let s_report =
     Engine.run s_inst.App.inst_session s_inst ~mode:engine_mode ~passes
-      ~scale ~telemetry:true ?comms ()
+      ~scale ~telemetry:true ()
   in
   (* adaptive: measurement-driven re-planner *)
   let a_inst = make () in
@@ -121,7 +121,7 @@ let run_app ~(app : App.t) ~(mode : mode) ~passes ~scale ~num_machines
   rp.Replanner.prepare ();
   let a_report =
     Engine.run a_inst.App.inst_session a_inst ~mode:engine_mode ~passes
-      ~scale ~telemetry:true ?comms ~replanner:rp.Replanner.fn ()
+      ~scale ~telemetry:true ~replanner:rp.Replanner.fn ()
   in
   let decisions = rp.Replanner.log () in
   let adopted_script = Replanner.adopted rp in
@@ -132,7 +132,7 @@ let run_app ~(app : App.t) ~(mode : mode) ~passes ~scale ~num_machines
   let replay = Replanner.scripted adopted_script in
   let _ =
     Engine.run r_inst.App.inst_session r_inst ~mode:engine_mode ~passes
-      ~scale ?comms ~replanner:replay.Replanner.fn ()
+      ~scale ~replanner:replay.Replanner.fn ()
   in
   let equal =
     outputs_equal ~tolerance:app.App.app_tolerance a_inst r_inst
@@ -220,12 +220,11 @@ let pp_result fmt r =
 
 let default_out = "BENCH_tune.json"
 
-let to_row (r : run_result) ~comms : Bench.row =
+let to_row (r : run_result) : Bench.row =
   {
     Bench.row_app = r.tb_app;
     row_mode = r.tb_mode;
     row_workers = r.tb_workers;
-    row_comms = (if r.tb_mode = "distributed" then comms else "local");
     row_wall_seconds = r.tb_adaptive_wall;
     row_speedup = Some r.tb_speedup;
     row_loss = None;
@@ -237,7 +236,7 @@ let to_row (r : run_result) ~comms : Bench.row =
   }
 
 let run ?(apps = [ "slrskew" ]) ?(domains_list = [ 2 ]) ?(procs_list = [ 2 ])
-    ?(comms = "auto") ?(passes = 3) ?(transport = `Unix) ~scale ~out
+    ?(passes = 3) ?(transport = `Unix) ~scale ~out
     ?(num_machines = 2) ?(workers_per_machine = 1) ?(print = true) () :
     Bench.row list =
   Orion_apps.Registry.ensure ();
@@ -266,7 +265,7 @@ let run ?(apps = [ "slrskew" ]) ?(domains_list = [ 2 ]) ?(procs_list = [ 2 ])
           (fun mode ->
             let r =
               run_app ~app:a ~mode ~passes ~scale ~num_machines
-                ~workers_per_machine ~comms ()
+                ~workers_per_machine ()
             in
             if print then print_string (Fmt.str "%a" pp_result r);
             r)
@@ -282,7 +281,7 @@ let run ?(apps = [ "slrskew" ]) ?(domains_list = [ 2 ]) ?(procs_list = [ 2 ])
         ("results", Report.List (List.map result_json results));
       ]
   in
-  let rows = List.map (to_row ~comms) results in
+  let rows = List.map to_row results in
   Bench.write_file out
     (Report.emit ~kind:"bench-tune" (Bench.with_rows payload rows));
   if print then Printf.printf "wrote %s\n" out;

@@ -48,7 +48,6 @@ val run_app :
   scale:float ->
   num_machines:int ->
   workers_per_machine:int ->
-  ?comms:string ->
   unit ->
   run_result
 
@@ -63,7 +62,6 @@ val run :
   ?apps:string list ->
   ?domains_list:int list ->
   ?procs_list:int list ->
-  ?comms:string ->
   ?passes:int ->
   ?transport:Orion.Engine.transport ->
   scale:float ->

@@ -501,17 +501,17 @@ let test_ordered_transfer_recorded_at_start () =
   Alcotest.(check (float 1e-9)) "bin 1 has the tail" 0.5 series.(1);
   (* the trace span agrees with the recorder *)
   let transfers =
-    Array.to_list (Orion_sim.Trace.spans cluster.Cluster.trace)
+    Array.to_list (Orion_obs.Trace.spans cluster.Cluster.trace)
     |> List.filter (fun sp ->
-           sp.Orion_sim.Trace.category = Orion_sim.Trace.Transfer)
+           sp.Orion_obs.Trace.category = Orion_obs.Trace.Transfer)
   in
   match transfers with
   | [ sp ] ->
       Alcotest.(check (float 1e-9)) "span starts pre-advance" 0.0
-        sp.Orion_sim.Trace.start_sec;
+        sp.Orion_obs.Trace.start_sec;
       Alcotest.(check (float 1e-9)) "span duration" 1.5
-        sp.Orion_sim.Trace.duration_sec;
-      Alcotest.(check (float 1e-9)) "span bytes" 1.5 sp.Orion_sim.Trace.bytes
+        sp.Orion_obs.Trace.duration_sec;
+      Alcotest.(check (float 1e-9)) "span bytes" 1.5 sp.Orion_obs.Trace.bytes
   | l ->
       Alcotest.failf "expected exactly one transfer span, got %d"
         (List.length l)

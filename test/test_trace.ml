@@ -3,8 +3,8 @@
    definitions (straggler ratio, barrier-wait fraction, comm/compute
    overlap, bytes by DistArray). *)
 
-module Trace = Orion_sim.Trace
-module Metrics = Orion_sim.Metrics
+module Trace = Orion_obs.Trace
+module Metrics = Orion_obs.Metrics
 module Cluster = Orion_sim.Cluster
 module Cost_model = Orion_sim.Cost_model
 open Orion_runtime

@@ -174,8 +174,12 @@ let test_random_rebalance_race_clean () =
     let nb = Partitioner.weighted_ranges ~weights ~parts:sp in
     Alcotest.(check bool) "cover" true (check_cover ~n ~parts:sp nb);
     let sched =
-      Schedule.partition_1d_with ~shuffle_seed:17 inst.inst_iter ~space_dim:0
-        ~space_boundaries:nb
+      match
+        Schedule.rebalance plan.Orion.Plan.strategy inst.inst_iter
+          ~space_boundaries:nb ~time_parts:tp
+      with
+      | Some s -> s
+      | None -> Alcotest.fail "slrskew's 1D schedule must re-balance"
     in
     let model =
       Race.model_of_plan plan ~pipeline_depth:compiled.Orion.pipeline_depth
