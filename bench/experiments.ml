@@ -10,10 +10,7 @@
 open Orion_baselines
 open Orion_apps
 
-let scale =
-  match Sys.getenv_opt "ORION_BENCH_SCALE" with
-  | Some s -> ( try float_of_string s with Failure _ -> 1.0)
-  | None -> 1.0
+let scale = Bench.env_scale ()
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')

@@ -3,12 +3,13 @@
    the full experiment reproductions from {!Experiments}.
 
    Usage:
-     dune exec bench/main.exe                  # micro + metrics + all experiments
+     dune exec bench/main.exe                  # micro + all experiments
      dune exec bench/main.exe -- fig9b table3  # selected experiments
      dune exec bench/main.exe -- micro         # micro-benchmarks only
-     dune exec bench/main.exe -- metrics       # per-pass executor metrics only
-     dune exec bench/main.exe -- speedup       # multicore domain-pool speedup
-     ORION_BENCH_SCALE=2 dune exec bench/main.exe   # larger datasets *)
+     ORION_BENCH_SCALE=2 dune exec bench/main.exe   # larger datasets
+
+   Per-pass executor metrics for one strategy: [orion trace --mode sim
+   --strategy S]; measured scaling rows: [orion bench]. *)
 
 open Bechamel
 open Toolkit
@@ -203,120 +204,14 @@ let run_micro () =
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
-(* Per-pass executor metrics: SGD MF under every strategy, with the
-   trace-derived straggler ratio / barrier-wait fraction / bytes by
-   DistArray printed per pass                                          *)
-(* ------------------------------------------------------------------ *)
-
-let run_metrics () =
-  print_endline "\nPer-pass executor metrics (SGD MF under every strategy)";
-  print_endline "=======================================================";
-  let data = Lazy.force mf_data in
-  let machines = 4 and wpm = 2 in
-  let rank = 16 in
-  let passes = 3 in
-  let strategies =
-    [ "serial"; "1d"; "2d-ordered"; "2d-unordered"; "time-major" ]
-  in
-  List.iter
-    (fun strat ->
-      let cluster =
-        Orion.Cluster.create ~num_machines:machines ~workers_per_machine:wpm
-          ~cost:Orion.Cost_model.default ()
-      in
-      let workers = Orion.Cluster.num_workers cluster in
-      let model =
-        Sgd_mf.init_model ~rank ~num_users:data.num_users
-          ~num_items:data.num_items ()
-      in
-      let body ~worker ~key ~value =
-        Sgd_mf.body model ~step_size:0.005 ~worker ~key ~value
-      in
-      let compute = Orion.Executor.Per_entry (4e-8 *. float_of_int rank) in
-      let h_bytes =
-        float_of_int (rank * data.num_items) *. 8.0 /. float_of_int workers
-      in
-      let run_pass =
-        match strat with
-        | "serial" ->
-            fun () ->
-              ignore (Orion.Executor.run_serial cluster ~compute data.ratings body)
-        | "1d" ->
-            let s =
-              Orion.Schedule.partition_1d data.ratings ~space_dim:0
-                ~space_parts:workers
-            in
-            fun () -> ignore (Orion.Executor.run_1d cluster ~compute s body)
-        | "2d-ordered" ->
-            let s =
-              Orion.Schedule.partition_2d data.ratings ~space_dim:0 ~time_dim:1
-                ~space_parts:workers ~time_parts:workers
-            in
-            fun () ->
-              ignore
-                (Orion.Executor.run_2d_ordered cluster ~compute
-                   ~rotated_label:"H" ~rotated_bytes_per_partition:h_bytes s
-                   body)
-        | "2d-unordered" ->
-            let depth = 2 in
-            let s =
-              Orion.Schedule.partition_2d data.ratings ~space_dim:0 ~time_dim:1
-                ~space_parts:workers ~time_parts:(workers * depth)
-            in
-            fun () ->
-              ignore
-                (Orion.Executor.run_2d_unordered cluster ~compute
-                   ~pipeline_depth:depth ~rotated_label:"H"
-                   ~rotated_bytes_per_partition:(h_bytes /. float_of_int depth)
-                   s body)
-        | _ (* time-major *) ->
-            let s =
-              Orion.Schedule.partition_unimodular data.ratings
-                ~matrix:[| [| 1; 1 |]; [| 0; 1 |] |]
-                ~space_parts:workers ~time_parts:0
-            in
-            fun () ->
-              ignore
-                (Orion.Executor.run_time_major cluster ~compute ~comm_label:"H"
-                   ~comm_bytes_per_step:(h_bytes /. 16.0) s body)
-      in
-      Printf.printf "\n%s:\n" strat;
-      for pass = 1 to passes do
-        let since = Orion.Cluster.now cluster in
-        run_pass ();
-        Printf.printf "  pass %d | %s\n" pass
-          (Orion.Metrics.summary (Orion.Cluster.metrics ~since cluster))
-      done)
-    strategies
-
-(* ------------------------------------------------------------------ *)
-(* Multicore speedup: every registered app on the domain pool at
-   increasing domain counts, results checked against the simulated
-   execution of the same schedule; JSON lands in BENCH_parallel.json   *)
-
-let run_speedup () =
-  print_endline "\nDomain-pool speedup (self-relative, vs simulated results)";
-  print_endline "=========================================================";
-  Printf.printf "available cores: %d\n" (Domain.recommended_domain_count ());
-  let scale =
-    match Sys.getenv_opt "ORION_BENCH_SCALE" with
-    | Some s -> ( try float_of_string s with _ -> 1.0)
-    | None -> 1.0
-  in
-  ignore (Bench.run ~mode:`Speedup ~scale ~out:"BENCH_parallel.json" ())
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   match args with
   | [] ->
       run_micro ();
-      run_metrics ();
       Experiments.all ()
   | [ "micro" ] -> run_micro ()
-  | [ "metrics" ] -> run_metrics ()
-  | [ "speedup" ] -> run_speedup ()
   | names ->
       List.iter
         (fun name ->

@@ -149,12 +149,13 @@ let builtin_app session name =
 
 (* --scale falls back to ORION_BENCH_SCALE so scripted runs can grow
    every subcommand's dataset uniformly *)
-let env_scale () =
-  match Sys.getenv_opt "ORION_BENCH_SCALE" with
-  | Some v -> ( try float_of_string v with Failure _ -> 1.0)
-  | None -> 1.0
-
-let resolve_scale = function Some s -> s | None -> env_scale ()
+let resolve_scale = function
+  | Some s -> s
+  | None -> (
+      try Orion_apps.Bench.env_scale ()
+      with Invalid_argument msg ->
+        prerr_endline ("orion: " ^ msg);
+        exit 1)
 
 let explain_cmd =
   let run arrays machines wpm log app json measured domains passes file =
@@ -173,7 +174,7 @@ let explain_cmd =
       | Some name, None -> (
           match
             Orion_tune.Measured.run_app ~name ~domains ~passes
-              ~scale:(env_scale ()) ~num_machines:machines
+              ~scale:(resolve_scale None) ~num_machines:machines
               ~workers_per_machine:wpm
           with
           | Error e ->
@@ -308,22 +309,19 @@ let run_app name ~machines ~wpm ~domains ~procs ~tcp ~passes ~scale
         1
     | Some a -> (
         let scale = resolve_scale scale in
-        let inst, mode =
+        let mode =
           match procs with
           | Some procs ->
-              (* distributed instances are shaped one worker process
-                 per simulated machine *)
-              ( a.Orion.App.app_make ~scale ~num_machines:procs
-                  ~workers_per_machine:1 (),
-                `Distributed
-                  {
-                    Orion.Engine.procs;
-                    transport = (if tcp then `Tcp else `Unix);
-                  } )
-          | None ->
-              ( a.Orion.App.app_make ~scale ~num_machines:machines
-                  ~workers_per_machine:wpm (),
-                if domains <= 1 then `Sim else `Parallel domains )
+              `Distributed
+                {
+                  Orion.Engine.procs;
+                  transport = (if tcp then `Tcp else `Unix);
+                }
+          | None -> if domains <= 1 then `Sim else `Parallel domains
+        in
+        let inst =
+          Orion_apps.Bench.make_instance a ~scale ~num_machines:machines
+            ~workers_per_machine:wpm mode
         in
         (* resume picks up from the newest checkpoint: restore the
            arrays and RNG into the freshly built instance, then run only
@@ -655,7 +653,7 @@ let bench_cmd =
     | exception Invalid_argument msg ->
         Printf.eprintf "orion bench: %s\n" msg;
         1
-    | _rows -> 0
+    | rows -> Orion_apps.Bench.exit_code rows
   in
   let mode =
     Arg.(
@@ -729,8 +727,9 @@ let bench_cmd =
       & opt (some string) None
       & info [ "out"; "o" ] ~docv:"FILE"
           ~doc:
-            "JSON output path (default BENCH_parallel.json, or \
-             BENCH_distributed.json for --mode speedup-distributed)")
+            "JSON output path (default by --mode: BENCH_parallel.json, \
+             BENCH_distributed.json, BENCH_convergence.json or \
+             BENCH_tune.json)")
   in
   let term =
     Term.(
@@ -742,7 +741,9 @@ let bench_cmd =
        ~doc:
          "Benchmark the registered apps on the real multicore domain pool \
           (BENCH_parallel.json) or the multi-process socket runtime \
-          (BENCH_distributed.json)")
+          (BENCH_distributed.json); every row is checked against a \
+          simulated run of the same shape, and the exit status is 1 when \
+          any row fails that check")
     term
 
 let generate_cmd =
@@ -935,26 +936,26 @@ let trace_cmd =
         Printf.eprintf "orion trace: %s\n" (unknown_app_msg app);
         1
     | Some a -> (
-        let inst, mode, label =
+        let mode, label =
           match kind with
           | `Parallel ->
-              ( a.Orion.App.app_make ~scale ~num_machines:machines
-                  ~workers_per_machine:wpm (),
-                `Parallel domains,
+              ( `Parallel domains,
                 Printf.sprintf "parallel (%d domains)" domains )
           | `Distributed ->
-              ( a.Orion.App.app_make ~scale ~num_machines:procs
-                  ~workers_per_machine:1 (),
-                `Distributed
+              ( `Distributed
                   {
                     Orion.Engine.procs;
                     transport = (if tcp then `Tcp else `Unix);
                   },
                 Printf.sprintf "distributed (%d procs)" procs )
         in
+        let inst =
+          Orion_apps.Bench.make_instance a ~scale ~num_machines:machines
+            ~workers_per_machine:wpm mode
+        in
         match
           Orion.Engine.run inst.Orion.App.inst_session inst ~mode ~passes
-            ~telemetry:true ()
+            ~scale ~telemetry:true ()
         with
         | exception (Orion.Engine.Distributed_error _ as exn) ->
             Printf.eprintf "orion trace: %s\n"
@@ -1054,6 +1055,18 @@ let trace_cmd =
               ~pipeline_depth:depth ~rotated_label:"H"
               ~rotated_bytes_per_partition:
                 (h_bytes_per_partition /. float_of_int depth)
+              sched body
+      | `Time_major ->
+          (* unimodular skew: every dependence is carried by the
+             transformed time dimension, so steps run in sequence *)
+          let sched =
+            Orion.Schedule.partition_unimodular ratings
+              ~matrix:[| [| 1; 1 |]; [| 0; 1 |] |]
+              ~space_parts:workers ~time_parts:0
+          in
+          fun () ->
+            Orion.Executor.run_time_major cluster ~compute ~comm_label:"H"
+              ~comm_bytes_per_step:(h_bytes_per_partition /. 16.0)
               sched body
     in
     Printf.printf
@@ -1163,6 +1176,7 @@ let trace_cmd =
         ("1d", `One_d);
         ("2d-ordered", `Ordered_2d);
         ("2d-unordered", `Unordered_2d);
+        ("time-major", `Time_major);
       ]
     in
     Arg.(
@@ -1171,7 +1185,7 @@ let trace_cmd =
       & info [ "strategy"; "s" ] ~docv:"STRATEGY"
           ~doc:
             "execution strategy for --mode sim: serial | 1d | 2d-ordered | \
-             2d-unordered")
+             2d-unordered | time-major")
   in
   let passes =
     Arg.(value & opt int 3 & info [ "passes"; "p" ] ~docv:"N" ~doc:"training passes")
@@ -1207,135 +1221,6 @@ let trace_cmd =
           metrics — from simulated SGD MF (--mode sim), a real domain-pool \
           run (--mode parallel), or a real multi-process run (--mode \
           distributed)")
-    term
-
-let tune_cmd =
-  (* static vs adaptive on one app/backend: run the planner's schedule,
-     run again with the measurement-driven re-planner, then replay the
-     adopted schedule sequence and require equal results.  Exit 1 when
-     an adopted re-plan was not race-checker-validated or the replay
-     diverges. *)
-  let run machines wpm log app mode domains procs tcp passes scale json out
-      =
-    setup_log log;
-    if app = "list" then begin
-      print_registry ();
-      0
-    end
-    else
-      match Orion.App.find app with
-      | None ->
-          Printf.eprintf "orion tune: %s\n" (unknown_app_msg app);
-          1
-      | Some a -> (
-          let scale = resolve_scale scale in
-          let mode =
-            match mode with
-            | `Parallel -> `Parallel domains
-            | `Distributed ->
-                `Distributed (procs, if tcp then `Tcp else `Unix)
-          in
-          match
-            Orion_tune.Tune_bench.run_app ~app:a ~mode ~passes ~scale
-              ~num_machines:machines ~workers_per_machine:wpm ()
-          with
-          | exception (Orion.Engine.Distributed_error _ as exn) ->
-              Printf.eprintf "orion tune: %s\n"
-                (Orion.Engine.distributed_error_to_string exn);
-              1
-          | r ->
-              if json then
-                print_endline
-                  (Orion.Report.emit ~kind:"tune"
-                     (Orion_tune.Tune_bench.result_json r))
-              else
-                print_string
-                  (Fmt.str "%a" Orion_tune.Tune_bench.pp_result r);
-              (match out with
-              | None -> ()
-              | Some path ->
-                  let oc = open_out path in
-                  output_string oc
-                    (Orion.Report.emit ~kind:"tune"
-                       (Orion_tune.Tune_bench.result_json r));
-                  output_char oc '\n';
-                  close_out oc;
-                  Printf.printf "wrote %s\n" path);
-              if
-                r.Orion_tune.Tune_bench.tb_adopted_unvalidated > 0
-                || not r.Orion_tune.Tune_bench.tb_replay_equal
-              then 1
-              else 0)
-  in
-  let app_arg =
-    Arg.(
-      value & opt string "slrskew"
-      & info [ "app" ] ~docv:"NAME"
-          ~doc:
-            "registered app to tune (`list` prints the registry); slrskew \
-             is the Zipf-skewed workload adaptive re-planning exists for")
-  in
-  let mode =
-    Arg.(
-      value
-      & opt (enum [ ("parallel", `Parallel); ("distributed", `Distributed) ])
-          `Parallel
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:"backend to tune on: parallel (domain pool) or distributed \
-                (worker processes)")
-  in
-  let domains =
-    Arg.(
-      value & opt int 2
-      & info [ "domains" ] ~docv:"N" ~doc:"OCaml domains for --mode parallel")
-  in
-  let procs =
-    Arg.(
-      value & opt int 2
-      & info [ "procs" ] ~docv:"N"
-          ~doc:"worker processes for --mode distributed")
-  in
-  let tcp =
-    Arg.(
-      value & flag
-      & info [ "tcp" ]
-          ~doc:
-            "use TCP loopback instead of Unix domain sockets (--mode \
-             distributed)")
-  in
-  let passes =
-    Arg.(value & opt int 3 & info [ "passes" ] ~docv:"N" ~doc:"training passes")
-  in
-  let scale =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "scale" ] ~docv:"S"
-          ~doc:"dataset scale factor (default: ORION_BENCH_SCALE, or 1.0)")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"emit the comparison as JSON")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:"also write the JSON comparison to $(docv)")
-  in
-  let term =
-    Term.(
-      const run $ machines_arg $ wpm_arg $ log_arg $ app_arg $ mode $ domains
-      $ procs $ tcp $ passes $ scale $ json $ out)
-  in
-  Cmd.v
-    (Cmd.info "tune"
-       ~doc:
-         "Profile-guided adaptive re-planning: run an app with the static \
-          plan and with the measurement-driven re-planner (weighted space \
-          cut from measured block costs, race-checked before adoption), \
-          compare wall time and straggler ratio, and verify the adaptive \
-          result against a static replay of the adopted schedule sequence")
     term
 
 let verify_cmd =
@@ -1447,6 +1332,5 @@ let () =
             generate_cmd;
             data_cmd;
             trace_cmd;
-            tune_cmd;
             verify_cmd;
           ]))

@@ -289,6 +289,55 @@ let entries t =
   Array.map (fun lin -> (delinearize t lin, value_of_lin t lin)) (sorted_keys t)
 
 (* ------------------------------------------------------------------ *)
+(* Element-wise comparison                                             *)
+(* ------------------------------------------------------------------ *)
+
+type diff_result = {
+  d_array : string;
+  d_cells : int;
+  d_max_abs : float;
+  d_max_rel : float;
+  d_worst_key : int array option;
+}
+
+(* over the union of both arrays' stored keys, so a key written in
+   only one of them is still compared (against the other's default) *)
+let diff_arrays name (a : float t) (b : float t) : diff_result =
+  let seen = Hashtbl.create 997 in
+  let cells = ref 0 and max_abs = ref 0.0 and max_rel = ref 0.0 in
+  let worst = ref None in
+  let visit key _ =
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      let va = get a key and vb = get b key in
+      let abs = Float.abs (va -. vb) in
+      let rel =
+        abs /. Float.max (Float.max (Float.abs va) (Float.abs vb)) 1e-12
+      in
+      incr cells;
+      if abs > !max_abs then begin
+        max_abs := abs;
+        worst := Some key
+      end;
+      max_rel := Float.max !max_rel rel
+    end
+  in
+  iter visit a;
+  iter visit b;
+  {
+    d_array = name;
+    d_cells = !cells;
+    d_max_abs = !max_abs;
+    d_max_rel = !max_rel;
+    d_worst_key = !worst;
+  }
+
+let diff_ok ~tolerance d =
+  match tolerance with
+  | None -> d.d_max_abs = 0.0
+  | Some tol -> d.d_max_rel <= tol
+
+(* ------------------------------------------------------------------ *)
 (* Transformations                                                     *)
 (* ------------------------------------------------------------------ *)
 

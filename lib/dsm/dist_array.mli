@@ -99,6 +99,25 @@ val iter : (int array -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> int array -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val entries : 'a t -> (int array * 'a) array
 
+(** {1 Element-wise comparison} *)
+
+type diff_result = {
+  d_array : string;
+  d_cells : int;  (** keys compared *)
+  d_max_abs : float;
+  d_max_rel : float;
+  d_worst_key : int array option;  (** where [d_max_abs] was found *)
+}
+
+(** Compare two same-shape float arrays over the union of their stored
+    keys (a key stored in only one is compared against the other's
+    default).  The string names the array in the result. *)
+val diff_arrays : string -> float t -> float t -> diff_result
+
+(** [None]: bitwise equal ([d_max_abs = 0]); [Some rel]: [d_max_rel]
+    within [rel]. *)
+val diff_ok : tolerance:float option -> diff_result -> bool
+
 (** {1 Transformations} *)
 
 val map : name:string -> f:('a -> 'b) -> 'a t -> 'b t

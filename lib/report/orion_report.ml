@@ -4,14 +4,17 @@
 
     Downstream tooling parses a single shape:
 
-    {v {"schema_version": 1, "kind": "<emitter>", "payload": {...}} v}
+    {v {"schema_version": 2, "kind": "<emitter>", "payload": {...}} v}
 
     and dispatches on [kind].  [schema_version] is bumped whenever any
     payload changes incompatibly, so consumers can fail fast instead of
     mis-parsing.  The [json] type here is the one JSON builder shared by
-    all emitters (this library sits below every other Orion library). *)
+    all emitters (this library sits below every other Orion library).
+    Version 2: every [bench-*] payload is the run parameters plus one
+    ["rows"] list (the per-suite [apps[].runs[]] and [results[]] of
+    version 1 are gone, except [bench-tune]'s [results]). *)
 
-let schema_version = 1
+let schema_version = 2
 
 type json =
   | Null

@@ -9,8 +9,6 @@ module Engine = Orion.Engine
 module Report = Orion.Report
 module Bench = Orion_apps.Bench
 
-type mode = [ `Parallel of int | `Distributed of int * Engine.transport ]
-
 type run_result = {
   tb_app : string;
   tb_mode : string;
@@ -31,6 +29,7 @@ type run_result = {
   tb_rejected : int;
   tb_adopted_unvalidated : int;
   tb_replay_equal : bool;
+  tb_row : Bench.row;
 }
 
 let straggler (r : Engine.report) =
@@ -72,42 +71,18 @@ let pass_walls (r : Engine.report) =
           (pass, m.Orion.Metrics.window_end -. m.Orion.Metrics.window_start))
         sm.Orion.Telemetry.sm_pass_metrics
 
-let outputs_equal ~tolerance (a : App.instance) (b : App.instance) =
-  List.for_all
-    (fun (name, arr) ->
-      match List.assoc_opt name b.App.inst_outputs with
-      | None -> false
-      | Some other ->
-          Orion_verify.Verify.diff_ok ~tolerance
-            (Orion_verify.Verify.diff_arrays name arr other))
-    a.App.inst_outputs
-
-let run_app ~(app : App.t) ~(mode : mode) ~passes ~scale ~num_machines
+let run_app ~(app : App.t) ~(mode : Engine.mode) ~passes ~scale ~num_machines
     ~workers_per_machine () =
-  let make, engine_mode, mode_str, workers =
-    match mode with
-    | `Parallel d ->
-        ( (fun () -> app.App.app_make ~scale ~num_machines ~workers_per_machine ()),
-          `Parallel d,
-          "parallel",
-          d )
-    | `Distributed (procs, transport) ->
-        ( (fun () ->
-            app.App.app_make ~scale ~num_machines:procs
-              ~workers_per_machine:1 ()),
-          `Distributed { Engine.procs; transport },
-          "distributed",
-          procs )
+  let make () =
+    Bench.make_instance app ~scale ~num_machines ~workers_per_machine mode
   in
   let obs_machines, obs_wpm =
-    match mode with
-    | `Parallel _ -> (num_machines, workers_per_machine)
-    | `Distributed (procs, _) -> (procs, 1)
+    Bench.shape ~num_machines ~workers_per_machine mode
   in
   (* static baseline *)
   let s_inst = make () in
   let s_report =
-    Engine.run s_inst.App.inst_session s_inst ~mode:engine_mode ~passes
+    Engine.run s_inst.App.inst_session s_inst ~mode ~passes
       ~scale ~telemetry:true ()
   in
   (* adaptive: measurement-driven re-planner *)
@@ -120,7 +95,7 @@ let run_app ~(app : App.t) ~(mode : mode) ~passes ~scale ~num_machines
      run of this app; do it before the clock starts *)
   rp.Replanner.prepare ();
   let a_report =
-    Engine.run a_inst.App.inst_session a_inst ~mode:engine_mode ~passes
+    Engine.run a_inst.App.inst_session a_inst ~mode ~passes
       ~scale ~telemetry:true ~replanner:rp.Replanner.fn ()
   in
   let decisions = rp.Replanner.log () in
@@ -131,24 +106,49 @@ let run_app ~(app : App.t) ~(mode : mode) ~passes ~scale ~num_machines
   let r_inst = make () in
   let replay = Replanner.scripted adopted_script in
   let _ =
-    Engine.run r_inst.App.inst_session r_inst ~mode:engine_mode ~passes
+    Engine.run r_inst.App.inst_session r_inst ~mode ~passes
       ~scale ~replanner:replay.Replanner.fn ()
   in
-  let equal =
-    outputs_equal ~tolerance:app.App.app_tolerance a_inst r_inst
+  let replay_check =
+    Bench.check_outputs ~tolerance:app.App.app_tolerance a_inst r_inst
   in
   let adopted = List.filter (fun d -> d.Replanner.d_adopted) decisions in
+  let unvalidated =
+    List.length
+      (List.filter
+         (fun d ->
+           (not d.Replanner.d_race_checked)
+           || d.Replanner.d_race_violations > 0)
+         adopted)
+  in
+  let speedup =
+    if a_report.Engine.ep_wall_seconds > 0.0 then
+      s_report.Engine.ep_wall_seconds /. a_report.Engine.ep_wall_seconds
+    else 1.0
+  in
+  (* the adaptive run's row: its reference is the static replay, and an
+     unvalidated adoption fails it too *)
+  let row =
+    {
+      (Bench.row_of_report a_report ~passes
+         ~loss:(Option.map (fun f -> f a_inst) app.App.app_loss)
+         ~check:
+           {
+             replay_check with
+             Bench.ck_ok = replay_check.Bench.ck_ok && unvalidated = 0;
+           })
+      with
+      Bench.row_speedup = Some speedup;
+    }
+  in
   {
     tb_app = app.App.app_name;
-    tb_mode = mode_str;
-    tb_workers = workers;
+    tb_mode = row.Bench.row_mode;
+    tb_workers = row.Bench.row_workers;
     tb_passes = passes;
     tb_static_wall = s_report.Engine.ep_wall_seconds;
     tb_adaptive_wall = a_report.Engine.ep_wall_seconds;
-    tb_speedup =
-      (if a_report.Engine.ep_wall_seconds > 0.0 then
-         s_report.Engine.ep_wall_seconds /. a_report.Engine.ep_wall_seconds
-       else 1.0);
+    tb_speedup = speedup;
     tb_static_straggler = straggler s_report;
     tb_adaptive_straggler = straggler a_report;
     tb_static_crit = critical_path s_report;
@@ -162,14 +162,9 @@ let run_app ~(app : App.t) ~(mode : mode) ~passes ~scale ~num_machines
     tb_adopted = List.length adopted;
     tb_rejected =
       List.length (List.filter (fun d -> not d.Replanner.d_adopted) decisions);
-    tb_adopted_unvalidated =
-      List.length
-        (List.filter
-           (fun d ->
-             (not d.Replanner.d_race_checked)
-             || d.Replanner.d_race_violations > 0)
-           adopted);
-    tb_replay_equal = equal;
+    tb_adopted_unvalidated = unvalidated;
+    tb_replay_equal = replay_check.Bench.ck_ok;
+    tb_row = row;
   }
 
 let result_json (r : run_result) : Report.json =
@@ -220,69 +215,37 @@ let pp_result fmt r =
 
 let default_out = "BENCH_tune.json"
 
-let to_row (r : run_result) : Bench.row =
-  {
-    Bench.row_app = r.tb_app;
-    row_mode = r.tb_mode;
-    row_workers = r.tb_workers;
-    row_wall_seconds = r.tb_adaptive_wall;
-    row_speedup = Some r.tb_speedup;
-    row_loss = None;
-    row_bytes_shipped = 0.0;
-    row_bytes_full = 0.0;
-    row_bytes_saved_fraction = 0.0;
-    row_policy_by_array = [];
-    row_ok = Some (r.tb_replay_equal && r.tb_adopted_unvalidated = 0);
-  }
-
 let run ?(apps = [ "slrskew" ]) ?(domains_list = [ 2 ]) ?(procs_list = [ 2 ])
-    ?(passes = 3) ?(transport = `Unix) ~scale ~out
-    ?(num_machines = 2) ?(workers_per_machine = 1) ?(print = true) () :
-    Bench.row list =
-  Orion_apps.Registry.ensure ();
-  let selected =
-    List.filter_map
-      (fun n ->
-        match App.find n with
-        | Some a -> Some a
-        | None ->
-            Printf.eprintf "bench tune: unknown app %S (skipped)\n" n;
-            None)
-      apps
-  in
-  let modes : mode list =
+    ?(passes = 3) ?(transport = `Unix) ~scale ~out ?(num_machines = 2)
+    ?(workers_per_machine = 1) ?(print = true) () : Bench.row list =
+  let modes : Engine.mode list =
     List.filter_map
       (fun d -> if d > 1 then Some (`Parallel d) else None)
       domains_list
     @ List.filter_map
-        (fun p -> if p > 1 then Some (`Distributed (p, transport)) else None)
+        (fun procs ->
+          if procs > 1 then Some (`Distributed { Engine.procs; transport })
+          else None)
         procs_list
   in
   let results =
     List.concat_map
-      (fun a ->
+      (fun app ->
         List.map
           (fun mode ->
             let r =
-              run_app ~app:a ~mode ~passes ~scale ~num_machines
+              run_app ~app ~mode ~passes ~scale ~num_machines
                 ~workers_per_machine ()
             in
             if print then print_string (Fmt.str "%a" pp_result r);
             r)
           modes)
-      selected
+      (Bench.select_apps ~suite:"tune" (Some apps))
   in
-  let payload =
-    Report.Obj
-      [
-        ("suite", Report.Str "tune");
-        ("scale", Report.Float scale);
-        ("passes", Report.Int passes);
-        ("results", Report.List (List.map result_json results));
-      ]
-  in
-  let rows = List.map to_row results in
-  Bench.write_file out
-    (Report.emit ~kind:"bench-tune" (Bench.with_rows payload rows));
+  let rows = List.map (fun r -> r.tb_row) results in
+  Bench.write ~out ~kind:"bench-tune"
+    (Bench.params ~passes ~scale ~transport
+    @ [ ("results", Report.List (List.map result_json results)) ])
+    rows;
   if print then Printf.printf "wrote %s\n" out;
   rows

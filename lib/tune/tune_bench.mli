@@ -2,9 +2,7 @@
     backend — once with the planner's static schedule, once with the
     measurement-driven {!Replanner} — then replay the adaptive run's
     adopted schedule sequence statically and check the results agree.
-    [bench --mode tune] and [orion tune] are thin wrappers. *)
-
-type mode = [ `Parallel of int | `Distributed of int * Orion.Engine.transport ]
+    [bench --mode tune] runs it over apps and backends. *)
 
 type run_result = {
   tb_app : string;
@@ -33,17 +31,20 @@ type run_result = {
   tb_replay_equal : bool;
       (** adaptive final arrays match a static replay of the adopted
           schedule sequence (bitwise, or within the app's tolerance) *)
+  tb_row : Orion_apps.Bench.row;
+      (** the adaptive run as a bench row: its reference is the replay,
+          it is [ok] only when [tb_replay_equal] and no adoption was
+          unvalidated, and its speedup is [tb_speedup] *)
 }
 
 val result_json : run_result -> Orion.Report.json
 val pp_result : Format.formatter -> run_result -> unit
 
-(** One static + adaptive + replay comparison.  [num_machines] /
-    [workers_per_machine] shape parallel instances; distributed
-    instances are one worker per machine, as everywhere else. *)
+(** One static + adaptive + replay comparison on [mode]'s backend,
+    instances shaped by {!Orion_apps.Bench.shape}. *)
 val run_app :
   app:Orion.App.t ->
-  mode:mode ->
+  mode:Orion.Engine.mode ->
   passes:int ->
   scale:float ->
   num_machines:int ->
@@ -55,9 +56,9 @@ val default_out : string
 
 (** The [bench --mode tune] suite: every listed app on every parallel
     domain count > 1 and every distributed proc count > 1, written to
-    [out] as a versioned [bench-tune] envelope with the uniform bench
-    rows appended.  Default app: [slrskew] — the Zipf-skewed workload
-    the re-planner exists for. *)
+    [out] as a versioned [bench-tune] envelope: the bench run
+    parameters, the per-run ["results"] and the rows.  Default app:
+    [slrskew] — the Zipf-skewed workload the re-planner exists for. *)
 val run :
   ?apps:string list ->
   ?domains_list:int list ->

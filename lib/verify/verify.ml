@@ -109,53 +109,6 @@ let soundness_misses ~(static : (string * Depvec.t list) list)
     (Depobserve.vectors_by_array edges)
 
 (* ------------------------------------------------------------------ *)
-(* Differential comparison                                             *)
-(* ------------------------------------------------------------------ *)
-
-type diff_result = {
-  d_array : string;
-  d_cells : int;
-  d_max_abs : float;
-  d_max_rel : float;
-  d_worst_key : int array option;
-}
-
-let diff_arrays name (a : float Dist_array.t) (b : float Dist_array.t) :
-    diff_result =
-  let keys : (string, int array) Hashtbl.t = Hashtbl.create 997 in
-  let note arr =
-    Array.iter
-      (fun (k, _) -> Hashtbl.replace keys (Depobserve.iter_key k) k)
-      (Dist_array.entries arr)
-  in
-  note a;
-  note b;
-  let r =
-    ref { d_array = name; d_cells = 0; d_max_abs = 0.0; d_max_rel = 0.0; d_worst_key = None }
-  in
-  Hashtbl.iter
-    (fun _ k ->
-      let va = Dist_array.get a k and vb = Dist_array.get b k in
-      let abs = Float.abs (va -. vb) in
-      let rel = abs /. Float.max (Float.max (Float.abs va) (Float.abs vb)) 1e-12 in
-      let cur = !r in
-      r :=
-        {
-          cur with
-          d_cells = cur.d_cells + 1;
-          d_max_abs = Float.max cur.d_max_abs abs;
-          d_max_rel = Float.max cur.d_max_rel rel;
-          d_worst_key = (if abs > cur.d_max_abs then Some k else cur.d_worst_key);
-        })
-    keys;
-  !r
-
-let diff_ok ~tolerance d =
-  match tolerance with
-  | None -> d.d_max_abs = 0.0
-  | Some tol -> d.d_max_rel <= tol
-
-(* ------------------------------------------------------------------ *)
 (* Reports                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -173,8 +126,9 @@ type app_report = {
   r_static : (string * string list) list;
   r_misses : miss list;
   r_violations : Race.violation list;
-  r_diff : diff_result list;  (** scheduled vs adversarial witness *)
-  r_serial_diff : diff_result list;  (** scheduled vs serial ascending *)
+  r_diff : Dist_array.diff_result list;  (** scheduled vs adversarial witness *)
+  r_serial_diff : Dist_array.diff_result list;
+      (** scheduled vs serial ascending *)
   r_tolerance : float option;
   r_passed : bool;
 }
@@ -233,13 +187,14 @@ let report_to_string (r : app_report) =
     | Some t -> Printf.sprintf "rel tol %.1e" t
   in
   List.iter
-    (fun d ->
+    (fun (d : Dist_array.diff_result) ->
       pf "  differential %s (scheduled vs witness, %s): max |delta| = %.3e%s\n"
         d.d_array tol_str d.d_max_abs
-        (if diff_ok ~tolerance:r.r_tolerance d then "" else "  FAIL"))
+        (if Dist_array.diff_ok ~tolerance:r.r_tolerance d then ""
+         else "  FAIL"))
     r.r_diff;
   List.iter
-    (fun d ->
+    (fun (d : Dist_array.diff_result) ->
       pf "  info %s (scheduled vs serial ascending): max |delta| = %.3e\n"
         d.d_array d.d_max_abs)
     r.r_serial_diff;
@@ -287,7 +242,7 @@ let violation_json (v : Race.violation) =
       ("why", Report.Str (Race.why_to_string v.Race.v_why));
     ]
 
-let diff_json d =
+let diff_json (d : Dist_array.diff_result) =
   Report.Obj
     [
       ("array", Report.Str d.d_array);
@@ -484,7 +439,8 @@ let verify_app ?(num_machines = 2) ?(workers_per_machine = 2) ?pipeline_depth
           replay inst_c sched (Race.linearize race ~adversarial:true);
           let diffs other =
             List.map2
-              (fun (name, arr_b) (_, arr_o) -> diff_arrays name arr_b arr_o)
+              (fun (name, arr_b) (_, arr_o) ->
+                Dist_array.diff_arrays name arr_b arr_o)
               inst_b.App.inst_outputs other
           in
           let diff = diffs inst_c.App.inst_outputs in
@@ -492,7 +448,7 @@ let verify_app ?(num_machines = 2) ?(workers_per_machine = 2) ?pipeline_depth
           let tolerance = a.App.app_tolerance in
           let passed =
             misses = [] && violations = []
-            && List.for_all (diff_ok ~tolerance) diff
+            && List.for_all (Dist_array.diff_ok ~tolerance) diff
           in
           Ok
             {

@@ -32,24 +32,6 @@ val miss_to_string : miss -> string
 val soundness_misses :
   static:(string * Depvec.t list) list -> Depobserve.edge list -> miss list
 
-(** {1 Differential comparison} *)
-
-type diff_result = {
-  d_array : string;
-  d_cells : int;
-  d_max_abs : float;
-  d_max_rel : float;
-  d_worst_key : int array option;
-}
-
-val diff_arrays :
-  string ->
-  float Orion_dsm.Dist_array.t ->
-  float Orion_dsm.Dist_array.t ->
-  diff_result
-
-val diff_ok : tolerance:float option -> diff_result -> bool
-
 (** {1 Reports} *)
 
 type app_report = {
@@ -66,8 +48,10 @@ type app_report = {
   r_static : (string * string list) list;
   r_misses : miss list;
   r_violations : Race.violation list;
-  r_diff : diff_result list;  (** scheduled vs adversarial witness *)
-  r_serial_diff : diff_result list;  (** scheduled vs serial ascending *)
+  r_diff : Orion_dsm.Dist_array.diff_result list;
+      (** scheduled vs adversarial witness *)
+  r_serial_diff : Orion_dsm.Dist_array.diff_result list;
+      (** scheduled vs serial ascending *)
   r_tolerance : float option;
   r_passed : bool;
 }

@@ -404,12 +404,12 @@ let run_dist ?(transport = `Unix) (app : Orion.App.t) ~procs ~passes =
 let check_outputs ~what ~tolerance a b =
   List.iter2
     (fun (name_a, arr_a) (_, arr_b) ->
-      let d = Verify.diff_arrays name_a arr_a arr_b in
+      let d = Orion_dsm.Dist_array.diff_arrays name_a arr_a arr_b in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %s equal (max abs %.3e, max rel %.3e)" what
-           name_a d.Verify.d_max_abs d.Verify.d_max_rel)
+           name_a d.Orion_dsm.Dist_array.d_max_abs d.Orion_dsm.Dist_array.d_max_rel)
         true
-        (Verify.diff_ok ~tolerance d))
+        (Orion_dsm.Dist_array.diff_ok ~tolerance d))
     a b
 
 let distributed_matches_sim name procs () =

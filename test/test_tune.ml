@@ -211,7 +211,8 @@ let test_adaptive_parallel () =
 let test_adaptive_distributed () =
   let app = find_app "slrskew" in
   let r =
-    Orion_tune.Tune_bench.run_app ~app ~mode:(`Distributed (2, `Unix))
+    Orion_tune.Tune_bench.run_app ~app
+      ~mode:(`Distributed { Orion.Engine.procs = 2; transport = `Unix })
       ~passes:3 ~scale:2.0 ~num_machines:2 ~workers_per_machine:1 ()
   in
   Alcotest.(check int) "no adopted re-plan skipped validation" 0
@@ -258,9 +259,9 @@ let test_distributed_migration_preserves_result () =
           Alcotest.(check bool)
             (name ^ " unchanged by migration")
             true
-            (Orion_verify.Verify.diff_ok
+            (Orion_dsm.Dist_array.diff_ok
                ~tolerance:app.Orion.App.app_tolerance
-               (Orion_verify.Verify.diff_arrays name arr other)))
+               (Orion_dsm.Dist_array.diff_arrays name arr other)))
     s_inst.Orion.App.inst_outputs
 
 let () =
