@@ -143,42 +143,6 @@ let count t =
 
 let is_sparse t = match t.storage with Dense _ -> false | Sparse _ -> true
 
-type stats = {
-  st_cells : int;
-  st_stored : int;
-  st_nnz : int;
-  st_density : float;
-  st_sparse : bool;
-}
-
-(* One linear scan of the stored entries; callers (the distributed
-   wire encoder) are expected to take it once per pass, not per
-   message.  [st_density] is nnz over the full cell count, guarded so
-   zero-dimensional / empty arrays report 0 instead of dividing by
-   zero. *)
-let stats t =
-  let cells = Array.fold_left (fun acc d -> acc * d) 1 t.dims in
-  let cells = if Array.length t.dims = 0 then 0 else cells in
-  let stored, nnz =
-    match t.storage with
-    | Dense d ->
-        let nnz = ref 0 in
-        Array.iter (fun v -> if v <> t.default then incr nnz) d;
-        (Array.length d, !nnz)
-    | Sparse s ->
-        let nnz = ref 0 in
-        Hashtbl.iter (fun _ v -> if v <> t.default then incr nnz) s.table;
-        (Hashtbl.length s.table, !nnz)
-  in
-  {
-    st_cells = cells;
-    st_stored = stored;
-    st_nnz = nnz;
-    st_density =
-      (if cells <= 0 then 0.0 else float_of_int nnz /. float_of_int cells);
-    st_sparse = is_sparse t;
-  }
-
 (** Element count × 8 bytes: the communication size of a partition is
     derived from this (values are floats or similarly-sized scalars). *)
 let bytes_per_element = 8.0
@@ -520,6 +484,48 @@ let to_iter_extern ~to_value (t : 'a t) : Orion_lang.Value.extern =
     ex_count = (fun () -> count t);
     ex_fast = None;
   }
+
+(* ------------------------------------------------------------------ *)
+(* Regions                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The stored entries whose index along [dim] lies in [lo, hi).  Dense
+   storage yields one contiguous key run per combination of the
+   leading dimensions, computed without a scan. *)
+let region t ~dim ~lo ~hi : int array * 'a array =
+  let lo = max 0 lo and hi = min t.dims.(dim) hi in
+  match t.storage with
+  | Dense d ->
+      let inner = t.strides.(dim) in
+      let width = max 0 (hi - lo) * inner in
+      let outer = total_size t.dims / (t.dims.(dim) * inner) in
+      let keys =
+        Array.init (outer * width) (fun i ->
+            ((i / width) * t.dims.(dim) * inner) + (lo * inner) + (i mod width))
+      in
+      (keys, Array.map (fun lin -> d.(lin)) keys)
+  | Sparse s ->
+      let inside lin =
+        let k = lin / t.strides.(dim) mod t.dims.(dim) in
+        k >= lo && k < hi
+      in
+      let keys =
+        Array.of_list (List.filter inside (Array.to_list (sorted_keys t)))
+      in
+      (keys, Array.map (fun lin -> Hashtbl.find s.table lin) keys)
+
+let set_region t (keys : int array) (values : 'a array) =
+  match t.storage with
+  | Dense d -> Array.iteri (fun i lin -> d.(lin) <- values.(i)) keys
+  | Sparse s ->
+      Array.iteri
+        (fun i lin ->
+          if not (Hashtbl.mem s.table lin) then begin
+            check_sparse_insert t lin;
+            s.sorted_keys <- None
+          end;
+          Hashtbl.replace s.table lin values.(i))
+        keys
 
 (* ------------------------------------------------------------------ *)
 (* Partition serialization                                             *)

@@ -54,22 +54,6 @@ val count : 'a t -> int
 
 val is_sparse : 'a t -> bool
 
-(** Density / occupancy statistics, the input to the distributed wire
-    encoder's key-mode choice ([lib/net]'s [Policy]). *)
-type stats = {
-  st_cells : int;  (** product of [dims] (0 for zero-dim arrays) *)
-  st_stored : int;  (** stored entries (dense: every cell) *)
-  st_nnz : int;  (** stored entries whose value differs from default *)
-  st_density : float;
-      (** [nnz / cells]; 0 when the array has no cells (no division by
-          zero on empty arrays) *)
-  st_sparse : bool;
-}
-
-(** One linear scan of the stored entries.  Intended to be sampled
-    once per pass, not per message. *)
-val stats : 'a t -> stats
-
 val bytes_per_element : float
 val size_bytes : 'a t -> float
 
@@ -149,6 +133,21 @@ val to_extern :
 (** Iteration-only extern for arbitrary element types. *)
 val to_iter_extern :
   to_value:('a -> Orion_lang.Value.t) -> 'a t -> Orion_lang.Value.extern
+
+(** {1 Regions}
+
+    The slab of an array whose index along one dimension lies in a
+    range: the unit the distributed runtime ships for placements owned
+    by one worker at a time. *)
+
+(** [region t ~dim ~lo ~hi]: ascending linearized keys, and their
+    values, of the stored entries whose index along [dim] lies in
+    [\[lo, hi)] (clamped to the dimension). *)
+val region : 'a t -> dim:int -> lo:int -> hi:int -> int array * 'a array
+
+(** Write [values.(i)] at linearized key [keys.(i)] (sparse arrays may
+    gain keys outside parallel sections). *)
+val set_region : 'a t -> int array -> 'a array -> unit
 
 (** {1 Partition serialization}
 

@@ -13,10 +13,13 @@
     {!Orion.Engine.Distributed_error}, never as a hang.
 
     Its own instance stays untouched while the workers run; the final
-    state is assembled purely from the wire: every worker's own-block
-    write journal applied in (pass, natural-order) order — a valid
-    serialization of the happens-before order, so non-buffered arrays
-    reproduce the serial result bitwise — then buffered-array shadows
+    state is assembled purely from the wire: every worker's owned
+    regions of owner-exclusive arrays (local partitions and last-held
+    rotated slices, disjoint across ranks) set as they are, every
+    worker's own-block write journal of the remaining arrays applied in
+    (pass, natural-order) order — a valid serialization of the
+    happens-before order, so non-buffered arrays reproduce the serial
+    result bitwise — then buffered-array shadows
     merged in ascending rank order ([+=] of nonzero entries, exactly
     the domain pool's shadow merge), cross-checked against each
     worker's reported accumulator totals. *)
@@ -131,7 +134,8 @@ type worker_state = {
   mutable st_conn : Transport.conn option;
   mutable st_addr : string option;  (** from Listening *)
   mutable st_prefetch : string list option;  (** from Prefetch_request *)
-  mutable st_report : Wire.block_writes list option;
+  mutable st_report : (Wire.part_payload list * Wire.block_writes list) option;
+      (** owned regions and own journal, from Block_report *)
   mutable st_flush : Wire.part list option;
   mutable st_totals : (string * float) list option;
   mutable st_done : Wire.worker_stats option;
@@ -192,14 +196,42 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
   let order = Domain_exec.natural_order model ~sp ~tp in
   let pos = Hashtbl.create (sp * tp) in
   Array.iteri (fun i (s, t) -> Hashtbl.replace pos ((s * tp) + t) i) order;
+  (* Owned regions set as they are, then journals in (pass,
+     natural-order) order: the final assembly into [arrays], and each
+     pass-boundary checkpoint into its copies.  [unknown] handles a
+     name [arrays] does not hold. *)
+  let assemble (arrays : (string, float Dist_array.t) Hashtbl.t) ~unknown
+      (regions : Wire.part_payload list) (entries : Wire.block_writes list) =
+    List.iter
+      (fun payload ->
+        let name, dims, keys, values = Policy.decode_region payload in
+        match Hashtbl.find_opt arrays name with
+        | Some arr when Dist_array.dims arr = dims ->
+            Dist_array.set_region arr keys values
+        | _ -> unknown name)
+      regions;
+    List.sort
+      (fun (a : Wire.block_writes) (b : Wire.block_writes) ->
+        compare
+          (a.bw_pass, Hashtbl.find pos a.bw_block)
+          (b.bw_pass, Hashtbl.find pos b.bw_block))
+      entries
+    |> List.iter (fun (bw : Wire.block_writes) ->
+           Array.iter
+             (fun (w : Wire.write) ->
+               match Hashtbl.find_opt arrays w.w_array with
+               | Some arr -> Dist_array.set arr w.w_key w.w_value
+               | None -> unknown w.w_array)
+             bw.bw_writes)
+  in
   (* -- pass-boundary checkpoint assembly ----------------------------
      When a checkpoint sink is registered, workers ship a Pass_report
      after every pass barrier.  The master folds them into shadow
      copies of the model arrays — never its own instance, which the
-     final assembly owns — applying each pass's writes in natural block
-     order (as the final assembly would), and keeping each rank's
-     latest cumulative buffered shadows.  When every rank has reported
-     a pass, the boundary state is complete and the sink fires. *)
+     final assembly owns — as the final assembly would, and keeps each
+     rank's latest cumulative buffered shadows.  When every rank has
+     reported a pass, the boundary state is complete and the sink
+     fires. *)
   let ck_copies : (string, float Dist_array.t) Hashtbl.t = Hashtbl.create 8 in
   if checkpoint <> None then
     List.iter
@@ -208,13 +240,15 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
           (Dist_array.of_partition (Dist_array.to_partition a)))
       inst.Orion.App.inst_arrays;
   let ck_pending :
-      (int, Wire.block_writes list option array * Wire.part list option array)
+      ( int,
+        (Wire.part_payload list * Wire.block_writes list) option array
+        * Wire.part list option array )
       Hashtbl.t =
     Hashtbl.create 8
   in
   let ck_latest_shadows : Wire.part list array = Array.make nw [] in
   let ck_next = ref 0 in
-  let note_pass_report ~rank ~pass entries parts =
+  let note_pass_report ~rank ~pass regions entries parts =
     match checkpoint with
     | None -> ()
     | Some (every, sink) ->
@@ -226,7 +260,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
               Hashtbl.replace ck_pending pass s;
               s
         in
-        (fst slot).(rank) <- Some entries;
+        (fst slot).(rank) <- Some (regions, entries);
         (snd slot).(rank) <- Some parts;
         let rec drain () =
           match Hashtbl.find_opt ck_pending !ck_next with
@@ -234,24 +268,10 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
               let pass = !ck_next in
               Hashtbl.remove ck_pending pass;
               incr ck_next;
-              let all =
-                Array.to_list es
-                |> List.concat_map (fun o -> Option.value o ~default:[])
-                |> List.sort
-                     (fun (a : Wire.block_writes) (b : Wire.block_writes) ->
-                       compare
-                         (Hashtbl.find pos a.bw_block)
-                         (Hashtbl.find pos b.bw_block))
-              in
-              List.iter
-                (fun (bw : Wire.block_writes) ->
-                  Array.iter
-                    (fun (w : Wire.write) ->
-                      match Hashtbl.find_opt ck_copies w.w_array with
-                      | Some arr -> Dist_array.set arr w.w_key w.w_value
-                      | None -> ())
-                    bw.bw_writes)
-                all;
+              let reported = Array.to_list es |> List.filter_map Fun.id in
+              assemble ck_copies ~unknown:ignore
+                (List.concat_map fst reported)
+                (List.concat_map snd reported);
               Array.iteri
                 (fun r p ->
                   match p with
@@ -351,9 +371,17 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
     Transport.close_listener listener;
     kill_workers pids
   in
+  (* Set once execution is supervised: before a failure tears the run
+     down, read the pass reports already on the wire, so a checkpoint
+     every rank completed is not lost to the order in which the master
+     notices the failure and the reports. *)
+  let salvage = ref ignore in
   let fail_cleanup ?rank fmt =
     Printf.ksprintf
       (fun s ->
+        let f = !salvage in
+        salvage := ignore;
+        (try f () with _ -> ());
         cleanup ();
         raise
           (Orion.Engine.Distributed_error { de_rank = rank; de_reason = s }))
@@ -512,9 +540,11 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
       Transport.send (conn rank) (msg payloads);
       let elapsed = Unix.gettimeofday () -. t_send in
       List.iter
-        (fun (name, bytes, full) ->
+        (fun (name, bytes, full, mode) ->
           account name bytes;
           account_full name full;
+          (* workers' own payloads, reported at the end, override *)
+          Option.iter (Hashtbl.replace policy_by_array name) mode;
           Trace.add trace ~label:("net:" ^ name) ~bytes ~worker:rank
             ~category:Trace.Transfer
             ~start_sec:(t_send -. t0)
@@ -574,13 +604,41 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
       Transport.send (conn rank) (Wire.Peers peers)
     done;
     (* -- supervise execution ---------------------------------------- *)
+    salvage :=
+      (fun () ->
+        let until = Unix.gettimeofday () +. 1.0 in
+        let rec go () =
+          match Event_loop.poll handshake ~timeout:0.05 with
+          | [] -> ()
+          | events ->
+              List.iter
+                (function
+                  | Event_loop.Message
+                      ( rank,
+                        Wire.Pass_report
+                          { pp_pass; pp_regions; pp_entries; pp_buffered; _ }
+                      ) ->
+                      note_pass_report ~rank ~pass:pp_pass pp_regions
+                        pp_entries pp_buffered
+                  | _ -> ())
+                events;
+              if Unix.gettimeofday () < until then go ()
+        in
+        go ());
+    (* within one poll, a worker's failure is handled after every
+       other rank's messages *)
+    let failure = function
+      | Event_loop.Closed _ | Event_loop.Message (_, Wire.Fatal _) -> 1
+      | Event_loop.Message _ -> 0
+    in
     while not (Array.for_all (fun st -> st.st_done <> None) states) do
       monitor_children ();
       check_deadline "workers to finish";
       List.iter
         (function
-          | Event_loop.Message (rank, Wire.Block_report { br_entries; _ }) ->
-              states.(rank).st_report <- Some br_entries
+          | Event_loop.Message
+              (rank, Wire.Block_report { br_regions; br_entries; _ }) ->
+              states.(rank).st_report <- Some (br_regions, br_entries)
           | Event_loop.Message (rank, Wire.Buffer_flush { bf_parts; _ }) ->
               states.(rank).st_flush <- Some bf_parts
           | Event_loop.Message (rank, Wire.Acc_merge { am_totals; _ }) ->
@@ -645,9 +703,11 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
                 | _ -> ()
               end
           | Event_loop.Message
-              (rank, Wire.Pass_report { pp_pass; pp_entries; pp_buffered; _ })
-            ->
-              note_pass_report ~rank ~pass:pp_pass pp_entries pp_buffered
+              ( rank,
+                Wire.Pass_report
+                  { pp_pass; pp_regions; pp_entries; pp_buffered; _ } ) ->
+              note_pass_report ~rank ~pass:pp_pass pp_regions pp_entries
+                pp_buffered
           | Event_loop.Message (rank, Wire.Done stats) ->
               if
                 states.(rank).st_report = None
@@ -682,8 +742,11 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
                   match abnormal_exit_wait ~except:rank with
                   | Some (r, st) -> fail_cleanup ~rank:r "%s" (status_reason st)
                   | None -> fail_cleanup ~rank "worker socket closed mid-run")))
-        (Event_loop.poll handshake ~timeout:0.1)
+        (List.stable_sort
+           (fun a b -> compare (failure a) (failure b))
+           (Event_loop.poll handshake ~timeout:0.1))
     done;
+    salvage := ignore;
     (* -- orderly shutdown ------------------------------------------- *)
     for rank = 0 to nw - 1 do
       Transport.send (conn rank) Wire.Shutdown
@@ -716,27 +779,16 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
     List.iter
       (fun (n, a) -> Hashtbl.replace arr_tbl n a)
       inst.Orion.App.inst_arrays;
-    (* non-buffered writes: apply every worker's journal in (pass,
-       natural-order) order — a serialization of the happens-before
-       order, reproducing the serial element values bitwise *)
-    let all_blocks =
-      Array.to_list states
-      |> List.concat_map (fun st -> Option.value st.st_report ~default:[])
-      |> List.sort
-           (fun (a : Wire.block_writes) (b : Wire.block_writes) ->
-             compare
-               (a.bw_pass, Hashtbl.find pos a.bw_block)
-               (b.bw_pass, Hashtbl.find pos b.bw_block))
+    (* non-buffered arrays: owned regions as they are, journals in
+       (pass, natural-order) order — a serialization of the
+       happens-before order, reproducing the serial element values
+       bitwise *)
+    let reported =
+      Array.to_list states |> List.filter_map (fun st -> st.st_report)
     in
-    List.iter
-      (fun (bw : Wire.block_writes) ->
-        Array.iter
-          (fun (w : Wire.write) ->
-            match Hashtbl.find_opt arr_tbl w.w_array with
-            | Some arr -> Dist_array.set arr w.w_key w.w_value
-            | None -> err "block report writes unknown array %S" w.w_array)
-          bw.bw_writes)
-      all_blocks;
+    assemble arr_tbl ~unknown:(err "block report for unknown array %S")
+      (List.concat_map fst reported)
+      (List.concat_map snd reported);
     (* buffered arrays: merge shadows in ascending rank order, exactly
        the domain pool's deterministic shadow merge *)
     Array.iteri

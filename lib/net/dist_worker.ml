@@ -13,21 +13,40 @@
     prefetch for server-hosted ones), so the shipping path is
     load-bearing, not decorative.
 
-    During execution the worker journals every non-buffered DistArray
-    element write (via the interpreter's access hook, in execution
-    order).  Each cross-worker happens-before edge [src → dst] is
-    realized as a {!Wire.Rotation_token} carrying {e all} block write
-    logs this worker knows and the destination has not seen — its own
-    and relayed ones — so a receiver learns everything that
-    happens-before the sending block, even transitively through ranks
-    that never touched the data.  Incoming writes are applied
-    last-writer-wins by (pass, natural-order position of the writing
-    block): all writers of one element are happens-before-ordered and
-    natural order linearizes happens-before, so this is exact no matter
-    how tokens from different peers interleave.  A pass ends with an
-    all-to-all {!Wire.Pass_sync} barrier flushing the rest.  Blocks
-    that wrote nothing still send tokens — edge satisfaction is tracked
-    by token arrival, not by journal content.
+    Every written, non-buffered DistArray is kept consistent in one of
+    two ways, chosen from its placement under the execution model
+    ({!sharing}):
+
+    - {e Owner-exclusive} placements move as whole regions.  A
+      locally-partitioned array under a 1D or 2D model belongs to the
+      space-partition owner, and its region never leaves that worker
+      during a pass.  A rotated array under a 2D model belongs to
+      whoever holds the time partition: every cross-worker
+      happens-before edge [src → dst] of {!Domain_exec.block_edges}
+      hands over one time partition [t], so its {!Wire.Rotation_token}
+      carries the rotated arrays' slice for [t], and the receiver
+      installs it just before running [dst].  A pass ends with an
+      all-to-all {!Wire.Pass_sync} broadcasting the slices each rank
+      held last.  No access hook is installed for these arrays, so
+      when every written array is exclusive the compiled kernel runs
+      its unboxed, hook-free path.
+    - Everything else (time-major models, written server-hosted
+      arrays) is {e journaled}: every element write is recorded via
+      the interpreter's access hook, in execution order, and each
+      token carries {e all} block write logs this worker knows and the
+      destination has not seen — its own and relayed ones — so a
+      receiver learns everything that happens-before the sending
+      block, even transitively through ranks that never touched the
+      data.  Incoming writes are applied last-writer-wins by (pass,
+      natural-order position of the writing block): all writers of one
+      element are happens-before-ordered and natural order linearizes
+      happens-before, so this is exact no matter how tokens from
+      different peers interleave.  The pass sync flushes the rest.
+
+    Blocks that wrote nothing still send tokens — edge satisfaction is
+    tracked by token arrival, not by payload content.  The final
+    {!Wire.Block_report} ships each rank's owned regions and last-held
+    slices (plus its own journal), which the master sets as they are.
 
     Buffered arrays get a local zero shadow (exactly the domain pool's
     per-domain shadows); the nonzero entries are flushed to the master
@@ -151,6 +170,46 @@ let expand_keys (dims : int array) (subs : Value.concrete_sub array) :
     List.map Array.of_list (cart 0)
 
 (* ------------------------------------------------------------------ *)
+(* Owner-exclusive placements vs journaled ones                        *)
+(* ------------------------------------------------------------------ *)
+
+(** How the wire keeps one non-buffered DistArray consistent. *)
+type sharing =
+  | Local of int
+      (** exclusive to the space-partition owner: the region along
+          this array dimension that the space cut gives a rank *)
+  | Rotating of int
+      (** exclusive to the holder of a time partition: the slice along
+          this array dimension that the time cut gives partition [t]
+          moves whole along every same-[t] happens-before edge *)
+  | Journaled  (** written with no single owner: every write journaled *)
+  | Unwritten  (** never written by the loop: nothing travels back *)
+
+(** [name]'s sharing, from its placement in [plan] under [model]. *)
+let sharing (plan : Plan.t) (model : Domain_exec.model) name =
+  let written =
+    List.exists
+      (fun (r : Orion_analysis.Refs.ref_info) -> r.array = name && r.is_write)
+      plan.Plan.loop.Orion_analysis.Refs.refs
+  in
+  match (List.assoc_opt name plan.Plan.placements, model) with
+  | _ when not written -> Unwritten
+  | ( Some (Plan.Local_partitioned { array_dim }),
+      (Domain_exec.M_1d | M_2d_ordered | M_2d_unordered _) ) ->
+      Local array_dim
+  | Some (Plan.Rotated { array_dim }), (M_2d_ordered | M_2d_unordered _) ->
+      Rotating array_dim
+  | _ -> Journaled
+
+(** The index range [\[lo, hi)] of partition [p] of a cut along a
+    dimension of [size] — the inverse of
+    {!Orion_dsm.Partitioner.part_of}, whose first and last partitions
+    absorb indices outside the boundaries. *)
+let part_range (b : Orion_dsm.Partitioner.boundaries) p ~size =
+  let last = Array.length b - 2 in
+  ((if p = 0 then 0 else b.(p)), if p = last then size else b.(p + 1))
+
+(* ------------------------------------------------------------------ *)
 (* The worker protocol                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -260,19 +319,20 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
           (fun (key, _) -> Dist_array.set a key 0.0)
           (Dist_array.entries a))
     arrays;
-  let apply_parts what payloads =
-    List.iter
-      (fun (part : Wire.part) ->
-        match Hashtbl.find_opt arr_tbl part.Dist_array.pt_array with
-        | Some a -> Dist_array.apply_partition a part
-        | None -> fail "%s for unknown array %S" what part.Dist_array.pt_array)
-      (Policy.decode_parts payloads)
+  let apply_region what payload =
+    let name, dims, keys, values = Policy.decode_region payload in
+    match Hashtbl.find_opt arr_tbl name with
+    | Some a when Dist_array.dims a = dims ->
+        Dist_array.set_region a keys values
+    | Some _ -> fail "%s for %S: dims do not match" what name
+    | None -> fail "%s for unknown array %S" what name
   in
   (match recv_master "partition ship" with
-  | Wire.Partition_ship parts -> apply_parts "partition ship" parts
+  | Wire.Partition_ship parts -> List.iter (apply_region "partition ship") parts
   | m -> fail "expected partition-ship, got %s" (Wire.tag m));
   (match recv_master "prefetch response" with
-  | Wire.Prefetch_response parts -> apply_parts "prefetch response" parts
+  | Wire.Prefetch_response parts ->
+      List.iter (apply_region "prefetch response") parts
   | m -> fail "expected prefetch-response, got %s" (Wire.tag m));
   let peer_addrs =
     match recv_master "peers" with
@@ -327,11 +387,12 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   in
   (* -- compiled kernel ----------------------------------------------
      Compiled once, after the shadow rebinding (the kernel captures
-     env's current array bindings).  The write-journal hook installed
-     below is checked dynamically inside the kernel, so every DistArray
-     access still routes through the boxed, hook-calling path while the
-     journal is attached — the journal sees exactly what it would see
-     under the interpreter. *)
+     env's current array bindings).  The write-journal hook, installed
+     below only when some array is journaled, is checked dynamically
+     inside the kernel: while it is attached every DistArray access
+     routes through the boxed, hook-calling path, so the journal sees
+     exactly what it would see under the interpreter.  Without it the
+     kernel runs the same unboxed path as the domain pool. *)
   let kernel = Orion.Engine.compile_kernel inst env in
   let exec_entry ~key ~value =
     match kernel with
@@ -341,7 +402,24 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
           ~value_var:inst.Orion.App.inst_value_var ~key ~value
           inst.Orion.App.inst_body
   in
-  (* -- write journal ------------------------------------------------ *)
+  let classified =
+    List.filter_map
+      (fun (n, a) ->
+        if managed n then Some (n, a, sharing plan model n) else None)
+      arrays
+  in
+  let locals =
+    List.filter_map
+      (function n, a, Local d -> Some (n, a, d) | _ -> None)
+      classified
+  and rotating =
+    List.filter_map
+      (function n, a, Rotating d -> Some (n, a, d) | _ -> None)
+      classified
+  and journaled =
+    List.filter_map (function n, _, Journaled -> Some n | _ -> None) classified
+  in
+  (* -- write journal (arrays with no single owner) ------------------ *)
   let order = Domain_exec.natural_order model ~sp ~tp in
   let natpos : (int, int) Hashtbl.t = Hashtbl.create 64 in
   Array.iteri (fun i (s, t) -> Hashtbl.replace natpos ((s * tp) + t) i) order;
@@ -371,27 +449,28 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   in
   let cur_version = ref (0, 0) in
   let current : Wire.write list ref = ref [] (* newest first *) in
-  env.Interp.on_array_access <-
-    Some
-      (fun ex ~write subs ->
-        if write then
-          match Hashtbl.find_opt arr_tbl ex.Value.ex_name with
-          | Some arr when not (List.mem ex.Value.ex_name buffered) ->
-              (* the hook fires after the write: [get] reads the
-                 just-written value *)
-              List.iter
-                (fun key ->
-                  Hashtbl.replace versions (ex.Value.ex_name, key)
-                    !cur_version;
-                  current :=
-                    {
-                      Wire.w_array = ex.Value.ex_name;
-                      w_key = key;
-                      w_value = Dist_array.get arr key;
-                    }
-                    :: !current)
-                (expand_keys ex.Value.ex_dims subs)
-          | _ -> ());
+  if journaled <> [] then
+    env.Interp.on_array_access <-
+      Some
+        (fun ex ~write subs ->
+          if write && List.mem ex.Value.ex_name journaled then
+            match Hashtbl.find_opt arr_tbl ex.Value.ex_name with
+            | Some arr ->
+                (* the hook fires after the write: [get] reads the
+                   just-written value *)
+                List.iter
+                  (fun key ->
+                    Hashtbl.replace versions (ex.Value.ex_name, key)
+                      !cur_version;
+                    current :=
+                      {
+                        Wire.w_array = ex.Value.ex_name;
+                        w_key = key;
+                        w_value = Dist_array.get arr key;
+                      }
+                      :: !current)
+                  (expand_keys ex.Value.ex_dims subs)
+            | None -> ());
   (* -- happens-before bookkeeping ----------------------------------- *)
   let owner blk = blk / tp in
   let incoming : (int, int list) Hashtbl.t = Hashtbl.create 16 in
@@ -407,14 +486,26 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
             (dst :: Option.value (Hashtbl.find_opt outgoing src) ~default:[])
       end)
     (Domain_exec.block_edges model ~sp ~tp);
-  let tokens : (int * int * int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let syncs : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
+  (* arrived tokens, keyed (pass, src, dst): the sending rank and its
+     slices, installed when [dst] is about to run; arrived syncs, keyed
+     (pass, rank), installed at the pass barrier.  Applying slices at
+     consumption, not on arrival, keeps a faster peer's next-pass
+     slices from being overwritten by this pass's barrier state. *)
+  let tokens : (int * int * int, int * Wire.part_payload list) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  let syncs : (int * int, Wire.part_payload list) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  (* journal payloads in arrival order, applied at the same points
+     (last-writer-wins makes early application harmless) *)
+  let journal_in : (int * Wire.entries_payload) Queue.t = Queue.create () in
   let known : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
-  (* Everything this worker knows (own blocks and received ones), in
-     the order learned.  Tokens relay the whole unseen suffix, not just
-     own writes: a receiver thereby learns everything that
-     happens-before the sending block, even transitively through ranks
-     that never touched the data ([known] dedups the echoes). *)
+  (* Every journaled block this worker knows (own blocks and received
+     ones), in the order learned.  Tokens relay the whole unseen
+     suffix, not just own writes: a receiver thereby learns everything
+     that happens-before the sending block, even transitively through
+     ranks that never touched the data ([known] dedups the echoes). *)
   let own : Wire.block_writes list ref = ref [] (* newest first *) in
   let known_log : Wire.block_writes list ref = ref [] (* newest first *) in
   let klen = ref 0 in
@@ -431,7 +522,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     let version = (bw.bw_pass, pos bw.bw_block) in
     Array.iter (apply_write ~version) bw.bw_writes
   in
-  let apply_entries entries = List.iter learn entries in
   (* -- wire encoding ------------------------------------------------- *)
   let linearize name key =
     match Hashtbl.find_opt arr_tbl name with
@@ -444,16 +534,100 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     | None -> fail "packed payload for unknown array %S" name
   in
   let sender = Policy.sender ~linearize ~pos in
+  (* bytes shipped to peers per array, as encoded and as their
+     unpacked equivalent, for the final stats *)
+  let bytes_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
+  let bytes_full_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
+  let account (name, actual, full) =
+    let bump tbl v =
+      Hashtbl.replace tbl name
+        (v +. Option.value (Hashtbl.find_opt tbl name) ~default:0.0)
+    in
+    bump bytes_by_array actual;
+    bump bytes_full_by_array full
+  in
+  (* -- owner-exclusive regions -------------------------------------- *)
+  (* the rank holding each time partition last in a pass: the owner of
+     its final block in natural order, which linearizes the same-[t]
+     chain of happens-before edges *)
+  let last_holder = Array.make tp 0 in
+  Array.iter (fun (s, t) -> last_holder.(t) <- s) order;
+  (* [arr]'s entries in partition [p] of a cut along its dimension
+     [dim] *)
+  let region (_, arr, dim) ~boundaries p =
+    let lo, hi = part_range boundaries p ~size:(Dist_array.dims arr).(dim) in
+    (arr, Dist_array.region arr ~dim ~lo ~hi)
+  in
+  (* the rotated arrays' slices of time partition [t] *)
+  let slices t =
+    match (rotating, !sched.Schedule.time_boundaries) with
+    | [], _ -> []
+    | _, Some boundaries -> List.map (fun r -> region r ~boundaries t) rotating
+    | (name, _, _) :: _, None ->
+        fail "rotated array %S under a schedule with no time cut" name
+  in
+  let held_last () =
+    List.concat_map
+      (fun t -> if last_holder.(t) = rank then slices t else [])
+      (List.init tp Fun.id)
+  in
+  let pack (arr, (keys, values)) =
+    Policy.encode_region sender arr keys values
+  in
+  (* a packed region with its (array, bytes, unpacked bytes) account *)
+  let pack_accounted ((arr, (keys, values)) as r) =
+    let b = pack r in
+    ( b,
+      ( arr.Dist_array.name,
+        float_of_int (Bytes.length b),
+        Policy.region_full_bytes arr keys values ) )
+  in
+  (* what this rank owns at a pass boundary: its local regions under
+     the current space cut and the slices it held last *)
+  let owned_regions () =
+    List.map pack
+      (List.map
+         (fun r -> region r ~boundaries:!sched.Schedule.space_boundaries rank)
+         locals
+      @ held_last ())
+  in
+  let apply_slices what q payloads =
+    if payloads <> [] then begin
+      let start = tel_now () in
+      List.iter (apply_region what) payloads;
+      tel_span ~category:Orion_obs.Trace.Marshal
+        ~label:(Printf.sprintf "decode<-%d" q)
+        ~bytes:
+          (List.fold_left
+             (fun acc b -> acc +. float_of_int (Bytes.length b))
+             0.0 payloads)
+        ~start
+    end
+  in
+  let drain_journal () =
+    while not (Queue.is_empty journal_in) do
+      let q, payload = Queue.pop journal_in in
+      let start = tel_now () in
+      List.iter learn (Policy.decode_entries ~delinearize payload);
+      tel_span ~category:Orion_obs.Trace.Marshal
+        ~label:(Printf.sprintf "decode<-%d" q)
+        ~bytes:(float_of_int (Bytes.length payload))
+        ~start
+    done
+  in
   (* migration shipments, keyed (pass, sending rank) *)
   let reparts : (int * int, Wire.part list) Hashtbl.t = Hashtbl.create 16 in
   let handle = function
-    | Event_loop.Message (_, Wire.Rotation_token { rt_pass; rt_src; rt_dst; rt_entries })
-      ->
-        apply_entries (Policy.decode_entries ~delinearize rt_entries);
-        Hashtbl.replace tokens (rt_pass, rt_src, rt_dst) ()
-    | Event_loop.Message (_, Wire.Pass_sync { ps_pass; ps_rank; ps_entries }) ->
-        apply_entries (Policy.decode_entries ~delinearize ps_entries);
-        Hashtbl.replace syncs (ps_pass, ps_rank) ()
+    | Event_loop.Message
+        ( q,
+          Wire.Rotation_token
+            { rt_pass; rt_src; rt_dst; rt_slices; rt_entries } ) ->
+        if journaled <> [] then Queue.push (q, rt_entries) journal_in;
+        Hashtbl.replace tokens (rt_pass, rt_src, rt_dst) (q, rt_slices)
+    | Event_loop.Message
+        (q, Wire.Pass_sync { ps_pass; ps_rank; ps_slices; ps_entries }) ->
+        if journaled <> [] then Queue.push (q, ps_entries) journal_in;
+        Hashtbl.replace syncs (ps_pass, ps_rank) ps_slices
     | Event_loop.Message (_, Wire.Repart_ship { rs_pass; rs_rank; rs_parts })
       ->
         Hashtbl.replace reparts (rs_pass, rs_rank) rs_parts
@@ -483,14 +657,8 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
         List.iter handle (Event_loop.poll loop ~timeout:0.05))
   in
   (* per-peer cursor into [known_log]; entries the peer authored itself
-     are filtered out of the payload (it has them by construction).
-     [prepare_payload] returns the encoded payload plus its actual
-     bytes (which label the telemetry Transfer span around the send),
-     accumulating both the actual and the per-write [Marshal] bytes
-     per array for the final stats. *)
+     are filtered out of the payload (it has them by construction) *)
   let sent_upto = Array.make sp 0 in
-  let bytes_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  let bytes_full_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
   let fresh_entries q =
     let n = !klen - sent_upto.(q) in
     sent_upto.(q) <- !klen;
@@ -502,30 +670,31 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
       (fun (bw : Wire.block_writes) -> owner bw.bw_block <> q)
       (List.rev (take n !known_log))
   in
-  let prepare_payload q =
-    let payload, accounts = Policy.prepare sender (fresh_entries q) in
-    let bytes = ref 0.0 in
-    List.iter
-      (fun (name, actual, full) ->
-        bytes := !bytes +. actual;
-        let bump tbl v =
-          Hashtbl.replace tbl name
-            (v +. Option.value (Hashtbl.find_opt tbl name) ~default:0.0)
-        in
-        bump bytes_by_array actual;
-        bump bytes_full_by_array full)
-      accounts;
-    (payload, !bytes)
+  (* Encode what goes to peer [q] next — the [regions] it hands over
+     plus the journal suffix it has not seen — inside one Marshal span,
+     account it, and return the payloads with their total bytes (which
+     label the Transfer span around the send). *)
+  let encode_for q regions =
+    let start = tel_now () in
+    let regions = List.map pack_accounted (regions ()) in
+    let entries, accounts = Policy.prepare sender (fresh_entries q) in
+    let accounts = List.map snd regions @ accounts in
+    List.iter account accounts;
+    let bytes = List.fold_left (fun acc (_, b, _) -> acc +. b) 0.0 accounts in
+    tel_span ~category:Orion_obs.Trace.Marshal
+      ~label:(Printf.sprintf "encode->%d" q)
+      ~bytes ~start;
+    (List.map fst regions, entries, bytes)
   in
   (* -- live partition migration (adaptive re-planning) ---------------
-     At a pass barrier all journal traffic for the finished pass has
-     been applied, so each rank's locally-partitioned regions are
-     authoritative.  Ownership follows the space cut: entries moving
-     from this rank's old region into peer [q]'s new region ship to
-     [q]; a shipment goes to {e every} peer (possibly empty) because
+     At a pass barrier every slice and journal payload of the finished
+     pass has been applied, so each rank's locally-partitioned regions
+     are authoritative.  Ownership follows the space cut: entries
+     moving from this rank's old region into peer [q]'s new region ship
+     to [q]; a shipment goes to {e every} peer (possibly empty) because
      arrival itself is the synchronization.  Early next-pass tokens
-     from faster peers only carry writes of non-locally-partitioned
-     arrays, so applying shipments after them cannot lose a write. *)
+     from faster peers never carry locally-partitioned arrays, so
+     applying shipments after them cannot lose a write. *)
   let migrate ~pass ~new_boundaries ~fingerprint =
     let old_boundaries = !sched.Schedule.space_boundaries in
     let migrating =
@@ -563,15 +732,9 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
         in
         List.iter
           (fun (part : Wire.part) ->
-            let name = part.Dist_array.pt_array in
             let b = float_of_int (Dist_array.partition_size_bytes part) in
-            let bump tbl =
-              Hashtbl.replace tbl name
-                (b +. Option.value (Hashtbl.find_opt tbl name) ~default:0.0)
-            in
             (* migration ships raw partitions — actual = full *)
-            bump bytes_by_array;
-            bump bytes_full_by_array)
+            account (part.Dist_array.pt_array, b, b))
           parts;
         let send_start = tel_now () in
         send_peer q
@@ -617,13 +780,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   let t0 = Orion_obs.Clock.now () in
   for pass = 0 to p.p_passes - 1 do
     let pass_start = tel_now () in
-    (* refresh the per-array stats once per pass (not per token):
-       density decides the packed key encoding *)
-    Policy.note_pass sender
-      (List.filter_map
-         (fun (n, a) ->
-           if List.mem n buffered then None else Some (n, Dist_array.stats a))
-         arrays);
     Array.iter
       (fun (s, t) ->
         if s = rank then begin
@@ -645,6 +801,13 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
             (Printf.sprintf "tokens for block %d of pass %d" blk pass);
           tel_span ~category:Orion_obs.Trace.Idle ~label:"wait-tokens"
             ~bytes:0.0 ~start:wait_start;
+          List.iter
+            (fun src ->
+              let q, payloads = Hashtbl.find tokens (pass, src, blk) in
+              Hashtbl.remove tokens (pass, src, blk);
+              apply_slices "rotation token" q payloads)
+            need;
+          drain_journal ();
           current := [];
           cur_version := (pass, pos blk);
           let b = !sched.Schedule.blocks.(s).(t) in
@@ -659,24 +822,29 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
               ~start:blk_start ~finish:(tel_now ())
               ~entries:(Array.length b.Schedule.entries);
           incr blocks_done;
-          Hashtbl.replace known (pass, blk) ();
-          let bw =
-            {
-              Wire.bw_pass = pass;
-              bw_block = blk;
-              bw_writes = Array.of_list (List.rev !current);
-            }
-          in
-          own := bw :: !own;
-          known_log := bw :: !known_log;
-          incr klen;
+          if !current <> [] then begin
+            let bw =
+              {
+                Wire.bw_pass = pass;
+                bw_block = blk;
+                bw_writes = Array.of_list (List.rev !current);
+              }
+            in
+            Hashtbl.replace known (pass, blk) ();
+            own := bw :: !own;
+            known_log := bw :: !known_log;
+            incr klen
+          end;
           match Hashtbl.find_opt outgoing blk with
           | None -> ()
           | Some dsts ->
+              (* every cross-worker edge hands over time partition [t] *)
               List.iter
                 (fun dst ->
                   let q = owner dst in
-                  let payload, bytes = prepare_payload q in
+                  let handed, entries, bytes =
+                    encode_for q (fun () -> slices t)
+                  in
                   let send_start = tel_now () in
                   send_peer q
                     (Wire.Rotation_token
@@ -684,7 +852,8 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
                          rt_pass = pass;
                          rt_src = blk;
                          rt_dst = dst;
-                         rt_entries = payload;
+                         rt_slices = handed;
+                         rt_entries = entries;
                        });
                   tel_span ~category:Orion_obs.Trace.Transfer
                     ~label:(Printf.sprintf "token->%d" q)
@@ -692,15 +861,21 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
                 (List.sort_uniq compare dsts)
         end)
       order;
-    (* pass barrier: flush the journal all-to-all so pass + 1 starts
-       from globally consistent DistArray state *)
+    (* pass barrier: broadcast the slices this rank held last and flush
+       the journal all-to-all, so pass + 1 starts from globally
+       consistent DistArray state *)
     for q = 0 to sp - 1 do
       if q <> rank then begin
-        let payload, bytes = prepare_payload q in
+        let held, entries, bytes = encode_for q held_last in
         let send_start = tel_now () in
         send_peer q
           (Wire.Pass_sync
-             { ps_pass = pass; ps_rank = rank; ps_entries = payload });
+             {
+               ps_pass = pass;
+               ps_rank = rank;
+               ps_slices = held;
+               ps_entries = entries;
+             });
         tel_span ~category:Orion_obs.Trace.Transfer
           ~label:(Printf.sprintf "sync->%d" q)
           ~bytes ~start:send_start
@@ -717,6 +892,13 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
       (Printf.sprintf "pass %d barrier" pass);
     tel_span ~category:Orion_obs.Trace.Barrier_wait ~label:"pass-sync"
       ~bytes:0.0 ~start:barrier_start;
+    for q = 0 to sp - 1 do
+      if q <> rank then begin
+        apply_slices "pass sync" q (Hashtbl.find syncs (pass, q));
+        Hashtbl.remove syncs (pass, q)
+      end
+    done;
+    drain_journal ();
     (* ship this pass's telemetry shard to the master: spans on the
        worker's clock plus the absolute epoch the master aligns with *)
     if tel_on then begin
@@ -733,8 +915,9 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
              pt_costs = costs;
            })
     end;
-    (* ship the pass-boundary state for master-side checkpoints: this
-       pass's own writes plus the cumulative buffered shadows *)
+    (* ship the pass-boundary state for master-side checkpoints: the
+       owned regions, this pass's own journal and the cumulative
+       buffered shadows *)
     if p.p_report_passes then begin
       let entries =
         List.filter
@@ -752,6 +935,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
            {
              pp_rank = rank;
              pp_pass = pass;
+             pp_regions = owned_regions ();
              pp_entries = entries;
              pp_buffered = parts;
            })
@@ -782,7 +966,12 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   let wall = Orion_obs.Clock.elapsed t0 in
   (* -- final reports ------------------------------------------------ *)
   Transport.send master
-    (Wire.Block_report { br_rank = rank; br_entries = List.rev !own });
+    (Wire.Block_report
+       {
+         br_rank = rank;
+         br_regions = owned_regions ();
+         br_entries = List.rev !own;
+       });
   let flush_parts, totals =
     List.fold_left
       (fun (parts, totals) (name, shadow) ->

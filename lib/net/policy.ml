@@ -8,8 +8,8 @@
     {v
     entries  := ngroups group*
     group    := namelen name pass block nwrites keymode keys valmode values
-    part     := namelen name ndims dim* default sparse keymode nentries
-                keys valmode values
+    part     := namelen name ndims dim* default sparse nentries
+                keymode keys valmode values    (partitions and regions)
     keys     := k0 delta*                     (keymode 0: sparse)
               | nruns (gap len)*              (keymode 1: dense runs)
     values   := bits*                         (valmode 0: raw)
@@ -56,26 +56,13 @@ let get_varint bytes pos =
   done;
   !n
 
-let put_float buf v =
-  let bits = Int64.bits_of_float v in
-  for i = 0 to 7 do
-    Buffer.add_char buf
-      (Char.chr
-         (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * i)) 0xFFL)))
-  done
+let put_float buf v = Buffer.add_int64_le buf (Int64.bits_of_float v)
 
 let get_float bytes pos =
   if !pos + 8 > Bytes.length bytes then failwith "Policy: truncated float";
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits :=
-      Int64.logor !bits
-        (Int64.shift_left
-           (Int64.of_int (Char.code (Bytes.get bytes (!pos + i))))
-           (8 * i))
-  done;
+  let v = Int64.float_of_bits (Bytes.get_int64_le bytes !pos) in
   pos := !pos + 8;
-  Int64.float_of_bits !bits
+  v
 
 let put_string buf s =
   put_varint buf (String.length s);
@@ -92,33 +79,62 @@ let get_string bytes pos =
 (* Key and value sections                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* [keys] ascending and distinct. *)
-let put_keys buf ~(mode : [ `Sparse | `Dense ]) (keys : int array) =
-  match mode with
+type key_mode = [ `Sparse | `Dense ]
+
+let mode_label = function `Sparse -> "sparse" | `Dense -> "dense"
+
+(* [keys] ascending and distinct, as varint deltas (sparse) or as runs
+   of consecutive keys (dense): [mode] when given, else whichever is
+   smaller.  Returns the mode written. *)
+let put_keys buf ?mode (keys : int array) : key_mode =
+  let n = Array.length keys in
+  let delta i = if i = 0 then keys.(0) else keys.(i) - keys.(i - 1) - 1 in
+  let run_end i =
+    let j = ref (i + 1) in
+    while !j < n && keys.(!j) = keys.(!j - 1) + 1 do
+      incr j
+    done;
+    !j
+  in
+  (* runs as (gap from the previous run's end, length) *)
+  let iter_runs f =
+    let prev_end = ref (-1) and i = ref 0 in
+    while !i < n do
+      let j = run_end !i in
+      f (keys.(!i) - !prev_end - 1) (j - !i);
+      prev_end := keys.(j - 1);
+      i := j
+    done
+  in
+  let mode =
+    match mode with
+    | Some m -> m
+    | None ->
+        let sparse = ref 0 in
+        for i = 0 to n - 1 do
+          sparse := !sparse + varint_len (delta i)
+        done;
+        let dense = ref 0 and nruns = ref 0 in
+        iter_runs (fun gap len ->
+            incr nruns;
+            dense := !dense + varint_len gap + varint_len len);
+        if varint_len !nruns + !dense < !sparse then `Dense else `Sparse
+  in
+  (match mode with
   | `Sparse ->
       Buffer.add_char buf '\000';
-      Array.iteri
-        (fun i k -> put_varint buf (if i = 0 then k else k - keys.(i - 1) - 1))
-        keys
+      for i = 0 to n - 1 do
+        put_varint buf (delta i)
+      done
   | `Dense ->
-      (* runs of consecutive keys: (gap from previous run's end, length) *)
       Buffer.add_char buf '\001';
-      let runs = ref [] in
-      Array.iter
-        (fun k ->
-          match !runs with
-          | (start, len) :: tl when k = start + len -> runs := (start, len + 1) :: tl
-          | _ -> runs := (k, 1) :: !runs)
-        keys;
-      let runs = List.rev !runs in
-      put_varint buf (List.length runs);
-      let prev_end = ref (-1) in
-      List.iter
-        (fun (start, len) ->
-          put_varint buf (start - !prev_end - 1);
-          put_varint buf len;
-          prev_end := start + len - 1)
-        runs
+      let nruns = ref 0 in
+      iter_runs (fun _ _ -> incr nruns);
+      put_varint buf !nruns;
+      iter_runs (fun gap len ->
+          put_varint buf gap;
+          put_varint buf len));
+  mode
 
 let get_keys bytes pos ~n =
   match Char.code (Bytes.get bytes !pos) with
@@ -152,29 +168,39 @@ let get_keys bytes pos ~n =
       keys
   | _ -> failwith "Policy: bad key mode"
 
-(* Raw or RLE, whichever is smaller for these values. *)
+(* Raw or RLE, whichever is smaller for these values: one pass sizes
+   the runs, a second writes them only when they win. *)
 let put_values buf (values : float array) =
   let n = Array.length values in
-  let runs = ref [] in
-  Array.iter
-    (fun v ->
-      match !runs with
-      | (v0, c) :: tl when Int64.bits_of_float v0 = Int64.bits_of_float v ->
-          runs := (v0, c + 1) :: tl
-      | _ -> runs := (v, 1) :: !runs)
-    values;
-  let runs = List.rev !runs in
-  let rle_size =
-    List.fold_left (fun acc (_, c) -> acc + varint_len c + 8) (varint_len (List.length runs)) runs
+  let same i j =
+    Int64.equal
+      (Int64.bits_of_float values.(i))
+      (Int64.bits_of_float values.(j))
   in
-  if rle_size < n * 8 then begin
+  let run_end i =
+    let j = ref (i + 1) in
+    while !j < n && same i !j do
+      incr j
+    done;
+    !j
+  in
+  let nruns = ref 0 and rle_size = ref 0 and i = ref 0 in
+  while !i < n do
+    let j = run_end !i in
+    incr nruns;
+    rle_size := !rle_size + varint_len (j - !i) + 8;
+    i := j
+  done;
+  if varint_len !nruns + !rle_size < n * 8 then begin
     Buffer.add_char buf '\001';
-    put_varint buf (List.length runs);
-    List.iter
-      (fun (v, c) ->
-        put_varint buf c;
-        put_float buf v)
-      runs
+    put_varint buf !nruns;
+    let i = ref 0 in
+    while !i < n do
+      let j = run_end !i in
+      put_varint buf (j - !i);
+      put_float buf values.(!i);
+      i := j
+    done
   end
   else begin
     Buffer.add_char buf '\000';
@@ -208,70 +234,86 @@ let get_values bytes pos ~n =
 (* Partition codec                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let encode_part ~mode (p : Wire.part) : bytes =
-  let buf = Buffer.create 256 in
-  put_string buf p.Dist_array.pt_array;
-  put_varint buf (Array.length p.Dist_array.pt_dims);
-  Array.iter (put_varint buf) p.Dist_array.pt_dims;
-  put_float buf p.Dist_array.pt_default;
-  Buffer.add_char buf (if p.Dist_array.pt_sparse then '\001' else '\000');
-  let n = Array.length p.Dist_array.pt_entries in
+(* The part layout over separate key and value arrays, shared by
+   whole partitions and by regions. *)
+let put_part ?mode ~name ~dims ~default ~sparse (keys : int array)
+    (values : float array) : bytes * key_mode option =
+  let buf = Buffer.create (64 + (9 * Array.length values)) in
+  put_string buf name;
+  put_varint buf (Array.length dims);
+  Array.iter (put_varint buf) dims;
+  put_float buf default;
+  Buffer.add_char buf (if sparse then '\001' else '\000');
+  let n = Array.length keys in
   put_varint buf n;
-  if n > 0 then begin
-    put_keys buf ~mode (Array.map fst p.Dist_array.pt_entries);
-    put_values buf (Array.map snd p.Dist_array.pt_entries)
-  end;
-  Buffer.to_bytes buf
+  let mode =
+    if n = 0 then None
+    else begin
+      let mode = put_keys buf ?mode keys in
+      put_values buf values;
+      Some mode
+    end
+  in
+  (Buffer.to_bytes buf, mode)
 
-let decode_part (b : bytes) : Wire.part =
+type unpacked = {
+  u_name : string;
+  u_dims : int array;
+  u_default : float;
+  u_sparse : bool;
+  u_keys : int array;
+  u_values : float array;
+}
+
+let get_part (b : bytes) : unpacked =
   let pos = ref 0 in
-  let name = get_string b pos in
+  let u_name = get_string b pos in
   let ndims = get_varint b pos in
-  let dims = Array.init ndims (fun _ -> get_varint b pos) in
-  let default = get_float b pos in
-  let sparse = Char.code (Bytes.get b !pos) = 1 in
+  let u_dims = Array.init ndims (fun _ -> get_varint b pos) in
+  let u_default = get_float b pos in
+  let u_sparse = Char.code (Bytes.get b !pos) = 1 in
   incr pos;
   let n = get_varint b pos in
-  let entries =
-    if n = 0 then [||]
+  let u_keys, u_values =
+    if n = 0 then ([||], [||])
     else
       let keys = get_keys b pos ~n in
-      let values = get_values b pos ~n in
-      Array.init n (fun i -> (keys.(i), values.(i)))
+      (keys, get_values b pos ~n)
   in
+  { u_name; u_dims; u_default; u_sparse; u_keys; u_values }
+
+let encode_part ?mode (p : Wire.part) =
+  put_part ?mode ~name:p.Dist_array.pt_array ~dims:p.Dist_array.pt_dims
+    ~default:p.Dist_array.pt_default ~sparse:p.Dist_array.pt_sparse
+    (Array.map fst p.Dist_array.pt_entries)
+    (Array.map snd p.Dist_array.pt_entries)
+
+let decode_part (b : bytes) : Wire.part =
+  let u = get_part b in
   {
-    Dist_array.pt_array = name;
-    pt_dims = dims;
-    pt_default = default;
-    pt_sparse = sparse;
-    pt_entries = entries;
+    Dist_array.pt_array = u.u_name;
+    pt_dims = u.u_dims;
+    pt_default = u.u_default;
+    pt_sparse = u.u_sparse;
+    pt_entries = Array.mapi (fun i k -> (k, u.u_values.(i))) u.u_keys;
   }
 
-let part_mode (p : Wire.part) : [ `Sparse | `Dense ] =
-  let cells = Array.fold_left (fun a d -> a * d) 1 p.Dist_array.pt_dims in
-  let cells = if Array.length p.Dist_array.pt_dims = 0 then 0 else cells in
-  if
-    cells > 0
-    && float_of_int (Array.length p.Dist_array.pt_entries)
-       /. float_of_int cells
-       >= 0.5
-  then `Dense
-  else `Sparse
+let decode_region (b : bytes) =
+  let u = get_part b in
+  (u.u_name, u.u_dims, u.u_keys, u.u_values)
 
 let prepare_parts (parts : Wire.part list) :
-    Wire.part_payload list * (string * float * float) list =
+    Wire.part_payload list * (string * float * float * string option) list =
   List.split
     (List.map
        (fun (p : Wire.part) ->
-         let b = encode_part ~mode:(part_mode p) p in
+         let b, mode = encode_part p in
          ( b,
            ( p.Dist_array.pt_array,
              float_of_int (Bytes.length b),
-             float_of_int (Dist_array.partition_size_bytes p) ) ))
+             float_of_int (Dist_array.partition_size_bytes p),
+             Option.map mode_label mode ) ))
        parts)
-
-let decode_parts (payloads : Wire.part_payload list) : Wire.part list =
-  List.map decode_part payloads
 
 (* ------------------------------------------------------------------ *)
 (* Journal-entry codec                                                 *)
@@ -287,8 +329,8 @@ type group = {
   g_values : float array;
 }
 
-let encode_groups ~(mode_for : string -> [ `Sparse | `Dense ])
-    (groups : group list) : bytes * (string * float) list =
+let encode_groups ~(note : string -> key_mode -> unit) (groups : group list)
+    : bytes * (string * float) list =
   let buf = Buffer.create 512 in
   put_varint buf (List.length groups);
   let per_array = Hashtbl.create 8 in
@@ -299,7 +341,7 @@ let encode_groups ~(mode_for : string -> [ `Sparse | `Dense ])
       put_varint buf g.g_pass;
       put_varint buf g.g_block;
       put_varint buf (Array.length g.g_keys);
-      put_keys buf ~mode:(mode_for g.g_array) g.g_keys;
+      note g.g_array (put_keys buf g.g_keys);
       put_values buf g.g_values;
       let sz = float_of_int (Buffer.length buf - before) in
       Hashtbl.replace per_array g.g_array
@@ -364,30 +406,18 @@ type cand = {
 type sender = {
   s_linearize : string -> int array -> int;
   s_pos : int -> int;
-  (* per-array key-encoding decision, refreshed once per pass *)
-  s_modes : (string, [ `Sparse | `Dense ]) Hashtbl.t;
+  s_modes : (string, key_mode) Hashtbl.t;
+      (** the key mode each array's latest payload used *)
 }
 
 let sender ~linearize ~pos =
   { s_linearize = linearize; s_pos = pos; s_modes = Hashtbl.create 8 }
 
-let mode_label = function `Sparse -> "sparse" | `Dense -> "dense"
-
-(* run-length keys pay off once most cells are populated; index/value
-   wins below that *)
-let note_pass s stats =
-  List.iter
-    (fun (name, (st : Dist_array.stats)) ->
-      Hashtbl.replace s.s_modes name
-        (if st.Dist_array.st_density >= 0.5 then `Dense else `Sparse))
-    stats
+let note s name mode = Hashtbl.replace s.s_modes name mode
 
 let decisions s =
   Hashtbl.fold (fun name mode acc -> (name, mode_label mode) :: acc) s.s_modes []
   |> List.sort compare
-
-let mode_for s name =
-  Option.value (Hashtbl.find_opt s.s_modes name) ~default:`Sparse
 
 (* The cost of one write in the per-write [Marshal] framing the v3
    runtime used: the before side of the bytes-saved accounting. *)
@@ -462,7 +492,7 @@ let prepare s (entries : Wire.block_writes list) :
            })
     |> List.rev
   in
-  let bytes, per_array = encode_groups ~mode_for:(mode_for s) groups in
+  let bytes, per_array = encode_groups ~note:(note s) groups in
   (* dedup never drops an array outright, so [full] names every array
      that had traffic *)
   let accounts =
@@ -472,3 +502,27 @@ let prepare s (entries : Wire.block_writes list) :
       full
   in
   (bytes, accounts)
+
+(* ------------------------------------------------------------------ *)
+(* Regions of owner-exclusive arrays                                   *)
+(* ------------------------------------------------------------------ *)
+
+let encode_region s (arr : float Dist_array.t) keys values =
+  let b, mode =
+    put_part ~name:arr.Dist_array.name ~dims:arr.Dist_array.dims
+      ~default:arr.Dist_array.default ~sparse:(Dist_array.is_sparse arr) keys
+      values
+  in
+  Option.iter (note s arr.Dist_array.name) mode;
+  b
+
+let region_full_bytes (arr : float Dist_array.t) keys values =
+  float_of_int
+    (Dist_array.partition_size_bytes
+       {
+         Dist_array.pt_array = arr.Dist_array.name;
+         pt_dims = arr.Dist_array.dims;
+         pt_default = arr.Dist_array.default;
+         pt_sparse = Dist_array.is_sparse arr;
+         pt_entries = Array.mapi (fun i k -> (k, values.(i))) keys;
+       })

@@ -1,33 +1,35 @@
 (** The one wire encoding of DistArray state in the distributed runtime.
 
-    Rotation tokens, pass syncs, partition ships and prefetch responses
-    all travel in the packed codec below:
+    Rotation tokens, pass syncs, final and pass-boundary reports,
+    partition ships and prefetch responses all travel in the packed
+    codecs below:
 
-    - journal payloads are deduplicated to the newest write per
-      (array, element) before encoding (receivers apply
-      last-writer-wins, so intermediate values are dead weight) — the
-      receiver's post-payload state is identical to shipping every
-      write;
-    - each array's key encoding is chosen from observed
-      {!Orion_dsm.Dist_array.stats} density (sparse index/value for
-      low-density arrays, run-length keys for dense ones), refreshed
-      once per pass; partitions choose per partition.
+    - owner-exclusive arrays travel as regions: the slab one worker
+      owns (its local partition, or a rotated array's slice for one
+      time partition) in the part layout, ascending linearized keys and
+      exact IEEE bits;
+    - journal payloads, only for arrays with no single owner, are
+      deduplicated to the newest write per (array, element) before
+      encoding (receivers apply last-writer-wins, so intermediate
+      values are dead weight) — the receiver's post-payload state is
+      identical to shipping every write;
+    - every group of keys (a journal group, a region, a partition)
+      travels as varint deltas (sparse) or run-length ranges (dense),
+      and every group of values as raw or run-length encoded IEEE
+      bits, each whichever is smaller.  Decoding is exact (float bits
+      are preserved).
 
-    The codec is sparse index/value: per (array, pass, block) group,
-    ascending linearized keys as varint deltas (or run-length ranges
-    for dense arrays), IEEE float bits raw or run-length encoded,
-    whichever is smaller.  Decoding is exact (float bits are
-    preserved).
-
-    Senders also count what the same traffic would have cost as one
-    [Marshal]ed record per write (the v3 framing): the before side of
-    the bytes-saved accounting. *)
+    Senders also count what the same traffic would have cost unpacked:
+    one [Marshal]ed record per journaled write (the v3 framing), or the
+    [Marshal]ed partition of a region — the before side of the
+    bytes-saved accounting. *)
 
 module Dist_array = Orion_dsm.Dist_array
 
-(** {1 Worker side: encoding journal traffic} *)
+(** {1 Worker side: encoding journal traffic and regions} *)
 
-(** Per-worker sender state: the per-array key-mode decisions. *)
+(** Per-worker sender state: the key mode each array's latest payload
+    used. *)
 type sender
 
 (** [linearize name key] maps a structured key of array [name] to its
@@ -37,12 +39,8 @@ type sender
 val sender :
   linearize:(string -> int array -> int) -> pos:(int -> int) -> sender
 
-(** Refresh the per-array key modes from stats sampled at a pass
-    boundary (once per pass, not per token). *)
-val note_pass : sender -> (string * Dist_array.stats) list -> unit
-
-(** The per-array key modes (["sparse"] or ["dense"]) settled on so
-    far (for reporting), sorted by array name. *)
+(** The key mode (["sparse"] or ["dense"]) of each array's latest
+    payload (for reporting), sorted by array name. *)
 val decisions : sender -> (string * string) list
 
 (** Deduplicate + encode one payload.  Returns the wire payload plus
@@ -66,16 +64,32 @@ val decode_entries :
 
 (** {1 Partition ships and prefetches (master side)} *)
 
-(** Encode partitions, the key mode chosen per partition from its
-    density.  Returns the payloads plus per-array (actual bytes,
-    [Marshal]ed partition bytes). *)
+(** Encode partitions.  Returns the payloads plus, per partition, its
+    array, actual bytes, [Marshal]ed partition bytes and key mode
+    ([None] when it has no entries). *)
 val prepare_parts :
-  Wire.part list -> Wire.part_payload list * (string * float * float) list
+  Wire.part list ->
+  Wire.part_payload list * (string * float * float * string option) list
 
-val decode_parts : Wire.part_payload list -> Wire.part list
+(** {1 Regions of owner-exclusive arrays} *)
+
+(** Pack the entries [keys] (ascending, linearized) / [values] of
+    [arr] in the part layout, noting the key mode used. *)
+val encode_region :
+  sender -> float Dist_array.t -> int array -> float array -> Wire.part_payload
+
+(** The [Marshal]ed partition size of the same entries. *)
+val region_full_bytes : float Dist_array.t -> int array -> float array -> float
+
+(** Unpack a region or a partition: array name, dims, ascending
+    linearized keys, values (exact float bits). *)
+val decode_region :
+  Wire.part_payload -> string * int array * int array * float array
 
 (** Exact packed-partition round trip building blocks (exposed for the
-    QCheck codec properties). *)
-val encode_part : mode:[ `Sparse | `Dense ] -> Wire.part -> bytes
+    QCheck codec properties): [mode] forces a key mode, and the one
+    written is returned ([None] for an empty partition). *)
+val encode_part :
+  ?mode:[ `Sparse | `Dense ] -> Wire.part -> bytes * [ `Sparse | `Dense ] option
 
 val decode_part : bytes -> Wire.part

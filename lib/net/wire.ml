@@ -39,10 +39,16 @@
    v6: one lossless encoding — the plan no longer names a policy;
        journal payloads and shipped partitions are always
        {!Policy}-packed bytes (no [Marshal]ed write logs or
-       partitions inside them) *)
-let version = 6
+       partitions inside them)
+   v7: owner-exclusive data plane — rotation tokens and pass syncs
+       carry the rotated arrays' time-partition slices, and block and
+       pass reports carry each rank's owned regions, all as packed
+       parts; write journals travel only for arrays whose placement
+       has no single owner under the execution model *)
+let version = 7
 
-(** One journaled DistArray element write, in execution order. *)
+(** One journaled DistArray element write, in execution order (only
+    arrays with no single owner are journaled). *)
 type write = { w_array : string; w_key : int array; w_value : float }
 
 (** The write log of one executed schedule block.  [bw_block] is the
@@ -65,17 +71,20 @@ type worker_stats = {
   ws_wall_seconds : float;
   ws_bytes_sent : float;  (** wire bytes this worker sent to peers *)
   ws_bytes_by_array : (string * float) list;
-      (** journal bytes shipped to peers, per DistArray, as encoded *)
+      (** slice and journal bytes shipped to peers, per DistArray, as
+          encoded *)
   ws_bytes_full_by_array : (string * float) list;
-      (** what the same journal traffic costs as one [Marshal]ed record
-          per write — the before side of the bytes-saved accounting *)
+      (** what the same traffic costs unpacked (a [Marshal]ed partition
+          per slice, a [Marshal]ed record per journaled write) — the
+          before side of the bytes-saved accounting *)
   ws_policy_by_array : (string * string) list;
-      (** the per-DistArray key mode the encoder settled on *)
+      (** the key mode of each DistArray's latest payload *)
 }
 
 type part = float Orion_dsm.Dist_array.partition
 
-(** A shipped partition in the {!Policy} sparse index/value codec. *)
+(** A shipped partition, or an owner-exclusive region, in the
+    {!Policy} part layout. *)
 type part_payload = bytes
 
 (** The full run description a worker needs to rebuild and verify its
@@ -125,6 +134,9 @@ type msg =
       rt_pass : int;
       rt_src : int;  (** source block id (just executed on the sender) *)
       rt_dst : int;  (** destination block id (waiting on the receiver) *)
+      rt_slices : part_payload list;
+          (** each rotated array's slice for the time partition the
+              edge hands over (source and destination share it) *)
       rt_entries : entries_payload;
           (** the sender's journal entries this receiver has not seen
               yet (per-peer cursor; FIFO channels make the receiver's
@@ -134,11 +146,14 @@ type msg =
   | Pass_sync of {
       ps_pass : int;
       ps_rank : int;
+      ps_slices : part_payload list;
+          (** the rotated-array slices whose last holder this pass was
+              the sender *)
       ps_entries : entries_payload;
     }
-      (** all-to-all barrier at the end of each pass, flushing the
-          remaining journal entries (pass boundaries are globally
-          consistent) *)
+      (** all-to-all barrier at the end of each pass, broadcasting the
+          slices each rank holds last and flushing the remaining
+          journal entries (pass boundaries are globally consistent) *)
   | Pass_telemetry of {
       pt_rank : int;
       pt_pass : int;
@@ -158,10 +173,15 @@ type msg =
   | Pass_report of {
       pp_rank : int;
       pp_pass : int;
+      pp_regions : part_payload list;
+          (** this worker's owned local regions and last-held rotated
+              slices at the boundary (disjoint across ranks; the
+              master sets them as they are) *)
       pp_entries : block_writes list;
-          (** this worker's own-block write log for the pass just
-              finished (the master applies them in natural block
-              order, so checkpoints match an uninterrupted run) *)
+          (** this worker's own-block write log of journaled arrays for
+              the pass just finished (the master applies them in
+              natural block order, so checkpoints match an
+              uninterrupted run) *)
       pp_buffered : part list;
           (** the {e cumulative} nonzero entries of each buffered
               array's local shadow at this boundary (shadows persist
@@ -193,8 +213,15 @@ type msg =
               sender's old region into the receiver's new region (may
               be empty — arrival itself is the synchronization) *)
     }
-  | Block_report of { br_rank : int; br_entries : block_writes list }
-      (** the worker's complete own-block write log, all passes *)
+  | Block_report of {
+      br_rank : int;
+      br_regions : part_payload list;
+          (** the final owned local regions and last-held rotated
+              slices, as in {!Pass_report} *)
+      br_entries : block_writes list;
+          (** the complete own-block write log of journaled arrays, all
+              passes *)
+    }
   | Buffer_flush of { bf_rank : int; bf_parts : part list }
       (** nonzero entries of each buffered array's local shadow *)
   | Acc_merge of { am_rank : int; am_totals : (string * float) list }

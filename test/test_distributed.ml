@@ -168,10 +168,16 @@ let test_wire_roundtrip () =
           rt_pass = 1;
           rt_src = 5;
           rt_dst = 6;
+          rt_slices = [ Bytes.of_string "\002H\001" ];
           rt_entries = Bytes.of_string "\001\000abc";
         };
       Orion_net.Wire.Pass_sync
-        { ps_pass = 0; ps_rank = 1; ps_entries = Bytes.of_string "xyz" };
+        {
+          ps_pass = 0;
+          ps_rank = 1;
+          ps_slices = [];
+          ps_entries = Bytes.of_string "xyz";
+        };
       Orion_net.Wire.Shutdown;
     ]
   in
@@ -228,28 +234,6 @@ let pol_delin name lin =
     rem := !rem / dims.(i)
   done;
   key
-
-let pol_stats =
-  (* one dense-ish and one sparse array, so the sender exercises both
-     key modes (the records are plain data — no need to build arrays) *)
-  [
-    ( "W",
-      {
-        Dist_array.st_cells = 20;
-        st_stored = 20;
-        st_nnz = 16;
-        st_density = 0.8;
-        st_sparse = false;
-      } );
-    ( "h",
-      {
-        Dist_array.st_cells = 16;
-        st_stored = 2;
-        st_nnz = 2;
-        st_density = 0.125;
-        st_sparse = true;
-      } );
-  ]
 
 (* random journal: writes chunked into blocks 0, 1, ... of pass 0 *)
 let mk_entries seeds : Orion_net.Wire.block_writes list =
@@ -325,7 +309,6 @@ let qcheck_policy_sync_roundtrip =
       let token = List.filteri (fun i _ -> i < cut) entries
       and flush = List.filteri (fun i _ -> i >= cut) entries in
       let sender = Policy.sender ~linearize:pol_lin ~pos:(fun b -> b) in
-      Policy.note_pass sender pol_stats;
       let roundtrip journal =
         let payload, accounts = Policy.prepare sender journal in
         let decoded = Policy.decode_entries ~delinearize:pol_delin payload in
@@ -359,7 +342,9 @@ let qcheck_packed_partition_roundtrip =
       let part = Dist_array.to_partition a in
       List.for_all
         (fun mode ->
-          let part' = Policy.decode_part (Policy.encode_part ~mode part) in
+          let part' =
+            Policy.decode_part (fst (Policy.encode_part ~mode part))
+          in
           part'.Dist_array.pt_array = part.Dist_array.pt_array
           && part'.Dist_array.pt_dims = part.Dist_array.pt_dims
           && part'.Dist_array.pt_sparse = part.Dist_array.pt_sparse
@@ -370,6 +355,49 @@ let qcheck_packed_partition_roundtrip =
                (fun (k, v) (k', v') -> k = k' && bits v = bits v')
                part.Dist_array.pt_entries part'.Dist_array.pt_entries)
         [ `Sparse; `Dense ])
+
+(* a region of a random array, packed and set onto a zeroed copy,
+   reproduces exactly the entries whose index along [dim] is in range *)
+let qcheck_region_roundtrip =
+  QCheck.Test.make ~count:200 ~name:"region codec round-trip"
+    QCheck.(
+      quad bool
+        (list_of_size (Gen.int_range 1 3) (int_range 1 5))
+        (pair small_nat (pair small_nat small_nat))
+        (small_list (pair small_nat (float_range (-1e6) 1e6))))
+    (fun (sparse, dims_l, (dseed, (lo, width)), seeds) ->
+      let dims = Array.of_list dims_l in
+      let make () =
+        if sparse then Dist_array.create_sparse ~name:"rg" ~dims ~default:0.0
+        else Dist_array.fill_dense ~name:"rg" ~dims 0.0
+      in
+      let a = make () in
+      List.iter
+        (fun (kseed, v) ->
+          Dist_array.set a
+            (Array.mapi (fun i d -> (kseed + (i * 7)) mod d) dims)
+            v)
+        seeds;
+      let dim = dseed mod Array.length dims in
+      let lo = lo mod (dims.(dim) + 1) in
+      let hi = lo + (width mod 4) in
+      let keys, values = Dist_array.region a ~dim ~lo ~hi in
+      let sender =
+        Policy.sender ~linearize:(fun _ -> Dist_array.linearize a) ~pos:Fun.id
+      in
+      let name, dims', keys', values' =
+        Policy.decode_region (Policy.encode_region sender a keys values)
+      in
+      let b = make () in
+      Dist_array.set_region b keys' values';
+      name = "rg" && dims' = dims && keys' = keys
+      && Array.for_all2 (fun v v' -> bits v = bits v') values values'
+      && Dist_array.fold
+           (fun ok key v ->
+             ok
+             && bits (Dist_array.get b key)
+                = bits (if key.(dim) >= lo && key.(dim) < hi then v else 0.0))
+           true a)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: distributed runs match the simulated executor           *)
@@ -383,21 +411,24 @@ let find_app name =
 (* the reference instance must have the same cluster shape as the
    distributed one: schedule shape determines entry execution order,
    which order-sensitive apps (sgd mf, lda) are bitwise sensitive to *)
-let run_sim (app : Orion.App.t) ~procs ~passes =
+let run_sim ?pipeline_depth (app : Orion.App.t) ~procs ~passes =
   let inst =
     app.Orion.App.app_make ~num_machines:procs ~workers_per_machine:1 ()
   in
-  ignore (Orion.Engine.run inst.Orion.App.inst_session inst ~mode:`Sim ~passes ());
+  ignore
+    (Orion.Engine.run inst.Orion.App.inst_session inst ~mode:`Sim ~passes
+       ?pipeline_depth ());
   inst.Orion.App.inst_outputs
 
-let run_dist ?(transport = `Unix) (app : Orion.App.t) ~procs ~passes =
+let run_dist ?(transport = `Unix) ?pipeline_depth (app : Orion.App.t) ~procs
+    ~passes =
   let inst =
     app.Orion.App.app_make ~num_machines:procs ~workers_per_machine:1 ()
   in
   let report =
     Orion.Engine.run inst.Orion.App.inst_session inst
       ~mode:(`Distributed { Orion.Engine.procs; transport })
-      ~passes ()
+      ~passes ?pipeline_depth ()
   in
   (inst.Orion.App.inst_outputs, report)
 
@@ -412,10 +443,17 @@ let check_outputs ~what ~tolerance a b =
         (Orion_dsm.Dist_array.diff_ok ~tolerance d))
     a b
 
-let distributed_matches_sim name procs () =
+let distributed_matches_sim ?pipeline_depth name procs () =
   let app = find_app name in
-  let sim = run_sim app ~procs ~passes:2 in
-  let dist, report = run_dist app ~procs ~passes:2 in
+  let sim = run_sim ?pipeline_depth app ~procs ~passes:2 in
+  let dist, report = run_dist ?pipeline_depth app ~procs ~passes:2 in
+  Option.iter
+    (fun depth ->
+      Alcotest.(check int)
+        (Printf.sprintf "pipeline depth %d: tp = %d * sp" depth depth)
+        (depth * report.Orion.Engine.ep_space_parts)
+        report.Orion.Engine.ep_time_parts)
+    pipeline_depth;
   check_outputs
     ~what:(Printf.sprintf "%s distributed(%d) vs sim" name procs)
     ~tolerance:app.Orion.App.app_tolerance sim dist;
@@ -501,6 +539,105 @@ let exec_spawn_smoke () =
       let dist, _ = run_dist app ~procs:2 ~passes:1 in
       check_outputs ~what:"mf via exec'd workers vs sim" ~tolerance:None sim
         dist)
+
+(* ------------------------------------------------------------------ *)
+(* Test-side instances: the 2D-ordered mf script and the time-major    *)
+(* stencil recurrence, whose written arrays are not owner-exclusive    *)
+(* and so still travel as write journals                               *)
+(* ------------------------------------------------------------------ *)
+
+let parallel_loop script =
+  match
+    Orion.Refs.find_parallel_loops (Orion.Parser.parse_program script)
+  with
+  | stmt :: _ -> stmt
+  | [] -> Alcotest.fail "script has no @parallel_for loop"
+
+(* [inst] running [script]'s loop instead of its own *)
+let with_loop (inst : Orion.App.instance) ~name script =
+  let loop = parallel_loop script in
+  match loop.Orion.Ast.sk with
+  | Orion.Ast.For { kind = Orion.Ast.Each_loop { key; value; _ }; body; _ } ->
+      {
+        inst with
+        Orion.App.inst_name = name;
+        inst_loop = loop;
+        inst_key_var = key;
+        inst_value_var = value;
+        inst_body = body;
+      }
+  | _ -> Alcotest.fail "not a parallel each-loop"
+
+let mf_ordered_make ~num_machines ~workers_per_machine =
+  with_loop ~name:"mf-ordered"
+    ((find_app "mf").Orion.App.app_make ~num_machines ~workers_per_machine ())
+    (Orion_apps.Sgd_mf.script_src ~ordered:true)
+
+let stencil_make ~num_machines ~workers_per_machine =
+  let rows = 12 and cols = 9 in
+  let session = Orion.create_session ~num_machines ~workers_per_machine () in
+  let grid = Orion_apps.Stencil.make_grid ~rows ~cols in
+  let s = Dist_array.fill_dense ~name:"S" ~dims:[| rows; cols |] 0.0 in
+  Orion.register session grid;
+  Orion.register session s;
+  let make_env () =
+    let env = Orion.Interp.create_env ~seed:1 () in
+    List.iter
+      (fun (n, v) -> Orion.Interp.set_var env n (Orion.Value.Vfloat v))
+      [ ("a_nw", 0.45); ("b_w", 0.35); ("c_in", 0.2) ];
+    Orion.Interp.set_var env "cols" (Orion.Value.Vint cols);
+    Orion.Interp.set_var env "S"
+      (Orion.Value.Vextern (Dist_array.to_extern s));
+    env
+  in
+  let loop = parallel_loop Orion_apps.Stencil.script in
+  with_loop ~name:"stencil"
+    {
+      Orion.App.inst_name = "stencil";
+      inst_session = session;
+      inst_env = make_env ();
+      inst_make_env = make_env;
+      inst_loop = loop;
+      inst_key_var = "";
+      inst_value_var = "";
+      inst_body = [];
+      inst_iter =
+        Dist_array.map ~name:"grid" ~f:(fun v -> Orion.Value.Vfloat v) grid;
+      inst_iter_name = "grid";
+      inst_outputs = [ ("S", s) ];
+      inst_arrays = [ ("grid", grid); ("S", s) ];
+      inst_buffered = [];
+    }
+    Orion_apps.Stencil.script
+
+(* workers rebuild these instances by name, as the registry's apps *)
+let test_materialize name ~scale ~num_machines ~workers_per_machine =
+  match name with
+  | "mf-ordered" -> Some (mf_ordered_make ~num_machines ~workers_per_machine)
+  | "stencil" -> Some (stencil_make ~num_machines ~workers_per_machine)
+  | _ ->
+      Orion_apps.Registry.materialize name ~scale ~num_machines
+        ~workers_per_machine
+
+(* a test-side instance, distributed over [procs] workers, against
+   [`Sim] on the same shape, bitwise; [model] pins the execution model
+   the case exists to cover *)
+let custom_matches_sim make ~model ~procs () =
+  let passes = 2 in
+  let sim = make ~num_machines:procs ~workers_per_machine:1 in
+  ignore
+    (Orion.Engine.run sim.Orion.App.inst_session sim ~mode:`Sim ~passes ());
+  let dist = make ~num_machines:procs ~workers_per_machine:1 in
+  let report =
+    Orion_net.Dist_master.run ~materialize:test_materialize
+      dist.Orion.App.inst_session dist ~procs ~transport:`Unix ~passes
+      ~pipeline_depth:None ~scale:1.0 ~telemetry:false ()
+  in
+  Alcotest.(check string) "execution model" model report.Orion.Engine.ep_model;
+  check_outputs
+    ~what:(Printf.sprintf "%s distributed(%d) vs sim" dist.Orion.App.inst_name
+             procs)
+    ~tolerance:None sim.Orion.App.inst_outputs dist.Orion.App.inst_outputs
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: worker spans shipped over the wire merge into one        *)
@@ -735,6 +872,7 @@ let () =
         [
           qc qcheck_policy_sync_roundtrip;
           qc qcheck_packed_partition_roundtrip;
+          qc qcheck_region_roundtrip;
           tc "mf delta == full" `Slow (delta_matches_full "mf");
           tc "slr delta == full" `Slow (delta_matches_full "slr");
           tc "lda delta == full" `Slow (delta_matches_full "lda");
@@ -750,6 +888,14 @@ let () =
           tc "lda procs=4" `Slow (distributed_matches_sim "lda" 4);
           tc "gbt procs=2" `Quick (distributed_matches_sim "gbt" 2);
           tc "gbt procs=4" `Slow (distributed_matches_sim "gbt" 4);
+          tc "mf procs=3" `Slow (distributed_matches_sim "mf" 3);
+          tc "lda procs=3" `Slow (distributed_matches_sim "lda" 3);
+          tc "mf procs=2 pipeline depth 2" `Slow
+            (distributed_matches_sim ~pipeline_depth:2 "mf" 2);
+          tc "mf 2d-ordered procs=2" `Slow
+            (custom_matches_sim mf_ordered_make ~model:"2d-ordered" ~procs:2);
+          tc "stencil time-major procs=2 (journal)" `Quick
+            (custom_matches_sim stencil_make ~model:"time-major" ~procs:2);
         ] );
       ( "determinism",
         [
@@ -775,5 +921,6 @@ let () =
         [
           tc "mf" `Quick (dist_kill_and_resume "mf" ~tolerance:None);
           tc "lda" `Quick (dist_kill_and_resume "lda" ~tolerance:None);
+          tc "gbt" `Quick (dist_kill_and_resume "gbt" ~tolerance:None);
         ] );
     ]
