@@ -1,8 +1,9 @@
 (* The distributed worker executable: one process per space partition,
    spawned by the master behind [Orion.Engine.run ~mode:(`Distributed _)].
    It receives only its rank and the master's address; everything else
-   (app, scale, schedule shape, expected fingerprint) arrives over the
-   protocol, and the app instance is rebuilt from the registry. *)
+   (app, scale, cluster shape, then its row of the schedule) arrives
+   over the protocol, and the app instance is rebuilt from the
+   registry. *)
 
 let usage = "orion_worker --rank N --master ADDR"
 

@@ -1,16 +1,18 @@
 (** The distributed master driver behind
     [Orion.Engine.run ~mode:(`Distributed _)].
 
-    The master analyzes and compiles the loop exactly as the simulated
-    and domain-pool paths do, spawns one worker process per space
-    partition (fork for in-tree tests, exec of [orion_worker] for the
-    CLI), runs the startup protocol in a deterministic order
-    (per-worker: Hello → Plan → Listening → Prefetch_request →
-    Partition_ship → Prefetch_response; then one Peers broadcast), and
-    supervises execution with a select-based readiness loop plus
-    non-blocking [waitpid] and a hard deadline — a worker crash, broken
-    socket, or hang surfaces as a structured
-    {!Orion.Engine.Distributed_error}, never as a hang.
+    The master spawns [procs] worker processes first (fork for in-tree
+    tests, exec of [orion_worker] for the CLI) and answers each Hello
+    with the Plan, so the workers rebuild their instances while it
+    analyzes and compiles the loop exactly as the simulated and
+    domain-pool paths do.  It then sends each rank its Schedule_row —
+    or Shutdown, to the ranks beyond the space cut — and runs the rest
+    of the startup protocol in a deterministic order (per-worker:
+    Listening → Prefetch_request → Partition_ship → Prefetch_response;
+    then one Peers broadcast).  It supervises execution with a
+    select-based readiness loop plus non-blocking [waitpid] and a hard
+    deadline — a worker crash, broken socket, or hang surfaces as a
+    structured {!Orion.Engine.Distributed_error}, never as a hang.
 
     Its own instance stays untouched while the workers run; the final
     state is assembled purely from the wire: every worker's owned
@@ -163,161 +165,14 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
   let t0 = Unix.gettimeofday () in
   let w0 = Orion_obs.Clock.now () in
   let deadline = t0 +. timeout in
-  let plan = Orion.analyze_loop session inst.Orion.App.inst_loop in
-  let compiled =
-    Orion.compile session ~plan ~iter:inst.Orion.App.inst_iter
-      ?pipeline_depth ()
-  in
-  let sched = compiled.Orion.schedule in
-  let sp = sched.Schedule.space_parts and tp = sched.Schedule.time_parts in
-  let model =
-    Domain_exec.model_of_plan plan ~pipeline_depth:compiled.Orion.pipeline_depth
-      ~sp ~tp
-  in
-  let fingerprint = Schedule.fingerprint sched in
-  (* the partitioner may produce fewer space partitions than requested
-     workers on tiny data; spawn exactly one worker per partition *)
-  let nw = sp in
-  (* -- adaptive re-planning ------------------------------------------
-     A [Repartition] ships the new cut plus the fingerprint of the
-     master's rebuilt schedule.  Only space-boundary re-balancing is
-     honored distributed: tp and the model pin the happens-before edges
-     and the (pass, natural-order) final assembly, so they never change
-     mid-run. *)
-  let rebuild_schedule space_boundaries =
-    Schedule.rebalance plan.Plan.strategy inst.Orion.App.inst_iter
-      ~space_boundaries ~time_parts:tp
-  in
-  (* ranks whose pass-N telemetry has arrived; the directive broadcasts
-     once all [nw] have reported *)
-  let tel_ranks : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
-  (* (pass, natural-order position) ordering shared by pass-boundary
-     checkpoints and the final assembly *)
-  let order = Domain_exec.natural_order model ~sp ~tp in
-  let pos = Hashtbl.create (sp * tp) in
-  Array.iteri (fun i (s, t) -> Hashtbl.replace pos ((s * tp) + t) i) order;
-  (* Owned regions set as they are, then journals in (pass,
-     natural-order) order: the final assembly into [arrays], and each
-     pass-boundary checkpoint into its copies.  [unknown] handles a
-     name [arrays] does not hold. *)
-  let assemble (arrays : (string, float Dist_array.t) Hashtbl.t) ~unknown
-      (regions : Wire.part_payload list) (entries : Wire.block_writes list) =
-    List.iter
-      (fun payload ->
-        let name, dims, keys, values = Policy.decode_region payload in
-        match Hashtbl.find_opt arrays name with
-        | Some arr when Dist_array.dims arr = dims ->
-            Dist_array.set_region arr keys values
-        | _ -> unknown name)
-      regions;
-    List.sort
-      (fun (a : Wire.block_writes) (b : Wire.block_writes) ->
-        compare
-          (a.bw_pass, Hashtbl.find pos a.bw_block)
-          (b.bw_pass, Hashtbl.find pos b.bw_block))
-      entries
-    |> List.iter (fun (bw : Wire.block_writes) ->
-           Array.iter
-             (fun (w : Wire.write) ->
-               match Hashtbl.find_opt arrays w.w_array with
-               | Some arr -> Dist_array.set arr w.w_key w.w_value
-               | None -> unknown w.w_array)
-             bw.bw_writes)
-  in
-  (* -- pass-boundary checkpoint assembly ----------------------------
-     When a checkpoint sink is registered, workers ship a Pass_report
-     after every pass barrier.  The master folds them into shadow
-     copies of the model arrays — never its own instance, which the
-     final assembly owns — as the final assembly would, and keeps each
-     rank's latest cumulative buffered shadows.  When every rank has
-     reported a pass, the boundary state is complete and the sink
-     fires. *)
-  let ck_copies : (string, float Dist_array.t) Hashtbl.t = Hashtbl.create 8 in
-  if checkpoint <> None then
-    List.iter
-      (fun (n, a) ->
-        Hashtbl.replace ck_copies n
-          (Dist_array.of_partition (Dist_array.to_partition a)))
-      inst.Orion.App.inst_arrays;
-  let ck_pending :
-      ( int,
-        (Wire.part_payload list * Wire.block_writes list) option array
-        * Wire.part list option array )
-      Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let ck_latest_shadows : Wire.part list array = Array.make nw [] in
-  let ck_next = ref 0 in
-  let note_pass_report ~rank ~pass regions entries parts =
-    match checkpoint with
-    | None -> ()
-    | Some (every, sink) ->
-        let slot =
-          match Hashtbl.find_opt ck_pending pass with
-          | Some s -> s
-          | None ->
-              let s = (Array.make nw None, Array.make nw None) in
-              Hashtbl.replace ck_pending pass s;
-              s
-        in
-        (fst slot).(rank) <- Some (regions, entries);
-        (snd slot).(rank) <- Some parts;
-        let rec drain () =
-          match Hashtbl.find_opt ck_pending !ck_next with
-          | Some (es, ps) when Array.for_all Option.is_some es ->
-              let pass = !ck_next in
-              Hashtbl.remove ck_pending pass;
-              incr ck_next;
-              let reported = Array.to_list es |> List.filter_map Fun.id in
-              assemble ck_copies ~unknown:ignore
-                (List.concat_map fst reported)
-                (List.concat_map snd reported);
-              Array.iteri
-                (fun r p ->
-                  match p with
-                  | Some parts -> ck_latest_shadows.(r) <- parts
-                  | None -> ())
-                ps;
-              if every > 0 && (pass + 1) mod every = 0 then begin
-                let view =
-                  List.map
-                    (fun (name, arr) ->
-                      if List.mem name inst.Orion.App.inst_buffered then begin
-                        (* base (untouched on the master) + every rank's
-                           cumulative shadow, in rank order — the same
-                           merge the end of the run performs *)
-                        let copy =
-                          Dist_array.of_partition (Dist_array.to_partition arr)
-                        in
-                        Array.iter
-                          (fun parts ->
-                            List.iter
-                              (fun (part : Wire.part) ->
-                                if part.Dist_array.pt_array = name then
-                                  Array.iter
-                                    (fun (lin, v) ->
-                                      Dist_array.update copy
-                                        (Dist_array.delinearize copy lin)
-                                        (fun x -> x +. v))
-                                    part.Dist_array.pt_entries)
-                              parts)
-                          ck_latest_shadows;
-                        (name, copy)
-                      end
-                      else
-                        ( name,
-                          Option.value
-                            (Hashtbl.find_opt ck_copies name)
-                            ~default:arr ))
-                    inst.Orion.App.inst_arrays
-                in
-                sink ~pass_done:(pass + 1) view
-              end;
-              drain ()
-          | _ -> ()
-        in
-        drain ()
-  in
+  (* One telemetry shard per spawned worker, created before anything
+     else so the run's telemetry clock covers spawn, planning and the
+     schedule compile.  Workers record spans on their own monotonic
+     clocks and ship them per pass with their absolute epoch; the
+     shared per-machine monotonic origin makes
+     [offset = worker_epoch - master_epoch] exact, so the merged
+     timeline is one consistent multi-process view. *)
+  let mtel = Telemetry.create ~enabled:telemetry ~workers:procs () in
   let like : Transport.addr =
     match transport with
     | `Unix -> `Unix ""
@@ -327,26 +182,8 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
   let master_addr = Transport.addr_to_string listener.Transport.laddr in
   let spawn = match spawn with Some s -> s | None -> default_spawn () in
   let trace = session.Orion.cluster.Cluster.trace in
-  (* One telemetry shard per rank.  Workers record spans on their own
-     monotonic clocks and ship them per pass with their absolute epoch;
-     the shared per-machine monotonic origin makes
-     [offset = worker_epoch - master_epoch] exact, so the merged
-     timeline is one consistent multi-process view. *)
-  let mtel = Telemetry.create ~enabled:telemetry ~workers:nw () in
-  (* per-pass [(start, finish)] on the master's telemetry clock, as the
-     union of the aligned worker windows *)
-  let pass_windows : (int, float * float) Hashtbl.t = Hashtbl.create 8 in
-  let bytes_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  let bytes_full_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  let policy_by_array : (string, string) Hashtbl.t = Hashtbl.create 8 in
-  let bump tbl name bytes =
-    Hashtbl.replace tbl name
-      (bytes +. Option.value (Hashtbl.find_opt tbl name) ~default:0.0)
-  in
-  let account name bytes = bump bytes_by_array name bytes in
-  let account_full name bytes = bump bytes_full_by_array name bytes in
   let states =
-    Array.init nw (fun _ ->
+    Array.init procs (fun _ ->
         {
           st_conn = None;
           st_addr = None;
@@ -357,8 +194,12 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
           st_done = None;
         })
   in
+  (* Workers start first: they rebuild their instances from the plan
+     while this process plans and compiles the schedule.  The space cut
+     is not known yet, so [procs] workers start; the ranks the cut
+     leaves without blocks get [Shutdown] instead of a schedule row. *)
   let pids =
-    List.init nw (fun rank ->
+    List.init procs (fun rank ->
         (rank, spawn_worker spawn ~materialize ~listener ~rank ~master_addr))
   in
   let cleanup () =
@@ -388,6 +229,25 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
       fmt
   in
   try
+    (* why [rank] exited with [status]: for a guarded exit, the reason
+       in the [Fatal] it sent first, if it is still on the wire *)
+    let exit_reason rank status =
+      let rec fatal c =
+        match Unix.select [ Transport.fd c ] [] [] 0.0 with
+        | [], _, _ -> None
+        | _ -> (
+            match Transport.recv_step c with
+            | `Msg (Wire.Fatal { f_reason; _ }) -> Some f_reason
+            | `Msg _ -> fatal c
+            | `Pending | `Eof -> None)
+      in
+      match (status, states.(rank).st_conn) with
+      | Unix.WEXITED 2, Some c when not c.Transport.closed -> (
+          match fatal c with
+          | Some reason -> reason
+          | None | (exception _) -> status_reason status)
+      | _ -> status_reason status
+    in
     (* raises if any child already died with a nonzero status.  A
        suddenly-dead worker (signal, [_exit]) makes its peers die of
        collateral damage moments later through the guarded
@@ -426,7 +286,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
             | Some root -> root
             | None -> List.hd dead
           in
-          fail_cleanup ~rank "%s" (status_reason status)
+          fail_cleanup ~rank "%s" (exit_reason rank status)
     in
     (* a worker (other than [except]) that already died abnormally — the
        root cause to prefer when another rank merely reports collateral *)
@@ -461,9 +321,9 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
         fail_cleanup "timed out waiting for %s (%.0fs)" what
           timeout
     in
-    (* -- accept + hello --------------------------------------------- *)
+    (* -- accept + hello, each answered with its plan ----------------- *)
     let connected = ref 0 in
-    while !connected < nw do
+    while !connected < procs do
       monitor_children ();
       check_deadline "worker connections";
       match Unix.select [ listener.Transport.lfd ] [] [] 0.1 with
@@ -473,10 +333,25 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
           match Transport.recv c with
           | Some (Wire.Hello { h_rank; h_pid = _; h_version })
             when h_version = Wire.version
-                 && h_rank >= 0 && h_rank < nw
+                 && h_rank >= 0 && h_rank < procs
                  && states.(h_rank).st_conn = None ->
               states.(h_rank).st_conn <- Some c;
-              incr connected
+              incr connected;
+              Transport.send c
+                (Wire.Plan
+                   {
+                     p_app = inst.Orion.App.inst_name;
+                     p_scale = scale;
+                     p_num_machines = session.Orion.cluster.Cluster.num_machines;
+                     p_workers_per_machine =
+                       session.Orion.cluster.Cluster.workers_per_machine;
+                     p_rank = h_rank;
+                     p_procs = procs;
+                     p_passes = passes;
+                     p_telemetry = telemetry;
+                     p_report_passes = checkpoint <> None;
+                     p_adapt = replanner <> None;
+                   })
           | Some (Wire.Hello { h_rank; h_version; _ }) ->
               fail_cleanup ~rank:h_rank
                 "bad hello (rank %d, protocol version %d, expected %d)"
@@ -490,29 +365,224 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
       | Some c -> c
       | None -> fail_cleanup ~rank "no connection"
     in
-    (* -- plan ------------------------------------------------------- *)
-    for rank = 0 to nw - 1 do
-      Transport.send (conn rank)
-        (Wire.Plan
-           {
-             p_app = inst.Orion.App.inst_name;
-             p_scale = scale;
-             p_num_machines = session.Orion.cluster.Cluster.num_machines;
-             p_workers_per_machine =
-               session.Orion.cluster.Cluster.workers_per_machine;
-             p_rank = rank;
-             p_procs = nw;
-             p_passes = passes;
-             p_pipeline_depth = pipeline_depth;
-             p_sp = sp;
-             p_tp = tp;
-             p_model = model;
-             p_fingerprint = fingerprint;
-             p_telemetry = telemetry;
-             p_report_passes = checkpoint <> None;
-             p_adapt = replanner <> None;
-           })
+    (* -- plan and compile, while the workers rebuild their instances -- *)
+    let plan = Orion.analyze_loop session inst.Orion.App.inst_loop in
+    let compiled =
+      Orion.compile session ~plan ~iter:inst.Orion.App.inst_iter
+        ?pipeline_depth ()
+    in
+    let sched = compiled.Orion.schedule in
+    let sp = sched.Schedule.space_parts and tp = sched.Schedule.time_parts in
+    let model =
+      Domain_exec.model_of_plan plan
+        ~pipeline_depth:compiled.Orion.pipeline_depth ~sp ~tp
+    in
+    (* the partitioner may produce fewer space partitions than workers
+       on tiny data (never more: the session has [procs] workers); one
+       worker runs per partition *)
+    let nw = sp in
+    for rank = nw to procs - 1 do
+      Transport.send (conn rank) Wire.Shutdown;
+      Transport.close_conn (conn rank)
     done;
+    (* -- schedule rows ------------------------------------------------
+       Each rank gets its blocks as linearized iteration-space keys in
+       scheduled order.  A worker reads its row only once its instance
+       is built, so a row larger than the socket buffer waits for it:
+       the send drains under the same supervision as the other
+       start-up waits. *)
+    let iter = inst.Orion.App.inst_iter in
+    let entries = Dist_array.count iter in
+    for rank = 0 to nw - 1 do
+      let c = conn rank in
+      let row =
+        Wire.Schedule_row
+          {
+            sr_sp = sp;
+            sr_tp = tp;
+            sr_model = model;
+            sr_space_boundaries = sched.Schedule.space_boundaries;
+            sr_time_boundaries = sched.Schedule.time_boundaries;
+            sr_entries = entries;
+            sr_blocks =
+              Array.map
+                (fun (b : _ Schedule.block) ->
+                  Wire.pack_keys
+                    (Array.map
+                       (fun (key, _) -> Dist_array.linearize iter key)
+                       b.Schedule.entries))
+                sched.Schedule.blocks.(rank);
+          }
+      in
+      match
+        Transport.send_draining c row ~drain:(fun () ->
+            monitor_children ();
+            check_deadline "workers to take their schedule rows";
+            try ignore (Unix.select [] [ Transport.fd c ] [] 0.05)
+            with Unix.Unix_error (Unix.EINTR, _, _) -> ())
+      with
+      | () -> ()
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> (
+          match abnormal_exit_wait ~except:(-1) with
+          | Some (r, status) -> fail_cleanup ~rank:r "%s" (exit_reason r status)
+          | None ->
+              fail_cleanup ~rank "worker closed before taking its schedule row")
+    done;
+    (* from here on only the [nw] ranks with blocks take part *)
+    let states = Array.sub states 0 nw in
+    (* -- adaptive re-planning ------------------------------------------
+       A [Repartition] ships the new cut plus the fingerprint of the
+       master's rebuilt schedule.  Only space-boundary re-balancing is
+       honored distributed: tp and the model pin the happens-before edges
+       and the (pass, natural-order) final assembly, so they never change
+       mid-run. *)
+    let rebuild_schedule space_boundaries =
+      Schedule.rebalance plan.Plan.strategy inst.Orion.App.inst_iter
+        ~space_boundaries ~time_parts:tp
+    in
+    (* ranks whose pass-N telemetry has arrived; the directive broadcasts
+       once all [nw] have reported *)
+    let tel_ranks : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
+    (* (pass, natural-order position) ordering shared by pass-boundary
+       checkpoints and the final assembly *)
+    let order = Domain_exec.natural_order model ~sp ~tp in
+    let pos = Hashtbl.create (sp * tp) in
+    Array.iteri (fun i (s, t) -> Hashtbl.replace pos ((s * tp) + t) i) order;
+    (* Owned regions set as they are, then journals in (pass,
+       natural-order) order: the final assembly into [arrays], and each
+       pass-boundary checkpoint into its copies.  [unknown] handles a
+       name [arrays] does not hold. *)
+    let assemble (arrays : (string, float Dist_array.t) Hashtbl.t) ~unknown
+        (regions : Wire.part_payload list) (entries : Wire.block_writes list) =
+      List.iter
+        (fun payload ->
+          let name, dims, keys, values = Policy.decode_region payload in
+          match Hashtbl.find_opt arrays name with
+          | Some arr when Dist_array.dims arr = dims ->
+              Dist_array.set_region arr keys values
+          | _ -> unknown name)
+        regions;
+      List.sort
+        (fun (a : Wire.block_writes) (b : Wire.block_writes) ->
+          compare
+            (a.bw_pass, Hashtbl.find pos a.bw_block)
+            (b.bw_pass, Hashtbl.find pos b.bw_block))
+        entries
+      |> List.iter (fun (bw : Wire.block_writes) ->
+             Array.iter
+               (fun (w : Wire.write) ->
+                 match Hashtbl.find_opt arrays w.w_array with
+                 | Some arr -> Dist_array.set arr w.w_key w.w_value
+                 | None -> unknown w.w_array)
+               bw.bw_writes)
+    in
+    (* -- pass-boundary checkpoint assembly ----------------------------
+       When a checkpoint sink is registered, workers ship a Pass_report
+       after every pass barrier.  The master folds them into shadow
+       copies of the model arrays — never its own instance, which the
+       final assembly owns — as the final assembly would, and keeps each
+       rank's latest cumulative buffered shadows.  When every rank has
+       reported a pass, the boundary state is complete and the sink
+       fires. *)
+    let ck_copies : (string, float Dist_array.t) Hashtbl.t = Hashtbl.create 8 in
+    if checkpoint <> None then
+      List.iter
+        (fun (n, a) ->
+          Hashtbl.replace ck_copies n
+            (Dist_array.of_partition (Dist_array.to_partition a)))
+        inst.Orion.App.inst_arrays;
+    let ck_pending :
+        ( int,
+          (Wire.part_payload list * Wire.block_writes list) option array
+          * Wire.part list option array )
+        Hashtbl.t =
+      Hashtbl.create 8
+    in
+    let ck_latest_shadows : Wire.part list array = Array.make nw [] in
+    let ck_next = ref 0 in
+    let note_pass_report ~rank ~pass regions entries parts =
+      match checkpoint with
+      | None -> ()
+      | Some (every, sink) ->
+          let slot =
+            match Hashtbl.find_opt ck_pending pass with
+            | Some s -> s
+            | None ->
+                let s = (Array.make nw None, Array.make nw None) in
+                Hashtbl.replace ck_pending pass s;
+                s
+          in
+          (fst slot).(rank) <- Some (regions, entries);
+          (snd slot).(rank) <- Some parts;
+          let rec drain () =
+            match Hashtbl.find_opt ck_pending !ck_next with
+            | Some (es, ps) when Array.for_all Option.is_some es ->
+                let pass = !ck_next in
+                Hashtbl.remove ck_pending pass;
+                incr ck_next;
+                let reported = Array.to_list es |> List.filter_map Fun.id in
+                assemble ck_copies ~unknown:ignore
+                  (List.concat_map fst reported)
+                  (List.concat_map snd reported);
+                Array.iteri
+                  (fun r p ->
+                    match p with
+                    | Some parts -> ck_latest_shadows.(r) <- parts
+                    | None -> ())
+                  ps;
+                if every > 0 && (pass + 1) mod every = 0 then begin
+                  let view =
+                    List.map
+                      (fun (name, arr) ->
+                        if List.mem name inst.Orion.App.inst_buffered then begin
+                          (* base (untouched on the master) + every rank's
+                             cumulative shadow, in rank order — the same
+                             merge the end of the run performs *)
+                          let copy =
+                            Dist_array.of_partition
+                              (Dist_array.to_partition arr)
+                          in
+                          Array.iter
+                            (fun parts ->
+                              List.iter
+                                (fun (part : Wire.part) ->
+                                  if part.Dist_array.pt_array = name then
+                                    Array.iter
+                                      (fun (lin, v) ->
+                                        Dist_array.update copy
+                                          (Dist_array.delinearize copy lin)
+                                          (fun x -> x +. v))
+                                      part.Dist_array.pt_entries)
+                                parts)
+                            ck_latest_shadows;
+                          (name, copy)
+                        end
+                        else
+                          ( name,
+                            Option.value
+                              (Hashtbl.find_opt ck_copies name)
+                              ~default:arr ))
+                      inst.Orion.App.inst_arrays
+                  in
+                  sink ~pass_done:(pass + 1) view
+                end;
+                drain ()
+            | _ -> ()
+          in
+          drain ()
+    in
+    (* per-pass [(start, finish)] on the master's telemetry clock, as the
+       union of the aligned worker windows *)
+    let pass_windows : (int, float * float) Hashtbl.t = Hashtbl.create 8 in
+    let bytes_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
+    let bytes_full_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
+    let policy_by_array : (string, string) Hashtbl.t = Hashtbl.create 8 in
+    let bump tbl name bytes =
+      Hashtbl.replace tbl name
+        (bytes +. Option.value (Hashtbl.find_opt tbl name) ~default:0.0)
+    in
+    let account name bytes = bump bytes_by_array name bytes in
+    let account_full name bytes = bump bytes_full_by_array name bytes in
     (* -- partition shipping + prefetch serving ---------------------- *)
     let boundaries = sched.Schedule.space_boundaries in
     let parts_for rank =

@@ -5,12 +5,14 @@
 
     A worker never receives code: it rebuilds the app instance
     deterministically from the registry ([materialize]) — host builtins
-    are closures and cannot travel over the wire — then verifies its
-    independently compiled schedule against the master's by structural
-    fingerprint.  DistArray {e contents} do travel: every placed
-    non-buffered array is zeroed locally and refilled from the wire
-    (partition ship for local/rotated/replicated placements, a bulk
-    prefetch for server-hosted ones), so the shipping path is
+    are closures and cannot travel over the wire — while the master
+    compiles the schedule.  It never compiles the schedule itself: its
+    row arrives as the iteration-space keys of its blocks
+    ({!Wire.Schedule_row}), which it looks up in its own instance, so it
+    runs exactly the master's blocks.  DistArray {e contents} do travel:
+    every placed non-buffered array is zeroed locally and refilled from
+    the wire (partition ship for local/rotated/replicated placements, a
+    bulk prefetch for server-hosted ones), so the shipping path is
     load-bearing, not decorative.
 
     Every written, non-buffered DistArray is kept consistent in one of
@@ -213,6 +215,52 @@ let part_range (b : Orion_dsm.Partitioner.boundaries) p ~size =
 (* The worker protocol                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(** The master sent [Shutdown] instead of a schedule row: the space cut
+    has fewer partitions than workers were spawned, and this rank has
+    no blocks. *)
+exception No_row
+
+(** [rank]'s row of the master's schedule, rebuilt over this worker's
+    own iteration space [iter]: every shipped key is looked up in it,
+    so the worker runs exactly the master's blocks.  The other rows
+    stay empty. *)
+let install_row (iter : 'v Dist_array.t) ~rank ~sp ~tp ~entries
+    ~space_boundaries ~time_boundaries (blocks : bytes array) : 'v Schedule.t
+    =
+  let name = Dist_array.name iter in
+  if Dist_array.count iter <> entries then
+    fail "iteration space %S has %d entries, the master's has %d" name
+      (Dist_array.count iter) entries;
+  if Array.length blocks <> tp then
+    fail "schedule row has %d blocks, expected %d" (Array.length blocks) tp;
+  let size = Array.fold_left ( * ) 1 (Dist_array.dims iter) in
+  let lookup lin =
+    let stored =
+      if lin < 0 || lin >= size then None
+      else
+        let key = Dist_array.delinearize iter lin in
+        Option.map (fun v -> (key, v)) (Dist_array.get_opt iter key)
+    in
+    match stored with
+    | Some entry -> entry
+    | None -> fail "schedule key %d is not in iteration space %S" lin name
+  in
+  let row = Array.map (fun b -> Array.map lookup (Wire.unpack_keys b)) blocks in
+  {
+    Schedule.space_parts = sp;
+    time_parts = tp;
+    blocks =
+      Array.init sp (fun s ->
+          Array.init tp (fun t ->
+              {
+                Schedule.space_idx = s;
+                time_idx = (if tp = 1 then -1 else t);
+                entries = (if s = rank then row.(t) else [||]);
+              }));
+    space_boundaries;
+    time_boundaries;
+  }
+
 let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     ~(like : Transport.addr) : unit =
   let deadline = Unix.gettimeofday () +. timeout_seconds ~default:300.0 in
@@ -223,6 +271,31 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     | Wire.Plan p -> p
     | m -> fail "expected plan, got %s" (Wire.tag m)
   in
+  if p.p_rank <> rank then fail "plan for rank %d sent to rank %d" p.p_rank rank;
+  if rank < 0 || rank >= p.p_procs then
+    fail "rank %d out of range (%d workers)" rank p.p_procs;
+  if p.p_adapt && not p.p_telemetry then
+    fail "adaptive re-planning requires telemetry (the master decides \
+          from shipped block costs)";
+  (* -- telemetry ----------------------------------------------------
+     One local shard (this process is one worker).  Spans are recorded
+     on this process's monotonic clock and drained to the master after
+     every pass — the start-up spans with pass 0's — together with the
+     absolute epoch that lets the master align them onto its own
+     timeline. *)
+  let tel = Telemetry.create ~enabled:p.p_telemetry ~workers:1 () in
+  let tel_on = p.p_telemetry in
+  let tel_now () = if tel_on then Telemetry.now tel else 0.0 in
+  let tel_span ~category ~label ~bytes ~start =
+    if tel_on then
+      Telemetry.span tel ~shard:0 ~worker:rank ~category ~label ~bytes ~start
+        ~finish:(tel_now ())
+  in
+  (* -- start-up: everything that needs only the plan ------------------
+     Rebuilding the instance, the analysis and the kernel compile run
+     while the master compiles the schedule; the schedule itself
+     arrives afterwards as this rank's row. *)
+  let start = tel_now () in
   let inst =
     match
       materialize p.p_app ~scale:p.p_scale ~num_machines:p.p_num_machines
@@ -231,30 +304,83 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     | Some i -> i
     | None -> fail "unknown app %S" p.p_app
   in
+  tel_span ~category:Orion_obs.Trace.Compute ~label:"materialize" ~bytes:0.0
+    ~start;
   let session = inst.Orion.App.inst_session in
   let plan = Orion.analyze_loop session inst.Orion.App.inst_loop in
-  let compiled =
-    Orion.compile session ~plan ~iter:inst.Orion.App.inst_iter
-      ?pipeline_depth:p.p_pipeline_depth ()
+  let arrays = inst.Orion.App.inst_arrays in
+  let buffered = inst.Orion.App.inst_buffered in
+  (* -- shadows for buffered arrays (as Engine.make_shadows) --------- *)
+  let env = inst.Orion.App.inst_env in
+  let shadows =
+    List.filter_map
+      (fun (name, arr) ->
+        if List.mem name buffered then begin
+          let shadow =
+            Dist_array.fill_dense ~name ~dims:(Dist_array.dims arr) 0.0
+          in
+          Interp.set_var env name
+            (Value.Vextern (Dist_array.to_extern shadow));
+          Some (name, shadow)
+        end
+        else None)
+      arrays
   in
-  (* re-planning swaps the schedule at pass boundaries; sp / tp / model
-     never change mid-run (the master's final assembly depends on them) *)
-  let sched = ref compiled.Orion.schedule in
-  let sp = !sched.Schedule.space_parts
-  and tp = !sched.Schedule.time_parts in
-  let model =
-    Domain_exec.model_of_plan plan ~pipeline_depth:compiled.Orion.pipeline_depth
-      ~sp ~tp
+  (* -- compiled kernel ----------------------------------------------
+     Compiled once, after the shadow rebinding (the kernel captures
+     env's current array bindings).  The write-journal hook, installed
+     below only when some array is journaled, is checked dynamically
+     inside the kernel: while it is attached every DistArray access
+     routes through the boxed, hook-calling path, so the journal sees
+     exactly what it would see under the interpreter.  Without it the
+     kernel runs the same unboxed path as the domain pool. *)
+  let start = tel_now () in
+  let kernel = Orion.Engine.compile_kernel inst env in
+  tel_span ~category:Orion_obs.Trace.Compute ~label:"kernel compile"
+    ~bytes:0.0 ~start;
+  let exec_entry ~key ~value =
+    match kernel with
+    | Some k -> Orion.Compile.run k ~key ~value
+    | None ->
+        Interp.eval_body_for env ~key_var:inst.Orion.App.inst_key_var
+          ~value_var:inst.Orion.App.inst_value_var ~key ~value
+          inst.Orion.App.inst_body
   in
-  if sp <> p.p_sp || tp <> p.p_tp then
-    fail "schedule shape mismatch: worker %dx%d, master %dx%d" sp tp p.p_sp
-      p.p_tp;
-  if model <> p.p_model then
-    fail "execution model mismatch: worker %s, master %s"
-      (Domain_exec.model_to_string model)
-      (Domain_exec.model_to_string p.p_model);
-  if Schedule.fingerprint !sched <> p.p_fingerprint then
-    fail "schedule fingerprint mismatch (nondeterministic compile?)";
+  (* -- schedule row -------------------------------------------------
+     re-planning swaps the schedule at pass boundaries; sp / tp / model
+     never change mid-run (the master's final assembly depends on
+     them) *)
+  let sched, sp, tp, model =
+    match recv_master "schedule row" with
+    | Wire.Schedule_row
+        {
+          sr_sp = sp;
+          sr_tp = tp;
+          sr_model;
+          sr_space_boundaries;
+          sr_time_boundaries;
+          sr_entries;
+          sr_blocks;
+        } ->
+        if sp > p.p_procs || rank >= sp then
+          fail "schedule row for rank %d of %d space partitions (%d workers)"
+            rank sp p.p_procs;
+        let start = tel_now () in
+        let row =
+          install_row inst.Orion.App.inst_iter ~rank ~sp ~tp
+            ~entries:sr_entries ~space_boundaries:sr_space_boundaries
+            ~time_boundaries:sr_time_boundaries sr_blocks
+        in
+        tel_span ~category:Orion_obs.Trace.Marshal ~label:"row install"
+          ~bytes:
+            (Array.fold_left
+               (fun acc b -> acc +. float_of_int (Bytes.length b))
+               0.0 sr_blocks)
+          ~start;
+        (ref row, sp, tp, sr_model)
+    | Wire.Shutdown -> raise No_row
+    | m -> fail "expected schedule-row, got %s" (Wire.tag m)
+  in
   let rebuild_schedule space_boundaries =
     match
       Schedule.rebalance plan.Plan.strategy inst.Orion.App.inst_iter
@@ -262,25 +388,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     with
     | Some s -> s
     | None -> fail "repartition is unsupported for unimodular schedules"
-  in
-  if rank < 0 || rank >= sp then fail "rank %d out of range (sp = %d)" rank sp;
-  if p.p_procs <> sp then
-    fail "worker count %d does not match space partitions %d" p.p_procs sp;
-  if p.p_adapt && not p.p_telemetry then
-    fail "adaptive re-planning requires telemetry (the master decides \
-          from shipped block costs)";
-  (* -- telemetry ----------------------------------------------------
-     One local shard (this process is one worker).  Spans are recorded
-     on this process's monotonic clock and drained to the master after
-     every pass, together with the absolute epoch that lets the master
-     align them onto its own timeline. *)
-  let tel = Telemetry.create ~enabled:p.p_telemetry ~workers:1 () in
-  let tel_on = p.p_telemetry in
-  let tel_now () = if tel_on then Telemetry.now tel else 0.0 in
-  let tel_span ~category ~label ~bytes ~start =
-    if tel_on then
-      Telemetry.span tel ~shard:0 ~worker:rank ~category ~label ~bytes ~start
-        ~finish:(tel_now ())
   in
   (* -- own listener + prefetch request ----------------------------- *)
   let listener = Transport.listen (Transport.fresh_addr ~like) in
@@ -290,8 +397,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
          l_rank = rank;
          l_addr = Transport.addr_to_string listener.Transport.laddr;
        });
-  let arrays = inst.Orion.App.inst_arrays in
-  let buffered = inst.Orion.App.inst_buffered in
   let arr_tbl : (string, float Dist_array.t) Hashtbl.t = Hashtbl.create 8 in
   List.iter (fun (n, a) -> Hashtbl.replace arr_tbl n a) arrays;
   let placement name = List.assoc_opt name plan.Plan.placements in
@@ -369,39 +474,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
         Event_loop.add loop a c
     | m -> fail "expected peer-hello, got %s" (Wire.tag m)
   done;
-  (* -- shadows for buffered arrays (as Engine.make_shadows) --------- *)
-  let env = inst.Orion.App.inst_env in
-  let shadows =
-    List.filter_map
-      (fun (name, arr) ->
-        if List.mem name buffered then begin
-          let shadow =
-            Dist_array.fill_dense ~name ~dims:(Dist_array.dims arr) 0.0
-          in
-          Interp.set_var env name
-            (Value.Vextern (Dist_array.to_extern shadow));
-          Some (name, shadow)
-        end
-        else None)
-      arrays
-  in
-  (* -- compiled kernel ----------------------------------------------
-     Compiled once, after the shadow rebinding (the kernel captures
-     env's current array bindings).  The write-journal hook, installed
-     below only when some array is journaled, is checked dynamically
-     inside the kernel: while it is attached every DistArray access
-     routes through the boxed, hook-calling path, so the journal sees
-     exactly what it would see under the interpreter.  Without it the
-     kernel runs the same unboxed path as the domain pool. *)
-  let kernel = Orion.Engine.compile_kernel inst env in
-  let exec_entry ~key ~value =
-    match kernel with
-    | Some k -> Orion.Compile.run k ~key ~value
-    | None ->
-        Interp.eval_body_for env ~key_var:inst.Orion.App.inst_key_var
-          ~value_var:inst.Orion.App.inst_value_var ~key ~value
-          inst.Orion.App.inst_body
-  in
   let classified =
     List.filter_map
       (fun (n, a) ->
@@ -1031,7 +1103,7 @@ let connect_and_serve ~(materialize : materialize) ~rank ~master_addr : unit =
     (Wire.Hello
        { h_rank = rank; h_pid = Unix.getpid (); h_version = Wire.version });
   match serve master ~materialize ~rank ~like with
-  | () -> Transport.close_conn master
+  | () | (exception No_row) -> Transport.close_conn master
   | exception e ->
       let reason =
         match e with

@@ -8,7 +8,11 @@
 
     {v
     worker → master   Hello
-    master → worker   Plan                 (app name, shape, model, fp)
+    master → worker   Plan                 (app, scale, shape, rank, flags)
+                      ... the master compiles the schedule while the
+                      workers rebuild their instances ...
+    master → worker   Schedule_row         (the rank's blocks, as keys)
+                    | Shutdown             (rank beyond the space cut)
     worker → master   Listening            (the worker's own peer addr)
     worker → master   Prefetch_request     (Server-placed arrays)
     master → worker   Partition_ship       (local / rotated / replicated)
@@ -44,8 +48,13 @@
        carry the rotated arrays' time-partition slices, and block and
        pass reports carry each rank's owned regions, all as packed
        parts; write journals travel only for arrays whose placement
-       has no single owner under the execution model *)
-let version = 7
+       has no single owner under the execution model
+   v8: workers stop compiling the schedule — the plan goes out before
+       the master compiles and carries no schedule shape, pipeline
+       depth or fingerprint; a [Schedule_row] after the compile ships
+       each rank the shape, the execution model and its blocks' keys,
+       which the worker looks up in its own iteration space *)
+let version = 8
 
 (** One journaled DistArray element write, in execution order (only
     arrays with no single owner are journaled). *)
@@ -87,23 +96,18 @@ type part = float Orion_dsm.Dist_array.partition
     {!Policy} part layout. *)
 type part_payload = bytes
 
-(** The full run description a worker needs to rebuild and verify its
-    slice (a named record so workers can pass it around whole). *)
+(** What a worker needs to rebuild its instance, all known before the
+    master plans (a named record so workers can pass it around whole). *)
 type plan = {
   p_app : string;
   p_scale : float;
   p_num_machines : int;
   p_workers_per_machine : int;
   p_rank : int;
-  p_procs : int;  (** workers actually spawned (= space partitions) *)
+  p_procs : int;
+      (** workers spawned; the ranks at or beyond the schedule's space
+          partitions get [Shutdown] instead of a row *)
   p_passes : int;
-  p_pipeline_depth : int option;
-  p_sp : int;
-  p_tp : int;
-  p_model : Orion_runtime.Domain_exec.model;
-  p_fingerprint : int;
-      (** {!Orion_runtime.Schedule.fingerprint} of the master's
-          schedule; the worker must compile an identical one *)
   p_telemetry : bool;
       (** record wall-clock telemetry and ship {!Pass_telemetry}
           messages after each pass *)
@@ -120,6 +124,21 @@ type plan = {
 type msg =
   | Hello of { h_rank : int; h_pid : int; h_version : int }
   | Plan of plan
+  | Schedule_row of {
+      sr_sp : int;
+      sr_tp : int;
+      sr_model : Orion_runtime.Domain_exec.model;
+      sr_space_boundaries : Orion_dsm.Partitioner.boundaries;
+      sr_time_boundaries : Orion_dsm.Partitioner.boundaries option;
+      sr_entries : int;
+          (** entries of the master's iteration space; the worker's
+              must have as many *)
+      sr_blocks : bytes array;
+          (** per time partition, the receiving rank's block as its
+              linearized iteration-space keys in scheduled order
+              ({!pack_keys}) *)
+    }
+      (** the receiving rank's row of the master's compiled schedule *)
   | Listening of { l_rank : int; l_addr : string }
   | Prefetch_request of { pr_rank : int; pr_arrays : string list }
   | Partition_ship of part_payload list
@@ -234,6 +253,7 @@ type msg =
 let tag = function
   | Hello _ -> "hello"
   | Plan _ -> "plan"
+  | Schedule_row _ -> "schedule-row"
   | Listening _ -> "listening"
   | Prefetch_request _ -> "prefetch-request"
   | Partition_ship _ -> "partition-ship"
@@ -256,3 +276,19 @@ let tag = function
 
 let to_bytes (m : msg) = Marshal.to_bytes m []
 let of_bytes (b : bytes) : msg = Marshal.from_bytes b 0
+
+(** Keys as 8-byte little-endian ints. *)
+let pack_keys (keys : int array) =
+  let b = Bytes.create (8 * Array.length keys) in
+  Array.iteri (fun i k -> Bytes.set_int64_le b (8 * i) (Int64.of_int k)) keys;
+  b
+
+(** The inverse of {!pack_keys}.
+    @raise Invalid_argument on a trailing partial key. *)
+let unpack_keys (b : bytes) =
+  if Bytes.length b mod 8 <> 0 then
+    invalid_arg
+      (Printf.sprintf "Wire.unpack_keys: %d bytes are not whole keys"
+         (Bytes.length b));
+  Array.init (Bytes.length b / 8) (fun i ->
+      Int64.to_int (Bytes.get_int64_le b (8 * i)))

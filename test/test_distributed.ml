@@ -160,6 +160,35 @@ let test_wire_roundtrip () =
     [
       Orion_net.Wire.Hello
         { h_rank = 3; h_pid = 42; h_version = Orion_net.Wire.version };
+      Orion_net.Wire.Plan
+        {
+          p_app = "mf";
+          p_scale = 0.5;
+          p_num_machines = 3;
+          p_workers_per_machine = 1;
+          p_rank = 2;
+          p_procs = 3;
+          p_passes = 2;
+          p_telemetry = true;
+          p_report_passes = false;
+          p_adapt = false;
+        };
+      Orion_net.Wire.Schedule_row
+        {
+          sr_sp = 2;
+          sr_tp = 4;
+          sr_model = Domain_exec.M_2d_unordered { depth = 2 };
+          sr_space_boundaries = [| 0; 3; 6 |];
+          sr_time_boundaries = Some [| 0; 1; 2; 4; 5 |];
+          sr_entries = 9;
+          sr_blocks =
+            [|
+              Orion_net.Wire.pack_keys [| 5; 0 |];
+              Bytes.empty;
+              Orion_net.Wire.pack_keys [| 1 lsl 40 |];
+              Orion_net.Wire.pack_keys [| 7 |];
+            |];
+        };
       Orion_net.Wire.Peers [| "unix:/tmp/w0"; "tcp:127.0.0.1:9999" |];
       Orion_net.Wire.Peer_hello
         { ph_rank = 1; ph_version = Orion_net.Wire.version };
@@ -181,6 +210,13 @@ let test_wire_roundtrip () =
       Orion_net.Wire.Shutdown;
     ]
   in
+  let keys = [| 0; 5; 3; 1 lsl 40; max_int |] in
+  Alcotest.(check (array int))
+    "packed keys round-trip" keys
+    (Orion_net.Wire.unpack_keys (Orion_net.Wire.pack_keys keys));
+  (match Orion_net.Wire.unpack_keys (Bytes.make 12 '\000') with
+  | _ -> Alcotest.fail "a partial packed key was accepted"
+  | exception Invalid_argument _ -> ());
   List.iter (fun m -> Orion_net.Transport.send ca m) msgs;
   List.iter
     (fun sent ->
@@ -610,34 +646,93 @@ let stencil_make ~num_machines ~workers_per_machine =
     }
     Orion_apps.Stencil.script
 
+let renamed name (inst : Orion.App.instance) =
+  { inst with Orion.App.inst_name = name }
+
+let mf_make ?scale ~num_machines ~workers_per_machine () =
+  (find_app "mf").Orion.App.app_make ?scale ~num_machines
+    ~workers_per_machine ()
+
+(* mf over 2 users and 2 items: fewer space indices than 3 workers *)
+let mf_tiny_make ~num_machines ~workers_per_machine =
+  renamed "mf-tiny" (mf_make ~scale:0.1 ~num_machines ~workers_per_machine ())
+
+(* The worker side of the data-drift apps: the mf program over other
+   data than the master's instance, which is plain mf — more ratings,
+   or as many ratings at other keys (items shifted by one). *)
+let drifted_make name ~num_machines ~workers_per_machine =
+  match name with
+  | "mf-drift-count" ->
+      renamed name (mf_make ~scale:1.5 ~num_machines ~workers_per_machine ())
+  | _ ->
+      let inst = mf_make ~num_machines ~workers_per_machine () in
+      let iter = inst.Orion.App.inst_iter in
+      let dims = Dist_array.dims iter in
+      let shifted =
+        Dist_array.of_entries ~name:(Dist_array.name iter) ~dims
+          ~default:iter.Dist_array.default
+          (List.map
+             (fun (k, v) -> ([| k.(0); (k.(1) + 1) mod dims.(1) |], v))
+             (Array.to_list (Dist_array.entries iter)))
+      in
+      { (renamed name inst) with Orion.App.inst_iter = shifted }
+
 (* workers rebuild these instances by name, as the registry's apps *)
 let test_materialize name ~scale ~num_machines ~workers_per_machine =
   match name with
   | "mf-ordered" -> Some (mf_ordered_make ~num_machines ~workers_per_machine)
   | "stencil" -> Some (stencil_make ~num_machines ~workers_per_machine)
+  | "mf-tiny" -> Some (mf_tiny_make ~num_machines ~workers_per_machine)
+  | "mf-drift-count" | "mf-drift-keys" ->
+      Some (drifted_make name ~num_machines ~workers_per_machine)
   | _ ->
       Orion_apps.Registry.materialize name ~scale ~num_machines
         ~workers_per_machine
 
+let run_custom (inst : Orion.App.instance) ~procs ~passes =
+  Orion_net.Dist_master.run ~materialize:test_materialize
+    inst.Orion.App.inst_session inst ~procs ~transport:`Unix ~passes
+    ~pipeline_depth:None ~scale:1.0 ~telemetry:false ()
+
 (* a test-side instance, distributed over [procs] workers, against
-   [`Sim] on the same shape, bitwise; [model] pins the execution model
-   the case exists to cover *)
-let custom_matches_sim make ~model ~procs () =
+   [`Sim] on the same shape, bitwise *)
+let custom_run make ~procs =
   let passes = 2 in
   let sim = make ~num_machines:procs ~workers_per_machine:1 in
   ignore
     (Orion.Engine.run sim.Orion.App.inst_session sim ~mode:`Sim ~passes ());
   let dist = make ~num_machines:procs ~workers_per_machine:1 in
-  let report =
-    Orion_net.Dist_master.run ~materialize:test_materialize
-      dist.Orion.App.inst_session dist ~procs ~transport:`Unix ~passes
-      ~pipeline_depth:None ~scale:1.0 ~telemetry:false ()
-  in
-  Alcotest.(check string) "execution model" model report.Orion.Engine.ep_model;
+  let report = run_custom dist ~procs ~passes in
   check_outputs
     ~what:(Printf.sprintf "%s distributed(%d) vs sim" dist.Orion.App.inst_name
              procs)
-    ~tolerance:None sim.Orion.App.inst_outputs dist.Orion.App.inst_outputs
+    ~tolerance:None sim.Orion.App.inst_outputs dist.Orion.App.inst_outputs;
+  report
+
+(* [model] pins the execution model the case exists to cover *)
+let custom_matches_sim make ~model ~procs () =
+  let report = custom_run make ~procs in
+  Alcotest.(check string) "execution model" model report.Orion.Engine.ep_model
+
+(* every worker this process spawned has been reaped *)
+let no_children_left () =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | 0, _ -> Alcotest.fail "a worker is still running"
+  | pid, _ -> Alcotest.failf "worker %d was left unreaped" pid
+
+(* the master spawns before it knows the space cut: a rank the cut
+   leaves without blocks gets no row, exits cleanly and is reaped *)
+let fewer_partitions_than_workers () =
+  let procs = 3 in
+  let report = custom_run mf_tiny_make ~procs in
+  let sp = report.Orion.Engine.ep_space_parts in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d space partitions, fewer than %d workers" sp procs)
+    true (sp < procs);
+  Alcotest.(check int) "workers counted: one per space partition" sp
+    report.Orion.Engine.ep_domains;
+  no_children_left ()
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: worker spans shipped over the wire merge into one        *)
@@ -687,6 +782,31 @@ let distributed_telemetry_merged_timeline () =
         spans;
       Alcotest.(check int) "both workers contributed spans" 2
         (Hashtbl.length workers_seen);
+      (* each worker's start-up is on the timeline, before pass 0 *)
+      let pass0 =
+        match sm.Orion.Telemetry.sm_pass_metrics with
+        | (_, m) :: _ -> m.Orion.Metrics.window_start
+        | [] -> Alcotest.fail "no pass metrics"
+      in
+      List.iter
+        (fun label ->
+          let startup =
+            List.filter
+              (fun s -> s.Orion.Trace.label = label)
+              (Array.to_list spans)
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "one %S span per worker" label)
+            2 (List.length startup);
+          List.iter
+            (fun s ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%S ends before pass 0" label)
+                true
+                (s.Orion.Trace.start_sec +. s.Orion.Trace.duration_sec
+                <= pass0))
+            startup)
+        [ "materialize"; "kernel compile"; "row install" ];
       Alcotest.(check int) "one metrics row per pass" passes
         (List.length sm.Orion.Telemetry.sm_pass_metrics);
       let overall = sm.Orion.Telemetry.sm_overall in
@@ -727,6 +847,43 @@ let fault_injection () =
       Alcotest.(check bool)
         (Printf.sprintf "failed fast (%.1fs)" elapsed)
         true (elapsed < 25.0))
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* workers that rebuild other data than the master's instance cannot
+   run the master's blocks: the run ends in a structured error naming a
+   rank, within the deadline — never a hang or a silently different
+   result *)
+let worker_data_drift name () =
+  Unix.putenv Orion_net.Dist_worker.timeout_env "30";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv Orion_net.Dist_worker.timeout_env "60")
+    (fun () ->
+      let inst =
+        renamed name (mf_make ~num_machines:2 ~workers_per_machine:1 ())
+      in
+      let t0 = Unix.gettimeofday () in
+      (match run_custom inst ~procs:2 ~passes:2 with
+      | _ -> Alcotest.fail "workers over other data ran to completion"
+      | exception Orion.Engine.Distributed_error { de_rank; de_reason } ->
+          Alcotest.(check bool)
+            (Printf.sprintf "a rank is named (%s)"
+               (Option.fold ~none:"none" ~some:string_of_int de_rank))
+            true (de_rank <> None);
+          Alcotest.(check bool)
+            (Printf.sprintf "reason names the iteration space: %S" de_reason)
+            true
+            (contains de_reason "iteration space"));
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "failed fast (%.1fs)" elapsed)
+        true (elapsed < 25.0);
+      no_children_left ())
 
 (* a deadline that is already past would misreport "timed out", and
    [nan] would disable it altogether: both, and any malformed value,
@@ -896,6 +1053,8 @@ let () =
             (custom_matches_sim mf_ordered_make ~model:"2d-ordered" ~procs:2);
           tc "stencil time-major procs=2 (journal)" `Quick
             (custom_matches_sim stencil_make ~model:"time-major" ~procs:2);
+          tc "fewer space partitions than workers" `Quick
+            fewer_partitions_than_workers;
         ] );
       ( "determinism",
         [
@@ -916,6 +1075,10 @@ let () =
         [
           tc "worker abort mid-pass" `Quick fault_injection;
           tc "ORION_DIST_TIMEOUT is validated" `Quick timeout_validation;
+          tc "worker data drift: entry count" `Quick
+            (worker_data_drift "mf-drift-count");
+          tc "worker data drift: keys" `Quick
+            (worker_data_drift "mf-drift-keys");
         ] );
       ( "kill_and_resume",
         [
