@@ -88,6 +88,16 @@ let make_session arrays ~machines ~wpm =
     arrays;
   session
 
+(* A damaged shard (lib/store) ends any command that loads one with
+   its position and exit status 1, never an uncaught exception. *)
+let handle_corrupt cmd f =
+  match f () with
+  | n -> n
+  | exception Orion_store.Shard.Corrupt { path; offset; reason } ->
+      Printf.eprintf "orion %s: %s: corrupt at byte %d: %s\n" cmd path offset
+        reason;
+      1
+
 (* ------------------------------------------------------------------ *)
 
 let analyze_cmd =
@@ -434,6 +444,7 @@ let run_app name ~machines ~wpm ~domains ~procs ~tcp ~passes ~scale
 let run_cmd =
   let run arrays machines wpm log seed profile app domains procs tcp passes
       scale ckpt_dir ckpt_every resume file =
+    handle_corrupt "run" @@ fun () ->
     setup_log log;
     match (app, file) with
     | Some _, Some _ ->
@@ -625,6 +636,7 @@ let apps_cmd =
 
 let bench_cmd =
   let run machines wpm log mode apps domains procs tcp passes scale out =
+    handle_corrupt "bench" @@ fun () ->
     setup_log log;
     let scale = resolve_scale scale in
     let apps = match apps with [] -> None | l -> Some l in
@@ -786,14 +798,7 @@ let generate_cmd =
 (* orion data gen|info — the out-of-core path (lib/store): streaming
    binary shards instead of `generate`'s in-memory text dumps *)
 let data_cmd =
-  let handle_corrupt f =
-    match f () with
-    | n -> n
-    | exception Orion_store.Shard.Corrupt { path; offset; reason } ->
-        Printf.eprintf "orion data: %s: corrupt at byte %d: %s\n" path offset
-          reason;
-        1
-  in
+  let handle_corrupt = handle_corrupt "data" in
   let gen_cmd =
     let run kind out scale shards seed =
       let scale = resolve_scale scale in
@@ -892,7 +897,7 @@ let data_cmd =
               total := !total + h.Orion_store.Shard.h_count;
               (* --verify streams every record back through the CRC *)
               if verify then
-                Orion_store.Shard.iter path ~f:(fun _ -> ());
+                Orion_store.Shard.iter path ~f:(fun _ _ -> ());
               Printf.printf "  shard %04d  %8d records  %10d bytes%s\n"
                 h.Orion_store.Shard.h_shard h.Orion_store.Shard.h_count size
                 (if verify then "  crc ok" else ""))
@@ -1117,6 +1122,7 @@ let trace_cmd =
   in
   let run machines wpm mode app domains procs tcp strategy passes scale
       cost_per_entry out csv =
+    handle_corrupt "trace" @@ fun () ->
     match mode with
     | `Sim -> run_sim ~machines ~wpm ~strategy ~passes ~scale ~cost_per_entry
                 ~out ~csv

@@ -669,12 +669,14 @@ module Engine = struct
     if not (Compile.enabled ()) then None
     else begin
       (* the unboxed value slot is only sound if every iterated value
-         is a float — scan the iteration space once *)
-      let value_float = ref true in
-      Dist_array.iter
-        (fun _ v -> match v with Value.Vfloat _ -> () | _ -> value_float := false)
-        inst.App.inst_iter;
-      Compile.compile_body env ~value_float:!value_float
+         is a float — scan the stored values, in any order, up to the
+         first that is not *)
+      let value_float =
+        Dist_array.for_all
+          (function Value.Vfloat _ -> true | _ -> false)
+          inst.App.inst_iter
+      in
+      Compile.compile_body env ~value_float
         ~key_var:inst.App.inst_key_var ~value_var:inst.App.inst_value_var
         inst.App.inst_body
     end

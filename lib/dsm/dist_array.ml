@@ -13,10 +13,109 @@
 exception Out_of_bounds of string
 exception Dimension_mismatch of string
 
+(* The sparse store: an open-addressing hash table from linearized
+   keys to values, as two parallel arrays probed linearly.  Keys hash
+   with an inline integer mix (the splitmix64 finalizer, truncated to
+   OCaml's 63-bit ints), so a lookup never calls into the runtime's
+   generic hash or compare and allocates nothing.  The capacity is a
+   power of two at least twice the entry count, and no entry is ever
+   removed, so every probe sequence ends at a free slot. *)
+module Lin_table = struct
+  type 'a t = {
+    mutable keys : int array;  (** [free] marks an empty slot *)
+    mutable values : 'a array;
+    mutable size : int;
+    fill : 'a;  (** the value every empty slot holds *)
+  }
+
+  let free = -1
+
+  let create fill =
+    { keys = Array.make 64 free; values = Array.make 64 fill; size = 0; fill }
+
+  let length t = t.size
+
+  let hash k =
+    let k = (k lxor (k lsr 31)) * 0x3F58476D1CE4E5B9 in
+    let k = (k lxor (k lsr 29)) * 0x14D049BB133111EB in
+    k lxor (k lsr 32)
+
+  (* the slot holding [k], or the free slot that ends its probe *)
+  let slot keys k =
+    let mask = Array.length keys - 1 in
+    let i = ref (hash k land mask) in
+    while
+      let x = Array.unsafe_get keys !i in
+      x <> k && x <> free
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let find t k =
+    let i = slot t.keys k in
+    if k <> free && Array.unsafe_get t.keys i = k then
+      Array.unsafe_get t.values i
+    else raise_notrace Not_found
+
+  let mem t k = k <> free && Array.unsafe_get t.keys (slot t.keys k) = k
+
+  let grow t =
+    let keys = t.keys and values = t.values in
+    let n = 2 * Array.length keys in
+    t.keys <- Array.make n free;
+    t.values <- Array.make n t.fill;
+    Array.iteri
+      (fun j k ->
+        if k <> free then begin
+          let i = slot t.keys k in
+          Array.unsafe_set t.keys i k;
+          Array.unsafe_set t.values i (Array.unsafe_get values j)
+        end)
+      keys
+
+  (* store [v] at [k]; true when [k] was not stored before *)
+  let rec replace t k v =
+    if k < 0 then invalid_arg "Dist_array: negative linearized key";
+    let i = slot t.keys k in
+    if Array.unsafe_get t.keys i = k then begin
+      Array.unsafe_set t.values i v;
+      false
+    end
+    else if 2 * (t.size + 1) > Array.length t.keys then begin
+      grow t;
+      replace t k v
+    end
+    else begin
+      Array.unsafe_set t.keys i k;
+      Array.unsafe_set t.values i v;
+      t.size <- t.size + 1;
+      true
+    end
+
+  (* storage order, not key order *)
+  let iter f t =
+    Array.iteri
+      (fun i k -> if k <> free then f k (Array.unsafe_get t.values i))
+      t.keys
+
+  let map f t =
+    let fill = f t.fill in
+    {
+      keys = Array.copy t.keys;
+      values =
+        Array.mapi
+          (fun i v -> if Array.unsafe_get t.keys i = free then fill else f v)
+          t.values;
+      size = t.size;
+      fill;
+    }
+end
+
 type 'a storage =
   | Dense of 'a array  (** row-major *)
   | Sparse of {
-      table : (int, 'a) Hashtbl.t;  (** linearized key -> value *)
+      table : 'a Lin_table.t;  (** linearized key -> value *)
       mutable sorted_keys : int array option;
           (** cache of keys in ascending order, for deterministic
               iteration; invalidated when a new key is inserted *)
@@ -81,8 +180,17 @@ let linearize t key =
   done;
   !acc
 
-let delinearize t lin =
-  Array.mapi (fun i _ -> lin / t.strides.(i) mod t.dims.(i)) t.dims
+(* key arithmetic only: one fresh key array, no closure *)
+let delin ~dims ~strides lin =
+  let n = Array.length dims in
+  let key = Array.make n 0 in
+  for i = 0 to n - 1 do
+    Array.unsafe_set key i
+      (lin / Array.unsafe_get strides i mod Array.unsafe_get dims i)
+  done;
+  key
+
+let delinearize t lin = delin ~dims:t.dims ~strides:t.strides lin
 
 (* ------------------------------------------------------------------ *)
 (* Creation                                                            *)
@@ -93,8 +201,7 @@ let init_dense ~name ~dims ~f =
   check_dims name dims;
   let strides = compute_strides dims in
   let size = total_size dims in
-  let delin lin = Array.mapi (fun i _ -> lin / strides.(i) mod dims.(i)) dims in
-  let data = Array.init size (fun lin -> f (delin lin)) in
+  let data = Array.init size (fun lin -> f (delin ~dims ~strides lin)) in
   { name; dims; strides; storage = Dense data; default = data.(0) }
 
 let fill_dense ~name ~dims value =
@@ -114,7 +221,7 @@ let create_sparse ~name ~dims ~default =
     name;
     dims;
     strides = compute_strides dims;
-    storage = Sparse { table = Hashtbl.create 1024; sorted_keys = None };
+    storage = Sparse { table = Lin_table.create default; sorted_keys = None };
     default;
   }
 
@@ -123,7 +230,7 @@ let of_entries ~name ~dims ~default entries =
   (match t.storage with
   | Sparse s ->
       List.iter
-        (fun (key, v) -> Hashtbl.replace s.table (linearize t key) v)
+        (fun (key, v) -> ignore (Lin_table.replace s.table (linearize t key) v))
         entries
   | Dense _ -> assert false);
   t
@@ -139,7 +246,7 @@ let ndims t = Array.length t.dims
 let count t =
   match t.storage with
   | Dense d -> Array.length d
-  | Sparse s -> Hashtbl.length s.table
+  | Sparse s -> Lin_table.length s.table
 
 let is_sparse t = match t.storage with Dense _ -> false | Sparse _ -> true
 
@@ -153,18 +260,21 @@ let get t key =
   let lin = linearize t key in
   match t.storage with
   | Dense d -> d.(lin)
-  | Sparse s -> ( match Hashtbl.find_opt s.table lin with Some v -> v | None -> t.default)
+  | Sparse s -> ( try Lin_table.find s.table lin with Not_found -> t.default)
 
 let get_opt t key =
   let lin = linearize t key in
   match t.storage with
   | Dense d -> Some d.(lin)
-  | Sparse s -> Hashtbl.find_opt s.table lin
+  | Sparse s -> (
+      match Lin_table.find s.table lin with
+      | v -> Some v
+      | exception Not_found -> None)
 
 (* Concurrency contract (OCaml 5 domains, see [Orion.Engine]):
    disjoint-cell writes to [Dense] storage are plain disjoint field
-   writes and race-free; [Hashtbl.replace] on an EXISTING sparse key
-   mutates the bound cons cell in place and is likewise safe across
+   writes and race-free; replacing an EXISTING sparse key writes its
+   value slot in place and is likewise safe across
    distinct keys — but inserting a NEW key may resize the table, which
    is not.  [enter_parallel]/[exit_parallel] bracket parallel sections;
    inside one, a new-key sparse insert raises instead of corrupting the
@@ -184,16 +294,44 @@ let check_sparse_insert t lin =
              section (pre-populate sparse keys before running in parallel)"
             t.name lin))
 
-let set t key v =
-  let lin = linearize t key in
+(* Store at an in-range linearized key.  Outside a parallel section
+   this is one table operation, which reports whether the key was new
+   (invalidating the sorted-key cache).  Inside one, a new key is
+   refused before the table is touched. *)
+let replace_lin t lin v =
   match t.storage with
   | Dense d -> d.(lin) <- v
   | Sparse s ->
-      if not (Hashtbl.mem s.table lin) then begin
+      if Atomic.get parallel_mode && not (Lin_table.mem s.table lin) then
         check_sparse_insert t lin;
-        s.sorted_keys <- None
-      end;
-      Hashtbl.replace s.table lin v
+      if Lin_table.replace s.table lin v then s.sorted_keys <- None
+
+let set t key v = replace_lin t (linearize t key) v
+
+let set_lin t lin v =
+  if lin < 0 || lin >= t.strides.(0) * t.dims.(0) then
+    raise
+      (Out_of_bounds
+         (Printf.sprintf "%s: linearized key %d out of bounds" t.name lin));
+  replace_lin t lin v
+
+let find_lin t lin =
+  match t.storage with
+  | Dense d ->
+      if lin < 0 || lin >= Array.length d then raise Not_found else d.(lin)
+  | Sparse s -> Lin_table.find s.table lin
+
+let for_all p t =
+  match t.storage with
+  | Dense d -> Array.for_all p d
+  | Sparse s -> (
+      match
+        Lin_table.iter
+          (fun _ v -> if not (p v) then raise_notrace Exit)
+          s.table
+      with
+      | () -> true
+      | exception Exit -> false)
 
 let update t key f =
   let lin = linearize t key in
@@ -201,18 +339,67 @@ let update t key f =
   | Dense d -> d.(lin) <- f d.(lin)
   | Sparse s ->
       let cur =
-        match Hashtbl.find_opt s.table lin with
-        | Some v -> v
-        | None ->
+        match Lin_table.find s.table lin with
+        | v -> v
+        | exception Not_found ->
             check_sparse_insert t lin;
-            s.sorted_keys <- None;
             t.default
       in
-      Hashtbl.replace s.table lin (f cur)
+      if Lin_table.replace s.table lin (f cur) then s.sorted_keys <- None
 
 (* ------------------------------------------------------------------ *)
 (* Iteration (deterministic order)                                     *)
 (* ------------------------------------------------------------------ *)
+
+(* Ascending sort of an int array: insertion-sorted runs, then
+   bottom-up merges between [a] and one spare buffer, comparing ints
+   directly.  Returns whichever buffer holds the result. *)
+let sort_ints (a : int array) =
+  let n = Array.length a in
+  let run = 16 in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = min n (!lo + run) in
+    for i = !lo + 1 to hi - 1 do
+      let x = Array.unsafe_get a i in
+      let j = ref (i - 1) in
+      while !j >= !lo && Array.unsafe_get a !j > x do
+        Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
+        decr j
+      done;
+      Array.unsafe_set a (!j + 1) x
+    done;
+    lo := hi
+  done;
+  let src = ref a and dst = ref (if n > run then Array.make n 0 else a) in
+  let width = ref run in
+  while !width < n do
+    let s = !src and d = !dst and w = !width in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min n (!lo + w) and hi = min n (!lo + (2 * w)) in
+      let i = ref !lo and j = ref mid and k = ref !lo in
+      while !i < mid && !j < hi do
+        let x = Array.unsafe_get s !i and y = Array.unsafe_get s !j in
+        if x <= y then begin
+          Array.unsafe_set d !k x;
+          incr i
+        end
+        else begin
+          Array.unsafe_set d !k y;
+          incr j
+        end;
+        incr k
+      done;
+      Array.blit s !i d !k (mid - !i);
+      Array.blit s !j d (!k + mid - !i) (hi - !j);
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    width := 2 * w
+  done;
+  !src
 
 let sorted_keys t =
   match t.storage with
@@ -221,36 +408,30 @@ let sorted_keys t =
       match s.sorted_keys with
       | Some k -> k
       | None ->
-          let keys = Array.make (Hashtbl.length s.table) 0 in
+          let keys = Array.make (Lin_table.length s.table) 0 in
           let i = ref 0 in
-          Hashtbl.iter
+          Lin_table.iter
             (fun k _ ->
-              keys.(!i) <- k;
+              Array.unsafe_set keys !i k;
               incr i)
             s.table;
-          Array.sort compare keys;
+          let keys = sort_ints keys in
           s.sorted_keys <- Some keys;
           keys)
-
-let value_of_lin t lin =
-  match t.storage with
-  | Dense d -> d.(lin)
-  | Sparse s -> (
-      match Hashtbl.find_opt s.table lin with Some v -> v | None -> t.default)
 
 (** Iterate over stored entries in ascending key order (deterministic
     across runs, so serial executions are reproducible). *)
 let iter f t =
-  Array.iter (fun lin -> f (delinearize t lin) (value_of_lin t lin)) (sorted_keys t)
+  Array.iter (fun lin -> f (delinearize t lin) (find_lin t lin)) (sorted_keys t)
 
 let fold f acc t =
   Array.fold_left
-    (fun acc lin -> f acc (delinearize t lin) (value_of_lin t lin))
+    (fun acc lin -> f acc (delinearize t lin) (find_lin t lin))
     acc (sorted_keys t)
 
 (** Stored entries, ascending key order. *)
 let entries t =
-  Array.map (fun lin -> (delinearize t lin, value_of_lin t lin)) (sorted_keys t)
+  Array.map (fun lin -> (delinearize t lin, find_lin t lin)) (sorted_keys t)
 
 (* ------------------------------------------------------------------ *)
 (* Element-wise comparison                                             *)
@@ -315,12 +496,12 @@ let map ~name ~f t =
         default = f t.default;
       }
   | Sparse s ->
-      let table = Hashtbl.create (Hashtbl.length s.table) in
-      Hashtbl.iter (fun k v -> Hashtbl.replace table k (f v)) s.table;
       {
         t with
         name;
-        storage = Sparse { table; sorted_keys = s.sorted_keys };
+        storage =
+          Sparse
+            { table = Lin_table.map f s.table; sorted_keys = s.sorted_keys };
         default = f t.default;
       }
 
@@ -512,20 +693,10 @@ let region t ~dim ~lo ~hi : int array * 'a array =
       let keys =
         Array.of_list (List.filter inside (Array.to_list (sorted_keys t)))
       in
-      (keys, Array.map (fun lin -> Hashtbl.find s.table lin) keys)
+      (keys, Array.map (fun lin -> Lin_table.find s.table lin) keys)
 
 let set_region t (keys : int array) (values : 'a array) =
-  match t.storage with
-  | Dense d -> Array.iteri (fun i lin -> d.(lin) <- values.(i)) keys
-  | Sparse s ->
-      Array.iteri
-        (fun i lin ->
-          if not (Hashtbl.mem s.table lin) then begin
-            check_sparse_insert t lin;
-            s.sorted_keys <- None
-          end;
-          Hashtbl.replace s.table lin values.(i))
-        keys
+  Array.iteri (fun i lin -> replace_lin t lin values.(i)) keys
 
 (* ------------------------------------------------------------------ *)
 (* Partition serialization                                             *)
@@ -557,7 +728,7 @@ let to_partition ?select (t : 'a t) : 'a partition =
   let n = ref 0 in
   Array.iter
     (fun lin ->
-      let v = value_of_lin t lin in
+      let v = find_lin t lin in
       if keep lin v then begin
         out := (lin, v) :: !out;
         incr n
@@ -586,7 +757,7 @@ let apply_partition (t : 'a t) (p : 'a partition) =
     raise
       (Dimension_mismatch
          (Printf.sprintf "%s: partition dims do not match array dims" t.name));
-  Array.iter (fun (lin, v) -> set t (delinearize t lin) v) p.pt_entries
+  Array.iter (fun (lin, v) -> set_lin t lin v) p.pt_entries
 
 (** Materialize a fresh DistArray holding exactly a partition's
     entries, with the source's storage kind (dense cells missing from
@@ -598,7 +769,7 @@ let of_partition ?name (p : 'a partition) : 'a t =
       create_sparse ~name ~dims:(Array.copy p.pt_dims) ~default:p.pt_default
     else fill_dense ~name ~dims:(Array.copy p.pt_dims) p.pt_default
   in
-  Array.iter (fun (lin, v) -> set t (delinearize t lin) v) p.pt_entries;
+  Array.iter (fun (lin, v) -> set_lin t lin v) p.pt_entries;
   t
 
 let partition_to_bytes (p : 'a partition) : bytes = Marshal.to_bytes p []

@@ -10,10 +10,17 @@
 exception Out_of_bounds of string
 exception Dimension_mismatch of string
 
+(** Open-addressing hash table from linearized keys to values. *)
+module Lin_table : sig
+  type 'a t
+
+  val length : 'a t -> int
+end
+
 type 'a storage =
   | Dense of 'a array  (** row-major *)
   | Sparse of {
-      table : (int, 'a) Hashtbl.t;
+      table : 'a Lin_table.t;
       mutable sorted_keys : int array option;
     }
 
@@ -76,8 +83,23 @@ val get_opt : 'a t -> int array -> 'a option
 val set : 'a t -> int array -> 'a -> unit
 val update : 'a t -> int array -> ('a -> 'a) -> unit
 
+(** [set] at a linearized key (one table operation outside parallel
+    sections; last write wins).
+    @raise Out_of_bounds when [lin] is outside the array. *)
+val set_lin : 'a t -> int -> 'a -> unit
+
+(** The stored value at a linearized key.
+    @raise Not_found when no entry is stored there. *)
+val find_lin : 'a t -> int -> 'a
+
+(** Whether every stored value satisfies the predicate; visits values
+    in storage order and stops at the first that does not. *)
+val for_all : ('a -> bool) -> 'a t -> bool
+
 (** {1 Iteration — ascending key order, deterministic across runs} *)
 
+(** Stored linearized keys, ascending (sparse: cached until a new key
+    is inserted; do not mutate). *)
 val sorted_keys : 'a t -> int array
 val iter : (int array -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> int array -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc

@@ -15,11 +15,25 @@ let equal_ranges ~dim_size ~parts : boundaries =
   let parts = max 1 (min parts dim_size) in
   Array.init (parts + 1) (fun p -> p * dim_size / parts)
 
-(** Entry count at each index of dimension [dim]. *)
-let histogram t ~dim =
-  let counts = Array.make (Dist_array.dims t).(dim) 0 in
-  Dist_array.iter (fun key _ -> counts.(key.(dim)) <- counts.(key.(dim)) + 1) t;
+(** Entry counts at each index of every dimension in [dims], from one
+    pass over the stored linearized keys: an index is [lin / stride mod
+    size], so no key array is built and no value is read. *)
+let histograms (t : 'a Dist_array.t) ~dims =
+  let sizes = Array.map (fun d -> t.Dist_array.dims.(d)) dims in
+  let strides = Array.map (fun d -> t.Dist_array.strides.(d)) dims in
+  let counts = Array.map (fun n -> Array.make n 0) sizes in
+  Array.iter
+    (fun lin ->
+      for k = 0 to Array.length dims - 1 do
+        let c = counts.(k) in
+        let i = lin / strides.(k) mod sizes.(k) in
+        c.(i) <- c.(i) + 1
+      done)
+    (Dist_array.sorted_keys t);
   counts
+
+(** Entry count at each index of dimension [dim]. *)
+let histogram t ~dim = (histograms t ~dims:[| dim |]).(0)
 
 (** Boundaries such that each partition holds a near-equal share of the
     total count (greedy prefix cut). *)

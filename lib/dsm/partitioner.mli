@@ -11,6 +11,10 @@ val equal_ranges : dim_size:int -> parts:int -> boundaries
 (** Entry count at each index of dimension [dim]. *)
 val histogram : 'a Dist_array.t -> dim:int -> int array
 
+(** One histogram per listed dimension, counted in a single pass over
+    the stored linearized keys. *)
+val histograms : 'a Dist_array.t -> dims:int array -> int array array
+
 (** Boundaries giving near-equal entry counts per partition. *)
 val balanced_ranges : counts:int array -> parts:int -> boundaries
 

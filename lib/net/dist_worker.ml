@@ -233,17 +233,11 @@ let install_row (iter : 'v Dist_array.t) ~rank ~sp ~tp ~entries
       (Dist_array.count iter) entries;
   if Array.length blocks <> tp then
     fail "schedule row has %d blocks, expected %d" (Array.length blocks) tp;
-  let size = Array.fold_left ( * ) 1 (Dist_array.dims iter) in
   let lookup lin =
-    let stored =
-      if lin < 0 || lin >= size then None
-      else
-        let key = Dist_array.delinearize iter lin in
-        Option.map (fun v -> (key, v)) (Dist_array.get_opt iter key)
-    in
-    match stored with
-    | Some entry -> entry
-    | None -> fail "schedule key %d is not in iteration space %S" lin name
+    match Dist_array.find_lin iter lin with
+    | v -> (Dist_array.delinearize iter lin, v)
+    | exception Not_found ->
+        fail "schedule key %d is not in iteration space %S" lin name
   in
   let row = Array.map (fun b -> Array.map lookup (Wire.unpack_keys b)) blocks in
   {

@@ -86,23 +86,34 @@ let fingerprint t =
     t.blocks;
   !h land max_int
 
-(* build blocks from entry classification functions *)
+(* Blocks over [iter]'s stored entries.  [part i lin] names the block
+   ([space * time_parts + time]) of the [i]-th key in ascending order,
+   [lin].  One pass over the sorted keys sizes every block exactly, a
+   second fills them, so each block's entries arrive in ascending key
+   order before the optional shuffle. *)
 let build ?shuffle_seed ~space_parts ~time_parts ~space_boundaries
-    ~time_boundaries ~classify entries =
-  let buckets =
-    Array.init space_parts (fun _ -> Array.init time_parts (fun _ -> ref []))
-  in
-  Array.iter
-    (fun ((key, _) as e) ->
-      let s, t = classify key in
-      buckets.(s).(t) := e :: !(buckets.(s).(t)))
-    entries;
+    ~time_boundaries ~part iter =
+  let keys = Dist_array.sorted_keys iter in
+  let sizes = Array.make (space_parts * time_parts) 0 in
+  Array.iteri
+    (fun i lin ->
+      let b = part i lin in
+      sizes.(b) <- sizes.(b) + 1)
+    keys;
+  let dummy = ([||], iter.Dist_array.default) in
+  let cells = Array.map (fun n -> Array.make n dummy) sizes in
+  let fill = Array.make (Array.length sizes) 0 in
+  Array.iteri
+    (fun i lin ->
+      let b = part i lin in
+      cells.(b).(fill.(b)) <-
+        (Dist_array.delinearize iter lin, Dist_array.find_lin iter lin);
+      fill.(b) <- fill.(b) + 1)
+    keys;
   let blocks =
     Array.init space_parts (fun s ->
         Array.init time_parts (fun t ->
-            (* entries arrive in ascending key order and were consed,
-               so reverse restores the deterministic order *)
-            let entries = Array.of_list (List.rev !(buckets.(s).(t))) in
+            let entries = cells.((s * time_parts) + t) in
             (match shuffle_seed with
             | Some seed ->
                 shuffle_in_place ~seed:(seed + (s * 7919) + t) entries
@@ -115,60 +126,64 @@ let build ?shuffle_seed ~space_parts ~time_parts ~space_boundaries
   in
   { space_parts; time_parts; blocks; space_boundaries; time_boundaries }
 
+(* Blocks of a range cut along [space_dim] ([sb]) and, for 2D, along
+   [time_dim] ([tb]).  A key's partition along a dimension is one table
+   lookup on its index there, which is stride arithmetic on [lin]. *)
+let cut ?shuffle_seed iter ~space_dim ~space_boundaries:sb ~time =
+  let index_part dim b =
+    let size = iter.Dist_array.dims.(dim)
+    and stride = iter.Dist_array.strides.(dim) in
+    let parts = Array.init size (Partitioner.part_of ~boundaries:b) in
+    fun lin -> parts.(lin / stride mod size)
+  in
+  let space_parts = Partitioner.num_parts sb in
+  let s_part = index_part space_dim sb in
+  match time with
+  | None ->
+      build ?shuffle_seed ~space_parts ~time_parts:1 ~space_boundaries:sb
+        ~time_boundaries:None
+        ~part:(fun _ lin -> s_part lin)
+        iter
+  | Some (time_dim, tb) ->
+      let time_parts = Partitioner.num_parts tb in
+      let t_part = index_part time_dim tb in
+      build ?shuffle_seed ~space_parts ~time_parts ~space_boundaries:sb
+        ~time_boundaries:(Some tb)
+        ~part:(fun _ lin -> (s_part lin * time_parts) + t_part lin)
+        iter
+
 (** Histogram-balanced 1D partitioning along [space_dim]. *)
 let partition_1d ?shuffle_seed iter ~space_dim ~space_parts =
   let counts = Partitioner.histogram iter ~dim:space_dim in
   let sb = Partitioner.balanced_ranges ~counts ~parts:space_parts in
-  let space_parts = Partitioner.num_parts sb in
-  build ?shuffle_seed ~space_parts ~time_parts:1 ~space_boundaries:sb
-    ~time_boundaries:None
-    ~classify:(fun key ->
-      (Partitioner.part_of ~boundaries:sb key.(space_dim), 0))
-    (Dist_array.entries iter)
+  cut ?shuffle_seed iter ~space_dim ~space_boundaries:sb ~time:None
 
-(** Histogram-balanced 2D partitioning along [space_dim] / [time_dim]. *)
+(** Histogram-balanced 2D partitioning along [space_dim] / [time_dim];
+    both histograms come from one pass over the keys. *)
 let partition_2d ?shuffle_seed iter ~space_dim ~time_dim ~space_parts
     ~time_parts =
-  let s_counts = Partitioner.histogram iter ~dim:space_dim in
-  let t_counts = Partitioner.histogram iter ~dim:time_dim in
-  let sb = Partitioner.balanced_ranges ~counts:s_counts ~parts:space_parts in
-  let tb = Partitioner.balanced_ranges ~counts:t_counts ~parts:time_parts in
-  let space_parts = Partitioner.num_parts sb in
-  let time_parts = Partitioner.num_parts tb in
-  build ?shuffle_seed ~space_parts ~time_parts ~space_boundaries:sb
-    ~time_boundaries:(Some tb)
-    ~classify:(fun key ->
-      ( Partitioner.part_of ~boundaries:sb key.(space_dim),
-        Partitioner.part_of ~boundaries:tb key.(time_dim) ))
-    (Dist_array.entries iter)
+  let h = Partitioner.histograms iter ~dims:[| space_dim; time_dim |] in
+  let sb = Partitioner.balanced_ranges ~counts:h.(0) ~parts:space_parts in
+  let tb = Partitioner.balanced_ranges ~counts:h.(1) ~parts:time_parts in
+  cut ?shuffle_seed iter ~space_dim ~space_boundaries:sb
+    ~time:(Some (time_dim, tb))
 
 (* 1D partitioning with caller-supplied boundaries (adaptive
    re-planning: the boundaries come from measured block costs instead
    of the entry histogram). *)
-let partition_1d_with ?shuffle_seed iter ~space_dim ~space_boundaries:sb =
-  let space_parts = Partitioner.num_parts sb in
-  build ?shuffle_seed ~space_parts ~time_parts:1 ~space_boundaries:sb
-    ~time_boundaries:None
-    ~classify:(fun key ->
-      (Partitioner.part_of ~boundaries:sb key.(space_dim), 0))
-    (Dist_array.entries iter)
+let partition_1d_with ?shuffle_seed iter ~space_dim ~space_boundaries =
+  cut ?shuffle_seed iter ~space_dim ~space_boundaries ~time:None
 
 (* 2D partitioning with caller-supplied space boundaries; time
    boundaries stay histogram-balanced (the distributed runtime keeps
    [time_parts] and the model fixed across a re-plan, so only the space
    cut moves). *)
 let partition_2d_with ?shuffle_seed iter ~space_dim ~time_dim
-    ~space_boundaries:sb ~time_parts =
+    ~space_boundaries ~time_parts =
   let t_counts = Partitioner.histogram iter ~dim:time_dim in
   let tb = Partitioner.balanced_ranges ~counts:t_counts ~parts:time_parts in
-  let space_parts = Partitioner.num_parts sb in
-  let time_parts = Partitioner.num_parts tb in
-  build ?shuffle_seed ~space_parts ~time_parts ~space_boundaries:sb
-    ~time_boundaries:(Some tb)
-    ~classify:(fun key ->
-      ( Partitioner.part_of ~boundaries:sb key.(space_dim),
-        Partitioner.part_of ~boundaries:tb key.(time_dim) ))
-    (Dist_array.entries iter)
+  cut ?shuffle_seed iter ~space_dim ~space_boundaries
+    ~time:(Some (time_dim, tb))
 
 (** Partition the image of the iteration space under a unimodular
     transformation [matrix]: transformed dim 0 is time, dim 1 is
@@ -185,11 +200,12 @@ let partition_2d_with ?shuffle_seed iter ~space_dim ~time_dim
 let partition_unimodular ?shuffle_seed iter ~matrix ~space_parts
     ~time_parts =
   ignore time_parts;
-  let entries = Dist_array.entries iter in
   let tcoords =
     Array.map
-      (fun (key, _) -> Orion_analysis.Unimodular.mat_vec matrix key)
-      entries
+      (fun lin ->
+        Orion_analysis.Unimodular.mat_vec matrix
+          (Dist_array.delinearize iter lin))
+      (Dist_array.sorted_keys iter)
   in
   let extent dim =
     Array.fold_left
@@ -212,15 +228,13 @@ let partition_unimodular ?shuffle_seed iter ~matrix ~space_parts
   let tb = Array.init (t_hi - t_lo + 2) Fun.id in
   let space_parts = Partitioner.num_parts sb in
   let time_parts = Partitioner.num_parts tb in
-  let idx = ref (-1) in
   build ?shuffle_seed ~space_parts ~time_parts ~space_boundaries:sb
     ~time_boundaries:(Some tb)
-    ~classify:(fun _key ->
-      incr idx;
-      let c = tcoords.(!idx) in
-      ( Partitioner.part_of ~boundaries:sb (c.(1) - s_lo),
-        Partitioner.part_of ~boundaries:tb (c.(0) - t_lo) ))
-    entries
+    ~part:(fun i _ ->
+      let c = tcoords.(i) in
+      (Partitioner.part_of ~boundaries:sb (c.(1) - s_lo) * time_parts)
+      + Partitioner.part_of ~boundaries:tb (c.(0) - t_lo))
+    iter
 
 let default_shuffle_seed = 17
 

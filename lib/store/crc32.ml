@@ -1,42 +1,34 @@
 (* CRC-32 (IEEE 802.3), table-driven, reflected, init/xorout 0xFFFFFFFF
-   — bit-identical to zlib's crc32().  The table is built once at
-   module initialization. *)
+   — bit-identical to zlib's crc32().  The remainder lives in the low
+   32 bits of a native int, so the byte loop neither boxes nor calls
+   into Int32.  The table is built once at module initialization. *)
 
 let table =
-  lazy
-    (let t = Array.make 256 0l in
-     for n = 0 to 255 do
-       let c = ref (Int32.of_int n) in
-       for _ = 0 to 7 do
-         if Int32.logand !c 1l <> 0l then
-           c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-         else c := Int32.shift_right_logical !c 1
-       done;
-       t.(n) <- !c
-     done;
-     t)
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-type t = { mutable crc : int32 }
+type t = { mutable crc : int }
 
-let create () = { crc = 0xFFFFFFFFl }
+let create () = { crc = 0xFFFFFFFF }
 
 let update t b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Crc32.update: out of range";
-  let tbl = Lazy.force table in
   let c = ref t.crc in
   for i = pos to pos + len - 1 do
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.unsafe_get b i)))) 0xFFl)
-    in
-    c := Int32.logxor tbl.(idx) (Int32.shift_right_logical !c 8)
+    let byte = Char.code (Bytes.unsafe_get b i) in
+    c := Array.unsafe_get table ((!c lxor byte) land 0xFF) lxor (!c lsr 8)
   done;
   t.crc <- !c
 
 let update_string t s =
   update t (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
-let value t = Int32.logxor t.crc 0xFFFFFFFFl
+let value t = Int32.of_int (t.crc lxor 0xFFFFFFFF)
 
 let digest b =
   let t = create () in

@@ -1,81 +1,76 @@
-(* Shard directory -> in-memory dataset, streaming: records are
-   inserted into the target Dist_array as they come off the reader. *)
+(* Shard directory -> in-memory dataset, streaming: each record is
+   decoded and stored at its linearized key in the target Dist_array as
+   it comes off the reader, one table operation per record. *)
 
 open Orion_dsm
 
-let check_schema dir want headers =
-  match headers with
-  | [] -> raise (Shard.Corrupt { path = dir; offset = 0; reason = "empty dataset" })
-  | h :: _ ->
-      if h.Shard.h_schema <> want then
-        raise
-          (Shard.Corrupt
-             {
-               path = dir;
-               offset = 0;
-               reason =
-                 Printf.sprintf "schema %S where %S was expected" h.Shard.h_schema
-                   want;
-             });
-      h
+let corrupt ?(offset = 0) path fmt =
+  Printf.ksprintf
+    (fun reason -> raise (Shard.Corrupt { path; offset; reason }))
+    fmt
 
-let meta_int dir key =
-  let h = List.hd (Shard.dataset_headers dir) in
+let header_int ~path h key =
   match List.assoc_opt key h.Shard.h_meta with
+  | None -> corrupt path "missing metadata key %S" key
   | Some v -> (
       match int_of_string_opt v with
-      | Some n -> n
-      | None ->
-          raise
-            (Shard.Corrupt
-               {
-                 path = dir;
-                 offset = 0;
-                 reason = Printf.sprintf "metadata %S is not an integer: %S" key v;
-               }))
-  | None ->
-      raise
-        (Shard.Corrupt
-           {
-             path = dir;
-             offset = 0;
-             reason = Printf.sprintf "missing metadata key %S" key;
-           })
+      | Some n when n > 0 -> n
+      | _ -> corrupt path "metadata %S is not a positive integer: %S" key v)
+
+(* The dataset's shard paths, in index order, and its integer metadata
+   [keys] (the dimensions, so positive), which every shard must agree
+   on. *)
+let open_dataset dir ~schema ~keys =
+  let headers = Shard.dataset_headers dir in
+  let h0 = List.hd headers in
+  if h0.Shard.h_schema <> schema then
+    corrupt dir "schema %S where %S was expected" h0.Shard.h_schema schema;
+  let paths = List.mapi (fun i _ -> Shard.shard_path ~dir i) headers in
+  let path0 = List.hd paths in
+  let values =
+    List.map (fun key -> (key, header_int ~path:path0 h0 key)) keys
+  in
+  List.iter2
+    (fun path h ->
+      List.iter
+        (fun (key, v0) ->
+          let v = header_int ~path h key in
+          if v <> v0 then
+            corrupt path "metadata %S is %d, shard 0 has %d" key v v0)
+        values)
+    paths headers;
+  (paths, fun key -> List.assoc key values)
+
+(* a record's key component [i] must lie in [0, size); [offset] is the
+   record's position in its shard, for the error *)
+let check_index ~path ~offset what i size =
+  if i < 0 || i >= size then
+    corrupt ~offset path "record %s %d outside [0, %d)" what i size
+
+(* stream every shard's records through [f path offset record] *)
+let each_record paths f =
+  List.iter (fun path -> Shard.iter path ~f:(f path)) paths
 
 let dataset_count dir =
   Shard.dataset_headers dir
   |> List.fold_left (fun acc h -> acc + h.Shard.h_count) 0
 
-let header_int h dir key =
-  match List.assoc_opt key h.Shard.h_meta with
-  | Some v -> int_of_string v
-  | None ->
-      raise
-        (Shard.Corrupt
-           {
-             path = dir;
-             offset = 0;
-             reason = Printf.sprintf "missing metadata key %S" key;
-           })
-
 let ratings dir =
-  let headers = Shard.dataset_headers dir in
-  let h0 = check_schema dir "ratings-v1" headers in
-  let num_users = header_int h0 dir "num_users" in
-  let num_items = header_int h0 dir "num_items" in
+  let paths, meta =
+    open_dataset dir ~schema:"ratings-v1" ~keys:[ "num_users"; "num_items" ]
+  in
+  let num_users = meta "num_users" and num_items = meta "num_items" in
   let arr =
     Dist_array.create_sparse ~name:"ratings" ~dims:[| num_users; num_items |]
       ~default:0.0
   in
-  let count = ref 0 in
-  List.iteri
-    (fun i _ ->
-      let path = Shard.shard_path ~dir i in
-      Shard.iter path ~f:(fun b ->
-          let r = Gen.decode_rating ~path b in
-          Dist_array.set arr [| r.Gen.r_user; r.Gen.r_item |] r.Gen.r_value;
-          incr count))
-    headers;
+  each_record paths (fun path offset b ->
+      let r = Gen.decode_rating ~path b in
+      check_index ~path ~offset "user" r.Gen.r_user num_users;
+      check_index ~path ~offset "item" r.Gen.r_item num_items;
+      Dist_array.set_lin arr
+        ((r.Gen.r_user * num_items) + r.Gen.r_item)
+        r.Gen.r_value);
   {
     Orion_data.Ratings.ratings = arr;
     num_users;
@@ -87,10 +82,11 @@ let ratings dir =
   }
 
 let features dir =
-  let headers = Shard.dataset_headers dir in
-  let h0 = check_schema dir "features-v1" headers in
-  let num_samples = header_int h0 dir "num_samples" in
-  let num_features = header_int h0 dir "num_features" in
+  let paths, meta =
+    open_dataset dir ~schema:"features-v1"
+      ~keys:[ "num_samples"; "num_features" ]
+  in
+  let num_samples = meta "num_samples" and num_features = meta "num_features" in
   let empty =
     { Orion_data.Sparse_features.label = 0.0; features = [||]; values = [||] }
   in
@@ -99,19 +95,16 @@ let features dir =
       ~default:empty
   in
   let nnz = ref 0 in
-  List.iteri
-    (fun i _ ->
-      let path = Shard.shard_path ~dir i in
-      Shard.iter path ~f:(fun b ->
-          let s = Gen.decode_sample ~path b in
-          nnz := !nnz + Array.length s.Gen.fs_features;
-          Dist_array.set arr [| s.Gen.fs_index |]
-            {
-              Orion_data.Sparse_features.label = s.Gen.fs_label;
-              features = s.Gen.fs_features;
-              values = s.Gen.fs_values;
-            }))
-    headers;
+  each_record paths (fun path offset b ->
+      let s = Gen.decode_sample ~path b in
+      check_index ~path ~offset "sample" s.Gen.fs_index num_samples;
+      nnz := !nnz + Array.length s.Gen.fs_features;
+      Dist_array.set_lin arr s.Gen.fs_index
+        {
+          Orion_data.Sparse_features.label = s.Gen.fs_label;
+          features = s.Gen.fs_features;
+          values = s.Gen.fs_values;
+        });
   let stored = max 1 (Dist_array.count arr) in
   {
     Orion_data.Sparse_features.samples = arr;
@@ -121,28 +114,28 @@ let features dir =
   }
 
 let corpus dir =
-  let headers = Shard.dataset_headers dir in
-  let h0 = check_schema dir "corpus-v1" headers in
-  let num_docs = header_int h0 dir "num_docs" in
-  let vocab_size = header_int h0 dir "vocab_size" in
-  let num_topics = header_int h0 dir "num_topics" in
+  let paths, meta =
+    open_dataset dir ~schema:"corpus-v1"
+      ~keys:[ "num_docs"; "vocab_size"; "num_topics" ]
+  in
+  let num_docs = meta "num_docs" and vocab_size = meta "vocab_size" in
   let arr =
     Dist_array.create_sparse ~name:"tokens" ~dims:[| num_docs; vocab_size |]
       ~default:0.0
   in
   let tokens = ref 0 in
-  List.iteri
-    (fun i _ ->
-      let path = Shard.shard_path ~dir i in
-      Shard.iter path ~f:(fun b ->
-          let t = Gen.decode_token ~path b in
-          tokens := !tokens + int_of_float t.Gen.tk_count;
-          Dist_array.set arr [| t.Gen.tk_doc; t.Gen.tk_word |] t.Gen.tk_count))
-    headers;
+  each_record paths (fun path offset b ->
+      let t = Gen.decode_token ~path b in
+      tokens := !tokens + int_of_float t.Gen.tk_count;
+      check_index ~path ~offset "doc" t.Gen.tk_doc num_docs;
+      check_index ~path ~offset "word" t.Gen.tk_word vocab_size;
+      Dist_array.set_lin arr
+        ((t.Gen.tk_doc * vocab_size) + t.Gen.tk_word)
+        t.Gen.tk_count);
   {
     Orion_data.Corpus.tokens = arr;
     num_docs;
     vocab_size;
     num_tokens = !tokens;
-    num_topics_truth = num_topics;
+    num_topics_truth = meta "num_topics";
   }

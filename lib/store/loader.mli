@@ -6,7 +6,10 @@
 
     Each loader checks the directory's schema ({!Gen.schema_of_spec})
     and reads the dataset dimensions from the shard metadata, so a
-    directory is self-describing — callers pass only the path. *)
+    directory is self-describing — callers pass only the path.  Every
+    shard must carry the same integer dimensions, every record's key
+    must lie inside them, and a duplicate key keeps the last record's
+    value; anything else raises {!Shard.Corrupt} naming the shard. *)
 
 (** [ratings dir] loads a ["ratings-v1"] dataset into
     {!Orion_data.Ratings.t}.
@@ -24,6 +27,3 @@ val corpus : string -> Orion_data.Corpus.t
 (** Total record count across a dataset directory (headers only, O(1)
     per shard). *)
 val dataset_count : string -> int
-
-(** Metadata lookup across a dataset's shard-0 header. *)
-val meta_int : string -> string -> int

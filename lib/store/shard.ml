@@ -253,28 +253,67 @@ let read_header path =
       let count, _crc, _ = parse_footer path ic in
       { h with h_count = count })
 
-let fold path ~init ~f =
+(* the record body is read in chunks of this many bytes *)
+let chunk_len = 65536
+
+(* [f acc offset payload], [offset] being the record's file offset *)
+let fold_records path ~init ~f =
   with_file path (fun ic ->
       let count, want_crc, body_end = parse_footer path ic in
       seek_in ic 0;
       let c = { c_path = path; c_ic = ic; c_off = 0 } in
       let crc = Crc32.create () in
       let _h = parse_front ~crc c in
+      (* Records are cut from a buffer refilled in chunks up to the
+         footer, each chunk folded into the CRC as it arrives:
+         [buf.[lo, hi)] are the unconsumed bytes, the first of them at
+         file offset [c.c_off]. *)
+      let buf = ref (Bytes.create chunk_len) and lo = ref 0 and hi = ref 0 in
+      (* whether [n] unconsumed bytes are buffered once the body up to
+         the footer has been read as far as [n] needs *)
+      let available n =
+        !hi - !lo >= n
+        ||
+        let have = !hi - !lo in
+        let dst =
+          if n > Bytes.length !buf then
+            Bytes.create (max n (2 * Bytes.length !buf))
+          else !buf
+        in
+        Bytes.blit !buf !lo dst 0 have;
+        let want = min (Bytes.length dst - have) (body_end - c.c_off - have) in
+        (try really_input ic dst have want
+         with End_of_file ->
+           corrupt path (c.c_off + have) "truncated record body");
+        Crc32.update crc dst ~pos:have ~len:want;
+        buf := dst;
+        lo := 0;
+        hi := have + want;
+        !hi >= n
+      in
       let acc = ref init in
       let seen = ref 0 in
       while c.c_off < body_end do
         let off0 = c.c_off in
-        let lb = read_exact c 4 "record length" in
-        Crc32.update crc lb ~pos:0 ~len:4;
-        let n = Int32.to_int (Bytes.get_int32_le lb 0) land 0xFFFFFFFF in
+        if not (available 4) then
+          corrupt path off0
+            "truncated while reading record length (%d bytes before the \
+             footer)"
+            (body_end - off0);
+        let n = Int32.to_int (Bytes.get_int32_le !buf !lo) land 0xFFFFFFFF in
         if n > max_record_len then
           corrupt path off0 "implausible record length %d" n;
-        if c.c_off + n > body_end then
+        if off0 + 4 + n > body_end then
           corrupt path off0
             "record of %d bytes runs past the footer (truncated shard?)" n;
-        let payload = read_exact c n "record payload" in
-        Crc32.update crc payload ~pos:0 ~len:n;
-        acc := f !acc payload;
+        lo := !lo + 4;
+        c.c_off <- off0 + 4;
+        (* the bounds check above guarantees the bytes exist *)
+        ignore (available n);
+        let payload = Bytes.sub !buf !lo n in
+        lo := !lo + n;
+        c.c_off <- c.c_off + n;
+        acc := f !acc off0 payload;
         incr seen
       done;
       if !seen <> count then
@@ -286,7 +325,8 @@ let fold path ~init ~f =
           want_crc got;
       !acc)
 
-let iter path ~f = fold path ~init:() ~f:(fun () r -> f r)
+let fold path ~init ~f = fold_records path ~init ~f:(fun acc _ r -> f acc r)
+let iter path ~f = fold_records path ~init:() ~f:(fun () off r -> f off r)
 
 let dataset_headers dir =
   let paths = list_shards dir in
@@ -309,8 +349,3 @@ let dataset_headers dir =
           h0.h_seed)
     headers;
   headers
-
-let fold_dir dir ~init ~f =
-  let paths = list_shards dir in
-  if paths = [] then corrupt dir 0 "no %s shards in directory" extension;
-  List.fold_left (fun acc p -> fold p ~init:acc ~f) init paths

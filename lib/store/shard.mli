@@ -84,10 +84,9 @@ val read_header : string -> header
     @raise Corrupt on truncation, bad framing, count or CRC mismatch *)
 val fold : string -> init:'a -> f:('a -> bytes -> 'a) -> 'a
 
-val iter : string -> f:(bytes -> unit) -> unit
-
-(** [fold] over every shard of a dataset directory, in shard order. *)
-val fold_dir : string -> init:'a -> f:('a -> bytes -> 'a) -> 'a
+(** [fold] that also hands [f] each record's byte offset in the file
+    (the offset of its length prefix), for positioned errors. *)
+val iter : string -> f:(int -> bytes -> unit) -> unit
 
 (** Headers of every shard in a dataset directory, in shard order.
     @raise Corrupt when the directory holds no shards, an index is

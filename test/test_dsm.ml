@@ -136,6 +136,53 @@ let test_qcheck_linearize_roundtrip () =
       let lin = Dist_array.linearize a key in
       Dist_array.delinearize a lin = key)
 
+(* The sparse store against a Hashtbl model: any sequence of set /
+   set_lin / update over a small key space (so keys repeat, forcing
+   replacements and table growth) leaves the same stored entries, the
+   same point reads, and ascending [sorted_keys]. *)
+let test_qcheck_sparse_store_model () =
+  QCheck.Test.make ~count:300 ~name:"sparse store matches a Hashtbl model"
+    QCheck.(
+      pair (int_range 1 40)
+        (list (triple (int_range 0 2) (int_range 0 10_000) (int_range (-50) 50))))
+    (fun (width, ops) ->
+      let dims = [| width; 37 |] in
+      let size = width * 37 in
+      let a = Dist_array.create_sparse ~name:"m" ~dims ~default:(-1) in
+      let model = Hashtbl.create 16 in
+      List.iter
+        (fun (op, k, v) ->
+          let lin = k mod size in
+          let key = Dist_array.delinearize a lin in
+          match op with
+          | 0 ->
+              Dist_array.set a key v;
+              Hashtbl.replace model lin v
+          | 1 ->
+              Dist_array.set_lin a lin v;
+              Hashtbl.replace model lin v
+          | _ ->
+              Dist_array.update a key (fun x -> x + v);
+              let cur = Option.value ~default:(-1) (Hashtbl.find_opt model lin) in
+              Hashtbl.replace model lin (cur + v))
+        ops;
+      let want = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) model []) in
+      Dist_array.count a = Hashtbl.length model
+      && Array.to_list (Dist_array.sorted_keys a) = want
+      && List.for_all
+           (fun lin ->
+             let v = Hashtbl.find_opt model lin in
+             let key = Dist_array.delinearize a lin in
+             Dist_array.get_opt a key = v
+             && Dist_array.get a key = Option.value ~default:(-1) v
+             && (match Dist_array.find_lin a lin with
+                | x -> Some x = v
+                | exception Not_found -> v = None))
+           (List.init size Fun.id)
+      && Dist_array.for_all (fun x -> x >= -1000) a
+      && Dist_array.entries (Dist_array.map ~name:"m2" ~f:(fun x -> 2 * x) a)
+         = Array.map (fun (k, x) -> (k, 2 * x)) (Dist_array.entries a))
+
 (* ------------------------------------------------------------------ *)
 (* Lazy pipelines                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -520,6 +567,7 @@ let () =
           tc "extern bridge" `Quick test_extern_bridge;
           tc "text file + checkpoint" `Quick test_text_file_and_checkpoint;
           qc (test_qcheck_linearize_roundtrip ());
+          qc (test_qcheck_sparse_store_model ());
         ] );
       ( "pipeline",
         [

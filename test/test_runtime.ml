@@ -517,6 +517,123 @@ let test_ordered_transfer_recorded_at_start () =
         (List.length l)
 
 (* ------------------------------------------------------------------ *)
+(* Schedule goldens: each registered app's schedule at a fixed scale,  *)
+(* fingerprinted (block shape, every block's keys in scheduled order). *)
+(* The values were recorded from the earlier two-pass construction    *)
+(* (histograms from [Dist_array.iter], blocks from                     *)
+(* [Dist_array.entries]); every construction must reproduce them.     *)
+(* ------------------------------------------------------------------ *)
+
+let () = Orion_apps.Registry.ensure ()
+
+(* (app, shuffled with the default seed, ascending in-block order,
+   re-balanced onto an equal-range space cut) *)
+let schedule_goldens =
+  [
+    ("mf", 1320764199690406066, 3724385241567741874, 1560391784482106142);
+    ("lda", 3989891792025888497, 3004140250786192625, 1738579813003032147);
+    ("slr", 3157024466433622580, 2510913144041235112, 3157024466433622580);
+    ("gbt", 381310155269868705, 2157053329484780641, 3348800800856613345);
+  ]
+
+let test_schedule_golden (name, shuffled, ordered, rebalanced) () =
+  let inst =
+    match
+      Orion_apps.Registry.materialize name ~scale:10.0 ~num_machines:2
+        ~workers_per_machine:2
+    with
+    | Some i -> i
+    | None -> Alcotest.failf "app %s missing from registry" name
+  in
+  let session = inst.Orion.App.inst_session in
+  let iter = inst.Orion.App.inst_iter in
+  let plan = Orion.analyze_loop session inst.Orion.App.inst_loop in
+  let build shuffle_seed =
+    (Orion.compile session ~plan ~iter ~shuffle_seed ()).Orion.schedule
+  in
+  let s = build (Some Schedule.default_shuffle_seed) in
+  Alcotest.(check int) "shuffled" shuffled (Schedule.fingerprint s);
+  Alcotest.(check int) "ascending" ordered (Schedule.fingerprint (build None));
+  let space_dim =
+    match plan.Orion_analysis.Plan.strategy with
+    | Orion_analysis.Plan.One_d { space_dim }
+    | Orion_analysis.Plan.Two_d { space_dim; _ } ->
+        space_dim
+    | _ -> 0
+  in
+  let space_boundaries =
+    Partitioner.equal_ranges
+      ~dim_size:(Dist_array.dims iter).(space_dim)
+      ~parts:s.Schedule.space_parts
+  in
+  match
+    Schedule.rebalance plan.Orion_analysis.Plan.strategy iter
+      ~space_boundaries ~time_parts:s.Schedule.time_parts
+  with
+  | Some r -> Alcotest.(check int) "rebalanced" rebalanced (Schedule.fingerprint r)
+  | None -> Alcotest.failf "%s: no re-balanced schedule" name
+
+(* random sparse arrays of 1–3 dimensions, with duplicate draws *)
+let gen_sparse =
+  QCheck.Gen.(
+    let* dims = array_size (int_range 1 3) (int_range 1 12) in
+    let* keys =
+      list_size (int_range 0 60)
+        (map Array.of_list
+           (flatten_l (Array.to_list (Array.map (fun d -> int_bound (d - 1)) dims))))
+    in
+    return (dims, keys))
+
+let arb_sparse =
+  QCheck.make
+    ~print:(fun (dims, keys) ->
+      Printf.sprintf "dims [%s], %d keys"
+        (String.concat ";" (Array.to_list (Array.map string_of_int dims)))
+        (List.length keys))
+    gen_sparse
+
+let sparse_of (dims, keys) =
+  let t = Dist_array.create_sparse ~name:"s" ~dims ~default:0.0 in
+  List.iteri (fun i k -> Dist_array.set t k (float_of_int i)) keys;
+  t
+
+let qcheck_histogram_naive =
+  QCheck.Test.make ~count:300 ~name:"histogram equals a naive count"
+    arb_sparse (fun ((dims, _) as a) ->
+      let t = sparse_of a in
+      let stored = Hashtbl.create 16 in
+      Dist_array.iter (fun key _ -> Hashtbl.replace stored key ()) t;
+      let naive dim =
+        let counts = Array.make dims.(dim) 0 in
+        Hashtbl.iter (fun key () -> counts.(key.(dim)) <- counts.(key.(dim)) + 1) stored;
+        counts
+      in
+      (* every dimension alone, then all of them from one pass *)
+      let all = Array.init (Array.length dims) (fun d -> Array.length dims - 1 - d) in
+      Array.for_all (fun dim -> Partitioner.histogram t ~dim = naive dim) all
+      && Partitioner.histograms t ~dims:all = Array.map naive all)
+
+let qcheck_traversal_ascending =
+  QCheck.Test.make ~count:300 ~name:"iter/entries ascending, one per key"
+    arb_sparse (fun ((_, keys) as a) ->
+      let t = sparse_of a in
+      let visited = ref [] in
+      Dist_array.iter (fun key v -> visited := (Array.copy key, v) :: !visited) t;
+      let visited = List.rev !visited in
+      let entries = Array.to_list (Dist_array.entries t) in
+      let folded =
+        List.rev (Dist_array.fold (fun acc key v -> (key, v) :: acc) [] t)
+      in
+      let distinct = List.sort_uniq compare keys in
+      let rec ascending = function
+        | (a, _) :: ((b, _) :: _ as rest) -> compare a b < 0 && ascending rest
+        | _ -> true
+      in
+      visited = entries && folded = entries && ascending entries
+      && List.map fst entries = distinct
+      && List.for_all (fun (k, v) -> Dist_array.get t k = v) entries)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let tc = Alcotest.test_case in
@@ -530,6 +647,12 @@ let () =
           tc "1d balanced under skew" `Quick test_partition_1d_balanced_under_skew;
           tc "unimodular covers all" `Quick test_partition_unimodular_covers_all;
         ] );
+      ( "goldens",
+        List.map
+          (fun ((name, _, _, _) as g) ->
+            tc (name ^ " fingerprint") `Quick (test_schedule_golden g))
+          schedule_goldens
+        @ [ qc qcheck_histogram_naive; qc qcheck_traversal_ascending ] );
       ( "executor",
         [
           tc "each entry once" `Quick test_executor_runs_each_entry_once;

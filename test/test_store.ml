@@ -150,6 +150,57 @@ let test_writer_is_atomic () =
       Alcotest.(check (list string)) "discard leaves nothing" []
         (Shard.list_shards dir))
 
+(* A shard written by the container's writer, pinned bytewise (MD5 of
+   the file): the layout and the CRC in its footer must not drift, or
+   shards already on disk would stop verifying. *)
+let test_shard_bytes_pinned () =
+  with_dir "pinned" (fun dir ->
+      let path, _ =
+        write_shard ~dir ~meta:[ ("k", "v") ] [ "hello"; "world"; ""; "again" ]
+      in
+      Alcotest.(check string)
+        "shard bytes" "e649e9730d65d190fe3f89063f3c82c8"
+        (Digest.to_hex (Digest.string (read_file path)));
+      Alcotest.(check (list string))
+        "records read back"
+        [ "hello"; "world"; ""; "again" ]
+        (List.rev
+           (Shard.fold path ~init:[] ~f:(fun acc b -> Bytes.to_string b :: acc))))
+
+(* ------------------------------------------------------------------ *)
+(* CRC-32: the zlib value, however the input is split                  *)
+(* ------------------------------------------------------------------ *)
+
+module Crc32 = Orion_store.Crc32
+
+let test_crc_known_answers () =
+  Alcotest.(check int32) "check value" 0xCBF43926l
+    (Crc32.digest (Bytes.of_string "123456789"));
+  Alcotest.(check int32) "empty" 0l (Crc32.digest Bytes.empty);
+  Alcotest.(check int32) "pangram" 0x414FA339l
+    (Crc32.digest (Bytes.of_string "The quick brown fox jumps over the lazy dog"))
+
+let qcheck_crc_split =
+  QCheck.Test.make ~count:300 ~name:"any split of update calls equals digest"
+    QCheck.(pair string (small_list small_nat))
+    (fun (s, cuts) ->
+      let b = Bytes.of_string s in
+      let n = Bytes.length b in
+      let cuts = List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) in
+      let t = Crc32.create () in
+      let last =
+        List.fold_left
+          (fun pos cut ->
+            Crc32.update t b ~pos ~len:(cut - pos);
+            cut)
+          0 cuts
+      in
+      Crc32.update t b ~pos:last ~len:(n - last);
+      (* [value] does not finalize: more updates may follow *)
+      let mid = Crc32.value t in
+      Crc32.update_string t "";
+      mid = Crc32.digest b && Crc32.value t = mid)
+
 (* ------------------------------------------------------------------ *)
 (* Generators: deterministic and shard-independent                     *)
 (* ------------------------------------------------------------------ *)
@@ -264,6 +315,216 @@ let test_loader_features_corpus () =
       Alcotest.(check int) "vocab_size" 40 d.Orion_data.Corpus.vocab_size;
       Alcotest.(check bool) "tokens streamed" true
         (d.Orion_data.Corpus.num_tokens > 0))
+
+(* A dataset directory of [schema]: shard [i] holds the encoded
+   records [shards.(i)] and the metadata [meta i]. *)
+let write_dataset ~dir ~schema ~meta shards =
+  Sys.mkdir dir 0o755;
+  List.iteri
+    (fun i records ->
+      let w =
+        Shard.create_writer ~path:(Shard.shard_path ~dir i) ~schema ~shard:i
+          ~num_shards:(List.length shards) ~seed:1 ~meta:(meta i) ()
+      in
+      List.iter (Shard.write_record w) records;
+      ignore (Shard.close_writer w))
+    shards
+
+let ratings_meta ~users ~items =
+  [ ("num_users", string_of_int users); ("num_items", string_of_int items) ]
+
+let rating u i v = Gen.encode_rating { Gen.r_user = u; r_item = i; r_value = v }
+
+let expect_corrupt_at ~path what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Shard.Corrupt c ->
+      Alcotest.(check string) (what ^ ": names the shard") path c.path
+
+let test_loader_bad_metadata () =
+  with_dir "meta-int" (fun dir ->
+      write_dataset ~dir ~schema:"ratings-v1"
+        ~meta:(fun _ -> [ ("num_users", "12x"); ("num_items", "5") ])
+        [ [ rating 0 0 1.0 ] ];
+      expect_corrupt_at ~path:(Shard.shard_path ~dir 0) "non-integer metadata"
+        (fun () -> Loader.ratings dir));
+  with_dir "meta-zero" (fun dir ->
+      write_dataset ~dir ~schema:"ratings-v1"
+        ~meta:(fun _ -> ratings_meta ~users:0 ~items:5)
+        [ [] ];
+      expect_corrupt_at ~path:(Shard.shard_path ~dir 0) "a zero dimension"
+        (fun () -> Loader.ratings dir));
+  with_dir "meta-disagree" (fun dir ->
+      write_dataset ~dir ~schema:"ratings-v1"
+        ~meta:(fun i -> ratings_meta ~users:4 ~items:(if i = 2 then 6 else 5))
+        [ [ rating 0 0 1.0 ]; [ rating 1 1 2.0 ]; [ rating 2 2 3.0 ] ];
+      expect_corrupt_at ~path:(Shard.shard_path ~dir 2)
+        "a shard disagreeing on num_items" (fun () -> Loader.ratings dir));
+  with_dir "meta-missing" (fun dir ->
+      write_dataset ~dir ~schema:"corpus-v1"
+        ~meta:(fun i ->
+          [ ("num_docs", "3"); ("vocab_size", "4") ]
+          @ if i = 0 then [ ("num_topics", "2") ] else [])
+        [ []; [] ];
+      expect_corrupt_at ~path:(Shard.shard_path ~dir 1)
+        "a shard missing num_topics" (fun () -> Loader.corpus dir));
+  with_dir "key-bounds" (fun dir ->
+      write_dataset ~dir ~schema:"ratings-v1"
+        ~meta:(fun _ -> ratings_meta ~users:4 ~items:5)
+        [ [ rating 0 0 1.0; rating 0 5 2.0 ] ];
+      expect_corrupt_at ~path:(Shard.shard_path ~dir 0) "an item out of range"
+        (fun () -> Loader.ratings dir))
+
+(* Loader equivalence: random shards with duplicate keys load exactly
+   as a record-order [Dist_array.set] build of the same records. *)
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* the loaded array against a reference built by [set]: same keys in
+   the same order, values equal under [eq] *)
+let same_array eq loaded reference =
+  Dist_array.count loaded = Dist_array.count reference
+  && Dist_array.sorted_keys loaded = Dist_array.sorted_keys reference
+  && Array.for_all2
+       (fun (k, v) (k', v') -> k = k' && eq v v')
+       (Dist_array.entries loaded) (Dist_array.entries reference)
+
+(* 1–3 shards of records drawn over a small key space, so duplicates
+   are common *)
+let gen_shards gen_record =
+  QCheck.Gen.(list_size (int_range 1 3) (list_size (int_range 0 40) gen_record))
+
+let print_shards shards =
+  Printf.sprintf "%d shards, %s records" (List.length shards)
+    (String.concat "+" (List.map (fun l -> string_of_int (List.length l)) shards))
+
+let qcheck_loader_ratings =
+  let gen =
+    QCheck.Gen.(
+      let* users = int_range 1 6 and* items = int_range 1 6 in
+      let* shards =
+        gen_shards
+          (let* u = int_bound (users - 1) and* i = int_bound (items - 1)
+           and* v = float in
+           return (u, i, v))
+      in
+      return (users, items, shards))
+  in
+  QCheck.Test.make ~count:100 ~name:"ratings load as a record-order set build"
+    (QCheck.make ~print:(fun (_, _, s) -> print_shards s) gen)
+    (fun (users, items, shards) ->
+      with_dir "eq-r" (fun dir ->
+          write_dataset ~dir ~schema:"ratings-v1"
+            ~meta:(fun _ -> ratings_meta ~users ~items)
+            (List.map (List.map (fun (u, i, v) -> rating u i v)) shards);
+          let reference =
+            Dist_array.create_sparse ~name:"ratings" ~dims:[| users; items |]
+              ~default:0.0
+          in
+          List.iter
+            (List.iter (fun (u, i, v) -> Dist_array.set reference [| u; i |] v))
+            shards;
+          let d = Loader.ratings dir in
+          d.Orion_data.Ratings.num_ratings = Dist_array.count reference
+          && same_array same_bits d.Orion_data.Ratings.ratings reference))
+
+let qcheck_loader_features =
+  let gen =
+    QCheck.Gen.(
+      let* samples = int_range 1 8 in
+      let* shards =
+        gen_shards
+          (let* index = int_bound (samples - 1) and* label = float
+           and* nnz = int_bound 4 in
+           let* features = array_repeat nnz (int_bound 20)
+           and* values = array_repeat nnz float in
+           return
+             {
+               Gen.fs_index = index;
+               fs_label = label;
+               fs_features = features;
+               fs_values = values;
+             })
+      in
+      return (samples, shards))
+  in
+  let same_sample a b =
+    same_bits a.Orion_data.Sparse_features.label b.Orion_data.Sparse_features.label
+    && a.Orion_data.Sparse_features.features = b.Orion_data.Sparse_features.features
+    && Array.for_all2 same_bits a.Orion_data.Sparse_features.values
+         b.Orion_data.Sparse_features.values
+  in
+  QCheck.Test.make ~count:100 ~name:"features load as a record-order set build"
+    (QCheck.make ~print:(fun (_, s) -> print_shards s) gen)
+    (fun (samples, shards) ->
+      with_dir "eq-f" (fun dir ->
+          write_dataset ~dir ~schema:"features-v1"
+            ~meta:(fun _ ->
+              [ ("num_samples", string_of_int samples); ("num_features", "20") ])
+            (List.map (List.map Gen.encode_sample) shards);
+          let empty =
+            { Orion_data.Sparse_features.label = 0.0; features = [||]; values = [||] }
+          in
+          let reference =
+            Dist_array.create_sparse ~name:"samples" ~dims:[| samples |]
+              ~default:empty
+          in
+          let nnz = ref 0 in
+          List.iter
+            (List.iter (fun s ->
+                 nnz := !nnz + Array.length s.Gen.fs_features;
+                 Dist_array.set reference [| s.Gen.fs_index |]
+                   {
+                     Orion_data.Sparse_features.label = s.Gen.fs_label;
+                     features = s.Gen.fs_features;
+                     values = s.Gen.fs_values;
+                   }))
+            shards;
+          let d = Loader.features dir in
+          same_bits d.Orion_data.Sparse_features.avg_nnz
+            (float_of_int !nnz
+            /. float_of_int (max 1 (Dist_array.count reference)))
+          && same_array same_sample d.Orion_data.Sparse_features.samples reference))
+
+let qcheck_loader_corpus =
+  let gen =
+    QCheck.Gen.(
+      let* docs = int_range 1 6 and* vocab = int_range 1 6 in
+      let* shards =
+        gen_shards
+          (let* d = int_bound (docs - 1) and* w = int_bound (vocab - 1)
+           and* c = int_range 1 9 in
+           return { Gen.tk_doc = d; tk_word = w; tk_count = float_of_int c })
+      in
+      return (docs, vocab, shards))
+  in
+  QCheck.Test.make ~count:100 ~name:"corpus loads as a record-order set build"
+    (QCheck.make ~print:(fun (_, _, s) -> print_shards s) gen)
+    (fun (docs, vocab, shards) ->
+      with_dir "eq-c" (fun dir ->
+          write_dataset ~dir ~schema:"corpus-v1"
+            ~meta:(fun _ ->
+              [
+                ("num_docs", string_of_int docs);
+                ("vocab_size", string_of_int vocab);
+                ("num_topics", "2");
+              ])
+            (List.map (List.map Gen.encode_token) shards);
+          let reference =
+            Dist_array.create_sparse ~name:"tokens" ~dims:[| docs; vocab |]
+              ~default:0.0
+          in
+          let tokens = ref 0 in
+          List.iter
+            (List.iter (fun t ->
+                 tokens := !tokens + int_of_float t.Gen.tk_count;
+                 Dist_array.set reference [| t.Gen.tk_doc; t.Gen.tk_word |]
+                   t.Gen.tk_count))
+            shards;
+          let d = Loader.corpus dir in
+          d.Orion_data.Corpus.num_tokens = !tokens
+          && d.Orion_data.Corpus.num_topics_truth = 2
+          && same_array same_bits d.Orion_data.Corpus.tokens reference))
 
 let find_app name =
   match Orion.App.find name with
@@ -429,7 +690,11 @@ let () =
           tc "corruption is rejected with a position" `Quick
             test_shard_corruption;
           tc "writer publishes atomically" `Quick test_writer_is_atomic;
+          tc "shard bytes are pinned" `Quick test_shard_bytes_pinned;
         ] );
+      ( "crc32",
+        [ tc "known answers" `Quick test_crc_known_answers; qc qcheck_crc_split ]
+      );
       ( "gen",
         [
           tc "shard k independent of shards 0..k-1" `Quick
@@ -445,6 +710,11 @@ let () =
             test_loader_features_corpus;
           tc "mf trains on a shard-backed dataset" `Quick
             test_store_backed_app;
+          tc "bad metadata and keys are positioned errors" `Quick
+            test_loader_bad_metadata;
+          qc qcheck_loader_ratings;
+          qc qcheck_loader_features;
+          qc qcheck_loader_corpus;
         ] );
       ( "checkpoint",
         [ tc "save/load/restore round-trip" `Quick test_checkpoint_roundtrip ]
