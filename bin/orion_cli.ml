@@ -897,7 +897,7 @@ let data_cmd =
               total := !total + h.Orion_store.Shard.h_count;
               (* --verify streams every record back through the CRC *)
               if verify then
-                Orion_store.Shard.iter path ~f:(fun _ _ -> ());
+                Orion_store.Shard.iter path ~f:(fun _ _ ~pos:_ ~len:_ -> ());
               Printf.printf "  shard %04d  %8d records  %10d bytes%s\n"
                 h.Orion_store.Shard.h_shard h.Orion_store.Shard.h_count size
                 (if verify then "  crc ok" else ""))

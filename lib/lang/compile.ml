@@ -6,12 +6,17 @@
 
     - variables resolve to mutable {e slots} (array cells) instead of
       per-access hashtable lookups;
-    - DistArray point subscripts resolve through the host's unboxed
-      {!Value.fast_access} accessors (flat-offset get/set on the
-      underlying float storage) with a reused key buffer, when no
-      profile or access hook needs to observe the access;
+    - DistArray point subscripts and one-dimensional slices
+      ([W\[:, j\]], [W\[lo:hi, j\]]) resolve through the host's
+      unboxed {!Value.fast_access} accessors with a reused key buffer,
+      element by element for a slice, when no profile or access hook
+      needs to observe the access;
     - a small static type inference (fixpoint over the body) finds
-      scalar [int]/[float] expressions and compiles them unboxed;
+      scalar [int]/[float] expressions and compiles them unboxed, and
+      finds vector expressions (extern slices, [+ - * /] and negation
+      over vectors and scalars) and compiles them to [float array]
+      loops that build one fresh array per operation, as
+      {!Interp.eval_binop} does;
     - builtins devirtualize to direct closures at compile time.
 
     Observational equivalence with {!Interp.eval_body_for} is the
@@ -162,28 +167,52 @@ let referenced_names body =
        () body);
   List.sort_uniq String.compare !names
 
+(* the names a statement rebinds: [v = e], [v op= e] and loop
+   variables.  An index write [A[i] = e] changes what [A] holds, never
+   which array [A] is, so it leaves [A] a captured global. *)
+let rebound_names body =
+  Ast.fold_stmts
+    (fun acc stmt ->
+      match stmt.sk with
+      | Assign (Lvar v, _) | Op_assign (_, Lvar v, _) -> v :: acc
+      | For { kind = Range_loop { var; _ }; _ } -> var :: acc
+      | For { kind = Each_loop { key; value; _ }; _ } -> key :: value :: acc
+      | Assign (Lindex _, _)
+      | Op_assign (_, Lindex _, _)
+      | If _ | While _ | Expr_stmt _ | Break | Continue ->
+          acc)
+    [] body
+
 (* ------------------------------------------------------------------ *)
 (* Static type inference (fixpoint)                                    *)
 (* ------------------------------------------------------------------ *)
 
-let all_points subs = List.for_all (function Sub_expr _ -> true | _ -> false) subs
+let is_point = function Sub_expr _ -> true | Sub_range _ | Sub_all -> false
+let all_points subs = List.for_all is_point subs
 
-(* is [base[subs]] a point read of a compile-time-captured DistArray
-   with an unboxed fast path?  (the only extern reads whose result type
-   — Vfloat — is statically guaranteed; see {!Value.fast_access}) *)
-let fast_extern_read ctx base subs =
+(* exactly one [:] or [lo:hi] subscript, points everywhere else *)
+let is_slice subs =
+  List.length (List.filter (fun s -> not (is_point s)) subs) = 1
+
+(* is [base] a compile-time-captured DistArray that no statement
+   rebinds, carrying unboxed accessors, subscripted once per dimension?
+   Its point reads are Vfloat and its slices Vvec (see
+   {!Value.fast_access} and {!compile_body}'s contract). *)
+let fast_extern ctx base subs =
   match base with
   | Var v -> (
       match Hashtbl.find_opt ctx.slots v with
-      | Some s when (not s.sl_local) && s.sl_defined -> (
-          match s.sl_v with
-          | Vextern ex
-            when all_points subs
-                 && List.length subs = Array.length ex.ex_dims ->
-              Option.map (fun fa -> (s, ex, fa)) ex.ex_fast
-          | _ -> None)
+      | Some ({ sl_local = false; sl_defined = true; sl_v = Vextern ex; _ } as s)
+        when List.length subs = Array.length ex.ex_dims ->
+          Option.map (fun fa -> (s, ex, fa)) ex.ex_fast
       | _ -> None)
   | _ -> None
+
+let fast_extern_read ctx base subs =
+  if all_points subs then fast_extern ctx base subs else None
+
+let fast_extern_slice ctx base subs =
+  if is_slice subs then fast_extern ctx base subs else None
 
 let rec infer ctx e : ty =
   match e with
@@ -193,15 +222,18 @@ let rec infer ctx e : ty =
   | String_lit _ -> Tany
   | Var v -> (slot ctx v).sl_ty
   | Unop (Neg, a) -> (
-      match infer ctx a with (Tint | Tfloat | Tbot) as t -> t | _ -> Tany)
+      match infer ctx a with
+      | (Tint | Tfloat | Tvec | Tbot) as t -> t
+      | _ -> Tany)
   | Unop (Not, _) -> Tbool
   | Binop (op, a, b) -> infer_binop op (infer ctx a) (infer ctx b)
   | Call (f, args) -> infer_call ctx f (List.map (infer ctx) args)
   | Tuple _ -> Tany
   | Index (base, subs) -> (
-      match fast_extern_read ctx base subs with
-      | Some _ -> Tfloat
-      | None -> (
+      match (fast_extern_read ctx base subs, fast_extern_slice ctx base subs) with
+      | Some _, _ -> Tfloat
+      | None, Some _ -> Tvec
+      | None, None -> (
           match (infer ctx base, subs) with
           | Tvec, [ Sub_expr _ ] -> Tfloat
           | Tvec, ([ Sub_all ] | [ Sub_range _ ]) -> Tvec
@@ -215,6 +247,9 @@ and infer_binop op ta tb =
       | Tbot, _ | _, Tbot -> Tbot
       | Tint, Tint -> Tint
       | (Tint | Tfloat), (Tint | Tfloat) -> Tfloat
+      (* element-wise; [%] raises on a vector operand *)
+      | Tvec, (Tvec | Tint | Tfloat) | (Tint | Tfloat), Tvec when op <> Mod ->
+          Tvec
       | _ -> Tany)
   | Pow -> (
       match (ta, tb) with
@@ -383,6 +418,129 @@ let no_hooks env =
   | None, None -> true
   | _ -> false
 
+(* ---- extern slices through the unboxed accessors ------------------ *)
+
+(* [A[p1, .., lo:hi, .., pn]] on a fast extern: the compiled
+   subscripts, the sliced dimension, and a key buffer that holds the
+   point positions and walks the sliced one *)
+type slice = {
+  sc_ks : csub array;
+  sc_dim : int;
+  sc_extent : int;  (** the sliced dimension's size: the bounds of [:] *)
+  sc_key : int array;
+  mutable sc_lo : int;
+  mutable sc_hi : int;
+}
+
+let make_slice ex ks =
+  let n = Array.length ks in
+  let dim = ref 0 in
+  Array.iteri (fun i k -> match k with Kpoint _ -> () | _ -> dim := i) ks;
+  {
+    sc_ks = ks;
+    sc_dim = !dim;
+    sc_extent = ex.ex_dims.(!dim);
+    sc_key = Array.make n 0;
+    sc_lo = 0;
+    sc_hi = 0;
+  }
+
+(* the subscripts, left to right with lo before hi, as [eval_csubs] *)
+let eval_slice sc =
+  for i = 0 to Array.length sc.sc_ks - 1 do
+    match sc.sc_ks.(i) with
+    | Kpoint f -> sc.sc_key.(i) <- f ()
+    | Kall ->
+        sc.sc_lo <- 0;
+        sc.sc_hi <- sc.sc_extent - 1
+    | Krange (l, h) ->
+        let lo = l () in
+        sc.sc_lo <- lo;
+        sc.sc_hi <- h ()
+  done
+
+(* An extern with a fast accessor answers a slice element by element,
+   as [Dist_array.slice_vec] / [set_slice_vec] do: ascending positions,
+   so an out-of-range element raises after the same prefix, and a
+   reversed range fails as their [Array.init] does. *)
+let read_slice fa sc =
+  eval_slice sc;
+  let lo = sc.sc_lo and key = sc.sc_key and d = sc.sc_dim in
+  let n = sc.sc_hi - lo + 1 in
+  if n < 0 then invalid_arg "Array.init";
+  let r = Array.create_float n in
+  for k = 0 to n - 1 do
+    key.(d) <- lo + k;
+    r.(k) <- fa.fa_get key
+  done;
+  r
+
+(* a store of the wrong length goes to the boxed setter, which owns
+   that error *)
+let write_slice ex fa sc src =
+  eval_slice sc;
+  let lo = sc.sc_lo and key = sc.sc_key and d = sc.sc_dim in
+  let n = sc.sc_hi - lo + 1 in
+  if Array.length src <> n then
+    ex.ex_set
+      (Array.mapi
+         (fun i k ->
+           match k with
+           | Kpoint _ -> Cpoint key.(i)
+           | Kall -> Call_dim
+           | Krange _ -> Crange (lo, sc.sc_hi))
+         sc.sc_ks)
+      (Vvec src)
+  else
+    for k = 0 to n - 1 do
+      key.(d) <- lo + k;
+      fa.fa_set key src.(k)
+    done
+
+(* ---- element-wise vector arithmetic ------------------------------- *)
+
+(* One loop per operator: calling a [float -> float -> float] closure
+   would box every element.  Each result is a fresh array and each
+   element is computed as {!Interp.eval_binop} computes it. *)
+let vec_vec op x y =
+  Interp.check_same_length x y;
+  let n = Array.length x in
+  let r = Array.create_float n in
+  (match op with
+  | Add -> for i = 0 to n - 1 do r.(i) <- x.(i) +. y.(i) done
+  | Sub -> for i = 0 to n - 1 do r.(i) <- x.(i) -. y.(i) done
+  | Mul -> for i = 0 to n - 1 do r.(i) <- x.(i) *. y.(i) done
+  | _ -> for i = 0 to n - 1 do r.(i) <- x.(i) /. y.(i) done);
+  r
+
+let vec_scalar op x s =
+  let n = Array.length x in
+  let r = Array.create_float n in
+  (match op with
+  | Add -> for i = 0 to n - 1 do r.(i) <- x.(i) +. s done
+  | Sub -> for i = 0 to n - 1 do r.(i) <- x.(i) -. s done
+  | Mul -> for i = 0 to n - 1 do r.(i) <- x.(i) *. s done
+  | _ -> for i = 0 to n - 1 do r.(i) <- x.(i) /. s done);
+  r
+
+let scalar_vec op s y =
+  let n = Array.length y in
+  let r = Array.create_float n in
+  (match op with
+  | Add -> for i = 0 to n - 1 do r.(i) <- s +. y.(i) done
+  | Sub -> for i = 0 to n - 1 do r.(i) <- s -. y.(i) done
+  | Mul -> for i = 0 to n - 1 do r.(i) <- s *. y.(i) done
+  | _ -> for i = 0 to n - 1 do r.(i) <- s /. y.(i) done);
+  r
+
+let vec_neg x =
+  let n = Array.length x in
+  let r = Array.create_float n in
+  for i = 0 to n - 1 do
+    r.(i) <- -.x.(i)
+  done;
+  r
+
 (* ------------------------------------------------------------------ *)
 (* Expression compilation                                              *)
 (* ------------------------------------------------------------------ *)
@@ -421,21 +579,27 @@ let rec compile_expr ctx (e : expr) : unit -> Value.t =
       match compile_num ctx ~fallback:false ~hookfree:false e with
       | Some (I f) -> fun () -> Vint (f ())
       | Some (F f) -> fun () -> Vfloat (f ())
+      | None -> (
+          match compile_vec ctx e with
+          | Some f -> fun () -> Vvec (f ())
+          | None ->
+              let ca = compile_expr ctx a in
+              let cb = compile_expr ctx b in
+              fun () ->
+                let va = ca () in
+                let vb = cb () in
+                Interp.eval_binop op va vb))
+  | Unop (Neg, a) -> (
+      match compile_vec ctx e with
+      | Some f -> fun () -> Vvec (f ())
       | None ->
           let ca = compile_expr ctx a in
-          let cb = compile_expr ctx b in
-          fun () ->
-            let va = ca () in
-            let vb = cb () in
-            Interp.eval_binop op va vb)
-  | Unop (Neg, a) ->
-      let ca = compile_expr ctx a in
-      fun () -> (
-        match ca () with
-        | Vint n -> Vint (-n)
-        | Vfloat f -> Vfloat (-.f)
-        | Vvec v -> Vvec (Array.map Float.neg v)
-        | v -> raise (Type_error ("cannot negate " ^ type_name v)))
+          fun () -> (
+            match ca () with
+            | Vint n -> Vint (-n)
+            | Vfloat f -> Vfloat (-.f)
+            | Vvec v -> Vvec (Array.map Float.neg v)
+            | v -> raise (Type_error ("cannot negate " ^ type_name v))))
   | Unop (Not, a) ->
       let ca = compile_expr ctx a in
       fun () -> Vbool (not (to_bool (ca ())))
@@ -507,15 +671,9 @@ and compile_call ctx f args : unit -> Value.t =
             let x = to_float va in
             let y = to_float vb in
             Vfloat (Float.max x y))
-  | "dot", [ a; b ] ->
-      fun () ->
-        let va = a () in
-        let vb = b () in
-        let x = to_vec va in
-        let y = to_vec vb in
-        let acc = ref 0.0 in
-        Array.iteri (fun i v -> acc := !acc +. (v *. y.(i))) x;
-        Vfloat !acc
+  | "dot", [ _; _ ] ->
+      let f = compile_dot ctx args in
+      fun () -> Vfloat (f ())
   | "norm", [ c ] ->
       fun () ->
         let x = to_vec (c ()) in
@@ -545,14 +703,7 @@ and compile_call ctx f args : unit -> Value.t =
    structural specialization applies (must be [false] when called from
    [compile_expr] on the same node, to avoid mutual recursion). *)
 and compile_num ctx ~fallback ~hookfree (e : expr) : num option =
-  let num_arg a =
-    (* an argument compiled unboxed-or-boxed, converted like [to_float] *)
-    match compile_num ctx ~fallback:true ~hookfree a with
-    | Some n -> as_float n
-    | None ->
-        let c = compile_expr ctx a in
-        fun () -> to_float (c ())
-  in
+  let num_arg = float_arg ctx ~hookfree in
   match e with
   | Int_lit n -> Some (I (fun () -> n))
   | Float_lit f -> Some (F (fun () -> f))
@@ -674,19 +825,7 @@ and compile_num ctx ~fallback ~hookfree (e : expr) : num option =
                  let y = fb () in
                  op x y))
       | _ -> None)
-  | Call ("dot", [ a; b ]) ->
-      let ca = compile_expr ctx a in
-      let cb = compile_expr ctx b in
-      Some
-        (F
-           (fun () ->
-             let va = ca () in
-             let vb = cb () in
-             let x = to_vec va in
-             let y = to_vec vb in
-             let acc = ref 0.0 in
-             Array.iteri (fun i v -> acc := !acc +. (v *. y.(i))) x;
-             !acc))
+  | Call ("dot", ([ _; _ ] as args)) -> Some (F (compile_dot ctx args))
   | Call ("norm", [ a ]) ->
       let c = compile_expr ctx a in
       Some
@@ -694,6 +833,16 @@ and compile_num ctx ~fallback ~hookfree (e : expr) : num option =
            (fun () ->
              let x = to_vec (c ()) in
              sqrt (Array.fold_left (fun s v -> s +. (v *. v)) 0.0 x)))
+  | Index ((Var v as base), [ Sub_expr i ]) when infer ctx base = Tindex ->
+      (* [key[i]]: the base is looked up before the subscript runs *)
+      let s = slot ctx v in
+      let p = compile_point ctx i in
+      Some
+        (I
+           (fun () ->
+             match slot_get s with
+             | Vindex idx -> idx.(p ()) + 1
+             | _ -> infer_bug ("index slot " ^ v)))
   | Index (base, subs) when hookfree -> (
       match fast_extern_read ctx base subs with
       | Some (_, _, fa) ->
@@ -716,6 +865,37 @@ and compile_num ctx ~fallback ~hookfree (e : expr) : num option =
                  fa.fa_get buf))
       | None -> num_fallback ctx ~fallback e)
   | _ -> num_fallback ctx ~fallback e
+
+(* an argument compiled unboxed-or-boxed, converted like [to_float] *)
+and float_arg ctx ~hookfree a : unit -> float =
+  match compile_num ctx ~fallback:true ~hookfree a with
+  | Some n -> as_float n
+  | None ->
+      let c = compile_expr ctx a in
+      fun () -> to_float (c ())
+
+(* [dot(a, b)]: a plain loop when both arguments are statically
+   vectors; otherwise both values first, then each converted like
+   [to_vec], as the interpreter does *)
+and compile_dot ctx args : unit -> float =
+  match args with
+  | [ a; b ] when infer ctx a = Tvec && infer ctx b = Tvec ->
+      let fa = vec_operand ctx a in
+      let fb = vec_operand ctx b in
+      fun () ->
+        let x = fa () in
+        let y = fb () in
+        Interp.vec_dot x y
+  | [ a; b ] ->
+      let ca = compile_expr ctx a in
+      let cb = compile_expr ctx b in
+      fun () ->
+        let va = ca () in
+        let vb = cb () in
+        let x = to_vec va in
+        let y = to_vec vb in
+        Interp.vec_dot x y
+  | _ -> infer_bug "dot arity"
 
 and num_fallback ctx ~fallback e : num option =
   if not fallback then None
@@ -797,6 +977,86 @@ and compile_num_binop op na nb : num option =
       | _ -> float_op Float.pow)
   | Eq | Ne | Lt | Le | Gt | Ge | And | Or -> None
 
+(* ---- vector compilation ------------------------------------------- *)
+
+(* [compile_vec ctx e] compiles a statically-vector [e] to a closure
+   returning its elements, when [e] is an extern slice, a vector
+   variable, or [+ - * /] / negation over vector and scalar operands.
+   Arithmetic returns a fresh array; a variable returns the array it
+   holds, so [b = a] still aliases, as in the interpreter.  [None]
+   leaves [e] to the boxed path (never called by [compile_expr] on a
+   node it would hand back, so the two cannot recurse forever). *)
+and compile_vec ctx (e : expr) : (unit -> float array) option =
+  let scalar = float_arg ctx ~hookfree:false in
+  match e with
+  | Var v ->
+      let s = slot ctx v in
+      if s.sl_ty <> Tvec then None
+      else
+        Some
+          (fun () ->
+            match slot_get s with
+            | Vvec x -> x
+            | _ -> infer_bug ("vector slot " ^ v))
+  | Index (base, subs) -> compile_slice_read ctx base subs
+  | Unop (Neg, a) when infer ctx a = Tvec ->
+      let fa = vec_operand ctx a in
+      Some (fun () -> vec_neg (fa ()))
+  | Binop ((Add | Sub | Mul | Div) as op, a, b) -> (
+      match (infer ctx a, infer ctx b) with
+      | Tvec, Tvec ->
+          let fa = vec_operand ctx a in
+          let fb = vec_operand ctx b in
+          Some
+            (fun () ->
+              let x = fa () in
+              let y = fb () in
+              vec_vec op x y)
+      | Tvec, (Tint | Tfloat) ->
+          let fa = vec_operand ctx a in
+          let fb = scalar b in
+          Some
+            (fun () ->
+              let x = fa () in
+              let y = fb () in
+              vec_scalar op x y)
+      | (Tint | Tfloat), Tvec ->
+          let fa = scalar a in
+          let fb = vec_operand ctx b in
+          Some
+            (fun () ->
+              let x = fa () in
+              let y = fb () in
+              scalar_vec op x y)
+      | _ -> None)
+  | _ -> None
+
+(* a statically-vector operand: structurally when possible, else boxed
+   and unwrapped *)
+and vec_operand ctx (e : expr) : unit -> float array =
+  match compile_vec ctx e with
+  | Some f -> f
+  | None -> (
+      let c = compile_expr ctx e in
+      fun () -> match c () with Vvec x -> x | _ -> infer_bug "vector expression")
+
+(* a slice of a fast extern: element by element through the unboxed
+   accessor, or the boxed read whenever a hook is attached *)
+and compile_slice_read ctx base subs : (unit -> float array) option =
+  match fast_extern_slice ctx base subs with
+  | None -> None
+  | Some (s, ex, fa) ->
+      let env = ctx.env in
+      let ks = Array.of_list (List.map (compile_csub ctx) subs) in
+      let sc = make_slice ex ks in
+      Some
+        (fun () ->
+          if no_hooks env then read_slice fa sc
+          else
+            match index_value env (slot_get s) ks with
+            | Vvec x -> x
+            | _ -> infer_bug ("extern slice " ^ ex.ex_name))
+
 (* ---- subscripts --------------------------------------------------- *)
 
 (* a point subscript as a 0-based int closure; [to_int]'s exact
@@ -822,8 +1082,9 @@ and compile_csub ctx = function
 
 and compile_index ctx base subs : unit -> Value.t =
   let env = ctx.env in
-  match fast_extern_read ctx base subs with
-  | Some (s, _, fa) ->
+  match (compile_slice_read ctx base subs, fast_extern_read ctx base subs) with
+  | Some f, _ -> fun () -> Vvec (f ())
+  | None, Some (s, _, fa) ->
       let ps =
         Array.of_list
           (List.map
@@ -841,7 +1102,7 @@ and compile_index ctx base subs : unit -> Value.t =
           Vfloat (fa.fa_get buf)
         end
         else index_value env (slot_get s) ks
-  | None ->
+  | None, None ->
       let cb = compile_expr ctx base in
       let ks = Array.of_list (List.map (compile_csub ctx) subs) in
       fun () ->
@@ -932,14 +1193,26 @@ and compile_stmt_kind ctx stmt : unit -> unit =
       let s = slot ctx v in
       let c = compile_expr ctx e in
       fun () -> slot_set s (c ())
-  | Assign (Lindex (v, subs), e) -> compile_assign_index ctx v subs e
-  | Op_assign (op, Lvar v, e) ->
+  | Assign (Lindex (v, subs), e) -> (
+      match compile_slice_store ctx v subs e with
+      | Some f -> f
+      | None -> compile_assign_index ctx v subs e)
+  | Op_assign (op, Lvar v, e) -> (
       let s = slot ctx v in
-      let c = compile_expr ctx e in
-      fun () ->
-        let cur = slot_get s in
-        let rhs = c () in
-        slot_set s (Interp.eval_binop op cur rhs)
+      (* [v op= e] reads [v] before [e], as [v = v op e] does *)
+      let vec =
+        match op with
+        | Add | Sub | Mul | Div -> compile_vec ctx (Binop (op, Var v, e))
+        | _ -> None
+      in
+      match vec with
+      | Some f -> fun () -> slot_set s (Vvec (f ()))
+      | None ->
+          let c = compile_expr ctx e in
+          fun () ->
+            let cur = slot_get s in
+            let rhs = c () in
+            slot_set s (Interp.eval_binop op cur rhs))
   | Op_assign (op, Lindex (v, subs), e) ->
       compile_op_assign_index ctx op v subs e
   | If (c, then_b, else_b) ->
@@ -1023,6 +1296,24 @@ and compile_loop_bound ctx e : unit -> int =
 (* A[i, j] = e
    interpreter order: RHS value; base lookup; profile write record;
    subscripts; store; access hook *)
+(* W[:, j] = e for a statically-vector e: element by element through
+   the unboxed setter, same order as the boxed store (RHS, then
+   subscripts) *)
+and compile_slice_store ctx name subs e : (unit -> unit) option =
+  match fast_extern_slice ctx (Var name) subs with
+  | Some (s, ex, fa) when infer ctx e = Tvec ->
+      let env = ctx.env in
+      let cv = vec_operand ctx e in
+      let ks = Array.of_list (List.map (compile_csub ctx) subs) in
+      let sc = make_slice ex ks in
+      Some
+        (fun () ->
+          if no_hooks env then write_slice ex fa sc (cv ())
+          else
+            let v = Vvec (cv ()) in
+            assign_index_value env s ks v)
+  | _ -> None
+
 and compile_assign_index ctx name subs e : unit -> unit =
   let env = ctx.env in
   let s = slot ctx name in
@@ -1138,7 +1429,7 @@ let compile_body (env : Interp.env) ?(value_float = false) ~key_var ~value_var
     let names = referenced_names body in
     let locals =
       List.sort_uniq String.compare
-        (key_var :: value_var :: Ast.assigned_names body)
+        (key_var :: value_var :: rebound_names body)
     in
     let ctx = { env; slots = Hashtbl.create 32 } in
     List.iter

@@ -87,13 +87,24 @@ let var_opt env name = Hashtbl.find_opt env.vars name
 (* Arithmetic                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let vec_map2 op a b =
+let check_same_length a b =
   if Array.length a <> Array.length b then
     raise
       (Runtime_error
          (Printf.sprintf "vector length mismatch: %d vs %d" (Array.length a)
             (Array.length b)))
-  else Array.init (Array.length a) (fun i -> op a.(i) b.(i))
+
+let vec_map2 op a b =
+  check_same_length a b;
+  Array.init (Array.length a) (fun i -> op a.(i) b.(i))
+
+let vec_dot x y =
+  check_same_length x y;
+  let acc = ref 0.0 in
+  for i = 0 to Array.length x - 1 do
+    acc := !acc +. (x.(i) *. y.(i))
+  done;
+  !acc
 
 let num_binop op_int op_float a b =
   match (a, b) with
@@ -175,9 +186,7 @@ let eval_builtin env name args =
   | "dot", [ a; b ] ->
       let x = to_vec a in
       let y = to_vec b in
-      let acc = ref 0.0 in
-      Array.iteri (fun i v -> acc := !acc +. (v *. y.(i))) x;
-      Vfloat !acc
+      Vfloat (vec_dot x y)
   | "norm", [ a ] ->
       let x = to_vec a in
       Vfloat (sqrt (Array.fold_left (fun s v -> s +. (v *. v)) 0.0 x))

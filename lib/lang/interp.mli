@@ -69,6 +69,14 @@ val var_opt : env -> string -> Value.t option
     element-wise vector arithmetic). *)
 val eval_binop : Ast.binop -> Value.t -> Value.t -> Value.t
 
+(** @raise Runtime_error ["vector length mismatch: m vs n"] unless the
+    two vectors have the same length. *)
+val check_same_length : float array -> float array -> unit
+
+(** The dot product of two equal-length vectors, summed left to right.
+    @raise Runtime_error as {!check_same_length}. *)
+val vec_dot : float array -> float array -> float
+
 (** Evaluate a builtin (or host-supplied) function call on evaluated
     arguments — the single dispatch point {!Compile} devirtualizes
     against and falls back to. *)

@@ -388,46 +388,61 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
     (* -- schedule rows ------------------------------------------------
        Each rank gets its blocks as linearized iteration-space keys in
        scheduled order.  A worker reads its row only once its instance
-       is built, so a row larger than the socket buffer waits for it:
-       the send drains under the same supervision as the other
-       start-up waits. *)
+       is built, and a row is larger than the socket buffer, so the rows
+       go out together: each is written as far as its rank reads, and a
+       rank still loading holds up only its own row.  The writes drain
+       under the same supervision as the other start-up waits. *)
     let iter = inst.Orion.App.inst_iter in
     let entries = Dist_array.count iter in
-    for rank = 0 to nw - 1 do
-      let c = conn rank in
-      let row =
-        Wire.Schedule_row
-          {
-            sr_sp = sp;
-            sr_tp = tp;
-            sr_model = model;
-            sr_space_boundaries = sched.Schedule.space_boundaries;
-            sr_time_boundaries = sched.Schedule.time_boundaries;
-            sr_entries = entries;
-            sr_blocks =
-              Array.map
-                (fun (b : _ Schedule.block) ->
-                  Wire.pack_keys
-                    (Array.map
-                       (fun (key, _) -> Dist_array.linearize iter key)
-                       b.Schedule.entries))
-                sched.Schedule.blocks.(rank);
-          }
+    let row rank =
+      Wire.Schedule_row
+        {
+          sr_sp = sp;
+          sr_tp = tp;
+          sr_model = model;
+          sr_space_boundaries = sched.Schedule.space_boundaries;
+          sr_time_boundaries = sched.Schedule.time_boundaries;
+          sr_entries = entries;
+          sr_blocks =
+            Array.map
+              (fun (b : _ Schedule.block) ->
+                Wire.pack_keys
+                  (Array.map
+                     (fun (key, _) -> Dist_array.linearize iter key)
+                     b.Schedule.entries))
+              sched.Schedule.blocks.(rank);
+        }
+    in
+    let rec send_rows pending =
+      let pending =
+        List.filter
+          (fun (rank, push) ->
+            match push () with
+            | finished -> not finished
+            | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
+              -> (
+                match abnormal_exit_wait ~except:(-1) with
+                | Some (r, status) ->
+                    fail_cleanup ~rank:r "%s" (exit_reason r status)
+                | None ->
+                    fail_cleanup ~rank
+                      "worker closed before taking its schedule row"))
+          pending
       in
-      match
-        Transport.send_draining c row ~drain:(fun () ->
-            monitor_children ();
-            check_deadline "workers to take their schedule rows";
-            try ignore (Unix.select [] [ Transport.fd c ] [] 0.05)
-            with Unix.Unix_error (Unix.EINTR, _, _) -> ())
-      with
-      | () -> ()
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> (
-          match abnormal_exit_wait ~except:(-1) with
-          | Some (r, status) -> fail_cleanup ~rank:r "%s" (exit_reason r status)
-          | None ->
-              fail_cleanup ~rank "worker closed before taking its schedule row")
-    done;
+      if pending <> [] then begin
+        monitor_children ();
+        check_deadline "workers to take their schedule rows";
+        (try
+           ignore
+             (Unix.select []
+                (List.map (fun (rank, _) -> Transport.fd (conn rank)) pending)
+                [] 0.05)
+         with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+        send_rows pending
+      end
+    in
+    send_rows
+      (List.init nw (fun rank -> (rank, Transport.start_send (conn rank) (row rank))));
     (* from here on only the [nw] ranks with blocks take part *)
     let states = Array.sub states 0 nw in
     (* -- adaptive re-planning ------------------------------------------

@@ -128,12 +128,12 @@ let send (c : conn) (m : Wire.msg) =
   Frame.write_frame c.fd payload;
   c.bytes_out <- c.bytes_out +. float_of_int (Bytes.length payload + 4)
 
-(** [send] for symmetric mesh traffic: write non-blocking and call
-    [drain] whenever the kernel buffer is full.  Two peers blocking in
-    plain [send] to each other with both socket buffers full deadlock —
-    neither ever reads; [drain] (which should pump the caller's event
-    loop) lets the opposite direction empty so both writes complete. *)
-let send_draining (c : conn) (m : Wire.msg) ~(drain : unit -> unit) =
+(** Start writing [m] to [c] without blocking.  The returned [push]
+    writes as much of the frame as the kernel buffer takes and tells
+    whether all of it is out; call it again, once the socket is
+    writable, until it does.  Lets one caller feed several peers at
+    once, so a peer that is slow to read holds up only its own frame. *)
+let start_send (c : conn) (m : Wire.msg) : unit -> bool =
   let payload = Wire.to_bytes m in
   let len = Bytes.length payload in
   if len > Frame.max_frame_bytes then
@@ -143,23 +143,38 @@ let send_draining (c : conn) (m : Wire.msg) ~(drain : unit -> unit) =
   let buf = Bytes.create total in
   Bytes.set_int32_be buf 0 (Int32.of_int len);
   Bytes.blit payload 0 buf 4 len;
-  set_nb c true;
-  Fun.protect
-    ~finally:(fun () -> set_nb c false)
-    (fun () ->
-      let ofs = ref 0 in
-      while !ofs < total do
-        (* single_write, not write: Unix.write loops over internal
-           chunks and on EAGAIN loses how many it already sent, which
-           would desync the frame stream on retry *)
-        match Unix.single_write c.fd buf !ofs (total - !ofs) with
-        | n -> ofs := !ofs + n
-        | exception
-            Unix.Unix_error
-              ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) ->
-            drain ()
-      done);
-  c.bytes_out <- c.bytes_out +. float_of_int total
+  let ofs = ref 0 in
+  fun () ->
+    if !ofs < total then begin
+      set_nb c true;
+      Fun.protect
+        ~finally:(fun () -> set_nb c false)
+        (fun () ->
+          try
+            while !ofs < total do
+              (* single_write, not write: Unix.write loops over internal
+                 chunks and on EAGAIN loses how many it already sent,
+                 which would desync the frame stream on retry *)
+              ofs := !ofs + Unix.single_write c.fd buf !ofs (total - !ofs)
+            done
+          with
+          | Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
+          ->
+            ());
+      if !ofs = total then c.bytes_out <- c.bytes_out +. float_of_int total
+    end;
+    !ofs = total
+
+(** [send] for symmetric mesh traffic: write non-blocking and call
+    [drain] whenever the kernel buffer is full.  Two peers blocking in
+    plain [send] to each other with both socket buffers full deadlock —
+    neither ever reads; [drain] (which should pump the caller's event
+    loop) lets the opposite direction empty so both writes complete. *)
+let send_draining (c : conn) (m : Wire.msg) ~(drain : unit -> unit) =
+  let push = start_send c m in
+  while not (push ()) do
+    drain ()
+  done
 
 (** One non-blocking receive step: consume whatever bytes the kernel
     has buffered, return [`Msg] once a whole frame has accumulated

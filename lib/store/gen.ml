@@ -88,12 +88,12 @@ let encode_rating r =
   Bytes.set_int64_le b 8 (Int64.bits_of_float r.r_value);
   b
 
-let decode_rating ~path b =
-  if Bytes.length b <> 16 then bad path "rating";
+let decode_rating ~path b ~pos ~len =
+  if len <> 16 then bad path "rating";
   {
-    r_user = Int32.to_int (Bytes.get_int32_le b 0);
-    r_item = Int32.to_int (Bytes.get_int32_le b 4);
-    r_value = Int64.float_of_bits (Bytes.get_int64_le b 8);
+    r_user = Int32.to_int (Bytes.get_int32_le b pos);
+    r_item = Int32.to_int (Bytes.get_int32_le b (pos + 4));
+    r_value = Int64.float_of_bits (Bytes.get_int64_le b (pos + 8));
   }
 
 type sample = {
@@ -119,18 +119,19 @@ let encode_sample s =
     s.fs_features;
   b
 
-let decode_sample ~path b =
-  if Bytes.length b < 16 then bad path "sample";
-  let n = Int32.to_int (Bytes.get_int32_le b 12) in
-  if n < 0 || Bytes.length b <> 16 + (12 * n) then bad path "sample";
+let decode_sample ~path b ~pos ~len =
+  if len < 16 then bad path "sample";
+  let n = Int32.to_int (Bytes.get_int32_le b (pos + 12)) in
+  if n < 0 || len <> 16 + (12 * n) then bad path "sample";
   {
-    fs_index = Int32.to_int (Bytes.get_int32_le b 0);
-    fs_label = Int64.float_of_bits (Bytes.get_int64_le b 4);
+    fs_index = Int32.to_int (Bytes.get_int32_le b pos);
+    fs_label = Int64.float_of_bits (Bytes.get_int64_le b (pos + 4));
     fs_features =
-      Array.init n (fun k -> Int32.to_int (Bytes.get_int32_le b (16 + (12 * k))));
+      Array.init n (fun k ->
+          Int32.to_int (Bytes.get_int32_le b (pos + 16 + (12 * k))));
     fs_values =
       Array.init n (fun k ->
-          Int64.float_of_bits (Bytes.get_int64_le b (16 + (12 * k) + 4)));
+          Int64.float_of_bits (Bytes.get_int64_le b (pos + 16 + (12 * k) + 4)));
   }
 
 type token = { tk_doc : int; tk_word : int; tk_count : float }
@@ -142,12 +143,12 @@ let encode_token t =
   Bytes.set_int64_le b 8 (Int64.bits_of_float t.tk_count);
   b
 
-let decode_token ~path b =
-  if Bytes.length b <> 16 then bad path "token";
+let decode_token ~path b ~pos ~len =
+  if len <> 16 then bad path "token";
   {
-    tk_doc = Int32.to_int (Bytes.get_int32_le b 0);
-    tk_word = Int32.to_int (Bytes.get_int32_le b 4);
-    tk_count = Int64.float_of_bits (Bytes.get_int64_le b 8);
+    tk_doc = Int32.to_int (Bytes.get_int32_le b pos);
+    tk_word = Int32.to_int (Bytes.get_int32_le b (pos + 4));
+    tk_count = Int64.float_of_bits (Bytes.get_int64_le b (pos + 8));
   }
 
 (* ------------------------------------------------------------------ *)

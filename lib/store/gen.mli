@@ -52,12 +52,14 @@ val schema_of_spec : spec -> string
 
 val spec_kind : spec -> string
 
-(** {1 Record codecs} (fixed little-endian layouts, bitwise stable) *)
+(** {1 Record codecs} (fixed little-endian layouts, bitwise stable).
+    Each decoder reads the record [b.\[pos, pos + len)] and raises
+    {!Shard.Corrupt} when it is not well-formed. *)
 
 type rating = { r_user : int; r_item : int; r_value : float }
 
 val encode_rating : rating -> bytes
-val decode_rating : path:string -> bytes -> rating
+val decode_rating : path:string -> bytes -> pos:int -> len:int -> rating
 
 type sample = {
   fs_index : int;  (** global sample index *)
@@ -67,12 +69,12 @@ type sample = {
 }
 
 val encode_sample : sample -> bytes
-val decode_sample : path:string -> bytes -> sample
+val decode_sample : path:string -> bytes -> pos:int -> len:int -> sample
 
 type token = { tk_doc : int; tk_word : int; tk_count : float }
 
 val encode_token : token -> bytes
-val decode_token : path:string -> bytes -> token
+val decode_token : path:string -> bytes -> pos:int -> len:int -> token
 
 (** {1 Generation} *)
 

@@ -47,7 +47,7 @@ let check_index ~path ~offset what i size =
   if i < 0 || i >= size then
     corrupt ~offset path "record %s %d outside [0, %d)" what i size
 
-(* stream every shard's records through [f path offset record] *)
+(* stream every shard's records through [f path offset buf ~pos ~len] *)
 let each_record paths f =
   List.iter (fun path -> Shard.iter path ~f:(f path)) paths
 
@@ -64,8 +64,8 @@ let ratings dir =
     Dist_array.create_sparse ~name:"ratings" ~dims:[| num_users; num_items |]
       ~default:0.0
   in
-  each_record paths (fun path offset b ->
-      let r = Gen.decode_rating ~path b in
+  each_record paths (fun path offset b ~pos ~len ->
+      let r = Gen.decode_rating ~path b ~pos ~len in
       check_index ~path ~offset "user" r.Gen.r_user num_users;
       check_index ~path ~offset "item" r.Gen.r_item num_items;
       Dist_array.set_lin arr
@@ -95,8 +95,8 @@ let features dir =
       ~default:empty
   in
   let nnz = ref 0 in
-  each_record paths (fun path offset b ->
-      let s = Gen.decode_sample ~path b in
+  each_record paths (fun path offset b ~pos ~len ->
+      let s = Gen.decode_sample ~path b ~pos ~len in
       check_index ~path ~offset "sample" s.Gen.fs_index num_samples;
       nnz := !nnz + Array.length s.Gen.fs_features;
       Dist_array.set_lin arr s.Gen.fs_index
@@ -124,8 +124,8 @@ let corpus dir =
       ~default:0.0
   in
   let tokens = ref 0 in
-  each_record paths (fun path offset b ->
-      let t = Gen.decode_token ~path b in
+  each_record paths (fun path offset b ~pos ~len ->
+      let t = Gen.decode_token ~path b ~pos ~len in
       tokens := !tokens + int_of_float t.Gen.tk_count;
       check_index ~path ~offset "doc" t.Gen.tk_doc num_docs;
       check_index ~path ~offset "word" t.Gen.tk_word vocab_size;

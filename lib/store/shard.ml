@@ -256,7 +256,8 @@ let read_header path =
 (* the record body is read in chunks of this many bytes *)
 let chunk_len = 65536
 
-(* [f acc offset payload], [offset] being the record's file offset *)
+(* [f acc offset buf pos len]: the record is [buf.[pos, pos + len)],
+   [offset] its file offset; [buf] is reused once [f] returns *)
 let fold_records path ~init ~f =
   with_file path (fun ic ->
       let count, want_crc, body_end = parse_footer path ic in
@@ -310,10 +311,10 @@ let fold_records path ~init ~f =
         c.c_off <- off0 + 4;
         (* the bounds check above guarantees the bytes exist *)
         ignore (available n);
-        let payload = Bytes.sub !buf !lo n in
+        let pos = !lo in
         lo := !lo + n;
         c.c_off <- c.c_off + n;
-        acc := f !acc off0 payload;
+        acc := f !acc off0 !buf pos n;
         incr seen
       done;
       if !seen <> count then
@@ -325,8 +326,11 @@ let fold_records path ~init ~f =
           want_crc got;
       !acc)
 
-let fold path ~init ~f = fold_records path ~init ~f:(fun acc _ r -> f acc r)
-let iter path ~f = fold_records path ~init:() ~f:(fun () off r -> f off r)
+let fold path ~init ~f =
+  fold_records path ~init ~f:(fun acc _ b pos len -> f acc (Bytes.sub b pos len))
+
+let iter path ~f =
+  fold_records path ~init:() ~f:(fun () off b pos len -> f off b ~pos ~len)
 
 let dataset_headers dir =
   let paths = list_shards dir in

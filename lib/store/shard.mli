@@ -84,9 +84,11 @@ val read_header : string -> header
     @raise Corrupt on truncation, bad framing, count or CRC mismatch *)
 val fold : string -> init:'a -> f:('a -> bytes -> 'a) -> 'a
 
-(** [fold] that also hands [f] each record's byte offset in the file
-    (the offset of its length prefix), for positioned errors. *)
-val iter : string -> f:(int -> bytes -> unit) -> unit
+(** [fold] without the copy: [f offset buf ~pos ~len] sees the record
+    as [buf.\[pos, pos + len)], a view into the reader's buffer that is
+    valid only during the call.  [offset] is the record's byte offset in
+    the file (the offset of its length prefix), for positioned errors. *)
+val iter : string -> f:(int -> bytes -> pos:int -> len:int -> unit) -> unit
 
 (** Headers of every shard in a dataset directory, in shard order.
     @raise Corrupt when the directory holds no shards, an index is

@@ -1005,7 +1005,8 @@ let test_profile_merge () =
 (* ------------------------------------------------------------------ *)
 
 (* A kernel environment: one 8-element float array [W] exposed as an
-   extern with a fast accessor (mirroring [Dist_array.to_extern]), a
+   extern with a fast accessor (mirroring [Dist_array.to_extern] for
+   point subscripts; the bodies run against it never slice [W]), a
    seeded RNG, and nothing else. *)
 let kernel_len = 8
 
@@ -1180,6 +1181,10 @@ let test_compile_handwritten_bodies () =
       "k = key[1]\nW[k] = undefined_thing + 1.0";
       (* error path: reversed vector range *)
       "k = key[1]\nu = zeros(3)\ns = u[3:1]\nW[k] = s[1]";
+      (* error path: dot over vectors of different lengths, either way *)
+      "k = key[1]\nu = zeros(3)\nw = zeros(2)\nW[k] = dot(u, w)";
+      "k = key[1]\nu = zeros(3)\nw = zeros(2)\nW[k] = dot(w, u)";
+      "k = key[1]\nu = zeros(3)\nW[k] = dot(u, v)";
     ]
 
 (* random bodies from a tiny grammar: scalar float/int expressions over
@@ -1297,6 +1302,338 @@ let test_compile_rejects_nested_parallel_for () =
   | None -> ()
   | Some _ -> Alcotest.fail "nested @parallel_for should not compile"
 
+(* dot() over vectors of different lengths is a positioned
+   Runtime_error, whichever argument is longer *)
+let test_dot_length_mismatch_positioned () =
+  List.iter
+    (fun (src, sub) ->
+      let msg = expect_error ~sub src in
+      Alcotest.(check bool)
+        (Printf.sprintf "positioned at line 3: %S" msg)
+        true
+        (starts_with ~prefix:"3:" msg))
+    [
+      ("u = zeros(3)\nw = zeros(2)\nt = dot(u, w)", "vector length mismatch: 3 vs 2");
+      ("u = zeros(3)\nw = zeros(2)\nt = dot(w, u)", "vector length mismatch: 2 vs 3");
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Compiled vector kernels match the interpreter                       *)
+(* ------------------------------------------------------------------ *)
+
+module Dist_array = Orion_dsm.Dist_array
+
+(* A 3 x 5 dense [W] behind [Dist_array.to_extern], so slices have the
+   host's own semantics: element by element in ascending order, an
+   out-of-range element raising [Out_of_bounds] after the prefix, a
+   length mismatch raising [Dimension_mismatch] before any write. *)
+let vec_rows = 3
+let vec_cols = 5
+
+let make_vec_env () =
+  let w =
+    Dist_array.init_dense ~name:"W" ~dims:[| vec_rows; vec_cols |]
+      ~f:(fun k ->
+        0.5 +. (0.25 *. float_of_int k.(0)) -. (0.125 *. float_of_int k.(1)))
+  in
+  let env = Interp.create_env ~seed:7 () in
+  Interp.set_var env "W" (Value.Vextern (Dist_array.to_extern w));
+  (env, w)
+
+let float_bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x)
+
+let value_bits = function
+  | Some (Value.Vvec a) ->
+      "[" ^ String.concat "," (Array.to_list (Array.map float_bits a)) ^ "]"
+  | Some (Value.Vfloat x) -> float_bits x
+  | Some v -> Value.to_string v
+  | None -> "<unset>"
+
+let csub_to_string = function
+  | Value.Cpoint i -> string_of_int i
+  | Value.Crange (a, b) -> Printf.sprintf "%d:%d" a b
+  | Value.Call_dim -> ":"
+
+(* Everything one side of a differential run shows: how the run ended,
+   W bitwise, the leaked locals bitwise, and (when [hooked]) every
+   access the hook saw. *)
+let run_vector_kernel ~compiled ~hooked body =
+  let env, w = make_vec_env () in
+  let log = ref [] in
+  if hooked then
+    env.Interp.on_array_access <-
+      Some
+        (fun ex ~write subs ->
+          log :=
+            Printf.sprintf "%s%s[%s]" ex.Value.ex_name
+              (if write then "<-" else "")
+              (String.concat "," (Array.to_list (Array.map csub_to_string subs)))
+            :: !log);
+  let kernel =
+    if compiled then
+      match
+        Compile.compile_body env ~value_float:true ~key_var:"key"
+          ~value_var:"v" body
+      with
+      | Some k -> Some k
+      | None -> Alcotest.fail "vector body did not compile"
+    else None
+  in
+  let step key value =
+    match kernel with
+    | Some k -> Compile.run k ~key ~value
+    | None ->
+        Interp.eval_body_for env ~key_var:"key" ~value_var:"v" ~key ~value
+          body
+  in
+  let outcome =
+    match
+      for c = 0 to vec_cols - 1 do
+        step [| c |] (Value.Vfloat (0.75 +. (0.5 *. float_of_int c)))
+      done
+    with
+    | () -> "ok"
+    | exception Interp.Runtime_error m -> "runtime: " ^ m
+    | exception Value.Type_error m -> "type: " ^ m
+    | exception Dist_array.Out_of_bounds m -> "out of bounds: " ^ m
+    | exception Dist_array.Dimension_mismatch m -> "dimension mismatch: " ^ m
+    | exception Invalid_argument m -> "invalid argument: " ^ m
+  in
+  Option.iter Compile.flush_locals kernel;
+  String.concat "\n"
+    ([
+       "outcome " ^ outcome;
+       "W "
+       ^ String.concat ","
+           (Array.to_list
+              (Array.map (fun (_, x) -> float_bits x) (Dist_array.entries w)));
+     ]
+    @ List.map
+        (fun n -> n ^ " " ^ value_bits (Interp.var_opt env n))
+        [ "a"; "b"; "t" ]
+    @ List.rev !log)
+
+let check_vector_kernel body_src =
+  let body = parse body_src in
+  List.iter
+    (fun hooked ->
+      Alcotest.(check string)
+        (Printf.sprintf "compiled = interpreted (hooked %b) for:\n%s" hooked
+           body_src)
+        (run_vector_kernel ~compiled:false ~hooked body)
+        (run_vector_kernel ~compiled:true ~hooked body))
+    [ false; true ]
+
+let vector_prelude = "k = key[1]\nj = (k % 5) + 1\na = W[:, k]\nb = a * 1.0\nt = v"
+
+let test_compile_vector_bodies () =
+  List.iter
+    (fun stmts -> check_vector_kernel (vector_prelude ^ "\n" ^ stmts))
+    [
+      (* the mf update *)
+      "h = W[:, j]\n\
+       t = dot(a, h)\n\
+       d = v - t\n\
+       g = -2.0 * d * h\n\
+       W[:, k] = a - g * 0.01";
+      (* arithmetic shapes and negation *)
+      "a = (a + b) * 2\nb = 1.5 - a\na = -b / 3.0\nW[:, j] = a";
+      (* op-assign on a vector local *)
+      "a += b\na *= 0.5\na -= 1\nW[:, k] = a";
+      (* b = a aliases: a later element write shows through b *)
+      "b = a\na[1] = 9.0\nW[:, j] = b";
+      (* ranges: partial, empty, reversed, out of range *)
+      "a = W[2:3, k]\nW[1:2, j] = a";
+      "a = W[3:2, k]\nt = dot(a, a)\nW[1, k] = t";
+      "a = W[3:1, k]";
+      "a = W[0:2, k]";
+      (* stores: out of range after a written prefix, wrong length *)
+      "W[2:4, j] = b";
+      "W[1:2, k] = b";
+      (* length mismatches in arithmetic and dot *)
+      "a = W[2:3, k]\nb = a + b";
+      "t = dot(b, W[2:3, k])";
+      "t = dot(W[1:1, k], b)";
+    ]
+
+(* random vector bodies over W's slices, the locals a/b and the scalar
+   t: every vector shape the compiler handles, out-of-range and
+   reversed bounds (0 and 4 lie outside 1..3), length mismatches *)
+let gen_vector_body : string QCheck.Gen.t =
+  let open QCheck.Gen in
+  let bound = map string_of_int (int_range 0 4) in
+  let col = oneofl [ "k"; "j" ] in
+  let slice =
+    oneof
+      [
+        map (fun c -> "W[:, " ^ c ^ "]") col;
+        map3 (fun lo hi c -> "W[" ^ lo ^ ":" ^ hi ^ ", " ^ c ^ "]") bound bound col;
+      ]
+  in
+  let vatom = oneof [ return "a"; return "b"; slice ] in
+  let scalar =
+    oneof
+      [
+        return "v";
+        return "t";
+        return "2";
+        map (Printf.sprintf "%.2f") (float_range (-2.0) 2.0);
+      ]
+  in
+  let op = oneofl [ "+"; "-"; "*"; "/" ] in
+  let paren3 x o y = "(" ^ x ^ " " ^ o ^ " " ^ y ^ ")" in
+  let vexpr =
+    oneof
+      [
+        vatom;
+        map3 paren3 vatom op vatom;
+        map3 paren3 vatom op scalar;
+        map3 paren3 scalar op vatom;
+        map (fun x -> "-" ^ x) vatom;
+        map3 (fun x y s -> paren3 (paren3 x "-" y) "*" s) vatom vatom scalar;
+      ]
+  in
+  let stmt =
+    oneof
+      [
+        map (fun e -> "a = " ^ e) vexpr;
+        map (fun e -> "b = " ^ e) vexpr;
+        return "b = a";
+        map (fun s -> "a[1] = " ^ s) scalar;
+        map (fun e -> "a += " ^ e) vexpr;
+        map (fun s -> "a *= " ^ s) scalar;
+        map2 (fun x y -> "t = dot(" ^ x ^ ", " ^ y ^ ")") vexpr vexpr;
+        map (fun e -> "W[:, k] = " ^ e) vexpr;
+        map3 (fun lo hi e -> "W[" ^ lo ^ ":" ^ hi ^ ", j] = " ^ e) bound bound vexpr;
+        return "W[1, k] = t";
+      ]
+  in
+  let* n = int_range 1 6 in
+  let+ stmts = list_repeat n stmt in
+  String.concat "\n" (vector_prelude :: stmts)
+
+let test_compile_random_vector_bodies_qcheck () =
+  QCheck.Test.make ~count:300
+    ~name:"compiled vector kernel bitwise-matches interpreter"
+    (QCheck.make ~print:(fun s -> s) gen_vector_body)
+    (fun body_src ->
+      check_vector_kernel body_src;
+      true)
+
+(* The mf kernel's allocation per entry: fresh arrays for its slices
+   and vector results, no per-element boxing. *)
+let test_mf_kernel_allocation () =
+  let inst =
+    match
+      Orion_apps.Registry.materialize "mf" ~scale:4.0 ~num_machines:1
+        ~workers_per_machine:1
+    with
+    | Some i -> i
+    | None -> Alcotest.fail "no mf app"
+  in
+  let kernel =
+    match Orion.Engine.compile_kernel inst inst.Orion.App.inst_env with
+    | Some k -> k
+    | None -> Alcotest.fail "mf kernel did not compile"
+  in
+  let entries = Dist_array.entries inst.Orion.App.inst_iter in
+  let pass () =
+    Array.iter (fun (key, value) -> Compile.run kernel ~key ~value) entries
+  in
+  pass ();
+  let w0 = Gc.minor_words () in
+  pass ();
+  let per_entry =
+    (Gc.minor_words () -. w0) /. float_of_int (Array.length entries)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per entry <= 150" per_entry)
+    true (per_entry <= 150.0)
+
+(* An lda-shaped body writes every array it reads by index.  Index
+   writes do not rebind the array, so each access still goes through
+   the unboxed point accessors; the boxed ones are never called. *)
+let test_index_written_array_takes_fast_path () =
+  let body =
+    parse
+      "old_t = int(token_topic[key[1], key[2]])\n\
+       doc_topic[key[1], old_t] = doc_topic[key[1], old_t] - cnt\n\
+       word_topic[key[2], old_t] = word_topic[key[2], old_t] - cnt\n\
+       new_t = ((old_t + key[2]) % 3) + 1\n\
+       doc_topic[key[1], new_t] = doc_topic[key[1], new_t] + cnt\n\
+       word_topic[key[2], new_t] += cnt\n\
+       token_topic[key[1], key[2]] = float(new_t)"
+  in
+  let docs = 4 and words = 5 and topics = 3 in
+  let boxed = ref 0 and fast = ref 0 in
+  let counted (ex : Value.extern) =
+    {
+      ex with
+      Value.ex_get =
+        (fun s ->
+          incr boxed;
+          ex.Value.ex_get s);
+      ex_set =
+        (fun s v ->
+          incr boxed;
+          ex.Value.ex_set s v);
+      ex_fast =
+        Option.map
+          (fun (fa : Value.fast_access) ->
+            {
+              Value.fa_get =
+                (fun k ->
+                  incr fast;
+                  fa.Value.fa_get k);
+              fa_set =
+                (fun k x ->
+                  incr fast;
+                  fa.Value.fa_set k x);
+            })
+          ex.Value.ex_fast;
+    }
+  in
+  let run ~compiled =
+    let dt = Dist_array.fill_dense ~name:"doc_topic" ~dims:[| docs; topics |] 5.0 in
+    let wt = Dist_array.fill_dense ~name:"word_topic" ~dims:[| words; topics |] 4.0 in
+    let tt =
+      Dist_array.init_dense ~name:"token_topic" ~dims:[| docs; words |]
+        ~f:(fun k -> float_of_int (((k.(0) + k.(1)) mod topics) + 1))
+    in
+    let env = Interp.create_env () in
+    List.iter
+      (fun a ->
+        let ex = Dist_array.to_extern a in
+        Interp.set_var env (Dist_array.name a)
+          (Value.Vextern (if compiled then counted ex else ex)))
+      [ dt; wt; tt ];
+    let step =
+      if compiled then
+        match
+          Compile.compile_body env ~value_float:true ~key_var:"key"
+            ~value_var:"cnt" body
+        with
+        | Some k -> fun key value -> Compile.run k ~key ~value
+        | None -> Alcotest.fail "lda-shaped body did not compile"
+      else fun key value ->
+        Interp.eval_body_for env ~key_var:"key" ~value_var:"cnt" ~key ~value
+          body
+    in
+    for d = 0 to docs - 1 do
+      for w = 0 to words - 1 do
+        step [| d; w |] (Value.Vfloat 1.0)
+      done
+    done;
+    List.concat_map
+      (fun a -> Array.to_list (Array.map (fun (_, x) -> float_bits x) (Dist_array.entries a)))
+      [ dt; wt; tt ]
+  in
+  let interpreted = run ~compiled:false in
+  let compiled = run ~compiled:true in
+  Alcotest.(check (list string)) "same arrays" interpreted compiled;
+  Alcotest.(check int) "boxed accessor calls" 0 !boxed;
+  Alcotest.(check bool) "unboxed accessor calls" true (!fast > 0)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1381,6 +1718,13 @@ let () =
           tc "ORION_NO_COMPILE" `Quick test_compile_disabled_env_var;
           tc "rejects nested parallel_for" `Quick
             test_compile_rejects_nested_parallel_for;
+          tc "dot length mismatch positioned" `Quick
+            test_dot_length_mismatch_positioned;
+          tc "vector bodies" `Quick test_compile_vector_bodies;
+          qc (test_compile_random_vector_bodies_qcheck ());
+          tc "mf kernel allocation" `Quick test_mf_kernel_allocation;
+          tc "index-written array takes fast path" `Quick
+            test_index_written_array_takes_fast_path;
         ] );
       ( "check",
         [

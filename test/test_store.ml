@@ -201,6 +201,56 @@ let qcheck_crc_split =
       Crc32.update_string t "";
       mid = Crc32.digest b && Crc32.value t = mid)
 
+(* the plain bitwise definition: no tables, one bit per step *)
+let crc_reference b ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+(* every byte value (bytes >= 0x80 set bit 31 of both 32-bit words the
+   eight-byte step reads), unaligned offsets, short and split inputs *)
+let qcheck_crc_reference =
+  QCheck.Test.make ~count:500 ~name:"slicing-by-8 equals the bitwise reference"
+    QCheck.(
+      quad
+        (string_gen_of_size (Gen.int_range 0 48) Gen.char)
+        (int_range 0 7) (int_range 0 40) (small_list small_nat))
+    (fun (s, pos, len, cuts) ->
+      let b = Bytes.of_string (s ^ String.make 48 '\xff') in
+      let pos = min pos (Bytes.length b) in
+      let len = min len (Bytes.length b - pos) in
+      let cuts =
+        List.sort_uniq compare (List.map (fun c -> pos + (c mod (len + 1))) cuts)
+      in
+      let t = Crc32.create () in
+      let last =
+        List.fold_left
+          (fun p cut ->
+            Crc32.update t b ~pos:p ~len:(cut - p);
+            cut)
+          pos cuts
+      in
+      Crc32.update t b ~pos:last ~len:(pos + len - last);
+      Crc32.value t = crc_reference b ~pos ~len)
+
+let test_crc_high_bytes () =
+  (* all-0xFF input: every lane of every step carries bit 31 and bit 63 *)
+  List.iter
+    (fun n ->
+      let b = Bytes.make n '\xff' in
+      Alcotest.(check int32)
+        (Printf.sprintf "0xFF x %d" n)
+        (crc_reference b ~pos:0 ~len:n) (Crc32.digest b))
+    [ 0; 1; 7; 8; 9; 16; 17; 64 ];
+  let b = Bytes.init 256 Char.chr in
+  Alcotest.(check int32) "bytes 0..255" (crc_reference b ~pos:0 ~len:256)
+    (Crc32.digest b)
+
 (* ------------------------------------------------------------------ *)
 (* Generators: deterministic and shard-independent                     *)
 (* ------------------------------------------------------------------ *)
@@ -693,7 +743,12 @@ let () =
           tc "shard bytes are pinned" `Quick test_shard_bytes_pinned;
         ] );
       ( "crc32",
-        [ tc "known answers" `Quick test_crc_known_answers; qc qcheck_crc_split ]
+        [
+          tc "known answers" `Quick test_crc_known_answers;
+          qc qcheck_crc_split;
+          qc qcheck_crc_reference;
+          tc "high bytes" `Quick test_crc_high_bytes;
+        ]
       );
       ( "gen",
         [
