@@ -34,7 +34,8 @@ let () =
   end;
   match
     Orion_net.Dist_worker.connect_and_serve
-      ~materialize:Orion_apps.Registry.materialize ~rank:!rank
+      ~materialize:(Orion_apps.Registry.materialize ~records:false)
+      ~rank:!rank
       ~master_addr:!master
   with
   | () -> exit 0

@@ -48,7 +48,8 @@ let scaled scale n = max 2 (int_of_float (Float.round (float_of_int n *. scale))
 (* When set, [app_make] loads the dataset from a sharded directory
    ([lib/store]) instead of generating it in memory.  Environment
    variables — not parameters — so forked/exec'd distributed workers
-   rebuild bit-identical instances from the same shards. *)
+   find the same shards: they read the headers for the array shapes,
+   and the records only where a host builtin needs them. *)
 let ratings_dir_env = "ORION_DATA_RATINGS"
 let features_dir_env = "ORION_DATA_FEATURES"
 let corpus_dir_env = "ORION_DATA_CORPUS"
@@ -57,6 +58,33 @@ let data_dir env_var =
   match Sys.getenv_opt env_var with
   | Some dir when dir <> "" -> Some dir
   | _ -> None
+
+(* A dataset at its shape, with no records: what [~records:false]
+   builds from a generator's parameters.  Distributed workers run the
+   entries their schedule rows carry, so only the dims matter to them. *)
+let no_ratings ~num_users ~num_items =
+  {
+    Orion_data.Ratings.ratings =
+      Dist_array.create_sparse ~name:"ratings" ~dims:[| num_users; num_items |]
+        ~default:0.0;
+    num_users;
+    num_items;
+    num_ratings = 0;
+    rank_truth = 0;
+  }
+
+let no_samples ~num_samples ~num_features =
+  let empty =
+    { Orion_data.Sparse_features.label = 0.0; features = [||]; values = [||] }
+  in
+  {
+    Orion_data.Sparse_features.samples =
+      Dist_array.create_sparse ~name:"samples" ~dims:[| num_samples |]
+        ~default:empty;
+    num_samples;
+    num_features;
+    avg_nnz = 0.0;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Training losses (convergence benchmarking)                          *)
@@ -169,17 +197,18 @@ let slr_prepare_pass inst =
 (* SGD matrix factorization                                            *)
 (* ------------------------------------------------------------------ *)
 
-let mf_make ?(scale = 1.0) ~num_machines ~workers_per_machine () =
+let mf_make ?(scale = 1.0) ?(records = true) ~num_machines
+    ~workers_per_machine () =
   let session =
     Orion.create_session ~num_machines ~workers_per_machine ()
   in
   let data =
+    let num_users = scaled scale 24 and num_items = scaled scale 20 in
     match data_dir ratings_dir_env with
-    | Some dir -> Orion_store.Loader.ratings dir
+    | Some dir -> Orion_store.Loader.ratings ~records dir
+    | None when not records -> no_ratings ~num_users ~num_items
     | None ->
-        Orion_data.Ratings.generate ~seed:3
-          ~num_users:(scaled scale 24)
-          ~num_items:(scaled scale 20)
+        Orion_data.Ratings.generate ~seed:3 ~num_users ~num_items
           ~num_ratings:(scaled scale 240) ()
   in
   let rank = 4 in
@@ -232,17 +261,19 @@ let mf_register_meta session =
 (* Sparse logistic regression                                          *)
 (* ------------------------------------------------------------------ *)
 
-let slr_make ?(scale = 1.0) ~num_machines ~workers_per_machine () =
+let slr_make ?(scale = 1.0) ?(records = true) ~num_machines
+    ~workers_per_machine () =
   let session =
     Orion.create_session ~num_machines ~workers_per_machine ()
   in
   let data =
+    let num_samples = scaled scale 120 and num_features = 30 in
     match data_dir features_dir_env with
-    | Some dir -> Orion_store.Loader.features dir
+    | Some dir -> Orion_store.Loader.features ~records dir
+    | None when not records -> no_samples ~num_samples ~num_features
     | None ->
-        Orion_data.Sparse_features.generate ~seed:7
-          ~num_samples:(scaled scale 120)
-          ~num_features:30 ~nnz_per_sample:6 ()
+        Orion_data.Sparse_features.generate ~seed:7 ~num_samples
+          ~num_features ~nnz_per_sample:6 ()
   in
   let w =
     Dist_array.init_dense ~name:"w"
@@ -289,18 +320,21 @@ let slr_make ?(scale = 1.0) ~num_machines ~workers_per_machine () =
    work-imbalanced and profile-guided re-planning has real skew to
    correct.  A separate registered app (not a flag on "slr") so
    distributed workers materialize the identical dataset by name. *)
-let slrskew_make ?(scale = 1.0) ~num_machines ~workers_per_machine () =
+let slrskew_make ?(scale = 1.0) ?(records = true) ~num_machines
+    ~workers_per_machine () =
   let session =
     Orion.create_session ~num_machines ~workers_per_machine ()
   in
   let data =
-    (* max_nnz well above the floor so per-sample compute is dominated
-       by the nnz-proportional part, not fixed dispatch overhead —
-       otherwise the head:tail work ratio flattens and a measured
-       re-balance has nothing to win *)
-    Orion_data.Sparse_features.generate_skewed ~seed:7
-      ~num_samples:(scaled scale 120)
-      ~num_features:96 ~max_nnz:80 ()
+    let num_samples = scaled scale 120 and num_features = 96 in
+    if not records then no_samples ~num_samples ~num_features
+    else
+      (* max_nnz well above the floor so per-sample compute is dominated
+         by the nnz-proportional part, not fixed dispatch overhead —
+         otherwise the head:tail work ratio flattens and a measured
+         re-balance has nothing to win *)
+      Orion_data.Sparse_features.generate_skewed ~seed:7 ~num_samples
+        ~num_features ~max_nnz:80 ()
   in
   let w =
     Dist_array.init_dense ~name:"w"
@@ -361,10 +395,13 @@ let slr_register_meta session =
    identically), the topic totals come from a pass-start snapshot, and
    the uniform draw is a hash of the token key — never the shared RNG,
    whose state would depend on execution order. *)
-let lda_make ?(scale = 1.0) ~num_machines ~workers_per_machine () =
+let lda_make ?(scale = 1.0) ?records:_ ~num_machines ~workers_per_machine ()
+    =
   let session =
     Orion.create_session ~num_machines ~workers_per_machine ()
   in
+  (* loaded even for [~records:false]: [sample_topic] divides by the
+     corpus-wide topic totals, summed over every token *)
   let corpus =
     match data_dir corpus_dir_env with
     | Some dir -> Orion_store.Loader.corpus dir
@@ -490,11 +527,14 @@ let lda_register_meta session =
 (* GBT split finding                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let gbt_make ?(scale = 1.0) ~num_machines ~workers_per_machine () =
+let gbt_make ?(scale = 1.0) ?records:_ ~num_machines ~workers_per_machine ()
+    =
   let session =
     Orion.create_session ~num_machines ~workers_per_machine ()
   in
   let num_features = 10 in
+  (* generated even for [~records:false]: [find_best_split] scans every
+     sample of the feature it is given *)
   let data =
     Gbt.synthetic ~seed:31 ~num_samples:(scaled scale 80) ~num_features ()
   in
@@ -622,22 +662,25 @@ let () =
     ]
 
 (** Build a fresh deterministic instance of app [name], or [None] if no
-    such app is registered.  Distributed workers call this to rebuild
-    the master's instance from the app name alone — every [app_make] is
-    deterministic (fixed seeds), so master and all ranks materialize
-    identical initial DistArray state and host builtins (which are
-    closures and cannot travel over the wire). *)
-let materialize name ~scale ~num_machines ~workers_per_machine =
+    such app is registered.  Distributed workers build theirs with
+    [~records:false], from the app name and shapes alone: every
+    [app_make] is deterministic (fixed seeds), so master and all ranks
+    materialize identical initial DistArray state and host builtins
+    (which are closures and cannot travel over the wire), while the
+    entries each rank runs arrive in its schedule row. *)
+let materialize ?records name ~scale ~num_machines ~workers_per_machine =
   match Orion.App.find name with
   | None -> None
   | Some app ->
-      Some (app.Orion.App.app_make ~scale ~num_machines ~workers_per_machine ())
+      Some
+        (app.Orion.App.app_make ~scale ?records ~num_machines
+           ~workers_per_machine ())
 
 (* Installing the distributed master here ties the knot: Orion.Engine
    dispatches [`Distributed] through a hook so the core library stays
    free of socket/process dependencies, and any program that links the
    apps (CLI, worker, tests, benches) gets the runner for free. *)
-let () = Orion_net.Dist_master.install ~materialize
+let () = Orion_net.Dist_master.install ~materialize:(materialize ~records:false)
 
 (** Force this module's initializer (and thus app registration and the
     distributed-runner installation) to run.  Call before the first

@@ -8,7 +8,8 @@
 (** When these environment variables name a sharded dataset directory
     ({!Orion_store.Gen}), [app_make] streams the dataset from the shards
     instead of generating it in memory — environment (not parameters) so
-    forked/exec'd distributed workers rebuild identical instances. *)
+    forked/exec'd distributed workers find the same shards (they read
+    only the headers, except lda's, which load the corpus). *)
 
 val ratings_dir_env : string
 (** ["ORION_DATA_RATINGS"] — mf *)
@@ -20,10 +21,14 @@ val corpus_dir_env : string
 (** ["ORION_DATA_CORPUS"] — lda *)
 
 (** Build a fresh deterministic instance of app [name] ([None] if
-    unknown).  Distributed workers rebuild the master's instance through
-    this — every [app_make] is deterministic, so master and workers
+    unknown).  Distributed workers build theirs through this with
+    [~records:false]: every array at its shape (from the shard headers
+    or the generator's parameters) and no record read, except where a
+    host builtin closes over the records (lda's topic totals, gbt's
+    samples).  Every [app_make] is deterministic, so master and workers
     materialize identical initial state and host builtins. *)
 val materialize :
+  ?records:bool ->
   string ->
   scale:float ->
   num_machines:int ->

@@ -510,11 +510,19 @@ module App = struct
             bitwise; [Some rel]: within relative tolerance (buffered FP
             accumulation is order-sensitive in the last bits) *)
     app_make :
-      ?scale:float -> num_machines:int -> workers_per_machine:int -> unit ->
+      ?scale:float ->
+      ?records:bool ->
+      num_machines:int ->
+      workers_per_machine:int ->
+      unit ->
       instance;
         (** build a fresh deterministic instance (identical initial
             state every call); [scale] enlarges the dataset for
-            benchmarking *)
+            benchmarking.  [~records:false] builds from shapes only, as
+            a distributed worker does (its schedule row carries the
+            entries it runs): every array at its shape and the
+            iteration space empty, unless a host builtin closes over
+            the records *)
     app_register_meta : session -> unit;
         (** register the paper-scale array shapes (Table 2) so the
             analysis pipeline can run without materializing data *)
@@ -661,20 +669,25 @@ module Engine = struct
 
   (** Compile [inst]'s loop body against [env] (call {e after} any
       shadow rebinding — the kernel captures the environment's current
-      array bindings).  [None] when compilation is disabled
-      ([ORION_NO_COMPILE]) or the body uses an unsupported construct;
-      callers fall back to {!interp_body}. *)
-  let compile_kernel (inst : App.instance) (env : Interp.env) :
+      array bindings).  [values p] tells whether [p] holds for every
+      value the kernel will run, when those are not [inst]'s own
+      iteration space (a distributed worker's row).  [None] when
+      compilation is disabled ([ORION_NO_COMPILE]) or the body uses an
+      unsupported construct; callers fall back to {!interp_body}. *)
+  let compile_kernel ?values (inst : App.instance) (env : Interp.env) :
       Compile.t option =
     if not (Compile.enabled ()) then None
     else begin
-      (* the unboxed value slot is only sound if every iterated value
-         is a float — scan the stored values, in any order, up to the
-         first that is not *)
+      (* the unboxed value slot is only sound if every value the kernel
+         runs is a float — scan them, in any order, up to the first
+         that is not *)
+      let for_all =
+        match values with
+        | Some for_all -> for_all
+        | None -> fun p -> Dist_array.for_all p inst.App.inst_iter
+      in
       let value_float =
-        Dist_array.for_all
-          (function Value.Vfloat _ -> true | _ -> false)
-          inst.App.inst_iter
+        for_all (function Value.Vfloat _ -> true | _ -> false)
       in
       Compile.compile_body env ~value_float
         ~key_var:inst.App.inst_key_var ~value_var:inst.App.inst_value_var
@@ -820,6 +833,15 @@ module Engine = struct
                       call Orion_apps.Registry.ensure ())";
                  }))
     | (`Sim | `Parallel _) as submode ->
+    (* the pool's telemetry clock starts before planning, as the
+       distributed one does, so pass windows read against it leave
+       planning, the schedule build and the kernel compile in start-up *)
+    let tel =
+      match submode with
+      | `Parallel domains ->
+          Telemetry.create ~enabled:telemetry ~workers:(max 1 domains) ()
+      | `Sim -> Telemetry.create ~enabled:false ~workers:1 ()
+    in
     let plan0 = analyze_loop session inst.App.inst_loop in
     let compiled0 =
       compile session ~plan:plan0 ~iter:inst.App.inst_iter ?pipeline_depth ()
@@ -914,7 +936,6 @@ module Engine = struct
               | None -> fun ~key ~value -> interp_body env inst ~key ~value)
             envs
         in
-        let tel = Telemetry.create ~enabled:telemetry ~workers:domains () in
         (* pass-boundary view of the model: shared arrays are live;
            buffered arrays become temporary copies with every domain's
            shadow merged in (domain order, matching the final merge) *)

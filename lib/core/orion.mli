@@ -233,10 +233,18 @@ module App : sig
             bitwise; [Some rel]: within relative tolerance (buffered FP
             accumulation is order-sensitive in the last bits) *)
     app_make :
-      ?scale:float -> num_machines:int -> workers_per_machine:int -> unit ->
+      ?scale:float ->
+      ?records:bool ->
+      num_machines:int ->
+      workers_per_machine:int ->
+      unit ->
       instance;
         (** build a fresh deterministic instance (identical initial
-            state every call); [scale] enlarges the dataset *)
+            state every call); [scale] enlarges the dataset.
+            [~records:false] builds from shapes only, as a distributed
+            worker does: every array at its shape and the iteration
+            space empty, unless a host builtin closes over the
+            records *)
     app_register_meta : session -> unit;
         (** register the paper-scale array shapes so the analysis
             pipeline can run without materializing data *)
@@ -324,10 +332,18 @@ module Engine : sig
 
   (** Compile [inst]'s loop body against [env] with {!Compile} (call
       {e after} any shadow rebinding — the kernel captures the
-      environment's current array bindings).  [None] when compilation
-      is disabled ([ORION_NO_COMPILE]) or the body uses an unsupported
-      construct; callers fall back to the interpreter. *)
-  val compile_kernel : App.instance -> Interp.env -> Compile.t option
+      environment's current array bindings).  The unboxed float value
+      slot is chosen from the values the kernel will run: [inst]'s
+      iteration space, or when they are not there (a distributed
+      worker's row), those [values] scans — [values p] holds when [p]
+      holds for every one.  [None] when compilation is disabled
+      ([ORION_NO_COMPILE]) or the body uses an unsupported construct;
+      callers fall back to the interpreter. *)
+  val compile_kernel :
+    ?values:((Value.t -> bool) -> bool) ->
+    App.instance ->
+    Interp.env ->
+    Compile.t option
 
   (** Called at pass boundaries — every [every] completed passes when
       [run] gets [~checkpoint:(every, sink)] — with the model arrays as

@@ -2,10 +2,11 @@
     [Orion.Engine.run ~mode:(`Distributed _)].
 
     The master spawns [procs] worker processes first (fork for in-tree
-    tests, exec of [orion_worker] for the CLI) and answers each Hello
-    with the Plan, so the workers rebuild their instances while it
-    analyzes and compiles the loop exactly as the simulated and
-    domain-pool paths do.  It then sends each rank its Schedule_row —
+    tests, exec of [orion_worker] for the CLI), analyzes the loop, and
+    answers each Hello with the Plan, which carries that analysis; the
+    workers build their instances from shapes while it compiles the
+    schedule exactly as the simulated and domain-pool paths do.  It
+    then sends each rank its Schedule_row, the entries of its blocks —
     or Shutdown, to the ranks beyond the space cut — and runs the rest
     of the startup protocol in a deterministic order (per-worker:
     Listening → Prefetch_request → Partition_ship → Prefetch_response;
@@ -321,6 +322,8 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
         fail_cleanup "timed out waiting for %s (%.0fs)" what
           timeout
     in
+    (* -- analysis, while the workers start; the plan carries it ----- *)
+    let plan = Orion.analyze_loop session inst.Orion.App.inst_loop in
     (* -- accept + hello, each answered with its plan ----------------- *)
     let connected = ref 0 in
     while !connected < procs do
@@ -351,6 +354,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
                      p_telemetry = telemetry;
                      p_report_passes = checkpoint <> None;
                      p_adapt = replanner <> None;
+                     p_plan = plan;
                    })
           | Some (Wire.Hello { h_rank; h_version; _ }) ->
               fail_cleanup ~rank:h_rank
@@ -365,8 +369,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
       | Some c -> c
       | None -> fail_cleanup ~rank "no connection"
     in
-    (* -- plan and compile, while the workers rebuild their instances -- *)
-    let plan = Orion.analyze_loop session inst.Orion.App.inst_loop in
+    (* -- compile, while the workers build their instances ----------- *)
     let compiled =
       Orion.compile session ~plan ~iter:inst.Orion.App.inst_iter
         ?pipeline_depth ()
@@ -386,32 +389,44 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
       Transport.close_conn (conn rank)
     done;
     (* -- schedule rows ------------------------------------------------
-       Each rank gets its blocks as linearized iteration-space keys in
-       scheduled order.  A worker reads its row only once its instance
-       is built, and a row is larger than the socket buffer, so the rows
-       go out together: each is written as far as its rank reads, and a
-       rank still loading holds up only its own row.  The writes drain
+       Each rank gets its blocks' entries in scheduled order: linearized
+       keys and values in the wire's value codec, so a worker needs no
+       records of its own.  Every row also carries the iteration space's
+       dims, entry count and digest, which a worker checks its instance
+       against.  A worker reads its row only once its instance is built,
+       and a row is larger than the socket buffer, so the rows go out
+       together: each is written as far as its rank reads, and a rank
+       still starting holds up only its own row.  The writes drain
        under the same supervision as the other start-up waits. *)
     let iter = inst.Orion.App.inst_iter in
-    let entries = Dist_array.count iter in
-    let row rank =
-      Wire.Schedule_row
-        {
-          sr_sp = sp;
-          sr_tp = tp;
-          sr_model = model;
-          sr_space_boundaries = sched.Schedule.space_boundaries;
-          sr_time_boundaries = sched.Schedule.time_boundaries;
-          sr_entries = entries;
-          sr_blocks =
+    let rows_of (s : _ Schedule.t) =
+      let digest = ref 0 in
+      let blocks =
+        Array.init nw (fun rank ->
             Array.map
               (fun (b : _ Schedule.block) ->
-                Wire.pack_keys
-                  (Array.map
-                     (fun (key, _) -> Dist_array.linearize iter key)
-                     b.Schedule.entries))
-              sched.Schedule.blocks.(rank);
-        }
+                let bytes, d =
+                  Wire.encode_block ~linearize:(Dist_array.linearize iter)
+                    b.Schedule.entries
+                in
+                digest := !digest + d;
+                bytes)
+              s.Schedule.blocks.(rank))
+      in
+      Array.map
+        (fun blocks ->
+          {
+            Wire.sr_sp = s.Schedule.space_parts;
+            sr_tp = s.Schedule.time_parts;
+            sr_model = model;
+            sr_space_boundaries = s.Schedule.space_boundaries;
+            sr_time_boundaries = s.Schedule.time_boundaries;
+            sr_dims = Dist_array.dims iter;
+            sr_entries = Dist_array.count iter;
+            sr_digest = !digest;
+            sr_blocks = blocks;
+          })
+        blocks
     in
     let rec send_rows pending =
       let pending =
@@ -441,16 +456,18 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
         send_rows pending
       end
     in
+    let rows = rows_of sched in
     send_rows
-      (List.init nw (fun rank -> (rank, Transport.start_send (conn rank) (row rank))));
+      (List.init nw (fun rank ->
+           (rank, Transport.start_send (conn rank) (Wire.Schedule_row rows.(rank)))));
     (* from here on only the [nw] ranks with blocks take part *)
     let states = Array.sub states 0 nw in
     (* -- adaptive re-planning ------------------------------------------
-       A [Repartition] ships the new cut plus the fingerprint of the
-       master's rebuilt schedule.  Only space-boundary re-balancing is
-       honored distributed: tp and the model pin the happens-before edges
-       and the (pass, natural-order) final assembly, so they never change
-       mid-run. *)
+       A [Repartition] ships each rank its row of the master's
+       rebalanced schedule, as the start-up rows go.  Only
+       space-boundary re-balancing is honored distributed: tp and the
+       model pin the happens-before edges and the (pass, natural-order)
+       final assembly, so they never change mid-run. *)
     let rebuild_schedule space_boundaries =
       Schedule.rebalance plan.Plan.strategy inst.Orion.App.inst_iter
         ~space_boundaries ~time_parts:tp
@@ -772,17 +789,16 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
                           -> (
                             match rebuild_schedule sb with
                             | Some ns ->
-                                Wire.Repartition
-                                  {
-                                    rp_pass = pt_pass;
-                                    rp_boundaries = sb;
-                                    rp_fingerprint = Schedule.fingerprint ns;
-                                  }
-                            | None -> Wire.Continue { c_pass = pt_pass })
-                        | Some _ | None -> Wire.Continue { c_pass = pt_pass }
+                                let rows = rows_of ns in
+                                fun r ->
+                                  Wire.Repartition
+                                    { rp_pass = pt_pass; rp_row = rows.(r) }
+                            | None -> fun _ -> Wire.Continue { c_pass = pt_pass })
+                        | Some _ | None ->
+                            fun _ -> Wire.Continue { c_pass = pt_pass }
                       in
                       for r = 0 to nw - 1 do
-                        Transport.send (conn r) directive
+                        Transport.send (conn r) (directive r)
                       done
                     end
                 | _ -> ()

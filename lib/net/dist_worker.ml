@@ -6,10 +6,13 @@
     A worker never receives code: it rebuilds the app instance
     deterministically from the registry ([materialize]) — host builtins
     are closures and cannot travel over the wire — while the master
-    compiles the schedule.  It never compiles the schedule itself: its
-    row arrives as the iteration-space keys of its blocks
-    ({!Wire.Schedule_row}), which it looks up in its own instance, so it
-    runs exactly the master's blocks.  DistArray {e contents} do travel:
+    compiles the schedule.  It builds that instance from shapes only
+    and reads no dataset record, unless a host builtin closes over the
+    records; it takes the master's plan from the {!Wire.Plan} message
+    instead of analysing the loop itself.  It never compiles the
+    schedule either: its row arrives as its blocks' entries, keys and
+    values ({!Wire.Schedule_row}), so it runs exactly the master's
+    blocks.  DistArray {e contents} do travel:
     every placed non-buffered array is zeroed locally and refilled from
     the wire (partition ship for local/rotated/replicated placements, a
     bulk prefetch for server-hosted ones), so the shipping path is
@@ -57,10 +60,12 @@
 open Orion_lang
 module Dist_array = Orion_dsm.Dist_array
 module Plan = Orion_analysis.Plan
-module Schedule = Orion_runtime.Schedule
 module Domain_exec = Orion_runtime.Domain_exec
 module Telemetry = Orion_obs.Telemetry
 
+(** Build app [name]'s instance on a worker: from shapes, reading no
+    dataset record its host builtins do not need (the entries it runs
+    arrive in its schedule row). *)
 type materialize =
   string ->
   scale:float ->
@@ -220,40 +225,37 @@ let part_range (b : Orion_dsm.Partitioner.boundaries) p ~size =
     no blocks. *)
 exception No_row
 
-(** [rank]'s row of the master's schedule, rebuilt over this worker's
-    own iteration space [iter]: every shipped key is looked up in it,
-    so the worker runs exactly the master's blocks.  The other rows
-    stay empty. *)
-let install_row (iter : 'v Dist_array.t) ~rank ~sp ~tp ~entries
-    ~space_boundaries ~time_boundaries (blocks : bytes array) : 'v Schedule.t
-    =
+(** Fail unless [iter] can run [row]: it must have the dims of the
+    master's iteration space (keys are delinearized against them), and
+    when it holds records of its own — which the app's host builtins
+    read — exactly the master's entries, by count and by [digest]. *)
+let check_space (iter : Value.t Dist_array.t) ~(digest : int Lazy.t)
+    (row : Wire.row) =
   let name = Dist_array.name iter in
-  if Dist_array.count iter <> entries then
-    fail "iteration space %S has %d entries, the master's has %d" name
-      (Dist_array.count iter) entries;
-  if Array.length blocks <> tp then
-    fail "schedule row has %d blocks, expected %d" (Array.length blocks) tp;
-  let lookup lin =
-    match Dist_array.find_lin iter lin with
-    | v -> (Dist_array.delinearize iter lin, v)
-    | exception Not_found ->
-        fail "schedule key %d is not in iteration space %S" lin name
-  in
-  let row = Array.map (fun b -> Array.map lookup (Wire.unpack_keys b)) blocks in
-  {
-    Schedule.space_parts = sp;
-    time_parts = tp;
-    blocks =
-      Array.init sp (fun s ->
-          Array.init tp (fun t ->
-              {
-                Schedule.space_idx = s;
-                time_idx = (if tp = 1 then -1 else t);
-                entries = (if s = rank then row.(t) else [||]);
-              }));
-    space_boundaries;
-    time_boundaries;
-  }
+  let dims d = String.concat "x" (Array.to_list (Array.map string_of_int d)) in
+  if Dist_array.dims iter <> row.Wire.sr_dims then
+    fail "iteration space %S has dims %s, the master's has %s" name
+      (dims (Dist_array.dims iter))
+      (dims row.Wire.sr_dims);
+  let count = Dist_array.count iter in
+  if count > 0 then begin
+    if count <> row.Wire.sr_entries then
+      fail "iteration space %S has %d entries, the master's has %d" name count
+        row.Wire.sr_entries;
+    if Lazy.force digest <> row.Wire.sr_digest then
+      fail "iteration space %S holds other entries than the master's" name
+  end
+
+(** Decode the whole [row] once, so that a malformed one fails at
+    install, not mid-pass.  Entries are decoded again as each block
+    runs: the row's bytes are all a worker keeps of its iteration
+    space. *)
+let check_blocks ~tp (row : Wire.row) =
+  if Array.length row.Wire.sr_blocks <> tp then
+    fail "schedule row has %d blocks, expected %d"
+      (Array.length row.Wire.sr_blocks)
+      tp;
+  Array.iter (Wire.fold_block (fun () _ _ -> ()) ()) row.Wire.sr_blocks
 
 let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     ~(like : Transport.addr) : unit =
@@ -286,9 +288,9 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
         ~finish:(tel_now ())
   in
   (* -- start-up: everything that needs only the plan ------------------
-     Rebuilding the instance, the analysis and the kernel compile run
-     while the master compiles the schedule; the schedule itself
-     arrives afterwards as this rank's row. *)
+     Building the instance from shapes runs while the master compiles
+     the schedule; the schedule itself arrives afterwards as this
+     rank's row, with the entries the kernel is compiled for. *)
   let start = tel_now () in
   let inst =
     match
@@ -300,8 +302,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   in
   tel_span ~category:Orion_obs.Trace.Compute ~label:"materialize" ~bytes:0.0
     ~start;
-  let session = inst.Orion.App.inst_session in
-  let plan = Orion.analyze_loop session inst.Orion.App.inst_loop in
+  let plan = p.p_plan in
   let arrays = inst.Orion.App.inst_arrays in
   let buffered = inst.Orion.App.inst_buffered in
   (* -- shadows for buffered arrays (as Engine.make_shadows) --------- *)
@@ -320,69 +321,68 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
         else None)
       arrays
   in
-  (* -- compiled kernel ----------------------------------------------
-     Compiled once, after the shadow rebinding (the kernel captures
-     env's current array bindings).  The write-journal hook, installed
-     below only when some array is journaled, is checked dynamically
-     inside the kernel: while it is attached every DistArray access
-     routes through the boxed, hook-calling path, so the journal sees
-     exactly what it would see under the interpreter.  Without it the
-     kernel runs the same unboxed path as the domain pool. *)
-  let start = tel_now () in
-  let kernel = Orion.Engine.compile_kernel inst env in
-  tel_span ~category:Orion_obs.Trace.Compute ~label:"kernel compile"
-    ~bytes:0.0 ~start;
+  (* -- schedule rows and the compiled kernel ---------------------------
+     One install path for the start-up row and every re-planned one:
+     check the row against this instance and decode it once, then
+     compile the kernel for the values it carries (after the shadow
+     rebinding above: the kernel captures env's current array
+     bindings).  The write-journal hook, installed below only when some
+     array is journaled, is checked dynamically inside the kernel: while
+     it is attached every DistArray access routes through the boxed,
+     hook-calling path, so the journal sees exactly what it would see
+     under the interpreter.  Without it the kernel runs the same
+     unboxed path as the domain pool. *)
+  let iter = inst.Orion.App.inst_iter in
+  let digest = lazy (Wire.space_digest iter) in
+  let kernel = ref None in
+  let install (row : Wire.row) =
+    check_space iter ~digest row;
+    let start = tel_now () in
+    check_blocks ~tp:row.Wire.sr_tp row;
+    tel_span ~category:Orion_obs.Trace.Marshal ~label:"row install"
+      ~bytes:
+        (Array.fold_left
+           (fun acc b -> acc +. float_of_int (Bytes.length b))
+           0.0 row.Wire.sr_blocks)
+      ~start;
+    let start = tel_now () in
+    (* a re-planned row recompiles: the kernel's value slot follows the
+       values it runs; the old kernel's locals go back to env first *)
+    Option.iter Orion.Compile.flush_locals !kernel;
+    kernel :=
+      Orion.Engine.compile_kernel
+        ~values:(fun p ->
+          Array.for_all
+            (Wire.fold_block (fun ok _ v -> ok && p v) true)
+            row.Wire.sr_blocks)
+        inst env;
+    tel_span ~category:Orion_obs.Trace.Compute ~label:"kernel compile"
+      ~bytes:0.0 ~start;
+    row
+  in
   let exec_entry ~key ~value =
-    match kernel with
+    match !kernel with
     | Some k -> Orion.Compile.run k ~key ~value
     | None ->
         Interp.eval_body_for env ~key_var:inst.Orion.App.inst_key_var
           ~value_var:inst.Orion.App.inst_value_var ~key ~value
           inst.Orion.App.inst_body
   in
-  (* -- schedule row -------------------------------------------------
-     re-planning swaps the schedule at pass boundaries; sp / tp / model
-     never change mid-run (the master's final assembly depends on
-     them) *)
-  let sched, sp, tp, model =
+  (* the installed row; re-planning swaps it at pass boundaries, but
+     sp / tp / model never change mid-run (the master's final assembly
+     depends on them) *)
+  let cur, sp, tp, model =
     match recv_master "schedule row" with
-    | Wire.Schedule_row
-        {
-          sr_sp = sp;
-          sr_tp = tp;
-          sr_model;
-          sr_space_boundaries;
-          sr_time_boundaries;
-          sr_entries;
-          sr_blocks;
-        } ->
+    | Wire.Schedule_row row ->
+        let sp = row.Wire.sr_sp in
         if sp > p.p_procs || rank >= sp then
           fail "schedule row for rank %d of %d space partitions (%d workers)"
             rank sp p.p_procs;
-        let start = tel_now () in
-        let row =
-          install_row inst.Orion.App.inst_iter ~rank ~sp ~tp
-            ~entries:sr_entries ~space_boundaries:sr_space_boundaries
-            ~time_boundaries:sr_time_boundaries sr_blocks
-        in
-        tel_span ~category:Orion_obs.Trace.Marshal ~label:"row install"
-          ~bytes:
-            (Array.fold_left
-               (fun acc b -> acc +. float_of_int (Bytes.length b))
-               0.0 sr_blocks)
-          ~start;
-        (ref row, sp, tp, sr_model)
+        (ref (install row), sp, row.Wire.sr_tp, row.Wire.sr_model)
     | Wire.Shutdown -> raise No_row
     | m -> fail "expected schedule-row, got %s" (Wire.tag m)
   in
-  let rebuild_schedule space_boundaries =
-    match
-      Schedule.rebalance plan.Plan.strategy inst.Orion.App.inst_iter
-        ~space_boundaries ~time_parts:tp
-    with
-    | Some s -> s
-    | None -> fail "repartition is unsupported for unimodular schedules"
-  in
+  let space_boundaries () = !cur.Wire.sr_space_boundaries in
   (* -- own listener + prefetch request ----------------------------- *)
   let listener = Transport.listen (Transport.fresh_addr ~like) in
   Transport.send master
@@ -626,7 +626,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   in
   (* the rotated arrays' slices of time partition [t] *)
   let slices t =
-    match (rotating, !sched.Schedule.time_boundaries) with
+    match (rotating, !cur.Wire.sr_time_boundaries) with
     | [], _ -> []
     | _, Some boundaries -> List.map (fun r -> region r ~boundaries t) rotating
     | (name, _, _) :: _, None ->
@@ -653,7 +653,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   let owned_regions () =
     List.map pack
       (List.map
-         (fun r -> region r ~boundaries:!sched.Schedule.space_boundaries rank)
+         (fun r -> region r ~boundaries:(space_boundaries ()) rank)
          locals
       @ held_last ())
   in
@@ -761,8 +761,13 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
      arrival itself is the synchronization.  Early next-pass tokens
      from faster peers never carry locally-partitioned arrays, so
      applying shipments after them cannot lose a write. *)
-  let migrate ~pass ~new_boundaries ~fingerprint =
-    let old_boundaries = !sched.Schedule.space_boundaries in
+  let migrate ~pass (row : Wire.row) =
+    if row.Wire.sr_sp <> sp || row.Wire.sr_tp <> tp || row.Wire.sr_model <> model
+    then
+      fail "re-planned schedule changed shape: %dx%d, expected %dx%d"
+        row.Wire.sr_sp row.Wire.sr_tp sp tp;
+    let old_boundaries = space_boundaries () in
+    let new_boundaries = row.Wire.sr_space_boundaries in
     let migrating =
       List.filter_map
         (fun (name, arr) ->
@@ -832,13 +837,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
                   part.Dist_array.pt_array)
           (Option.value (Hashtbl.find_opt reparts (pass, q)) ~default:[])
     done;
-    let ns = rebuild_schedule new_boundaries in
-    if ns.Schedule.space_parts <> sp || ns.Schedule.time_parts <> tp then
-      fail "re-planned schedule changed shape: %dx%d, expected %dx%d"
-        ns.Schedule.space_parts ns.Schedule.time_parts sp tp;
-    if Schedule.fingerprint ns <> fingerprint then
-      fail "re-planned schedule fingerprint mismatch";
-    sched := ns
+    cur := install row
   in
   (* -- execute ------------------------------------------------------ *)
   let abort = abort_spec () in
@@ -876,17 +875,18 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
           drain_journal ();
           current := [];
           cur_version := (pass, pos blk);
-          let b = !sched.Schedule.blocks.(s).(t) in
           let blk_start = tel_now () in
-          Array.iter
-            (fun (key, value) ->
-              exec_entry ~key ~value;
-              incr entries_done)
-            b.Schedule.entries;
+          let n =
+            Wire.fold_block
+              (fun n lin value ->
+                exec_entry ~key:(Dist_array.delinearize iter lin) ~value;
+                n + 1)
+              0 !cur.Wire.sr_blocks.(t)
+          in
+          entries_done := !entries_done + n;
           if tel_on then
             Telemetry.block tel ~shard:0 ~worker:rank ~pass ~space:s ~time:t
-              ~start:blk_start ~finish:(tel_now ())
-              ~entries:(Array.length b.Schedule.entries);
+              ~start:blk_start ~finish:(tel_now ()) ~entries:n;
           incr blocks_done;
           if !current <> [] then begin
             let bw =
@@ -1016,19 +1016,18 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
       | Wire.Continue { c_pass } ->
           if c_pass <> pass then
             fail "continue for pass %d at the pass-%d boundary" c_pass pass
-      | Wire.Repartition { rp_pass; rp_boundaries; rp_fingerprint } ->
+      | Wire.Repartition { rp_pass; rp_row } ->
           if rp_pass <> pass then
             fail "repartition for pass %d at the pass-%d boundary" rp_pass
               pass;
-          migrate ~pass ~new_boundaries:rp_boundaries
-            ~fingerprint:rp_fingerprint
+          migrate ~pass rp_row
       | m -> fail "expected re-plan directive, got %s" (Wire.tag m));
       tel_span ~category:Orion_obs.Trace.Barrier_wait ~label:"replan-gate"
         ~bytes:0.0 ~start:gate_start
     end
   done;
   (* leak loop locals back into the env, as the interpreter would *)
-  Option.iter Orion.Compile.flush_locals kernel;
+  Option.iter Orion.Compile.flush_locals !kernel;
   let wall = Orion_obs.Clock.elapsed t0 in
   (* -- final reports ------------------------------------------------ *)
   Transport.send master

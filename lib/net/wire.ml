@@ -2,16 +2,20 @@
     plain (closure-free) OCaml values encoded with [Marshal] inside a
     {!Frame}; both ends are always the same binary built from the same
     sources, which is the one regime where [Marshal] is sound.  A
-    [version] field in the handshake catches accidental mixes.
+    [version] field in the handshake catches accidental mixes.  The
+    iteration-space entries a schedule row carries are the exception:
+    they travel in this module's own tagged value codec
+    ({!encode_block}), whose decoder names the byte offset of any fault.
 
     Protocol outline (master-centric):
 
     {v
     worker → master   Hello
-    master → worker   Plan                 (app, scale, shape, rank, flags)
+    master → worker   Plan                 (app, scale, shape, rank, flags,
+                                            the master's loop plan)
                       ... the master compiles the schedule while the
-                      workers rebuild their instances ...
-    master → worker   Schedule_row         (the rank's blocks, as keys)
+                      workers build their instances from shapes ...
+    master → worker   Schedule_row         (the rank's blocks, as entries)
                     | Shutdown             (rank beyond the space cut)
     worker → master   Listening            (the worker's own peer addr)
     worker → master   Prefetch_request     (Server-placed arrays)
@@ -53,8 +57,14 @@
        the master compiles and carries no schedule shape, pipeline
        depth or fingerprint; a [Schedule_row] after the compile ships
        each rank the shape, the execution model and its blocks' keys,
-       which the worker looks up in its own iteration space *)
-let version = 8
+       which the worker looks up in its own iteration space
+   v9: workers start without the dataset — the plan carries the
+       master's loop plan (workers no longer analyze), a schedule row
+       carries its blocks' entries (keys and values, in the tagged
+       value codec) plus the master's iteration-space dims, entry count
+       and digest, and a [Repartition] ships each rank its rebalanced
+       row the same way (no worker-side rebuild, no fingerprint) *)
+let version = 9
 
 (** One journaled DistArray element write, in execution order (only
     arrays with no single owner are journaled). *)
@@ -96,8 +106,9 @@ type part = float Orion_dsm.Dist_array.partition
     {!Policy} part layout. *)
 type part_payload = bytes
 
-(** What a worker needs to rebuild its instance, all known before the
-    master plans (a named record so workers can pass it around whole). *)
+(** What a worker needs to build its instance and classify its arrays,
+    all known before the master compiles the schedule (a named record
+    so workers can pass it around whole). *)
 type plan = {
   p_app : string;
   p_scale : float;
@@ -119,25 +130,34 @@ type plan = {
           the barrier for the master's [Continue] / [Repartition]
           directive instead of free-running (implies [p_telemetry] —
           the re-planner feeds on shipped block costs) *)
+  p_plan : Orion_analysis.Plan.t;
+      (** the master's analysis of the loop: workers take their array
+          placements from it instead of re-analysing an instance whose
+          iteration space may hold no records *)
+}
+
+(** One rank's row of the master's compiled schedule, with everything
+    the worker checks its own instance against. *)
+type row = {
+  sr_sp : int;
+  sr_tp : int;
+  sr_model : Orion_runtime.Domain_exec.model;
+  sr_space_boundaries : Orion_dsm.Partitioner.boundaries;
+  sr_time_boundaries : Orion_dsm.Partitioner.boundaries option;
+  sr_dims : int array;  (** dims of the master's iteration space *)
+  sr_entries : int;  (** entries of the master's iteration space *)
+  sr_digest : int;
+      (** {!entry_digest} summed over the master's iteration space; a
+          worker whose instance holds records must hold these *)
+  sr_blocks : bytes array;
+      (** per time partition, the receiving rank's block as its
+          entries in scheduled order ({!encode_block}) *)
 }
 
 type msg =
   | Hello of { h_rank : int; h_pid : int; h_version : int }
   | Plan of plan
-  | Schedule_row of {
-      sr_sp : int;
-      sr_tp : int;
-      sr_model : Orion_runtime.Domain_exec.model;
-      sr_space_boundaries : Orion_dsm.Partitioner.boundaries;
-      sr_time_boundaries : Orion_dsm.Partitioner.boundaries option;
-      sr_entries : int;
-          (** entries of the master's iteration space; the worker's
-              must have as many *)
-      sr_blocks : bytes array;
-          (** per time partition, the receiving rank's block as its
-              linearized iteration-space keys in scheduled order
-              ({!pack_keys}) *)
-    }
+  | Schedule_row of row
       (** the receiving rank's row of the master's compiled schedule *)
   | Listening of { l_rank : int; l_addr : string }
   | Prefetch_request of { pr_rank : int; pr_arrays : string list }
@@ -211,19 +231,16 @@ type msg =
           telemetry and keeps the current schedule — proceed *)
   | Repartition of {
       rp_pass : int;  (** the pass just finished *)
-      rp_boundaries : int array;
-          (** the new space cut (same number of partitions; re-balanced
-              from measured per-block seconds) *)
-      rp_fingerprint : int;
-          (** {!Orion_runtime.Schedule.fingerprint} of the master's
-              rebuilt schedule; every worker must rebuild an identical
-              one before executing another pass *)
+      rp_row : row;
+          (** the receiving rank's row of the master's rebalanced
+              schedule: a new space cut (same number of partitions,
+              re-balanced from measured per-block seconds) and the
+              blocks it gives the rank *)
     }
       (** adaptive runs: adopt a re-balanced space cut for the
           remaining passes.  Workers migrate the locally-partitioned
           array regions whose ownership moves ({!Repart_ship},
-          all-to-all), rebuild their schedules under the new
-          boundaries, and re-verify by fingerprint *)
+          all-to-all) and install the shipped row *)
   | Repart_ship of {
       rs_pass : int;
       rs_rank : int;  (** sending rank *)
@@ -277,18 +294,260 @@ let tag = function
 let to_bytes (m : msg) = Marshal.to_bytes m []
 let of_bytes (b : bytes) : msg = Marshal.from_bytes b 0
 
-(** Keys as 8-byte little-endian ints. *)
-let pack_keys (keys : int array) =
-  let b = Bytes.create (8 * Array.length keys) in
-  Array.iteri (fun i k -> Bytes.set_int64_le b (8 * i) (Int64.of_int k)) keys;
-  b
+(* ------------------------------------------------------------------ *)
+(* The value codec: schedule-row entries                               *)
+(* ------------------------------------------------------------------ *)
 
-(** The inverse of {!pack_keys}.
-    @raise Invalid_argument on a trailing partial key. *)
-let unpack_keys (b : bytes) =
-  if Bytes.length b mod 8 <> 0 then
-    invalid_arg
-      (Printf.sprintf "Wire.unpack_keys: %d bytes are not whole keys"
-         (Bytes.length b));
-  Array.init (Bytes.length b / 8) (fun i ->
-      Int64.to_int (Bytes.get_int64_le b (8 * i)))
+(** A malformed codec payload: [offset] is the byte where decoding
+    failed. *)
+exception Decode_error of { offset : int; reason : string }
+
+let () =
+  Printexc.register_printer (function
+    | Decode_error { offset; reason } ->
+        Some (Printf.sprintf "wire decode error at byte %d: %s" offset reason)
+    | _ -> None)
+
+let decode_error offset fmt =
+  Printf.ksprintf (fun reason -> raise (Decode_error { offset; reason })) fmt
+
+module V = Orion_lang.Value
+
+(* One tag byte, then the payload: 8-byte little-endian ints and float
+   bits, 4-byte little-endian counts. *)
+let tag_unit = 0
+let tag_int = 1
+let tag_float = 2
+let tag_bool = 3
+let tag_string = 4
+let tag_vec = 5
+let tag_tuple = 6
+let tag_index = 7
+
+(* nesting bound: a corrupt payload must not recurse without limit *)
+let max_depth = 64
+
+(* Encoding is two passes: the exact size, then the bytes. *)
+
+let cannot_travel (ex : V.extern) =
+  invalid_arg (Printf.sprintf "Wire: DistArray %S cannot travel" ex.V.ex_name)
+
+let count_size n =
+  if n > 0xFFFF_FFFF then
+    invalid_arg (Printf.sprintf "Wire: %d elements do not fit a count" n);
+  4
+
+(** The encoded size of [v], in bytes.
+    @raise Invalid_argument on a DistArray handle, which cannot travel *)
+let rec value_size (v : V.t) =
+  match v with
+  | V.Vunit -> 1
+  | V.Vint _ | V.Vfloat _ -> 9
+  | V.Vbool _ -> 2
+  | V.Vstring s -> 1 + count_size (String.length s) + String.length s
+  | V.Vvec a -> 1 + count_size (Array.length a) + (8 * Array.length a)
+  | V.Vindex a -> 1 + count_size (Array.length a) + (8 * Array.length a)
+  | V.Vtuple l ->
+      List.fold_left
+        (fun acc v -> acc + value_size v)
+        (1 + count_size (List.length l))
+        l
+  | V.Vextern ex -> cannot_travel ex
+
+let set_count b pos n = Bytes.set_int32_le b pos (Int32.of_int n)
+let set_int b pos n = Bytes.set_int64_le b pos (Int64.of_int n)
+let set_float b pos f = Bytes.set_int64_le b pos (Int64.bits_of_float f)
+
+(* write [v] at [pos] of [b], sized by {!value_size}; returns the byte
+   after it *)
+let rec write_value b pos (v : V.t) =
+  match v with
+  | V.Vfloat f ->
+      Bytes.set_uint8 b pos tag_float;
+      set_float b (pos + 1) f;
+      pos + 9
+  | V.Vint n ->
+      Bytes.set_uint8 b pos tag_int;
+      set_int b (pos + 1) n;
+      pos + 9
+  | V.Vunit ->
+      Bytes.set_uint8 b pos tag_unit;
+      pos + 1
+  | V.Vbool x ->
+      Bytes.set_uint8 b pos tag_bool;
+      Bytes.set_uint8 b (pos + 1) (if x then 1 else 0);
+      pos + 2
+  | V.Vstring s ->
+      Bytes.set_uint8 b pos tag_string;
+      set_count b (pos + 1) (String.length s);
+      Bytes.blit_string s 0 b (pos + 5) (String.length s);
+      pos + 5 + String.length s
+  | V.Vvec a ->
+      Bytes.set_uint8 b pos tag_vec;
+      set_count b (pos + 1) (Array.length a);
+      Array.iteri (fun i f -> set_float b (pos + 5 + (8 * i)) f) a;
+      pos + 5 + (8 * Array.length a)
+  | V.Vindex a ->
+      Bytes.set_uint8 b pos tag_index;
+      set_count b (pos + 1) (Array.length a);
+      Array.iteri (fun i n -> set_int b (pos + 5 + (8 * i)) n) a;
+      pos + 5 + (8 * Array.length a)
+  | V.Vtuple l ->
+      Bytes.set_uint8 b pos tag_tuple;
+      set_count b (pos + 1) (List.length l);
+      List.fold_left (write_value b) (pos + 5) l
+  | V.Vextern ex -> cannot_travel ex
+
+(* [n] bytes of [what] must remain at [pos] *)
+let need b pos n what =
+  if n > Bytes.length b - pos then
+    decode_error pos "truncated %s: %d bytes needed, %d left" what n
+      (Bytes.length b - pos)
+
+let get_count b pos what =
+  need b pos 4 what;
+  Int32.to_int (Bytes.get_int32_le b pos) land 0xFFFF_FFFF
+
+let get_int b pos = Int64.to_int (Bytes.get_int64_le b pos)
+let get_float b pos = Int64.float_of_bits (Bytes.get_int64_le b pos)
+
+(* a read position in a payload *)
+type cursor = { c_bytes : bytes; mutable c_pos : int }
+
+(* The value at the cursor, which then moves past it.
+   @raise Decode_error on a truncated value or an unknown tag *)
+let rec read_value c depth : V.t =
+  let b = c.c_bytes and pos = c.c_pos in
+  need b pos 1 "value tag";
+  let tag = Bytes.get_uint8 b pos in
+  let p = pos + 1 in
+  if tag = tag_float then begin
+    need b p 8 "float";
+    c.c_pos <- p + 8;
+    V.Vfloat (get_float b p)
+  end
+  else if tag = tag_int then begin
+    need b p 8 "int";
+    c.c_pos <- p + 8;
+    V.Vint (get_int b p)
+  end
+  else if tag = tag_unit then begin
+    c.c_pos <- p;
+    V.Vunit
+  end
+  else if tag = tag_bool then begin
+    need b p 1 "bool";
+    c.c_pos <- p + 1;
+    match Bytes.get_uint8 b p with
+    | 0 -> V.Vbool false
+    | 1 -> V.Vbool true
+    | x -> decode_error p "bool byte %d" x
+  end
+  else if tag = tag_string then begin
+    let n = get_count b p "string length" in
+    need b (p + 4) n "string";
+    c.c_pos <- p + 4 + n;
+    V.Vstring (Bytes.sub_string b (p + 4) n)
+  end
+  else if tag = tag_vec then begin
+    let n = get_count b p "vector length" in
+    need b (p + 4) (8 * n) "vector";
+    c.c_pos <- p + 4 + (8 * n);
+    V.Vvec (Array.init n (fun i -> get_float b (p + 4 + (8 * i))))
+  end
+  else if tag = tag_index then begin
+    let n = get_count b p "index length" in
+    need b (p + 4) (8 * n) "index";
+    c.c_pos <- p + 4 + (8 * n);
+    V.Vindex (Array.init n (fun i -> get_int b (p + 4 + (8 * i))))
+  end
+  else if tag = tag_tuple then begin
+    if depth >= max_depth then
+      decode_error pos "tuples nested deeper than %d" max_depth;
+    let n = get_count b p "tuple length" in
+    (* every element takes at least its tag byte *)
+    need b (p + 4) n "tuple";
+    c.c_pos <- p + 4;
+    V.Vtuple (List.init n (fun _ -> read_value c (depth + 1)))
+  end
+  else decode_error pos "unknown value tag %d" tag
+
+(* a 63-bit finalizer (splitmix-style), so summed entry hashes do not
+   cancel for shifted keys or values *)
+let mix x =
+  let x = (x lxor (x lsr 31)) * 0x3c79ac492ba7b653 in
+  let x = (x lxor (x lsr 27)) * 0x1c69b3f74ac4ae35 in
+  x lxor (x lsr 33)
+
+let rec value_hash (v : V.t) =
+  let combine h x = mix (h + x) in
+  let floats h a =
+    Array.fold_left (fun h f -> combine h (Int64.to_int (Int64.bits_of_float f))) h a
+  in
+  match v with
+  | V.Vunit -> 1
+  | V.Vint n -> combine 2 n
+  | V.Vfloat f -> combine 3 (Int64.to_int (Int64.bits_of_float f))
+  | V.Vbool b -> if b then 4 else 5
+  | V.Vstring s -> combine 6 (Hashtbl.hash s)
+  | V.Vvec a -> floats (combine 7 (Array.length a)) a
+  | V.Vtuple l ->
+      List.fold_left (fun h v -> combine h (value_hash v)) (combine 8 (List.length l)) l
+  | V.Vindex a -> Array.fold_left combine (combine 9 (Array.length a)) a
+  | V.Vextern _ -> 10
+
+(** One iteration-space entry's share of a space digest.  Digests are
+    sums of these, so they do not depend on the order entries are
+    visited in: the master sums its schedule rows, a worker its own
+    space, and the two agree exactly when both hold the same entries. *)
+let entry_digest lin v = mix (mix lin + value_hash v)
+
+(** {!entry_digest} summed over [iter]'s stored entries. *)
+let space_digest (iter : V.t Orion_dsm.Dist_array.t) =
+  Orion_dsm.Dist_array.fold
+    (fun acc key v ->
+      acc + entry_digest (Orion_dsm.Dist_array.linearize iter key) v)
+    0 iter
+
+(** A block's entries as one payload: a 4-byte count, then per entry
+    its linearized key (8 bytes) and its value: a tag byte, then
+    8-byte little-endian ints and float bits, 4-byte little-endian
+    counts.
+    Returns the payload and the entries' summed {!entry_digest}. *)
+let encode_block ~linearize (entries : (int array * V.t) array) =
+  let size =
+    Array.fold_left
+      (fun acc (_, v) -> acc + 8 + value_size v)
+      (count_size (Array.length entries))
+      entries
+  in
+  let b = Bytes.create size in
+  set_count b 0 (Array.length entries);
+  let digest = ref 0 and pos = ref 4 in
+  Array.iter
+    (fun (key, v) ->
+      let lin = linearize key in
+      set_int b !pos lin;
+      pos := write_value b (!pos + 8) v;
+      digest := !digest + entry_digest lin v)
+    entries;
+  (b, !digest)
+
+(** [f] folded over a block's entries ({!encode_block}) in order, each
+    decoded as it is reached: [f acc lin value].
+    @raise Decode_error on a truncated or over-long payload *)
+let fold_block f init b =
+  let n = get_count b 0 "entry count" in
+  (* every entry takes at least a key and a tag byte *)
+  need b 4 (9 * n) "block";
+  let c = { c_bytes = b; c_pos = 4 } in
+  let acc = ref init in
+  for _ = 1 to n do
+    need b c.c_pos 8 "entry key";
+    let lin = get_int b c.c_pos in
+    c.c_pos <- c.c_pos + 8;
+    acc := f !acc lin (read_value c 0)
+  done;
+  if c.c_pos <> Bytes.length b then
+    decode_error c.c_pos "%d bytes after the last entry" (Bytes.length b - c.c_pos);
+  !acc

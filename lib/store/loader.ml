@@ -1,6 +1,8 @@
 (* Shard directory -> in-memory dataset, streaming: each record is
    decoded and stored at its linearized key in the target Dist_array as
-   it comes off the reader, one table operation per record. *)
+   it comes off the reader, one table operation per record.  With
+   [~records:false] only the shard headers are read: the dataset comes
+   back at its dimensions, with no entries. *)
 
 open Orion_dsm
 
@@ -55,7 +57,7 @@ let dataset_count dir =
   Shard.dataset_headers dir
   |> List.fold_left (fun acc h -> acc + h.Shard.h_count) 0
 
-let ratings dir =
+let ratings ?(records = true) dir =
   let paths, meta =
     open_dataset dir ~schema:"ratings-v1" ~keys:[ "num_users"; "num_items" ]
   in
@@ -64,13 +66,14 @@ let ratings dir =
     Dist_array.create_sparse ~name:"ratings" ~dims:[| num_users; num_items |]
       ~default:0.0
   in
-  each_record paths (fun path offset b ~pos ~len ->
-      let r = Gen.decode_rating ~path b ~pos ~len in
-      check_index ~path ~offset "user" r.Gen.r_user num_users;
-      check_index ~path ~offset "item" r.Gen.r_item num_items;
-      Dist_array.set_lin arr
-        ((r.Gen.r_user * num_items) + r.Gen.r_item)
-        r.Gen.r_value);
+  if records then
+    each_record paths (fun path offset b ~pos ~len ->
+        let r = Gen.decode_rating ~path b ~pos ~len in
+        check_index ~path ~offset "user" r.Gen.r_user num_users;
+        check_index ~path ~offset "item" r.Gen.r_item num_items;
+        Dist_array.set_lin arr
+          ((r.Gen.r_user * num_items) + r.Gen.r_item)
+          r.Gen.r_value);
   {
     Orion_data.Ratings.ratings = arr;
     num_users;
@@ -81,7 +84,7 @@ let ratings dir =
     rank_truth = 0;
   }
 
-let features dir =
+let features ?(records = true) dir =
   let paths, meta =
     open_dataset dir ~schema:"features-v1"
       ~keys:[ "num_samples"; "num_features" ]
@@ -95,16 +98,17 @@ let features dir =
       ~default:empty
   in
   let nnz = ref 0 in
-  each_record paths (fun path offset b ~pos ~len ->
-      let s = Gen.decode_sample ~path b ~pos ~len in
-      check_index ~path ~offset "sample" s.Gen.fs_index num_samples;
-      nnz := !nnz + Array.length s.Gen.fs_features;
-      Dist_array.set_lin arr s.Gen.fs_index
-        {
-          Orion_data.Sparse_features.label = s.Gen.fs_label;
-          features = s.Gen.fs_features;
-          values = s.Gen.fs_values;
-        });
+  if records then
+    each_record paths (fun path offset b ~pos ~len ->
+        let s = Gen.decode_sample ~path b ~pos ~len in
+        check_index ~path ~offset "sample" s.Gen.fs_index num_samples;
+        nnz := !nnz + Array.length s.Gen.fs_features;
+        Dist_array.set_lin arr s.Gen.fs_index
+          {
+            Orion_data.Sparse_features.label = s.Gen.fs_label;
+            features = s.Gen.fs_features;
+            values = s.Gen.fs_values;
+          });
   let stored = max 1 (Dist_array.count arr) in
   {
     Orion_data.Sparse_features.samples = arr;

@@ -12,13 +12,15 @@
     value; anything else raises {!Shard.Corrupt} naming the shard. *)
 
 (** [ratings dir] loads a ["ratings-v1"] dataset into
-    {!Orion_data.Ratings.t}.
+    {!Orion_data.Ratings.t}.  [~records:false] reads the shard headers
+    only: the dataset at its dimensions, with no ratings.
     @raise Shard.Corrupt on schema mismatch or damaged shards *)
-val ratings : string -> Orion_data.Ratings.t
+val ratings : ?records:bool -> string -> Orion_data.Ratings.t
 
 (** [features dir] loads a ["features-v1"] dataset into
-    {!Orion_data.Sparse_features.t}. *)
-val features : string -> Orion_data.Sparse_features.t
+    {!Orion_data.Sparse_features.t}; [~records:false] as for
+    {!ratings}. *)
+val features : ?records:bool -> string -> Orion_data.Sparse_features.t
 
 (** [corpus dir] loads a ["corpus-v1"] dataset into
     {!Orion_data.Corpus.t}. *)

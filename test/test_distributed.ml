@@ -153,9 +153,37 @@ let qcheck_natural_order_linearizes =
 (* Frame + wire round-trip over a real socketpair                      *)
 (* ------------------------------------------------------------------ *)
 
+let encode_block entries =
+  fst
+    (Orion_net.Wire.encode_block ~linearize:(fun k -> k.(0))
+       (Array.map (fun (k, v) -> ([| k |], v)) entries))
+
 let test_wire_roundtrip () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let ca = Orion_net.Transport.wrap a and cb = Orion_net.Transport.wrap b in
+  let mf =
+    (Option.get (Orion.App.find "mf")).Orion.App.app_make ~num_machines:3
+      ~workers_per_machine:1 ()
+  in
+  let row =
+    {
+      Orion_net.Wire.sr_sp = 2;
+      sr_tp = 4;
+      sr_model = Domain_exec.M_2d_unordered { depth = 2 };
+      sr_space_boundaries = [| 0; 3; 6 |];
+      sr_time_boundaries = Some [| 0; 1; 2; 4; 5 |];
+      sr_dims = [| 1 lsl 41 |];
+      sr_entries = 9;
+      sr_digest = -17;
+      sr_blocks =
+        [|
+          encode_block [| (5, Orion.Value.Vfloat 1.5); (0, Orion.Value.Vint 2) |];
+          encode_block [||];
+          encode_block [| (1 lsl 40, Orion.Value.Vtuple []) |];
+          encode_block [| (7, Orion.Value.Vvec [| -0.0 |]) |];
+        |];
+    }
+  in
   let msgs =
     [
       Orion_net.Wire.Hello
@@ -172,23 +200,12 @@ let test_wire_roundtrip () =
           p_telemetry = true;
           p_report_passes = false;
           p_adapt = false;
+          p_plan =
+            Orion.analyze_loop mf.Orion.App.inst_session
+              mf.Orion.App.inst_loop;
         };
-      Orion_net.Wire.Schedule_row
-        {
-          sr_sp = 2;
-          sr_tp = 4;
-          sr_model = Domain_exec.M_2d_unordered { depth = 2 };
-          sr_space_boundaries = [| 0; 3; 6 |];
-          sr_time_boundaries = Some [| 0; 1; 2; 4; 5 |];
-          sr_entries = 9;
-          sr_blocks =
-            [|
-              Orion_net.Wire.pack_keys [| 5; 0 |];
-              Bytes.empty;
-              Orion_net.Wire.pack_keys [| 1 lsl 40 |];
-              Orion_net.Wire.pack_keys [| 7 |];
-            |];
-        };
+      Orion_net.Wire.Schedule_row row;
+      Orion_net.Wire.Repartition { rp_pass = 1; rp_row = row };
       Orion_net.Wire.Peers [| "unix:/tmp/w0"; "tcp:127.0.0.1:9999" |];
       Orion_net.Wire.Peer_hello
         { ph_rank = 1; ph_version = Orion_net.Wire.version };
@@ -210,13 +227,6 @@ let test_wire_roundtrip () =
       Orion_net.Wire.Shutdown;
     ]
   in
-  let keys = [| 0; 5; 3; 1 lsl 40; max_int |] in
-  Alcotest.(check (array int))
-    "packed keys round-trip" keys
-    (Orion_net.Wire.unpack_keys (Orion_net.Wire.pack_keys keys));
-  (match Orion_net.Wire.unpack_keys (Bytes.make 12 '\000') with
-  | _ -> Alcotest.fail "a partial packed key was accepted"
-  | exception Invalid_argument _ -> ());
   List.iter (fun m -> Orion_net.Transport.send ca m) msgs;
   List.iter
     (fun sent ->
@@ -244,6 +254,133 @@ let test_addr_roundtrip () =
            (Orion_net.Transport.addr_of_string
               (Orion_net.Transport.addr_to_string addr))))
     [ `Unix "/tmp/x.sock"; `Tcp ("127.0.0.1", 8080) ]
+
+(* ------------------------------------------------------------------ *)
+(* The value codec schedule rows carry entries in                      *)
+(* ------------------------------------------------------------------ *)
+
+module V = Orion.Value
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* bitwise equality: floats by their bits, so NaN payloads and the
+   sign of zero count *)
+let rec same_bits (a : V.t) (b : V.t) =
+  match (a, b) with
+  | V.Vfloat x, V.Vfloat y -> Int64.equal (bits x) (bits y)
+  | V.Vvec x, V.Vvec y ->
+      Array.length x = Array.length y
+      && Array.for_all2 (fun x y -> Int64.equal (bits x) (bits y)) x y
+  | V.Vtuple x, V.Vtuple y ->
+      List.length x = List.length y && List.for_all2 same_bits x y
+  | _ -> a = b
+
+let gen_float =
+  QCheck.Gen.(
+    oneof
+      [
+        float;
+        oneofl [ nan; -0.0; 0.0; infinity; neg_infinity; Float.min_float ];
+        (* NaNs with arbitrary payloads and either sign *)
+        map
+          (fun (payload, neg) ->
+            Int64.float_of_bits
+              (Int64.logor
+                 (if neg then Int64.min_int else 0L)
+                 (Int64.logor 0x7FF0_0000_0000_0000L
+                    (Int64.logor 1L (Int64.of_int (payload land 0xF_FFFF_FFFF))))))
+          (pair nat bool);
+      ])
+
+let gen_int = QCheck.Gen.(oneof [ int; oneofl [ max_int; min_int; 0; -1 ] ])
+
+let gen_value =
+  QCheck.Gen.(
+    sized_size (int_bound 4)
+    @@ fix (fun self depth ->
+           let leaves =
+             [
+               return V.Vunit;
+               map (fun n -> V.Vint n) gen_int;
+               map (fun f -> V.Vfloat f) gen_float;
+               map (fun b -> V.Vbool b) bool;
+               map (fun s -> V.Vstring s) (string_size (int_bound 8));
+               map (fun a -> V.Vvec a) (array_size (int_bound 5) gen_float);
+               map (fun a -> V.Vindex a) (array_size (int_bound 4) gen_int);
+             ]
+           in
+           if depth = 0 then oneof (map (fun l -> V.Vtuple l) (return []) :: leaves)
+           else
+             oneof
+               (map
+                  (fun l -> V.Vtuple l)
+                  (list_size (int_bound 4) (self (depth - 1)))
+               :: leaves)))
+
+let arb_value =
+  QCheck.make gen_value ~print:(fun v -> Format.asprintf "%a" V.pp v)
+
+(* [v] as a one-entry block: the count (4 bytes), the key (8), then
+   the value, whose tag byte is at offset 12 *)
+let value_block v = encode_block [| (0, v) |]
+
+let block_value b =
+  match Orion_net.Wire.fold_block (fun acc _ v -> v :: acc) [] b with
+  | [ v ] -> v
+  | l -> Alcotest.failf "%d values in a one-entry block" (List.length l)
+
+let qcheck_value_codec_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"value codec round-trip is bitwise"
+    arb_value (fun v -> same_bits v (block_value (value_block v)))
+
+(* [f ()] raises a decode error naming a byte offset within [0, len] *)
+let positioned_error ~len f =
+  match f () with
+  | _ -> false
+  | exception (Orion_net.Wire.Decode_error { offset; _ } as e) ->
+      offset >= 0 && offset <= len
+      && contains (Printexc.to_string e) (Printf.sprintf "at byte %d" offset)
+
+let qcheck_value_codec_faults =
+  QCheck.Test.make ~count:500
+    ~name:"value codec: truncated, over-long and unknown-tag payloads"
+    QCheck.(triple arb_value small_nat (int_range 8 255))
+    (fun (v, cut, tag) ->
+      let b = value_block v in
+      let len = Bytes.length b in
+      let truncated = Bytes.sub b 0 (cut mod len) in
+      let over_long = Bytes.cat b (Bytes.make (1 + (cut mod 3)) '\000') in
+      let unknown = Bytes.copy b in
+      Bytes.set_uint8 unknown 12 tag;
+      positioned_error ~len (fun () -> block_value truncated)
+      && positioned_error ~len:(len + 3) (fun () -> block_value over_long)
+      && positioned_error ~len (fun () -> block_value unknown))
+
+(* a schedule-row block round-trips its entries, and a cut one is a
+   positioned decode error *)
+let qcheck_block_codec =
+  QCheck.Test.make ~count:200 ~name:"row block codec round-trip and faults"
+    QCheck.(pair (small_list (pair small_nat arb_value)) small_nat)
+    (fun (entries, cut) ->
+      let entries = Array.of_list entries in
+      let b = encode_block entries in
+      let back =
+        Orion_net.Wire.fold_block (fun acc lin v -> (lin, v) :: acc) [] b
+        |> List.rev |> Array.of_list
+      in
+      Array.length back = Array.length entries
+      && Array.for_all2
+           (fun (k, v) (k', v') -> k = k' && same_bits v v')
+           entries back
+      && positioned_error ~len:(Bytes.length b) (fun () ->
+             Orion_net.Wire.fold_block
+               (fun () _ _ -> ())
+               () (Bytes.sub b 0 (cut mod Bytes.length b))))
 
 (* ------------------------------------------------------------------ *)
 (* Wire encoding: codec round-trips                                    *)
@@ -686,7 +823,7 @@ let test_materialize name ~scale ~num_machines ~workers_per_machine =
   | "mf-drift-count" | "mf-drift-keys" ->
       Some (drifted_make name ~num_machines ~workers_per_machine)
   | _ ->
-      Orion_apps.Registry.materialize name ~scale ~num_machines
+      Orion_apps.Registry.materialize ~records:false name ~scale ~num_machines
         ~workers_per_machine
 
 let run_custom (inst : Orion.App.instance) ~procs ~passes =
@@ -848,13 +985,6 @@ let fault_injection () =
         (Printf.sprintf "failed fast (%.1fs)" elapsed)
         true (elapsed < 25.0))
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
 (* workers that rebuild other data than the master's instance cannot
    run the master's blocks: the run ends in a structured error naming a
    rank, within the deadline — never a hang or a silently different
@@ -884,6 +1014,134 @@ let worker_data_drift name () =
         (Printf.sprintf "failed fast (%.1fs)" elapsed)
         true (elapsed < 25.0);
       no_children_left ())
+
+(* ------------------------------------------------------------------ *)
+(* Workers read no records: schedule rows carry the entries            *)
+(* ------------------------------------------------------------------ *)
+
+module Gen = Orion_store.Gen
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+let shard_dir tag =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "orion-dist-shards-%d-%s" (Unix.getpid ()) tag)
+
+(* [f dir moved] with [spec]'s shards generated at [dir] and named by
+   [env_var]; [moved] is where [f] may rename them *)
+let with_shards ~env_var ~tag spec f =
+  let dir = shard_dir tag in
+  let moved = dir ^ "-moved" in
+  rm_rf dir;
+  rm_rf moved;
+  ignore (Gen.generate ~dir ~seed:5 ~shards:2 spec);
+  Unix.putenv env_var dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv env_var "";
+      rm_rf dir;
+      rm_rf moved)
+    (fun () -> f dir moved)
+
+(* [src]'s shards cut down to their front headers and footers, at
+   [dst]: the dataset still describes itself, but reading any record
+   fails (the body is gone, so the footer's count and CRC disagree) *)
+let header_only_copy ~src ~dst =
+  Unix.mkdir dst 0o755;
+  Array.iter
+    (fun f ->
+      let b =
+        In_channel.with_open_bin (Filename.concat src f) In_channel.input_all
+      in
+      (* magic, version, header length, header; the footer is 16 bytes *)
+      let front = 12 + Int32.to_int (String.get_int32_le b 8) in
+      Out_channel.with_open_bin (Filename.concat dst f) (fun oc ->
+          output_string oc (String.sub b 0 front);
+          output_string oc (String.sub b (String.length b - 16) 16)))
+    (Sys.readdir src)
+
+(* The master's instance and a `Parallel 1 reference are built from the
+   shards; then the shards move away and only their headers stay, so a
+   worker that read a record would fail.  The distributed run must
+   still end where the reference does — bitwise for mf, within slr's
+   declared buffered-accumulation tolerance. *)
+let workers_read_no_records name ~env_var spec () =
+  with_shards ~env_var ~tag:name spec (fun dir moved ->
+      let app = find_app name in
+      let make () =
+        app.Orion.App.app_make ~num_machines:2 ~workers_per_machine:1 ()
+      in
+      let dist = make () and base = make () in
+      Alcotest.(check bool)
+        "the master's instance holds the shards' records" true
+        (Dist_array.count dist.Orion.App.inst_iter > 0);
+      Sys.rename dir moved;
+      header_only_copy ~src:moved ~dst:dir;
+      (match make () with
+      | _ -> Alcotest.fail "records were read from header-only shards"
+      | exception Orion_store.Shard.Corrupt _ -> ());
+      ignore
+        (Orion.Engine.run dist.Orion.App.inst_session dist
+           ~mode:(`Distributed { Orion.Engine.procs = 2; transport = `Unix })
+           ~passes:2 ());
+      ignore
+        (Orion.Engine.run base.Orion.App.inst_session base ~mode:(`Parallel 1)
+           ~passes:2 ());
+      check_outputs
+        ~what:(name ^ " distributed(2) without shards vs parallel(1)")
+        ~tolerance:app.Orion.App.app_tolerance base.Orion.App.inst_outputs
+        dist.Orion.App.inst_outputs)
+
+(* lda's [sample_topic] needs the corpus-wide topic totals, so its
+   workers still load the corpus: with the shards gone the run ends in
+   a structured error naming a rank and the missing directory *)
+let lda_workers_need_the_corpus () =
+  Unix.putenv Orion_net.Dist_worker.timeout_env "30";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv Orion_net.Dist_worker.timeout_env "60")
+    (fun () ->
+      with_shards ~env_var:Orion_apps.Registry.corpus_dir_env ~tag:"lda"
+        (Gen.Corpus
+           {
+             num_docs = 16;
+             vocab_size = 20;
+             avg_doc_len = 12;
+             num_topics = 4;
+             skew = 1.05;
+           })
+        (fun dir moved ->
+          let inst =
+            (find_app "lda").Orion.App.app_make ~num_machines:2
+              ~workers_per_machine:1 ()
+          in
+          Sys.rename dir moved;
+          let t0 = Unix.gettimeofday () in
+          (match
+             Orion.Engine.run inst.Orion.App.inst_session inst
+               ~mode:(`Distributed { Orion.Engine.procs = 2; transport = `Unix })
+               ~passes:1 ()
+           with
+          | _ -> Alcotest.fail "lda workers ran without their corpus"
+          | exception Orion.Engine.Distributed_error { de_rank; de_reason } ->
+              Alcotest.(check bool)
+                (Printf.sprintf "a rank is named (%s)"
+                   (Option.fold ~none:"none" ~some:string_of_int de_rank))
+                true (de_rank <> None);
+              Alcotest.(check bool)
+                (Printf.sprintf "reason names the directory: %S" de_reason)
+                true (contains de_reason dir));
+          let elapsed = Unix.gettimeofday () -. t0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "failed fast (%.1fs)" elapsed)
+            true (elapsed < 25.0);
+          no_children_left ()))
 
 (* a deadline that is already past would misreport "timed out", and
    [nan] would disable it altogether: both, and any malformed value,
@@ -927,14 +1185,6 @@ let timeout_validation () =
 (* ------------------------------------------------------------------ *)
 
 module Checkpoint = Orion_store.Checkpoint
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
 
 let dist_kill_and_resume name ~tolerance () =
   let app = find_app name in
@@ -1020,6 +1270,9 @@ let () =
           qc qcheck_partition_roundtrip;
           qc qcheck_partition_select;
           tc "wire round-trip over socketpair" `Quick test_wire_roundtrip;
+          qc qcheck_value_codec_roundtrip;
+          qc qcheck_value_codec_faults;
+          qc qcheck_block_codec;
           tc "address strings round-trip" `Quick test_addr_roundtrip;
         ] );
       ( "happens_before",
@@ -1079,6 +1332,33 @@ let () =
             (worker_data_drift "mf-drift-count");
           tc "worker data drift: keys" `Quick
             (worker_data_drift "mf-drift-keys");
+          tc "lda workers need the corpus" `Quick lda_workers_need_the_corpus;
+        ] );
+      ( "worker_shards",
+        [
+          tc "mf from shards" `Quick
+            (workers_read_no_records "mf"
+               ~env_var:Orion_apps.Registry.ratings_dir_env
+               (Gen.Ratings
+                  {
+                    num_users = 40;
+                    num_items = 30;
+                    num_ratings = 600;
+                    skew = 1.1;
+                    rank = 4;
+                    noise = 0.1;
+                  }));
+          tc "slr from shards (tuple values)" `Quick
+            (workers_read_no_records "slr"
+               ~env_var:Orion_apps.Registry.features_dir_env
+               (Gen.Features
+                  {
+                    num_samples = 90;
+                    num_features = 40;
+                    nnz_per_sample = 5;
+                    skew = 1.1;
+                    noise = 0.05;
+                  }));
         ] );
       ( "kill_and_resume",
         [
