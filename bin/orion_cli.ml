@@ -641,22 +641,11 @@ let bench_cmd =
     let scale = resolve_scale scale in
     let apps = match apps with [] -> None | l -> Some l in
     let transport = if tcp then `Tcp else `Unix in
+    let out = Option.value out ~default:(Orion_apps.Bench.default_out mode) in
     match
-      match mode with
-      | `Tune ->
-          let out =
-            Option.value out ~default:Orion_tune.Tune_bench.default_out
-          in
-          Orion_tune.Tune_bench.run ?apps ~domains_list:domains
-            ~procs_list:procs ~passes ~transport ~scale ~out ~num_machines:machines
-            ~workers_per_machine:wpm ()
-      | #Orion_apps.Bench.mode as mode ->
-          let out =
-            Option.value out ~default:(Orion_apps.Bench.default_out mode)
-          in
-          Orion_apps.Bench.run ~mode ~scale ~out ?apps ~domains_list:domains
-            ~procs_list:procs ~passes ~transport
-            ~num_machines:machines ~workers_per_machine:wpm ()
+      Orion_apps.Bench.run ~mode ~scale ~out ?apps ~domains_list:domains
+        ~procs_list:procs ~passes ~transport ~num_machines:machines
+        ~workers_per_machine:wpm ()
     with
     | exception (Orion.Engine.Distributed_error _ as exn) ->
         Printf.eprintf "orion bench: %s\n"
@@ -676,16 +665,14 @@ let bench_cmd =
                ("speedup", `Speedup);
                ("speedup-distributed", `Speedup_distributed);
                ("convergence", `Convergence);
-               ("tune", `Tune);
              ])
           `Speedup
       & info [ "mode" ] ~docv:"MODE"
           ~doc:
             "benchmark mode: speedup (domain-pool wall-clock scaling), \
              speedup-distributed (multi-process socket runtime scaling), \
-             convergence (per-pass training loss versus monotonic wall \
-             time), or tune (static vs adaptive re-planning on skewed \
-             inputs, BENCH_tune.json)")
+             or convergence (per-pass training loss versus monotonic wall \
+             time)")
   in
   let apps =
     Arg.(
@@ -740,8 +727,7 @@ let bench_cmd =
       & info [ "out"; "o" ] ~docv:"FILE"
           ~doc:
             "JSON output path (default by --mode: BENCH_parallel.json, \
-             BENCH_distributed.json, BENCH_convergence.json or \
-             BENCH_tune.json)")
+             BENCH_distributed.json or BENCH_convergence.json)")
   in
   let term =
     Term.(

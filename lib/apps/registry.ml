@@ -317,8 +317,8 @@ let slr_make ?(scale = 1.0) ?(records = true) ~num_machines
 (* SLR over length-skewed data: identical script, losses, and array
    shapes to "slr", but per-sample nnz follows a front-loaded power law
    — so the histogram-balanced (count-even) space partition is badly
-   work-imbalanced and profile-guided re-planning has real skew to
-   correct.  A separate registered app (not a flag on "slr") so
+   work-imbalanced and [orion explain --measured] has real skew to
+   measure.  A separate registered app (not a flag on "slr") so
    distributed workers materialize the identical dataset by name. *)
 let slrskew_make ?(scale = 1.0) ?(records = true) ~num_machines
     ~workers_per_machine () =
@@ -628,8 +628,8 @@ let () =
       {
         Orion.App.app_name = "slrskew";
         app_description =
-          "Sparse logistic regression, length-skewed samples (re-planning \
-           target)";
+          "Sparse logistic regression, length-skewed samples (measured \
+           explain target)";
         app_script = Slr.script;
         app_tolerance = Some 1e-9;
         app_make = slrskew_make;

@@ -732,28 +732,6 @@ module Engine = struct
   type checkpoint_sink =
     pass_done:int -> (string * float Dist_array.t) list -> unit
 
-  (** One adaptive re-planning decision, produced by a {!replanner} at
-      a pass boundary and applied before the next pass runs.  Any
-      combination of the three knobs; [None] everywhere is a no-op.
-      The engine applies the decision mechanically — validation
-      (race-checking the candidate schedule, cost improvement) is the
-      re-planner's job before it returns [Some]. *)
-  type replan = {
-    rp_space_boundaries : Partitioner.boundaries option;
-        (** replace the space cut (e.g. weighted by measured per-block
-            seconds instead of entry counts) *)
-    rp_pipeline_depth : int option;  (** unordered-2D pipeline depth *)
-    rp_strategy : Plan.strategy option;  (** switch strategies outright *)
-    rp_reason : string;  (** for decision logs *)
-  }
-
-  (** Called after pass [pass] (0-based) completes, for every pass but
-      the last, with that pass's measured block costs (empty when
-      telemetry is unavailable, e.g. [`Sim] — scripted replays still
-      work).  [Some] adopts the decision for all subsequent passes. *)
-  type replanner =
-    pass:int -> costs:Telemetry.block_cost list -> replan option
-
   (** The distributed master driver, installed by [lib/net]'s
       [Dist_master] (via [Orion_apps.Registry.ensure]) so the core
       library stays free of any socket/process dependency.  Receives
@@ -769,37 +747,9 @@ module Engine = struct
     scale:float ->
     telemetry:bool ->
     checkpoint:(int * checkpoint_sink) option ->
-    replanner:replanner option ->
     report
 
   let distributed_runner : distributed_runner option ref = ref None
-
-  (* Rebuild plan/schedule/model for an adopted re-plan.  Strategy or
-     depth switches recompile from scratch; explicit space boundaries
-     then override the histogram-balanced cut ([Schedule.rebalance]).
-     Unimodular schedules never re-balance: their time partitions are
-     exact wavefronts. *)
-  let apply_replan session ~(plan : Plan.t) ~iter ~depth (rp : replan) =
-    let plan =
-      match rp.rp_strategy with
-      | Some s -> { plan with Plan.strategy = s }
-      | None -> plan
-    in
-    let depth = Option.value rp.rp_pipeline_depth ~default:depth in
-    let c = compile session ~plan ~iter ~pipeline_depth:depth () in
-    let schedule =
-      Option.bind rp.rp_space_boundaries (fun space_boundaries ->
-          Schedule.rebalance plan.Plan.strategy iter ~space_boundaries
-            ~time_parts:c.schedule.Schedule.time_parts)
-      |> Option.value ~default:c.schedule
-    in
-    let c = { c with schedule } in
-    let sp = schedule.Schedule.space_parts
-    and tp = schedule.Schedule.time_parts in
-    let model =
-      Domain_exec.model_of_plan plan ~pipeline_depth:c.pipeline_depth ~sp ~tp
-    in
-    (plan, c, model)
 
   (** Run [inst]'s parallel loop once under [mode].  [passes] repeats
       the pass (driver loops run several); the report aggregates all of
@@ -808,10 +758,7 @@ module Engine = struct
       instance). *)
   let run (session : session) (inst : App.instance) ~(mode : mode)
       ?(passes = 1) ?pipeline_depth ?(scale = 1.0)
-      ?(telemetry = Telemetry.default_enabled ()) ?checkpoint
-      ?replanner () : report =
-    (* re-planning feeds on measured block costs *)
-    let telemetry = telemetry || Option.is_some replanner in
+      ?(telemetry = Telemetry.default_enabled ()) ?checkpoint () : report =
     let checkpoint_due pass_done =
       match checkpoint with
       | Some (every, _) when every > 0 -> pass_done mod every = 0
@@ -822,7 +769,7 @@ module Engine = struct
         match !distributed_runner with
         | Some f ->
             f session inst ~procs ~transport ~passes ~pipeline_depth ~scale
-              ~telemetry ~checkpoint ~replanner
+              ~telemetry ~checkpoint
         | None ->
             raise
               (Distributed_error
@@ -842,30 +789,14 @@ module Engine = struct
           Telemetry.create ~enabled:telemetry ~workers:(max 1 domains) ()
       | `Sim -> Telemetry.create ~enabled:false ~workers:1 ()
     in
-    let plan0 = analyze_loop session inst.App.inst_loop in
-    let compiled0 =
-      compile session ~plan:plan0 ~iter:inst.App.inst_iter ?pipeline_depth ()
+    let plan = analyze_loop session inst.App.inst_loop in
+    let compiled =
+      compile session ~plan ~iter:inst.App.inst_iter ?pipeline_depth ()
     in
-    let model0 =
-      Domain_exec.model_of_plan plan0
-        ~pipeline_depth:compiled0.pipeline_depth
-        ~sp:compiled0.schedule.Schedule.space_parts
-        ~tp:compiled0.schedule.Schedule.time_parts
-    in
-    (* the current (plan, compiled, model) — an adopted re-plan swaps
-       all three at a pass boundary *)
-    let state = ref (plan0, compiled0, model0) in
-    let consider_replan ~pass ~costs =
-      match replanner with
-      | None -> ()
-      | Some f -> (
-          match f ~pass ~costs with
-          | None -> ()
-          | Some rp ->
-              let plan, c, _ = !state in
-              state :=
-                apply_replan session ~plan ~iter:inst.App.inst_iter
-                  ~depth:c.pipeline_depth rp)
+    let model =
+      Domain_exec.model_of_plan plan ~pipeline_depth:compiled.pipeline_depth
+        ~sp:compiled.schedule.Schedule.space_parts
+        ~tp:compiled.schedule.Schedule.time_parts
     in
     match submode with
     | `Sim ->
@@ -873,7 +804,6 @@ module Engine = struct
         let t0 = Clock.now () in
         let entries = ref 0 and blocks = ref 0 in
         for p = 1 to passes do
-          let _, compiled, _ = !state in
           let body ~worker:_ ~key ~value =
             interp_body inst.App.inst_env inst ~key ~value
           in
@@ -883,16 +813,12 @@ module Engine = struct
             !blocks
             + (compiled.schedule.Schedule.space_parts
               * compiled.schedule.Schedule.time_parts);
-          (* no wall-clock telemetry in virtual time: re-planning here
-             only serves scripted replays, which ignore costs *)
-          if p < passes then consider_replan ~pass:(p - 1) ~costs:[];
           (* sim arrays are live and serial — hand them over directly *)
           if checkpoint_due p then
             match checkpoint with
             | Some (_, sink) -> sink ~pass_done:p inst.App.inst_arrays
             | None -> ()
         done;
-        let plan, compiled, model = !state in
         {
           ep_app = inst.App.inst_name;
           ep_mode = mode;
@@ -971,7 +897,6 @@ module Engine = struct
           ~finally:(fun () -> Dist_array.exit_parallel ())
           (fun () ->
             for pass = 0 to passes - 1 do
-              let _, compiled, model = !state in
               let w0 = if telemetry then Telemetry.now tel else 0.0 in
               let st =
                 Domain_exec.run_schedule ~telemetry:tel ~pass ~domains ~model
@@ -982,16 +907,6 @@ module Engine = struct
               blocks := !blocks + st.Domain_exec.blocks_run;
               entries := !entries + st.Domain_exec.entries_run;
               steals := !steals + st.Domain_exec.steals;
-              (* domains are joined between run_schedule calls, so the
-                 boundary state is quiescent: safe to swap the schedule
-                 (shards are never drained in parallel mode, so
-                 per-pass costs stay readable here) *)
-              if pass < passes - 1 then
-                consider_replan ~pass
-                  ~costs:
-                    (if Telemetry.enabled tel then
-                       Telemetry.block_costs_for_pass tel ~pass
-                     else []);
               if checkpoint_due (pass + 1) then
                 match checkpoint with
                 | Some (_, sink) -> sink ~pass_done:(pass + 1) (checkpoint_view ())
@@ -1014,7 +929,6 @@ module Engine = struct
                   (Value.Vextern (Dist_array.to_extern shared)))
               env_shadows)
           shadows;
-        let plan, compiled, model = !state in
         {
           ep_app = inst.App.inst_name;
           ep_mode = mode;

@@ -354,28 +354,6 @@ module Engine : sig
   type checkpoint_sink =
     pass_done:int -> (string * float Dist_array.t) list -> unit
 
-  (** One adaptive re-planning decision, applied at a pass boundary for
-      all subsequent passes.  Any combination of the three knobs;
-      [None] everywhere is a no-op.  The engine applies the decision
-      mechanically — validating the candidate schedule (race-checking
-      it, requiring a predicted improvement) is the re-planner's job
-      before it returns [Some]; [lib/tune] builds such re-planners. *)
-  type replan = {
-    rp_space_boundaries : Partitioner.boundaries option;
-        (** replace the space cut (e.g. weighted by measured per-block
-            seconds instead of entry counts) *)
-    rp_pipeline_depth : int option;  (** unordered-2D pipeline depth *)
-    rp_strategy : Plan.strategy option;  (** switch strategies outright *)
-    rp_reason : string;  (** for decision logs *)
-  }
-
-  (** Called after pass [pass] (0-based) completes, for every pass but
-      the last, with that pass's measured block costs (empty when
-      wall-clock telemetry is unavailable, e.g. under [`Sim] — scripted
-      replays still work). *)
-  type replanner =
-    pass:int -> costs:Telemetry.block_cost list -> replan option
-
   (** The distributed master driver, installed by [lib/net]'s
       [Dist_master] (via [Orion_apps.Registry.ensure ()]) so the core
       library stays free of socket/process dependencies. *)
@@ -389,7 +367,6 @@ module Engine : sig
     scale:float ->
     telemetry:bool ->
     checkpoint:(int * checkpoint_sink) option ->
-    replanner:replanner option ->
     report
 
   val distributed_runner : distributed_runner option ref
@@ -403,12 +380,6 @@ module Engine : sig
       lands in [ep_telemetry].
       [checkpoint] registers a pass-boundary {!checkpoint_sink} invoked
       every [every] completed passes, in all three modes.
-      [replanner] closes the measurement loop: it is consulted at every
-      pass boundary with that pass's measured block costs and may adopt
-      a new schedule for the remaining passes (telemetry is forced on
-      when one is supplied; under [`Distributed] only space-boundary
-      re-balancing is honored — partitions migrate between workers at
-      the barrier).
       @raise Distributed_error when a [`Distributed] run fails. *)
   val run :
     session ->
@@ -419,7 +390,6 @@ module Engine : sig
     ?scale:float ->
     ?telemetry:bool ->
     ?checkpoint:int * checkpoint_sink ->
-    ?replanner:replanner ->
     unit ->
     report
 end

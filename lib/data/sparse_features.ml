@@ -116,7 +116,7 @@ let generate_with_nnz ~seed ~num_samples ~num_features ~nnz_of_sample
     law [max_nnz / (s + 1)^alpha], front-loaded (sample 0 is heaviest).
     One sample = one iteration-space entry, so a count-balanced space
     partition over samples is even in entries but badly uneven in
-    work — the workload the measurement-driven re-planner targets. *)
+    work — the workload the measured decision tree calibrates against. *)
 let generate_skewed ?(seed = 777) ~num_samples ~num_features ~max_nnz
     ?(alpha = 1.0) ?(feature_skew = 1.1) ?(noise = 0.05) () =
   (* decay with rank *fraction*, not absolute rank: the head:tail

@@ -31,7 +31,7 @@ val generate :
     [20^alpha] times denser than the tail at {e every} dataset scale.
     Entry counts stay one per sample, so count-balanced space
     partitions over samples are even in entries but skewed in work —
-    the workload profile-guided re-planning targets. *)
+    the workload [orion explain --measured] calibrates against. *)
 val generate_skewed :
   ?seed:int ->
   num_samples:int ->

@@ -68,43 +68,6 @@ let balanced_ranges ~counts ~parts : boundaries =
     b
   end
 
-(** Boundaries such that each partition holds a near-equal share of
-    the total {e weight} (greedy prefix cut over floats).  The float
-    analogue of {!balanced_ranges}: weights are typically measured
-    per-index costs (count at the index × observed seconds per entry),
-    so the cut equalizes predicted time instead of entry count. *)
-let weighted_ranges ~(weights : float array) ~parts : boundaries =
-  let dim_size = Array.length weights in
-  let parts = min parts dim_size in
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  if total <= 0.0 || not (Float.is_finite total) then
-    equal_ranges ~dim_size ~parts
-  else begin
-    let b = Array.make (parts + 1) dim_size in
-    b.(0) <- 0;
-    let acc = ref 0.0 in
-    let next_part = ref 1 in
-    for i = 0 to dim_size - 1 do
-      acc := !acc +. weights.(i);
-      (* cut after index i once the running share reaches p/parts, but
-         leave enough indices for the remaining partitions *)
-      while
-        !next_part < parts
-        && !acc *. float_of_int parts >= total *. float_of_int !next_part
-        && i + 1 <= dim_size - (parts - !next_part)
-        && i + 1 > b.(!next_part - 1)
-      do
-        b.(!next_part) <- i + 1;
-        incr next_part
-      done
-    done;
-    (* any uncut boundaries collapse at the end *)
-    for p = !next_part to parts - 1 do
-      b.(p) <- max b.(p - 1) (dim_size - (parts - p))
-    done;
-    b
-  end
-
 (** Which partition an index belongs to (binary search). *)
 let part_of ~(boundaries : boundaries) idx =
   let lo = ref 0 and hi = ref (Array.length boundaries - 1) in

@@ -18,12 +18,6 @@ val histograms : 'a Dist_array.t -> dims:int array -> int array array
 (** Boundaries giving near-equal entry counts per partition. *)
 val balanced_ranges : counts:int array -> parts:int -> boundaries
 
-(** Boundaries giving near-equal total weight per partition — the
-    float analogue of {!balanced_ranges} for measured per-index costs.
-    Falls back to {!equal_ranges} when the total weight is zero or not
-    finite. *)
-val weighted_ranges : weights:float array -> parts:int -> boundaries
-
 (** Which partition an index belongs to (binary search). *)
 val part_of : boundaries:boundaries -> int -> int
 

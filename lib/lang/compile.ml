@@ -497,50 +497,6 @@ let write_slice ex fa sc src =
       fa.fa_set key src.(k)
     done
 
-(* ---- element-wise vector arithmetic ------------------------------- *)
-
-(* One loop per operator: calling a [float -> float -> float] closure
-   would box every element.  Each result is a fresh array and each
-   element is computed as {!Interp.eval_binop} computes it. *)
-let vec_vec op x y =
-  Interp.check_same_length x y;
-  let n = Array.length x in
-  let r = Array.create_float n in
-  (match op with
-  | Add -> for i = 0 to n - 1 do r.(i) <- x.(i) +. y.(i) done
-  | Sub -> for i = 0 to n - 1 do r.(i) <- x.(i) -. y.(i) done
-  | Mul -> for i = 0 to n - 1 do r.(i) <- x.(i) *. y.(i) done
-  | _ -> for i = 0 to n - 1 do r.(i) <- x.(i) /. y.(i) done);
-  r
-
-let vec_scalar op x s =
-  let n = Array.length x in
-  let r = Array.create_float n in
-  (match op with
-  | Add -> for i = 0 to n - 1 do r.(i) <- x.(i) +. s done
-  | Sub -> for i = 0 to n - 1 do r.(i) <- x.(i) -. s done
-  | Mul -> for i = 0 to n - 1 do r.(i) <- x.(i) *. s done
-  | _ -> for i = 0 to n - 1 do r.(i) <- x.(i) /. s done);
-  r
-
-let scalar_vec op s y =
-  let n = Array.length y in
-  let r = Array.create_float n in
-  (match op with
-  | Add -> for i = 0 to n - 1 do r.(i) <- s +. y.(i) done
-  | Sub -> for i = 0 to n - 1 do r.(i) <- s -. y.(i) done
-  | Mul -> for i = 0 to n - 1 do r.(i) <- s *. y.(i) done
-  | _ -> for i = 0 to n - 1 do r.(i) <- s /. y.(i) done);
-  r
-
-let vec_neg x =
-  let n = Array.length x in
-  let r = Array.create_float n in
-  for i = 0 to n - 1 do
-    r.(i) <- -.x.(i)
-  done;
-  r
-
 (* ------------------------------------------------------------------ *)
 (* Expression compilation                                              *)
 (* ------------------------------------------------------------------ *)
@@ -1001,7 +957,7 @@ and compile_vec ctx (e : expr) : (unit -> float array) option =
   | Index (base, subs) -> compile_slice_read ctx base subs
   | Unop (Neg, a) when infer ctx a = Tvec ->
       let fa = vec_operand ctx a in
-      Some (fun () -> vec_neg (fa ()))
+      Some (fun () -> Interp.vec_neg (fa ()))
   | Binop ((Add | Sub | Mul | Div) as op, a, b) -> (
       match (infer ctx a, infer ctx b) with
       | Tvec, Tvec ->
@@ -1011,7 +967,7 @@ and compile_vec ctx (e : expr) : (unit -> float array) option =
             (fun () ->
               let x = fa () in
               let y = fb () in
-              vec_vec op x y)
+              Interp.vec_vec op x y)
       | Tvec, (Tint | Tfloat) ->
           let fa = vec_operand ctx a in
           let fb = scalar b in
@@ -1019,7 +975,7 @@ and compile_vec ctx (e : expr) : (unit -> float array) option =
             (fun () ->
               let x = fa () in
               let y = fb () in
-              vec_scalar op x y)
+              Interp.vec_scalar op x y)
       | (Tint | Tfloat), Tvec ->
           let fa = scalar a in
           let fb = vec_operand ctx b in
@@ -1027,7 +983,7 @@ and compile_vec ctx (e : expr) : (unit -> float array) option =
             (fun () ->
               let x = fa () in
               let y = fb () in
-              scalar_vec op x y)
+              Interp.scalar_vec op x y)
       | _ -> None)
   | _ -> None
 

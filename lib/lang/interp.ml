@@ -94,9 +94,51 @@ let check_same_length a b =
          (Printf.sprintf "vector length mismatch: %d vs %d" (Array.length a)
             (Array.length b)))
 
-let vec_map2 op a b =
-  check_same_length a b;
-  Array.init (Array.length a) (fun i -> op a.(i) b.(i))
+(* Element-wise vector arithmetic, one loop per operator: calling a
+   [float -> float -> float] closure would box every element.  Each
+   result is a fresh array.  {!Compile}'s kernels call these same
+   loops, so both paths run one piece of machine code per operator:
+   when both operands of an instruction are NaN, which one's sign
+   survives depends on the instruction's operand order, and separately
+   compiled loops need not agree on it. *)
+let vec_vec op x y =
+  check_same_length x y;
+  let n = Array.length x in
+  let r = Array.create_float n in
+  (match op with
+  | Add -> for i = 0 to n - 1 do r.(i) <- x.(i) +. y.(i) done
+  | Sub -> for i = 0 to n - 1 do r.(i) <- x.(i) -. y.(i) done
+  | Mul -> for i = 0 to n - 1 do r.(i) <- x.(i) *. y.(i) done
+  | _ -> for i = 0 to n - 1 do r.(i) <- x.(i) /. y.(i) done);
+  r
+
+let vec_scalar op x s =
+  let n = Array.length x in
+  let r = Array.create_float n in
+  (match op with
+  | Add -> for i = 0 to n - 1 do r.(i) <- x.(i) +. s done
+  | Sub -> for i = 0 to n - 1 do r.(i) <- x.(i) -. s done
+  | Mul -> for i = 0 to n - 1 do r.(i) <- x.(i) *. s done
+  | _ -> for i = 0 to n - 1 do r.(i) <- x.(i) /. s done);
+  r
+
+let scalar_vec op s y =
+  let n = Array.length y in
+  let r = Array.create_float n in
+  (match op with
+  | Add -> for i = 0 to n - 1 do r.(i) <- s +. y.(i) done
+  | Sub -> for i = 0 to n - 1 do r.(i) <- s -. y.(i) done
+  | Mul -> for i = 0 to n - 1 do r.(i) <- s *. y.(i) done
+  | _ -> for i = 0 to n - 1 do r.(i) <- s /. y.(i) done);
+  r
+
+let vec_neg x =
+  let n = Array.length x in
+  let r = Array.create_float n in
+  for i = 0 to n - 1 do
+    r.(i) <- -.x.(i)
+  done;
+  r
 
 let vec_dot x y =
   check_same_length x y;
@@ -106,18 +148,14 @@ let vec_dot x y =
   done;
   !acc
 
-let num_binop op_int op_float a b =
+let num_binop op op_int op_float a b =
   match (a, b) with
   | Vint x, Vint y -> Vint (op_int x y)
   | (Vint _ | Vfloat _), (Vint _ | Vfloat _) ->
       Vfloat (op_float (to_float a) (to_float b))
-  | Vvec x, Vvec y -> Vvec (vec_map2 op_float x y)
-  | Vvec x, (Vint _ | Vfloat _) ->
-      let s = to_float b in
-      Vvec (Array.map (fun v -> op_float v s) x)
-  | (Vint _ | Vfloat _), Vvec y ->
-      let s = to_float a in
-      Vvec (Array.map (fun v -> op_float s v) y)
+  | Vvec x, Vvec y -> Vvec (vec_vec op x y)
+  | Vvec x, (Vint _ | Vfloat _) -> Vvec (vec_scalar op x (to_float b))
+  | (Vint _ | Vfloat _), Vvec y -> Vvec (scalar_vec op (to_float a) y)
   | _ ->
       raise
         (Type_error
@@ -138,15 +176,15 @@ let compare_values op a b =
 
 let eval_binop op a b =
   match op with
-  | Add -> num_binop ( + ) ( +. ) a b
-  | Sub -> num_binop ( - ) ( -. ) a b
-  | Mul -> num_binop ( * ) ( *. ) a b
+  | Add -> num_binop Add ( + ) ( +. ) a b
+  | Sub -> num_binop Sub ( - ) ( -. ) a b
+  | Mul -> num_binop Mul ( * ) ( *. ) a b
   | Div -> (
       match (a, b) with
       | Vint x, Vint y ->
           if y = 0 then raise (Runtime_error "division by zero")
           else Vint (x / y)
-      | _ -> num_binop ( / ) ( /. ) a b)
+      | _ -> num_binop Div ( / ) ( /. ) a b)
   | Mod -> (
       match (a, b) with
       | Vint x, Vint y ->
@@ -309,7 +347,7 @@ and eval_expr env e =
       match eval_expr env a with
       | Vint n -> Vint (-n)
       | Vfloat f -> Vfloat (-.f)
-      | Vvec v -> Vvec (Array.map Float.neg v)
+      | Vvec v -> Vvec (vec_neg v)
       | v -> raise (Type_error ("cannot negate " ^ type_name v)))
   | Unop (Not, a) -> Vbool (not (to_bool (eval_expr env a)))
   | Call (f, args) ->

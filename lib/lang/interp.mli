@@ -73,6 +73,23 @@ val eval_binop : Ast.binop -> Value.t -> Value.t -> Value.t
     two vectors have the same length. *)
 val check_same_length : float array -> float array -> unit
 
+(** Element-wise [x op y] for [op] one of [Add], [Sub], [Mul] or
+    [Div] (any other operator divides), into a fresh array.  These
+    four loops are the only vector arithmetic: the interpreter and
+    {!Compile}'s kernels both call them, which keeps the two paths
+    bitwise-equal down to the sign of a NaN.
+    @raise Runtime_error as {!check_same_length}. *)
+val vec_vec : Ast.binop -> float array -> float array -> float array
+
+(** [x op s] for every element [x] of the vector. *)
+val vec_scalar : Ast.binop -> float array -> float -> float array
+
+(** [s op y] for every element [y] of the vector. *)
+val scalar_vec : Ast.binop -> float -> float array -> float array
+
+(** Element-wise negation, into a fresh array. *)
+val vec_neg : float array -> float array
+
 (** The dot product of two equal-length vectors, summed left to right.
     @raise Runtime_error as {!check_same_length}. *)
 val vec_dot : float array -> float array -> float

@@ -148,10 +148,8 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
     (session : Orion.session) (inst : Orion.App.instance) ~procs
     ~(transport : Orion.Engine.transport) ~passes ~pipeline_depth ~scale
     ~telemetry ?(checkpoint : (int * Orion.Engine.checkpoint_sink) option)
-    ?(replanner : Orion.Engine.replanner option) () : Orion.Engine.report =
+    () : Orion.Engine.report =
   if procs < 1 then err "procs must be >= 1, got %d" procs;
-  (* the re-planner decides from shipped block costs *)
-  let telemetry = telemetry || replanner <> None in
   let timeout = Dist_worker.timeout_seconds ~default:120.0 in
   (* a worker dying mid-run must surface as EPIPE on our next send to
      it (handled by the supervision loop), not kill the master *)
@@ -353,7 +351,6 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
                      p_passes = passes;
                      p_telemetry = telemetry;
                      p_report_passes = checkpoint <> None;
-                     p_adapt = replanner <> None;
                      p_plan = plan;
                    })
           | Some (Wire.Hello { h_rank; h_version; _ }) ->
@@ -399,7 +396,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
        still starting holds up only its own row.  The writes drain
        under the same supervision as the other start-up waits. *)
     let iter = inst.Orion.App.inst_iter in
-    let rows_of (s : _ Schedule.t) =
+    let rows =
       let digest = ref 0 in
       let blocks =
         Array.init nw (fun rank ->
@@ -411,16 +408,16 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
                 in
                 digest := !digest + d;
                 bytes)
-              s.Schedule.blocks.(rank))
+              sched.Schedule.blocks.(rank))
       in
       Array.map
         (fun blocks ->
           {
-            Wire.sr_sp = s.Schedule.space_parts;
-            sr_tp = s.Schedule.time_parts;
+            Wire.sr_sp = sched.Schedule.space_parts;
+            sr_tp = sched.Schedule.time_parts;
             sr_model = model;
-            sr_space_boundaries = s.Schedule.space_boundaries;
-            sr_time_boundaries = s.Schedule.time_boundaries;
+            sr_space_boundaries = sched.Schedule.space_boundaries;
+            sr_time_boundaries = sched.Schedule.time_boundaries;
             sr_dims = Dist_array.dims iter;
             sr_entries = Dist_array.count iter;
             sr_digest = !digest;
@@ -456,25 +453,11 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
         send_rows pending
       end
     in
-    let rows = rows_of sched in
     send_rows
       (List.init nw (fun rank ->
            (rank, Transport.start_send (conn rank) (Wire.Schedule_row rows.(rank)))));
     (* from here on only the [nw] ranks with blocks take part *)
     let states = Array.sub states 0 nw in
-    (* -- adaptive re-planning ------------------------------------------
-       A [Repartition] ships each rank its row of the master's
-       rebalanced schedule, as the start-up rows go.  Only
-       space-boundary re-balancing is honored distributed: tp and the
-       model pin the happens-before edges and the (pass, natural-order)
-       final assembly, so they never change mid-run. *)
-    let rebuild_schedule space_boundaries =
-      Schedule.rebalance plan.Plan.strategy inst.Orion.App.inst_iter
-        ~space_boundaries ~time_parts:tp
-    in
-    (* ranks whose pass-N telemetry has arrived; the directive broadcasts
-       once all [nw] have reported *)
-    let tel_ranks : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
     (* (pass, natural-order position) ordering shared by pass-boundary
        checkpoints and the final assembly *)
     let order = Domain_exec.natural_order model ~sp ~tp in
@@ -766,42 +749,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn
                 Hashtbl.replace pass_windows pt_pass
                   (match Hashtbl.find_opt pass_windows pt_pass with
                   | Some (s0, f0) -> (Float.min s0 s, Float.max f0 f)
-                  | None -> (s, f));
-                (* adaptive: once every rank's pass costs are in,
-                   decide and broadcast the directive the workers are
-                   gated on *)
-                match replanner with
-                | Some f when pt_pass < passes - 1 ->
-                    Hashtbl.replace tel_ranks (pt_pass, rank) ();
-                    let all_in = ref true in
-                    for r = 0 to nw - 1 do
-                      if not (Hashtbl.mem tel_ranks (pt_pass, r)) then
-                        all_in := false
-                    done;
-                    if !all_in then begin
-                      let costs =
-                        Telemetry.block_costs_for_pass mtel ~pass:pt_pass
-                      in
-                      let directive =
-                        match f ~pass:pt_pass ~costs with
-                        | Some
-                            { Orion.Engine.rp_space_boundaries = Some sb; _ }
-                          -> (
-                            match rebuild_schedule sb with
-                            | Some ns ->
-                                let rows = rows_of ns in
-                                fun r ->
-                                  Wire.Repartition
-                                    { rp_pass = pt_pass; rp_row = rows.(r) }
-                            | None -> fun _ -> Wire.Continue { c_pass = pt_pass })
-                        | Some _ | None ->
-                            fun _ -> Wire.Continue { c_pass = pt_pass }
-                      in
-                      for r = 0 to nw - 1 do
-                        Transport.send (conn r) (directive r)
-                      done
-                    end
-                | _ -> ()
+                  | None -> (s, f))
               end
           | Event_loop.Message
               ( rank,
@@ -1025,6 +973,6 @@ let install ~(materialize : Dist_worker.materialize) =
   Orion.Engine.distributed_runner :=
     Some
       (fun session inst ~procs ~transport ~passes ~pipeline_depth ~scale
-           ~telemetry ~checkpoint ~replanner ->
+           ~telemetry ~checkpoint ->
         run ~materialize session inst ~procs ~transport ~passes
-          ~pipeline_depth ~scale ~telemetry ?checkpoint ?replanner ())
+          ~pipeline_depth ~scale ~telemetry ?checkpoint ())

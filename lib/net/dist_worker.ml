@@ -228,9 +228,8 @@ exception No_row
 (** Fail unless [iter] can run [row]: it must have the dims of the
     master's iteration space (keys are delinearized against them), and
     when it holds records of its own — which the app's host builtins
-    read — exactly the master's entries, by count and by [digest]. *)
-let check_space (iter : Value.t Dist_array.t) ~(digest : int Lazy.t)
-    (row : Wire.row) =
+    read — exactly the master's entries, by count and by digest. *)
+let check_space (iter : Value.t Dist_array.t) (row : Wire.row) =
   let name = Dist_array.name iter in
   let dims d = String.concat "x" (Array.to_list (Array.map string_of_int d)) in
   if Dist_array.dims iter <> row.Wire.sr_dims then
@@ -242,7 +241,7 @@ let check_space (iter : Value.t Dist_array.t) ~(digest : int Lazy.t)
     if count <> row.Wire.sr_entries then
       fail "iteration space %S has %d entries, the master's has %d" name count
         row.Wire.sr_entries;
-    if Lazy.force digest <> row.Wire.sr_digest then
+    if Wire.space_digest iter <> row.Wire.sr_digest then
       fail "iteration space %S holds other entries than the master's" name
   end
 
@@ -270,9 +269,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   if p.p_rank <> rank then fail "plan for rank %d sent to rank %d" p.p_rank rank;
   if rank < 0 || rank >= p.p_procs then
     fail "rank %d out of range (%d workers)" rank p.p_procs;
-  if p.p_adapt && not p.p_telemetry then
-    fail "adaptive re-planning requires telemetry (the master decides \
-          from shipped block costs)";
   (* -- telemetry ----------------------------------------------------
      One local shard (this process is one worker).  Spans are recorded
      on this process's monotonic clock and drained to the master after
@@ -321,9 +317,8 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
         else None)
       arrays
   in
-  (* -- schedule rows and the compiled kernel ---------------------------
-     One install path for the start-up row and every re-planned one:
-     check the row against this instance and decode it once, then
+  (* -- schedule row and the compiled kernel ----------------------------
+     Check the row against this instance and decode it once, then
      compile the kernel for the values it carries (after the shadow
      rebinding above: the kernel captures env's current array
      bindings).  The write-journal hook, installed below only when some
@@ -333,56 +328,45 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
      under the interpreter.  Without it the kernel runs the same
      unboxed path as the domain pool. *)
   let iter = inst.Orion.App.inst_iter in
-  let digest = lazy (Wire.space_digest iter) in
-  let kernel = ref None in
-  let install (row : Wire.row) =
-    check_space iter ~digest row;
-    let start = tel_now () in
-    check_blocks ~tp:row.Wire.sr_tp row;
-    tel_span ~category:Orion_obs.Trace.Marshal ~label:"row install"
-      ~bytes:
-        (Array.fold_left
-           (fun acc b -> acc +. float_of_int (Bytes.length b))
-           0.0 row.Wire.sr_blocks)
-      ~start;
-    let start = tel_now () in
-    (* a re-planned row recompiles: the kernel's value slot follows the
-       values it runs; the old kernel's locals go back to env first *)
-    Option.iter Orion.Compile.flush_locals !kernel;
-    kernel :=
-      Orion.Engine.compile_kernel
-        ~values:(fun p ->
-          Array.for_all
-            (Wire.fold_block (fun ok _ v -> ok && p v) true)
-            row.Wire.sr_blocks)
-        inst env;
-    tel_span ~category:Orion_obs.Trace.Compute ~label:"kernel compile"
-      ~bytes:0.0 ~start;
-    row
+  let row =
+    match recv_master "schedule row" with
+    | Wire.Schedule_row row -> row
+    | Wire.Shutdown -> raise No_row
+    | m -> fail "expected schedule-row, got %s" (Wire.tag m)
   in
+  let sp = row.Wire.sr_sp and tp = row.Wire.sr_tp in
+  let model = row.Wire.sr_model in
+  if sp > p.p_procs || rank >= sp then
+    fail "schedule row for rank %d of %d space partitions (%d workers)" rank
+      sp p.p_procs;
+  check_space iter row;
+  let start = tel_now () in
+  check_blocks ~tp row;
+  tel_span ~category:Orion_obs.Trace.Marshal ~label:"row install"
+    ~bytes:
+      (Array.fold_left
+         (fun acc b -> acc +. float_of_int (Bytes.length b))
+         0.0 row.Wire.sr_blocks)
+    ~start;
+  let start = tel_now () in
+  let kernel =
+    Orion.Engine.compile_kernel
+      ~values:(fun p ->
+        Array.for_all
+          (Wire.fold_block (fun ok _ v -> ok && p v) true)
+          row.Wire.sr_blocks)
+      inst env
+  in
+  tel_span ~category:Orion_obs.Trace.Compute ~label:"kernel compile"
+    ~bytes:0.0 ~start;
   let exec_entry ~key ~value =
-    match !kernel with
+    match kernel with
     | Some k -> Orion.Compile.run k ~key ~value
     | None ->
         Interp.eval_body_for env ~key_var:inst.Orion.App.inst_key_var
           ~value_var:inst.Orion.App.inst_value_var ~key ~value
           inst.Orion.App.inst_body
   in
-  (* the installed row; re-planning swaps it at pass boundaries, but
-     sp / tp / model never change mid-run (the master's final assembly
-     depends on them) *)
-  let cur, sp, tp, model =
-    match recv_master "schedule row" with
-    | Wire.Schedule_row row ->
-        let sp = row.Wire.sr_sp in
-        if sp > p.p_procs || rank >= sp then
-          fail "schedule row for rank %d of %d space partitions (%d workers)"
-            rank sp p.p_procs;
-        (ref (install row), sp, row.Wire.sr_tp, row.Wire.sr_model)
-    | Wire.Shutdown -> raise No_row
-    | m -> fail "expected schedule-row, got %s" (Wire.tag m)
-  in
-  let space_boundaries () = !cur.Wire.sr_space_boundaries in
   (* -- own listener + prefetch request ----------------------------- *)
   let listener = Transport.listen (Transport.fresh_addr ~like) in
   Transport.send master
@@ -626,7 +610,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   in
   (* the rotated arrays' slices of time partition [t] *)
   let slices t =
-    match (rotating, !cur.Wire.sr_time_boundaries) with
+    match (rotating, row.Wire.sr_time_boundaries) with
     | [], _ -> []
     | _, Some boundaries -> List.map (fun r -> region r ~boundaries t) rotating
     | (name, _, _) :: _, None ->
@@ -653,7 +637,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   let owned_regions () =
     List.map pack
       (List.map
-         (fun r -> region r ~boundaries:(space_boundaries ()) rank)
+         (fun r -> region r ~boundaries:row.Wire.sr_space_boundaries rank)
          locals
       @ held_last ())
   in
@@ -681,8 +665,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
         ~start
     done
   in
-  (* migration shipments, keyed (pass, sending rank) *)
-  let reparts : (int * int, Wire.part list) Hashtbl.t = Hashtbl.create 16 in
   let handle = function
     | Event_loop.Message
         ( q,
@@ -694,9 +676,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
         (q, Wire.Pass_sync { ps_pass; ps_rank; ps_slices; ps_entries }) ->
         if journaled <> [] then Queue.push (q, ps_entries) journal_in;
         Hashtbl.replace syncs (ps_pass, ps_rank) ps_slices
-    | Event_loop.Message (_, Wire.Repart_ship { rs_pass; rs_rank; rs_parts })
-      ->
-        Hashtbl.replace reparts (rs_pass, rs_rank) rs_parts
     | Event_loop.Message (q, m) ->
         fail "unexpected %s from peer %d" (Wire.tag m) q
     | Event_loop.Closed q -> fail "peer %d closed its connection mid-run" q
@@ -752,93 +731,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
       ~bytes ~start;
     (List.map fst regions, entries, bytes)
   in
-  (* -- live partition migration (adaptive re-planning) ---------------
-     At a pass barrier every slice and journal payload of the finished
-     pass has been applied, so each rank's locally-partitioned regions
-     are authoritative.  Ownership follows the space cut: entries
-     moving from this rank's old region into peer [q]'s new region ship
-     to [q]; a shipment goes to {e every} peer (possibly empty) because
-     arrival itself is the synchronization.  Early next-pass tokens
-     from faster peers never carry locally-partitioned arrays, so
-     applying shipments after them cannot lose a write. *)
-  let migrate ~pass (row : Wire.row) =
-    if row.Wire.sr_sp <> sp || row.Wire.sr_tp <> tp || row.Wire.sr_model <> model
-    then
-      fail "re-planned schedule changed shape: %dx%d, expected %dx%d"
-        row.Wire.sr_sp row.Wire.sr_tp sp tp;
-    let old_boundaries = space_boundaries () in
-    let new_boundaries = row.Wire.sr_space_boundaries in
-    let migrating =
-      List.filter_map
-        (fun (name, arr) ->
-          if List.mem name buffered then None
-          else
-            match placement name with
-            | Some (Plan.Local_partitioned { array_dim }) ->
-                Some (name, arr, array_dim)
-            | _ -> None)
-        arrays
-    in
-    for q = 0 to sp - 1 do
-      if q <> rank then begin
-        let parts =
-          List.map
-            (fun (_, arr, array_dim) ->
-              Dist_array.to_partition
-                ~select:(fun key _ ->
-                  let d = key.(array_dim) in
-                  Orion_dsm.Partitioner.part_of ~boundaries:old_boundaries d
-                  = rank
-                  && Orion_dsm.Partitioner.part_of ~boundaries:new_boundaries
-                       d
-                     = q)
-                arr)
-            migrating
-        in
-        let bytes =
-          List.fold_left
-            (fun acc part ->
-              acc +. float_of_int (Dist_array.partition_size_bytes part))
-            0.0 parts
-        in
-        List.iter
-          (fun (part : Wire.part) ->
-            let b = float_of_int (Dist_array.partition_size_bytes part) in
-            (* migration ships raw partitions — actual = full *)
-            account (part.Dist_array.pt_array, b, b))
-          parts;
-        let send_start = tel_now () in
-        send_peer q
-          (Wire.Repart_ship { rs_pass = pass; rs_rank = rank; rs_parts = parts });
-        tel_span ~category:Orion_obs.Trace.Transfer
-          ~label:(Printf.sprintf "repart->%d" q)
-          ~bytes ~start:send_start
-      end
-    done;
-    let wait_start = tel_now () in
-    wait_for
-      (fun () ->
-        let ok = ref true in
-        for q = 0 to sp - 1 do
-          if q <> rank && not (Hashtbl.mem reparts (pass, q)) then ok := false
-        done;
-        !ok)
-      (Printf.sprintf "repartition shipments for pass %d" pass);
-    tel_span ~category:Orion_obs.Trace.Barrier_wait ~label:"repart-wait"
-      ~bytes:0.0 ~start:wait_start;
-    for q = 0 to sp - 1 do
-      if q <> rank then
-        List.iter
-          (fun (part : Wire.part) ->
-            match Hashtbl.find_opt arr_tbl part.Dist_array.pt_array with
-            | Some a -> Dist_array.apply_partition a part
-            | None ->
-                fail "repartition ship for unknown array %S"
-                  part.Dist_array.pt_array)
-          (Option.value (Hashtbl.find_opt reparts (pass, q)) ~default:[])
-    done;
-    cur := install row
-  in
   (* -- execute ------------------------------------------------------ *)
   let abort = abort_spec () in
   let blocks_done = ref 0 and entries_done = ref 0 in
@@ -881,7 +773,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
               (fun n lin value ->
                 exec_entry ~key:(Dist_array.delinearize iter lin) ~value;
                 n + 1)
-              0 !cur.Wire.sr_blocks.(t)
+              0 row.Wire.sr_blocks.(t)
           in
           entries_done := !entries_done + n;
           if tel_on then
@@ -1006,28 +898,9 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
              pp_buffered = parts;
            })
     end;
-    (* adaptive runs gate every pass boundary but the last on the
-       master's directive: it needs all ranks' shipped block costs
-       before it can decide, and a [Repartition] must be fully applied
-       before any rank starts the next pass's blocks *)
-    if p.p_adapt && pass < p.p_passes - 1 then begin
-      let gate_start = tel_now () in
-      (match recv_master "re-plan directive" with
-      | Wire.Continue { c_pass } ->
-          if c_pass <> pass then
-            fail "continue for pass %d at the pass-%d boundary" c_pass pass
-      | Wire.Repartition { rp_pass; rp_row } ->
-          if rp_pass <> pass then
-            fail "repartition for pass %d at the pass-%d boundary" rp_pass
-              pass;
-          migrate ~pass rp_row
-      | m -> fail "expected re-plan directive, got %s" (Wire.tag m));
-      tel_span ~category:Orion_obs.Trace.Barrier_wait ~label:"replan-gate"
-        ~bytes:0.0 ~start:gate_start
-    end
   done;
   (* leak loop locals back into the env, as the interpreter would *)
-  Option.iter Orion.Compile.flush_locals !kernel;
+  Option.iter Orion.Compile.flush_locals kernel;
   let wall = Orion_obs.Clock.elapsed t0 in
   (* -- final reports ------------------------------------------------ *)
   Transport.send master

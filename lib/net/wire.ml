@@ -24,8 +24,6 @@
     master → worker   Peers                (addr per rank)
     worker ↔ worker   Peer_hello, Rotation_token, Pass_sync
     worker → master   Pass_telemetry       (per-pass spans + block costs)
-    master → worker   Continue | Repartition   (adaptive runs, per pass)
-    worker ↔ worker   Repart_ship          (migrating partitions)
     worker → master   Block_report, Buffer_flush, Acc_merge, Done
     master → worker   Shutdown
     any    → master   Fatal
@@ -38,12 +36,10 @@
        rotation tokens, pass syncs, partition ships and prefetch
        responses carry policy-encoded payload variants; [Peer_hello]
        carries the protocol version so peers negotiate explicitly
-   v5: profile-guided re-planning — plan carries [p_adapt]; adaptive
-       workers gate each pass boundary on a master directive
-       ([Continue] or [Repartition]); a [Repartition] re-balances the
-       space cut from measured block costs, workers migrating
-       locally-partitioned array regions peer-to-peer ([Repart_ship])
-       and re-verifying the rebuilt schedule by fingerprint
+   v5: profile-guided re-planning — adaptive workers gate each pass
+       boundary on a master directive that may re-balance the space
+       cut from measured block costs, migrating locally-partitioned
+       array regions peer-to-peer (withdrawn in v10)
    v6: one lossless encoding — the plan no longer names a policy;
        journal payloads and shipped partitions are always
        {!Policy}-packed bytes (no [Marshal]ed write logs or
@@ -62,9 +58,11 @@
        master's loop plan (workers no longer analyze), a schedule row
        carries its blocks' entries (keys and values, in the tagged
        value codec) plus the master's iteration-space dims, entry count
-       and digest, and a [Repartition] ships each rank its rebalanced
-       row the same way (no worker-side rebuild, no fingerprint) *)
-let version = 9
+       and digest (no worker-side rebuild, no fingerprint)
+   v10: plan once — the plan loses its adaptive flag, and the pass
+       boundary directives and partition migration messages are gone:
+       a worker installs exactly one schedule row per run *)
+let version = 10
 
 (** One journaled DistArray element write, in execution order (only
     arrays with no single owner are journaled). *)
@@ -125,11 +123,6 @@ type plan = {
   p_report_passes : bool;
       (** ship a {!Pass_report} after each pass barrier so the master
           can assemble pass-boundary checkpoints *)
-  p_adapt : bool;
-      (** adaptive re-planning: after every pass but the last, wait at
-          the barrier for the master's [Continue] / [Repartition]
-          directive instead of free-running (implies [p_telemetry] —
-          the re-planner feeds on shipped block costs) *)
   p_plan : Orion_analysis.Plan.t;
       (** the master's analysis of the loop: workers take their array
           placements from it instead of re-analysing an instance whose
@@ -226,29 +219,6 @@ type msg =
               array's local shadow at this boundary (shadows persist
               across passes, so later reports supersede earlier) *)
     }
-  | Continue of { c_pass : int }
-      (** adaptive runs: the master saw every rank's pass-[c_pass]
-          telemetry and keeps the current schedule — proceed *)
-  | Repartition of {
-      rp_pass : int;  (** the pass just finished *)
-      rp_row : row;
-          (** the receiving rank's row of the master's rebalanced
-              schedule: a new space cut (same number of partitions,
-              re-balanced from measured per-block seconds) and the
-              blocks it gives the rank *)
-    }
-      (** adaptive runs: adopt a re-balanced space cut for the
-          remaining passes.  Workers migrate the locally-partitioned
-          array regions whose ownership moves ({!Repart_ship},
-          all-to-all) and install the shipped row *)
-  | Repart_ship of {
-      rs_pass : int;
-      rs_rank : int;  (** sending rank *)
-      rs_parts : part list;
-          (** entries of each locally-partitioned array moving from the
-              sender's old region into the receiver's new region (may
-              be empty — arrival itself is the synchronization) *)
-    }
   | Block_report of {
       br_rank : int;
       br_regions : part_payload list;
@@ -281,9 +251,6 @@ let tag = function
   | Pass_sync _ -> "pass-sync"
   | Pass_telemetry _ -> "pass-telemetry"
   | Pass_report _ -> "pass-report"
-  | Continue _ -> "continue"
-  | Repartition _ -> "repartition"
-  | Repart_ship _ -> "repart-ship"
   | Block_report _ -> "block-report"
   | Buffer_flush _ -> "buffer-flush"
   | Acc_merge _ -> "acc-merge"

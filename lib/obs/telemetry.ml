@@ -19,8 +19,8 @@
 
     Besides raw spans, each shard accumulates a measured per-block cost
     table keyed [(pass, space, time)] — the empirical counterpart of
-    the cost model behind [Plan.decide], and the intended input for
-    future measurement-driven re-planning. *)
+    the cost model behind [Plan.decide], which [orion explain
+    --measured] re-costs the planner's candidates against. *)
 
 type block_cost = {
   bc_pass : int;
@@ -186,13 +186,6 @@ let block_costs t =
   |> List.sort (fun a b ->
          compare (a.bc_pass, a.bc_space, a.bc_time)
            (b.bc_pass, b.bc_space, b.bc_time))
-
-(** The per-pass view of {!block_costs}: only entries measured during
-    [pass], so re-planning after pass N consumes exactly pass-N
-    measurements (earlier passes ran under possibly different
-    partitions and would skew the calibration). *)
-let block_costs_for_pass t ~pass =
-  List.filter (fun c -> c.bc_pass = pass) (block_costs t)
 
 (* ------------------------------------------------------------------ *)
 (* Summaries                                                           *)

@@ -83,14 +83,8 @@ val merged_trace : t -> Trace.t
 val dropped : t -> int
 
 (** Measured cost per block, summed across shards, sorted by
-    [(pass, space, time)] — future input to measurement-driven
-    re-planning. *)
+    [(pass, space, time)] — the input to [orion explain --measured]. *)
 val block_costs : t -> block_cost list
-
-(** Only the entries measured during [pass] — what the adaptive
-    re-planner consumes at the pass-N boundary (earlier passes may
-    have run under different partitions). *)
-val block_costs_for_pass : t -> pass:int -> block_cost list
 
 (** What the wire encoding did to the traffic: actual bytes shipped
     vs the per-record [Marshal] equivalent of the same traffic, and the

@@ -168,23 +168,6 @@ let partition_2d ?shuffle_seed iter ~space_dim ~time_dim ~space_parts
   cut ?shuffle_seed iter ~space_dim ~space_boundaries:sb
     ~time:(Some (time_dim, tb))
 
-(* 1D partitioning with caller-supplied boundaries (adaptive
-   re-planning: the boundaries come from measured block costs instead
-   of the entry histogram). *)
-let partition_1d_with ?shuffle_seed iter ~space_dim ~space_boundaries =
-  cut ?shuffle_seed iter ~space_dim ~space_boundaries ~time:None
-
-(* 2D partitioning with caller-supplied space boundaries; time
-   boundaries stay histogram-balanced (the distributed runtime keeps
-   [time_parts] and the model fixed across a re-plan, so only the space
-   cut moves). *)
-let partition_2d_with ?shuffle_seed iter ~space_dim ~time_dim
-    ~space_boundaries ~time_parts =
-  let t_counts = Partitioner.histogram iter ~dim:time_dim in
-  let tb = Partitioner.balanced_ranges ~counts:t_counts ~parts:time_parts in
-  cut ?shuffle_seed iter ~space_dim ~space_boundaries
-    ~time:(Some (time_dim, tb))
-
 (** Partition the image of the iteration space under a unimodular
     transformation [matrix]: transformed dim 0 is time, dim 1 is
     space.  Transformed coordinates may be negative; boundaries are
@@ -237,21 +220,3 @@ let partition_unimodular ?shuffle_seed iter ~matrix ~space_parts
     iter
 
 let default_shuffle_seed = 17
-
-(* The engine, the distributed master and workers, and the re-planner
-   all rebuild re-balanced schedules here, with the one shuffle seed,
-   so their fingerprints agree by construction. *)
-let rebalance (strategy : Orion_analysis.Plan.strategy) iter
-    ~space_boundaries ~time_parts =
-  let shuffle_seed = default_shuffle_seed in
-  match strategy with
-  | Orion_analysis.Plan.One_d { space_dim } ->
-      Some (partition_1d_with ~shuffle_seed iter ~space_dim ~space_boundaries)
-  | Orion_analysis.Plan.Data_parallel ->
-      Some
-        (partition_1d_with ~shuffle_seed iter ~space_dim:0 ~space_boundaries)
-  | Orion_analysis.Plan.Two_d { space_dim; time_dim } ->
-      Some
-        (partition_2d_with ~shuffle_seed iter ~space_dim ~time_dim
-           ~space_boundaries ~time_parts)
-  | Orion_analysis.Plan.Two_d_unimodular _ -> None

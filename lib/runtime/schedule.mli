@@ -61,20 +61,6 @@ val partition_unimodular :
   time_parts:int ->
   'v t
 
-(** The shuffle seed every schedule build uses ([Orion.compile]'s
-    default and every {!rebalance}), so independently built schedules
-    fingerprint identically. *)
+(** The shuffle seed [Orion.compile] uses by default, so
+    independently built schedules fingerprint identically. *)
 val default_shuffle_seed : int
-
-(** Rebuild [strategy]'s schedule over [iter] under a caller-supplied
-    space cut (adaptive re-planning: the boundaries come from measured
-    block costs instead of the entry histogram), with
-    {!default_shuffle_seed}.  Time boundaries stay histogram-balanced
-    over [time_parts] (2D only).  [None] for unimodular strategies,
-    whose time partitions are exact wavefronts. *)
-val rebalance :
-  Orion_analysis.Plan.strategy ->
-  'v Orion_dsm.Dist_array.t ->
-  space_boundaries:Orion_dsm.Partitioner.boundaries ->
-  time_parts:int ->
-  'v t option

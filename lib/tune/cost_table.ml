@@ -1,7 +1,7 @@
 (* Calibrated per-partition costs from one pass's measured block
    costs.  The planner's static model charges every entry the same
    weight; the table records what each space partition actually cost,
-   which is what the re-planner and the measured decision tree read. *)
+   which is what the measured decision tree reads. *)
 
 module Telemetry = Orion.Telemetry
 
@@ -69,12 +69,6 @@ let of_costs ~sp ~pass (costs : Telemetry.block_cost list) =
         ct_sec_per_entry = global_rate;
       }
   end
-
-let rate_at t ~boundaries i =
-  let p = Orion.Partitioner.part_of ~boundaries i in
-  if p >= 0 && p < Array.length t.ct_parts then
-    t.ct_parts.(p).pc_sec_per_entry
-  else t.ct_sec_per_entry
 
 let pp fmt t =
   Fmt.pf fmt

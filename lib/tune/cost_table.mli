@@ -1,4 +1,4 @@
-(** The measurement side of adaptive re-planning: fold one pass's
+(** The measurement side of [orion explain --measured]: fold one pass's
     {!Orion.Telemetry.block_costs} into a calibrated per-space-partition
     cost table — observed seconds, entries, and seconds-per-entry
     replace the planner's static per-op weights. *)
@@ -27,10 +27,6 @@ type t = {
     [None] when nothing was measured — e.g. under [`Sim], which has no
     wall clock. *)
 val of_costs : sp:int -> pass:int -> Orion.Telemetry.block_cost list -> t option
-
-(** The measured seconds-per-entry rate of the partition holding
-    index [i] of the space dimension under [boundaries]. *)
-val rate_at : t -> boundaries:Orion.Partitioner.boundaries -> int -> float
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

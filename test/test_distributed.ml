@@ -199,13 +199,11 @@ let test_wire_roundtrip () =
           p_passes = 2;
           p_telemetry = true;
           p_report_passes = false;
-          p_adapt = false;
           p_plan =
             Orion.analyze_loop mf.Orion.App.inst_session
               mf.Orion.App.inst_loop;
         };
       Orion_net.Wire.Schedule_row row;
-      Orion_net.Wire.Repartition { rp_pass = 1; rp_row = row };
       Orion_net.Wire.Peers [| "unix:/tmp/w0"; "tcp:127.0.0.1:9999" |];
       Orion_net.Wire.Peer_hello
         { ph_rank = 1; ph_version = Orion_net.Wire.version };

@@ -1454,6 +1454,14 @@ let test_compile_vector_bodies () =
       "a = W[2:3, k]\nb = a + b";
       "t = dot(b, W[2:3, k])";
       "t = dot(W[1:1, k], b)";
+      (* NaNs of both signs meet in one multiply: 0/0 makes a negative
+         NaN, negating it a positive one, and [t * a] multiplies the
+         two, where the surviving sign follows the operand order *)
+      "b = ((b - b) * 2)\n\
+       a = W[:, k]\n\
+       a += (b / b)\n\
+       t = dot(W[1:3, j], -a)\n\
+       t = dot((v * W[:, j]), (t * a))";
     ]
 
 (* random vector bodies over W's slices, the locals a/b and the scalar
