@@ -12,6 +12,7 @@ module Cluster = Orion_sim.Cluster
 module Cost_model = Orion_sim.Cost_model
 module Schedule = Orion_runtime.Schedule
 module Executor = Orion_runtime.Executor
+module Domain_exec = Orion_runtime.Domain_exec
 
 type config = {
   num_machines : int;
@@ -55,9 +56,10 @@ let train ?(config = default_config) ~(corpus : Orion_data.Corpus.t) () =
       ~metric:(Lda.log_likelihood model);
   for e = 1 to config.epochs do
     ignore
-      (Executor.run_2d_unordered cluster
+      (Executor.run cluster
          ~compute:(Executor.Per_entry config.per_token_cost)
-         ~pipeline_depth:2 ~rotated_bytes_per_partition:rotated_bytes sched
+         ~model:(Domain_exec.M_2d_unordered { depth = 2 })
+         ~bytes_per_partition:rotated_bytes sched
          (Lda.body model));
     traj :=
       Trajectory.add !traj

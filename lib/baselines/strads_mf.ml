@@ -13,6 +13,7 @@ module Cluster = Orion_sim.Cluster
 module Cost_model = Orion_sim.Cost_model
 module Schedule = Orion_runtime.Schedule
 module Executor = Orion_runtime.Executor
+module Domain_exec = Orion_runtime.Domain_exec
 
 type config = {
   num_machines : int;
@@ -79,9 +80,10 @@ let train ?(config = default_config) ~(data : Orion_data.Ratings.t) () =
   for e = 1 to config.epochs do
     Schedule.reshuffle sched ~seed:(1000 * e);
     ignore
-      (Executor.run_2d_unordered cluster
+      (Executor.run cluster
          ~compute:(Executor.Per_entry per_entry_cost)
-         ~pipeline_depth:2 ~rotated_bytes_per_partition:rotated_bytes sched
+         ~model:(Domain_exec.M_2d_unordered { depth = 2 })
+         ~bytes_per_partition:rotated_bytes sched
          body);
     traj :=
       Trajectory.add !traj

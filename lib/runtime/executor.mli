@@ -19,48 +19,22 @@ type pass_stats = {
     iteration (calibrated benchmark mode). *)
 type compute_cost = Measured | Per_entry of float
 
-(** 1D: each worker runs its space partition; one global barrier. *)
-val run_1d :
+(** One pass of [sched] under [model]: blocks run in
+    {!Domain_exec.natural_order} and each strategy's computation,
+    transfers and barriers are charged to [cluster] — a barrier per
+    anti-diagonal for ordered 2D (Fig. 7e) and per time partition for
+    time-major, one at the end otherwise; rotated partitions of
+    [bytes_per_partition] (default 0: nothing moves) on the ordered
+    wavefront's critical path, pipelined across workers for unordered 2D
+    (Figs. 7f and 8).  An unordered model's depth is clamped to
+    {!Domain_exec.effective_depth}.  [label] names the moving data in
+    trace spans (default ["rotated"], ["shifted"] for time-major). *)
+val run :
   Orion_sim.Cluster.t ->
   ?compute:compute_cost ->
-  'v Schedule.t ->
-  'v body ->
-  pass_stats
-
-(** Ordered 2D: wavefront over anti-diagonals with a barrier per step;
-    rotated-partition transfers sit on the critical path (Fig. 7e).
-    [rotated_label] names the rotated data in trace spans (e.g. the
-    DistArray being shipped). *)
-val run_2d_ordered :
-  Orion_sim.Cluster.t ->
-  ?compute:compute_cost ->
-  ?rotated_label:string ->
-  rotated_bytes_per_partition:float ->
-  'v Schedule.t ->
-  'v body ->
-  pass_stats
-
-(** Unordered 2D: workers start at different time indices and rotate
-    partitions; [pipeline_depth] time partitions per worker overlap
-    communication with computation (Figs. 7f and 8).  [rotated_label]
-    names the rotated data in trace spans. *)
-val run_2d_unordered :
-  Orion_sim.Cluster.t ->
-  ?compute:compute_cost ->
-  ?pipeline_depth:int ->
-  ?rotated_label:string ->
-  rotated_bytes_per_partition:float ->
-  'v Schedule.t ->
-  'v body ->
-  pass_stats
-
-(** Sequential over time partitions (all dependences carried by the
-    transformed outer dimension), parallel across space partitions. *)
-val run_time_major :
-  Orion_sim.Cluster.t ->
-  ?compute:compute_cost ->
-  ?comm_label:string ->
-  comm_bytes_per_step:float ->
+  model:Domain_exec.model ->
+  ?label:string ->
+  ?bytes_per_partition:float ->
   'v Schedule.t ->
   'v body ->
   pass_stats

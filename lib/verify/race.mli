@@ -1,25 +1,10 @@
 (** Schedule race detection: replay a schedule's happens-before order
     against observed dependence edges. *)
 
-(** Shared with {!Orion_runtime.Domain_exec}: the same happens-before
+(** The happens-before model is {!Orion_runtime.Domain_exec}'s: the same
     order drives real multicore execution. *)
-type model = Orion_runtime.Domain_exec.model =
-  | M_1d  (** space partitions, one barrier at the end *)
-  | M_2d_ordered  (** anti-diagonal wavefront, barrier per diagonal *)
-  | M_2d_unordered of { depth : int }  (** pipelined partition rotation *)
-  | M_time_major  (** unimodular time loop, barrier per time step *)
-
-val model_to_string : model -> string
-
-(** The executor's effective pipeline depth for an unordered-2D pass. *)
-val effective_depth : pipeline_depth:int -> sp:int -> tp:int -> int
-
-(** The execution model {!Orion.execute} uses for a plan's schedule. *)
-val model_of_plan :
-  Orion_analysis.Plan.t -> pipeline_depth:int -> sp:int -> tp:int -> model
-
 type t = {
-  model : model;
+  model : Orion_runtime.Domain_exec.model;
   workers : int;
   sp : int;
   tp : int;
@@ -29,7 +14,11 @@ type t = {
   natural : (int * int) array;  (** the executor's block execution sequence *)
 }
 
-val build : model -> workers:int -> 'v Orion_runtime.Schedule.t -> t
+val build :
+  Orion_runtime.Domain_exec.model ->
+  workers:int ->
+  'v Orion_runtime.Schedule.t ->
+  t
 
 val happens_before : t -> int * int -> int * int -> bool
 
