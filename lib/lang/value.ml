@@ -10,6 +10,29 @@ type concrete_sub =
   | Crange of int * int  (** inclusive 0-based range *)
   | Call_dim  (** the whole dimension, [:] *)
 
+(** The element keys concrete subscripts [subs] cover in an array of
+    [dims]: ranges and whole dimensions expanded, as a cartesian
+    product in ascending order. *)
+let keys_of_subs (dims : int array) (subs : concrete_sub array) :
+    int array list =
+  if Array.for_all (function Cpoint _ -> true | _ -> false) subs then
+    [ Array.map (function Cpoint p -> p | _ -> 0) subs ]
+  else
+    let expand dim = function
+      | Cpoint p -> [ p ]
+      | Crange (a, b) -> List.init (max 0 (b - a + 1)) (fun k -> a + k)
+      | Call_dim -> List.init dim Fun.id
+    in
+    let rec cart i =
+      if i >= Array.length subs then [ [] ]
+      else
+        let tails = cart (i + 1) in
+        List.concat_map
+          (fun p -> List.map (fun tl -> p :: tl) tails)
+          (expand dims.(i) subs.(i))
+    in
+    List.map Array.of_list (cart 0)
+
 type t =
   | Vunit
   | Vint of int

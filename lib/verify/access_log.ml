@@ -47,35 +47,11 @@ let record_key t ~array ~write key =
     :: t.rev_events;
   t.seq <- t.seq + 1
 
-(* expand a concrete subscript to the point indices it covers *)
-let expand_sub dim = function
-  | Value.Cpoint p -> [ p ]
-  | Value.Crange (a, b) -> List.init (max 0 (b - a + 1)) (fun k -> a + k)
-  | Value.Call_dim -> List.init dim Fun.id
-
 (** Record one access with concrete subscripts, expanding ranges and
     whole-dimension subscripts against [dims] to element keys. *)
 let record t ~array ~(dims : int array) ~write
     (subs : Value.concrete_sub array) =
-  let all_points =
-    Array.for_all (function Value.Cpoint _ -> true | _ -> false) subs
-  in
-  if all_points then
-    record_key t ~array ~write
-      (Array.map (function Value.Cpoint p -> p | _ -> 0) subs)
-  else
-    (* cartesian product of the expanded positions *)
-    let rec cart i =
-      if i >= Array.length subs then [ [] ]
-      else
-        let tails = cart (i + 1) in
-        List.concat_map
-          (fun p -> List.map (fun tl -> p :: tl) tails)
-          (expand_sub dims.(i) subs.(i))
-    in
-    List.iter
-      (fun key -> record_key t ~array ~write (Array.of_list key))
-      (cart 0)
+  List.iter (record_key t ~array ~write) (Value.keys_of_subs dims subs)
 
 (** [merge ~into src] appends [src]'s events after [into]'s, re-stamping
     [ev_seq] to continue [into]'s sequence.  Merging domain shards in
