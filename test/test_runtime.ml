@@ -642,6 +642,52 @@ let test_schedule_golden (name, shuffled, ordered) () =
   Alcotest.(check int) "shuffled" shuffled (Schedule.fingerprint s);
   Alcotest.(check int) "ascending" ordered (Schedule.fingerprint (build None))
 
+(* Value goldens: [fingerprint] hashes keys only, so these pin what a
+   schedule row carries.  One running CRC-32 over every block's
+   [Wire.encode_block] payload (linearized key and value of each entry
+   in scheduled order), blocks in [space][time] order, for the shuffled
+   and the ascending build of each app at the fingerprints' scale.
+   Recorded from the per-entry tuple schedule. *)
+let value_goldens =
+  [
+    ("mf", 448545231l, -2092929277l);
+    ("lda", -831909066l, -146377478l);
+    ("slr", 197225901l, 1079051359l);
+    ("gbt", -1799017356l, 946777253l);
+  ]
+
+let schedule_crc iter (s : Orion.Value.t Schedule.t) =
+  let crc = Orion_store.Crc32.create () in
+  Array.iter
+    (Array.iter (fun (b : _ Schedule.block) ->
+         let bytes, _ =
+           Orion_net.Wire.encode_block ~linearize:(Dist_array.linearize iter)
+             b.Schedule.entries
+         in
+         Orion_store.Crc32.update crc bytes ~pos:0 ~len:(Bytes.length bytes)))
+    s.Schedule.blocks;
+  Orion_store.Crc32.value crc
+
+let test_value_golden (name, shuffled, ordered) () =
+  let inst =
+    match
+      Orion_apps.Registry.materialize name ~scale:10.0 ~num_machines:2
+        ~workers_per_machine:2
+    with
+    | Some i -> i
+    | None -> Alcotest.failf "app %s missing from registry" name
+  in
+  let session = inst.Orion.App.inst_session in
+  let iter = inst.Orion.App.inst_iter in
+  let plan = Orion.analyze_loop session inst.Orion.App.inst_loop in
+  let crc shuffle_seed =
+    schedule_crc iter
+      (Orion.compile session ~plan ~iter ~shuffle_seed ()).Orion.schedule
+  in
+  Alcotest.(check int32) "shuffled" shuffled
+    (crc (Some Schedule.default_shuffle_seed));
+  Alcotest.(check int32) "ascending" ordered (crc None)
+
 (* random sparse arrays of 1–3 dimensions, with duplicate draws *)
 let gen_sparse =
   QCheck.Gen.(
@@ -721,6 +767,10 @@ let () =
           (fun ((name, _, _) as g) ->
             tc (name ^ " fingerprint") `Quick (test_schedule_golden g))
           schedule_goldens
+        @ List.map
+            (fun ((name, _, _) as g) ->
+              tc (name ^ " values") `Quick (test_value_golden g))
+            value_goldens
         @ [ qc qcheck_histogram_naive; qc qcheck_traversal_ascending ] );
       ( "executor",
         [
