@@ -552,10 +552,7 @@ let ablation_partitioning () =
       Array.to_list
         (Array.map
            (fun row ->
-             Array.fold_left
-               (fun acc b ->
-                 acc + Array.length b.Orion.Schedule.entries)
-               0 row)
+             Array.fold_left (fun acc b -> acc + Orion.Schedule.length b) 0 row)
            sched.Orion.Schedule.blocks)
     in
     let mx = List.fold_left max 0 sizes in

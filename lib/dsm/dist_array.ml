@@ -112,14 +112,15 @@ module Lin_table = struct
     }
 end
 
-type 'a storage =
-  | Dense of 'a array  (** row-major *)
-  | Sparse of {
-      table : 'a Lin_table.t;  (** linearized key -> value *)
-      mutable sorted_keys : int array option;
-          (** cache of keys in ascending order, for deterministic
-              iteration; invalidated when a new key is inserted *)
-    }
+type 'a sparse = {
+  table : 'a Lin_table.t;  (** linearized key -> value *)
+  mutable order : (int array * int array) option;
+      (** cache of the keys in ascending order, for deterministic
+          iteration, and each key's table slot; invalidated when a new
+          key is inserted *)
+}
+
+type 'a storage = Dense of 'a array  (** row-major *) | Sparse of 'a sparse
 
 type 'a t = {
   name : string;
@@ -133,7 +134,7 @@ type 'a t = {
 (* Keys                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let compute_strides dims =
+let strides_of_dims dims =
   let n = Array.length dims in
   let strides = Array.make n 1 in
   for i = n - 2 downto 0 do
@@ -180,17 +181,33 @@ let linearize t key =
   done;
   !acc
 
-(* key arithmetic only: one fresh key array, no closure *)
-let delin ~dims ~strides lin =
+(* key arithmetic only: one fresh key array, no closure; keys of up to
+   three dims are allocated inline, without a call into the runtime,
+   and their innermost index (stride 1) needs no division *)
+let delinearize_in ~dims ~strides lin =
   let n = Array.length dims in
-  let key = Array.make n 0 in
-  for i = 0 to n - 1 do
-    Array.unsafe_set key i
-      (lin / Array.unsafe_get strides i mod Array.unsafe_get dims i)
-  done;
-  key
+  if n = 2 then
+    [|
+      lin / Array.unsafe_get strides 0 mod Array.unsafe_get dims 0;
+      lin mod Array.unsafe_get dims 1;
+    |]
+  else if n = 1 then [| lin mod Array.unsafe_get dims 0 |]
+  else if n = 3 then
+    [|
+      lin / Array.unsafe_get strides 0 mod Array.unsafe_get dims 0;
+      lin / Array.unsafe_get strides 1 mod Array.unsafe_get dims 1;
+      lin mod Array.unsafe_get dims 2;
+    |]
+  else begin
+    let key = Array.make n 0 in
+    for i = 0 to n - 1 do
+      Array.unsafe_set key i
+        (lin / Array.unsafe_get strides i mod Array.unsafe_get dims i)
+    done;
+    key
+  end
 
-let delinearize t lin = delin ~dims:t.dims ~strides:t.strides lin
+let delinearize t lin = delinearize_in ~dims:t.dims ~strides:t.strides lin
 
 (* ------------------------------------------------------------------ *)
 (* Creation                                                            *)
@@ -199,14 +216,14 @@ let delinearize t lin = delin ~dims:t.dims ~strides:t.strides lin
 (** Dense array initialized from the structured key. *)
 let init_dense ~name ~dims ~f =
   check_dims name dims;
-  let strides = compute_strides dims in
+  let strides = strides_of_dims dims in
   let size = total_size dims in
-  let data = Array.init size (fun lin -> f (delin ~dims ~strides lin)) in
+  let data = Array.init size (fun lin -> f (delinearize_in ~dims ~strides lin)) in
   { name; dims; strides; storage = Dense data; default = data.(0) }
 
 let fill_dense ~name ~dims value =
   check_dims name dims;
-  let strides = compute_strides dims in
+  let strides = strides_of_dims dims in
   {
     name;
     dims;
@@ -220,8 +237,8 @@ let create_sparse ~name ~dims ~default =
   {
     name;
     dims;
-    strides = compute_strides dims;
-    storage = Sparse { table = Lin_table.create default; sorted_keys = None };
+    strides = strides_of_dims dims;
+    storage = Sparse { table = Lin_table.create default; order = None };
     default;
   }
 
@@ -304,7 +321,7 @@ let replace_lin t lin v =
   | Sparse s ->
       if Atomic.get parallel_mode && not (Lin_table.mem s.table lin) then
         check_sparse_insert t lin;
-      if Lin_table.replace s.table lin v then s.sorted_keys <- None
+      if Lin_table.replace s.table lin v then s.order <- None
 
 let set t key v = replace_lin t (linearize t key) v
 
@@ -345,79 +362,120 @@ let update t key f =
             check_sparse_insert t lin;
             t.default
       in
-      if Lin_table.replace s.table lin (f cur) then s.sorted_keys <- None
+      if Lin_table.replace s.table lin (f cur) then s.order <- None
 
 (* ------------------------------------------------------------------ *)
 (* Iteration (deterministic order)                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Ascending sort of an int array: insertion-sorted runs, then
-   bottom-up merges between [a] and one spare buffer, comparing ints
-   directly.  Returns whichever buffer holds the result. *)
-let sort_ints (a : int array) =
-  let n = Array.length a in
-  let run = 16 in
-  let lo = ref 0 in
-  while !lo < n do
-    let hi = min n (!lo + run) in
-    for i = !lo + 1 to hi - 1 do
-      let x = Array.unsafe_get a i in
-      let j = ref (i - 1) in
-      while !j >= !lo && Array.unsafe_get a !j > x do
-        Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
-        decr j
-      done;
-      Array.unsafe_set a (!j + 1) x
-    done;
-    lo := hi
+(* LSD radix sort of the non-negative [keys], none above [top], each
+   carrying the same index of [slots] along: [digit_bits]-bit digits,
+   stable, and only as many passes as [top] has digits.  One pass over
+   the keys counts every digit; a digit that is the same for every key
+   moves nothing and is skipped.  Returns the sorted pair, which may be
+   the input arrays. *)
+let digit_bits = 11
+
+let radix_sort ~top (keys : int array) (slots : int array) =
+  let n = Array.length keys in
+  let radix = 1 lsl digit_bits in
+  let mask = radix - 1 in
+  let digits = ref 0 in
+  while !digits * digit_bits < Sys.int_size && top lsr (!digits * digit_bits) > 0
+  do
+    incr digits
   done;
-  let src = ref a and dst = ref (if n > run then Array.make n 0 else a) in
-  let width = ref run in
-  while !width < n do
-    let s = !src and d = !dst and w = !width in
-    let lo = ref 0 in
-    while !lo < n do
-      let mid = min n (!lo + w) and hi = min n (!lo + (2 * w)) in
-      let i = ref !lo and j = ref mid and k = ref !lo in
-      while !i < mid && !j < hi do
-        let x = Array.unsafe_get s !i and y = Array.unsafe_get s !j in
-        if x <= y then begin
-          Array.unsafe_set d !k x;
-          incr i
-        end
-        else begin
-          Array.unsafe_set d !k y;
-          incr j
-        end;
-        incr k
-      done;
-      Array.blit s !i d !k (mid - !i);
-      Array.blit s !j d (!k + mid - !i) (hi - !j);
-      lo := hi
-    done;
-    src := d;
-    dst := s;
-    width := 2 * w
+  let digits = !digits in
+  let counts = Array.make (digits * radix) 0 in
+  for i = 0 to n - 1 do
+    let k = Array.unsafe_get keys i in
+    for d = 0 to digits - 1 do
+      let c = (d * radix) + ((k lsr (d * digit_bits)) land mask) in
+      Array.unsafe_set counts c (Array.unsafe_get counts c + 1)
+    done
   done;
-  !src
+  let src_k = ref keys and src_s = ref slots in
+  let dst_k = ref [||] and dst_s = ref [||] in
+  for d = 0 to digits - 1 do
+    let sk = !src_k and ss = !src_s in
+    let sh = d * digit_bits and base = d * radix in
+    if counts.(base + ((sk.(0) lsr sh) land mask)) < n then begin
+      if Array.length !dst_k = 0 then begin
+        dst_k := Array.make n 0;
+        dst_s := Array.make n 0
+      end;
+      let dk = !dst_k and ds = !dst_s in
+      (* counts become each digit value's first output position *)
+      let pos = ref 0 in
+      for c = base to base + mask do
+        let m = Array.unsafe_get counts c in
+        Array.unsafe_set counts c !pos;
+        pos := !pos + m
+      done;
+      for i = 0 to n - 1 do
+        let k = Array.unsafe_get sk i in
+        let c = base + ((k lsr sh) land mask) in
+        let p = Array.unsafe_get counts c in
+        Array.unsafe_set dk p k;
+        Array.unsafe_set ds p (Array.unsafe_get ss i);
+        Array.unsafe_set counts c (p + 1)
+      done;
+      src_k := dk;
+      src_s := ds;
+      dst_k := sk;
+      dst_s := ss
+    end
+  done;
+  (!src_k, !src_s)
+
+(* a sparse array's stored keys, ascending, with the table slot of
+   each (cached until a new key is inserted, which is the only way
+   slots move) *)
+let order (s : 'a sparse) =
+  match s.order with
+  | Some o -> o
+  | None ->
+      let n = Lin_table.length s.table in
+      let tkeys = s.table.Lin_table.keys in
+      let keys = Array.make n 0 and slots = Array.make n 0 in
+      let top = ref 0 in
+      if n > 0 then begin
+        (* Every slot before the last stored one is copied to the next
+           free position, which advances only past a stored key: no
+           branch on a slot's occupancy (about half of them are
+           free), and the last key lands at [n - 1]. *)
+        let last = ref (Array.length tkeys - 1) in
+        while Array.unsafe_get tkeys !last = Lin_table.free do
+          decr last
+        done;
+        let i = ref 0 in
+        for slot = 0 to !last - 1 do
+          let k = Array.unsafe_get tkeys slot in
+          Array.unsafe_set keys !i k;
+          Array.unsafe_set slots !i slot;
+          i := !i + Bool.to_int (k <> Lin_table.free);
+          if k > !top then top := k
+        done;
+        keys.(n - 1) <- tkeys.(!last);
+        slots.(n - 1) <- !last;
+        top := max !top tkeys.(!last)
+      end;
+      let o = radix_sort ~top:!top keys slots in
+      s.order <- Some o;
+      o
 
 let sorted_keys t =
   match t.storage with
   | Dense d -> Array.init (Array.length d) Fun.id
-  | Sparse s -> (
-      match s.sorted_keys with
-      | Some k -> k
-      | None ->
-          let keys = Array.make (Lin_table.length s.table) 0 in
-          let i = ref 0 in
-          Lin_table.iter
-            (fun k _ ->
-              Array.unsafe_set keys !i k;
-              incr i)
-            s.table;
-          let keys = sort_ints keys in
-          s.sorted_keys <- Some keys;
-          keys)
+  | Sparse s -> fst (order s)
+
+let sorted_values t ranks =
+  match t.storage with
+  | Dense d -> Array.map (fun r -> d.(r)) ranks
+  | Sparse s ->
+      let _, slots = order s in
+      let values = s.table.Lin_table.values in
+      Array.map (fun r -> Array.unsafe_get values slots.(r)) ranks
 
 (** Iterate over stored entries in ascending key order (deterministic
     across runs, so serial executions are reproducible). *)
@@ -501,7 +559,7 @@ let map ~name ~f t =
         name;
         storage =
           Sparse
-            { table = Lin_table.map f s.table; sorted_keys = s.sorted_keys };
+            { table = Lin_table.map f s.table; order = s.order };
         default = f t.default;
       }
 

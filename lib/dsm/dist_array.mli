@@ -17,12 +17,14 @@ module Lin_table : sig
   val length : 'a t -> int
 end
 
-type 'a storage =
-  | Dense of 'a array  (** row-major *)
-  | Sparse of {
-      table : 'a Lin_table.t;
-      mutable sorted_keys : int array option;
-    }
+type 'a sparse = {
+  table : 'a Lin_table.t;
+  mutable order : (int array * int array) option;
+      (** ascending keys and each one's table slot, cached until a new
+          key is inserted *)
+}
+
+type 'a storage = Dense of 'a array  (** row-major *) | Sparse of 'a sparse
 
 type 'a t = {
   name : string;
@@ -39,6 +41,13 @@ type 'a t = {
 val linearize : 'a t -> int array -> int
 
 val delinearize : 'a t -> int -> int array
+
+(** Row-major strides of [dims], as an array of those dims holds them. *)
+val strides_of_dims : int array -> int array
+
+(** {!delinearize} against bare [dims] and their row-major [strides]
+    ({!strides_of_dims}): a fresh key per call. *)
+val delinearize_in : dims:int array -> strides:int array -> int -> int array
 
 (** {1 Creation} *)
 
@@ -98,9 +107,14 @@ val for_all : ('a -> bool) -> 'a t -> bool
 
 (** {1 Iteration — ascending key order, deterministic across runs} *)
 
-(** Stored linearized keys, ascending (sparse: cached until a new key
-    is inserted; do not mutate). *)
+(** Stored linearized keys, ascending (sparse: radix-sorted once and
+    cached until a new key is inserted; do not mutate). *)
 val sorted_keys : 'a t -> int array
+
+(** [sorted_values t ranks]: a fresh array holding, at [i], the value
+    stored at [(sorted_keys t).(ranks.(i))]; no per-key lookup.
+    @raise Invalid_argument when a rank is not below {!count} *)
+val sorted_values : 'a t -> int array -> 'a array
 val iter : (int array -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> int array -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val entries : 'a t -> (int array * 'a) array

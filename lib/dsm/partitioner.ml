@@ -15,22 +15,28 @@ let equal_ranges ~dim_size ~parts : boundaries =
   let parts = max 1 (min parts dim_size) in
   Array.init (parts + 1) (fun p -> p * dim_size / parts)
 
-(** Entry counts at each index of every dimension in [dims], from one
-    pass over the stored linearized keys: an index is [lin / stride mod
-    size], so no key array is built and no value is read. *)
+(** Entry counts at each index of every dimension in [dims], each from
+    one tight pass over the stored linearized keys: an index is [lin /
+    stride mod size] (the outermost dimension needs no [mod], the
+    innermost no division), so no key array is built and no value is
+    read. *)
 let histograms (t : 'a Dist_array.t) ~dims =
-  let sizes = Array.map (fun d -> t.Dist_array.dims.(d)) dims in
-  let strides = Array.map (fun d -> t.Dist_array.strides.(d)) dims in
-  let counts = Array.map (fun n -> Array.make n 0) sizes in
-  Array.iter
-    (fun lin ->
-      for k = 0 to Array.length dims - 1 do
-        let c = counts.(k) in
-        let i = lin / strides.(k) mod sizes.(k) in
-        c.(i) <- c.(i) + 1
-      done)
-    (Dist_array.sorted_keys t);
-  counts
+  let keys = Dist_array.sorted_keys t in
+  Array.map
+    (fun dim ->
+      let size = t.Dist_array.dims.(dim) and stride = t.Dist_array.strides.(dim) in
+      let counts = Array.make size 0 in
+      for i = 0 to Array.length keys - 1 do
+        let lin = Array.unsafe_get keys i in
+        let j =
+          if dim = 0 then lin / stride
+          else if stride = 1 then lin mod size
+          else lin / stride mod size
+        in
+        Array.unsafe_set counts j (Array.unsafe_get counts j + 1)
+      done;
+      counts)
+    dims
 
 (** Entry count at each index of dimension [dim]. *)
 let histogram t ~dim = (histograms t ~dims:[| dim |]).(0)

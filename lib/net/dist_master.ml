@@ -85,6 +85,20 @@ let poll_exit ?(tries = 0) ?(interval = 0.05) pid =
   in
   go tries
 
+(** Wait up to [seconds] for [pid] to exit, as {!poll_exit}: polled
+    first after 0.2 ms, then at doubling intervals of at most 10 ms, so
+    a worker that exits at once is reaped at once. *)
+let wait_exit ~seconds pid =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go interval =
+    match poll_exit pid with
+    | `Running when Unix.gettimeofday () < deadline ->
+        Unix.sleepf interval;
+        go (Float.min 0.01 (2.0 *. interval))
+    | status -> status
+  in
+  go 0.0002
+
 let spawn_worker (spawn : spawn) ~(materialize : Dist_worker.materialize)
     ~(listener : Transport.listener) ~rank ~master_addr : int =
   match spawn with
@@ -384,11 +398,8 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
     let blocks =
       Array.init nw (fun rank ->
           Array.map
-            (fun (b : _ Schedule.block) ->
-              let bytes, d =
-                Wire.encode_block ~linearize:(Dist_array.linearize iter)
-                  b.Schedule.entries
-              in
+            (fun b ->
+              let bytes, d = Wire.encode_block b in
               digest := !digest + d;
               bytes)
             sched.Schedule.blocks.(rank))
@@ -729,7 +740,7 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
     Transport.close_listener listener;
     List.iter
       (fun (rank, pid) ->
-        match poll_exit ~tries:500 ~interval:0.01 pid with
+        match wait_exit ~seconds:5.0 pid with
         | `Running ->
             (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
             ignore (Unix.waitpid [] pid)

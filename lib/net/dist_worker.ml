@@ -61,6 +61,7 @@ open Orion_lang
 module Dist_array = Orion_dsm.Dist_array
 module Plan = Orion_analysis.Plan
 module Domain_exec = Orion_runtime.Domain_exec
+module Schedule = Orion_runtime.Schedule
 module Telemetry = Orion_obs.Telemetry
 
 (** Build app [name]'s instance on a worker: from shapes, reading no
@@ -218,16 +219,15 @@ let check_space (iter : Value.t Dist_array.t) (row : Wire.row) =
       fail "iteration space %S holds other entries than the master's" name
   end
 
-(** Decode the whole [row] once, so that a malformed one fails at
-    install, not mid-pass.  Entries are decoded again as each block
-    runs: the row's bytes are all a worker keeps of its iteration
-    space. *)
-let check_blocks ~tp (row : Wire.row) =
+(** The blocks of [row], decoded once at install, so that a malformed
+    row fails there, not mid-pass.  They are all a worker keeps of its
+    iteration space: every pass runs them as the pool runs its own. *)
+let decode_blocks ~tp (row : Wire.row) =
   if Array.length row.Wire.sr_blocks <> tp then
     fail "schedule row has %d blocks, expected %d"
       (Array.length row.Wire.sr_blocks)
       tp;
-  Array.iter (Wire.fold_block (fun () _ _ -> ()) ()) row.Wire.sr_blocks
+  Array.map (Wire.decode_block ~dims:row.Wire.sr_dims) row.Wire.sr_blocks
 
 let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     ~(like : Transport.addr) : unit =
@@ -280,6 +280,19 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   let shadow_parts () =
     List.map (fun (_, shadow) -> Orion.Engine.shadow_part shadow) shadows
   in
+  let placement name = List.assoc_opt name plan.Plan.placements in
+  (* arrays whose contents the wire is responsible for *)
+  let managed name =
+    (not (List.mem name buffered)) && placement name <> None
+  in
+  (* zero every managed array while the row is still on its way: its
+     initial contents must arrive over the wire, which makes partition
+     shipping load-bearing *)
+  List.iter
+    (fun (n, a) ->
+      if managed n then
+        Array.iter (fun lin -> Dist_array.set_lin a lin 0.0) (Dist_array.sorted_keys a))
+    arrays;
   (* -- schedule row and the compiled kernel ----------------------------
      Check the row against this instance and decode it once, then
      compile the kernel for the values it carries (after the shadow
@@ -304,7 +317,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
       sp p.p_procs;
   check_space iter row;
   let start = tel_now () in
-  check_blocks ~tp row;
+  let blocks = decode_blocks ~tp row in
   tel_span ~category:Orion_obs.Trace.Marshal ~label:"row install"
     ~bytes:
       (Array.fold_left
@@ -315,9 +328,14 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   let kernel, exec_entry =
     Orion.Engine.loop_body
       ~values:(fun p ->
-        Array.for_all
-          (Wire.fold_block (fun ok _ v -> ok && p v) true)
-          row.Wire.sr_blocks)
+        match
+          Array.iter
+            (Schedule.iter_lin (fun _ v ->
+                 if not (p v) then raise_notrace Exit))
+            blocks
+        with
+        | () -> true
+        | exception Exit -> false)
       inst env
   in
   tel_span ~category:Orion_obs.Trace.Compute ~label:"kernel compile"
@@ -332,11 +350,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
        });
   let arr_tbl : (string, float Dist_array.t) Hashtbl.t = Hashtbl.create 8 in
   List.iter (fun (n, a) -> Hashtbl.replace arr_tbl n a) arrays;
-  let placement name = List.assoc_opt name plan.Plan.placements in
-  (* arrays whose contents the wire is responsible for *)
-  let managed name =
-    (not (List.mem name buffered)) && placement name <> None
-  in
   let prefetch_names =
     List.filter_map
       (fun (n, _) ->
@@ -348,15 +361,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   Transport.send master
     (Wire.Prefetch_request { pr_rank = rank; pr_arrays = prefetch_names });
   (* -- receive array contents ------------------------------------- *)
-  (* zero every managed array first: its initial contents must arrive
-     over the wire, which makes partition shipping load-bearing *)
-  List.iter
-    (fun (n, a) ->
-      if managed n then
-        Array.iter
-          (fun (key, _) -> Dist_array.set a key 0.0)
-          (Dist_array.entries a))
-    arrays;
   let apply_region what payload =
     let name, dims, keys, values = Policy.decode_region payload in
     match Hashtbl.find_opt arr_tbl name with
@@ -723,13 +727,9 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
           current := [];
           cur_version := (pass, pos blk);
           let blk_start = tel_now () in
-          let n =
-            Wire.fold_block
-              (fun n lin value ->
-                exec_entry ~key:(Dist_array.delinearize iter lin) ~value;
-                n + 1)
-              0 row.Wire.sr_blocks.(t)
-          in
+          let b = blocks.(t) in
+          Schedule.iter_block (fun key value -> exec_entry ~key ~value) b;
+          let n = Schedule.length b in
           entries_done := !entries_done + n;
           if tel_on then
             Telemetry.block tel ~shard:0 ~worker:rank ~pass ~space:s ~time:t

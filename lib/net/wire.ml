@@ -481,40 +481,36 @@ let space_digest (iter : V.t Orion_dsm.Dist_array.t) =
     8-byte little-endian ints and float bits, 4-byte little-endian
     counts.
     Returns the payload and the entries' summed {!entry_digest}. *)
-let encode_block ~linearize (entries : (int array * V.t) array) =
-  let size =
-    Array.fold_left
-      (fun acc (_, v) -> acc + 8 + value_size v)
-      (count_size (Array.length entries))
-      entries
-  in
-  let b = Bytes.create size in
-  set_count b 0 (Array.length entries);
+let encode_block (blk : V.t Orion_runtime.Schedule.block) =
+  let module S = Orion_runtime.Schedule in
+  let size = ref (count_size (S.length blk)) in
+  S.iter_lin (fun _ v -> size := !size + 8 + value_size v) blk;
+  let b = Bytes.create !size in
+  set_count b 0 (S.length blk);
   let digest = ref 0 and pos = ref 4 in
-  Array.iter
-    (fun (key, v) ->
-      let lin = linearize key in
+  S.iter_lin
+    (fun lin v ->
       set_int b !pos lin;
       pos := write_value b (!pos + 8) v;
       digest := !digest + entry_digest lin v)
-    entries;
+    blk;
   (b, !digest)
 
-(** [f] folded over a block's entries ({!encode_block}) in order, each
-    decoded as it is reached: [f acc lin value].
+(** A payload of {!encode_block} back as a block over an iteration
+    space of [dims].
     @raise Decode_error on a truncated or over-long payload *)
-let fold_block f init b =
+let decode_block ~dims b =
   let n = get_count b 0 "entry count" in
   (* every entry takes at least a key and a tag byte *)
   need b 4 (9 * n) "block";
   let c = { c_bytes = b; c_pos = 4 } in
-  let acc = ref init in
-  for _ = 1 to n do
+  let keys = Array.make n 0 and values = Array.make n V.Vunit in
+  for i = 0 to n - 1 do
     need b c.c_pos 8 "entry key";
-    let lin = get_int b c.c_pos in
+    keys.(i) <- get_int b c.c_pos;
     c.c_pos <- c.c_pos + 8;
-    acc := f !acc lin (read_value c 0)
+    values.(i) <- read_value c 0
   done;
   if c.c_pos <> Bytes.length b then
     decode_error c.c_pos "%d bytes after the last entry" (Bytes.length b - c.c_pos);
-  !acc
+  Orion_runtime.Schedule.make_block ~dims keys values

@@ -306,14 +306,13 @@ let run_schedule ?(telemetry = Orion_obs.Telemetry.disabled) ?(pass = 0)
     let space = id / tp and time = id mod tp in
     let b = Schedule.block sched ~space ~time in
     let body = bodies.(who) in
-    let entries = b.Schedule.entries in
+    let n = Schedule.length b in
     let block_start = tel_now () in
-    Array.iter (fun (key, value) -> body ~key ~value) entries;
+    Schedule.iter_block (fun key value -> body ~key ~value) b;
     if tel_on then
       Orion_obs.Telemetry.block telemetry ~shard:who ~worker:who ~pass ~space
-        ~time ~start:block_start ~finish:(tel_now ())
-        ~entries:(Array.length entries);
-    entries_run.(who) <- entries_run.(who) + Array.length entries;
+        ~time ~start:block_start ~finish:(tel_now ()) ~entries:n;
+    entries_run.(who) <- entries_run.(who) + n;
     let ready =
       List.filter
         (fun succ -> Atomic.fetch_and_add pending.(succ) (-1) = 1)

@@ -55,7 +55,7 @@ let log_pass strategy (st : pass_stats) =
 (* Execute one block, measuring real compute time; returns seconds. *)
 let run_block (body : 'v body) ~worker (b : 'v Schedule.block) =
   let t0 = now_wall () in
-  Array.iter (fun (key, v) -> body ~worker ~key ~value:v) b.Schedule.entries;
+  Schedule.iter_block (fun key value -> body ~worker ~key ~value) b;
   now_wall () -. t0
 
 (** Override for modeled (rather than measured) compute cost: seconds
@@ -154,7 +154,7 @@ let run cluster ?(compute = Measured) ~(model : Domain_exec.model) ?label
           | _ -> ());
           let b = Schedule.block sched ~space:s ~time:t in
           let measured = run_block body ~worker:w b in
-          let n = Array.length b.Schedule.entries in
+          let n = Schedule.length b in
           let secs = block_cost compute measured n in
           compute_total := !compute_total +. secs;
           executed := !executed + n;

@@ -9,10 +9,16 @@
 
 open Orion_dsm
 
+(* A block is flat: its entries' linearized keys and their values in
+   two aligned arrays, in scheduled order.  Keys are delinearized
+   against the iteration space's [dims] only as an entry is visited
+   ([iter_block]), so building, shuffling and encoding a schedule
+   allocate nothing per entry. *)
 type 'v block = {
-  space_idx : int;
-  time_idx : int;  (** -1 for 1D blocks *)
-  entries : (int array * 'v) array;  (** ascending key order *)
+  b_keys : int array;  (** linearized, scheduled order *)
+  b_values : 'v array;  (** [b_values.(i)] is stored at [b_keys.(i)] *)
+  b_dims : int array;  (** the iteration space's *)
+  b_strides : int array;  (** row-major strides of [b_dims] *)
 }
 
 type 'v t = {
@@ -25,38 +31,87 @@ type 'v t = {
 
 let block t ~space ~time = t.blocks.(space).(time)
 
-(* Deterministic Fisher–Yates over a block's entries.  SGD convergence
-   depends on sample order: stratified SGD (Gemulla et al.) shuffles
-   entries within blocks, and serial SGD shuffles the dataset; a
-   [shuffle_seed] reproduces that here while keeping runs replayable. *)
-let shuffle_in_place ~seed (a : 'a array) =
+let make_block ~dims keys values =
+  if Array.length keys <> Array.length values then
+    invalid_arg "Schedule.make_block: keys and values differ in length";
+  {
+    b_keys = keys;
+    b_values = values;
+    b_dims = dims;
+    b_strides = Dist_array.strides_of_dims dims;
+  }
+
+let length b = Array.length b.b_keys
+
+let iter_block f b =
+  let dims = b.b_dims and strides = b.b_strides and values = b.b_values in
+  Array.iteri
+    (fun i lin ->
+      f (Dist_array.delinearize_in ~dims ~strides lin) (Array.unsafe_get values i))
+    b.b_keys
+
+let iter_lin f b =
+  let values = b.b_values in
+  Array.iteri (fun i lin -> f lin (Array.unsafe_get values i)) b.b_keys
+
+(* Deterministic Fisher–Yates over an int array, in place.  SGD
+   convergence depends on sample order: stratified SGD (Gemulla et al.)
+   shuffles entries within blocks, and serial SGD shuffles the dataset;
+   a [shuffle_seed] reproduces that here while keeping runs
+   replayable.  The LCG state is a local [Int64] the compiler keeps
+   unboxed, and the swaps move ints, so the shuffle allocates nothing
+   and needs no write barrier. *)
+let shuffle_ints ~seed (a : int array) =
   let state = ref (Int64.of_int (seed lxor 0x5DEECE66)) in
-  let next bound =
+  for i = Array.length a - 1 downto 1 do
     state :=
       Int64.add (Int64.mul !state 6364136223846793005L) 1442695040888963407L;
-    Int64.to_int (Int64.shift_right_logical !state 33) mod bound
-  in
-  for i = Array.length a - 1 downto 1 do
-    let j = next (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
+    let j = Int64.to_int (Int64.shift_right_logical !state 33) mod (i + 1) in
+    let tmp = Array.unsafe_get a i in
+    Array.unsafe_set a i (Array.unsafe_get a j);
+    Array.unsafe_set a j tmp
   done
 
-(** Reshuffle every block's entries in place (SGD implementations
-    shuffle their local data each pass; vary [seed] per epoch). *)
+(* the shuffle of [0, n): where each shuffled position's element came
+   from *)
+let permutation ~seed n =
+  let p = Array.make n 0 in
+  for i = 0 to n - 1 do
+    Array.unsafe_set p i i
+  done;
+  shuffle_ints ~seed p;
+  p
+
+(* [a.(perm.(i))] at [i], one write per element *)
+let gather perm (a : 'a array) = Array.map (fun j -> a.(j)) perm
+
+let shuffle_in_place ~seed (a : 'a array) =
+  let g = gather (permutation ~seed (Array.length a)) a in
+  Array.blit g 0 a 0 (Array.length a)
+
+let block_seed seed ~space ~time = seed + (space * 7919) + time
+
+(* [b]'s entries permuted by [perm] *)
+let permute perm b =
+  { b with b_keys = gather perm b.b_keys; b_values = gather perm b.b_values }
+
+(** Reshuffle every block's entries (SGD implementations shuffle their
+    local data each pass; vary [seed] per epoch). *)
 let reshuffle t ~seed =
   Array.iteri
     (fun s row ->
       Array.iteri
-        (fun ti b -> shuffle_in_place ~seed:(seed + (s * 7919) + ti) b.entries)
+        (fun time b ->
+          row.(time) <-
+            permute
+              (permutation ~seed:(block_seed seed ~space:s ~time) (length b))
+              b)
         row)
     t.blocks
 
 let total_entries t =
   Array.fold_left
-    (fun acc row ->
-      Array.fold_left (fun acc b -> acc + Array.length b.entries) acc row)
+    (fun acc row -> Array.fold_left (fun acc b -> acc + length b) acc row)
     0 t.blocks
 
 (** A structural fingerprint of the schedule: FNV-1a over the partition
@@ -80,77 +135,81 @@ let fingerprint t =
     (fun row ->
       Array.iter
         (fun b ->
-          mix (Array.length b.entries);
-          Array.iter (fun (key, _) -> Array.iter mix key) b.entries)
+          mix (length b);
+          iter_block (fun key _ -> Array.iter mix key) b)
         row)
     t.blocks;
   !h land max_int
 
-(* Blocks over [iter]'s stored entries.  [part i lin] names the block
-   ([space * time_parts + time]) of the [i]-th key in ascending order,
-   [lin].  One pass over the sorted keys sizes every block exactly, a
-   second fills them, so each block's entries arrive in ascending key
-   order before the optional shuffle. *)
+(* Blocks over [iter]'s stored entries.  [owner.(i)] names the block
+   ([space * time_parts + time]) of the [i]-th key in ascending order.
+   A counting sort by block lists each block's entries as ranks in the
+   sorted keys, ascending; the optional shuffle permutes those ranks in
+   place, and each block then reads its values once and turns its ranks
+   into keys in place. *)
 let build ?shuffle_seed ~space_parts ~time_parts ~space_boundaries
-    ~time_boundaries ~part iter =
+    ~time_boundaries ~owner iter =
   let keys = Dist_array.sorted_keys iter in
-  let sizes = Array.make (space_parts * time_parts) 0 in
-  Array.iteri
-    (fun i lin ->
-      let b = part i lin in
-      sizes.(b) <- sizes.(b) + 1)
-    keys;
-  let dummy = ([||], iter.Dist_array.default) in
-  let cells = Array.map (fun n -> Array.make n dummy) sizes in
-  let fill = Array.make (Array.length sizes) 0 in
-  Array.iteri
-    (fun i lin ->
-      let b = part i lin in
-      cells.(b).(fill.(b)) <-
-        (Dist_array.delinearize iter lin, Dist_array.find_lin iter lin);
-      fill.(b) <- fill.(b) + 1)
-    keys;
+  let n = Array.length keys in
+  let nb = space_parts * time_parts in
+  let sizes = Array.make nb 0 in
+  Array.iter (fun b -> sizes.(b) <- sizes.(b) + 1) owner;
+  let ranks = Array.map (fun size -> Array.make size 0) sizes in
+  let fill = Array.make nb 0 in
+  for i = 0 to n - 1 do
+    let b = Array.unsafe_get owner i in
+    ranks.(b).(fill.(b)) <- i;
+    fill.(b) <- fill.(b) + 1
+  done;
+  let dims = iter.Dist_array.dims and strides = iter.Dist_array.strides in
   let blocks =
     Array.init space_parts (fun s ->
         Array.init time_parts (fun t ->
-            let entries = cells.((s * time_parts) + t) in
-            (match shuffle_seed with
-            | Some seed ->
-                shuffle_in_place ~seed:(seed + (s * 7919) + t) entries
-            | None -> ());
-            {
-              space_idx = s;
-              time_idx = (if time_parts = 1 then -1 else t);
-              entries;
-            }))
+            let r = ranks.((s * time_parts) + t) in
+            Option.iter
+              (fun seed -> shuffle_ints ~seed:(block_seed seed ~space:s ~time:t) r)
+              shuffle_seed;
+            let values = Dist_array.sorted_values iter r in
+            for j = 0 to Array.length r - 1 do
+              Array.unsafe_set r j (Array.unsafe_get keys (Array.unsafe_get r j))
+            done;
+            { b_keys = r; b_values = values; b_dims = dims; b_strides = strides }))
   in
   { space_parts; time_parts; blocks; space_boundaries; time_boundaries }
 
 (* Blocks of a range cut along [space_dim] ([sb]) and, for 2D, along
    [time_dim] ([tb]).  A key's partition along a dimension is one table
-   lookup on its index there, which is stride arithmetic on [lin]. *)
+   lookup on its index there, which is stride arithmetic on [lin] (the
+   outermost dimension needs no [mod], the innermost no division). *)
 let cut ?shuffle_seed iter ~space_dim ~space_boundaries:sb ~time =
-  let index_part dim b =
+  let keys = Dist_array.sorted_keys iter in
+  let owner = Array.make (Array.length keys) 0 in
+  (* add [scale] times [lin]'s partition along [dim] to its owner *)
+  let add ~scale dim b =
     let size = iter.Dist_array.dims.(dim)
     and stride = iter.Dist_array.strides.(dim) in
-    let parts = Array.init size (Partitioner.part_of ~boundaries:b) in
-    fun lin -> parts.(lin / stride mod size)
+    let parts = Array.init size (fun i -> scale * Partitioner.part_of ~boundaries:b i) in
+    for i = 0 to Array.length keys - 1 do
+      let lin = Array.unsafe_get keys i in
+      let j =
+        if dim = 0 then lin / stride
+        else if stride = 1 then lin mod size
+        else lin / stride mod size
+      in
+      Array.unsafe_set owner i (Array.unsafe_get owner i + Array.unsafe_get parts j)
+    done
   in
   let space_parts = Partitioner.num_parts sb in
-  let s_part = index_part space_dim sb in
-  match time with
-  | None ->
-      build ?shuffle_seed ~space_parts ~time_parts:1 ~space_boundaries:sb
-        ~time_boundaries:None
-        ~part:(fun _ lin -> s_part lin)
-        iter
-  | Some (time_dim, tb) ->
-      let time_parts = Partitioner.num_parts tb in
-      let t_part = index_part time_dim tb in
-      build ?shuffle_seed ~space_parts ~time_parts ~space_boundaries:sb
-        ~time_boundaries:(Some tb)
-        ~part:(fun _ lin -> (s_part lin * time_parts) + t_part lin)
-        iter
+  let time_parts, time_boundaries =
+    match time with
+    | None -> (1, None)
+    | Some (time_dim, tb) ->
+        add ~scale:1 time_dim tb;
+        (Partitioner.num_parts tb, Some tb)
+  in
+  add ~scale:time_parts space_dim sb;
+  build ?shuffle_seed ~space_parts ~time_parts ~space_boundaries:sb
+    ~time_boundaries ~owner iter
 
 (** Histogram-balanced 1D partitioning along [space_dim]. *)
 let partition_1d ?shuffle_seed iter ~space_dim ~space_parts =
@@ -213,10 +272,12 @@ let partition_unimodular ?shuffle_seed iter ~matrix ~space_parts
   let time_parts = Partitioner.num_parts tb in
   build ?shuffle_seed ~space_parts ~time_parts ~space_boundaries:sb
     ~time_boundaries:(Some tb)
-    ~part:(fun i _ ->
-      let c = tcoords.(i) in
-      (Partitioner.part_of ~boundaries:sb (c.(1) - s_lo) * time_parts)
-      + Partitioner.part_of ~boundaries:tb (c.(0) - t_lo))
+    ~owner:
+      (Array.map
+         (fun c ->
+           (Partitioner.part_of ~boundaries:sb (c.(1) - s_lo) * time_parts)
+           + Partitioner.part_of ~boundaries:tb (c.(0) - t_lo))
+         tcoords)
     iter
 
 let default_shuffle_seed = 17

@@ -3,11 +3,10 @@
     dimensions; unimodular plans partition the transformed coordinates
     with exact per-wavefront time partitions. *)
 
-type 'v block = {
-  space_idx : int;
-  time_idx : int;  (** -1 for 1D blocks *)
-  entries : (int array * 'v) array;
-}
+(** A block of entries, flat: linearized keys and their values in two
+    aligned arrays, in scheduled order.  The arrays are read only
+    through {!iter_block} (and {!iter_lin}, the wire codec's view). *)
+type 'v block
 
 type 'v t = {
   space_parts : int;
@@ -18,6 +17,23 @@ type 'v t = {
 }
 
 val block : 'v t -> space:int -> time:int -> 'v block
+
+(** A block of the entries [keys.(i)] (linearized against [dims],
+    row-major) → [values.(i)], in this order; the block keeps both
+    arrays.
+    @raise Invalid_argument when their lengths differ *)
+val make_block : dims:int array -> int array -> 'v array -> 'v block
+
+(** Entries in the block. *)
+val length : 'v block -> int
+
+(** [f key value] for every entry in scheduled order, each with a
+    fresh key array (delinearized as it is reached). *)
+val iter_block : (int array -> 'v -> unit) -> 'v block -> unit
+
+(** [f lin value] for every entry in scheduled order, with its
+    linearized key. *)
+val iter_lin : (int -> 'v -> unit) -> 'v block -> unit
 
 (** Deterministic Fisher–Yates (SGD sample-order shuffling). *)
 val shuffle_in_place : seed:int -> 'a array -> unit

@@ -51,12 +51,14 @@ let build model ~workers (sched : 'v Orion_runtime.Schedule.t) : t =
   Array.iteri
     (fun s row ->
       Array.iteri
-        (fun time (b : 'v Orion_runtime.Schedule.block) ->
-          Array.iteri
-            (fun pos (key, _) ->
+        (fun time b ->
+          let pos = ref 0 in
+          Orion_runtime.Schedule.iter_block
+            (fun key _ ->
               Hashtbl.replace t.block_of (Depobserve.iter_key key)
-                (s, time, pos))
-            b.Orion_runtime.Schedule.entries)
+                (s, time, !pos);
+              incr pos)
+            b)
         row)
     sched.Orion_runtime.Schedule.blocks;
   let edge src dst = hb.(src).(dst) <- true in

@@ -313,10 +313,9 @@ let replay (inst : App.instance) (sched : Value.t Schedule.t)
   let body = interp_body inst in
   Array.iter
     (fun (s, t) ->
-      let blk = Schedule.block sched ~space:s ~time:t in
-      Array.iter
-        (fun (key, value) -> body ~worker:0 ~key ~value)
-        blk.Schedule.entries)
+      Schedule.iter_block
+        (fun key value -> body ~worker:0 ~key ~value)
+        (Schedule.block sched ~space:s ~time:t))
     order
 
 let forced_schedule ov (inst : App.instance) ~workers ~depth :

@@ -155,8 +155,17 @@ let qcheck_natural_order_linearizes =
 
 let encode_block entries =
   fst
-    (Orion_net.Wire.encode_block ~linearize:(fun k -> k.(0))
-       (Array.map (fun (k, v) -> ([| k |], v)) entries))
+    (Orion_net.Wire.encode_block
+       (Schedule.make_block ~dims:[| max_int |] (Array.map fst entries)
+          (Array.map snd entries)))
+
+(* a row block's entries, decoded, as (linearized key, value) in order *)
+let decode_block b =
+  let out = ref [] in
+  Schedule.iter_lin
+    (fun lin v -> out := (lin, v) :: !out)
+    (Orion_net.Wire.decode_block ~dims:[| max_int |] b);
+  List.rev !out
 
 let test_wire_roundtrip () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -328,8 +337,8 @@ let arb_value =
 let value_block v = encode_block [| (0, v) |]
 
 let block_value b =
-  match Orion_net.Wire.fold_block (fun acc _ v -> v :: acc) [] b with
-  | [ v ] -> v
+  match decode_block b with
+  | [ (_, v) ] -> v
   | l -> Alcotest.failf "%d values in a one-entry block" (List.length l)
 
 let qcheck_value_codec_roundtrip =
@@ -367,18 +376,13 @@ let qcheck_block_codec =
     (fun (entries, cut) ->
       let entries = Array.of_list entries in
       let b = encode_block entries in
-      let back =
-        Orion_net.Wire.fold_block (fun acc lin v -> (lin, v) :: acc) [] b
-        |> List.rev |> Array.of_list
-      in
+      let back = Array.of_list (decode_block b) in
       Array.length back = Array.length entries
       && Array.for_all2
            (fun (k, v) (k', v') -> k = k' && same_bits v v')
            entries back
       && positioned_error ~len:(Bytes.length b) (fun () ->
-             Orion_net.Wire.fold_block
-               (fun () _ _ -> ())
-               () (Bytes.sub b 0 (cut mod Bytes.length b))))
+             decode_block (Bytes.sub b 0 (cut mod Bytes.length b))))
 
 (* ------------------------------------------------------------------ *)
 (* Wire encoding: codec round-trips                                    *)

@@ -183,6 +183,73 @@ let test_qcheck_sparse_store_model () =
       && Dist_array.entries (Dist_array.map ~name:"m2" ~f:(fun x -> 2 * x) a)
          = Array.map (fun (k, x) -> (k, 2 * x)) (Dist_array.entries a))
 
+(* [sorted_keys] (a radix sort over the table) against a naive sort of
+   the stored keys, with [sorted_values] aligned to it.  Dims come in
+   two kinds: small ones, and shapes whose product sits just under
+   [check_dims]'s overflow guard, so keys reach up to [max_int - 1] and
+   every digit of the sort is exercised.  A new-key insert must
+   invalidate the cached order; dense arrays list every cell. *)
+let test_qcheck_sorted_keys () =
+  let gen =
+    QCheck.Gen.(
+      let* small = array_size (int_range 1 3) (int_range 1 12) in
+      let* huge = bool in
+      let dims =
+        if not huge then small
+        else begin
+          (* the last dim takes whatever the others leave of max_int *)
+          let n = Array.length small in
+          let rest = Array.fold_left ( * ) 1 (Array.sub small 0 (n - 1)) in
+          Array.mapi (fun i d -> if i = n - 1 then max_int / rest else d) small
+        end
+      in
+      let index d =
+        (* near the top of the dimension, or anywhere in it *)
+        let* near = bool and* r = int in
+        let r = r land max_int in
+        return (if near then d - 1 - (r mod min d 4) else r mod d)
+      in
+      let key = map Array.of_list (flatten_l (Array.to_list (Array.map index dims))) in
+      let* keys = list_size (int_range 0 80) key and* extra = key in
+      return (dims, keys, extra))
+  in
+  let print (dims, keys, _) =
+    Printf.sprintf "dims [%s], %d keys"
+      (String.concat ";" (Array.to_list (Array.map string_of_int dims)))
+      (List.length keys)
+  in
+  QCheck.Test.make ~count:500 ~name:"radix sorted_keys equals a naive sort"
+    (QCheck.make ~print gen) (fun (dims, keys, extra) ->
+      let a = Dist_array.create_sparse ~name:"r" ~dims ~default:(-1) in
+      List.iteri (fun i k -> Dist_array.set a k i) keys;
+      let naive () =
+        List.sort_uniq compare (List.map (Dist_array.linearize a) (extra :: keys))
+        |> List.filter (fun lin ->
+               match Dist_array.find_lin a lin with
+               | _ -> true
+               | exception Not_found -> false)
+      in
+      let agrees () =
+        let sorted = Dist_array.sorted_keys a in
+        Array.to_list sorted = naive ()
+        && Dist_array.sorted_values a (Array.init (Array.length sorted) Fun.id)
+           = Array.map (Dist_array.find_lin a) sorted
+      in
+      let before = agrees () in
+      (* overwriting a stored key keeps the order; a new key renews it *)
+      List.iter (fun k -> Dist_array.set a k (-2)) keys;
+      let kept = agrees () in
+      Dist_array.set a extra 7;
+      let dense =
+        Dist_array.init_dense ~name:"d" ~dims:(Array.map (min 5) dims)
+          ~f:(fun k -> Array.fold_left ( + ) 0 k)
+      in
+      let cells = Dist_array.count dense in
+      before && kept && agrees ()
+      && Dist_array.sorted_keys dense = Array.init cells Fun.id
+      && Dist_array.sorted_values dense (Array.init cells Fun.id)
+         = Array.map (Dist_array.find_lin dense) (Array.init cells Fun.id))
+
 (* ------------------------------------------------------------------ *)
 (* Lazy pipelines                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -568,6 +635,7 @@ let () =
           tc "text file + checkpoint" `Quick test_text_file_and_checkpoint;
           qc (test_qcheck_linearize_roundtrip ());
           qc (test_qcheck_sparse_store_model ());
+          qc (test_qcheck_sorted_keys ());
         ] );
       ( "pipeline",
         [

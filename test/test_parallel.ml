@@ -48,10 +48,10 @@ let block_index (sched : float Schedule.t) =
   for s = 0 to sched.Schedule.space_parts - 1 do
     for t = 0 to sched.Schedule.time_parts - 1 do
       let b = Schedule.block sched ~space:s ~time:t in
-      Hashtbl.replace sizes (s, t) (Array.length b.Schedule.entries);
-      Array.iter
-        (fun (key, _) -> Hashtbl.replace tbl (Array.to_list key) (s, t))
-        b.Schedule.entries
+      Hashtbl.replace sizes (s, t) (Schedule.length b);
+      Schedule.iter_block
+        (fun key _ -> Hashtbl.replace tbl (Array.to_list key) (s, t))
+        b
     done
   done;
   (tbl, sizes)

@@ -34,6 +34,12 @@ let mk_iter ?(rows = 40) ?(cols = 30) ?(n = 400) () =
 (* Schedule                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* a block's entries in scheduled order *)
+let block_entries b =
+  let out = ref [] in
+  Schedule.iter_block (fun key v -> out := (key, v) :: !out) b;
+  List.rev !out
+
 let test_partition_2d_covers_all () =
   let iter = mk_iter () in
   let s =
@@ -55,13 +61,13 @@ let test_partition_2d_respects_boundaries () =
     (fun si row ->
       Array.iteri
         (fun ti b ->
-          Array.iter
-            (fun (key, _) ->
+          Schedule.iter_block
+            (fun key _ ->
               Alcotest.(check bool) "row in space range" true
                 (key.(0) >= sb.(si) && key.(0) < sb.(si + 1));
               Alcotest.(check bool) "col in time range" true
                 (key.(1) >= tb.(ti) && key.(1) < tb.(ti + 1)))
-            b.Schedule.entries)
+            b)
         row)
     s.Schedule.blocks
 
@@ -80,7 +86,7 @@ let test_partition_1d_balanced_under_skew () =
   let s = Schedule.partition_1d iter ~space_dim:0 ~space_parts:4 in
   let sizes =
     Array.map
-      (fun row -> Array.length row.(0).Schedule.entries)
+      (fun row -> Schedule.length row.(0))
       s.Schedule.blocks
   in
   Alcotest.(check int) "covers all" 200 (Array.fold_left ( + ) 0 sizes);
@@ -370,7 +376,7 @@ let test_reshuffle_preserves_blocks () =
       ~space_parts:4 ~time_parts:8
   in
   let sorted_block b =
-    List.sort compare (Array.to_list b.Schedule.entries)
+    List.sort compare (block_entries b)
   in
   let before =
     Array.map (fun row -> Array.map sorted_block row) s.Schedule.blocks
@@ -407,7 +413,7 @@ let test_unimodular_time_partitions_are_exact () =
       Array.iter
         (fun b ->
           let tvals =
-            Array.to_list b.Schedule.entries
+            block_entries b
             |> List.map (fun (key, _) ->
                    (Orion_analysis.Unimodular.mat_vec matrix key).(0))
             |> List.sort_uniq compare
@@ -656,14 +662,11 @@ let value_goldens =
     ("gbt", -1799017356l, 946777253l);
   ]
 
-let schedule_crc iter (s : Orion.Value.t Schedule.t) =
+let schedule_crc (s : Orion.Value.t Schedule.t) =
   let crc = Orion_store.Crc32.create () in
   Array.iter
-    (Array.iter (fun (b : _ Schedule.block) ->
-         let bytes, _ =
-           Orion_net.Wire.encode_block ~linearize:(Dist_array.linearize iter)
-             b.Schedule.entries
-         in
+    (Array.iter (fun b ->
+         let bytes, _ = Orion_net.Wire.encode_block b in
          Orion_store.Crc32.update crc bytes ~pos:0 ~len:(Bytes.length bytes)))
     s.Schedule.blocks;
   Orion_store.Crc32.value crc
@@ -681,12 +684,38 @@ let test_value_golden (name, shuffled, ordered) () =
   let iter = inst.Orion.App.inst_iter in
   let plan = Orion.analyze_loop session inst.Orion.App.inst_loop in
   let crc shuffle_seed =
-    schedule_crc iter
+    schedule_crc
       (Orion.compile session ~plan ~iter ~shuffle_seed ()).Orion.schedule
   in
   Alcotest.(check int32) "shuffled" shuffled
     (crc (Some Schedule.default_shuffle_seed));
   Alcotest.(check int32) "ascending" ordered (crc None)
+
+(* The schedule build allocates nothing per entry: its per-entry
+   arrays are allocated whole (directly in the major heap), so minor
+   allocation is a fixed cost.  Measured on a fresh mf instance, whose
+   first compile also sorts the iteration space's keys. *)
+let test_compile_allocation () =
+  let inst =
+    match
+      Orion_apps.Registry.materialize "mf" ~scale:200.0 ~num_machines:2
+        ~workers_per_machine:1
+    with
+    | Some i -> i
+    | None -> Alcotest.fail "mf missing from registry"
+  in
+  let session = inst.Orion.App.inst_session in
+  let iter = inst.Orion.App.inst_iter in
+  let plan = Orion.analyze_loop session inst.Orion.App.inst_loop in
+  let before = Gc.minor_words () in
+  let c = Orion.compile session ~plan ~iter () in
+  let words = Gc.minor_words () -. before in
+  let entries = Dist_array.count iter in
+  Alcotest.(check int) "every entry scheduled" entries
+    (Schedule.total_entries c.Orion.schedule);
+  if words > float_of_int entries then
+    Alcotest.failf "compile allocated %.0f minor words for %d entries" words
+      entries
 
 (* random sparse arrays of 1–3 dimensions, with duplicate draws *)
 let gen_sparse =
@@ -761,6 +790,7 @@ let () =
           tc "2d respects boundaries" `Quick test_partition_2d_respects_boundaries;
           tc "1d balanced under skew" `Quick test_partition_1d_balanced_under_skew;
           tc "unimodular covers all" `Quick test_partition_unimodular_covers_all;
+          tc "compile allocates per block" `Quick test_compile_allocation;
         ] );
       ( "goldens",
         List.map
