@@ -218,7 +218,9 @@ let init_dense ~name ~dims ~f =
   check_dims name dims;
   let strides = strides_of_dims dims in
   let size = total_size dims in
-  let data = Array.init size (fun lin -> f (delinearize_in ~dims ~strides lin)) in
+  let data =
+    Array.init size (fun lin -> f (delinearize_in ~dims ~strides lin))
+  in
   { name; dims; strides; storage = Dense data; default = data.(0) }
 
 let fill_dense ~name ~dims value =
@@ -381,7 +383,8 @@ let radix_sort ~top (keys : int array) (slots : int array) =
   let radix = 1 lsl digit_bits in
   let mask = radix - 1 in
   let digits = ref 0 in
-  while !digits * digit_bits < Sys.int_size && top lsr (!digits * digit_bits) > 0
+  while
+    !digits * digit_bits < Sys.int_size && top lsr (!digits * digit_bits) > 0
   do
     incr digits
   done;

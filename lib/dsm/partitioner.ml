@@ -24,7 +24,8 @@ let histograms (t : 'a Dist_array.t) ~dims =
   let keys = Dist_array.sorted_keys t in
   Array.map
     (fun dim ->
-      let size = t.Dist_array.dims.(dim) and stride = t.Dist_array.strides.(dim) in
+      let size = t.Dist_array.dims.(dim)
+      and stride = t.Dist_array.strides.(dim) in
       let counts = Array.make size 0 in
       for i = 0 to Array.length keys - 1 do
         let lin = Array.unsafe_get keys i in

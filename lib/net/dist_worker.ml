@@ -291,7 +291,9 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   List.iter
     (fun (n, a) ->
       if managed n then
-        Array.iter (fun lin -> Dist_array.set_lin a lin 0.0) (Dist_array.sorted_keys a))
+        Array.iter
+          (fun lin -> Dist_array.set_lin a lin 0.0)
+          (Dist_array.sorted_keys a))
     arrays;
   (* -- schedule row and the compiled kernel ----------------------------
      Check the row against this instance and decode it once, then

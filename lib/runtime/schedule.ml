@@ -47,7 +47,9 @@ let iter_block f b =
   let dims = b.b_dims and strides = b.b_strides and values = b.b_values in
   Array.iteri
     (fun i lin ->
-      f (Dist_array.delinearize_in ~dims ~strides lin) (Array.unsafe_get values i))
+      f
+        (Dist_array.delinearize_in ~dims ~strides lin)
+        (Array.unsafe_get values i))
     b.b_keys
 
 let iter_lin f b =
@@ -167,13 +169,20 @@ let build ?shuffle_seed ~space_parts ~time_parts ~space_boundaries
         Array.init time_parts (fun t ->
             let r = ranks.((s * time_parts) + t) in
             Option.iter
-              (fun seed -> shuffle_ints ~seed:(block_seed seed ~space:s ~time:t) r)
+              (fun seed ->
+                shuffle_ints ~seed:(block_seed seed ~space:s ~time:t) r)
               shuffle_seed;
             let values = Dist_array.sorted_values iter r in
             for j = 0 to Array.length r - 1 do
-              Array.unsafe_set r j (Array.unsafe_get keys (Array.unsafe_get r j))
+              Array.unsafe_set r j
+                (Array.unsafe_get keys (Array.unsafe_get r j))
             done;
-            { b_keys = r; b_values = values; b_dims = dims; b_strides = strides }))
+            {
+              b_keys = r;
+              b_values = values;
+              b_dims = dims;
+              b_strides = strides;
+            }))
   in
   { space_parts; time_parts; blocks; space_boundaries; time_boundaries }
 
@@ -188,7 +197,9 @@ let cut ?shuffle_seed iter ~space_dim ~space_boundaries:sb ~time =
   let add ~scale dim b =
     let size = iter.Dist_array.dims.(dim)
     and stride = iter.Dist_array.strides.(dim) in
-    let parts = Array.init size (fun i -> scale * Partitioner.part_of ~boundaries:b i) in
+    let parts =
+      Array.init size (fun i -> scale * Partitioner.part_of ~boundaries:b i)
+    in
     for i = 0 to Array.length keys - 1 do
       let lin = Array.unsafe_get keys i in
       let j =
@@ -196,7 +207,8 @@ let cut ?shuffle_seed iter ~space_dim ~space_boundaries:sb ~time =
         else if stride = 1 then lin mod size
         else lin / stride mod size
       in
-      Array.unsafe_set owner i (Array.unsafe_get owner i + Array.unsafe_get parts j)
+      Array.unsafe_set owner i
+        (Array.unsafe_get owner i + Array.unsafe_get parts j)
     done
   in
   let space_parts = Partitioner.num_parts sb in
