@@ -112,15 +112,15 @@ module Lin_table = struct
     }
 end
 
-type 'a sparse = {
-  table : 'a Lin_table.t;  (** linearized key -> value *)
-  mutable order : (int array * int array) option;
-      (** cache of the keys in ascending order, for deterministic
-          iteration, and each key's table slot; invalidated when a new
-          key is inserted *)
-}
-
-type 'a storage = Dense of 'a array  (** row-major *) | Sparse of 'a sparse
+type 'a storage =
+  | Dense of 'a array  (** row-major *)
+  | Sparse of {
+      table : 'a Lin_table.t;  (** linearized key -> value *)
+      mutable order : (int array * int array * int) option;
+          (** cache of the keys in ascending order, for deterministic
+              iteration, and each key's table slot ([table_order]);
+              invalidated when a new key is inserted *)
+    }
 
 type 'a t = {
   name : string;
@@ -370,16 +370,16 @@ let update t key f =
 (* Iteration (deterministic order)                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* LSD radix sort of the non-negative [keys], none above [top], each
-   carrying the same index of [slots] along: [digit_bits]-bit digits,
-   stable, and only as many passes as [top] has digits.  One pass over
-   the keys counts every digit; a digit that is the same for every key
-   moves nothing and is skipped.  Returns the sorted pair, which may be
-   the input arrays. *)
+(* LSD radix sort of [a] by its elements' bits from [lo] up (all
+   non-negative, and none above [top] once shifted right by [lo]):
+   [digit_bits]-bit digits, stable, and only as many passes as [top]
+   has digits.  One pass counts every digit; a digit that is the same
+   for every element moves nothing and is skipped.  Returns the sorted
+   array, which may be [a] itself. *)
 let digit_bits = 11
 
-let radix_sort ~top (keys : int array) (slots : int array) =
-  let n = Array.length keys in
+let radix_sort ~lo ~top (a : int array) =
+  let n = Array.length a in
   let radix = 1 lsl digit_bits in
   let mask = radix - 1 in
   let digits = ref 0 in
@@ -391,23 +391,19 @@ let radix_sort ~top (keys : int array) (slots : int array) =
   let digits = !digits in
   let counts = Array.make (digits * radix) 0 in
   for i = 0 to n - 1 do
-    let k = Array.unsafe_get keys i in
+    let k = Array.unsafe_get a i lsr lo in
     for d = 0 to digits - 1 do
       let c = (d * radix) + ((k lsr (d * digit_bits)) land mask) in
       Array.unsafe_set counts c (Array.unsafe_get counts c + 1)
     done
   done;
-  let src_k = ref keys and src_s = ref slots in
-  let dst_k = ref [||] and dst_s = ref [||] in
+  let src = ref a and dst = ref [||] in
   for d = 0 to digits - 1 do
-    let sk = !src_k and ss = !src_s in
-    let sh = d * digit_bits and base = d * radix in
-    if counts.(base + ((sk.(0) lsr sh) land mask)) < n then begin
-      if Array.length !dst_k = 0 then begin
-        dst_k := Array.make n 0;
-        dst_s := Array.make n 0
-      end;
-      let dk = !dst_k and ds = !dst_s in
+    let s = !src in
+    let sh = lo + (d * digit_bits) and base = d * radix in
+    if counts.(base + ((s.(0) lsr sh) land mask)) < n then begin
+      if Array.length !dst = 0 then dst := Array.make n 0;
+      let t = !dst in
       (* counts become each digit value's first output position *)
       let pos = ref 0 in
       for c = base to base + mask do
@@ -416,69 +412,101 @@ let radix_sort ~top (keys : int array) (slots : int array) =
         pos := !pos + m
       done;
       for i = 0 to n - 1 do
-        let k = Array.unsafe_get sk i in
-        let c = base + ((k lsr sh) land mask) in
+        let x = Array.unsafe_get s i in
+        let c = base + ((x lsr sh) land mask) in
         let p = Array.unsafe_get counts c in
-        Array.unsafe_set dk p k;
-        Array.unsafe_set ds p (Array.unsafe_get ss i);
+        Array.unsafe_set t p x;
         Array.unsafe_set counts c (p + 1)
       done;
-      src_k := dk;
-      src_s := ds;
-      dst_k := sk;
-      dst_s := ss
+      src := t;
+      dst := s
     end
   done;
-  (!src_k, !src_s)
+  !src
 
-(* a sparse array's stored keys, ascending, with the table slot of
-   each (cached until a new key is inserted, which is the only way
-   slots move) *)
-let order (s : 'a sparse) =
-  match s.order with
-  | Some o -> o
-  | None ->
-      let n = Lin_table.length s.table in
-      let tkeys = s.table.Lin_table.keys in
-      let keys = Array.make n 0 and slots = Array.make n 0 in
-      let top = ref 0 in
-      if n > 0 then begin
-        (* Every slot before the last stored one is copied to the next
-           free position, which advances only past a stored key: no
-           branch on a slot's occupancy (about half of them are
-           free), and the last key lands at [n - 1]. *)
-        let last = ref (Array.length tkeys - 1) in
-        while Array.unsafe_get tkeys !last = Lin_table.free do
-          decr last
-        done;
-        let i = ref 0 in
-        for slot = 0 to !last - 1 do
-          let k = Array.unsafe_get tkeys slot in
-          Array.unsafe_set keys !i k;
-          Array.unsafe_set slots !i slot;
-          i := !i + Bool.to_int (k <> Lin_table.free);
-          if k > !top then top := k
-        done;
-        keys.(n - 1) <- tkeys.(!last);
-        slots.(n - 1) <- !last;
-        top := max !top tkeys.(!last)
-      end;
-      let o = radix_sort ~top:!top keys slots in
-      s.order <- Some o;
-      o
+(* [table]'s stored keys, ascending, and the table slot of each: slot
+   [i] is [tagged.(i) land mask].  A key and its slot usually share one
+   int (the key above the slot's bits), so the sort moves one array;
+   keys too wide for that are sorted alone and their slots probed. *)
+let table_order (table : 'a Lin_table.t) =
+  let n = Lin_table.length table in
+  let tkeys = table.Lin_table.keys in
+  (* the capacity is a power of two: a slot takes [sb] bits *)
+  let sb = ref 0 in
+  while 1 lsl !sb < Array.length tkeys do
+    incr sb
+  done;
+  let sb = !sb in
+  let packed = Array.make n 0 in
+  let top = ref 0 in
+  if n > 0 then begin
+    (* Every slot before the last stored one is copied to the next
+       free position, which advances only past a stored key: no branch
+       on a slot's occupancy (about half of them are free), and the
+       last key lands at [n - 1]. *)
+    let last = ref (Array.length tkeys - 1) in
+    while Array.unsafe_get tkeys !last = Lin_table.free do
+      decr last
+    done;
+    let i = ref 0 in
+    for slot = 0 to !last - 1 do
+      let k = Array.unsafe_get tkeys slot in
+      Array.unsafe_set packed !i ((k lsl sb) lor slot);
+      i := !i + Bool.to_int (k <> Lin_table.free);
+      if k > !top then top := k
+    done;
+    packed.(n - 1) <- (tkeys.(!last) lsl sb) lor !last;
+    top := max !top tkeys.(!last)
+  end;
+  let top = !top in
+  if top lsr (Sys.int_size - 1 - sb) = 0 then begin
+    let tagged = radix_sort ~lo:sb ~top packed in
+    let keys = Array.make n 0 in
+    for i = 0 to n - 1 do
+      Array.unsafe_set keys i (Array.unsafe_get tagged i lsr sb)
+    done;
+    (keys, tagged, (1 lsl sb) - 1)
+  end
+  else begin
+    let keys = Array.make n 0 and i = ref 0 in
+    Array.iter
+      (fun k ->
+        if k <> Lin_table.free then begin
+          keys.(!i) <- k;
+          incr i
+        end)
+      tkeys;
+    let keys = radix_sort ~lo:0 ~top keys in
+    (keys, Array.map (Lin_table.slot tkeys) keys, max_int)
+  end
+
+(* a sparse array's [table_order], cached until a new key is inserted
+   (the only way slots move) *)
+let order t =
+  match t.storage with
+  | Dense _ -> invalid_arg "Dist_array.order: dense storage"
+  | Sparse s -> (
+      match s.order with
+      | Some o -> o
+      | None ->
+          let o = table_order s.table in
+          s.order <- Some o;
+          o)
 
 let sorted_keys t =
   match t.storage with
   | Dense d -> Array.init (Array.length d) Fun.id
-  | Sparse s -> fst (order s)
+  | Sparse _ ->
+      let keys, _, _ = order t in
+      keys
 
 let sorted_values t ranks =
   match t.storage with
   | Dense d -> Array.map (fun r -> d.(r)) ranks
   | Sparse s ->
-      let _, slots = order s in
+      let _, slots, mask = order t in
       let values = s.table.Lin_table.values in
-      Array.map (fun r -> Array.unsafe_get values slots.(r)) ranks
+      Array.map (fun r -> Array.unsafe_get values (slots.(r) land mask)) ranks
 
 (** Iterate over stored entries in ascending key order (deterministic
     across runs, so serial executions are reproducible). *)

@@ -17,14 +17,15 @@ module Lin_table : sig
   val length : 'a t -> int
 end
 
-type 'a sparse = {
-  table : 'a Lin_table.t;
-  mutable order : (int array * int array) option;
-      (** ascending keys and each one's table slot, cached until a new
-          key is inserted *)
-}
-
-type 'a storage = Dense of 'a array  (** row-major *) | Sparse of 'a sparse
+type 'a storage =
+  | Dense of 'a array  (** row-major *)
+  | Sparse of {
+      table : 'a Lin_table.t;
+      mutable order : (int array * int array * int) option;
+          (** ascending keys [k], tags [t] and a mask [m]: key [k.(i)]
+              is in table slot [t.(i) land m]; cached until a new key is
+              inserted *)
+    }
 
 type 'a t = {
   name : string;
