@@ -116,7 +116,7 @@ type 'a storage =
   | Dense of 'a array  (** row-major *)
   | Sparse of {
       table : 'a Lin_table.t;  (** linearized key -> value *)
-      mutable order : (int array * int array * int) option;
+      mutable order : (int array * int array) option;
           (** cache of the keys in ascending order, for deterministic
               iteration, and each key's table slot ([table_order]);
               invalidated when a new key is inserted *)
@@ -370,16 +370,16 @@ let update t key f =
 (* Iteration (deterministic order)                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* LSD radix sort of [a] by its elements' bits from [lo] up (all
-   non-negative, and none above [top] once shifted right by [lo]):
-   [digit_bits]-bit digits, stable, and only as many passes as [top]
-   has digits.  One pass counts every digit; a digit that is the same
-   for every element moves nothing and is skipped.  Returns the sorted
-   array, which may be [a] itself. *)
+(* LSD radix sort of [keys] (all non-negative, none above [top]),
+   moving [slots] along with them: [digit_bits]-bit digits, stable, and
+   only as many passes as [top] has digits.  One pass counts every
+   digit; a digit that is the same for every key moves nothing and is
+   skipped.  Returns both arrays sorted, which may be the inputs
+   themselves. *)
 let digit_bits = 11
 
-let radix_sort ~lo ~top (a : int array) =
-  let n = Array.length a in
+let radix_sort ~top (keys : int array) (slots : int array) =
+  let n = Array.length keys in
   let radix = 1 lsl digit_bits in
   let mask = radix - 1 in
   let digits = ref 0 in
@@ -391,19 +391,22 @@ let radix_sort ~lo ~top (a : int array) =
   let digits = !digits in
   let counts = Array.make (digits * radix) 0 in
   for i = 0 to n - 1 do
-    let k = Array.unsafe_get a i lsr lo in
+    let k = Array.unsafe_get keys i in
     for d = 0 to digits - 1 do
       let c = (d * radix) + ((k lsr (d * digit_bits)) land mask) in
       Array.unsafe_set counts c (Array.unsafe_get counts c + 1)
     done
   done;
-  let src = ref a and dst = ref [||] in
+  let src = ref (keys, slots) and dst = ref None in
   for d = 0 to digits - 1 do
-    let s = !src in
-    let sh = lo + (d * digit_bits) and base = d * radix in
-    if counts.(base + ((s.(0) lsr sh) land mask)) < n then begin
-      if Array.length !dst = 0 then dst := Array.make n 0;
-      let t = !dst in
+    let ((sk, ss) as s) = !src in
+    let sh = d * digit_bits and base = d * radix in
+    if counts.(base + ((sk.(0) lsr sh) land mask)) < n then begin
+      let ((dk, ds) as t) =
+        match !dst with
+        | Some t -> t
+        | None -> (Array.make n 0, Array.make n 0)
+      in
       (* counts become each digit value's first output position *)
       let pos = ref 0 in
       for c = base to base + mask do
@@ -412,32 +415,24 @@ let radix_sort ~lo ~top (a : int array) =
         pos := !pos + m
       done;
       for i = 0 to n - 1 do
-        let x = Array.unsafe_get s i in
-        let c = base + ((x lsr sh) land mask) in
+        let k = Array.unsafe_get sk i in
+        let c = base + ((k lsr sh) land mask) in
         let p = Array.unsafe_get counts c in
-        Array.unsafe_set t p x;
+        Array.unsafe_set dk p k;
+        Array.unsafe_set ds p (Array.unsafe_get ss i);
         Array.unsafe_set counts c (p + 1)
       done;
       src := t;
-      dst := s
+      dst := Some s
     end
   done;
   !src
 
-(* [table]'s stored keys, ascending, and the table slot of each: slot
-   [i] is [tagged.(i) land mask].  A key and its slot usually share one
-   int (the key above the slot's bits), so the sort moves one array;
-   keys too wide for that are sorted alone and their slots probed. *)
+(* [table]'s stored keys, ascending, and the table slot of each *)
 let table_order (table : 'a Lin_table.t) =
   let n = Lin_table.length table in
   let tkeys = table.Lin_table.keys in
-  (* the capacity is a power of two: a slot takes [sb] bits *)
-  let sb = ref 0 in
-  while 1 lsl !sb < Array.length tkeys do
-    incr sb
-  done;
-  let sb = !sb in
-  let packed = Array.make n 0 in
+  let keys = Array.make n 0 and slots = Array.make n 0 in
   let top = ref 0 in
   if n > 0 then begin
     (* Every slot before the last stored one is copied to the next
@@ -451,34 +446,16 @@ let table_order (table : 'a Lin_table.t) =
     let i = ref 0 in
     for slot = 0 to !last - 1 do
       let k = Array.unsafe_get tkeys slot in
-      Array.unsafe_set packed !i ((k lsl sb) lor slot);
+      Array.unsafe_set keys !i k;
+      Array.unsafe_set slots !i slot;
       i := !i + Bool.to_int (k <> Lin_table.free);
       if k > !top then top := k
     done;
-    packed.(n - 1) <- (tkeys.(!last) lsl sb) lor !last;
+    keys.(n - 1) <- tkeys.(!last);
+    slots.(n - 1) <- !last;
     top := max !top tkeys.(!last)
   end;
-  let top = !top in
-  if top lsr (Sys.int_size - 1 - sb) = 0 then begin
-    let tagged = radix_sort ~lo:sb ~top packed in
-    let keys = Array.make n 0 in
-    for i = 0 to n - 1 do
-      Array.unsafe_set keys i (Array.unsafe_get tagged i lsr sb)
-    done;
-    (keys, tagged, (1 lsl sb) - 1)
-  end
-  else begin
-    let keys = Array.make n 0 and i = ref 0 in
-    Array.iter
-      (fun k ->
-        if k <> Lin_table.free then begin
-          keys.(!i) <- k;
-          incr i
-        end)
-      tkeys;
-    let keys = radix_sort ~lo:0 ~top keys in
-    (keys, Array.map (Lin_table.slot tkeys) keys, max_int)
-  end
+  radix_sort ~top:!top keys slots
 
 (* a sparse array's [table_order], cached until a new key is inserted
    (the only way slots move) *)
@@ -497,16 +474,27 @@ let sorted_keys t =
   match t.storage with
   | Dense d -> Array.init (Array.length d) Fun.id
   | Sparse _ ->
-      let keys, _, _ = order t in
-      keys
+      fst (order t)
 
 let sorted_values t ranks =
   match t.storage with
   | Dense d -> Array.map (fun r -> d.(r)) ranks
   | Sparse s ->
-      let _, slots, mask = order t in
-      let values = s.table.Lin_table.values in
-      Array.map (fun r -> Array.unsafe_get values (slots.(r) land mask)) ranks
+      let slots = snd (order t) and values = s.table.Lin_table.values in
+      Array.map (fun r -> Array.unsafe_get values slots.(r)) ranks
+
+(* A key's index along [dim] is [lin / stride mod size]: the outermost
+   dimension needs no [mod], the innermost no division. *)
+let iter_index_along f t ~dim =
+  let keys = sorted_keys t in
+  let size = t.dims.(dim) and stride = t.strides.(dim) in
+  for i = 0 to Array.length keys - 1 do
+    let lin = Array.unsafe_get keys i in
+    f i
+      (if dim = 0 then lin / stride
+       else if stride = 1 then lin mod size
+       else lin / stride mod size)
+  done
 
 (** Iterate over stored entries in ascending key order (deterministic
     across runs, so serial executions are reproducible). *)

@@ -21,10 +21,9 @@ type 'a storage =
   | Dense of 'a array  (** row-major *)
   | Sparse of {
       table : 'a Lin_table.t;
-      mutable order : (int array * int array * int) option;
-          (** ascending keys [k], tags [t] and a mask [m]: key [k.(i)]
-              is in table slot [t.(i) land m]; cached until a new key is
-              inserted *)
+      mutable order : (int array * int array) option;
+          (** ascending keys [k] and slots [s]: key [k.(i)] is in table
+              slot [s.(i)]; cached until a new key is inserted *)
     }
 
 type 'a t = {
@@ -116,6 +115,13 @@ val sorted_keys : 'a t -> int array
     stored at [(sorted_keys t).(ranks.(i))]; no per-key lookup.
     @raise Invalid_argument when a rank is not below {!count} *)
 val sorted_values : 'a t -> int array -> 'a array
+
+(** [iter_index_along f t ~dim] calls [f i j] for the stored key of
+    rank [i] in {!sorted_keys}, where [j] is its index along dimension
+    [dim]: stride arithmetic on the linearized keys, with no key array
+    built. *)
+val iter_index_along : (int -> int -> unit) -> 'a t -> dim:int -> unit
+
 val iter : (int array -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> int array -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val entries : 'a t -> (int array * 'a) array

@@ -16,26 +16,16 @@ let equal_ranges ~dim_size ~parts : boundaries =
   Array.init (parts + 1) (fun p -> p * dim_size / parts)
 
 (** Entry counts at each index of every dimension in [dims], each from
-    one tight pass over the stored linearized keys: an index is [lin /
-    stride mod size] (the outermost dimension needs no [mod], the
-    innermost no division), so no key array is built and no value is
-    read. *)
+    one pass over the stored keys' indices there
+    ({!Dist_array.iter_index_along}), so no key array is built and no
+    value is read. *)
 let histograms (t : 'a Dist_array.t) ~dims =
-  let keys = Dist_array.sorted_keys t in
   Array.map
     (fun dim ->
-      let size = t.Dist_array.dims.(dim)
-      and stride = t.Dist_array.strides.(dim) in
-      let counts = Array.make size 0 in
-      for i = 0 to Array.length keys - 1 do
-        let lin = Array.unsafe_get keys i in
-        let j =
-          if dim = 0 then lin / stride
-          else if stride = 1 then lin mod size
-          else lin / stride mod size
-        in
-        Array.unsafe_set counts j (Array.unsafe_get counts j + 1)
-      done;
+      let counts = Array.make t.Dist_array.dims.(dim) 0 in
+      Dist_array.iter_index_along
+        (fun _ j -> Array.unsafe_set counts j (Array.unsafe_get counts j + 1))
+        t ~dim;
       counts)
     dims
 

@@ -188,28 +188,20 @@ let build ?shuffle_seed ~space_parts ~time_parts ~space_boundaries
 
 (* Blocks of a range cut along [space_dim] ([sb]) and, for 2D, along
    [time_dim] ([tb]).  A key's partition along a dimension is one table
-   lookup on its index there, which is stride arithmetic on [lin] (the
-   outermost dimension needs no [mod], the innermost no division). *)
+   lookup on its index there. *)
 let cut ?shuffle_seed iter ~space_dim ~space_boundaries:sb ~time =
-  let keys = Dist_array.sorted_keys iter in
-  let owner = Array.make (Array.length keys) 0 in
-  (* add [scale] times [lin]'s partition along [dim] to its owner *)
+  let owner = Array.make (Dist_array.count iter) 0 in
+  (* add [scale] times each key's partition along [dim] to its owner *)
   let add ~scale dim b =
-    let size = iter.Dist_array.dims.(dim)
-    and stride = iter.Dist_array.strides.(dim) in
     let parts =
-      Array.init size (fun i -> scale * Partitioner.part_of ~boundaries:b i)
+      Array.init iter.Dist_array.dims.(dim) (fun i ->
+          scale * Partitioner.part_of ~boundaries:b i)
     in
-    for i = 0 to Array.length keys - 1 do
-      let lin = Array.unsafe_get keys i in
-      let j =
-        if dim = 0 then lin / stride
-        else if stride = 1 then lin mod size
-        else lin / stride mod size
-      in
-      Array.unsafe_set owner i
-        (Array.unsafe_get owner i + Array.unsafe_get parts j)
-    done
+    Dist_array.iter_index_along
+      (fun i j ->
+        Array.unsafe_set owner i
+          (Array.unsafe_get owner i + Array.unsafe_get parts j))
+      iter ~dim
   in
   let space_parts = Partitioner.num_parts sb in
   let time_parts, time_boundaries =
