@@ -317,7 +317,7 @@ module Engine : sig
     ep_sim_time : float;  (** virtual cluster time ([`Sim] only) *)
     ep_bytes_shipped : float;
         (** wire bytes of serialized DistArray state ([`Distributed]
-            only: partition ship + prefetch + tokens + flushes) *)
+            only: start-up regions + prefetch + tokens + flushes) *)
     ep_bytes_by_array : (string * float) list;
         (** [ep_bytes_shipped] broken down per DistArray *)
     ep_bytes_full : float;

@@ -2,13 +2,17 @@
 
     Protocol, in order: spawn [procs] workers (fork for in-tree tests,
     exec of [orion_worker] for the CLI); answer each Hello with the
-    Plan; send each rank its Schedule_row, the entries of its blocks —
-    or Shutdown, to the ranks beyond the space cut; per worker,
-    Listening → Prefetch_request → Partition_ship → Prefetch_response;
-    one Peers broadcast.  During execution each worker may send
-    Pass_telemetry and, when the run checkpoints, one Pass_report per
-    pass; at the end Block_report, Buffer_flush, Acc_merge and Done,
-    answered by Shutdown.  A worker crash, broken socket or hang
+    Plan.  Each worker builds its instance and at once announces itself
+    (Listening, then Prefetch_request) while this process compiles the
+    schedule.  Ranks beyond the space cut then get Shutdown; every
+    other rank gets, back to back and with no round trip, its
+    Schedule_row header, the row's payload as one raw frame (its blocks'
+    entries and its local, rotated and replicated arrays' regions,
+    built in one buffer), its Prefetch_response, and the Peers table
+    once every rank has announced.  During execution each worker may
+    send Pass_telemetry and, when the run checkpoints, one Pass_report
+    per pass; at the end Block_report, Buffer_flush, Acc_merge and
+    Done, answered by Shutdown.  A worker crash, broken socket or hang
     surfaces as a structured {!Orion.Engine.Distributed_error}, never as
     a hang.
 
@@ -370,7 +374,26 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
     | Some c -> c
     | None -> fail_cleanup ~rank "no connection"
   in
+  (* Master start-up spans, per rank, on the run's telemetry clock.
+     They are held back and merged by start time into the rank's first
+     shipped spans, so each worker's lane stays one timeline. *)
+  let tel_now () = if telemetry then Telemetry.now mtel else 0.0 in
+  let startup_spans : Trace.span list array = Array.make procs [] in
+  let startup_span rank ~category ~label ?(bytes = 0.0) ~start () =
+    if telemetry then
+      startup_spans.(rank) <-
+        {
+          Trace.worker = rank;
+          category;
+          label;
+          start_sec = start;
+          duration_sec = tel_now () -. start;
+          bytes;
+        }
+        :: startup_spans.(rank)
+  in
   (* -- compile, while the workers build their instances ------------- *)
+  let build_start = tel_now () in
   let compiled, model = Lazy.force schedule in
   let sched = compiled.Orion.schedule in
   let sp = sched.Schedule.space_parts and tp = sched.Schedule.time_parts in
@@ -378,79 +401,239 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
      on tiny data (never more: the session has [procs] workers); one
      worker runs per partition *)
   let nw = sp in
-  for rank = nw to procs - 1 do
-    Transport.send (conn rank) Wire.Shutdown;
-    Transport.close_conn (conn rank)
+  for rank = 0 to nw - 1 do
+    startup_span rank ~category:Trace.Compute ~label:"schedule build"
+      ~start:build_start ()
   done;
-  (* -- schedule rows --------------------------------------------------
-     Each rank gets its blocks' entries in scheduled order: linearized
-     keys and values in the wire's value codec, so a worker needs no
-     records of its own.  Every row also carries the iteration space's
-     dims, entry count and digest, which a worker checks its instance
-     against.  A worker reads its row only once its instance is built,
-     and a row is larger than the socket buffer, so the rows go out
-     together: each is written as far as its rank reads, and a rank
-     still starting holds up only its own row.  The writes drain under
-     the same supervision as the other start-up waits. *)
+  (* -- row frames -----------------------------------------------------
+     Each rank's row payload is built in one buffer: its blocks' entries
+     in scheduled order (float blocks as keys and IEEE bits, the others
+     in the wire's tagged value codec), so a worker needs no records of
+     its own, then the packed regions that fill its placed arrays — its
+     local partition, and the whole rotated and replicated arrays,
+     packed once for every row.  The row's header carries the
+     iteration space's dims, entry count and digest, which a worker
+     checks its instance against, and the spans of the payload. *)
   let iter = inst.Orion.App.inst_iter in
-  let rows =
-    let digest = ref 0 in
-    let blocks =
-      Array.init nw (fun rank ->
-          Array.map
-            (fun b ->
-              let bytes, d = Wire.encode_block b in
-              digest := !digest + d;
-              bytes)
-            sched.Schedule.blocks.(rank))
-    in
-    Array.map
-      (fun blocks ->
-        {
-          Wire.sr_sp = sched.Schedule.space_parts;
-          sr_tp = sched.Schedule.time_parts;
-          sr_model = model;
-          sr_space_boundaries = sched.Schedule.space_boundaries;
-          sr_time_boundaries = sched.Schedule.time_boundaries;
-          sr_dims = Dist_array.dims iter;
-          sr_entries = Dist_array.count iter;
-          sr_digest = !digest;
-          sr_blocks = blocks;
-        })
-      blocks
+  let arrays = inst.Orion.App.inst_arrays in
+  let packer =
+    Policy.sender
+      ~linearize:(fun name key ->
+        Dist_array.linearize (List.assoc name arrays) key)
+      ~pos:Fun.id
   in
-  let rec send_rows pending =
-    let pending =
-      List.filter
-        (fun (rank, push) ->
-          match push () with
-          | finished -> not finished
-          | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
-            -> (
-              match abnormal_exit_wait ~except:(-1) with
-              | Some (r, status) ->
-                  fail_cleanup ~rank:r "%s" (exit_reason r status)
-              | None ->
-                  fail_cleanup ~rank
-                    "worker closed before taking its schedule row"))
-        pending
-    in
-    if pending <> [] then begin
-      monitor_children ();
-      check_deadline "workers to take their schedule rows";
-      (try
-         ignore
-           (Unix.select []
-              (List.map (fun (rank, _) -> Transport.fd (conn rank)) pending)
-              [] 0.05)
-       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      send_rows pending
-    end
+  (* a region shipped at start-up: its array, packed bytes, and (off
+     the critical path) its [Marshal]ed-partition size *)
+  let pack arr (keys, values) =
+    ( arr.Dist_array.name,
+      Policy.encode_region packer arr keys values,
+      lazy (Policy.region_full_bytes arr keys values) )
   in
-  send_rows
-    (List.init nw (fun rank ->
-         ( rank,
-           Transport.start_send (conn rank) (Wire.Schedule_row rows.(rank)) )));
+  let wholes = Hashtbl.create 8 in
+  let whole name arr =
+    match Hashtbl.find_opt wholes name with
+    | Some r -> r
+    | None ->
+        let r =
+          pack arr
+            (Dist_array.region arr ~dim:0 ~lo:0 ~hi:(Dist_array.dims arr).(0))
+        in
+        Hashtbl.replace wholes name r;
+        r
+  in
+  let regions_for rank =
+    List.filter_map
+      (fun (name, arr) ->
+        if List.mem name inst.Orion.App.inst_buffered then None
+        else
+          match List.assoc_opt name plan.Plan.placements with
+          | Some (Plan.Local_partitioned { array_dim }) ->
+              let lo, hi =
+                Dist_worker.part_range sched.Schedule.space_boundaries rank
+                  ~size:(Dist_array.dims arr).(array_dim)
+              in
+              Some (pack arr (Dist_array.region arr ~dim:array_dim ~lo ~hi))
+          | Some (Plan.Rotated _ | Plan.Replicated) -> Some (whole name arr)
+          | Some Plan.Server | None -> None)
+      arrays
+  in
+  let digest = ref 0 in
+  let frames =
+    Array.init nw (fun rank ->
+        let start = tel_now () in
+        let regions = regions_for rank in
+        let frame, blocks, spans, d =
+          Wire.row_frame sched.Schedule.blocks.(rank)
+            (List.map (fun (_, b, _) -> b) regions)
+        in
+        digest := !digest + d;
+        startup_span rank ~category:Trace.Marshal ~label:"row encode"
+          ~bytes:(float_of_int (Bytes.length frame))
+          ~start ();
+        (frame, blocks, spans, regions))
+  in
+  let row_header (_, blocks, spans, _) =
+    {
+      Wire.sr_sp = sp;
+      sr_tp = tp;
+      sr_model = model;
+      sr_space_boundaries = sched.Schedule.space_boundaries;
+      sr_time_boundaries = sched.Schedule.time_boundaries;
+      sr_dims = Dist_array.dims iter;
+      sr_entries = Dist_array.count iter;
+      sr_digest = !digest;
+      sr_blocks = blocks;
+      sr_regions = spans;
+    }
+  in
+  (* per-pass [(start, finish)] on the run's telemetry clock, as the
+     union of the aligned worker windows *)
+  let pass_windows : (int, float * float) Hashtbl.t = Hashtbl.create 8 in
+  let bytes_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
+  let bytes_full_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
+  let policy_by_array : (string, string) Hashtbl.t = Hashtbl.create 8 in
+  let bump tbl name bytes =
+    Hashtbl.replace tbl name
+      (bytes +. Option.value (Hashtbl.find_opt tbl name) ~default:0.0)
+  in
+  let account name bytes = bump bytes_by_array name bytes in
+  let account_full name bytes = bump bytes_full_by_array name bytes in
+  (* [rank]'s wire transfer of [name] on the cluster trace, now *)
+  let net_span ~rank name bytes =
+    Trace.add trace ~label:("net:" ^ name) ~bytes ~worker:rank
+      ~category:Trace.Transfer
+      ~start_sec:(Unix.gettimeofday () -. t0)
+      ~duration_sec:0.0
+  in
+  (* -- start-up sends --------------------------------------------------
+     Every rank announces its listener and prefetch request as soon as
+     its instance is built, usually while this process still compiles.
+     Each rank's frames then go out in order, with no round trip in
+     between: the row's header and payload, the prefetch response (once
+     requested) and the peers table (once every rank listens).  They
+     are written as far as each rank reads, so a rank still starting
+     holds up only its own frames, under the same supervision as the
+     other start-up waits.  A rank beyond the space cut gets Shutdown
+     at once; its connection stays open until the run ends, so that
+     its announcement, still on its way, is not refused. *)
+  for rank = nw to procs - 1 do
+    Transport.send (conn rank) Wire.Shutdown
+  done;
+  (* every region shipped, for the bytes-saved account *)
+  let shipped = ref [] in
+  let ship ~rank regions =
+    List.iter
+      (fun ((name, b, _) as r) ->
+        shipped := r :: !shipped;
+        account name (float_of_int (Bytes.length b));
+        net_span ~rank name (float_of_int (Bytes.length b)))
+      regions
+  in
+  let handshake = Event_loop.create () in
+  for rank = 0 to nw - 1 do
+    Event_loop.add handshake rank (conn rank)
+  done;
+  (* per rank, the pushes of the frames still to go out, in order *)
+  let outbox : (unit -> bool) list array = Array.make nw [] in
+  let queue rank push = outbox.(rank) <- outbox.(rank) @ [ push ] in
+  let message rank m = Transport.start_send (conn rank) m in
+  for rank = 0 to nw - 1 do
+    let ((frame, _, _, regions) as row) = frames.(rank) in
+    let start = tel_now () in
+    let sent () =
+      startup_span rank ~category:Trace.Transfer ~label:"row send"
+        ~bytes:(float_of_int (Bytes.length frame))
+        ~start ();
+      ship ~rank regions
+    in
+    let push = Transport.start_send_frame (conn rank) frame in
+    queue rank (message rank (Wire.Schedule_row (row_header row)));
+    queue rank (fun () -> push () && (sent (); true))
+  done;
+  (* write [rank]'s frames as far as its socket takes them *)
+  let pump rank =
+    let rec go () =
+      match outbox.(rank) with
+      | push :: rest ->
+          if push () then begin
+            outbox.(rank) <- rest;
+            go ()
+          end
+      | [] -> ()
+    in
+    try go ()
+    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> (
+      match abnormal_exit_wait ~except:(-1) with
+      | Some (r, status) -> fail_cleanup ~rank:r "%s" (exit_reason r status)
+      | None -> fail_cleanup ~rank "worker closed during startup")
+  in
+  let ranks = List.init nw Fun.id in
+  let sending rank = outbox.(rank) <> [] in
+  let writing () =
+    List.filter_map
+      (fun rank ->
+        if sending rank then Some (Transport.fd (conn rank)) else None)
+      ranks
+  in
+  let step () =
+    monitor_children ();
+    check_deadline "worker startup";
+    List.iter pump ranks
+  in
+  (* until every rank has announced itself: push, and read *)
+  while List.exists (fun rank -> states.(rank).st_prefetch = None) ranks do
+    step ();
+    List.iter
+      (function
+        | Event_loop.Message (rank, Wire.Listening { l_addr; _ }) ->
+            states.(rank).st_addr <- Some l_addr
+        | Event_loop.Message (rank, Wire.Prefetch_request { pr_arrays; _ }) ->
+            states.(rank).st_prefetch <- Some pr_arrays;
+            (* Listening is guaranteed first on this FIFO channel *)
+            if states.(rank).st_addr = None then
+              fail_cleanup ~rank "prefetch request before listening";
+            let regions =
+              List.filter_map
+                (fun name ->
+                  Option.map (whole name) (List.assoc_opt name arrays))
+                pr_arrays
+            in
+            ship ~rank regions;
+            queue rank
+              (message rank
+                 (Wire.Prefetch_response
+                    (List.map (fun (_, b, _) -> b) regions)))
+        | Event_loop.Message (rank, Wire.Fatal { f_reason; _ }) ->
+            fail_cleanup ~rank "%s" f_reason
+        | Event_loop.Message (rank, m) ->
+            fail_cleanup ~rank "unexpected %s during startup" (Wire.tag m)
+        | Event_loop.Closed rank ->
+            fail_cleanup ~rank "worker disconnected during startup")
+      (Event_loop.poll handshake ~writing:(writing ()) ~timeout:0.05)
+  done;
+  let peers =
+    Array.init nw (fun rank ->
+        match states.(rank).st_addr with
+        | Some a -> a
+        | None -> fail_cleanup ~rank "no peer address")
+  in
+  List.iter (fun rank -> queue rank (message rank (Wire.Peers peers))) ranks;
+  (* then only push: a rank with its peers table may be running, and
+     what it reports is the supervision's to read *)
+  step ();
+  while List.exists sending ranks do
+    (try ignore (Unix.select [] (writing ()) [] 0.05)
+     with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    step ()
+  done;
+  List.iter
+    (fun (name, mode) -> Hashtbl.replace policy_by_array name mode)
+    (Policy.decisions packer);
+  (* what the start-up shipment would cost as [Marshal]ed partitions,
+     counted once the peers table is out *)
+  List.iter
+    (fun (name, _, full) -> account_full name (Lazy.force full))
+    !shipped;
   (* from here on only the [nw] ranks with blocks take part *)
   let states = Array.sub states 0 nw in
   (* (pass, natural-order position) ordering shared by pass boundaries
@@ -521,113 +704,6 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
         Option.value (Hashtbl.find_opt copies name) ~default:arr)
       (Array.to_list latest_shadows)
   in
-  (* per-pass [(start, finish)] on the run's telemetry clock, as the
-     union of the aligned worker windows *)
-  let pass_windows : (int, float * float) Hashtbl.t = Hashtbl.create 8 in
-  let bytes_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  let bytes_full_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  let policy_by_array : (string, string) Hashtbl.t = Hashtbl.create 8 in
-  let bump tbl name bytes =
-    Hashtbl.replace tbl name
-      (bytes +. Option.value (Hashtbl.find_opt tbl name) ~default:0.0)
-  in
-  let account name bytes = bump bytes_by_array name bytes in
-  let account_full name bytes = bump bytes_full_by_array name bytes in
-  (* [rank]'s wire transfer of [name] on the cluster trace, [start]
-     seconds into the run (now, by default) *)
-  let net_span ~rank ?(start = Unix.gettimeofday ()) ?(duration = 0.0) name
-      bytes =
-    Trace.add trace ~label:("net:" ^ name) ~bytes ~worker:rank
-      ~category:Trace.Transfer ~start_sec:(start -. t0) ~duration_sec:duration
-  in
-  (* -- partition shipping + prefetch serving ------------------------ *)
-  let space_boundaries = sched.Schedule.space_boundaries in
-  let parts_for rank =
-    List.filter_map
-      (fun (name, arr) ->
-        if List.mem name inst.Orion.App.inst_buffered then None
-        else
-          match List.assoc_opt name plan.Plan.placements with
-          | Some (Plan.Local_partitioned { array_dim }) ->
-              Some
-                (Dist_array.to_partition
-                   ~select:(fun key _ ->
-                     Partitioner.part_of ~boundaries:space_boundaries
-                       key.(array_dim)
-                     = rank)
-                   arr)
-          | Some (Plan.Rotated _ | Plan.Replicated) ->
-              Some (Dist_array.to_partition arr)
-          | Some Plan.Server | None -> None)
-      inst.Orion.App.inst_arrays
-  in
-  let ship_parts rank (msg : Wire.part_payload list -> Wire.msg) parts =
-    (* both the packed bytes and the raw [Marshal] equivalent are
-       accounted *)
-    let payloads, accounts = Policy.prepare_parts parts in
-    let t_send = Unix.gettimeofday () in
-    Transport.send (conn rank) (msg payloads);
-    let elapsed = Unix.gettimeofday () -. t_send in
-    List.iter
-      (fun (name, bytes, full, mode) ->
-        account name bytes;
-        account_full name full;
-        (* workers' own payloads, reported at the end, override *)
-        Option.iter (Hashtbl.replace policy_by_array name) mode;
-        net_span ~rank ~start:t_send
-          ~duration:(elapsed /. float_of_int (max 1 (List.length parts)))
-          name bytes)
-      accounts
-  in
-  let handshake = Event_loop.create () in
-  for rank = 0 to nw - 1 do
-    Event_loop.add handshake rank (conn rank)
-  done;
-  let ready rank =
-    states.(rank).st_addr <> None && states.(rank).st_prefetch <> None
-  in
-  while not (Array.for_all (fun st -> st.st_prefetch <> None) states) do
-    monitor_children ();
-    check_deadline "worker startup";
-    List.iter
-      (function
-        | Event_loop.Message (rank, Wire.Listening { l_addr; _ }) ->
-            states.(rank).st_addr <- Some l_addr
-        | Event_loop.Message (rank, Wire.Prefetch_request { pr_arrays; _ }) ->
-            states.(rank).st_prefetch <- Some pr_arrays;
-            if not (ready rank) then
-              fail_cleanup ~rank "prefetch request before listening";
-            (* Listening is guaranteed first on this FIFO channel, so
-               the rank is fully announced: ship its partitions, then
-               serve the prefetch *)
-            ship_parts rank
-              (fun parts -> Wire.Partition_ship parts)
-              (parts_for rank);
-            ship_parts rank
-              (fun parts -> Wire.Prefetch_response parts)
-              (List.filter_map
-                 (fun name ->
-                   match List.assoc_opt name inst.Orion.App.inst_arrays with
-                   | Some arr -> Some (Dist_array.to_partition arr)
-                   | None -> None)
-                 pr_arrays)
-        | Event_loop.Message (rank, Wire.Fatal { f_reason; _ }) ->
-            fail_cleanup ~rank "%s" f_reason
-        | Event_loop.Message (rank, m) ->
-            fail_cleanup ~rank "unexpected %s during startup" (Wire.tag m)
-        | Event_loop.Closed rank ->
-            fail_cleanup ~rank "worker disconnected during startup")
-      (Event_loop.poll handshake ~timeout:0.1)
-  done;
-  let peers =
-    Array.init nw (fun rank ->
-        match states.(rank).st_addr with
-        | Some a -> a
-        | None -> fail_cleanup ~rank "no peer address")
-  in
-  for rank = 0 to nw - 1 do
-    Transport.send (conn rank) (Wire.Peers peers)
-  done;
   (* -- supervise execution ------------------------------------------ *)
   let supervise ~boundary =
     let pass_report = function
@@ -683,7 +759,21 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
                     } ) ->
                 if telemetry then begin
                   let offset = pt_epoch -. Telemetry.epoch mtel in
-                  Telemetry.import_spans mtel ~shard:rank ~offset pt_spans;
+                  let shift (s : Trace.span) =
+                    { s with Trace.start_sec = s.Trace.start_sec +. offset }
+                  in
+                  (* the rank's first spans take in its master start-up
+                     spans, in start order *)
+                  let spans =
+                    List.merge
+                      (fun (a : Trace.span) (b : Trace.span) ->
+                        compare a.Trace.start_sec b.Trace.start_sec)
+                      (List.rev startup_spans.(rank))
+                      (List.map shift (Array.to_list pt_spans))
+                  in
+                  startup_spans.(rank) <- [];
+                  Telemetry.import_spans mtel ~shard:rank ~offset:0.0
+                    (Array.of_list spans);
                   Telemetry.import_costs mtel ~shard:rank pt_costs;
                   Telemetry.note_dropped mtel ~shard:rank pt_dropped;
                   let s = pw0 +. offset and f = pw1 +. offset in
@@ -701,10 +791,11 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
                 states.(rank).st_done <- Some stats
             | Event_loop.Message (rank, Wire.Fatal { f_reason; _ }) -> (
                 (* a crashed worker makes its peers complain about closed
-                   sockets; blame the crash, not the collateral *)
+                   sockets; blame the crash, not the collateral — and a
+                   worker that failed guarded, by the reason it sent *)
                 match abnormal_exit_wait ~except:rank with
                 | Some (r, status) ->
-                    fail_cleanup ~rank:r "%s" (status_reason status)
+                    fail_cleanup ~rank:r "%s" (exit_reason r status)
                 | None -> fail_cleanup ~rank "%s" f_reason)
             | Event_loop.Message (rank, m) ->
                 fail_cleanup ~rank "unexpected %s during execution" (Wire.tag m)
@@ -748,6 +839,10 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
         | `Exited status ->
             err ~rank "%s after completion" (status_reason status))
       pids;
+    (* the ranks beyond the space cut have exited too *)
+    for rank = nw to procs - 1 do
+      Transport.close_conn (conn rank)
+    done;
     let arr_tbl : (string, float Dist_array.t) Hashtbl.t = Hashtbl.create 8 in
     List.iter
       (fun (n, a) -> Hashtbl.replace arr_tbl n a)

@@ -11,12 +11,14 @@
     records; it takes the master's plan from the {!Wire.Plan} message
     instead of analysing the loop itself.  It never compiles the
     schedule either: its row arrives as its blocks' entries, keys and
-    values ({!Wire.Schedule_row}), so it runs exactly the master's
-    blocks.  DistArray {e contents} do travel:
-    every placed non-buffered array is zeroed locally and refilled from
-    the wire (partition ship for local/rotated/replicated placements, a
-    bulk prefetch for server-hosted ones), so the shipping path is
-    load-bearing, not decorative.
+    values ({!Wire.Schedule_row}, then the row's payload, decoded in
+    place), so it runs exactly the master's blocks.  Float-valued
+    blocks stay unboxed: each value is boxed only as the kernel is
+    called on it.  DistArray {e contents} do travel: every placed
+    non-buffered array is zeroed locally and refilled from the wire
+    (regions in the row's payload for local/rotated/replicated
+    placements, a bulk prefetch for server-hosted ones), so the
+    shipping path is load-bearing, not decorative.
 
     Every written, non-buffered DistArray is kept consistent in one of
     two ways, chosen from its placement under the execution model
@@ -139,11 +141,14 @@ let rec wait_readable fd ~deadline ~what =
   | exception Unix.Unix_error (Unix.EINTR, _, _) ->
       wait_readable fd ~deadline ~what
 
-let recv_with_deadline (c : Transport.conn) ~deadline ~what : Wire.msg =
+let recv_frame_with_deadline (c : Transport.conn) ~deadline ~what : bytes =
   wait_readable (Transport.fd c) ~deadline ~what;
-  match Transport.recv c with
-  | Some m -> m
+  match Transport.recv_frame c with
+  | Some payload -> payload
   | None -> fail "connection closed while waiting for %s" what
+
+let recv_with_deadline c ~deadline ~what : Wire.msg =
+  Wire.of_bytes (recv_frame_with_deadline c ~deadline ~what)
 
 let accept_with_deadline (l : Transport.listener) ~deadline ~what :
     Transport.conn =
@@ -219,18 +224,35 @@ let check_space (iter : Value.t Dist_array.t) (row : Wire.row) =
       fail "iteration space %S holds other entries than the master's" name
   end
 
-(** The blocks of [row], decoded once at install, so that a malformed
-    row fails there, not mid-pass.  They are all a worker keeps of its
-    iteration space: every pass runs them as the pool runs its own. *)
-let decode_blocks ~tp (row : Wire.row) =
+(** The blocks of [row], decoded in place from its [payload] once at
+    install, so that a malformed row fails there, not mid-pass.  They
+    are all a worker keeps of its iteration space: every pass runs them
+    as the pool runs its own. *)
+let decode_blocks ~tp (row : Wire.row) payload =
   if Array.length row.Wire.sr_blocks <> tp then
     fail "schedule row has %d blocks, expected %d"
       (Array.length row.Wire.sr_blocks)
       tp;
-  Array.map (Wire.decode_block ~dims:row.Wire.sr_dims) row.Wire.sr_blocks
+  Wire.decode_row row payload
+
+(** Whether [p] holds for every value of [blk], boxed as the kernel
+    sees it. *)
+let block_for_all p (blk : Wire.block) =
+  let all box b =
+    match
+      Schedule.iter_lin
+        (fun _ v -> if not (p (box v)) then raise_notrace Exit)
+        b
+    with
+    | () -> true
+    | exception Exit -> false
+  in
+  match blk with
+  | Wire.Floats b -> all (fun f -> Value.Vfloat f) b
+  | Wire.Values b -> all Fun.id b
 
 let serve (master : Transport.conn) ~(materialize : materialize) ~rank
-    ~(like : Transport.addr) : unit =
+    ~(listener : Transport.listener) : unit =
   let deadline = Unix.gettimeofday () +. timeout_seconds ~default:300.0 in
   let recv_master what = recv_with_deadline master ~deadline ~what in
   (* -- plan ------------------------------------------------------- *)
@@ -285,9 +307,9 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   let managed name =
     (not (List.mem name buffered)) && placement name <> None
   in
-  (* zero every managed array while the row is still on its way: its
-     initial contents must arrive over the wire, which makes partition
-     shipping load-bearing *)
+  (* zero every managed array before its contents arrive: they must
+     come over the wire, which makes the start-up shipment
+     load-bearing *)
   List.iter
     (fun (n, a) ->
       if managed n then
@@ -295,13 +317,45 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
           (fun lin -> Dist_array.set_lin a lin 0.0)
           (Dist_array.sorted_keys a))
     arrays;
+  (* -- announce: own listener + prefetch request ---------------------
+     Both need only the plan, so they go out before the row arrives:
+     the master then sends the row, the prefetch response and the peers
+     table back to back, with no round trip in between. *)
+  Transport.send master
+    (Wire.Listening
+       {
+         l_rank = rank;
+         l_addr = Transport.addr_to_string listener.Transport.laddr;
+       });
+  let prefetch_names =
+    List.filter_map
+      (fun (n, _) ->
+        if managed n && placement n = Some Plan.Server then Some n else None)
+      arrays
+  in
+  (* always sent, possibly empty, so the master's serving path is
+     exercised every run *)
+  Transport.send master
+    (Wire.Prefetch_request { pr_rank = rank; pr_arrays = prefetch_names });
+  let arr_tbl : (string, float Dist_array.t) Hashtbl.t = Hashtbl.create 8 in
+  List.iter (fun (n, a) -> Hashtbl.replace arr_tbl n a) arrays;
+  let apply_region ?pos ?len what payload =
+    let name, dims, keys, values = Policy.decode_region ?pos ?len payload in
+    match Hashtbl.find_opt arr_tbl name with
+    | Some a when Dist_array.dims a = dims ->
+        Dist_array.set_region a keys values
+    | Some _ -> fail "%s for %S: dims do not match" what name
+    | None -> fail "%s for unknown array %S" what name
+  in
   (* -- schedule row and the compiled kernel ----------------------------
-     Check the row against this instance and decode it once, then
-     compile the kernel for the values it carries (after the shadow
-     rebinding above: the kernel captures env's current array
-     bindings).  The write-journal hook, installed below only when some
-     array is journaled, is checked dynamically inside the kernel: while
-     it is attached every DistArray access routes through the boxed,
+     Check the row's header against this instance, then decode its
+     payload in place — the blocks, and the regions that fill this
+     rank's local, rotated and replicated arrays — and compile the
+     kernel for the values it carries (after the shadow rebinding
+     above: the kernel captures env's current array bindings).  The
+     write-journal hook, installed below only when some array is
+     journaled, is checked dynamically inside the kernel: while it is
+     attached every DistArray access routes through the boxed,
      hook-calling path, so the journal sees exactly what it would see
      under the interpreter.  Without it the kernel runs the same
      unboxed path as the domain pool. *)
@@ -318,62 +372,26 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     fail "schedule row for rank %d of %d space partitions (%d workers)" rank
       sp p.p_procs;
   check_space iter row;
+  let payload =
+    recv_frame_with_deadline master ~deadline ~what:"schedule row payload"
+  in
   let start = tel_now () in
-  let blocks = decode_blocks ~tp row in
+  let blocks = decode_blocks ~tp row payload in
+  Array.iter
+    (fun { Wire.sp_off; sp_len } ->
+      apply_region ~pos:sp_off ~len:sp_len "schedule row" payload)
+    row.Wire.sr_regions;
   tel_span ~category:Orion_obs.Trace.Marshal ~label:"row install"
-    ~bytes:
-      (Array.fold_left
-         (fun acc b -> acc +. float_of_int (Bytes.length b))
-         0.0 row.Wire.sr_blocks)
+    ~bytes:(float_of_int (Bytes.length payload))
     ~start;
   let start = tel_now () in
   let kernel, exec_entry =
     Orion.Engine.loop_body
-      ~values:(fun p ->
-        match
-          Array.iter
-            (Schedule.iter_lin (fun _ v ->
-                 if not (p v) then raise_notrace Exit))
-            blocks
-        with
-        | () -> true
-        | exception Exit -> false)
+      ~values:(fun p -> Array.for_all (block_for_all p) blocks)
       inst env
   in
   tel_span ~category:Orion_obs.Trace.Compute ~label:"kernel compile"
     ~bytes:0.0 ~start;
-  (* -- own listener + prefetch request ----------------------------- *)
-  let listener = Transport.listen (Transport.fresh_addr ~like) in
-  Transport.send master
-    (Wire.Listening
-       {
-         l_rank = rank;
-         l_addr = Transport.addr_to_string listener.Transport.laddr;
-       });
-  let arr_tbl : (string, float Dist_array.t) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun (n, a) -> Hashtbl.replace arr_tbl n a) arrays;
-  let prefetch_names =
-    List.filter_map
-      (fun (n, _) ->
-        if managed n && placement n = Some Plan.Server then Some n else None)
-      arrays
-  in
-  (* always sent, possibly empty, so the master's serving path is
-     exercised every run *)
-  Transport.send master
-    (Wire.Prefetch_request { pr_rank = rank; pr_arrays = prefetch_names });
-  (* -- receive array contents ------------------------------------- *)
-  let apply_region what payload =
-    let name, dims, keys, values = Policy.decode_region payload in
-    match Hashtbl.find_opt arr_tbl name with
-    | Some a when Dist_array.dims a = dims ->
-        Dist_array.set_region a keys values
-    | Some _ -> fail "%s for %S: dims do not match" what name
-    | None -> fail "%s for unknown array %S" what name
-  in
-  (match recv_master "partition ship" with
-  | Wire.Partition_ship parts -> List.iter (apply_region "partition ship") parts
-  | m -> fail "expected partition-ship, got %s" (Wire.tag m));
   (match recv_master "prefetch response" with
   | Wire.Prefetch_response parts ->
       List.iter (apply_region "prefetch response") parts
@@ -385,33 +403,52 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   in
   if Array.length peer_addrs <> sp then
     fail "peers table has %d entries, expected %d" (Array.length peer_addrs) sp;
-  (* -- peer mesh: rank a connects to rank b iff a < b --------------- *)
+  (* -- peer mesh: rank a connects to rank b iff a < b ----------------
+     Every hello is answered, and a rank starts its first pass only once
+     each higher rank has answered: a rank's listener is up from the
+     start, so without the answer a rank could start its passes while a
+     peer still installs its row.  Every rank thus waits for every
+     other rank's start-up, with no round trip to the master. *)
   let peers : Transport.conn option array = Array.make sp None in
   let peer q =
     match peers.(q) with
     | Some c -> c
     | None -> fail "no connection to peer %d" q
   in
-  let loop = Event_loop.create () in
-  for b = rank + 1 to sp - 1 do
-    let c = Transport.connect (Transport.addr_of_string peer_addrs.(b)) in
+  let hello c =
     Transport.send c
-      (Wire.Peer_hello { ph_rank = rank; ph_version = Wire.version });
-    peers.(b) <- Some c;
-    Event_loop.add loop b c
-  done;
-  for _ = 1 to rank do
-    let c = accept_with_deadline listener ~deadline ~what:"peer mesh" in
-    match recv_with_deadline c ~deadline ~what:"peer hello" with
+      (Wire.Peer_hello { ph_rank = rank; ph_version = Wire.version })
+  in
+  let hello_from c ~what =
+    match recv_with_deadline c ~deadline ~what with
     | Wire.Peer_hello { ph_rank = a; ph_version } ->
         if ph_version <> Wire.version then
           fail
             "peer %d speaks wire protocol version %d, this worker speaks %d \
              (mixed builds?)"
             a ph_version Wire.version;
-        peers.(a) <- Some c;
-        Event_loop.add loop a c
+        a
     | m -> fail "expected peer-hello, got %s" (Wire.tag m)
+  in
+  let loop = Event_loop.create () in
+  for b = rank + 1 to sp - 1 do
+    let c = Transport.connect (Transport.addr_of_string peer_addrs.(b)) in
+    hello c;
+    peers.(b) <- Some c;
+    Event_loop.add loop b c
+  done;
+  for _ = 1 to rank do
+    let c = accept_with_deadline listener ~deadline ~what:"peer mesh" in
+    let a = hello_from c ~what:"peer hello" in
+    if a < 0 || a >= rank || peers.(a) <> None then
+      fail "peer hello from rank %d at rank %d" a rank;
+    hello c;
+    peers.(a) <- Some c;
+    Event_loop.add loop a c
+  done;
+  for b = rank + 1 to sp - 1 do
+    let a = hello_from (peer b) ~what:"peer hello answer" in
+    if a <> b then fail "peer %d answered for rank %d" b a
   done;
   let classified =
     List.filter_map
@@ -693,6 +730,12 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     (List.map fst regions, entries, bytes)
   in
   (* -- execute ------------------------------------------------------ *)
+  (* the one run loop, over a block of either value type: each value is
+     boxed as the kernel is called *)
+  let run_block box b =
+    Schedule.iter_block (fun key v -> exec_entry ~key ~value:(box v)) b;
+    Schedule.length b
+  in
   let abort = abort_spec () in
   let blocks_done = ref 0 and entries_done = ref 0 in
   let t0 = Orion_obs.Clock.now () in
@@ -729,9 +772,11 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
           current := [];
           cur_version := (pass, pos blk);
           let blk_start = tel_now () in
-          let b = blocks.(t) in
-          Schedule.iter_block (fun key value -> exec_entry ~key ~value) b;
-          let n = Schedule.length b in
+          let n =
+            match blocks.(t) with
+            | Wire.Floats b -> run_block (fun f -> Value.Vfloat f) b
+            | Wire.Values b -> run_block Fun.id b
+          in
           entries_done := !entries_done + n;
           if tel_on then
             Telemetry.block tel ~shard:0 ~worker:rank ~pass ~space:s ~time:t
@@ -904,8 +949,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   (match recv_master "shutdown" with
   | Wire.Shutdown -> ()
   | m -> fail "expected shutdown, got %s" (Wire.tag m));
-  Array.iter (function Some c -> Transport.close_conn c | None -> ()) peers;
-  Transport.close_listener listener
+  Array.iter (function Some c -> Transport.close_conn c | None -> ()) peers
 
 (** Connect to the master, run the whole worker protocol, and return on
     a clean shutdown.  Any failure is reported to the master as a
@@ -920,7 +964,11 @@ let connect_and_serve ~(materialize : materialize) ~rank ~master_addr : unit =
   Transport.send master
     (Wire.Hello
        { h_rank = rank; h_pid = Unix.getpid (); h_version = Wire.version });
-  match serve master ~materialize ~rank ~like with
+  (* this worker's peer listener, removed however the worker ends *)
+  let listener = Transport.listen (Transport.fresh_addr ~like) in
+  Fun.protect ~finally:(fun () -> Transport.close_listener listener)
+  @@ fun () ->
+  match serve master ~materialize ~rank ~listener with
   | () | (exception No_row) -> Transport.close_conn master
   | exception e ->
       let reason =

@@ -19,16 +19,18 @@ let remove t conn =
 let conns t = t.items
 
 (** Wait up to [timeout] seconds, then drain one message from every
-    readable connection.  Returns [[]] on timeout or an empty set. *)
-let poll (t : 'a t) ~(timeout : float) : 'a event list =
+    readable connection.  Returns [[]] on timeout or an empty set.  The
+    wait also ends when one of [writing] turns writable, so a caller
+    with frames in flight can push them on as soon as there is room. *)
+let poll ?(writing = []) (t : 'a t) ~(timeout : float) : 'a event list =
   match t.items with
-  | [] ->
+  | [] when writing = [] ->
       if timeout > 0.0 then Unix.sleepf timeout;
       []
   | items ->
       let fds = List.map (fun (_, c) -> Transport.fd c) items in
       let readable =
-        match Unix.select fds [] [] timeout with
+        match Unix.select fds writing [] timeout with
         | r, _, _ -> r
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
       in

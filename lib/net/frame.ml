@@ -1,8 +1,6 @@
-(** Length-prefixed binary framing over a file descriptor: every frame
-    is a 4-byte big-endian payload length followed by the payload.
-    Reads and writes handle partial I/O and [EINTR]; a clean EOF at a
-    frame boundary is [None], an EOF mid-frame is an error (the peer
-    died between the header and the payload). *)
+(** Length-prefixed binary framing: every frame is a 4-byte big-endian
+    payload length followed by the payload.  {!Transport} does the I/O;
+    this module owns the layout. *)
 
 exception Frame_error of string
 
@@ -10,60 +8,24 @@ exception Frame_error of string
    attempting a multi-gigabyte allocation *)
 let max_frame_bytes = 256 * 1024 * 1024
 
-let rec really_write fd buf ofs len =
-  if len > 0 then begin
-    let n =
-      try Unix.write fd buf ofs len
-      with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    in
-    really_write fd buf (ofs + n) (len - n)
-  end
+let header_bytes = 4
 
-(* [false] iff EOF arrived before the first byte; EOF after a partial
-   read raises.  Waits out EWOULDBLOCK so reads keep frame-blocking
-   semantics even while the fd is temporarily non-blocking (a peer
-   mid-[Transport.send_draining] polls its event loop with writes in
-   flight). *)
-let really_read fd buf ofs len =
-  let rec wait () =
-    match Unix.select [ fd ] [] [] (-1.0) with
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-  in
-  let rec go ofs len =
-    if len = 0 then true
-    else
-      match Unix.read fd buf ofs len with
-      | 0 ->
-          if ofs = 0 then false
-          else raise (Frame_error "unexpected EOF inside a frame")
-      | n -> go (ofs + n) (len - n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ofs len
-      | exception
-          Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) ->
-          wait ();
-          go ofs len
-  in
-  go ofs len
+let check_length len =
+  if len < 0 || len > max_frame_bytes then
+    raise (Frame_error (Printf.sprintf "bad frame length: %d" len))
 
-let write_frame fd (payload : bytes) =
-  let len = Bytes.length payload in
-  if len > max_frame_bytes then
-    raise (Frame_error (Printf.sprintf "frame too large: %d bytes" len));
-  let hdr = Bytes.create 4 in
-  Bytes.set_int32_be hdr 0 (Int32.of_int len);
-  really_write fd hdr 0 4;
-  really_write fd payload 0 len
+let set_length buf pos len =
+  check_length len;
+  Bytes.set_int32_be buf pos (Int32.of_int len)
 
-let read_frame fd : bytes option =
-  let hdr = Bytes.create 4 in
-  if not (really_read fd hdr 0 4) then None
-  else begin
-    let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
-    if len < 0 || len > max_frame_bytes then
-      raise (Frame_error (Printf.sprintf "bad frame length: %d" len));
-    let payload = Bytes.create len in
-    if len > 0 && not (really_read fd payload 0 len) then
-      raise (Frame_error "unexpected EOF inside a frame");
-    Some payload
-  end
+let header len =
+  let b = Bytes.create header_bytes in
+  set_length b 0 len;
+  b
+
+let seal frame = set_length frame 0 (Bytes.length frame - header_bytes)
+
+let length hdr =
+  let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
+  check_length len;
+  len

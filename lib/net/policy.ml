@@ -265,8 +265,8 @@ type unpacked = {
   u_values : float array;
 }
 
-let get_part (b : bytes) : unpacked =
-  let pos = ref 0 in
+(* the part at [!pos] of [b], leaving [pos] after it *)
+let get_part (b : bytes) pos : unpacked =
   let u_name = get_string b pos in
   let ndims = get_varint b pos in
   let u_dims = Array.init ndims (fun _ -> get_varint b pos) in
@@ -289,7 +289,7 @@ let encode_part ?mode (p : Wire.part) =
     (Array.map snd p.Dist_array.pt_entries)
 
 let decode_part (b : bytes) : Wire.part =
-  let u = get_part b in
+  let u = get_part b (ref 0) in
   {
     Dist_array.pt_array = u.u_name;
     pt_dims = u.u_dims;
@@ -298,22 +298,15 @@ let decode_part (b : bytes) : Wire.part =
     pt_entries = Array.mapi (fun i k -> (k, u.u_values.(i))) u.u_keys;
   }
 
-let decode_region (b : bytes) =
-  let u = get_part b in
+let decode_region ?(pos = 0) ?len (b : bytes) =
+  let len = Option.value len ~default:(Bytes.length b - pos) in
+  let p = ref pos in
+  let u = get_part b p in
+  if !p <> pos + len then
+    failwith
+      (Printf.sprintf "Policy: a %d-byte region decoded as %d bytes" len
+         (!p - pos));
   (u.u_name, u.u_dims, u.u_keys, u.u_values)
-
-let prepare_parts (parts : Wire.part list) :
-    Wire.part_payload list * (string * float * float * string option) list =
-  List.split
-    (List.map
-       (fun (p : Wire.part) ->
-         let b, mode = encode_part p in
-         ( b,
-           ( p.Dist_array.pt_array,
-             float_of_int (Bytes.length b),
-             float_of_int (Dist_array.partition_size_bytes p),
-             Option.map mode_label mode ) ))
-       parts)
 
 (* ------------------------------------------------------------------ *)
 (* Journal-entry codec                                                 *)

@@ -1,8 +1,8 @@
 (** The one wire encoding of DistArray state in the distributed runtime.
 
-    Rotation tokens, pass syncs, final and pass-boundary reports,
-    partition ships and prefetch responses all travel in the packed
-    codecs below:
+    Rotation tokens, pass syncs, final and pass-boundary reports, the
+    regions in a schedule row and prefetch responses all travel in the
+    packed codecs below:
 
     - owner-exclusive arrays travel as regions: the slab one worker
       owns (its local partition, or a rotated array's slice for one
@@ -62,16 +62,11 @@ val decode_entries :
   Wire.entries_payload ->
   Wire.block_writes list
 
-(** {1 Partition ships and prefetches (master side)} *)
+(** {1 Regions}
 
-(** Encode partitions.  Returns the payloads plus, per partition, its
-    array, actual bytes, [Marshal]ed partition bytes and key mode
-    ([None] when it has no entries). *)
-val prepare_parts :
-  Wire.part list ->
-  Wire.part_payload list * (string * float * float * string option) list
-
-(** {1 Regions of owner-exclusive arrays} *)
+    The owner-exclusive arrays' traffic, and the master's start-up
+    shipment of every placed array (a rank's local region, whole
+    rotated, replicated and prefetched arrays). *)
 
 (** Pack the entries [keys] (ascending, linearized) / [values] of
     [arr] in the part layout, noting the key mode used. *)
@@ -81,10 +76,15 @@ val encode_region :
 (** The [Marshal]ed partition size of the same entries. *)
 val region_full_bytes : float Dist_array.t -> int array -> float array -> float
 
-(** Unpack a region or a partition: array name, dims, ascending
-    linearized keys, values (exact float bits). *)
+(** Unpack the region or partition of [len] bytes (default: to the
+    end) at [pos] (default 0) of a payload, in place: array name, dims,
+    ascending linearized keys, values (exact float bits).
+    @raise Failure when it does not end exactly [len] bytes on *)
 val decode_region :
-  Wire.part_payload -> string * int array * int array * float array
+  ?pos:int ->
+  ?len:int ->
+  Wire.part_payload ->
+  string * int array * int array * float array
 
 (** Exact packed-partition round trip building blocks (exposed for the
     QCheck codec properties): [mode] forces a key mode, and the one

@@ -55,7 +55,7 @@ let wrap fd =
     bytes_out = 0.0;
     bytes_in = 0.0;
     closed = false;
-    rbuf = Bytes.create 4;
+    rbuf = Bytes.create Frame.header_bytes;
     rgot = 0;
     rhdr = true;
     nb = false;
@@ -123,47 +123,72 @@ let connect ?(retries = 200) ?(retry_delay = 0.025) (addr : addr) : conn =
   in
   go 0
 
-let send (c : conn) (m : Wire.msg) =
-  let payload = Wire.to_bytes m in
-  Frame.write_frame c.fd payload;
-  c.bytes_out <- c.bytes_out +. float_of_int (Bytes.length payload + 4)
+(* Wait until [fd] is readable ([`Read]) or writable ([`Write]). *)
+let rec wait_for fd dir =
+  match
+    match dir with
+    | `Read -> Unix.select [ fd ] [] [] (-1.0)
+    | `Write -> Unix.select [] [ fd ] [] (-1.0)
+  with
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_for fd dir
 
-(** Start writing [m] to [c] without blocking.  The returned [push]
-    writes as much of the frame as the kernel buffer takes and tells
-    whether all of it is out; call it again, once the socket is
-    writable, until it does.  Lets one caller feed several peers at
-    once, so a peer that is slow to read holds up only its own frame. *)
-let start_send (c : conn) (m : Wire.msg) : unit -> bool =
-  let payload = Wire.to_bytes m in
-  let len = Bytes.length payload in
-  if len > Frame.max_frame_bytes then
-    raise
-      (Frame.Frame_error (Printf.sprintf "frame too large: %d bytes" len));
-  let total = len + 4 in
-  let buf = Bytes.create total in
-  Bytes.set_int32_be buf 0 (Int32.of_int len);
-  Bytes.blit payload 0 buf 4 len;
-  let ofs = ref 0 in
+(** The one frame writer.  Start writing [segments] — buffer, offset,
+    length, in order — to [c] without blocking.  The returned [push]
+    writes as much as the kernel buffer takes and tells whether all of
+    it is out; call it again, once the socket is writable, until it
+    does.  Lets one caller feed several peers at once, so a peer that
+    is slow to read holds up only its own frame. *)
+let start_write (c : conn) (segments : (bytes * int * int) list) :
+    unit -> bool =
+  let total = List.fold_left (fun acc (_, _, len) -> acc + len) 0 segments in
+  let rest = ref segments in
   fun () ->
-    if !ofs < total then begin
+    if !rest <> [] then begin
       set_nb c true;
       Fun.protect
         ~finally:(fun () -> set_nb c false)
         (fun () ->
           try
-            while !ofs < total do
-              (* single_write, not write: Unix.write loops over internal
-                 chunks and on EAGAIN loses how many it already sent,
-                 which would desync the frame stream on retry *)
-              ofs := !ofs + Unix.single_write c.fd buf !ofs (total - !ofs)
+            while !rest <> [] do
+              match !rest with
+              | [] -> ()
+              | (buf, ofs, len) :: tl ->
+                  (* single_write, not write: Unix.write loops over
+                     internal chunks and on EAGAIN loses how many it
+                     already sent, which would desync the frame stream
+                     on retry *)
+                  let n = Unix.single_write c.fd buf ofs len in
+                  rest := if n = len then tl else (buf, ofs + n, len - n) :: tl
             done
           with
           | Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
           ->
             ());
-      if !ofs = total then c.bytes_out <- c.bytes_out +. float_of_int total
+      if !rest = [] then c.bytes_out <- c.bytes_out +. float_of_int total
     end;
-    !ofs = total
+    !rest = []
+
+(** Start writing [m] as one frame: its length prefix and its
+    [Marshal]ed payload, each from its own buffer (see {!start_write}). *)
+let start_send (c : conn) (m : Wire.msg) : unit -> bool =
+  let payload = Wire.to_bytes m in
+  let len = Bytes.length payload in
+  start_write c [ (Frame.header len, 0, Frame.header_bytes); (payload, 0, len) ]
+
+(** Start writing [frame], a buffer built with {!Frame.header_bytes}
+    free at its start and the payload after them, as one frame: the
+    length prefix is filled in place, so the payload is never copied. *)
+let start_send_frame (c : conn) (frame : bytes) : unit -> bool =
+  Frame.seal frame;
+  start_write c [ (frame, 0, Bytes.length frame) ]
+
+let push_blocking push fd =
+  while not (push ()) do
+    wait_for fd `Write
+  done
+
+let send (c : conn) (m : Wire.msg) = push_blocking (start_send c m) c.fd
 
 (** [send] for symmetric mesh traffic: write non-blocking and call
     [drain] whenever the kernel buffer is full.  Two peers blocking in
@@ -177,15 +202,16 @@ let send_draining (c : conn) (m : Wire.msg) ~(drain : unit -> unit) =
   done
 
 (** One non-blocking receive step: consume whatever bytes the kernel
-    has buffered, return [`Msg] once a whole frame has accumulated
-    (across any number of calls), [`Pending] when more bytes are still
-    in flight, [`Eof] on a clean close at a frame boundary.  An EOF
-    mid-frame raises {!Frame.Frame_error}.  This is what lets an event
-    loop stay responsive while a peer trickles a multi-megabyte frame —
-    and, symmetrically, what lets {!send_draining}'s drain callback
-    free the peer's send buffer without committing to a full blocking
-    frame read. *)
-let recv_step (c : conn) : [ `Msg of Wire.msg | `Pending | `Eof ] =
+    has buffered, return [`Frame payload] once a whole frame has
+    accumulated (across any number of calls), [`Pending] when more
+    bytes are still in flight, [`Eof] on a clean close at a frame
+    boundary.  An EOF mid-frame raises {!Frame.Frame_error}.  This is
+    what lets an event loop stay responsive while a peer trickles a
+    multi-megabyte frame — and, symmetrically, what lets
+    {!send_draining}'s drain callback free the peer's send buffer
+    without committing to a full blocking frame read.  The payload is
+    the buffer the bytes were read into, handed over as it is. *)
+let recv_frame_step (c : conn) : [ `Frame of bytes | `Pending | `Eof ] =
   let was = c.nb in
   set_nb c true;
   Fun.protect
@@ -208,10 +234,7 @@ let recv_step (c : conn) : [ `Msg of Wire.msg | `Pending | `Eof ] =
               `Pending
       and complete () =
         if c.rhdr then begin
-          let len = Int32.to_int (Bytes.get_int32_be c.rbuf 0) in
-          if len < 0 || len > Frame.max_frame_bytes then
-            raise
-              (Frame.Frame_error (Printf.sprintf "bad frame length: %d" len));
+          let len = Frame.length c.rbuf in
           c.rhdr <- false;
           c.rbuf <- Bytes.create len;
           c.rgot <- 0;
@@ -220,35 +243,40 @@ let recv_step (c : conn) : [ `Msg of Wire.msg | `Pending | `Eof ] =
         else begin
           let payload = c.rbuf in
           c.rhdr <- true;
-          c.rbuf <- Bytes.create 4;
+          c.rbuf <- Bytes.create Frame.header_bytes;
           c.rgot <- 0;
           c.bytes_in <-
-            c.bytes_in +. float_of_int (Bytes.length payload + 4);
-          `Msg (Wire.of_bytes payload)
+            c.bytes_in
+            +. float_of_int (Bytes.length payload + Frame.header_bytes);
+          `Frame payload
         end
       and complete_or_fill () =
         if Bytes.length c.rbuf = c.rgot then complete () else fill ()
       in
       fill ())
 
-(** [None] on a clean EOF (peer closed the connection).  Blocking, but
-    built on the same incremental state as {!recv_step} so the two can
-    interleave on one connection. *)
-let recv (c : conn) : Wire.msg option =
-  let rec wait () =
-    match Unix.select [ c.fd ] [] [] (-1.0) with
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-  in
+(** {!recv_frame_step}, with the payload decoded as a {!Wire.msg}. *)
+let recv_step (c : conn) : [ `Msg of Wire.msg | `Pending | `Eof ] =
+  match recv_frame_step c with
+  | `Frame payload -> `Msg (Wire.of_bytes payload)
+  | (`Pending | `Eof) as r -> r
+
+(** The next whole frame's payload; [None] on a clean EOF (peer closed
+    the connection).  Blocking, but built on the same incremental state
+    as {!recv_step} so the two can interleave on one connection. *)
+let recv_frame (c : conn) : bytes option =
   let rec go () =
-    match recv_step c with
-    | `Msg m -> Some m
+    match recv_frame_step c with
+    | `Frame payload -> Some payload
     | `Eof -> None
     | `Pending ->
-        wait ();
+        wait_for c.fd `Read;
         go ()
   in
   go ()
+
+(** {!recv_frame}, decoded as a {!Wire.msg}. *)
+let recv (c : conn) : Wire.msg option = Option.map Wire.of_bytes (recv_frame c)
 
 let close_conn (c : conn) =
   if not c.closed then begin

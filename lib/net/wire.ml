@@ -2,10 +2,12 @@
     plain (closure-free) OCaml values encoded with [Marshal] inside a
     {!Frame}; both ends are always the same binary built from the same
     sources, which is the one regime where [Marshal] is sound.  A
-    [version] field in the handshake catches accidental mixes.  The
-    iteration-space entries a schedule row carries are the exception:
-    they travel in this module's own tagged value codec
-    ({!encode_block}), whose decoder names the byte offset of any fault.
+    [version] field in the handshake catches accidental mixes.  A
+    schedule row is the exception: its header is a message, but its
+    payload — the rank's blocks and initial array regions — follows as
+    a raw frame of this module's own layout ({!row_frame}), which the
+    master writes in one pass and the worker decodes in place; its
+    decoder names the byte offset of any fault.
 
     Protocol outline (master-centric):
 
@@ -15,14 +17,15 @@
                                             the master's loop plan)
                       ... the master compiles the schedule while the
                       workers build their instances from shapes ...
-    master → worker   Schedule_row         (the rank's blocks, as entries)
-                    | Shutdown             (rank beyond the space cut)
     worker → master   Listening            (the worker's own peer addr)
     worker → master   Prefetch_request     (Server-placed arrays)
-    master → worker   Partition_ship       (local / rotated / replicated)
+    master → worker   Schedule_row         (the row's header, then its
+                                            payload as the next frame:
+                                            blocks and regions)
+                    | Shutdown             (rank beyond the space cut)
     master → worker   Prefetch_response
     master → worker   Peers                (addr per rank)
-    worker ↔ worker   Peer_hello, Rotation_token, Pass_sync
+    worker ↔ worker   Peer_hello (answered), Rotation_token, Pass_sync
     worker → master   Pass_telemetry       (per-pass spans + block costs)
     worker → master   Block_report, Buffer_flush, Acc_merge, Done
     master → worker   Shutdown
@@ -61,8 +64,15 @@
        and digest (no worker-side rebuild, no fingerprint)
    v10: plan once — the plan loses its adaptive flag, and the pass
        boundary directives and partition migration messages are gone:
-       a worker installs exactly one schedule row per run *)
-let version = 10
+       a worker installs exactly one schedule row per run
+   v11: one frame per rank — a schedule row is a small header message
+       followed by one raw payload frame holding the rank's blocks
+       (float-valued blocks as keys and IEEE bits, the others in the
+       tagged value codec) and its local, rotated and replicated
+       arrays' regions; the partition ship is gone, workers announce
+       their listener and prefetch request before the row, and a peer
+       hello is answered, so the mesh waits for every rank's start-up *)
+let version = 11
 
 (** One journaled DistArray element write, in execution order (only
     arrays with no single owner are journaled). *)
@@ -100,8 +110,8 @@ type worker_stats = {
 
 type part = float Orion_dsm.Dist_array.partition
 
-(** A shipped partition, or an owner-exclusive region, in the
-    {!Policy} part layout. *)
+(** An array's region — owner-exclusive, or a whole array shipped at
+    start-up — in the {!Policy} part layout. *)
 type part_payload = bytes
 
 (** What a worker needs to build its instance and classify its arrays,
@@ -129,8 +139,13 @@ type plan = {
           iteration space may hold no records *)
 }
 
-(** One rank's row of the master's compiled schedule, with everything
-    the worker checks its own instance against. *)
+(** A byte range of a row's payload: [sp_off] from the payload's
+    first byte, [sp_len] bytes long. *)
+type span = { sp_off : int; sp_len : int }
+
+(** The header of one rank's row of the master's compiled schedule,
+    with everything the worker checks its own instance against.  The
+    row's payload ({!row_frame}) follows it as the next frame. *)
 type row = {
   sr_sp : int;
   sr_tp : int;
@@ -142,25 +157,29 @@ type row = {
   sr_digest : int;
       (** {!entry_digest} summed over the master's iteration space; a
           worker whose instance holds records must hold these *)
-  sr_blocks : bytes array;
-      (** per time partition, the receiving rank's block as its
-          entries in scheduled order ({!encode_block}) *)
+  sr_blocks : span array;
+      (** per time partition, the receiving rank's block: its entries
+          in scheduled order *)
+  sr_regions : span array;
+      (** the receiving rank's initial contents of its local, rotated
+          and replicated arrays, each a {!Policy}-packed region *)
 }
 
 type msg =
   | Hello of { h_rank : int; h_pid : int; h_version : int }
   | Plan of plan
   | Schedule_row of row
-      (** the receiving rank's row of the master's compiled schedule *)
+      (** the header of the receiving rank's row of the master's
+          compiled schedule; the row's payload is the next frame *)
   | Listening of { l_rank : int; l_addr : string }
   | Prefetch_request of { pr_rank : int; pr_arrays : string list }
-  | Partition_ship of part_payload list
   | Prefetch_response of part_payload list
   | Peers of string array  (** peer address, indexed by rank *)
   | Peer_hello of { ph_rank : int; ph_version : int }
-      (** the connecting worker's rank and protocol version; the
-          accepting worker refuses a mismatched peer with a clear
-          error instead of relying on implicit [Marshal]
+      (** the sender's rank and protocol version: the connecting worker
+          sends it, and the accepting worker answers with its own once
+          its start-up is done; each side refuses a mismatched peer
+          with a clear error instead of relying on implicit [Marshal]
           compatibility *)
   | Rotation_token of {
       rt_pass : int;
@@ -243,7 +262,6 @@ let tag = function
   | Schedule_row _ -> "schedule-row"
   | Listening _ -> "listening"
   | Prefetch_request _ -> "prefetch-request"
-  | Partition_ship _ -> "partition-ship"
   | Prefetch_response _ -> "prefetch-response"
   | Peers _ -> "peers"
   | Peer_hello _ -> "peer-hello"
@@ -365,36 +383,37 @@ let rec write_value b pos (v : V.t) =
       List.fold_left (write_value b) (pos + 5) l
   | V.Vextern ex -> cannot_travel ex
 
-(* [n] bytes of [what] must remain at [pos] *)
-let need b pos n what =
-  if n > Bytes.length b - pos then
-    decode_error pos "truncated %s: %d bytes needed, %d left" what n
-      (Bytes.length b - pos)
+(* a read position in a payload, which may end before its bytes do
+   (a span of a row payload, decoded in place) *)
+type cursor = { c_bytes : bytes; mutable c_pos : int; c_end : int }
 
-let get_count b pos what =
-  need b pos 4 what;
-  Int32.to_int (Bytes.get_int32_le b pos) land 0xFFFF_FFFF
+(* [n] bytes of [what] must remain at [pos] *)
+let need c pos n what =
+  if n > c.c_end - pos then
+    decode_error pos "truncated %s: %d bytes needed, %d left" what n
+      (c.c_end - pos)
+
+let get_count c pos what =
+  need c pos 4 what;
+  Int32.to_int (Bytes.get_int32_le c.c_bytes pos) land 0xFFFF_FFFF
 
 let get_int b pos = Int64.to_int (Bytes.get_int64_le b pos)
 let get_float b pos = Int64.float_of_bits (Bytes.get_int64_le b pos)
-
-(* a read position in a payload *)
-type cursor = { c_bytes : bytes; mutable c_pos : int }
 
 (* The value at the cursor, which then moves past it.
    @raise Decode_error on a truncated value or an unknown tag *)
 let rec read_value c depth : V.t =
   let b = c.c_bytes and pos = c.c_pos in
-  need b pos 1 "value tag";
+  need c pos 1 "value tag";
   let tag = Bytes.get_uint8 b pos in
   let p = pos + 1 in
   if tag = tag_float then begin
-    need b p 8 "float";
+    need c p 8 "float";
     c.c_pos <- p + 8;
     V.Vfloat (get_float b p)
   end
   else if tag = tag_int then begin
-    need b p 8 "int";
+    need c p 8 "int";
     c.c_pos <- p + 8;
     V.Vint (get_int b p)
   end
@@ -403,7 +422,7 @@ let rec read_value c depth : V.t =
     V.Vunit
   end
   else if tag = tag_bool then begin
-    need b p 1 "bool";
+    need c p 1 "bool";
     c.c_pos <- p + 1;
     match Bytes.get_uint8 b p with
     | 0 -> V.Vbool false
@@ -411,29 +430,29 @@ let rec read_value c depth : V.t =
     | x -> decode_error p "bool byte %d" x
   end
   else if tag = tag_string then begin
-    let n = get_count b p "string length" in
-    need b (p + 4) n "string";
+    let n = get_count c p "string length" in
+    need c (p + 4) n "string";
     c.c_pos <- p + 4 + n;
     V.Vstring (Bytes.sub_string b (p + 4) n)
   end
   else if tag = tag_vec then begin
-    let n = get_count b p "vector length" in
-    need b (p + 4) (8 * n) "vector";
+    let n = get_count c p "vector length" in
+    need c (p + 4) (8 * n) "vector";
     c.c_pos <- p + 4 + (8 * n);
     V.Vvec (Array.init n (fun i -> get_float b (p + 4 + (8 * i))))
   end
   else if tag = tag_index then begin
-    let n = get_count b p "index length" in
-    need b (p + 4) (8 * n) "index";
+    let n = get_count c p "index length" in
+    need c (p + 4) (8 * n) "index";
     c.c_pos <- p + 4 + (8 * n);
     V.Vindex (Array.init n (fun i -> get_int b (p + 4 + (8 * i))))
   end
   else if tag = tag_tuple then begin
     if depth >= max_depth then
       decode_error pos "tuples nested deeper than %d" max_depth;
-    let n = get_count b p "tuple length" in
+    let n = get_count c p "tuple length" in
     (* every element takes at least its tag byte *)
-    need b (p + 4) n "tuple";
+    need c (p + 4) n "tuple";
     c.c_pos <- p + 4;
     V.Vtuple (List.init n (fun _ -> read_value c (depth + 1)))
   end
@@ -476,41 +495,215 @@ let space_digest (iter : V.t Orion_dsm.Dist_array.t) =
       acc + entry_digest (Orion_dsm.Dist_array.linearize iter key) v)
     0 iter
 
-(** A block's entries as one payload: a 4-byte count, then per entry
-    its linearized key (8 bytes) and its value: a tag byte, then
-    8-byte little-endian ints and float bits, 4-byte little-endian
-    counts.
-    Returns the payload and the entries' summed {!entry_digest}. *)
-let encode_block (blk : V.t Orion_runtime.Schedule.block) =
-  let module S = Orion_runtime.Schedule in
-  let size = ref (count_size (S.length blk)) in
-  S.iter_lin (fun _ v -> size := !size + 8 + value_size v) blk;
-  let b = Bytes.create !size in
-  set_count b 0 (S.length blk);
-  let digest = ref 0 and pos = ref 4 in
-  S.iter_lin
+(* Entries in the tagged codec: per entry its linearized key (8 bytes)
+   and its value. *)
+let tagged_size blk =
+  let size = ref 0 in
+  Orion_runtime.Schedule.iter_lin
+    (fun _ v -> size := !size + 8 + value_size v)
+    blk;
+  !size
+
+(* write [blk]'s entries at [pos] of [b]; returns their summed
+   {!entry_digest} *)
+let write_tagged b pos blk =
+  let digest = ref 0 and pos = ref pos in
+  Orion_runtime.Schedule.iter_lin
     (fun lin v ->
       set_int b !pos lin;
       pos := write_value b (!pos + 8) v;
       digest := !digest + entry_digest lin v)
     blk;
-  (b, !digest)
+  !digest
+
+(* [n] tagged entries from the cursor, which must then be at its end *)
+let read_tagged c ~n =
+  (* every entry takes at least a key and a tag byte *)
+  need c c.c_pos (9 * n) "block";
+  let b = c.c_bytes in
+  let keys = Array.make n 0 and values = Array.make n V.Vunit in
+  for i = 0 to n - 1 do
+    need c c.c_pos 8 "entry key";
+    keys.(i) <- get_int b c.c_pos;
+    c.c_pos <- c.c_pos + 8;
+    values.(i) <- read_value c 0
+  done;
+  if c.c_pos <> c.c_end then
+    decode_error c.c_pos "%d bytes after the last entry" (c.c_end - c.c_pos);
+  (keys, values)
+
+(** A block's entries as one payload in the tagged codec: a 4-byte
+    count, then per entry its linearized key (8 bytes) and its value: a
+    tag byte, then 8-byte little-endian ints and float bits, 4-byte
+    little-endian counts.
+    Returns the payload and the entries' summed {!entry_digest}. *)
+let encode_block (blk : V.t Orion_runtime.Schedule.block) =
+  let n = Orion_runtime.Schedule.length blk in
+  let b = Bytes.create (count_size n + tagged_size blk) in
+  set_count b 0 n;
+  (b, write_tagged b 4 blk)
 
 (** A payload of {!encode_block} back as a block over an iteration
     space of [dims].
     @raise Decode_error on a truncated or over-long payload *)
 let decode_block ~dims b =
-  let n = get_count b 0 "entry count" in
-  (* every entry takes at least a key and a tag byte *)
-  need b 4 (9 * n) "block";
-  let c = { c_bytes = b; c_pos = 4 } in
-  let keys = Array.make n 0 and values = Array.make n V.Vunit in
-  for i = 0 to n - 1 do
-    need b c.c_pos 8 "entry key";
-    keys.(i) <- get_int b c.c_pos;
-    c.c_pos <- c.c_pos + 8;
-    values.(i) <- read_value c 0
-  done;
-  if c.c_pos <> Bytes.length b then
-    decode_error c.c_pos "%d bytes after the last entry" (Bytes.length b - c.c_pos);
+  let c = { c_bytes = b; c_pos = 4; c_end = Bytes.length b } in
+  let n = get_count c 0 "entry count" in
+  let keys, values = read_tagged c ~n in
   Orion_runtime.Schedule.make_block ~dims keys values
+
+(* ------------------------------------------------------------------ *)
+(* Row payloads: one frame of blocks and regions                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A row block's span: a 4-byte count, a kind byte, then the entries.
+   A float block — every value a [Vfloat] — holds [count] 8-byte keys
+   and then [count] values' IEEE bits, with no tag per entry; any other
+   block holds its entries in the tagged codec. *)
+let kind_float = 0
+let kind_tagged = 1
+
+(** A row block as a worker runs it: float values stay unboxed until
+    the kernel is called. *)
+type block =
+  | Floats of float Orion_runtime.Schedule.block
+  | Values of V.t Orion_runtime.Schedule.block
+
+let all_floats blk =
+  match
+    Orion_runtime.Schedule.iter_lin
+      (fun _ v -> match v with V.Vfloat _ -> () | _ -> raise_notrace Exit)
+      blk
+  with
+  | () -> true
+  | exception Exit -> false
+
+(* [row_frame] with each block's kind given: [floats.(i)] lays block
+   [i] out as a float block, and a value other than a float there
+   raises [Exit] *)
+let frame_with ~floats (blocks : V.t Orion_runtime.Schedule.block array)
+    (regions : bytes list) =
+  let module S = Orion_runtime.Schedule in
+  let block_len i blk =
+    let n = S.length blk in
+    count_size n + 1 + if floats.(i) then 16 * n else tagged_size blk
+  in
+  let block_lens = Array.mapi block_len blocks in
+  let region_lens = List.map Bytes.length regions in
+  let payload =
+    Array.fold_left ( + ) 0 block_lens + List.fold_left ( + ) 0 region_lens
+  in
+  let h = Frame.header_bytes in
+  let b = Bytes.create (h + payload) in
+  let digest = ref 0 and pos = ref h in
+  let block_spans =
+    Array.mapi
+      (fun i blk ->
+        let p = !pos and n = S.length blk in
+        set_count b p n;
+        if floats.(i) then begin
+          Bytes.set_uint8 b (p + 4) kind_float;
+          let keys = p + 5 and bits = p + 5 + (8 * n) and j = ref 0 in
+          S.iter_lin
+            (fun lin v ->
+              match v with
+              | V.Vfloat f ->
+                  set_int b (keys + (8 * !j)) lin;
+                  set_float b (bits + (8 * !j)) f;
+                  digest := !digest + entry_digest lin v;
+                  incr j
+              | _ -> raise_notrace Exit)
+            blk
+        end
+        else begin
+          Bytes.set_uint8 b (p + 4) kind_tagged;
+          digest := !digest + write_tagged b (p + 5) blk
+        end;
+        pos := p + block_lens.(i);
+        { sp_off = p - h; sp_len = block_lens.(i) })
+      blocks
+  in
+  let region_spans =
+    List.map
+      (fun r ->
+        let p = !pos and len = Bytes.length r in
+        Bytes.blit r 0 b p len;
+        pos := p + len;
+        { sp_off = p - h; sp_len = len })
+      regions
+  in
+  (b, block_spans, Array.of_list region_spans, !digest)
+
+(** One rank's row payload, built in one buffer: {!Frame.header_bytes}
+    free for the transport's length prefix, then [blocks] in order,
+    then the packed [regions] appended as they are.  Returns the
+    buffer (for {!Transport.start_send_frame}), the blocks' and the
+    regions' spans in the payload, and the blocks' summed
+    {!entry_digest}.
+    @raise Invalid_argument on a DistArray handle, which cannot travel *)
+let row_frame blocks regions =
+  (* first as if every block held only floats, as every mf block does,
+     which reads each boxed value once; the first other value starts
+     over with each block's kind known *)
+  try frame_with ~floats:(Array.map (fun _ -> true) blocks) blocks regions
+  with Exit -> frame_with ~floats:(Array.map all_floats blocks) blocks regions
+
+(* Fail unless [spans] tile [payload] exactly: each inside it, none
+   overlapping another, no byte outside all of them. *)
+let check_spans (spans : span array) payload =
+  let len = Bytes.length payload in
+  Array.iter
+    (fun { sp_off; sp_len } ->
+      if sp_off < 0 || sp_len < 0 then
+        decode_error 0 "span at %d of %d bytes" sp_off sp_len;
+      if sp_off > len - sp_len then
+        decode_error len "span [%d, %d) ends past the payload's %d bytes"
+          sp_off (sp_off + sp_len) len)
+    spans;
+  let sorted = Array.copy spans in
+  Array.sort compare sorted;
+  let last =
+    Array.fold_left
+      (fun prev { sp_off; sp_len } ->
+        if sp_off < prev then
+          decode_error sp_off "span [%d, %d) overlaps the span ending at %d"
+            sp_off (sp_off + sp_len) prev;
+        if sp_off > prev then
+          decode_error prev "%d bytes between spans" (sp_off - prev);
+        sp_off + sp_len)
+      0 sorted
+  in
+  if last < len then
+    decode_error last "%d bytes after the last span" (len - last)
+
+let decode_row_block ~dims payload { sp_off; sp_len } =
+  let c = { c_bytes = payload; c_pos = sp_off + 5; c_end = sp_off + sp_len } in
+  let n = get_count c sp_off "entry count" in
+  need c (sp_off + 4) 1 "block kind";
+  let kind = Bytes.get_uint8 payload (sp_off + 4) in
+  if kind = kind_float then begin
+    if sp_len <> 5 + (16 * n) then
+      decode_error sp_off "float block of %d entries in %d bytes, expected %d" n
+        sp_len
+        (5 + (16 * n));
+    let keys = Array.make n 0 and values = Array.create_float n in
+    let bits = c.c_pos + (8 * n) in
+    for i = 0 to n - 1 do
+      keys.(i) <- get_int payload (c.c_pos + (8 * i));
+      values.(i) <- get_float payload (bits + (8 * i))
+    done;
+    Floats (Orion_runtime.Schedule.make_block ~dims keys values)
+  end
+  else if kind = kind_tagged then begin
+    let keys, values = read_tagged c ~n in
+    Values (Orion_runtime.Schedule.make_block ~dims keys values)
+  end
+  else decode_error (sp_off + 4) "unknown block kind %d" kind
+
+(** The blocks of [row] from its [payload], decoded in place, after
+    checking that the row's block and region spans tile the payload.
+    @raise Decode_error on a span outside the payload, overlapping
+    spans, stray bytes, or a malformed block *)
+let decode_row (row : row) payload =
+  check_spans (Array.append row.sr_blocks row.sr_regions) payload;
+  Array.map (decode_row_block ~dims:row.sr_dims payload) row.sr_blocks

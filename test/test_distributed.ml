@@ -167,90 +167,6 @@ let decode_block b =
     (Orion_net.Wire.decode_block ~dims:[| max_int |] b);
   List.rev !out
 
-let test_wire_roundtrip () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let ca = Orion_net.Transport.wrap a and cb = Orion_net.Transport.wrap b in
-  let mf =
-    (Option.get (Orion.App.find "mf")).Orion.App.app_make ~num_machines:3
-      ~workers_per_machine:1 ()
-  in
-  let row =
-    {
-      Orion_net.Wire.sr_sp = 2;
-      sr_tp = 4;
-      sr_model = Domain_exec.M_2d_unordered { depth = 2 };
-      sr_space_boundaries = [| 0; 3; 6 |];
-      sr_time_boundaries = Some [| 0; 1; 2; 4; 5 |];
-      sr_dims = [| 1 lsl 41 |];
-      sr_entries = 9;
-      sr_digest = -17;
-      sr_blocks =
-        [|
-          encode_block [| (5, Orion.Value.Vfloat 1.5); (0, Orion.Value.Vint 2) |];
-          encode_block [||];
-          encode_block [| (1 lsl 40, Orion.Value.Vtuple []) |];
-          encode_block [| (7, Orion.Value.Vvec [| -0.0 |]) |];
-        |];
-    }
-  in
-  let msgs =
-    [
-      Orion_net.Wire.Hello
-        { h_rank = 3; h_pid = 42; h_version = Orion_net.Wire.version };
-      Orion_net.Wire.Plan
-        {
-          p_app = "mf";
-          p_scale = 0.5;
-          p_num_machines = 3;
-          p_workers_per_machine = 1;
-          p_rank = 2;
-          p_procs = 3;
-          p_passes = 2;
-          p_telemetry = true;
-          p_report_passes = false;
-          p_plan =
-            Orion.analyze_loop mf.Orion.App.inst_session
-              mf.Orion.App.inst_loop;
-        };
-      Orion_net.Wire.Schedule_row row;
-      Orion_net.Wire.Peers [| "unix:/tmp/w0"; "tcp:127.0.0.1:9999" |];
-      Orion_net.Wire.Peer_hello
-        { ph_rank = 1; ph_version = Orion_net.Wire.version };
-      Orion_net.Wire.Rotation_token
-        {
-          rt_pass = 1;
-          rt_src = 5;
-          rt_dst = 6;
-          rt_slices = [ Bytes.of_string "\002H\001" ];
-          rt_entries = Bytes.of_string "\001\000abc";
-        };
-      Orion_net.Wire.Pass_sync
-        {
-          ps_pass = 0;
-          ps_rank = 1;
-          ps_slices = [];
-          ps_entries = Bytes.of_string "xyz";
-        };
-      Orion_net.Wire.Shutdown;
-    ]
-  in
-  List.iter (fun m -> Orion_net.Transport.send ca m) msgs;
-  List.iter
-    (fun sent ->
-      match Orion_net.Transport.recv cb with
-      | Some got ->
-          Alcotest.(check string)
-            "same message kind" (Orion_net.Wire.tag sent)
-            (Orion_net.Wire.tag got);
-          Alcotest.(check bool) "same payload" true (got = sent)
-      | None -> Alcotest.fail "unexpected EOF")
-    msgs;
-  Unix.close a;
-  (match Orion_net.Transport.recv cb with
-  | None -> ()
-  | Some _ -> Alcotest.fail "expected EOF after close");
-  Unix.close b
-
 let test_addr_roundtrip () =
   List.iter
     (fun addr ->
@@ -383,6 +299,327 @@ let qcheck_block_codec =
            entries back
       && positioned_error ~len:(Bytes.length b) (fun () ->
              decode_block (Bytes.sub b 0 (cut mod Bytes.length b))))
+
+(* ------------------------------------------------------------------ *)
+(* Row frames: a rank's blocks and regions as one raw payload          *)
+(* ------------------------------------------------------------------ *)
+
+module Wire = Orion_net.Wire
+
+let row_dims = [| max_int |]
+
+let row_block entries =
+  Schedule.make_block ~dims:row_dims (Array.map fst entries)
+    (Array.map snd entries)
+
+(* a row header over a payload's spans *)
+let row_of ?(digest = 0) blocks regions =
+  {
+    Wire.sr_sp = 2;
+    sr_tp = Array.length blocks;
+    sr_model = Domain_exec.M_2d_unordered { depth = 2 };
+    sr_space_boundaries = [| 0; 3; 6 |];
+    sr_time_boundaries = Some [| 0; 1; 2; 4; 5 |];
+    sr_dims = row_dims;
+    sr_entries = 9;
+    sr_digest = digest;
+    sr_blocks = blocks;
+    sr_regions = regions;
+  }
+
+(* a decoded row block's entries as (linearized key, boxed value) *)
+let row_entries (blk : Wire.block) =
+  let out = ref [] in
+  (match blk with
+  | Wire.Floats b ->
+      Schedule.iter_lin (fun lin f -> out := (lin, V.Vfloat f) :: !out) b
+  | Wire.Values b ->
+      Schedule.iter_lin (fun lin v -> out := (lin, v) :: !out) b);
+  Array.of_list (List.rev !out)
+
+let same_entries a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun (k, v) (k', v') -> k = k' && same_bits v v') a b
+
+let entries_digest entries =
+  Array.fold_left (fun acc (lin, v) -> acc + Wire.entry_digest lin v) 0 entries
+
+(* what the transport hands the receiver: the frame, sealed as the
+   transport seals it, past its length prefix, which must announce
+   exactly that much *)
+let payload_of frame =
+  Orion_net.Frame.seal frame;
+  let h = Orion_net.Frame.header_bytes in
+  let payload = Bytes.sub frame h (Bytes.length frame - h) in
+  Alcotest.(check int)
+    "length prefix" (Bytes.length payload)
+    (Orion_net.Frame.length (Bytes.sub frame 0 h));
+  payload
+
+let test_wire_roundtrip () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let ca = Orion_net.Transport.wrap a and cb = Orion_net.Transport.wrap b in
+  let mf =
+    (Option.get (Orion.App.find "mf")).Orion.App.app_make ~num_machines:3
+      ~workers_per_machine:1 ()
+  in
+  let entries =
+    [|
+      [| (5, Orion.Value.Vfloat 1.5); (0, Orion.Value.Vint 2) |];
+      [||];
+      [| (1 lsl 40, Orion.Value.Vtuple []) |];
+      [| (7, Orion.Value.Vvec [| -0.0 |]) |];
+      [|
+        (3, Orion.Value.Vfloat nan);
+        ((1 lsl 41) - 1, Orion.Value.Vfloat (-0.0));
+      |];
+    |]
+  in
+  let frame, blocks, regions, digest =
+    Wire.row_frame (Array.map row_block entries) [ Bytes.of_string "\002H\001" ]
+  in
+  let row = row_of ~digest:(-17) blocks regions in
+  let msgs =
+    [
+      Orion_net.Wire.Hello
+        { h_rank = 3; h_pid = 42; h_version = Orion_net.Wire.version };
+      Orion_net.Wire.Plan
+        {
+          p_app = "mf";
+          p_scale = 0.5;
+          p_num_machines = 3;
+          p_workers_per_machine = 1;
+          p_rank = 2;
+          p_procs = 3;
+          p_passes = 2;
+          p_telemetry = true;
+          p_report_passes = false;
+          p_plan =
+            Orion.analyze_loop mf.Orion.App.inst_session
+              mf.Orion.App.inst_loop;
+        };
+      Orion_net.Wire.Schedule_row row;
+      Orion_net.Wire.Peers [| "unix:/tmp/w0"; "tcp:127.0.0.1:9999" |];
+      Orion_net.Wire.Peer_hello
+        { ph_rank = 1; ph_version = Orion_net.Wire.version };
+      Orion_net.Wire.Rotation_token
+        {
+          rt_pass = 1;
+          rt_src = 5;
+          rt_dst = 6;
+          rt_slices = [ Bytes.of_string "\002H\001" ];
+          rt_entries = Bytes.of_string "\001\000abc";
+        };
+      Orion_net.Wire.Pass_sync
+        {
+          ps_pass = 0;
+          ps_rank = 1;
+          ps_slices = [];
+          ps_entries = Bytes.of_string "xyz";
+        };
+      Orion_net.Wire.Shutdown;
+    ]
+  in
+  List.iter (fun m -> Orion_net.Transport.send ca m) msgs;
+  List.iter
+    (fun sent ->
+      match Orion_net.Transport.recv cb with
+      | Some got ->
+          Alcotest.(check string)
+            "same message kind" (Orion_net.Wire.tag sent)
+            (Orion_net.Wire.tag got);
+          Alcotest.(check bool) "same payload" true (got = sent)
+      | None -> Alcotest.fail "unexpected EOF")
+    msgs;
+  (* the row's payload follows as a raw frame *)
+  let send_frame frame =
+    let push = Orion_net.Transport.start_send_frame ca frame in
+    while not (push ()) do
+      ignore (Unix.select [] [ a ] [] 1.0)
+    done
+  in
+  send_frame frame;
+  (match Orion_net.Transport.recv_frame cb with
+  | Some payload ->
+      let back = Wire.decode_row row payload in
+      Alcotest.(check int) "blocks" (Array.length entries) (Array.length back);
+      Array.iteri
+        (fun i e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "block %d bitwise" i)
+            true
+            (same_entries e (row_entries back.(i))))
+        entries;
+      Alcotest.(check int)
+        "digest"
+        (Array.fold_left (fun acc e -> acc + entries_digest e) 0 entries)
+        digest;
+      let { Wire.sp_off; sp_len } = regions.(0) in
+      Alcotest.(check string) "region bytes" "\002H\001"
+        (Bytes.sub_string payload sp_off sp_len)
+  | None -> Alcotest.fail "unexpected EOF");
+  (* A multi-megabyte row, larger than the socket buffer: the
+     non-blocking writer pushes it as far as the kernel takes while the
+     receiver reads it step by step, as every row travels. *)
+  let n = 300_000 in
+  let big =
+    Array.init n (fun i ->
+        ( (i * 7919) + (i land 3),
+          Orion.Value.Vfloat
+            (Int64.float_of_bits
+               (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L)) ))
+  in
+  let frame, blocks, regions, digest =
+    Wire.row_frame [| row_block big; row_block entries.(0) |] []
+  in
+  Alcotest.(check bool)
+    "frame over 4 MB" true
+    (Bytes.length frame >= 4_000_000);
+  let push = Orion_net.Transport.start_send_frame ca frame in
+  let sent = ref false and got = ref None and steps = ref 0 in
+  while not (!sent && !got <> None) do
+    if not !sent then sent := push ();
+    (match Orion_net.Transport.recv_frame_step cb with
+    | `Frame payload -> got := Some payload
+    | `Pending -> incr steps
+    | `Eof -> Alcotest.fail "unexpected EOF")
+  done;
+  Alcotest.(check bool) "the frame took several steps" true (!steps > 0);
+  let back = Wire.decode_row (row_of blocks regions) (Option.get !got) in
+  (match back.(0) with
+  | Wire.Floats _ -> ()
+  | Wire.Values _ -> Alcotest.fail "a float block decoded boxed");
+  Alcotest.(check bool)
+    "big block bitwise" true
+    (same_entries big (row_entries back.(0)));
+  Alcotest.(check bool) "mixed block bitwise" true
+    (same_entries entries.(0) (row_entries back.(1)));
+  Alcotest.(check int)
+    "big digest"
+    (entries_digest big + entries_digest entries.(0))
+    digest;
+  Unix.close a;
+  (match Orion_net.Transport.recv cb with
+  | None -> ()
+  | Some _ -> Alcotest.fail "expected EOF after close");
+  Unix.close b
+
+(* float-only, mixed and empty blocks *)
+let gen_row_block =
+  QCheck.Gen.(
+    map Array.of_list
+      (oneof
+         [
+           small_list (pair int (map (fun f -> V.Vfloat f) gen_float));
+           small_list (pair int gen_value);
+           return [];
+         ]))
+
+let qcheck_row_frame =
+  QCheck.Test.make ~count:300 ~name:"row frame codec round-trip and faults"
+    (QCheck.make
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 1 4) gen_row_block)
+           (small_list (list_size (int_bound 6) gen_float))
+           (pair small_nat (int_range 2 255))))
+    (fun (entries, region_values, (cut, kind)) ->
+      let entries = Array.of_list entries in
+      let arrays =
+        List.mapi
+          (fun i vs ->
+            let a =
+              Dist_array.fill_dense ~name:(Printf.sprintf "r%d" i)
+                ~dims:[| List.length vs + 1 |] 0.0
+            in
+            List.iteri (fun j v -> Dist_array.set a [| j |] v) vs;
+            a)
+          region_values
+      in
+      let sender =
+        Orion_net.Policy.sender ~linearize:(fun _ key -> key.(0)) ~pos:Fun.id
+      in
+      let regions =
+        List.map
+          (fun a ->
+            let keys, values = Dist_array.region a ~dim:0 ~lo:0 ~hi:max_int in
+            ( a,
+              keys,
+              values,
+              Orion_net.Policy.encode_region sender a keys values ))
+          arrays
+      in
+      let frame, bspans, rspans, digest =
+        Wire.row_frame (Array.map row_block entries)
+          (List.map (fun (_, _, _, b) -> b) regions)
+      in
+      let row = row_of bspans rspans in
+      let payload = payload_of frame in
+      let len = Bytes.length payload in
+      let back = Wire.decode_row row payload in
+      let roundtrip =
+        Array.length back = Array.length entries
+        && Array.for_all2
+             (fun e b -> same_entries e (row_entries b))
+             entries back
+        && digest
+           = Array.fold_left (fun acc e -> acc + entries_digest e) 0 entries
+        && List.for_all2
+             (fun (a, keys, values, _) { Wire.sp_off; sp_len } ->
+               let name, dims, keys', values' =
+                 Orion_net.Policy.decode_region ~pos:sp_off ~len:sp_len payload
+               in
+               name = Dist_array.name a
+               && dims = Dist_array.dims a
+               && keys' = keys
+               && Array.for_all2 (fun v v' -> bits v = bits v') values values')
+             regions (Array.to_list rspans)
+      in
+      let fails ?(len = len) row payload =
+        positioned_error ~len (fun () -> Wire.decode_row row payload)
+      in
+      let first = bspans.(0) in
+      let with_block0 span =
+        let blocks = Array.copy bspans in
+        blocks.(0) <- span;
+        { row with Wire.sr_blocks = blocks }
+      in
+      let patched f =
+        let p = Bytes.copy payload in
+        f p;
+        p
+      in
+      let float_block =
+        List.find_opt
+          (fun { Wire.sp_off; _ } -> Bytes.get_uint8 payload (sp_off + 4) = 0)
+          (Array.to_list bspans)
+      in
+      roundtrip
+      (* a truncated frame *)
+      && fails row (Bytes.sub payload 0 (cut mod len))
+      (* a span past the end *)
+      && fails
+           (with_block0
+              { first with Wire.sp_off = len - first.Wire.sp_len + 1 + cut })
+           payload
+      (* overlapping spans *)
+      && fails
+           { row with Wire.sr_regions = Array.append [| first |] rspans }
+           payload
+      (* a float block whose length disagrees with its count *)
+      && (match float_block with
+         | None -> true
+         | Some { Wire.sp_off; _ } ->
+             fails row
+               (patched (fun p ->
+                    Bytes.set_int32_le p sp_off
+                      (Int32.succ (Bytes.get_int32_le p sp_off)))))
+      (* an unknown kind byte *)
+      && fails row
+           (patched (fun p -> Bytes.set_uint8 p (first.Wire.sp_off + 4) kind))
+      (* trailing bytes *)
+      && fails ~len:(len + 3) row
+           (Bytes.cat payload (Bytes.make (1 + (cut mod 3)) '\000')))
 
 (* ------------------------------------------------------------------ *)
 (* Wire encoding: codec round-trips                                    *)
@@ -1282,6 +1519,7 @@ let () =
           qc qcheck_value_codec_roundtrip;
           qc qcheck_value_codec_faults;
           qc qcheck_block_codec;
+          qc qcheck_row_frame;
           tc "address strings round-trip" `Quick test_addr_roundtrip;
         ] );
       ( "happens_before",
