@@ -242,8 +242,7 @@ let mf_make ?(scale = 1.0) ?(records = true) ~num_machines
     inst_key_var = key_var;
     inst_value_var = value_var;
     inst_body = body;
-    inst_iter =
-      Dist_array.map ~name:iter_name ~f:(fun v -> Value.Vfloat v) data.ratings;
+    inst_iter = Dist_array.float_view ~name:iter_name data.ratings;
     inst_iter_name = iter_name;
     inst_outputs = [ ("W", w); ("H", h) ];
     inst_arrays = [ ("W", w); ("H", h) ];
@@ -491,8 +490,7 @@ let lda_make ?(scale = 1.0) ?records:_ ~num_machines ~workers_per_machine ()
     inst_key_var = key_var;
     inst_value_var = value_var;
     inst_body = body;
-    inst_iter =
-      Dist_array.map ~name:iter_name ~f:(fun v -> Value.Vfloat v) corpus.tokens;
+    inst_iter = Dist_array.float_view ~name:iter_name corpus.tokens;
     inst_iter_name = iter_name;
     inst_outputs =
       [
@@ -584,10 +582,7 @@ let gbt_make ?(scale = 1.0) ?records:_ ~num_machines ~workers_per_machine ()
     inst_key_var = key_var;
     inst_value_var = value_var;
     inst_body = body;
-    inst_iter =
-      Dist_array.map ~name:iter_name
-        ~f:(fun v -> Value.Vfloat v)
-        feature_index;
+    inst_iter = Dist_array.float_view ~name:iter_name feature_index;
     inst_iter_name = iter_name;
     inst_outputs = [ ("split_gain", split_gain) ];
     inst_arrays = [ ("feature_index", feature_index); ("split_gain", split_gain) ];

@@ -460,7 +460,10 @@ module App = struct
     inst_value_var : string;
     inst_body : Ast.block;
     inst_iter : Value.t Dist_array.t;
-        (** iteration space carrying interpreter values *)
+        (** iteration space carrying interpreter values; an all-float
+            space is a {!Dist_array.float_view} of its loaded table,
+            whose schedule blocks and compiled kernel keep the floats
+            unboxed *)
     inst_iter_name : string;
     inst_outputs : (string * float Dist_array.t) list;
         (** model arrays compared by equality/differential checks *)
@@ -608,37 +611,36 @@ module Engine = struct
 
   (** Compile [inst]'s loop body against [env] (call {e after} any
       shadow rebinding — the kernel captures the environment's current
-      array bindings).  [values p] tells whether [p] holds for every
-      value the kernel will run, when those are not [inst]'s own
-      iteration space (a distributed worker's row).  [None] when
+      array bindings).  Over a float iteration space
+      ({!Dist_array.float_view}) the kernel takes its values unboxed
+      ({!Compile.run_float}); no value is looked at here.  [None] when
       compilation is disabled ([ORION_NO_COMPILE]) or the body uses an
       unsupported construct; callers fall back to {!interp_body}. *)
-  let compile_kernel ?values (inst : App.instance) (env : Interp.env) :
+  let compile_kernel (inst : App.instance) (env : Interp.env) :
       Compile.t option =
     if not (Compile.enabled ()) then None
-    else begin
-      (* the unboxed value slot is only sound if every value the kernel
-         runs is a float — scan them, in any order, up to the first
-         that is not *)
-      let for_all =
-        match values with
-        | Some for_all -> for_all
-        | None -> fun p -> Dist_array.for_all p inst.App.inst_iter
-      in
-      let value_float =
-        for_all (function Value.Vfloat _ -> true | _ -> false)
-      in
-      Compile.compile_body env ~value_float
+    else
+      Compile.compile_body env
+        ~value_float:(Dist_array.floats_of_view inst.App.inst_iter <> None)
         ~key_var:inst.App.inst_key_var ~value_var:inst.App.inst_value_var
         inst.App.inst_body
-    end
 
   (** [inst]'s loop body over [env]: its compiled kernel, or the
-      interpreter when the body does not compile. *)
-  let loop_body ?values inst env =
-    match compile_kernel ?values inst env with
-    | Some k -> (Some k, fun ~key ~value -> Compile.run k ~key ~value)
-    | None -> (None, fun ~key ~value -> interp_body env inst ~key ~value)
+      interpreter, which boxes each value, when the body does not
+      compile. *)
+  let loop_body inst env : Compile.t option * Value.t Schedule.body =
+    match compile_kernel inst env with
+    | Some k ->
+        ( Some k,
+          {
+            Schedule.boxed = (fun ~key ~value -> Compile.run k ~key ~value);
+            unboxed =
+              Some (fun ~key values i -> Compile.run_float k ~key values i);
+          } )
+    | None ->
+        ( None,
+          Schedule.boxed_body (fun ~key ~value ->
+              interp_body env inst ~key ~value) )
 
   (* -- buffered shadows -----------------------------------------------
      Buffered arrays are only ever combined with [+=] inside the loop

@@ -334,28 +334,22 @@ module Engine : sig
 
   (** Compile [inst]'s loop body against [env] with {!Compile} (call
       {e after} any shadow rebinding — the kernel captures the
-      environment's current array bindings).  The unboxed float value
-      slot is chosen from the values the kernel will run: [inst]'s
-      iteration space, or when they are not there (a distributed
-      worker's row), those [values] scans — [values p] holds when [p]
-      holds for every one.  [None] when compilation is disabled
-      ([ORION_NO_COMPILE]) or the body uses an unsupported construct;
-      callers fall back to the interpreter. *)
-  val compile_kernel :
-    ?values:((Value.t -> bool) -> bool) ->
-    App.instance ->
-    Interp.env ->
-    Compile.t option
+      environment's current array bindings).  Over a float iteration
+      space ({!Dist_array.float_view}, on a distributed worker as on
+      the master) the kernel takes each value unboxed through
+      {!Compile.run_float}; no value is looked at to decide.  [None]
+      when compilation is disabled ([ORION_NO_COMPILE]) or the body
+      uses an unsupported construct; callers fall back to the
+      interpreter. *)
+  val compile_kernel : App.instance -> Interp.env -> Compile.t option
 
   (** [inst]'s loop body over [env]: its {!compile_kernel} kernel (kept
-      for [Compile.flush_locals] at the end), or the interpreter when the
+      for [Compile.flush_locals] at the end), taking a float block's
+      values unboxed, or the interpreter, which boxes each, when the
       body does not compile.  The pool and the distributed worker both
       build their bodies here. *)
   val loop_body :
-    ?values:((Value.t -> bool) -> bool) ->
-    App.instance ->
-    Interp.env ->
-    Compile.t option * (key:int array -> value:Value.t -> unit)
+    App.instance -> Interp.env -> Compile.t option * Value.t Schedule.body
 
   (** {2 Buffered shadows}
 

@@ -113,22 +113,36 @@ module Lin_table = struct
 end
 
 type 'a storage =
-  | Dense of 'a array  (** row-major *)
-  | Sparse of {
+  | Dense : 'a array -> 'a storage  (** row-major *)
+  | Sparse : {
       table : 'a Lin_table.t;  (** linearized key -> value *)
       mutable order : (int array * int array) option;
           (** cache of the keys in ascending order, for deterministic
               iteration, and each key's table slot ([table_order]);
               invalidated when a new key is inserted *)
     }
+      -> 'a storage
+  | Floats : float t -> Orion_lang.Value.t storage
+      (** a read-only view of a float array: each value is boxed as a
+          [Vfloat] only when it is read ({!float_view}) *)
 
-type 'a t = {
+and 'a t = {
   name : string;
   dims : int array;
   strides : int array;
   storage : 'a storage;
   default : 'a;
 }
+
+exception Read_only of string
+
+let read_only : type a b. a t -> b =
+ fun t ->
+  raise
+    (Read_only
+       (Printf.sprintf "DistArray %s is a read-only view of float array %s"
+          t.name
+          (match t.storage with Floats src -> src.name | _ -> t.name)))
 
 (* ------------------------------------------------------------------ *)
 (* Keys                                                                *)
@@ -251,8 +265,22 @@ let of_entries ~name ~dims ~default entries =
       List.iter
         (fun (key, v) -> ignore (Lin_table.replace s.table (linearize t key) v))
         entries
-  | Dense _ -> assert false);
+  | _ -> assert false);
   t
+
+(* A view shares its source's dims, strides and storage: it allocates
+   nothing per entry, and a write to the source shows through it. *)
+let float_view ~name (src : float t) : Orion_lang.Value.t t =
+  {
+    name;
+    dims = src.dims;
+    strides = src.strides;
+    storage = Floats src;
+    default = Orion_lang.Value.Vfloat src.default;
+  }
+
+let floats_of_view (t : Orion_lang.Value.t t) =
+  match t.storage with Floats src -> Some src | Dense _ | Sparse _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Basic access                                                        *)
@@ -262,12 +290,19 @@ let name t = t.name
 let dims t = t.dims
 let ndims t = Array.length t.dims
 
-let count t =
+let rec count : type a. a t -> int =
+ fun t ->
   match t.storage with
   | Dense d -> Array.length d
   | Sparse s -> Lin_table.length s.table
+  | Floats src -> count src
 
-let is_sparse t = match t.storage with Dense _ -> false | Sparse _ -> true
+let rec is_sparse : type a. a t -> bool =
+ fun t ->
+  match t.storage with
+  | Dense _ -> false
+  | Sparse _ -> true
+  | Floats src -> is_sparse src
 
 (** Element count × 8 bytes: the communication size of a partition is
     derived from this (values are floats or similarly-sized scalars). *)
@@ -275,20 +310,28 @@ let bytes_per_element = 8.0
 
 let size_bytes t = float_of_int (count t) *. bytes_per_element
 
-let get t key =
-  let lin = linearize t key in
+(* the value at an in-range linearized key, or the default *)
+let rec get_lin : type a. a t -> int -> a =
+ fun t lin ->
   match t.storage with
   | Dense d -> d.(lin)
   | Sparse s -> ( try Lin_table.find s.table lin with Not_found -> t.default)
+  | Floats src -> Orion_lang.Value.Vfloat (get_lin src lin)
 
-let get_opt t key =
-  let lin = linearize t key in
+let get t key = get_lin t (linearize t key)
+
+let rec get_opt_lin : type a. a t -> int -> a option =
+ fun t lin ->
   match t.storage with
   | Dense d -> Some d.(lin)
   | Sparse s -> (
       match Lin_table.find s.table lin with
       | v -> Some v
       | exception Not_found -> None)
+  | Floats src ->
+      Option.map (fun f -> Orion_lang.Value.Vfloat f) (get_opt_lin src lin)
+
+let get_opt t key = get_opt_lin t (linearize t key)
 
 (* Concurrency contract (OCaml 5 domains, see [Orion.Engine]):
    disjoint-cell writes to [Dense] storage are plain disjoint field
@@ -317,13 +360,21 @@ let check_sparse_insert t lin =
    this is one table operation, which reports whether the key was new
    (invalidating the sorted-key cache).  Inside one, a new key is
    refused before the table is touched. *)
-let replace_lin t lin v =
+let replace_lin : type a. a t -> int -> a -> unit =
+ fun t lin v ->
   match t.storage with
   | Dense d -> d.(lin) <- v
   | Sparse s ->
       if Atomic.get parallel_mode && not (Lin_table.mem s.table lin) then
         check_sparse_insert t lin;
       if Lin_table.replace s.table lin v then s.order <- None
+  | Floats _ -> read_only t
+
+(* refuse a write to a view before any entry is looked at, so that even
+   an empty write raises *)
+let writable : type a. a t -> unit =
+ fun t ->
+  match t.storage with Floats _ -> read_only t | Dense _ | Sparse _ -> ()
 
 let set t key v = replace_lin t (linearize t key) v
 
@@ -334,13 +385,16 @@ let set_lin t lin v =
          (Printf.sprintf "%s: linearized key %d out of bounds" t.name lin));
   replace_lin t lin v
 
-let find_lin t lin =
+let rec find_lin : type a. a t -> int -> a =
+ fun t lin ->
   match t.storage with
   | Dense d ->
       if lin < 0 || lin >= Array.length d then raise Not_found else d.(lin)
   | Sparse s -> Lin_table.find s.table lin
+  | Floats src -> Orion_lang.Value.Vfloat (find_lin src lin)
 
-let for_all p t =
+let rec for_all : type a. (a -> bool) -> a t -> bool =
+ fun p t ->
   match t.storage with
   | Dense d -> Array.for_all p d
   | Sparse s -> (
@@ -351,8 +405,10 @@ let for_all p t =
       with
       | () -> true
       | exception Exit -> false)
+  | Floats src -> for_all (fun f -> p (Orion_lang.Value.Vfloat f)) src
 
-let update t key f =
+let update : type a. a t -> int array -> (a -> a) -> unit =
+ fun t key f ->
   let lin = linearize t key in
   match t.storage with
   | Dense d -> d.(lin) <- f d.(lin)
@@ -365,6 +421,7 @@ let update t key f =
             t.default
       in
       if Lin_table.replace s.table lin (f cur) then s.order <- None
+  | Floats _ -> read_only t
 
 (* ------------------------------------------------------------------ *)
 (* Iteration (deterministic order)                                     *)
@@ -459,7 +516,8 @@ let table_order (table : 'a Lin_table.t) =
 
 (* a sparse array's [table_order], cached until a new key is inserted
    (the only way slots move) *)
-let order t =
+let rec order : type a. a t -> int array * int array =
+ fun t ->
   match t.storage with
   | Dense _ -> invalid_arg "Dist_array.order: dense storage"
   | Sparse s -> (
@@ -469,19 +527,42 @@ let order t =
           let o = table_order s.table in
           s.order <- Some o;
           o)
+  | Floats src -> order src
 
-let sorted_keys t =
+let rec sorted_keys : type a. a t -> int array =
+ fun t ->
   match t.storage with
   | Dense d -> Array.init (Array.length d) Fun.id
-  | Sparse _ ->
-      fst (order t)
+  | Sparse _ -> fst (order t)
+  | Floats src -> sorted_keys src
 
-let sorted_values t ranks =
+(* monomorphic in the element type, so no value is boxed on its way
+   from the table to the result *)
+let sorted_floats (t : float t) ranks =
+  let n = Array.length ranks in
+  let out = Array.create_float n in
+  (match t.storage with
+  | Dense d ->
+      for i = 0 to n - 1 do
+        Array.unsafe_set out i d.(Array.unsafe_get ranks i)
+      done
+  | Sparse s ->
+      let slots = snd (order t) and values = s.table.Lin_table.values in
+      for i = 0 to n - 1 do
+        Array.unsafe_set out i
+          (Array.unsafe_get values slots.(Array.unsafe_get ranks i))
+      done);
+  out
+
+let sorted_values : type a. a t -> int array -> a array =
+ fun t ranks ->
   match t.storage with
   | Dense d -> Array.map (fun r -> d.(r)) ranks
   | Sparse s ->
       let slots = snd (order t) and values = s.table.Lin_table.values in
       Array.map (fun r -> Array.unsafe_get values slots.(r)) ranks
+  | Floats src ->
+      Array.map (fun f -> Orion_lang.Value.Vfloat f) (sorted_floats src ranks)
 
 (* A key's index along [dim] is [lin / stride mod size]: the outermost
    dimension needs no [mod], the innermost no division. *)
@@ -563,7 +644,8 @@ let diff_ok ~tolerance d =
 (* Transformations                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let map ~name ~f t =
+let rec map : type a b. name:string -> f:(a -> b) -> a t -> b t =
+ fun ~name ~f t ->
   match t.storage with
   | Dense d ->
       {
@@ -581,6 +663,7 @@ let map ~name ~f t =
             { table = Lin_table.map f s.table; order = s.order };
         default = f t.default;
       }
+  | Floats src -> map ~name ~f:(fun x -> f (Orion_lang.Value.Vfloat x)) src
 
 let map_entries ~name ~default ~f t =
   let acc = fold (fun acc key v -> (key, v) :: acc) [] t in
@@ -750,7 +833,9 @@ let to_iter_extern ~to_value (t : 'a t) : Orion_lang.Value.extern =
 (* The stored entries whose index along [dim] lies in [lo, hi).  Dense
    storage yields one contiguous key run per combination of the
    leading dimensions, computed without a scan. *)
-let region t ~dim ~lo ~hi : int array * 'a array =
+let rec region :
+    type a. a t -> dim:int -> lo:int -> hi:int -> int array * a array =
+ fun t ~dim ~lo ~hi ->
   let lo = max 0 lo and hi = min t.dims.(dim) hi in
   match t.storage with
   | Dense d ->
@@ -771,8 +856,12 @@ let region t ~dim ~lo ~hi : int array * 'a array =
         Array.of_list (List.filter inside (Array.to_list (sorted_keys t)))
       in
       (keys, Array.map (fun lin -> Lin_table.find s.table lin) keys)
+  | Floats src ->
+      let keys, values = region src ~dim ~lo ~hi in
+      (keys, Array.map (fun f -> Orion_lang.Value.Vfloat f) values)
 
 let set_region t (keys : int array) (values : 'a array) =
+  writable t;
   Array.iteri (fun i lin -> replace_lin t lin values.(i)) keys
 
 (* ------------------------------------------------------------------ *)
@@ -834,6 +923,7 @@ let apply_partition (t : 'a t) (p : 'a partition) =
     raise
       (Dimension_mismatch
          (Printf.sprintf "%s: partition dims do not match array dims" t.name));
+  writable t;
   Array.iter (fun (lin, v) -> set_lin t lin v) p.pt_entries
 
 (** Materialize a fresh DistArray holding exactly a partition's

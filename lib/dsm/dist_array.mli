@@ -18,15 +18,18 @@ module Lin_table : sig
 end
 
 type 'a storage =
-  | Dense of 'a array  (** row-major *)
-  | Sparse of {
+  | Dense : 'a array -> 'a storage  (** row-major *)
+  | Sparse : {
       table : 'a Lin_table.t;
       mutable order : (int array * int array) option;
           (** ascending keys [k] and slots [s]: key [k.(i)] is in table
               slot [s.(i)]; cached until a new key is inserted *)
     }
+      -> 'a storage
+  | Floats : float t -> Orion_lang.Value.t storage
+      (** a read-only view of a float array ({!float_view}) *)
 
-type 'a t = {
+and 'a t = {
   name : string;
   dims : int array;
   strides : int array;
@@ -58,6 +61,23 @@ val fill_dense : name:string -> dims:int array -> 'a -> 'a t
 val create_sparse : name:string -> dims:int array -> default:'a -> 'a t
 val of_entries :
   name:string -> dims:int array -> default:'a -> (int array * 'a) list -> 'a t
+
+(** {1 Float views}
+
+    An iteration space of floats, as the interpreter sees it, without a
+    copy: [float_view ~name src] reads like [map ~name ~f:(fun x ->
+    Vfloat x) src] — same keys, order, count and default — but shares
+    [src]'s storage and boxes a value only when it is read through this
+    interface.  A write through the view raises {!Read_only}; a write to
+    [src] shows through it. *)
+
+exception Read_only of string
+
+val float_view : name:string -> float t -> Orion_lang.Value.t t
+
+(** The float array a {!float_view} reads, or [None] for any other
+    array. *)
+val floats_of_view : Orion_lang.Value.t t -> float t option
 
 (** {1 Access} *)
 
@@ -115,6 +135,9 @@ val sorted_keys : 'a t -> int array
     stored at [(sorted_keys t).(ranks.(i))]; no per-key lookup.
     @raise Invalid_argument when a rank is not below {!count} *)
 val sorted_values : 'a t -> int array -> 'a array
+
+(** {!sorted_values} of a float array, with no value boxed on the way. *)
+val sorted_floats : float t -> int array -> float array
 
 (** [iter_index_along f t ~dim] calls [f i j] for the stored key of
     rank [i] in {!sorted_keys}, where [j] is its index along dimension

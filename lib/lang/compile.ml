@@ -76,16 +76,24 @@ let ty_of_value = function
   | Vextern _ -> Textern
   | Vunit | Vstring _ | Vtuple _ -> Tany
 
+(* an unboxed float variable: a record of one float field is stored
+   flat, so a write allocates nothing *)
+type fcell = { mutable cv : float }
+
 type slot = {
   sl_name : string;
   sl_local : bool;  (** assigned somewhere in the body (or a loop var) *)
   mutable sl_v : Value.t;
   mutable sl_defined : bool;
   mutable sl_ty : ty;
+  sl_cell : fcell option;
+      (** the value variable of a float kernel that the body never
+          rebinds: its value lives here, unboxed, and [sl_v] is unused *)
 }
 
 let slot_get s =
-  if s.sl_defined then s.sl_v
+  if s.sl_defined then
+    match s.sl_cell with None -> s.sl_v | Some c -> Vfloat c.cv
   else
     raise
       (Interp.Runtime_error
@@ -101,9 +109,12 @@ let slot_int s =
   | _ -> infer_bug ("int slot " ^ s.sl_name)
 
 let slot_float s =
-  match slot_get s with
-  | Vfloat f -> f
-  | _ -> infer_bug ("float slot " ^ s.sl_name)
+  match s.sl_cell with
+  | Some c -> c.cv
+  | None -> (
+      match slot_get s with
+      | Vfloat f -> f
+      | _ -> infer_bug ("float slot " ^ s.sl_name))
 
 type ctx = { env : Interp.env; slots : (string, slot) Hashtbl.t }
 
@@ -116,7 +127,7 @@ type t = {
   c_env : Interp.env;
   c_key : slot;
   c_value : slot;
-  c_value_float : bool;
+  c_value_float : bool;  (** runs only through [run_float] *)
   c_body : (unit -> unit) array;
   c_locals : slot list;
 }
@@ -520,9 +531,11 @@ let rec compile_expr ctx (e : expr) : unit -> Value.t =
   | String_lit s ->
       let v = Vstring s in
       fun () -> v
-  | Var v ->
+  | Var v -> (
       let s = slot ctx v in
-      fun () -> slot_get s
+      match s.sl_cell with
+      | Some c -> fun () -> Vfloat c.cv
+      | None -> fun () -> slot_get s)
   | Binop (And, a, b) ->
       let ca = compile_expr ctx a in
       let cb = compile_expr ctx b in
@@ -667,7 +680,10 @@ and compile_num ctx ~fallback ~hookfree (e : expr) : num option =
       let s = slot ctx v in
       match s.sl_ty with
       | Tint -> Some (I (fun () -> slot_int s))
-      | Tfloat -> Some (F (fun () -> slot_float s))
+      | Tfloat -> (
+          match s.sl_cell with
+          | Some c -> Some (F (fun () -> c.cv))
+          | None -> Some (F (fun () -> slot_float s)))
       | _ -> None)
   | Unop (Neg, a) -> (
       match compile_num ctx ~fallback:true ~hookfree a with
@@ -1383,9 +1399,14 @@ let compile_body (env : Interp.env) ?(value_float = false) ~key_var ~value_var
     (body : Ast.block) : t option =
   try
     let names = referenced_names body in
+    let rebound = rebound_names body in
     let locals =
-      List.sort_uniq String.compare
-        (key_var :: value_var :: rebound_names body)
+      List.sort_uniq String.compare (key_var :: value_var :: rebound)
+    in
+    let value_cell =
+      if value_float && not (List.mem value_var rebound) then
+        Some { cv = 0.0 }
+      else None
     in
     let ctx = { env; slots = Hashtbl.create 32 } in
     List.iter
@@ -1394,13 +1415,16 @@ let compile_body (env : Interp.env) ?(value_float = false) ~key_var ~value_var
         let v, defined =
           match captured with Some v -> (v, true) | None -> (Vunit, false)
         in
+        let cell = if name = value_var then value_cell else None in
         Hashtbl.replace ctx.slots name
           {
             sl_name = name;
             sl_local = List.mem name locals;
             sl_v = v;
-            sl_defined = defined;
+            (* a cell is defined by the first [run_float] *)
+            sl_defined = defined && cell = None;
             sl_ty = (if defined then ty_of_value v else Tbot);
+            sl_cell = cell;
           })
       (List.sort_uniq String.compare (key_var :: value_var :: names));
     let sk = slot ctx key_var in
@@ -1426,21 +1450,26 @@ let compile_body (env : Interp.env) ?(value_float = false) ~key_var ~value_var
   with Unsupported -> None
 
 let run t ~key ~value =
-  if t.c_value_float then (
-    match value with
-    | Vfloat _ -> ()
-    | v ->
-        invalid_arg
-          (Printf.sprintf
-             "Compile.run: kernel compiled with ~value_float:true got a %s \
-              value"
-             (type_name v)));
+  if t.c_value_float then
+    invalid_arg
+      "Compile.run: a kernel compiled with ~value_float:true runs on unboxed \
+       values (Compile.run_float)";
   slot_set t.c_key (Vindex key);
   slot_set t.c_value value;
+  try run_block t.c_body with Interp.Continue_exc -> ()
+
+let run_float t ~key values i =
+  slot_set t.c_key (Vindex key);
+  (match t.c_value.sl_cell with
+  | Some c ->
+      c.cv <- values.(i);
+      t.c_value.sl_defined <- true
+  | None -> slot_set t.c_value (Vfloat values.(i)));
   try run_block t.c_body with Interp.Continue_exc -> ()
 
 let flush_locals t =
   List.iter
     (fun s ->
-      if s.sl_defined then Hashtbl.replace t.c_env.Interp.vars s.sl_name s.sl_v)
+      if s.sl_defined then
+        Hashtbl.replace t.c_env.Interp.vars s.sl_name (slot_get s))
     t.c_locals

@@ -30,9 +30,10 @@ type t
 (** Compile [body] against [env]'s current bindings.  Globals (free
     variables already bound in [env], e.g. DistArray handles and
     hyper-parameters) are captured by reference at compile time; locals
-    become slots private to the kernel.  [value_float] asserts every
-    iterated value passed to {!run} will be [Vfloat] (enables the
-    unboxed value slot).  Returns [None] when the body uses an
+    become slots private to the kernel.  [value_float] compiles a
+    kernel for a float iteration space: it runs only through
+    {!run_float}, and its value variable, unless the body rebinds it,
+    lives in an unboxed slot.  Returns [None] when the body uses an
     unsupported construct. *)
 val compile_body :
   Interp.env ->
@@ -43,8 +44,15 @@ val compile_body :
   t option
 
 (** Run the kernel for one iteration — the compiled equivalent of
-    {!Interp.eval_body_for}. *)
+    {!Interp.eval_body_for}.
+    @raise Invalid_argument on a kernel compiled with
+    [~value_float:true] *)
 val run : t -> key:int array -> value:Value.t -> unit
+
+(** [run_float t ~key values i] runs the kernel for one iteration
+    whose value is [Vfloat values.(i)]: a [~value_float:true] kernel
+    reads it unboxed, any other boxes it. *)
+val run_float : t -> key:int array -> float array -> int -> unit
 
 (** Write the kernel's local slots back into the environment's
     variable table, so post-loop code observing leaked loop locals

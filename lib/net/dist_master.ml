@@ -126,7 +126,8 @@ let spawn_worker (spawn : spawn) ~(materialize : Dist_worker.materialize)
       | pid -> pid)
 
 (** Terminate every still-running worker: SIGTERM, a short grace
-    period, then SIGKILL; reap all of them. *)
+    period, then SIGKILL; reap all of them, and remove the socket file
+    of each one's listener, which a killed worker leaves behind. *)
 let kill_workers (pids : (int * int) list) =
   let alive (_, pid) = poll_exit pid = `Running in
   let rec reap deadline remaining =
@@ -146,7 +147,8 @@ let kill_workers (pids : (int * int) list) =
     (fun (_, pid) ->
       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
       try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-    stubborn
+    stubborn;
+  List.iter (fun (_, pid) -> Transport.remove_sockets_of ~pid) term
 
 (* ------------------------------------------------------------------ *)
 (* The master protocol                                                 *)
@@ -161,6 +163,7 @@ type worker_state = {
   mutable st_flush : Wire.part list option;
   mutable st_totals : (string * float) list option;
   mutable st_done : Wire.worker_stats option;
+  mutable st_fatal : string option;  (** from Fatal, once it is read *)
 }
 
 let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
@@ -206,6 +209,7 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
           st_flush = None;
           st_totals = None;
           st_done = None;
+          st_fatal = None;
         })
   in
   (* Workers start first: they rebuild their instances from the plan
@@ -254,7 +258,7 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
   in
   guard @@ fun () ->
   (* why [rank] exited with [status]: for a guarded exit, the reason
-     in the [Fatal] it sent first, if it is still on the wire *)
+     in the [Fatal] it sent first, already read or still on the wire *)
   let exit_reason rank status =
     let rec fatal c =
       match Unix.select [ Transport.fd c ] [] [] 0.0 with
@@ -265,8 +269,9 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
           | `Msg _ -> fatal c
           | `Pending | `Eof -> None)
     in
-    match (status, states.(rank).st_conn) with
-    | Unix.WEXITED 2, Some c when not c.Transport.closed -> (
+    match (status, states.(rank).st_fatal, states.(rank).st_conn) with
+    | Unix.WEXITED 2, Some reason, _ -> reason
+    | Unix.WEXITED 2, None, Some c when not c.Transport.closed -> (
         match fatal c with
         | Some reason -> reason
         | None | (exception _) -> status_reason status)
@@ -813,7 +818,16 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
                         fail_cleanup ~rank "worker socket closed mid-run")))
         (List.stable_sort
            (fun a b -> compare (failure a) (failure b))
-           (Event_loop.poll handshake ~timeout:0.1))
+           (let events = Event_loop.poll handshake ~timeout:0.1 in
+            (* one poll may read several ranks' Fatals: each reason is
+               kept for [exit_reason], whichever rank gets the blame *)
+            List.iter
+              (function
+                | Event_loop.Message (rank, Wire.Fatal { f_reason; _ }) ->
+                    states.(rank).st_fatal <- Some f_reason
+                | _ -> ())
+              events;
+            events))
     done;
     salvage := ignore
   in

@@ -13,12 +13,13 @@
     schedule either: its row arrives as its blocks' entries, keys and
     values ({!Wire.Schedule_row}, then the row's payload, decoded in
     place), so it runs exactly the master's blocks.  Float-valued
-    blocks stay unboxed: each value is boxed only as the kernel is
-    called on it.  DistArray {e contents} do travel: every placed
-    non-buffered array is zeroed locally and refilled from the wire
-    (regions in the row's payload for local/rotated/replicated
-    placements, a bulk prefetch for server-hosted ones), so the
-    shipping path is load-bearing, not decorative.
+    blocks stay unboxed from the wire to the kernel, which it compiles
+    while its row is still in flight.  DistArray {e contents} do
+    travel: every placed non-buffered array is zeroed locally and
+    refilled from the wire (regions in the row's payload for
+    local/rotated/replicated placements, a bulk prefetch for
+    server-hosted ones), so the shipping path is load-bearing, not
+    decorative.
 
     Every written, non-buffered DistArray is kept consistent in one of
     two ways, chosen from its placement under the execution model
@@ -235,22 +236,6 @@ let decode_blocks ~tp (row : Wire.row) payload =
       tp;
   Wire.decode_row row payload
 
-(** Whether [p] holds for every value of [blk], boxed as the kernel
-    sees it. *)
-let block_for_all p (blk : Wire.block) =
-  let all box b =
-    match
-      Schedule.iter_lin
-        (fun _ v -> if not (p (box v)) then raise_notrace Exit)
-        b
-    with
-    | () -> true
-    | exception Exit -> false
-  in
-  match blk with
-  | Wire.Floats b -> all (fun f -> Value.Vfloat f) b
-  | Wire.Values b -> all Fun.id b
-
 let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     ~(listener : Transport.listener) : unit =
   let deadline = Unix.gettimeofday () +. timeout_seconds ~default:300.0 in
@@ -337,6 +322,20 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
      exercised every run *)
   Transport.send master
     (Wire.Prefetch_request { pr_rank = rank; pr_arrays = prefetch_names });
+  (* -- the compiled kernel, while the row is in flight -----------------
+     Compiled after the shadow rebinding above (the kernel captures
+     env's current array bindings), for the iteration space's kind
+     alone: a float space's kernel takes the row's float blocks
+     unboxed.  The write-journal hook, installed below only when some
+     array is journaled, is checked dynamically inside the kernel: while
+     it is attached every DistArray access routes through the boxed,
+     hook-calling path, so the journal sees exactly what it would see
+     under the interpreter.  Without it the kernel runs the same
+     unboxed path as the domain pool. *)
+  let start = tel_now () in
+  let kernel, body = Orion.Engine.loop_body inst env in
+  tel_span ~category:Orion_obs.Trace.Compute ~label:"kernel compile"
+    ~bytes:0.0 ~start;
   let arr_tbl : (string, float Dist_array.t) Hashtbl.t = Hashtbl.create 8 in
   List.iter (fun (n, a) -> Hashtbl.replace arr_tbl n a) arrays;
   let apply_region ?pos ?len what payload =
@@ -347,18 +346,10 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     | Some _ -> fail "%s for %S: dims do not match" what name
     | None -> fail "%s for unknown array %S" what name
   in
-  (* -- schedule row and the compiled kernel ----------------------------
+  (* -- schedule row ----------------------------------------------------
      Check the row's header against this instance, then decode its
-     payload in place — the blocks, and the regions that fill this
-     rank's local, rotated and replicated arrays — and compile the
-     kernel for the values it carries (after the shadow rebinding
-     above: the kernel captures env's current array bindings).  The
-     write-journal hook, installed below only when some array is
-     journaled, is checked dynamically inside the kernel: while it is
-     attached every DistArray access routes through the boxed,
-     hook-calling path, so the journal sees exactly what it would see
-     under the interpreter.  Without it the kernel runs the same
-     unboxed path as the domain pool. *)
+     payload in place: the blocks, and the regions that fill this
+     rank's local, rotated and replicated arrays. *)
   let iter = inst.Orion.App.inst_iter in
   let row =
     match recv_master "schedule row" with
@@ -384,14 +375,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   tel_span ~category:Orion_obs.Trace.Marshal ~label:"row install"
     ~bytes:(float_of_int (Bytes.length payload))
     ~start;
-  let start = tel_now () in
-  let kernel, exec_entry =
-    Orion.Engine.loop_body
-      ~values:(fun p -> Array.for_all (block_for_all p) blocks)
-      inst env
-  in
-  tel_span ~category:Orion_obs.Trace.Compute ~label:"kernel compile"
-    ~bytes:0.0 ~start;
   (match recv_master "prefetch response" with
   | Wire.Prefetch_response parts ->
       List.iter (apply_region "prefetch response") parts
@@ -730,12 +713,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     (List.map fst regions, entries, bytes)
   in
   (* -- execute ------------------------------------------------------ *)
-  (* the one run loop, over a block of either value type: each value is
-     boxed as the kernel is called *)
-  let run_block box b =
-    Schedule.iter_block (fun key v -> exec_entry ~key ~value:(box v)) b;
-    Schedule.length b
-  in
   let abort = abort_spec () in
   let blocks_done = ref 0 and entries_done = ref 0 in
   let t0 = Orion_obs.Clock.now () in
@@ -747,7 +724,9 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
           let blk = (s * tp) + t in
           (match abort with
           | Some (r, after) when r = rank && !blocks_done >= after ->
-              (* injected fault: die abruptly, skipping all cleanup *)
+              (* injected fault: die abruptly, skipping all cleanup but
+                 the listener's socket file *)
+              Transport.close_listener listener;
               Unix._exit abort_exit_code
           | _ -> ());
           let need =
@@ -772,11 +751,9 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
           current := [];
           cur_version := (pass, pos blk);
           let blk_start = tel_now () in
-          let n =
-            match blocks.(t) with
-            | Wire.Floats b -> run_block (fun f -> Value.Vfloat f) b
-            | Wire.Values b -> run_block Fun.id b
-          in
+          let b = blocks.(t) in
+          Schedule.run_block body b;
+          let n = Schedule.length b in
           entries_done := !entries_done + n;
           if tel_on then
             Telemetry.block tel ~shard:0 ~worker:rank ~pass ~space:s ~time:t

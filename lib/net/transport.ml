@@ -290,6 +290,10 @@ let close_listener (l : listener) =
   | `Unix path -> ( try Sys.remove path with Sys_error _ -> ())
   | `Tcp _ -> ()
 
+(* the temp-dir socket files of process [pid] are named
+   [orion-<pid>-<hex>.sock] *)
+let socket_prefix pid = Printf.sprintf "orion-%d-" pid
+
 (** A fresh address of the same kind as [like], for a new listener:
     a unique temp-dir socket path, or loopback TCP with a
     kernel-chosen port. *)
@@ -300,8 +304,24 @@ let fresh_addr ~(like : addr) : addr =
       let path =
         Filename.concat
           (Filename.get_temp_dir_name ())
-          (Printf.sprintf "orion-%d-%x.sock" (Unix.getpid ())
+          (Printf.sprintf "%s%x.sock"
+             (socket_prefix (Unix.getpid ()))
              (Hashtbl.hash (Unix.gettimeofday ())))
       in
       (try Sys.remove path with Sys_error _ -> ());
       `Unix path
+
+(** Remove the temp-dir socket files {!fresh_addr} made in process
+    [pid], for a process killed before it could close its listeners. *)
+let remove_sockets_of ~pid =
+  let dir = Filename.get_temp_dir_name () and prefix = socket_prefix pid in
+  match Sys.readdir dir with
+  | names ->
+      Array.iter
+        (fun name ->
+          if
+            String.starts_with ~prefix name
+            && Filename.check_suffix name ".sock"
+          then try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+        names
+  | exception Sys_error _ -> ()

@@ -488,6 +488,10 @@ let rec value_hash (v : V.t) =
     space, and the two agree exactly when both hold the same entries. *)
 let entry_digest lin v = mix (mix lin + value_hash v)
 
+(** [entry_digest lin (Vfloat f)], with no value boxed. *)
+let[@inline] float_entry_digest lin f =
+  mix (mix lin + mix (3 + Int64.to_int (Int64.bits_of_float f)))
+
 (** {!entry_digest} summed over [iter]'s stored entries. *)
 let space_digest (iter : V.t Orion_dsm.Dist_array.t) =
   Orion_dsm.Dist_array.fold
@@ -557,38 +561,29 @@ let decode_block ~dims b =
 (* ------------------------------------------------------------------ *)
 
 (* A row block's span: a 4-byte count, a kind byte, then the entries.
-   A float block — every value a [Vfloat] — holds [count] 8-byte keys
-   and then [count] values' IEEE bits, with no tag per entry; any other
-   block holds its entries in the tagged codec. *)
+   A float block ({!Schedule.float_values}) holds [count] 8-byte keys
+   and then [count] values' IEEE bits, with no tag per entry, written
+   straight from its arrays; any other block holds its entries in the
+   tagged codec. *)
 let kind_float = 0
 let kind_tagged = 1
 
-(** A row block as a worker runs it: float values stay unboxed until
-    the kernel is called. *)
-type block =
-  | Floats of float Orion_runtime.Schedule.block
-  | Values of V.t Orion_runtime.Schedule.block
-
-let all_floats blk =
-  match
-    Orion_runtime.Schedule.iter_lin
-      (fun _ v -> match v with V.Vfloat _ -> () | _ -> raise_notrace Exit)
-      blk
-  with
-  | () -> true
-  | exception Exit -> false
-
-(* [row_frame] with each block's kind given: [floats.(i)] lays block
-   [i] out as a float block, and a value other than a float there
-   raises [Exit] *)
-let frame_with ~floats (blocks : V.t Orion_runtime.Schedule.block array)
+(** One rank's row payload, built in one buffer: {!Frame.header_bytes}
+    free for the transport's length prefix, then [blocks] in order,
+    then the packed [regions] appended as they are.  Returns the
+    buffer (for {!Transport.start_send_frame}), the blocks' and the
+    regions' spans in the payload, and the blocks' summed
+    {!entry_digest}.
+    @raise Invalid_argument on a DistArray handle, which cannot travel *)
+let row_frame (blocks : V.t Orion_runtime.Schedule.block array)
     (regions : bytes list) =
   let module S = Orion_runtime.Schedule in
-  let block_len i blk =
+  let block_len blk =
     let n = S.length blk in
-    count_size n + 1 + if floats.(i) then 16 * n else tagged_size blk
+    count_size n + 1
+    + match S.float_values blk with Some _ -> 16 * n | None -> tagged_size blk
   in
-  let block_lens = Array.mapi block_len blocks in
+  let block_lens = Array.map block_len blocks in
   let region_lens = List.map Bytes.length regions in
   let payload =
     Array.fold_left ( + ) 0 block_lens + List.fold_left ( + ) 0 region_lens
@@ -601,24 +596,22 @@ let frame_with ~floats (blocks : V.t Orion_runtime.Schedule.block array)
       (fun i blk ->
         let p = !pos and n = S.length blk in
         set_count b p n;
-        if floats.(i) then begin
-          Bytes.set_uint8 b (p + 4) kind_float;
-          let keys = p + 5 and bits = p + 5 + (8 * n) and j = ref 0 in
-          S.iter_lin
-            (fun lin v ->
-              match v with
-              | V.Vfloat f ->
-                  set_int b (keys + (8 * !j)) lin;
-                  set_float b (bits + (8 * !j)) f;
-                  digest := !digest + entry_digest lin v;
-                  incr j
-              | _ -> raise_notrace Exit)
-            blk
-        end
-        else begin
-          Bytes.set_uint8 b (p + 4) kind_tagged;
-          digest := !digest + write_tagged b (p + 5) blk
-        end;
+        (match S.float_values blk with
+        | Some values ->
+            Bytes.set_uint8 b (p + 4) kind_float;
+            let keys = S.keys blk and kpos = p + 5 and vpos = p + 5 + (8 * n) in
+            let d = ref 0 in
+            for j = 0 to n - 1 do
+              let lin = Array.unsafe_get keys j
+              and f = Array.unsafe_get values j in
+              set_int b (kpos + (8 * j)) lin;
+              set_float b (vpos + (8 * j)) f;
+              d := !d + float_entry_digest lin f
+            done;
+            digest := !digest + !d
+        | None ->
+            Bytes.set_uint8 b (p + 4) kind_tagged;
+            digest := !digest + write_tagged b (p + 5) blk);
         pos := p + block_lens.(i);
         { sp_off = p - h; sp_len = block_lens.(i) })
       blocks
@@ -633,20 +626,6 @@ let frame_with ~floats (blocks : V.t Orion_runtime.Schedule.block array)
       regions
   in
   (b, block_spans, Array.of_list region_spans, !digest)
-
-(** One rank's row payload, built in one buffer: {!Frame.header_bytes}
-    free for the transport's length prefix, then [blocks] in order,
-    then the packed [regions] appended as they are.  Returns the
-    buffer (for {!Transport.start_send_frame}), the blocks' and the
-    regions' spans in the payload, and the blocks' summed
-    {!entry_digest}.
-    @raise Invalid_argument on a DistArray handle, which cannot travel *)
-let row_frame blocks regions =
-  (* first as if every block held only floats, as every mf block does,
-     which reads each boxed value once; the first other value starts
-     over with each block's kind known *)
-  try frame_with ~floats:(Array.map (fun _ -> true) blocks) blocks regions
-  with Exit -> frame_with ~floats:(Array.map all_floats blocks) blocks regions
 
 (* Fail unless [spans] tile [payload] exactly: each inside it, none
    overlapping another, no byte outside all of them. *)
@@ -692,11 +671,11 @@ let decode_row_block ~dims payload { sp_off; sp_len } =
       keys.(i) <- get_int payload (c.c_pos + (8 * i));
       values.(i) <- get_float payload (bits + (8 * i))
     done;
-    Floats (Orion_runtime.Schedule.make_block ~dims keys values)
+    Orion_runtime.Schedule.make_float_block ~dims keys values
   end
   else if kind = kind_tagged then begin
     let keys, values = read_tagged c ~n in
-    Values (Orion_runtime.Schedule.make_block ~dims keys values)
+    Orion_runtime.Schedule.make_block ~dims keys values
   end
   else decode_error (sp_off + 4) "unknown block kind %d" kind
 

@@ -200,7 +200,7 @@ type stats = {
     path never reads the clock. *)
 let run_schedule ?(telemetry = Orion_obs.Telemetry.disabled) ?(pass = 0)
     ~domains ~model (sched : 'v Schedule.t)
-    ~(bodies : (key:int array -> value:'v -> unit) array) : stats =
+    ~(bodies : 'v Schedule.body array) : stats =
   let sp = sched.Schedule.space_parts and tp = sched.Schedule.time_parts in
   let n = sp * tp in
   let domains = max 1 (min domains (Array.length bodies)) in
@@ -308,7 +308,7 @@ let run_schedule ?(telemetry = Orion_obs.Telemetry.disabled) ?(pass = 0)
     let body = bodies.(who) in
     let n = Schedule.length b in
     let block_start = tel_now () in
-    Schedule.iter_block (fun key value -> body ~key ~value) b;
+    Schedule.run_block body b;
     if tel_on then
       Orion_obs.Telemetry.block telemetry ~shard:who ~worker:who ~pass ~space
         ~time ~start:block_start ~finish:(tel_now ()) ~entries:n;

@@ -69,5 +69,5 @@ val run_schedule :
   domains:int ->
   model:model ->
   'v Schedule.t ->
-  bodies:(key:int array -> value:'v -> unit) array ->
+  bodies:'v Schedule.body array ->
   stats

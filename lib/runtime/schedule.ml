@@ -9,14 +9,22 @@
 
 open Orion_dsm
 
+module Value = Orion_lang.Value
+
 (* A block is flat: its entries' linearized keys and their values in
    two aligned arrays, in scheduled order.  Keys are delinearized
    against the iteration space's [dims] only as an entry is visited
    ([iter_block]), so building, shuffling and encoding a schedule
-   allocate nothing per entry. *)
+   allocate nothing per entry.  The values of a float iteration space
+   ({!Dist_array.float_view}) stay one unboxed [float array]; a generic
+   visitor boxes each as it reaches it. *)
+type _ values =
+  | Boxed : 'v array -> 'v values
+  | Floats : float array -> Value.t values
+
 type 'v block = {
   b_keys : int array;  (** linearized, scheduled order *)
-  b_values : 'v array;  (** [b_values.(i)] is stored at [b_keys.(i)] *)
+  b_values : 'v values;  (** the [i]-th value is stored at [b_keys.(i)] *)
   b_dims : int array;  (** the iteration space's *)
   b_strides : int array;  (** row-major strides of [b_dims] *)
 }
@@ -31,8 +39,8 @@ type 'v t = {
 
 let block t ~space ~time = t.blocks.(space).(time)
 
-let make_block ~dims keys values =
-  if Array.length keys <> Array.length values then
+let with_values ~dims keys n values =
+  if Array.length keys <> n then
     invalid_arg "Schedule.make_block: keys and values differ in length";
   {
     b_keys = keys;
@@ -41,20 +49,64 @@ let make_block ~dims keys values =
     b_strides = Dist_array.strides_of_dims dims;
   }
 
+let make_block ~dims keys values =
+  with_values ~dims keys (Array.length values) (Boxed values)
+
+let make_float_block ~dims keys floats =
+  with_values ~dims keys (Array.length floats) (Floats floats)
+
 let length b = Array.length b.b_keys
+let keys b = b.b_keys
+
+let float_values (type v) (b : v block) =
+  match b.b_values with Floats a -> Some a | Boxed _ -> None
+
+(* [f i value] for every entry, a float block's values boxed *)
+let iteri_values : type v. (int -> v -> unit) -> v block -> unit =
+ fun f b ->
+  match b.b_values with
+  | Boxed values ->
+      for i = 0 to Array.length values - 1 do
+        f i (Array.unsafe_get values i)
+      done
+  | Floats values ->
+      for i = 0 to Array.length values - 1 do
+        f i (Value.Vfloat (Array.unsafe_get values i))
+      done
 
 let iter_block f b =
-  let dims = b.b_dims and strides = b.b_strides and values = b.b_values in
-  Array.iteri
-    (fun i lin ->
-      f
-        (Dist_array.delinearize_in ~dims ~strides lin)
-        (Array.unsafe_get values i))
-    b.b_keys
+  let dims = b.b_dims and strides = b.b_strides and keys = b.b_keys in
+  iteri_values
+    (fun i v ->
+      f (Dist_array.delinearize_in ~dims ~strides (Array.unsafe_get keys i)) v)
+    b
 
 let iter_lin f b =
-  let values = b.b_values in
-  Array.iteri (fun i lin -> f lin (Array.unsafe_get values i)) b.b_keys
+  let keys = b.b_keys in
+  iteri_values (fun i v -> f (Array.unsafe_get keys i) v) b
+
+type 'v body = {
+  boxed : key:int array -> value:'v -> unit;
+  unboxed : (key:int array -> float array -> int -> unit) option;
+}
+
+let boxed_body f = { boxed = f; unboxed = None }
+
+(* The per-entry loop of every backend that runs blocks (the domain
+   pool and the distributed worker): a fresh key per entry, and for a
+   float block under an [unboxed] body nothing else. *)
+let run_block : type v. v body -> v block -> unit =
+ fun body b ->
+  let dims = b.b_dims and strides = b.b_strides and keys = b.b_keys in
+  match (b.b_values, body.unboxed) with
+  | Floats values, Some run ->
+      for i = 0 to Array.length keys - 1 do
+        run
+          ~key:(Dist_array.delinearize_in ~dims ~strides
+                  (Array.unsafe_get keys i))
+          values i
+      done
+  | _ -> iter_block (fun key value -> body.boxed ~key ~value) b
 
 (* Deterministic Fisher–Yates over an int array, in place.  SGD
    convergence depends on sample order: stratified SGD (Gemulla et al.)
@@ -87,6 +139,12 @@ let permutation ~seed n =
 (* [a.(perm.(i))] at [i], one write per element *)
 let gather perm (a : 'a array) = Array.map (fun j -> a.(j)) perm
 
+(* [gather] on unboxed floats *)
+let gather_floats perm (a : float array) =
+  let out = Array.create_float (Array.length perm) in
+  Array.iteri (fun i j -> Array.unsafe_set out i a.(j)) perm;
+  out
+
 let shuffle_in_place ~seed (a : 'a array) =
   let g = gather (permutation ~seed (Array.length a)) a in
   Array.blit g 0 a 0 (Array.length a)
@@ -94,8 +152,14 @@ let shuffle_in_place ~seed (a : 'a array) =
 let block_seed seed ~space ~time = seed + (space * 7919) + time
 
 (* [b]'s entries permuted by [perm] *)
-let permute perm b =
-  { b with b_keys = gather perm b.b_keys; b_values = gather perm b.b_values }
+let permute : type v. int array -> v block -> v block =
+ fun perm b ->
+  let values : v values =
+    match b.b_values with
+    | Boxed a -> Boxed (gather perm a)
+    | Floats a -> Floats (gather_floats perm a)
+  in
+  { b with b_keys = gather perm b.b_keys; b_values = values }
 
 (** Reshuffle every block's entries (SGD implementations shuffle their
     local data each pass; vary [seed] per epoch). *)
@@ -143,6 +207,15 @@ let fingerprint t =
     t.blocks;
   !h land max_int
 
+(* the values stored at [ranks] of [iter]'s sorted keys: a float view's
+   as one unboxed array *)
+let sorted_values : type v. v Dist_array.t -> int array -> v values =
+ fun iter ranks ->
+  match iter.Dist_array.storage with
+  | Dist_array.Floats src -> Floats (Dist_array.sorted_floats src ranks)
+  | Dist_array.Dense _ | Dist_array.Sparse _ ->
+      Boxed (Dist_array.sorted_values iter ranks)
+
 (* Blocks over [iter]'s stored entries.  [owner.(i)] names the block
    ([space * time_parts + time]) of the [i]-th key in ascending order.
    A counting sort by block lists each block's entries as ranks in the
@@ -172,7 +245,7 @@ let build ?shuffle_seed ~space_parts ~time_parts ~space_boundaries
               (fun seed ->
                 shuffle_ints ~seed:(block_seed seed ~space:s ~time:t) r)
               shuffle_seed;
-            let values = Dist_array.sorted_values iter r in
+            let values = sorted_values iter r in
             for j = 0 to Array.length r - 1 do
               Array.unsafe_set r j
                 (Array.unsafe_get keys (Array.unsafe_get r j))

@@ -4,8 +4,11 @@
     with exact per-wavefront time partitions. *)
 
 (** A block of entries, flat: linearized keys and their values in two
-    aligned arrays, in scheduled order.  The arrays are read only
-    through {!iter_block} (and {!iter_lin}, the wire codec's view). *)
+    aligned arrays, in scheduled order.  A block over a float iteration
+    space ({!Orion_dsm.Dist_array.float_view}) keeps its values as one
+    unboxed [float array]: the generic visitors {!iter_block} and
+    {!iter_lin} box each as they reach it, {!run_block} hands it to an
+    unboxed body as it is. *)
 type 'v block
 
 type 'v t = {
@@ -24,16 +27,48 @@ val block : 'v t -> space:int -> time:int -> 'v block
     @raise Invalid_argument when their lengths differ *)
 val make_block : dims:int array -> int array -> 'v array -> 'v block
 
+(** {!make_block} of float values, kept unboxed.
+    @raise Invalid_argument when the lengths differ *)
+val make_float_block :
+  dims:int array -> int array -> float array -> Orion_lang.Value.t block
+
 (** Entries in the block. *)
 val length : 'v block -> int
 
+(** The block's linearized keys, in scheduled order (do not mutate). *)
+val keys : 'v block -> int array
+
+(** A float block's values, aligned with {!keys} (do not mutate);
+    [None] for a block of boxed values. *)
+val float_values : 'v block -> float array option
+
 (** [f key value] for every entry in scheduled order, each with a
-    fresh key array (delinearized as it is reached). *)
+    fresh key array (delinearized as it is reached); a float block's
+    values are boxed as they are visited. *)
 val iter_block : (int array -> 'v -> unit) -> 'v block -> unit
 
 (** [f lin value] for every entry in scheduled order, with its
-    linearized key. *)
+    linearized key; a float block's values are boxed as they are
+    visited. *)
 val iter_lin : (int -> 'v -> unit) -> 'v block -> unit
+
+(** A loop body as a block's entries reach it.  [boxed] takes a value
+    as the block holds it.  [unboxed], when given, takes entry [i] of a
+    float block as [values.(i)], unboxed; without it a float block's
+    values are boxed for [boxed]. *)
+type 'v body = {
+  boxed : key:int array -> value:'v -> unit;
+  unboxed : (key:int array -> float array -> int -> unit) option;
+}
+
+(** A body with no unboxed entry. *)
+val boxed_body : (key:int array -> value:'v -> unit) -> 'v body
+
+(** Run [body] on every entry of the block in scheduled order, each
+    with a fresh key array: the per-entry loop of the domain pool and
+    the distributed worker.  A float block under an [unboxed] body
+    allocates nothing else per entry. *)
+val run_block : 'v body -> 'v block -> unit
 
 (** Deterministic Fisher–Yates (SGD sample-order shuffling). *)
 val shuffle_in_place : seed:int -> 'a array -> unit

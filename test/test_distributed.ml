@@ -308,9 +308,14 @@ module Wire = Orion_net.Wire
 
 let row_dims = [| max_int |]
 
+(* float-only entries as a float block, as a float iteration space's
+   schedule holds them; any others boxed *)
 let row_block entries =
-  Schedule.make_block ~dims:row_dims (Array.map fst entries)
-    (Array.map snd entries)
+  let keys = Array.map fst entries in
+  if Array.for_all (function _, V.Vfloat _ -> true | _ -> false) entries then
+    Schedule.make_float_block ~dims:row_dims keys
+      (Array.map (function _, V.Vfloat f -> f | _ -> assert false) entries)
+  else Schedule.make_block ~dims:row_dims keys (Array.map snd entries)
 
 (* a row header over a payload's spans *)
 let row_of ?(digest = 0) blocks regions =
@@ -328,13 +333,9 @@ let row_of ?(digest = 0) blocks regions =
   }
 
 (* a decoded row block's entries as (linearized key, boxed value) *)
-let row_entries (blk : Wire.block) =
+let row_entries (blk : V.t Schedule.block) =
   let out = ref [] in
-  (match blk with
-  | Wire.Floats b ->
-      Schedule.iter_lin (fun lin f -> out := (lin, V.Vfloat f) :: !out) b
-  | Wire.Values b ->
-      Schedule.iter_lin (fun lin v -> out := (lin, v) :: !out) b);
+  Schedule.iter_lin (fun lin v -> out := (lin, v) :: !out) blk;
   Array.of_list (List.rev !out)
 
 let same_entries a b =
@@ -486,9 +487,8 @@ let test_wire_roundtrip () =
   done;
   Alcotest.(check bool) "the frame took several steps" true (!steps > 0);
   let back = Wire.decode_row (row_of blocks regions) (Option.get !got) in
-  (match back.(0) with
-  | Wire.Floats _ -> ()
-  | Wire.Values _ -> Alcotest.fail "a float block decoded boxed");
+  if Schedule.float_values back.(0) = None then
+    Alcotest.fail "a float block decoded boxed";
   Alcotest.(check bool)
     "big block bitwise" true
     (same_entries big (row_entries back.(0)));
@@ -503,6 +503,34 @@ let test_wire_roundtrip () =
   | None -> ()
   | Some _ -> Alcotest.fail "expected EOF after close");
   Unix.close b
+
+(* A float row block, decoded from its frame, through the worker's
+   block loop ([Schedule.run_block]) with a no-op unboxed body:
+   nothing is allocated per entry but its key (3 words for a 2-dim
+   key), up to a fixed allowance. *)
+let test_row_block_loop_allocation () =
+  let n = 60_000 and dims = [| 400; 300 |] in
+  let keys = Array.init n (fun i -> (i * 7) mod (400 * 300)) in
+  let values = Array.init n (fun i -> float_of_int i *. 0.25) in
+  let frame, spans, regions, _ =
+    Wire.row_frame [| Schedule.make_float_block ~dims keys values |] []
+  in
+  let row = { (row_of spans regions) with Wire.sr_dims = dims } in
+  let blk = (Wire.decode_row row (payload_of frame)).(0) in
+  let body =
+    {
+      Schedule.boxed =
+        (fun ~key:_ ~value:_ -> Alcotest.fail "a value was boxed");
+      unboxed = Some (fun ~key:_ _ _ -> ());
+    }
+  in
+  Schedule.run_block body blk;
+  let before = Gc.minor_words () in
+  Schedule.run_block body blk;
+  let words = Gc.minor_words () -. before in
+  if words > (3.0 *. float_of_int n) +. 256.0 then
+    Alcotest.failf "the block loop allocated %.0f minor words for %d entries"
+      words n
 
 (* float-only, mixed and empty blocks *)
 let gen_row_block =
@@ -1013,8 +1041,7 @@ let stencil_make ~num_machines ~workers_per_machine =
       inst_key_var = "";
       inst_value_var = "";
       inst_body = [];
-      inst_iter =
-        Dist_array.map ~name:"grid" ~f:(fun v -> Orion.Value.Vfloat v) grid;
+      inst_iter = Dist_array.float_view ~name:"grid" grid;
       inst_iter_name = "grid";
       inst_outputs = [ ("S", s) ];
       inst_arrays = [ ("grid", grid); ("S", s) ];
@@ -1044,12 +1071,14 @@ let drifted_make name ~num_machines ~workers_per_machine =
       let inst = mf_make ~num_machines ~workers_per_machine () in
       let iter = inst.Orion.App.inst_iter in
       let dims = Dist_array.dims iter in
+      let ratings = Option.get (Dist_array.floats_of_view iter) in
       let shifted =
-        Dist_array.of_entries ~name:(Dist_array.name iter) ~dims
-          ~default:iter.Dist_array.default
-          (List.map
-             (fun (k, v) -> ([| k.(0); (k.(1) + 1) mod dims.(1) |], v))
-             (Array.to_list (Dist_array.entries iter)))
+        Dist_array.float_view ~name:(Dist_array.name iter)
+          (Dist_array.of_entries ~name:(Dist_array.name ratings) ~dims
+             ~default:ratings.Dist_array.default
+             (List.map
+                (fun (k, v) -> ([| k.(0); (k.(1) + 1) mod dims.(1) |], v))
+                (Array.to_list (Dist_array.entries ratings))))
       in
       { (renamed name inst) with Orion.App.inst_iter = shifted }
 
@@ -1507,6 +1536,43 @@ let dist_kill_and_resume name ~tolerance () =
             inst2.Orion.App.inst_outputs)
 
 (* ------------------------------------------------------------------ *)
+(* Socket files: a killed or aborted worker leaves none behind         *)
+(* ------------------------------------------------------------------ *)
+
+(* [f] with the temp dir, for this process and every worker it starts,
+   set to a fresh private directory, so that no other process's sockets
+   are counted: as many orion-*.sock files must be there after [f] as
+   before it. *)
+let no_socket_left f () =
+  let dir = Filename.temp_dir "orion-sockets" "" in
+  let sockets () =
+    List.length
+      (List.filter
+         (fun n ->
+           String.starts_with ~prefix:"orion-" n
+           && Filename.check_suffix n ".sock")
+         (Array.to_list (Sys.readdir dir)))
+  in
+  let saved = Filename.get_temp_dir_name () in
+  let use d =
+    Filename.set_temp_dir_name d;
+    Unix.putenv "TMPDIR" d
+  in
+  use dir;
+  Fun.protect
+    ~finally:(fun () ->
+      use saved;
+      Array.iter
+        (fun n -> Sys.remove (Filename.concat dir n))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let before = sockets () in
+      f ();
+      Alcotest.(check int) "orion-*.sock files in the temp dir" before
+        (sockets ()))
+
+let tc_sockets name speed f = tc name speed (no_socket_left f)
 
 let () =
   Alcotest.run "distributed"
@@ -1520,6 +1586,8 @@ let () =
           qc qcheck_value_codec_faults;
           qc qcheck_block_codec;
           qc qcheck_row_frame;
+          tc "float row block loop allocates only the key" `Quick
+            test_row_block_loop_allocation;
           tc "address strings round-trip" `Quick test_addr_roundtrip;
         ] );
       ( "happens_before",
@@ -1573,13 +1641,15 @@ let () =
         ] );
       ( "failure",
         [
-          tc "worker abort mid-pass" `Quick fault_injection;
-          tc "ORION_DIST_TIMEOUT is validated" `Quick timeout_validation;
-          tc "worker data drift: entry count" `Quick
+          tc_sockets "worker abort mid-pass" `Quick fault_injection;
+          tc_sockets "ORION_DIST_TIMEOUT is validated" `Quick
+            timeout_validation;
+          tc_sockets "worker data drift: entry count" `Quick
             (worker_data_drift "mf-drift-count");
-          tc "worker data drift: keys" `Quick
+          tc_sockets "worker data drift: keys" `Quick
             (worker_data_drift "mf-drift-keys");
-          tc "lda workers need the corpus" `Quick lda_workers_need_the_corpus;
+          tc_sockets "lda workers need the corpus" `Quick
+            lda_workers_need_the_corpus;
         ] );
       ( "worker_shards",
         [
@@ -1609,9 +1679,10 @@ let () =
         ] );
       ( "kill_and_resume",
         [
-          tc "mf" `Quick (dist_kill_and_resume "mf" ~tolerance:None);
-          tc "lda" `Quick (dist_kill_and_resume "lda" ~tolerance:None);
-          tc "gbt" `Quick (dist_kill_and_resume "gbt" ~tolerance:None);
-          tc "slr" `Quick (dist_kill_and_resume "slr" ~tolerance:(Some 1e-9));
+          tc_sockets "mf" `Quick (dist_kill_and_resume "mf" ~tolerance:None);
+          tc_sockets "lda" `Quick (dist_kill_and_resume "lda" ~tolerance:None);
+          tc_sockets "gbt" `Quick (dist_kill_and_resume "gbt" ~tolerance:None);
+          tc_sockets "slr" `Quick
+            (dist_kill_and_resume "slr" ~tolerance:(Some 1e-9));
         ] );
     ]

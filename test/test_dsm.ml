@@ -250,6 +250,150 @@ let test_qcheck_sorted_keys () =
       && Dist_array.sorted_values dense (Array.init cells Fun.id)
          = Array.map (Dist_array.find_lin dense) (Array.init cells Fun.id))
 
+(* A float view reads exactly like the boxed copy it replaces: a
+   random sparse or dense float array of 1–3 dims (values include NaN
+   payloads and signed zeros, compared by their bits), seen both as
+   [map ~f:Vfloat] and as [float_view].  Every read agrees, every
+   write through the view raises, and the wire's float entry digest is
+   the boxed one. *)
+let test_qcheck_float_view () =
+  let gen_float =
+    QCheck.Gen.(
+      oneof
+        [
+          float;
+          oneofl [ nan; -0.0; 0.0; infinity; Float.min_float ];
+          map
+            (fun p ->
+              Int64.float_of_bits
+                (Int64.logor 0x7FF0_0000_0000_0001L (Int64.of_int p)))
+            (int_bound 0xFFFF);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      let* dims = array_size (int_range 1 3) (int_range 1 7) in
+      let index d = int_bound (d - 1) in
+      let key =
+        map Array.of_list (flatten_l (Array.to_list (Array.map index dims)))
+      in
+      let* dense = bool
+      and* entries = list_size (int_range 0 60) (pair key gen_float)
+      and* default = gen_float
+      and* ranks_seed = int
+      and* cut = triple (int_bound 2) (int_range (-1) 7) (int_range 0 8)
+      and* threshold = float in
+      return (dims, dense, entries, default, ranks_seed, cut, threshold))
+  in
+  let print (dims, dense, entries, _, _, _, _) =
+    Printf.sprintf "%s dims [%s], %d entries"
+      (if dense then "dense" else "sparse")
+      (String.concat ";" (Array.to_list (Array.map string_of_int dims)))
+      (List.length entries)
+  in
+  let bits = Int64.bits_of_float in
+  let same (a : V.t) (b : V.t) =
+    match (a, b) with
+    | V.Vfloat x, V.Vfloat y -> Int64.equal (bits x) (bits y)
+    | _ -> false
+  in
+  let same_entries a b =
+    List.length a = List.length b
+    && List.for_all2 (fun (k, v) (k', v') -> k = k' && same v v') a b
+  in
+  let raises f =
+    match f () with
+    | () -> false
+    | exception Dist_array.Read_only _ -> true
+  in
+  QCheck.Test.make ~count:300 ~name:"float view reads like the boxed copy"
+    (QCheck.make ~print gen)
+    (fun (dims, dense, entries, default, ranks_seed, (dim, lo, hi), threshold)
+       ->
+      let src =
+        if dense then begin
+          let a = Dist_array.fill_dense ~name:"f" ~dims default in
+          List.iter (fun (k, x) -> Dist_array.set a k x) entries;
+          a
+        end
+        else Dist_array.of_entries ~name:"f" ~dims ~default entries
+      in
+      let box x = V.Vfloat x in
+      let copy = Dist_array.map ~name:"v" ~f:box src in
+      let view = Dist_array.float_view ~name:"v" src in
+      let n = Dist_array.count copy in
+      let every_key =
+        List.init (Array.fold_left ( * ) 1 dims) (Dist_array.delinearize src)
+      in
+      let listed f t = List.rev (f t) in
+      let iterated t =
+        listed (fun t ->
+            let l = ref [] in
+            Dist_array.iter (fun k v -> l := (k, v) :: !l) t;
+            !l)
+          t
+      and folded t =
+        listed (Dist_array.fold (fun acc k v -> (k, v) :: acc) []) t
+      and entries t = Array.to_list (Dist_array.entries t) in
+      let ranks =
+        let r = Array.init n Fun.id in
+        Orion_runtime.Schedule.shuffle_in_place ~seed:ranks_seed r;
+        r
+      in
+      let dim = min dim (Array.length dims - 1) in
+      let region t =
+        let keys, values = Dist_array.region t ~dim ~lo ~hi in
+        (keys, Array.to_list values)
+      in
+      let partition t =
+        let p = Dist_array.to_partition t in
+        ( p.Dist_array.pt_array,
+          p.Dist_array.pt_dims,
+          p.Dist_array.pt_sparse,
+          Array.to_list (Array.map fst p.Dist_array.pt_entries),
+          Array.to_list (Array.map snd p.Dist_array.pt_entries),
+          p.Dist_array.pt_default )
+      in
+      let pa, pd, ps, pk, pv, pdef = partition copy
+      and pa', pd', ps', pk', pv', pdef' = partition view in
+      let above = function V.Vfloat x -> x > threshold | _ -> false in
+      let key0 = List.hd every_key in
+      Dist_array.count view = n
+      && Dist_array.is_sparse view = Dist_array.is_sparse copy
+      && List.for_all
+           (fun k ->
+             same (Dist_array.get view k) (Dist_array.get copy k)
+             &&
+             match (Dist_array.get_opt view k, Dist_array.get_opt copy k) with
+             | Some a, Some b -> same a b
+             | None, None -> true
+             | _ -> false)
+           every_key
+      && same view.Dist_array.default copy.Dist_array.default
+      && same_entries (iterated view) (iterated copy)
+      && same_entries (folded view) (folded copy)
+      && same_entries (entries view) (entries copy)
+      && Dist_array.sorted_keys view = Dist_array.sorted_keys copy
+      && List.for_all2 same
+           (Array.to_list (Dist_array.sorted_values view ranks))
+           (Array.to_list (Dist_array.sorted_values copy ranks))
+      && (let k, v = region view and k', v' = region copy in
+          k = k' && List.for_all2 same v v')
+      && Dist_array.for_all above view = Dist_array.for_all above copy
+      && pa = pa' && pd = pd' && ps = ps' && pk = pk'
+      && List.for_all2 same pv pv' && same pdef pdef'
+      (* every write through the view raises, even an empty one *)
+      && raises (fun () -> Dist_array.set view key0 (V.Vfloat 1.0))
+      && raises (fun () -> Dist_array.set_lin view 0 (V.Vfloat 1.0))
+      && raises (fun () -> Dist_array.update view key0 Fun.id)
+      && raises (fun () -> Dist_array.set_region view [||] [||])
+      && raises (fun () ->
+             Dist_array.apply_partition view (Dist_array.to_partition copy))
+      && Dist_array.entries src |> Array.for_all (fun (k, x) ->
+             let lin = Dist_array.linearize src k in
+             Orion_net.Wire.float_entry_digest lin x
+             = Orion_net.Wire.entry_digest lin (V.Vfloat x)))
+
 (* ------------------------------------------------------------------ *)
 (* Lazy pipelines                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -636,6 +780,7 @@ let () =
           qc (test_qcheck_linearize_roundtrip ());
           qc (test_qcheck_sparse_store_model ());
           qc (test_qcheck_sorted_keys ());
+          qc (test_qcheck_float_view ());
         ] );
       ( "pipeline",
         [

@@ -1068,7 +1068,10 @@ let outcome_to_string = function
 let check_compiled_matches_interpreted body_src =
   let body = parse body_src in
   let keys = Array.init kernel_len (fun i -> [| i + 1 |]) in
-  let value_of i = Value.Vfloat (0.5 +. (0.125 *. float_of_int i)) in
+  let floats =
+    Array.init kernel_len (fun i -> 0.5 +. (0.125 *. float_of_int i))
+  in
+  let value_of i = Value.Vfloat floats.(i) in
   let env_i, data_i = make_kernel_env ~seed:42 () in
   let outcome_i =
     try
@@ -1094,7 +1097,7 @@ let check_compiled_matches_interpreted body_src =
   let outcome_c =
     try
       Array.iteri
-        (fun i key -> Compile.run kernel ~key ~value:(value_of i))
+        (fun i key -> Compile.run_float kernel ~key floats i)
         keys;
       Ok ()
     with
@@ -1381,7 +1384,7 @@ let run_vector_kernel ~compiled ~hooked body =
   in
   let step key value =
     match kernel with
-    | Some k -> Compile.run k ~key ~value
+    | Some k -> Compile.run_float k ~key [| Value.to_float value |] 0
     | None ->
         Interp.eval_body_for env ~key_var:"key" ~value_var:"v" ~key ~value
           body
@@ -1545,8 +1548,11 @@ let test_mf_kernel_allocation () =
     | None -> Alcotest.fail "mf kernel did not compile"
   in
   let entries = Dist_array.entries inst.Orion.App.inst_iter in
+  let values = Array.map (fun (_, v) -> Value.to_float v) entries in
   let pass () =
-    Array.iter (fun (key, value) -> Compile.run kernel ~key ~value) entries
+    Array.iteri
+      (fun i (key, _) -> Compile.run_float kernel ~key values i)
+      entries
   in
   pass ();
   let w0 = Gc.minor_words () in
@@ -1621,7 +1627,9 @@ let test_index_written_array_takes_fast_path () =
           Compile.compile_body env ~value_float:true ~key_var:"key"
             ~value_var:"cnt" body
         with
-        | Some k -> fun key value -> Compile.run k ~key ~value
+        | Some k ->
+            fun key value ->
+              Compile.run_float k ~key [| Value.to_float value |] 0
         | None -> Alcotest.fail "lda-shaped body did not compile"
       else fun key value ->
         Interp.eval_body_for env ~key_var:"key" ~value_var:"cnt" ~key ~value

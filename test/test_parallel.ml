@@ -39,7 +39,8 @@ let logging_bodies n =
     log := Array.copy key :: !log;
     Mutex.unlock m
   in
-  (Array.make n body, fun () -> Array.of_list (List.rev !log))
+  ( Array.make n (Schedule.boxed_body body),
+    fun () -> Array.of_list (List.rev !log) )
 
 (* map each key of [sched] to its (space, time) block, plus block sizes *)
 let block_index (sched : float Schedule.t) =
@@ -180,7 +181,47 @@ let test_exception_propagates () =
   Alcotest.check_raises "body exception reaches the caller" Boom (fun () ->
       ignore
         (Domain_exec.run_schedule ~domains:4 ~model:Domain_exec.M_1d sched
-           ~bodies:(Array.make 4 body)))
+           ~bodies:(Array.make 4 (Schedule.boxed_body body))))
+
+(* The pool's entry loop over float blocks allocates only each entry's
+   key (3 words for a 2-dim key): mf's schedule, from its float view,
+   run on one domain with a no-op unboxed body.  A fixed allowance
+   covers the pass's own set-up. *)
+let test_float_entry_loop_allocation () =
+  let inst =
+    match
+      Orion_apps.Registry.materialize "mf" ~scale:100.0 ~num_machines:2
+        ~workers_per_machine:1
+    with
+    | Some i -> i
+    | None -> Alcotest.fail "mf missing from registry"
+  in
+  let session = inst.Orion.App.inst_session in
+  let plan = Orion.analyze_loop session inst.Orion.App.inst_loop in
+  let sched =
+    (Orion.compile session ~plan ~iter:inst.Orion.App.inst_iter ())
+      .Orion.schedule
+  in
+  let body =
+    {
+      Schedule.boxed =
+        (fun ~key:_ ~value:_ -> Alcotest.fail "a value was boxed");
+      unboxed = Some (fun ~key:_ _ _ -> ());
+    }
+  in
+  let run () =
+    Domain_exec.run_schedule ~domains:1 ~model:Domain_exec.M_1d sched
+      ~bodies:[| body |]
+  in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let stats = run () in
+  let words = Gc.minor_words () -. before in
+  let n = stats.Domain_exec.entries_run in
+  Alcotest.(check int) "every entry ran" (Schedule.total_entries sched) n;
+  if words > (3.0 *. float_of_int n) +. 4096.0 then
+    Alcotest.failf "the entry loop allocated %.0f minor words for %d entries"
+      words n
 
 (* domain count is clamped to the number of bodies provided *)
 let test_domains_clamped_to_bodies () =
@@ -375,6 +416,8 @@ let () =
             test_2d_unordered_serializes_time_partitions;
           tc "exception propagates" `Quick test_exception_propagates;
           tc "domains clamped to bodies" `Quick test_domains_clamped_to_bodies;
+          tc "float entry loop allocates only the key" `Quick
+            test_float_entry_loop_allocation;
         ] );
       ( "engine_equivalence",
         [

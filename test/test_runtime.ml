@@ -717,6 +717,37 @@ let test_compile_allocation () =
     Alcotest.failf "compile allocated %.0f minor words for %d entries" words
       entries
 
+(* Compiling a kernel looks at no value: over a float iteration space
+   it takes the values unboxed, with no scan for their kind.  Its
+   allocation on a 12k- and a 48k-entry mf instance must be the
+   same up to a fixed allowance. *)
+let test_compile_kernel_allocation () =
+  let words scale =
+    let inst =
+      match
+        Orion_apps.Registry.materialize "mf" ~scale ~num_machines:2
+          ~workers_per_machine:1
+      with
+      | Some i -> i
+      | None -> Alcotest.fail "mf missing from registry"
+    in
+    let env = inst.Orion.App.inst_make_env () in
+    let before = Gc.minor_words () in
+    (match Orion.Engine.compile_kernel inst env with
+    | Some _ -> ()
+    | None -> Alcotest.fail "mf kernel did not compile");
+    (Dist_array.count inst.Orion.App.inst_iter, Gc.minor_words () -. before)
+  in
+  let small, w_small = words 50.0 and large, w_large = words 200.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d entries, not %d" large small)
+    true
+    (large >= 3 * small);
+  if w_large > w_small +. 512.0 then
+    Alcotest.failf
+      "compile_kernel allocated %.0f minor words over %d entries, %.0f over %d"
+      w_large large w_small small
+
 (* random sparse arrays of 1–3 dimensions, with duplicate draws *)
 let gen_sparse =
   QCheck.Gen.(
@@ -791,6 +822,8 @@ let () =
           tc "1d balanced under skew" `Quick test_partition_1d_balanced_under_skew;
           tc "unimodular covers all" `Quick test_partition_unimodular_covers_all;
           tc "compile allocates per block" `Quick test_compile_allocation;
+          tc "compile_kernel allocation does not grow with entries" `Quick
+            test_compile_kernel_allocation;
         ] );
       ( "goldens",
         List.map
