@@ -411,7 +411,7 @@ let run_app name ~machines ~wpm ~domains ~procs ~tcp ~passes ~scale
                 else 0.0
               in
               Printf.printf
-                "bytes shipped: %.0f  (per-record Marshal %.0f, saved %.1f%%)\n"
+                "bytes shipped: %.0f  (raw 16 B/entry %.0f, saved %.1f%%)\n"
                 r.Orion.Engine.ep_bytes_shipped full saved;
               List.iter
                 (fun (arr, b) ->

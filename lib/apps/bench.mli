@@ -91,7 +91,7 @@ type row = {
   row_barrier_wait_fraction : float option;
   row_bytes_shipped : float;  (** wire bytes ([`Distributed] only) *)
   row_bytes_full : float;
-      (** the same traffic as one [Marshal]ed record per write *)
+      (** the same traffic in the raw layout, 16 bytes per entry *)
   row_policy_by_array : (string * string) list;
       (** per-DistArray wire key mode (["sparse"] or ["dense"]) *)
   row_check : check;  (** against the row's reference run *)

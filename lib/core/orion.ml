@@ -593,9 +593,9 @@ module Engine = struct
     ep_bytes_by_array : (string * float) list;
         (** [ep_bytes_shipped] broken down per DistArray *)
     ep_bytes_full : float;
-        (** what the same traffic costs as one [Marshal]ed record per
-            write or partition — the before side of bytes-saved
-            accounting ([`Distributed] only) *)
+        (** what the same traffic costs in the raw layout, 16 bytes per
+            entry (an 8-byte key and 8 bytes of IEEE bits) — the before
+            side of bytes-saved accounting ([`Distributed] only) *)
     ep_policy_by_array : (string * string) list;
         (** the per-DistArray key mode the wire encoder settled on
             (["sparse"] or ["dense"]; empty for the local modes) *)
@@ -667,12 +667,12 @@ module Engine = struct
   let shadow_part shadow =
     Dist_array.to_partition ~select:(fun _ v -> v <> 0.0) shadow
 
-  let merge_part arr (part : float Dist_array.partition) =
-    Array.iter
-      (fun (lin, v) ->
+  let merge_part arr (part : Dist_array.partition) =
+    Array.iteri
+      (fun i lin ->
         Dist_array.update arr (Dist_array.delinearize arr lin) (fun x ->
-            x +. v))
-      part.Dist_array.pt_entries
+            x +. part.Dist_array.pt_values.(i)))
+      part.Dist_array.pt_keys
 
   let buffered_view (inst : App.instance) ~live contributions =
     List.map
@@ -680,7 +680,7 @@ module Engine = struct
         if List.mem name inst.App.inst_buffered then begin
           let copy = Dist_array.of_partition (Dist_array.to_partition arr) in
           List.iter
-            (List.iter (fun (part : float Dist_array.partition) ->
+            (List.iter (fun (part : Dist_array.partition) ->
                  if part.Dist_array.pt_array = name then merge_part copy part))
             contributions;
           (name, copy)
@@ -707,7 +707,7 @@ module Engine = struct
     o_steals : int;
     o_compiled : bool;
     o_bytes_by_array : (string * float) list;
-    o_bytes_full_by_array : (string * float) list;
+    o_bytes_full : float;
     o_policy_by_array : (string * string) list;
     o_windows : (int * float * float) list;
   }
@@ -719,7 +719,7 @@ module Engine = struct
       o_steals = 0;
       o_compiled = false;
       o_bytes_by_array = [];
-      o_bytes_full_by_array = [];
+      o_bytes_full = 0.0;
       o_policy_by_array = [];
       o_windows = [];
     }
@@ -814,7 +814,7 @@ module Engine = struct
           Array.iter (Option.iter Compile.flush_locals) kernels;
           let shared name = List.assoc name inst.App.inst_arrays in
           List.iter
-            (List.iter (fun (part : float Dist_array.partition) ->
+            (List.iter (fun (part : Dist_array.partition) ->
                  merge_part (shared part.Dist_array.pt_array) part))
             (contributions ());
           (* rebind the shared buffered arrays in every env so a later
@@ -910,7 +910,7 @@ module Engine = struct
           let comms =
             {
               Telemetry.cs_bytes_shipped = total o.o_bytes_by_array;
-              cs_bytes_full = total o.o_bytes_full_by_array;
+              cs_bytes_full = o.o_bytes_full;
               cs_by_array = o.o_policy_by_array;
             }
           in
@@ -937,7 +937,7 @@ module Engine = struct
       ep_sim_time = Cluster.now session.cluster -. sim0;
       ep_bytes_shipped = total o.o_bytes_by_array;
       ep_bytes_by_array = o.o_bytes_by_array;
-      ep_bytes_full = total o.o_bytes_full_by_array;
+      ep_bytes_full = o.o_bytes_full;
       ep_policy_by_array = o.o_policy_by_array;
       ep_telemetry =
         (if Telemetry.enabled tel then Some (summary ()) else None);

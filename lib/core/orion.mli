@@ -321,8 +321,9 @@ module Engine : sig
     ep_bytes_by_array : (string * float) list;
         (** [ep_bytes_shipped] broken down per DistArray *)
     ep_bytes_full : float;
-        (** what the same traffic costs as one [Marshal]ed record per
-            write or partition ([`Distributed] only) *)
+        (** what the same traffic costs in the raw layout, 16 bytes per
+            entry (an 8-byte key and 8 bytes of IEEE bits) — the before
+            side of bytes-saved accounting ([`Distributed] only) *)
     ep_policy_by_array : (string * string) list;
         (** the per-DistArray key mode the wire encoder settled on
             (["sparse"] or ["dense"]; empty for the local modes) *)
@@ -365,10 +366,10 @@ module Engine : sig
     App.instance -> Interp.env -> (string * float Dist_array.t) list
 
   (** A shadow's contribution: its nonzero entries. *)
-  val shadow_part : float Dist_array.t -> float Dist_array.partition
+  val shadow_part : float Dist_array.t -> Dist_array.partition
 
   (** Add a contribution into an array, entry by entry. *)
-  val merge_part : float Dist_array.t -> float Dist_array.partition -> unit
+  val merge_part : float Dist_array.t -> Dist_array.partition -> unit
 
   (** [inst]'s model arrays as they would stand if the run ended now:
       buffered arrays as copies with [contributions] (one list per
@@ -377,7 +378,7 @@ module Engine : sig
   val buffered_view :
     App.instance ->
     live:(string -> float Dist_array.t -> float Dist_array.t) ->
-    float Dist_array.partition list list ->
+    Dist_array.partition list list ->
     (string * float Dist_array.t) list
 
   (** Called at pass boundaries — every [every] completed passes when
@@ -404,7 +405,7 @@ module Engine : sig
     o_steals : int;
     o_compiled : bool;
     o_bytes_by_array : (string * float) list;  (** sorted by name *)
-    o_bytes_full_by_array : (string * float) list;  (** sorted by name *)
+    o_bytes_full : float;  (** the raw layout's size of the same traffic *)
     o_policy_by_array : (string * string) list;
     o_windows : (int * float * float) list;
         (** per-pass [(pass, start, finish)] on the run's telemetry

@@ -665,11 +665,6 @@ let rec map : type a b. name:string -> f:(a -> b) -> a t -> b t =
       }
   | Floats src -> map ~name ~f:(fun x -> f (Orion_lang.Value.Vfloat x)) src
 
-let map_entries ~name ~default ~f t =
-  let acc = fold (fun acc key v -> (key, v) :: acc) [] t in
-  of_entries ~name ~dims:t.dims ~default
-    (List.rev_map (fun (key, v) -> (key, f key v)) acc)
-
 (** Group stored entries by their index along [dim]; returns an
     association from the index value to that slice's entries (the
     paper's groupBy, evaluated eagerly). *)
@@ -863,57 +858,50 @@ let rec region :
 let set_region t (keys : int array) (values : 'a array) =
   writable t;
   Array.iteri (fun i lin -> replace_lin t lin values.(i)) keys
-
 (* ------------------------------------------------------------------ *)
-(* Partition serialization                                             *)
+(* Partitions                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* One self-describing, wire/disk-safe slice of a DistArray.  This is
-   the single serialized form shared by checkpointing and the
-   distributed runtime (lib/net): entries are (linearized key, value)
-   pairs in ascending key order, so round-tripping is deterministic and
-   float values survive bitwise (Marshal writes their exact bits). *)
-type 'a partition = {
-  pt_array : string;  (** source DistArray name *)
+(* A self-describing slice of a float DistArray: its entries as
+   parallel ascending linearized keys and values.  [Codec] gives it its
+   one byte form, shared by checkpoints and the distributed runtime. *)
+type partition = {
+  pt_array : string;
   pt_dims : int array;
-  pt_default : 'a;
-  pt_sparse : bool;  (** storage kind of the source array *)
-  pt_entries : (int * 'a) array;
-      (** (linearized key, value), ascending key order *)
+  pt_default : float;
+  pt_sparse : bool;
+  pt_keys : int array;
+  pt_values : float array;
 }
 
-(** Serialize the entries of [t] selected by [select] (default: all
-    stored entries; dense arrays store every cell) as a partition. *)
-let to_partition ?select (t : 'a t) : 'a partition =
-  let keep =
-    match select with
-    | None -> fun _ _ -> true
-    | Some f -> fun lin v -> f (delinearize t lin) v
-  in
-  let out = ref [] in
-  let n = ref 0 in
+(** The stored entries of [t] that [select] keeps (linearized key,
+    value; default: all of them, and dense arrays store every cell). *)
+let to_partition ?(select = fun _ _ -> true) (t : float t) : partition =
+  let all = sorted_keys t in
+  let n = Array.length all in
+  let keys = Array.make n 0 and values = Array.create_float n and m = ref 0 in
   Array.iter
     (fun lin ->
       let v = find_lin t lin in
-      if keep lin v then begin
-        out := (lin, v) :: !out;
-        incr n
+      if select lin v then begin
+        keys.(!m) <- lin;
+        values.(!m) <- v;
+        incr m
       end)
-    (sorted_keys t);
-  let entries = Array.make !n (0, t.default) in
-  List.iteri (fun i e -> entries.(!n - 1 - i) <- e) !out;
+    all;
   {
     pt_array = t.name;
     pt_dims = Array.copy t.dims;
     pt_default = t.default;
     pt_sparse = is_sparse t;
-    pt_entries = entries;
+    pt_keys = Array.sub keys 0 !m;
+    pt_values = Array.sub values 0 !m;
   }
 
 (** Write a partition's entries into [t] (point sets; sparse arrays may
     gain keys outside parallel sections).
     @raise Dimension_mismatch when names or dims disagree. *)
-let apply_partition (t : 'a t) (p : 'a partition) =
+let apply_partition (t : float t) (p : partition) =
   if p.pt_array <> t.name then
     raise
       (Dimension_mismatch
@@ -923,33 +911,23 @@ let apply_partition (t : 'a t) (p : 'a partition) =
     raise
       (Dimension_mismatch
          (Printf.sprintf "%s: partition dims do not match array dims" t.name));
-  writable t;
-  Array.iter (fun (lin, v) -> set_lin t lin v) p.pt_entries
+  set_region t p.pt_keys p.pt_values
 
 (** Materialize a fresh DistArray holding exactly a partition's
     entries, with the source's storage kind (dense cells missing from
     the partition hold [pt_default]). *)
-let of_partition ?name (p : 'a partition) : 'a t =
+let of_partition ?name (p : partition) : float t =
   let name = Option.value name ~default:p.pt_array in
   let t =
     if p.pt_sparse then
       create_sparse ~name ~dims:(Array.copy p.pt_dims) ~default:p.pt_default
     else fill_dense ~name ~dims:(Array.copy p.pt_dims) p.pt_default
   in
-  Array.iter (fun (lin, v) -> set_lin t lin v) p.pt_entries;
+  set_region t p.pt_keys p.pt_values;
   t
 
-let partition_to_bytes (p : 'a partition) : bytes = Marshal.to_bytes p []
-
-let partition_of_bytes (b : bytes) : 'a partition =
-  (Marshal.from_bytes b 0 : 'a partition)
-
-(** Serialized size in bytes — the unit of the distributed runtime's
-    per-array communication accounting. *)
-let partition_size_bytes p = Bytes.length (partition_to_bytes p)
-
 (* ------------------------------------------------------------------ *)
-(* Text-file loading and checkpointing                                 *)
+(* Text-file loading                                                   *)
 (* ------------------------------------------------------------------ *)
 
 (** Load a sparse DistArray from a text file with a user-defined
@@ -967,18 +945,3 @@ let text_file ~name ~dims ~default ~parse_line path =
      done
    with End_of_file -> close_in ic);
   of_entries ~name ~dims ~default (List.rev !entries)
-
-(** Checkpoint to disk (eagerly evaluated; paper §4.3 fault tolerance).
-    The on-disk format is a whole-array {!partition}, the same
-    serialization the distributed runtime ships over sockets. *)
-let checkpoint t path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Marshal.to_channel oc (to_partition t) [])
-
-let restore ~name path : 'a t =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_partition ~name (Marshal.from_channel ic : 'a partition))

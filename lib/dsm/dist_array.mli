@@ -1,7 +1,7 @@
 (** Distributed Arrays — Orion's DSM abstraction (paper §3.1):
     N-dimensional dense or sparse matrices with point/set queries,
     deterministic iteration, map/group-by, text-file loading and
-    checkpointing.
+    partitions ([lib/store]'s [Checkpoint] persists them).
 
     Storage lives in one process; placement across simulated workers is
     tracked by the runtime for communication accounting (serializable
@@ -171,8 +171,6 @@ val diff_ok : tolerance:float option -> diff_result -> bool
 (** {1 Transformations} *)
 
 val map : name:string -> f:('a -> 'b) -> 'a t -> 'b t
-val map_entries :
-  name:string -> default:'b -> f:(int array -> 'a -> 'b) -> 'a t -> 'b t
 
 (** Group stored entries by their index along [dim] (the paper's
     eagerly-evaluated groupBy). *)
@@ -215,41 +213,34 @@ val region : 'a t -> dim:int -> lo:int -> hi:int -> int array * 'a array
     gain keys outside parallel sections). *)
 val set_region : 'a t -> int array -> 'a array -> unit
 
-(** {1 Partition serialization}
+(** {1 Partitions}
 
-    The single serialized form of (a slice of) a DistArray, shared by
-    checkpointing and the distributed runtime ([lib/net]): entries are
-    (linearized key, value) pairs in ascending key order; [Marshal]
-    preserves float bits exactly, so round trips are bitwise. *)
+    A slice of a float DistArray as parallel arrays: the form that
+    {!Codec} packs into the one byte layout of a slice (wire regions,
+    buffered shadows, checkpoints). *)
 
-type 'a partition = {
+type partition = {
   pt_array : string;  (** source DistArray name *)
   pt_dims : int array;
-  pt_default : 'a;
+  pt_default : float;
   pt_sparse : bool;  (** storage kind of the source array *)
-  pt_entries : (int * 'a) array;
-      (** (linearized key, value), ascending key order *)
+  pt_keys : int array;  (** linearized, ascending *)
+  pt_values : float array;  (** [pt_values.(i)] is stored at [pt_keys.(i)] *)
 }
 
-(** Entries of [t] selected by [select] (structured key, value; default
-    all stored entries) as a partition. *)
-val to_partition : ?select:(int array -> 'a -> bool) -> 'a t -> 'a partition
+(** The stored entries of [t] that [select] keeps (linearized key,
+    value; default all). *)
+val to_partition : ?select:(int -> float -> bool) -> float t -> partition
 
 (** Write a partition's entries into an existing array.
     @raise Dimension_mismatch when names or dims disagree. *)
-val apply_partition : 'a t -> 'a partition -> unit
+val apply_partition : float t -> partition -> unit
 
 (** A fresh DistArray holding exactly the partition's entries, with the
     source's storage kind. *)
-val of_partition : ?name:string -> 'a partition -> 'a t
+val of_partition : ?name:string -> partition -> float t
 
-val partition_to_bytes : 'a partition -> bytes
-val partition_of_bytes : bytes -> 'a partition
-
-(** Serialized size — the unit of per-array communication accounting. *)
-val partition_size_bytes : 'a partition -> int
-
-(** {1 Text files and checkpointing} *)
+(** {1 Text files} *)
 
 (** Load a sparse DistArray with a user-defined per-line parser
     ([None] skips the line). *)
@@ -260,8 +251,3 @@ val text_file :
   parse_line:(string -> (int array * 'a) option) ->
   string ->
   'a t
-
-(** Eagerly write to disk (paper §4.3 fault tolerance). *)
-val checkpoint : 'a t -> string -> unit
-
-val restore : name:string -> string -> 'a t

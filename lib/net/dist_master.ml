@@ -11,8 +11,8 @@
     built in one buffer), its Prefetch_response, and the Peers table
     once every rank has announced.  During execution each worker may
     send Pass_telemetry and, when the run checkpoints, one Pass_report
-    per pass; at the end Block_report, Buffer_flush, Acc_merge and
-    Done, answered by Shutdown.  A worker crash, broken socket or hang
+    per pass; at the end Block_report, Buffer_flush and Done, answered
+    by Shutdown.  A worker crash, broken socket or hang
     surfaces as a structured {!Orion.Engine.Distributed_error}, never as
     a hang.
 
@@ -20,7 +20,7 @@
     the final state is assembled from the wire: owned regions as they
     are, journals in (pass, natural-order) order, then buffered shadows
     through [Engine.merge_part] in ascending rank order, cross-checked
-    against each worker's accumulator totals. *)
+    against the totals each flush carries. *)
 
 module Dist_array = Orion_dsm.Dist_array
 module Partitioner = Orion_dsm.Partitioner
@@ -160,8 +160,8 @@ type worker_state = {
   mutable st_prefetch : string list option;  (** from Prefetch_request *)
   mutable st_report : (Wire.part_payload list * Wire.block_writes list) option;
       (** owned regions and own journal, from Block_report *)
-  mutable st_flush : Wire.part list option;
-  mutable st_totals : (string * float) list option;
+  mutable st_flush : (Wire.part_payload list * (string * float) list) option;
+      (** packed shadows and their totals, from Buffer_flush *)
   mutable st_done : Wire.worker_stats option;
   mutable st_fatal : string option;  (** from Fatal, once it is read *)
 }
@@ -207,7 +207,6 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
           st_prefetch = None;
           st_report = None;
           st_flush = None;
-          st_totals = None;
           st_done = None;
           st_fatal = None;
         })
@@ -427,12 +426,12 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
         Dist_array.linearize (List.assoc name arrays) key)
       ~pos:Fun.id
   in
-  (* a region shipped at start-up: its array, packed bytes, and (off
-     the critical path) its [Marshal]ed-partition size *)
+  (* a region shipped at start-up: its array, packed bytes and entry
+     count *)
   let pack arr (keys, values) =
     ( arr.Dist_array.name,
       Policy.encode_region packer arr keys values,
-      lazy (Policy.region_full_bytes arr keys values) )
+      Array.length keys )
   in
   let wholes = Hashtbl.create 8 in
   let whole name arr =
@@ -495,14 +494,14 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
      union of the aligned worker windows *)
   let pass_windows : (int, float * float) Hashtbl.t = Hashtbl.create 8 in
   let bytes_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  let bytes_full_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
+  let bytes_full = ref 0.0 in
   let policy_by_array : (string, string) Hashtbl.t = Hashtbl.create 8 in
   let bump tbl name bytes =
     Hashtbl.replace tbl name
       (bytes +. Option.value (Hashtbl.find_opt tbl name) ~default:0.0)
   in
   let account name bytes = bump bytes_by_array name bytes in
-  let account_full name bytes = bump bytes_full_by_array name bytes in
+  let account_full n = bytes_full := !bytes_full +. Policy.raw_bytes n in
   (* [rank]'s wire transfer of [name] on the cluster trace, now *)
   let net_span ~rank name bytes =
     Trace.add trace ~label:("net:" ^ name) ~bytes ~worker:rank
@@ -524,13 +523,11 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
   for rank = nw to procs - 1 do
     Transport.send (conn rank) Wire.Shutdown
   done;
-  (* every region shipped, for the bytes-saved account *)
-  let shipped = ref [] in
   let ship ~rank regions =
     List.iter
-      (fun ((name, b, _) as r) ->
-        shipped := r :: !shipped;
+      (fun (name, b, n) ->
         account name (float_of_int (Bytes.length b));
+        account_full n;
         net_span ~rank name (float_of_int (Bytes.length b)))
       regions
   in
@@ -634,11 +631,6 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
   List.iter
     (fun (name, mode) -> Hashtbl.replace policy_by_array name mode)
     (Policy.decisions packer);
-  (* what the start-up shipment would cost as [Marshal]ed partitions,
-     counted once the peers table is out *)
-  List.iter
-    (fun (name, _, full) -> account_full name (Lazy.force full))
-    !shipped;
   (* from here on only the [nw] ranks with blocks take part *)
   let states = Array.sub states 0 nw in
   (* (pass, natural-order position) ordering shared by pass boundaries
@@ -654,11 +646,10 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
       (regions : Wire.part_payload list) (entries : Wire.block_writes list) =
     List.iter
       (fun payload ->
-        let name, dims, keys, values = Policy.decode_region payload in
-        match Hashtbl.find_opt arrays name with
-        | Some arr when Dist_array.dims arr = dims ->
-            Dist_array.set_region arr keys values
-        | _ -> unknown name)
+        let p = Orion_dsm.Codec.decode_part payload in
+        match Hashtbl.find_opt arrays p.pt_array with
+        | Some arr -> Dist_array.apply_partition arr p
+        | None -> unknown p.pt_array)
       regions;
     List.sort
       (fun (a : Wire.block_writes) (b : Wire.block_writes) ->
@@ -689,7 +680,7 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
           (Dist_array.of_partition (Dist_array.to_partition a)))
       inst.Orion.App.inst_arrays;
   let reported = Array.init nw (fun _ -> Queue.create ()) in
-  let latest_shadows : Wire.part list array = Array.make nw [] in
+  let latest_shadows : Dist_array.partition list array = Array.make nw [] in
   let boundaries = ref 0 in
   let note_pass_report ~boundary rank report =
     Queue.push report reported.(rank);
@@ -698,7 +689,10 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
       assemble copies ~unknown:ignore
         (List.concat_map (fun (regions, _, _) -> regions) (Array.to_list pass))
         (List.concat_map (fun (_, entries, _) -> entries) (Array.to_list pass));
-      Array.iteri (fun r (_, _, parts) -> latest_shadows.(r) <- parts) pass;
+      Array.iteri
+        (fun r (_, _, parts) ->
+          latest_shadows.(r) <- List.map Orion_dsm.Codec.decode_part parts)
+        pass;
       incr boundaries;
       boundary !boundaries
     done
@@ -746,10 +740,9 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
             | Event_loop.Message
                 (rank, Wire.Block_report { br_regions; br_entries; _ }) ->
                 states.(rank).st_report <- Some (br_regions, br_entries)
-            | Event_loop.Message (rank, Wire.Buffer_flush { bf_parts; _ }) ->
-                states.(rank).st_flush <- Some bf_parts
-            | Event_loop.Message (rank, Wire.Acc_merge { am_totals; _ }) ->
-                states.(rank).st_totals <- Some am_totals
+            | Event_loop.Message
+                (rank, Wire.Buffer_flush { bf_parts; bf_totals; _ }) ->
+                states.(rank).st_flush <- Some (bf_parts, bf_totals)
             | Event_loop.Message
                 ( rank,
                   Wire.Pass_telemetry
@@ -791,7 +784,6 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
                 if
                   states.(rank).st_report = None
                   || states.(rank).st_flush = None
-                  || states.(rank).st_totals = None
                 then fail_cleanup ~rank "done before final reports";
                 states.(rank).st_done <- Some stats
             | Event_loop.Message (rank, Wire.Fatal { f_reason; _ }) -> (
@@ -874,22 +866,20 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
     (* buffered arrays: every rank's shadows, in ascending rank order *)
     Array.iteri
       (fun rank st ->
-        let totals = Option.value st.st_totals ~default:[] in
+        let payloads, totals = Option.value st.st_flush ~default:([], []) in
         List.iter
-          (fun (part : Wire.part) ->
+          (fun payload ->
+            let part = Orion_dsm.Codec.decode_part payload in
             let name = part.Dist_array.pt_array in
             (match Hashtbl.find_opt arr_tbl name with
             | Some arr -> Orion.Engine.merge_part arr part
             | None -> err "buffer flush for unknown array %S" name);
             let flushed_total =
-              Array.fold_left
-                (fun acc (_, v) -> acc +. v)
-                0.0 part.Dist_array.pt_entries
+              Array.fold_left ( +. ) 0.0 part.Dist_array.pt_values
             in
-            let bytes = float_of_int (Dist_array.partition_size_bytes part) in
+            let bytes = float_of_int (Bytes.length payload) in
             account name bytes;
-            (* buffer flushes are always raw Marshal — actual = full *)
-            account_full name bytes;
+            account_full (Array.length part.Dist_array.pt_keys);
             net_span ~rank name bytes;
             (* the worker computed its accumulator total over the same
                entries in the same order: must match bitwise *)
@@ -900,7 +890,7 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
                   "accumulator total mismatch for %S: reported %h, flushed %h"
                   name reported flushed_total
             | None -> err ~rank "no accumulator total for %S" name)
-          (Option.value st.st_flush ~default:[]))
+          payloads)
       states;
     (* token traffic, as reported per worker *)
     let stats =
@@ -918,9 +908,7 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
             account name bytes;
             net_span ~rank name bytes)
           s.Wire.ws_bytes_by_array;
-        List.iter
-          (fun (name, bytes) -> account_full name bytes)
-          s.Wire.ws_bytes_full_by_array;
+        bytes_full := !bytes_full +. s.Wire.ws_bytes_full;
         List.iter
           (fun (name, label) -> Hashtbl.replace policy_by_array name label)
           s.Wire.ws_policy_by_array)
@@ -937,7 +925,7 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
          body is unsupported); report the master-side switch *)
       o_compiled = Orion.Compile.enabled ();
       o_bytes_by_array = sorted bytes_by_array;
-      o_bytes_full_by_array = sorted bytes_full_by_array;
+      o_bytes_full = !bytes_full;
       o_policy_by_array = sorted policy_by_array;
       o_windows =
         List.map (fun (pass, (s, f)) -> (pass, s, f)) (sorted pass_windows);

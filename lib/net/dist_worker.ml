@@ -287,6 +287,9 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   let shadow_parts () =
     List.map (fun (_, shadow) -> Orion.Engine.shadow_part shadow) shadows
   in
+  let packed parts =
+    List.map (fun p -> fst (Orion_dsm.Codec.encode_part p)) parts
+  in
   let placement name = List.assoc_opt name plan.Plan.placements in
   (* arrays whose contents the wire is responsible for *)
   let managed name =
@@ -308,10 +311,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
      table back to back, with no round trip in between. *)
   Transport.send master
     (Wire.Listening
-       {
-         l_rank = rank;
-         l_addr = Transport.addr_to_string listener.Transport.laddr;
-       });
+       { l_addr = Transport.addr_to_string listener.Transport.laddr });
   let prefetch_names =
     List.filter_map
       (fun (n, _) ->
@@ -321,7 +321,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   (* always sent, possibly empty, so the master's serving path is
      exercised every run *)
   Transport.send master
-    (Wire.Prefetch_request { pr_rank = rank; pr_arrays = prefetch_names });
+    (Wire.Prefetch_request { pr_arrays = prefetch_names });
   (* -- the compiled kernel, while the row is in flight -----------------
      Compiled after the shadow rebinding above (the kernel captures
      env's current array bindings), for the iteration space's kind
@@ -339,12 +339,10 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   let arr_tbl : (string, float Dist_array.t) Hashtbl.t = Hashtbl.create 8 in
   List.iter (fun (n, a) -> Hashtbl.replace arr_tbl n a) arrays;
   let apply_region ?pos ?len what payload =
-    let name, dims, keys, values = Policy.decode_region ?pos ?len payload in
-    match Hashtbl.find_opt arr_tbl name with
-    | Some a when Dist_array.dims a = dims ->
-        Dist_array.set_region a keys values
-    | Some _ -> fail "%s for %S: dims do not match" what name
-    | None -> fail "%s for unknown array %S" what name
+    let p = Orion_dsm.Codec.decode_part ?pos ?len payload in
+    match Hashtbl.find_opt arr_tbl p.pt_array with
+    | Some a -> Dist_array.apply_partition a p
+    | None -> fail "%s for unknown array %S" what p.pt_array
   in
   (* -- schedule row ----------------------------------------------------
      Check the row's header against this instance, then decode its
@@ -565,17 +563,13 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     | None -> fail "packed payload for unknown array %S" name
   in
   let sender = Policy.sender ~linearize ~pos in
-  (* bytes shipped to peers per array, as encoded and as their
-     unpacked equivalent, for the final stats *)
+  (* bytes shipped to peers per array as encoded, and in all as the
+     raw layout, for the final stats *)
   let bytes_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  let bytes_full_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  let account (name, actual, full) =
-    let bump tbl v =
-      Hashtbl.replace tbl name
-        (v +. Option.value (Hashtbl.find_opt tbl name) ~default:0.0)
-    in
-    bump bytes_by_array actual;
-    bump bytes_full_by_array full
+  let bytes_full = ref 0.0 in
+  let account (name, actual) =
+    Hashtbl.replace bytes_by_array name
+      (actual +. Option.value (Hashtbl.find_opt bytes_by_array name) ~default:0.0)
   in
   (* -- owner-exclusive regions -------------------------------------- *)
   (* the rank holding each time partition last in a pass: the owner of
@@ -605,13 +599,11 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   let pack (arr, (keys, values)) =
     Policy.encode_region sender arr keys values
   in
-  (* a packed region with its (array, bytes, unpacked bytes) account *)
-  let pack_accounted ((arr, (keys, values)) as r) =
+  (* a packed region with its (array, bytes) account *)
+  let pack_accounted ((arr, (keys, _)) as r) =
     let b = pack r in
-    ( b,
-      ( arr.Dist_array.name,
-        float_of_int (Bytes.length b),
-        Policy.region_full_bytes arr keys values ) )
+    bytes_full := !bytes_full +. Policy.raw_bytes (Array.length keys);
+    (b, (arr.Dist_array.name, float_of_int (Bytes.length b)))
   in
   (* what this rank owns at a pass boundary: its local regions under
      the current space cut and the slices it held last *)
@@ -697,16 +689,22 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
       (List.rev (take n !known_log))
   in
   (* Encode what goes to peer [q] next — the [regions] it hands over
-     plus the journal suffix it has not seen — inside one Marshal span,
+     plus the journal suffix it has not seen — inside one encode span,
      account it, and return the payloads with their total bytes (which
      label the Transfer span around the send). *)
   let encode_for q regions =
     let start = tel_now () in
     let regions = List.map pack_accounted (regions ()) in
-    let entries, accounts = Policy.prepare sender (fresh_entries q) in
+    let journal = fresh_entries q in
+    let entries, accounts = Policy.prepare sender journal in
+    List.iter
+      (fun (bw : Wire.block_writes) ->
+        bytes_full :=
+          !bytes_full +. Policy.raw_bytes (Array.length bw.bw_writes))
+      journal;
     let accounts = List.map snd regions @ accounts in
     List.iter account accounts;
-    let bytes = List.fold_left (fun acc (_, b, _) -> acc +. b) 0.0 accounts in
+    let bytes = List.fold_left (fun acc (_, b) -> acc +. b) 0.0 accounts in
     tel_span ~category:Orion_obs.Trace.Marshal
       ~label:(Printf.sprintf "encode->%d" q)
       ~bytes ~start;
@@ -715,7 +713,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   (* -- execute ------------------------------------------------------ *)
   let abort = abort_spec () in
   let blocks_done = ref 0 and entries_done = ref 0 in
-  let t0 = Orion_obs.Clock.now () in
   for pass = 0 to p.p_passes - 1 do
     let pass_start = tel_now () in
     Array.iter
@@ -843,7 +840,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
       Transport.send master
         (Wire.Pass_telemetry
            {
-             pt_rank = rank;
              pt_pass = pass;
              pt_epoch = Telemetry.epoch tel;
              pt_window = (pass_start, tel_now ());
@@ -864,61 +860,41 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
       Transport.send master
         (Wire.Pass_report
            {
-             pp_rank = rank;
              pp_pass = pass;
              pp_regions = owned_regions ();
              pp_entries = entries;
-             pp_buffered = shadow_parts ();
+             pp_buffered = packed (shadow_parts ());
            })
     end;
   done;
   (* leak loop locals back into the env, as the interpreter would *)
   Option.iter Orion.Compile.flush_locals kernel;
-  let wall = Orion_obs.Clock.elapsed t0 in
   (* -- final reports ------------------------------------------------ *)
   Transport.send master
     (Wire.Block_report
-       {
-         br_rank = rank;
-         br_regions = owned_regions ();
-         br_entries = List.rev !own;
-       });
+       { br_regions = owned_regions (); br_entries = List.rev !own });
   let parts = shadow_parts () in
   Transport.send master
-    (Wire.Buffer_flush { bf_rank = rank; bf_parts = parts });
-  (* each shadow's total, summed in entry order as the master re-sums it *)
-  Transport.send master
-    (Wire.Acc_merge
+    (Wire.Buffer_flush
        {
-         am_rank = rank;
-         am_totals =
+         bf_parts = packed parts;
+         (* each shadow's total, summed in entry order as the master
+            re-sums it *)
+         bf_totals =
            List.map
-             (fun (part : Wire.part) ->
-               ( part.Dist_array.pt_array,
-                 Array.fold_left
-                   (fun acc (_, v) -> acc +. v)
-                   0.0 part.Dist_array.pt_entries ))
+             (fun (p : Dist_array.partition) ->
+               (p.pt_array, Array.fold_left ( +. ) 0.0 p.pt_values))
              parts;
        });
-  let bytes_sent =
-    Array.fold_left
-      (fun acc c ->
-        match c with Some c -> acc +. c.Transport.bytes_out | None -> acc)
-      0.0 peers
-  in
   let sorted_bindings tbl =
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
   in
   Transport.send master
     (Wire.Done
        {
-         ws_rank = rank;
-         ws_blocks = !blocks_done;
          ws_entries = !entries_done;
-         ws_wall_seconds = wall;
-         ws_bytes_sent = bytes_sent;
          ws_bytes_by_array = sorted_bindings bytes_by_array;
-         ws_bytes_full_by_array = sorted_bindings bytes_full_by_array;
+         ws_bytes_full = !bytes_full;
          ws_policy_by_array = Policy.decisions sender;
        });
   (* keep peer connections open until the master confirms every worker
@@ -954,7 +930,7 @@ let connect_and_serve ~(materialize : materialize) ~rank ~master_addr : unit =
         | Orion.Engine.Distributed_error { de_reason; _ } -> de_reason
         | e -> Printexc.to_string e
       in
-      (try Transport.send master (Wire.Fatal { f_rank = rank; f_reason = reason })
+      (try Transport.send master (Wire.Fatal { f_reason = reason })
        with _ -> ());
       Transport.close_conn master;
       raise e

@@ -2,29 +2,28 @@
 
     Rotation tokens, pass syncs, final and pass-boundary reports, the
     regions in a schedule row and prefetch responses all travel in the
-    packed codecs below:
+    packed layout of {!Orion_dsm.Codec}:
 
     - owner-exclusive arrays travel as regions: the slab one worker
       owns (its local partition, or a rotated array's slice for one
-      time partition) in the part layout, ascending linearized keys and
-      exact IEEE bits;
+      time partition) as one packed part, ascending linearized keys
+      and exact IEEE bits;
     - journal payloads, only for arrays with no single owner, are
       deduplicated to the newest write per (array, element) before
       encoding (receivers apply last-writer-wins, so intermediate
       values are dead weight) — the receiver's post-payload state is
-      identical to shipping every write;
-    - every group of keys (a journal group, a region, a partition)
-      travels as varint deltas (sparse) or run-length ranges (dense),
-      and every group of values as raw or run-length encoded IEEE
-      bits, each whichever is smaller.  Decoding is exact (float bits
-      are preserved).
+      identical to shipping every write — and travel as groups of the
+      same key and value sections.
 
-    Senders also count what the same traffic would have cost unpacked:
-    one [Marshal]ed record per journaled write (the v3 framing), or the
-    [Marshal]ed partition of a region — the before side of the
-    bytes-saved accounting. *)
+    Senders also count what the same traffic costs in the raw layout
+    of a row frame's float blocks, 16 bytes per entry ({!raw_bytes}) —
+    the before side of the bytes-saved accounting. *)
 
 module Dist_array = Orion_dsm.Dist_array
+
+(** The raw layout's size of [n] entries (or journaled writes): an
+    8-byte key and 8 bytes of IEEE bits each. *)
+val raw_bytes : int -> float
 
 (** {1 Worker side: encoding journal traffic and regions} *)
 
@@ -44,19 +43,17 @@ val sender :
 val decisions : sender -> (string * string) list
 
 (** Deduplicate + encode one payload.  Returns the wire payload plus
-    per-array (actual bytes as encoded, per-write [Marshal] bytes of
-    the same writes). *)
+    the bytes each array's groups take in it, sorted by array name. *)
 val prepare :
-  sender ->
-  Wire.block_writes list ->
-  Wire.entries_payload * (string * float * float) list
+  sender -> Wire.block_writes list -> Wire.entries_payload * (string * float) list
 
 (** {1 Receiver side} *)
 
 (** Decode a payload back to block write logs (groups in ascending
     (pass, natural-order) order; exact float bits).  [delinearize name
     lin] maps a row-major index of array [name] back to a structured
-    key. *)
+    key.
+    @raise Orion_dsm.Codec.Decode_error on a malformed payload *)
 val decode_entries :
   delinearize:(string -> int -> int array) ->
   Wire.entries_payload ->
@@ -66,30 +63,10 @@ val decode_entries :
 
     The owner-exclusive arrays' traffic, and the master's start-up
     shipment of every placed array (a rank's local region, whole
-    rotated, replicated and prefetched arrays). *)
+    rotated, replicated and prefetched arrays).  A receiver unpacks
+    one with {!Orion_dsm.Codec.decode_part}. *)
 
 (** Pack the entries [keys] (ascending, linearized) / [values] of
-    [arr] in the part layout, noting the key mode used. *)
+    [arr] as one part, noting the key mode used. *)
 val encode_region :
   sender -> float Dist_array.t -> int array -> float array -> Wire.part_payload
-
-(** The [Marshal]ed partition size of the same entries. *)
-val region_full_bytes : float Dist_array.t -> int array -> float array -> float
-
-(** Unpack the region or partition of [len] bytes (default: to the
-    end) at [pos] (default 0) of a payload, in place: array name, dims,
-    ascending linearized keys, values (exact float bits).
-    @raise Failure when it does not end exactly [len] bytes on *)
-val decode_region :
-  ?pos:int ->
-  ?len:int ->
-  Wire.part_payload ->
-  string * int array * int array * float array
-
-(** Exact packed-partition round trip building blocks (exposed for the
-    QCheck codec properties): [mode] forces a key mode, and the one
-    written is returned ([None] for an empty partition). *)
-val encode_part :
-  ?mode:[ `Sparse | `Dense ] -> Wire.part -> bytes * [ `Sparse | `Dense ] option
-
-val decode_part : bytes -> Wire.part

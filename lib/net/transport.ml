@@ -25,8 +25,6 @@ let addr_of_string s : addr =
 
 type conn = {
   fd : Unix.file_descr;
-  mutable bytes_out : float;
-  mutable bytes_in : float;
   mutable closed : bool;
   (* incremental read state ({!recv_step}): the frame header or payload
      being filled, how much of it has arrived, and which of the two it
@@ -52,8 +50,6 @@ let sockaddr_of_addr = function
 let wrap fd =
   {
     fd;
-    bytes_out = 0.0;
-    bytes_in = 0.0;
     closed = false;
     rbuf = Bytes.create Frame.header_bytes;
     rgot = 0;
@@ -141,7 +137,6 @@ let rec wait_for fd dir =
     is slow to read holds up only its own frame. *)
 let start_write (c : conn) (segments : (bytes * int * int) list) :
     unit -> bool =
-  let total = List.fold_left (fun acc (_, _, len) -> acc + len) 0 segments in
   let rest = ref segments in
   fun () ->
     if !rest <> [] then begin
@@ -164,8 +159,7 @@ let start_write (c : conn) (segments : (bytes * int * int) list) :
           with
           | Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
           ->
-            ());
-      if !rest = [] then c.bytes_out <- c.bytes_out +. float_of_int total
+            ())
     end;
     !rest = []
 
@@ -245,9 +239,6 @@ let recv_frame_step (c : conn) : [ `Frame of bytes | `Pending | `Eof ] =
           c.rhdr <- true;
           c.rbuf <- Bytes.create Frame.header_bytes;
           c.rgot <- 0;
-          c.bytes_in <-
-            c.bytes_in
-            +. float_of_int (Bytes.length payload + Frame.header_bytes);
           `Frame payload
         end
       and complete_or_fill () =

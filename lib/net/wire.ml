@@ -2,12 +2,16 @@
     plain (closure-free) OCaml values encoded with [Marshal] inside a
     {!Frame}; both ends are always the same binary built from the same
     sources, which is the one regime where [Marshal] is sound.  A
-    [version] field in the handshake catches accidental mixes.  A
-    schedule row is the exception: its header is a message, but its
-    payload — the rank's blocks and initial array regions — follows as
-    a raw frame of this module's own layout ({!row_frame}), which the
-    master writes in one pass and the worker decodes in place; its
-    decoder names the byte offset of any fault.
+    [version] field in the handshake catches accidental mixes.  The
+    envelopes stay [Marshal] because the plan carries the loop's
+    analysed AST ([Plan.t]); only a codec for that AST would remove
+    them.  No DistArray state is marshalled: every slice inside a
+    message (regions, journals, buffered shadows) is packed bytes of
+    {!Orion_dsm.Codec}'s layout, and a schedule row's payload — the
+    rank's blocks and initial array regions — follows its header as a
+    raw frame of this module's own layout ({!row_frame}), which the
+    master writes in one pass and the worker decodes in place.  Every
+    decoder of those bytes names the byte offset of any fault.
 
     Protocol outline (master-centric):
 
@@ -27,7 +31,7 @@
     master → worker   Peers                (addr per rank)
     worker ↔ worker   Peer_hello (answered), Rotation_token, Pass_sync
     worker → master   Pass_telemetry       (per-pass spans + block costs)
-    worker → master   Block_report, Buffer_flush, Acc_merge, Done
+    worker → master   Block_report, Buffer_flush, Done
     master → worker   Shutdown
     any    → master   Fatal
     v} *)
@@ -71,8 +75,14 @@
        tagged value codec) and its local, rotated and replicated
        arrays' regions; the partition ship is gone, workers announce
        their listener and prefetch request before the row, and a peer
-       hello is answered, so the mesh waits for every rank's start-up *)
-let version = 11
+       hello is answered, so the mesh waits for every rank's start-up
+   v12: one byte layout for a slice — buffer flushes and pass reports
+       carry buffered shadows as packed parts, not marshalled
+       partitions; a flush carries its per-array totals (the separate
+       accumulator message is gone); worker stats carry one raw-layout
+       byte total; no message carries its sender's rank, which the
+       master knows from the connection *)
+let version = 12
 
 (** One journaled DistArray element write, in execution order (only
     arrays with no single owner are journaled). *)
@@ -92,26 +102,21 @@ type block_writes = {
 type entries_payload = bytes
 
 type worker_stats = {
-  ws_rank : int;
-  ws_blocks : int;
   ws_entries : int;
-  ws_wall_seconds : float;
-  ws_bytes_sent : float;  (** wire bytes this worker sent to peers *)
   ws_bytes_by_array : (string * float) list;
       (** slice and journal bytes shipped to peers, per DistArray, as
           encoded *)
-  ws_bytes_full_by_array : (string * float) list;
-      (** what the same traffic costs unpacked (a [Marshal]ed partition
-          per slice, a [Marshal]ed record per journaled write) — the
-          before side of the bytes-saved accounting *)
+  ws_bytes_full : float;
+      (** what the same traffic costs in the raw layout, 16 bytes per
+          slice entry or journaled write — the before side of the
+          bytes-saved accounting *)
   ws_policy_by_array : (string * string) list;
       (** the key mode of each DistArray's latest payload *)
 }
 
-type part = float Orion_dsm.Dist_array.partition
-
 (** An array's region — owner-exclusive, or a whole array shipped at
-    start-up — in the {!Policy} part layout. *)
+    start-up — or a buffered shadow, as one packed part
+    ({!Orion_dsm.Codec}). *)
 type part_payload = bytes
 
 (** What a worker needs to build its instance and classify its arrays,
@@ -171,8 +176,8 @@ type msg =
   | Schedule_row of row
       (** the header of the receiving rank's row of the master's
           compiled schedule; the row's payload is the next frame *)
-  | Listening of { l_rank : int; l_addr : string }
-  | Prefetch_request of { pr_rank : int; pr_arrays : string list }
+  | Listening of { l_addr : string }
+  | Prefetch_request of { pr_arrays : string list }
   | Prefetch_response of part_payload list
   | Peers of string array  (** peer address, indexed by rank *)
   | Peer_hello of { ph_rank : int; ph_version : int }
@@ -206,7 +211,6 @@ type msg =
           slices each rank holds last and flushing the remaining
           journal entries (pass boundaries are globally consistent) *)
   | Pass_telemetry of {
-      pt_rank : int;
       pt_pass : int;
       pt_epoch : float;
           (** the worker telemetry's absolute monotonic epoch; the
@@ -222,7 +226,6 @@ type msg =
       (** the worker's telemetry shard for one pass, drained and
           shipped to the master right after the pass barrier *)
   | Pass_report of {
-      pp_rank : int;
       pp_pass : int;
       pp_regions : part_payload list;
           (** this worker's owned local regions and last-held rotated
@@ -233,13 +236,12 @@ type msg =
               the pass just finished (the master applies them in
               natural block order, so checkpoints match an
               uninterrupted run) *)
-      pp_buffered : part list;
+      pp_buffered : part_payload list;
           (** the {e cumulative} nonzero entries of each buffered
               array's local shadow at this boundary (shadows persist
               across passes, so later reports supersede earlier) *)
     }
   | Block_report of {
-      br_rank : int;
       br_regions : part_payload list;
           (** the final owned local regions and last-held rotated
               slices, as in {!Pass_report} *)
@@ -247,13 +249,14 @@ type msg =
           (** the complete own-block write log of journaled arrays, all
               passes *)
     }
-  | Buffer_flush of { bf_rank : int; bf_parts : part list }
-      (** nonzero entries of each buffered array's local shadow *)
-  | Acc_merge of { am_rank : int; am_totals : (string * float) list }
-      (** per buffered array, the sum of the flushed shadow entries —
-          the master cross-checks them against the received partitions *)
+  | Buffer_flush of {
+      bf_parts : part_payload list;  (** each buffered shadow's nonzeros *)
+      bf_totals : (string * float) list;
+          (** each part's values summed in entry order, which the
+              master checks against the parts it decodes *)
+    }
   | Done of worker_stats
-  | Fatal of { f_rank : int; f_reason : string }
+  | Fatal of { f_reason : string }
   | Shutdown
 
 let tag = function
@@ -271,7 +274,6 @@ let tag = function
   | Pass_report _ -> "pass-report"
   | Block_report _ -> "block-report"
   | Buffer_flush _ -> "buffer-flush"
-  | Acc_merge _ -> "acc-merge"
   | Done _ -> "done"
   | Fatal _ -> "fatal"
   | Shutdown -> "shutdown"
@@ -283,18 +285,9 @@ let of_bytes (b : bytes) : msg = Marshal.from_bytes b 0
 (* The value codec: schedule-row entries                               *)
 (* ------------------------------------------------------------------ *)
 
-(** A malformed codec payload: [offset] is the byte where decoding
-    failed. *)
-exception Decode_error of { offset : int; reason : string }
-
-let () =
-  Printexc.register_printer (function
-    | Decode_error { offset; reason } ->
-        Some (Printf.sprintf "wire decode error at byte %d: %s" offset reason)
-    | _ -> None)
-
-let decode_error offset fmt =
-  Printf.ksprintf (fun reason -> raise (Decode_error { offset; reason })) fmt
+(* malformed payloads raise [Orion_dsm.Codec.Decode_error], naming the
+   byte where decoding failed *)
+let decode_error = Orion_dsm.Codec.decode_error
 
 module V = Orion_lang.Value
 
@@ -383,15 +376,10 @@ let rec write_value b pos (v : V.t) =
       List.fold_left (write_value b) (pos + 5) l
   | V.Vextern ex -> cannot_travel ex
 
-(* a read position in a payload, which may end before its bytes do
-   (a span of a row payload, decoded in place) *)
-type cursor = { c_bytes : bytes; mutable c_pos : int; c_end : int }
+type cursor = Orion_dsm.Codec.cursor =
+  { c_bytes : bytes; mutable c_pos : int; c_end : int }
 
-(* [n] bytes of [what] must remain at [pos] *)
-let need c pos n what =
-  if n > c.c_end - pos then
-    decode_error pos "truncated %s: %d bytes needed, %d left" what n
-      (c.c_end - pos)
+let need = Orion_dsm.Codec.need
 
 let get_count c pos what =
   need c pos 4 what;

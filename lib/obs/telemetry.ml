@@ -192,8 +192,8 @@ let block_costs t =
 (* ------------------------------------------------------------------ *)
 
 (** What the wire encoding did to the traffic: actual bytes shipped
-    vs the per-record [Marshal] equivalent of the same traffic, and the
-    per-array key modes. *)
+    vs the same traffic in the raw layout (16 bytes per entry or
+    journaled write), and the per-array key modes. *)
 type comms_summary = {
   cs_bytes_shipped : float;
   cs_bytes_full : float;

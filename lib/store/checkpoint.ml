@@ -1,11 +1,12 @@
-(* Checkpoint files: a small CRC-framed Marshal payload.  The arrays
-   inside are already bytes (partition codec), so Marshal here only
-   frames strings/ints — float bits never pass through a decimal
+(* Checkpoint files: the snapshot's fields and one packed part per
+   array, in [Orion_dsm.Codec]'s layout, behind a CRC-checked header.
+   Float bits are written as they are, never through a decimal
    printer. *)
 
 module Dist_array = Orion_dsm.Dist_array
+module Codec = Orion_dsm.Codec
 
-let version = 1
+let version = 2
 let extension = ".orck"
 let magic = "ORCK"
 
@@ -20,7 +21,7 @@ type snapshot = {
   ck_pass : int;
   ck_total_passes : int;
   ck_rng : int64;
-  ck_arrays : (string * bytes) list;
+  ck_arrays : Dist_array.partition list;
 }
 
 let snapshot ~app ~scale ~pass ~total_passes ~rng arrays =
@@ -30,12 +31,35 @@ let snapshot ~app ~scale ~pass ~total_passes ~rng arrays =
     ck_pass = pass;
     ck_total_passes = total_passes;
     ck_rng = rng;
-    ck_arrays =
-      List.map
-        (fun (name, arr) ->
-          (name, Dist_array.partition_to_bytes (Dist_array.to_partition arr)))
-        arrays;
+    ck_arrays = List.map (fun (_, arr) -> Dist_array.to_partition arr) arrays;
   }
+
+(* payload := app scale pass total_passes rng narrays part* *)
+let encode s =
+  let b = Buffer.create 4096 in
+  Codec.put_string b s.ck_app;
+  Codec.put_float b s.ck_scale;
+  Codec.put_varint b s.ck_pass;
+  Codec.put_varint b s.ck_total_passes;
+  Codec.put_int64 b s.ck_rng;
+  Codec.put_varint b (List.length s.ck_arrays);
+  List.iter (fun p -> ignore (Codec.put_part b p)) s.ck_arrays;
+  Buffer.to_bytes b
+
+let decode payload =
+  let c = Codec.cursor payload in
+  let ck_app = Codec.get_string c in
+  let ck_scale = Codec.get_float c in
+  let ck_pass = Codec.get_varint c in
+  let ck_total_passes = Codec.get_varint c in
+  let ck_rng = Codec.get_int64 c in
+  let narrays = Codec.get_varint c in
+  (* every part takes at least a byte *)
+  Codec.need c c.c_pos narrays "parts";
+  let ck_arrays = List.init narrays (fun _ -> Codec.get_part c) in
+  if c.c_pos <> c.c_end then
+    Codec.decode_error c.c_pos "%d bytes after the last part" (c.c_end - c.c_pos);
+  { ck_app; ck_scale; ck_pass; ck_total_passes; ck_rng; ck_arrays }
 
 let path_of_pass ~dir pass =
   Filename.concat dir (Printf.sprintf "pass-%04d%s" pass extension)
@@ -43,7 +67,7 @@ let path_of_pass ~dir pass =
 let save ~dir s =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path = path_of_pass ~dir s.ck_pass in
-  let payload = Marshal.to_bytes s [] in
+  let payload = encode s in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   Fun.protect
@@ -79,7 +103,9 @@ let load path =
        with End_of_file -> corrupt path "truncated payload");
       if Crc32.digest payload <> want_crc then
         corrupt path "CRC mismatch (damaged checkpoint)";
-      (Marshal.from_bytes payload 0 : snapshot))
+      try decode payload
+      with Codec.Decode_error { offset; reason } ->
+        corrupt path "malformed payload at byte %d: %s" offset reason)
 
 let latest dir =
   if not (Sys.file_exists dir) then None
@@ -97,10 +123,10 @@ let latest dir =
 
 let restore s arrays =
   List.iter
-    (fun (name, bytes) ->
+    (fun (p : Dist_array.partition) ->
+      let name = p.pt_array in
       match List.assoc_opt name arrays with
-      | Some arr ->
-          Dist_array.apply_partition arr (Dist_array.partition_of_bytes bytes)
+      | Some arr -> Dist_array.apply_partition arr p
       | None ->
           corrupt ("checkpoint:" ^ s.ck_app)
             "snapshot array %S has no matching array in the instance" name)

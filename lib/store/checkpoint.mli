@@ -4,14 +4,23 @@
     final state bitwise-identical to the uninterrupted one: the app name
     and scale (to rebuild the instance deterministically), how many
     passes were completed out of how many, the interpreter RNG state at
-    the pass boundary, and every model [Dist_array] serialized through
-    the same partition codec the distributed runtime ships — Marshal
-    round-trips float bits exactly.
+    the pass boundary, and every model [Dist_array] as one packed part
+    in {!Orion_dsm.Codec}'s layout — the byte form the distributed
+    runtime ships, which keeps float bits exactly.
 
-    On disk a checkpoint is ["ORCK" magic, u32 version, u32 CRC of the
-    payload, payload], written to a temp file and renamed into place, so
-    a crash mid-save never leaves a valid-looking checkpoint.  Files are
-    named [pass-<n>.orck]; {!latest} picks the highest pass. *)
+    On disk (version 2):
+
+    {v
+    file    := "ORCK" version:u32 crc:u32 payload     (u32s little-endian)
+    payload := app:string scale:f64 pass:varint total_passes:varint
+               rng:i64 narrays:varint part*
+    v}
+
+    [crc] is the CRC-32 of [payload]; strings and parts are as in
+    {!Orion_dsm.Codec}.  A file is written to a temp file and renamed
+    into place, so a crash mid-save never leaves a valid-looking
+    checkpoint.  Files are named [pass-<n>.orck]; {!latest} picks the
+    highest pass. *)
 
 val version : int
 
@@ -26,11 +35,11 @@ type snapshot = {
   ck_pass : int;  (** passes completed when this snapshot was taken *)
   ck_total_passes : int;
   ck_rng : int64;  (** interpreter RNG state at the boundary *)
-  ck_arrays : (string * bytes) list;
-      (** array name -> serialized {!Orion_dsm.Dist_array.partition} *)
+  ck_arrays : Orion_dsm.Dist_array.partition list;
+      (** every model array's stored entries, matched by name *)
 }
 
-(** Serialize [arrays] (the instance's model arrays) into a snapshot. *)
+(** A snapshot of [arrays] (the instance's model arrays). *)
 val snapshot :
   app:string ->
   scale:float ->
@@ -45,7 +54,8 @@ val snapshot :
 val save : dir:string -> snapshot -> string
 
 (** Load and verify one checkpoint file.
-    @raise Corrupt on bad magic, version, or CRC *)
+    @raise Corrupt on bad magic, version or CRC, or on a payload that
+    does not decode *)
 val load : string -> snapshot
 
 (** The highest-pass checkpoint in [dir], if any. *)

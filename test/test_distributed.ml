@@ -17,50 +17,99 @@ let () = Unix.putenv Orion_net.Dist_master.spawn_env "fork"
 let () = Unix.putenv Orion_net.Dist_worker.timeout_env "60"
 
 (* ------------------------------------------------------------------ *)
-(* Partition serialization round-trip (shared by lib/net and           *)
+(* Partitions and their packed layout (shared by lib/net and           *)
 (* checkpointing)                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let bits = Int64.bits_of_float
 
+(* payload bits a decimal round trip would lose: -0.0 and NaNs with
+   payloads, mixed with ordinary values *)
+let arb_stored_value =
+  QCheck.(
+    oneof
+      [
+        float_range (-1e6) 1e6;
+        oneofl
+          [
+            -0.0;
+            Float.nan;
+            Int64.float_of_bits 0x7ff0_0000_0000_0001L;
+            Int64.float_of_bits 0xfff8_dead_beef_0001L;
+          ];
+      ])
+
+(* a sparse or dense array of 1-3 small dims, with seeded entries *)
+let arb_seeded_array =
+  QCheck.(
+    triple bool
+      (list_of_size (Gen.int_range 1 3) (int_range 1 5))
+      (small_list (pair small_nat arb_stored_value)))
+
+let seeded_array ~name (sparse, dims_l, seeds) =
+  let dims = Array.of_list dims_l in
+  let a =
+    if sparse then Dist_array.create_sparse ~name ~dims ~default:0.0
+    else Dist_array.fill_dense ~name ~dims 0.0
+  in
+  List.iter
+    (fun (kseed, v) ->
+      let key = Array.mapi (fun i d -> (kseed + (i * 7)) mod d) dims in
+      Dist_array.set a key v)
+    seeds;
+  a
+
+(* a partition round-trips through its byte form with the key mode the
+   codec picks (the name dates from the Marshal form this replaced):
+   bitwise, and so does the array rebuilt from it *)
 let qcheck_partition_roundtrip =
   QCheck.Test.make ~count:200 ~name:"partition marshal round-trip"
-    QCheck.(
-      triple bool
-        (list_of_size (Gen.int_range 1 3) (int_range 1 5))
-        (small_list (pair small_nat (float_range (-1e6) 1e6))))
-    (fun (sparse, dims_l, seeds) ->
-      let dims = Array.of_list dims_l in
-      let a =
-        if sparse then Dist_array.create_sparse ~name:"rt" ~dims ~default:0.0
-        else Dist_array.fill_dense ~name:"rt" ~dims 0.0
-      in
-      List.iter
-        (fun (kseed, v) ->
-          let key = Array.mapi (fun i d -> (kseed + (i * 7)) mod d) dims in
-          Dist_array.set a key v)
-        seeds;
+    arb_seeded_array (fun ((sparse, _, _) as seeded) ->
+      let a = seeded_array ~name:"rt" seeded in
       let part = Dist_array.to_partition a in
-      let part' =
-        Dist_array.partition_of_bytes (Dist_array.partition_to_bytes part)
-      in
-      (* bitwise equality of the wire image *)
-      part'.Dist_array.pt_array = part.Dist_array.pt_array
-      && part'.Dist_array.pt_dims = part.Dist_array.pt_dims
-      && part'.Dist_array.pt_sparse = part.Dist_array.pt_sparse
-      && bits part'.Dist_array.pt_default = bits part.Dist_array.pt_default
-      && Array.length part'.Dist_array.pt_entries
-         = Array.length part.Dist_array.pt_entries
+      let part' = Codec.decode_part (fst (Codec.encode_part part)) in
+      part'.pt_array = part.pt_array
+      && part'.pt_dims = part.pt_dims
+      && part'.pt_sparse = part.pt_sparse
+      && bits part'.pt_default = bits part.pt_default
+      && part'.pt_keys = part.pt_keys
       && Array.for_all2
-           (fun (k, v) (k', v') -> k = k' && bits v = bits v')
-           part.Dist_array.pt_entries part'.Dist_array.pt_entries
+           (fun v v' -> bits v = bits v')
+           part.pt_values part'.pt_values
       &&
-      (* and of the rebuilt array *)
       let b = Dist_array.of_partition part' in
       Dist_array.is_sparse b = sparse
       && Dist_array.fold
            (fun ok key v -> ok && bits (Dist_array.get b key) = bits v)
            true a)
+
+(* the packed part layout, in either key mode, gives back the
+   partition bitwise, and the array rebuilt from it *)
+let qcheck_packed_partition_roundtrip =
+  QCheck.Test.make ~count:200 ~name:"packed partition codec round-trip"
+    arb_seeded_array (fun ((sparse, _, _) as seeded) ->
+      let a = seeded_array ~name:"pk" seeded in
+      let part = Dist_array.to_partition a in
+      List.for_all
+        (fun mode ->
+          let b, written = Codec.encode_part ~mode part in
+          let part' = Codec.decode_part b in
+          written = (if part.pt_keys = [||] then None else Some mode)
+          && part'.pt_array = part.pt_array
+          && part'.pt_dims = part.pt_dims
+          && part'.pt_sparse = part.pt_sparse
+          && bits part'.pt_default = bits part.pt_default
+          && part'.pt_keys = part.pt_keys
+          && Array.for_all2
+               (fun v v' -> bits v = bits v')
+               part.pt_values part'.pt_values
+          &&
+          let b = Dist_array.of_partition part' in
+          Dist_array.is_sparse b = sparse
+          && Dist_array.fold
+               (fun ok key v -> ok && bits (Dist_array.get b key) = bits v)
+               true a)
+        [ `Sparse; `Dense ])
 
 let qcheck_partition_select =
   QCheck.Test.make ~count:100 ~name:"partition select filters entries"
@@ -68,10 +117,8 @@ let qcheck_partition_select =
     (fun seeds ->
       let a = Dist_array.fill_dense ~name:"sel" ~dims:[| 12 |] 0.0 in
       List.iter (fun (k, v) -> Dist_array.set a [| k |] v) seeds;
-      let part =
-        Dist_array.to_partition ~select:(fun key _ -> key.(0) < 6) a
-      in
-      Array.for_all (fun (lin, _) -> lin < 6) part.Dist_array.pt_entries
+      let part = Dist_array.to_partition ~select:(fun lin _ -> lin < 6) a in
+      Array.for_all (fun lin -> lin < 6) part.pt_keys
       &&
       (* applying onto zeros reproduces exactly the selected half *)
       let b = Dist_array.fill_dense ~name:"sel" ~dims:[| 12 |] 0.0 in
@@ -265,7 +312,7 @@ let qcheck_value_codec_roundtrip =
 let positioned_error ~len f =
   match f () with
   | _ -> false
-  | exception (Orion_net.Wire.Decode_error { offset; _ } as e) ->
+  | exception (Codec.Decode_error { offset; _ } as e) ->
       offset >= 0 && offset <= len
       && contains (Printexc.to_string e) (Printf.sprintf "at byte %d" offset)
 
@@ -283,6 +330,47 @@ let qcheck_value_codec_faults =
       positioned_error ~len (fun () -> block_value truncated)
       && positioned_error ~len:(len + 3) (fun () -> block_value over_long)
       && positioned_error ~len (fun () -> block_value unknown))
+
+(* [b] with its entry count (at [off], [len] bytes) replaced by [n] *)
+let recount b ~off ~len n =
+  let buf = Stdlib.Buffer.create (Bytes.length b + 10) in
+  Stdlib.Buffer.add_subbytes buf b 0 off;
+  Codec.put_varint buf n;
+  Stdlib.Buffer.add_subbytes buf b (off + len) (Bytes.length b - off - len);
+  Stdlib.Buffer.to_bytes buf
+
+(* the offset and length of a packed part's entry count *)
+let count_span (p : Dist_array.partition) =
+  let buf = Stdlib.Buffer.create 32 in
+  Codec.put_string buf p.pt_array;
+  Codec.put_varint buf (Array.length p.pt_dims);
+  Array.iter (Codec.put_varint buf) p.pt_dims;
+  Codec.put_float buf p.pt_default;
+  Stdlib.Buffer.add_char buf '\000';
+  let off = Stdlib.Buffer.length buf in
+  Codec.put_varint buf (Array.length p.pt_keys);
+  (off, Stdlib.Buffer.length buf - off)
+
+(* a packed part cut at any offset, or claiming more entries than its
+   dims hold (or, in dense mode, than its key runs hold), is a
+   positioned decode error and never another exception *)
+let qcheck_part_faults =
+  QCheck.Test.make ~count:200 ~name:"part codec: truncated and over-counted parts"
+    QCheck.(triple arb_seeded_array bool small_nat)
+    (fun (seeded, dense, extra) ->
+      let p = Dist_array.to_partition (seeded_array ~name:"pf" seeded) in
+      let mode = if dense then `Dense else `Sparse in
+      let b = fst (Codec.encode_part ~mode p) in
+      let len = Bytes.length b in
+      let off, clen = count_span p in
+      let n = Array.length p.pt_keys in
+      let cells = Array.fold_left ( * ) 1 p.pt_dims in
+      let fails b =
+        positioned_error ~len:(Bytes.length b) (fun () -> Codec.decode_part b)
+      in
+      List.for_all (fun cut -> fails (Bytes.sub b 0 cut)) (List.init len Fun.id)
+      && fails (recount b ~off ~len:clen (cells + 1 + extra))
+      && ((not dense) || fails (recount b ~off ~len:clen (n + 1 + extra))))
 
 (* a schedule-row block round-trips its entries, and a cut one is a
    positioned decode error *)
@@ -594,13 +682,11 @@ let qcheck_row_frame =
            = Array.fold_left (fun acc e -> acc + entries_digest e) 0 entries
         && List.for_all2
              (fun (a, keys, values, _) { Wire.sp_off; sp_len } ->
-               let name, dims, keys', values' =
-                 Orion_net.Policy.decode_region ~pos:sp_off ~len:sp_len payload
-               in
-               name = Dist_array.name a
-               && dims = Dist_array.dims a
-               && keys' = keys
-               && Array.for_all2 (fun v v' -> bits v = bits v') values values')
+               let p = Codec.decode_part ~pos:sp_off ~len:sp_len payload in
+               p.pt_array = Dist_array.name a
+               && p.pt_dims = Dist_array.dims a
+               && p.pt_keys = keys
+               && Array.for_all2 (fun v v' -> bits v = bits v') values p.pt_values)
              regions (Array.to_list rspans)
       in
       let fails ?(len = len) row payload =
@@ -754,47 +840,13 @@ let qcheck_policy_sync_roundtrip =
         let decoded = Policy.decode_entries ~delinearize:pol_delin payload in
         ( subset_of journal decoded
           && same_state (lww_state journal) (lww_state decoded)
-          && List.for_all (fun (_, b, f) -> b >= 0.0 && f >= 0.0) accounts,
+          && List.for_all (fun (_, b) -> b >= 0.0) accounts,
           decoded )
       in
       let ok_token, dt = roundtrip token in
       let ok_flush, df = roundtrip flush in
       ok_token && ok_flush
       && same_state (lww_state entries) (lww_state (dt @ df)))
-
-let qcheck_packed_partition_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"packed partition codec round-trip"
-    QCheck.(
-      triple bool
-        (list_of_size (Gen.int_range 1 3) (int_range 1 5))
-        (small_list (pair small_nat (float_range (-1e6) 1e6))))
-    (fun (sparse, dims_l, seeds) ->
-      let dims = Array.of_list dims_l in
-      let a =
-        if sparse then Dist_array.create_sparse ~name:"pk" ~dims ~default:0.0
-        else Dist_array.fill_dense ~name:"pk" ~dims 0.0
-      in
-      List.iter
-        (fun (kseed, v) ->
-          let key = Array.mapi (fun i d -> (kseed + (i * 7)) mod d) dims in
-          Dist_array.set a key v)
-        seeds;
-      let part = Dist_array.to_partition a in
-      List.for_all
-        (fun mode ->
-          let part' =
-            Policy.decode_part (fst (Policy.encode_part ~mode part))
-          in
-          part'.Dist_array.pt_array = part.Dist_array.pt_array
-          && part'.Dist_array.pt_dims = part.Dist_array.pt_dims
-          && part'.Dist_array.pt_sparse = part.Dist_array.pt_sparse
-          && bits part'.Dist_array.pt_default = bits part.Dist_array.pt_default
-          && Array.length part'.Dist_array.pt_entries
-             = Array.length part.Dist_array.pt_entries
-          && Array.for_all2
-               (fun (k, v) (k', v') -> k = k' && bits v = bits v')
-               part.Dist_array.pt_entries part'.Dist_array.pt_entries)
-        [ `Sparse; `Dense ])
 
 (* a region of a random array, packed and set onto a zeroed copy,
    reproduces exactly the entries whose index along [dim] is in range *)
@@ -825,8 +877,9 @@ let qcheck_region_roundtrip =
       let sender =
         Policy.sender ~linearize:(fun _ -> Dist_array.linearize a) ~pos:Fun.id
       in
-      let name, dims', keys', values' =
-        Policy.decode_region (Policy.encode_region sender a keys values)
+      let { Dist_array.pt_array = name; pt_dims = dims'; pt_keys = keys';
+            pt_values = values'; _ } =
+        Codec.decode_part (Policy.encode_region sender a keys values)
       in
       let b = make () in
       Dist_array.set_region b keys' values';
@@ -909,8 +962,8 @@ let distributed_matches_sim ?pipeline_depth name procs () =
 (* the wire ships only the newest write per (array, key), packed
    ("delta"), yet the run ends exactly where applying every write
    ("full") ends — the simulated executor, bitwise or within slr's
-   tolerance — and in fewer bytes than one Marshal record per write
-   or partition (the full-equivalent count every sender keeps) *)
+   tolerance — and in fewer bytes than the raw layout, 16 bytes per
+   entry or write (the full-equivalent count every sender keeps) *)
 let delta_matches_full name () =
   let app = find_app name in
   let full = run_sim app ~procs:2 ~passes:2 in
@@ -919,7 +972,7 @@ let delta_matches_full name () =
     ~what:(name ^ " delta vs full")
     ~tolerance:app.Orion.App.app_tolerance full delta;
   Alcotest.(check bool)
-    (Printf.sprintf "packed bytes (%.0f) below per-record bytes (%.0f)"
+    (Printf.sprintf "packed bytes (%.0f) below raw-layout bytes (%.0f)"
        report.Orion.Engine.ep_bytes_shipped report.Orion.Engine.ep_bytes_full)
     true
     (report.Orion.Engine.ep_bytes_shipped < report.Orion.Engine.ep_bytes_full);
@@ -1584,6 +1637,7 @@ let () =
           tc "wire round-trip over socketpair" `Quick test_wire_roundtrip;
           qc qcheck_value_codec_roundtrip;
           qc qcheck_value_codec_faults;
+          qc qcheck_part_faults;
           qc qcheck_block_codec;
           qc qcheck_row_frame;
           tc "float row block loop allocates only the key" `Quick

@@ -68,22 +68,27 @@ let test_checkpoint_resume_exact () =
   register s2 w2;
   register s2 h2;
   let _ = run_script s2 (train_script 4) in
-  let wc = Filename.temp_file "orion_w" ".ckpt" in
-  let hc = Filename.temp_file "orion_h" ".ckpt" in
-  Dist_array.checkpoint w2 wc;
-  Dist_array.checkpoint h2 hc;
+  let dir = Filename.temp_dir "orion_wh" ".ckpt" in
+  let ckpt =
+    Orion_store.Checkpoint.save ~dir
+      (Orion_store.Checkpoint.snapshot ~app:"mf" ~scale:1.0 ~pass:4
+         ~total_passes:8 ~rng:0L
+         [ ("W", w2); ("H", h2) ])
+  in
 
   let s3 = fresh_session data in
-  let w3 : float Dist_array.t = Dist_array.restore ~name:"W" wc in
-  let h3 : float Dist_array.t = Dist_array.restore ~name:"H" hc in
+  let w3, h3 = fresh_params () in
+  Orion_store.Checkpoint.restore
+    (Orion_store.Checkpoint.load ckpt)
+    [ ("W", w3); ("H", h3) ];
   register s3 w3;
   register s3 h3;
   let _ = run_script s3 (train_script 4) in
   let resumed = loss_of s3 in
-  Sys.remove wc;
-  Sys.remove hc;
-  (* restore is a sparse copy of the same values and the schedule is
-     deterministic: resumption must match exactly *)
+  Sys.remove ckpt;
+  Sys.rmdir dir;
+  (* restore writes back every stored cell bit for bit and the
+     schedule is deterministic: resumption must match exactly *)
   Alcotest.(check (float 1e-9))
     "resumed training equals uninterrupted" uninterrupted resumed
 

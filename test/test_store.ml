@@ -684,6 +684,77 @@ let test_checkpoint_roundtrip () =
       | _ -> Alcotest.fail "corrupt checkpoint was accepted"
       | exception Checkpoint.Corrupt _ -> ())
 
+(* A payload whose header and CRC are valid but which does not decode
+   is [Corrupt], never another exception: the payload is built by hand
+   (the snapshot's fields, then one sparse part of array "s" over 100
+   cells holding 1e-9 at key 42) with one fault at a time. *)
+let test_checkpoint_malformed_payload () =
+  let module Codec = Orion_dsm.Codec in
+  let module B = Stdlib.Buffer in
+  let payload ?(narrays = 1) ?(count = 1) ?(key_mode = 0) ?(cut = 0)
+      ?(tail = "") () =
+    let b = B.create 64 in
+    Codec.put_string b "mf";
+    Codec.put_float b 1.0;
+    Codec.put_varint b 1;
+    Codec.put_varint b 2;
+    Codec.put_int64 b 7L;
+    Codec.put_varint b narrays;
+    let part_at = B.length b in
+    Codec.put_string b "s";
+    Codec.put_varint b 1;
+    Codec.put_varint b 100;
+    Codec.put_float b 0.0;
+    B.add_char b '\001';
+    Codec.put_varint b count;
+    B.add_char b (Char.chr key_mode);
+    Codec.put_varint b 42;
+    B.add_char b '\000';
+    Codec.put_float b 1e-9;
+    B.add_string b tail;
+    (B.sub b part_at (B.length b - part_at), B.sub b 0 (B.length b - cut))
+  in
+  let framed ?(version = Checkpoint.version) payload =
+    let b = B.create 64 in
+    B.add_string b "ORCK";
+    B.add_int32_le b (Int32.of_int version);
+    B.add_int32_le b (Orion_store.Crc32.digest (Bytes.of_string payload));
+    B.add_string b payload;
+    B.contents b
+  in
+  with_dir "ck-malformed" (fun dir ->
+      Sys.mkdir dir 0o755;
+      let path = Filename.concat dir "pass-0001.orck" in
+      let load ?version payload =
+        write_file path (framed ?version payload);
+        Checkpoint.load path
+      in
+      (* the hand-built layout is the real one *)
+      let sparse = Dist_array.create_sparse ~name:"s" ~dims:[| 100 |] ~default:0.0 in
+      Dist_array.set sparse [| 42 |] 1e-9;
+      let part, valid = payload () in
+      Alcotest.(check string) "hand-built part is the codec's"
+        (Bytes.to_string (fst (Codec.encode_part (Dist_array.to_partition sparse))))
+        part;
+      let s = load valid in
+      Alcotest.(check int) "valid payload: passes" 1 s.Checkpoint.ck_pass;
+      Alcotest.(check int64) "valid payload: rng" 7L s.Checkpoint.ck_rng;
+      let corrupt ?version what payload =
+        match load ?version payload with
+        | _ -> Alcotest.failf "%s: malformed checkpoint was accepted" what
+        | exception Checkpoint.Corrupt _ -> ()
+      in
+      for cut = 1 to String.length part do
+        corrupt (Printf.sprintf "part cut by %d bytes" cut) (snd (payload ~cut ()))
+      done;
+      corrupt "count beyond the cells" (snd (payload ~count:101 ()));
+      corrupt "count of 2^40" (snd (payload ~count:(1 lsl 40) ()));
+      corrupt "count beyond the keys" (snd (payload ~count:2 ()));
+      corrupt "bad key mode" (snd (payload ~key_mode:7 ()));
+      corrupt "two parts claimed" (snd (payload ~narrays:2 ()));
+      corrupt "bytes after the part" (snd (payload ~tail:"x" ()));
+      corrupt ~version:1 "a version-1 file" valid)
+
 (* ------------------------------------------------------------------ *)
 (* Resume equivalence: a run checkpointed at pass k and resumed from   *)
 (* the checkpoint reaches the same final state as the uninterrupted    *)
@@ -837,6 +908,8 @@ let () =
       ( "checkpoint",
         [
           tc "save/load/restore round-trip" `Quick test_checkpoint_roundtrip;
+          tc "malformed payload with a valid CRC" `Quick
+            test_checkpoint_malformed_payload;
           tc "cadence every 2: sim" `Quick (cadence_every_2 `Sim);
           tc "cadence every 2: parallel" `Quick (cadence_every_2 (`Parallel 2));
           tc "cadence every 2: distributed" `Quick (cadence_every_2 dist2);
