@@ -763,17 +763,28 @@ let set_slice_vec (t : float t) (subs : Orion_lang.Value.concrete_sub array)
 (** Expose a float DistArray to interpreted OrionScript code.  Optional
     [on_get]/[on_set] hooks let the runtime charge communication or
     record accesses.  When neither hook is supplied, the extern also
-    carries {!Orion_lang.Value.fast_access} point accessors so compiled
-    loop bodies bypass the boxed path entirely (a hooked extern must
-    not, because the fast path would skip the hooks). *)
+    carries {!Orion_lang.Value.fast_access}: point accessors and, for
+    dense storage, the flat array itself, so compiled loop bodies
+    bypass the boxed path entirely (a hooked extern must not, because
+    the fast path would skip the hooks). *)
 let to_extern ?on_get ?on_set (t : float t) : Orion_lang.Value.extern =
   let module V = Orion_lang.Value in
   let fast =
     match (on_get, on_set) with
     | None, None ->
-        (* [get]/[set] linearize (and bounds-check) immediately and do
-           not retain the key array, so callers may reuse a key buffer *)
-        Some { V.fa_get = get t; fa_set = set t }
+        (* the accessors linearize (and bounds-check) immediately and do
+           not retain the key array, so callers may reuse a key buffer;
+           they are specialized to floats, so an element is boxed only
+           by the call's return *)
+        let lin key = linearize t key in
+        let fa_get, fa_dense =
+          match t.storage with
+          | Dense d ->
+              ( (fun key -> d.(lin key)),
+                Some { V.dn_data = d; dn_strides = t.strides } )
+          | Sparse _ -> ((fun key -> get_lin t (lin key)), None)
+        in
+        Some { V.fa_get; fa_set = set t; fa_dense }
     | _ -> None
   in
   let on_get = Option.value on_get ~default:(fun _ -> ()) in

@@ -2,21 +2,27 @@
 
     The tree-walking {!Interp} re-dispatches on the AST for every
     element of every pass; this module performs that dispatch {e once},
-    turning the body into a tree of OCaml closures:
+    turning the body into a tree of OCaml closures that pass their
+    results by destination, so a body allocates nothing per entry:
 
-    - variables resolve to mutable {e slots} (array cells) instead of
-      per-access hashtable lookups;
+    - variables resolve to {e slots} instead of per-access hashtable
+      lookups; a slot whose static type is known holds its value
+      unboxed: an int or float cell, a vector's array, a key's index
+      array;
+    - a small static type inference (fixpoint over the body) finds
+      scalar [int]/[float] expressions; an int node returns its value
+      (ints are immediate), and a float node writes its result into a
+      cell it owns, since a float returned from a closure is boxed;
+    - vector expressions (extern slices, [+ - * /] and negation over
+      vectors and scalars) fill a scratch [float array] owned by their
+      node, reallocated only when the length changes, with
+      {!Interp}'s element-wise loops; a vector local copies a result
+      into an array of its own;
     - DistArray point subscripts and one-dimensional slices
       ([W\[:, j\]], [W\[lo:hi, j\]]) resolve through the host's
-      unboxed {!Value.fast_access} accessors with a reused key buffer,
-      element by element for a slice, when no profile or access hook
-      needs to observe the access;
-    - a small static type inference (fixpoint over the body) finds
-      scalar [int]/[float] expressions and compiles them unboxed, and
-      finds vector expressions (extern slices, [+ - * /] and negation
-      over vectors and scalars) and compiles them to [float array]
-      loops that build one fresh array per operation, as
-      {!Interp.eval_binop} does;
+      {!Value.fast_access}, when no profile or access hook needs to
+      observe the access: a dense array's flat storage with the
+      bounds checked first, else the unboxed point accessors;
     - builtins devirtualize to direct closures at compile time.
 
     Observational equivalence with {!Interp.eval_body_for} is the
@@ -26,6 +32,10 @@
     the same order (every access site dynamically falls back to the
     boxed, hook-calling path when either is set, so one kernel serves
     both the multicore engine and the journaling distributed worker).
+    Vectors keep the interpreter's reference semantics: [b = a] makes
+    both locals hold one array, so an index write through either shows
+    in both, and an array another holder may see (a second local, or a
+    boxed value handed out) is never refilled in place.
 
     Known (documented) semantic hole: globals are captured from
     [env.vars] once at compile time, so a host builtin that rebinds
@@ -76,59 +86,129 @@ let ty_of_value = function
   | Vextern _ -> Textern
   | Vunit | Vstring _ | Vtuple _ -> Tany
 
-(* an unboxed float variable: a record of one float field is stored
-   flat, so a write allocates nothing *)
-type fcell = { mutable cv : float }
+type fcell = Interp.fcell = { mutable cv : float }
+type icell = { mutable ci : int }
+
+(* a vector variable: the array it holds, and whether another holder
+   (a second local, or a boxed value handed out) may see that array —
+   only an unshared array is refilled in place *)
+type vcell = { mutable va : float array; mutable vshared : bool }
+
+type xcell = { mutable ix : int array }
+
+(* how a slot holds its value, fixed by its static type once inference
+   converges; only [Rbox] holds a boxed [Value.t] *)
+type rep =
+  | Rbox
+  | Rint of icell
+  | Rfloat of fcell
+  | Rvec of vcell
+  | Rindex of xcell
 
 type slot = {
   sl_name : string;
   sl_local : bool;  (** assigned somewhere in the body (or a loop var) *)
-  mutable sl_v : Value.t;
+  mutable sl_v : Value.t;  (** the value of an [Rbox] slot *)
   mutable sl_defined : bool;
   mutable sl_ty : ty;
-  sl_cell : fcell option;
-      (** the value variable of a float kernel that the body never
-          rebinds: its value lives here, unboxed, and [sl_v] is unused *)
+  mutable sl_rep : rep;
 }
 
-let slot_get s =
-  if s.sl_defined then
-    match s.sl_cell with None -> s.sl_v | Some c -> Vfloat c.cv
-  else
+let check_defined s =
+  if not s.sl_defined then
     raise
       (Interp.Runtime_error
          (Printf.sprintf "undefined variable %s" s.sl_name))
 
+(* the slot's value for a use that keeps no reference to it *)
+let slot_peek s =
+  check_defined s;
+  match s.sl_rep with
+  | Rbox -> s.sl_v
+  | Rint c -> Vint c.ci
+  | Rfloat c -> Vfloat c.cv
+  | Rvec c -> Vvec c.va
+  | Rindex c -> Vindex c.ix
+
+(* the slot's value, boxed for a holder that may keep it: a vector
+   array handed out is shared from then on *)
+let slot_get s =
+  let v = slot_peek s in
+  (match s.sl_rep with Rvec c -> c.vshared <- true | _ -> ());
+  v
+
+(* store a boxed value; a vector array from the boxed world may be held
+   elsewhere, so it is shared *)
 let slot_set s v =
-  s.sl_v <- v;
+  (match (s.sl_rep, v) with
+  | Rbox, _ -> s.sl_v <- v
+  | Rint c, Vint n -> c.ci <- n
+  | Rfloat c, Vfloat f -> c.cv <- f
+  | Rvec c, Vvec a ->
+      c.va <- a;
+      c.vshared <- true
+  | Rindex c, Vindex k -> c.ix <- k
+  | _ -> infer_bug ("slot " ^ s.sl_name));
   s.sl_defined <- true
 
-let slot_int s =
-  match slot_get s with
-  | Vint n -> n
-  | _ -> infer_bug ("int slot " ^ s.sl_name)
+let set_index s key =
+  match s.sl_rep with
+  | Rindex c ->
+      c.ix <- key;
+      s.sl_defined <- true
+  | _ -> slot_set s (Vindex key)
 
-let slot_float s =
-  match s.sl_cell with
-  | Some c -> c.cv
-  | None -> (
-      match slot_get s with
-      | Vfloat f -> f
-      | _ -> infer_bug ("float slot " ^ s.sl_name))
+(* the representation [s]'s static type allows; a captured value of
+   another type (only the forced key and value slots can hold one)
+   leaves the slot undefined until the kernel first sets it *)
+let fix_rep s =
+  let rep =
+    match (s.sl_ty, s.sl_v) with
+    | Tint, v -> Rint { ci = (match v with Vint n -> n | _ -> 0) }
+    | Tfloat, v -> Rfloat { cv = (match v with Vfloat f -> f | _ -> 0.0) }
+    | Tvec, v ->
+        Rvec { va = (match v with Vvec a -> a | _ -> [||]); vshared = true }
+    | Tindex, v -> Rindex { ix = (match v with Vindex k -> k | _ -> [||]) }
+    | _ -> Rbox
+  in
+  (match rep with
+  | Rbox -> ()
+  | _ -> if ty_of_value s.sl_v <> s.sl_ty then s.sl_defined <- false);
+  s.sl_rep <- rep
 
-type ctx = { env : Interp.env; slots : (string, slot) Hashtbl.t }
+module Names = Set.Make (String)
+
+type ctx = {
+  env : Interp.env;
+  slots : (string, slot) Hashtbl.t;
+  mutable assigned : Names.t;
+      (** while compiling, the locals assigned on every path from the
+          body's start to the current statement *)
+}
 
 let slot ctx name =
   match Hashtbl.find_opt ctx.slots name with
   | Some s -> s
   | None -> infer_bug ("unallocated slot " ^ name)
 
+(* is [s] certainly defined wherever the statement being compiled reads
+   it?  A slot defined at compile time stays defined (nothing undefines
+   a variable), and so does one assigned earlier on every path *)
+let known ctx s = s.sl_defined || Names.mem s.sl_name ctx.assigned
+
+(* A compiled block: its statements and their source positions. *)
+type cblock = {
+  cb_env : Interp.env;
+  cb_stmts : (unit -> unit) array;
+  cb_pos : pos array;
+}
+
 type t = {
   c_env : Interp.env;
   c_key : slot;
   c_value : slot;
   c_value_float : bool;  (** runs only through [run_float] *)
-  c_body : (unit -> unit) array;
+  c_body : cblock;
   c_locals : slot list;
 }
 
@@ -326,11 +406,23 @@ let infer_pass ctx body =
 (* Compiled subscripts                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* a compiled subscript: closures produce 0-based concrete positions *)
-type csub =
-  | Kall
-  | Kpoint of (unit -> int)
-  | Krange of (unit -> int) * (unit -> int)
+(* a compiled 0-based point position: a constant, a key element
+   ([key[c]] for a constant [c]) or an int variable certainly defined,
+   read without a call, or else a closure *)
+type isrc =
+  | Iconst of int
+  | Ikey of xcell * int  (** [ix.(c)] *)
+  | Iint of icell  (** [ci - 1] *)
+  | Irun of (unit -> int)
+
+let[@inline] iget = function
+  | Iconst k -> k
+  | Ikey (c, p) -> c.ix.(p)
+  | Iint c -> c.ci - 1
+  | Irun f -> f ()
+
+(* a compiled subscript, producing 0-based concrete positions *)
+type csub = Kall | Kpoint of isrc | Krange of isrc * isrc
 
 (* evaluate compiled subscripts to a FRESH concrete-subscript array
    (fresh because access hooks retain what they are handed), in
@@ -342,10 +434,10 @@ let eval_csubs (ks : csub array) : Value.concrete_sub array =
     out.(i) <-
       (match ks.(i) with
       | Kall -> Call_dim
-      | Kpoint f -> Cpoint (f ())
+      | Kpoint p -> Cpoint (iget p)
       | Krange (l, h) ->
-          let lo = l () in
-          Crange (lo, h ()))
+          let lo = iget l in
+          Crange (lo, iget h))
   done;
   out
 
@@ -379,32 +471,34 @@ let index_value env v (ks : csub array) =
   | Vextern ex -> read_extern env ex ks
   | Vvec arr -> (
       match ks with
-      | [| Kpoint f |] -> Vfloat arr.(f ())
+      | [| Kpoint p |] -> Vfloat arr.(iget p)
       | [| Kall |] -> Vvec (Array.copy arr)
       | [| Krange (l, h) |] ->
-          let lo = l () in
-          let hi = h () in
+          let lo = iget l in
+          let hi = iget h in
           Interp.checked_vec_range ~len:(Array.length arr) ~lo ~hi;
           Vvec (Array.sub arr lo (hi - lo + 1))
       | _ -> raise (Interp.Runtime_error "vectors take exactly one subscript"))
   | Vindex idx -> (
       match ks with
-      | [| Kpoint f |] -> Vint (idx.(f ()) + 1)
+      | [| Kpoint p |] -> Vint (idx.(iget p) + 1)
       | _ ->
           raise (Interp.Runtime_error "index vectors take one point subscript"))
   | Vtuple vs -> (
       match ks with
-      | [| Kpoint f |] -> List.nth vs (f ())
+      | [| Kpoint p |] -> List.nth vs (iget p)
       | _ -> raise (Interp.Runtime_error "tuples take one point subscript"))
   | v -> raise (Type_error ("cannot index a " ^ type_name v))
 
+(* a vector's elements are written in place, so every holder of the
+   array sees the store *)
 let assign_index_value env s (ks : csub array) v =
-  match slot_get s with
+  match slot_peek s with
   | Vextern ex -> write_extern env ex ks v
   | Vvec arr -> (
       match ks with
-      | [| Kpoint f |] ->
-          let i = f () in
+      | [| Kpoint p |] ->
+          let i = iget p in
           arr.(i) <- to_float v
       | [| Kall |] ->
           let src = to_vec v in
@@ -412,8 +506,8 @@ let assign_index_value env s (ks : csub array) v =
             raise (Interp.Runtime_error "vector length mismatch in assignment")
           else Array.blit src 0 arr 0 (Array.length arr)
       | [| Krange (l, h) |] ->
-          let lo = l () in
-          let hi = h () in
+          let lo = iget l in
+          let hi = iget h in
           Interp.checked_vec_range ~len:(Array.length arr) ~lo ~hi;
           let src = to_vec v in
           if Array.length src <> hi - lo + 1 then
@@ -429,71 +523,204 @@ let no_hooks env =
   | None, None -> true
   | _ -> false
 
-(* ---- extern slices through the unboxed accessors ------------------ *)
+(* ---- unboxed scalar arithmetic ------------------------------------ *)
+
+(* Float operators over cells: a float passed to or returned from a
+   function that is not inlined is boxed, a cell is not.  One rounding
+   per operation, as [Interp.eval_binop]. *)
+let float_binop op (a : fcell) (b : fcell) (out : fcell) =
+  let x = a.cv and y = b.cv in
+  match op with
+  | Add -> out.cv <- x +. y
+  | Sub -> out.cv <- x -. y
+  | Mul -> out.cv <- x *. y
+  | Div -> out.cv <- x /. y
+  | Mod -> out.cv <- Float.rem x y
+  | Pow -> out.cv <- Float.pow x y
+  | _ -> infer_bug "float operator"
+
+type fun1 = Fneg | Fexp | Flog | Fsqrt | Fsigmoid | Fabs2 | Fabs
+
+let float_fun1 op (a : fcell) (out : fcell) =
+  let x = a.cv in
+  match op with
+  | Fneg -> out.cv <- -.x
+  | Fexp -> out.cv <- exp x
+  | Flog -> out.cv <- log x
+  | Fsqrt -> out.cv <- sqrt x
+  | Fsigmoid -> out.cv <- 1.0 /. (1.0 +. exp (-.x))
+  | Fabs2 -> out.cv <- x *. x
+  | Fabs -> out.cv <- Float.abs x
+
+(* [to_int]'s acceptance of a float and its error text; the test is
+   [Float.is_integer]'s, written out so that [x] stays unboxed *)
+let int_of_cell (c : fcell) =
+  let x = c.cv in
+  if x = Float.trunc x && x -. x = 0.0 then int_of_float x
+  else raise (Type_error "expected an int, got float")
+
+(* ---- DistArray access through the fast accessors ------------------ *)
+
+(* the row-major offset of [key] in a dense array, or -1 when an index
+   lies outside [dims] *)
+let dense_offset dims strides key =
+  let lin = ref 0 and ok = ref true in
+  for i = 0 to Array.length key - 1 do
+    let k = key.(i) in
+    if k < 0 || k >= dims.(i) then ok := false
+    else lin := !lin + (k * strides.(i))
+  done;
+  if !ok then !lin else -1
+
+(* [A[p1, .., pn]] on a fast extern: compiled positions, a reused key
+   buffer they fill, and the same positions as subscripts for the boxed
+   path *)
+type point = {
+  pt_ex : extern;
+  pt_fa : fast_access;
+  pt_ps : isrc array;
+  pt_key : int array;
+  pt_ks : csub array;
+}
+
+let fill_key pt =
+  for i = 0 to Array.length pt.pt_ps - 1 do
+    pt.pt_key.(i) <- iget pt.pt_ps.(i)
+  done
+
+(* evaluate the subscripts, then read the element into [out]; an
+   out-of-bounds key goes to the accessor, which raises its error *)
+let point_get pt (out : fcell) =
+  fill_key pt;
+  let key = pt.pt_key in
+  match pt.pt_fa.fa_dense with
+  | Some d ->
+      let lin = dense_offset pt.pt_ex.ex_dims d.dn_strides key in
+      out.cv <- (if lin >= 0 then d.dn_data.(lin) else pt.pt_fa.fa_get key)
+  | None -> out.cv <- pt.pt_fa.fa_get key
+
+let point_set pt (src : fcell) =
+  fill_key pt;
+  let key = pt.pt_key and x = src.cv in
+  match pt.pt_fa.fa_dense with
+  | Some d ->
+      let lin = dense_offset pt.pt_ex.ex_dims d.dn_strides key in
+      if lin >= 0 then d.dn_data.(lin) <- x else pt.pt_fa.fa_set key x
+  | None -> pt.pt_fa.fa_set key x
+
+(* a vector node's scratch array, reallocated only when the length
+   changes *)
+type vbuf = { mutable vb : float array }
+
+let vbuf_for b n =
+  if Array.length b.vb = n then b.vb
+  else begin
+    let a = Array.create_float n in
+    b.vb <- a;
+    a
+  end
 
 (* [A[p1, .., lo:hi, .., pn]] on a fast extern: the compiled
-   subscripts, the sliced dimension, and a key buffer that holds the
-   point positions and walks the sliced one *)
+   subscripts, the sliced dimension, a key buffer that holds the point
+   positions and walks the sliced one, and the node's result buffer *)
 type slice = {
+  sc_ex : extern;
+  sc_fa : fast_access;
   sc_ks : csub array;
   sc_dim : int;
   sc_extent : int;  (** the sliced dimension's size: the bounds of [:] *)
   sc_key : int array;
+  sc_buf : vbuf;
   mutable sc_lo : int;
   mutable sc_hi : int;
+  mutable sc_base : int;  (** dense offset of key [sc_lo] *)
 }
 
-let make_slice ex ks =
+let make_slice ex fa ks =
   let n = Array.length ks in
   let dim = ref 0 in
   Array.iteri (fun i k -> match k with Kpoint _ -> () | _ -> dim := i) ks;
   {
+    sc_ex = ex;
+    sc_fa = fa;
     sc_ks = ks;
     sc_dim = !dim;
     sc_extent = ex.ex_dims.(!dim);
     sc_key = Array.make n 0;
+    sc_buf = { vb = [||] };
     sc_lo = 0;
     sc_hi = 0;
+    sc_base = 0;
   }
 
 (* the subscripts, left to right with lo before hi, as [eval_csubs] *)
 let eval_slice sc =
   for i = 0 to Array.length sc.sc_ks - 1 do
     match sc.sc_ks.(i) with
-    | Kpoint f -> sc.sc_key.(i) <- f ()
+    | Kpoint p -> sc.sc_key.(i) <- iget p
     | Kall ->
         sc.sc_lo <- 0;
         sc.sc_hi <- sc.sc_extent - 1
     | Krange (l, h) ->
-        let lo = l () in
+        let lo = iget l in
         sc.sc_lo <- lo;
-        sc.sc_hi <- h ()
+        sc.sc_hi <- iget h
   done
+
+(* how many of the slice's first [n] keys (ascending along the sliced
+   dimension) lie in a dense array's bounds, with the first one's
+   offset in [sc_base] *)
+let dense_prefix sc d n =
+  if n = 0 then 0
+  else begin
+    sc.sc_key.(sc.sc_dim) <- sc.sc_lo;
+    let lin = dense_offset sc.sc_ex.ex_dims d.dn_strides sc.sc_key in
+    if lin < 0 then 0
+    else begin
+      sc.sc_base <- lin;
+      let room = sc.sc_extent - sc.sc_lo in
+      if room < n then room else n
+    end
+  end
 
 (* An extern with a fast accessor answers a slice element by element,
    as [Dist_array.slice_vec] / [set_slice_vec] do: ascending positions,
    so an out-of-range element raises after the same prefix, and a
-   reversed range fails as their [Array.init] does. *)
-let read_slice fa sc =
+   reversed range fails as their [Array.init] does.  A dense array
+   runs its in-bounds prefix as one strided loop and leaves the rest to
+   the point accessor, which raises at the first key. *)
+let read_slice sc =
   eval_slice sc;
   let lo = sc.sc_lo and key = sc.sc_key and d = sc.sc_dim in
   let n = sc.sc_hi - lo + 1 in
   if n < 0 then invalid_arg "Array.init";
-  let r = Array.create_float n in
-  for k = 0 to n - 1 do
+  let r = vbuf_for sc.sc_buf n in
+  let m =
+    match sc.sc_fa.fa_dense with
+    | None -> 0
+    | Some dn ->
+        let m = dense_prefix sc dn n in
+        let data = dn.dn_data and base = sc.sc_base
+        and st = dn.dn_strides.(d) in
+        for k = 0 to m - 1 do
+          r.(k) <- data.(base + (k * st))
+        done;
+        m
+  in
+  for k = m to n - 1 do
     key.(d) <- lo + k;
-    r.(k) <- fa.fa_get key
+    r.(k) <- sc.sc_fa.fa_get key
   done;
   r
 
 (* a store of the wrong length goes to the boxed setter, which owns
    that error *)
-let write_slice ex fa sc src =
+let write_slice sc src =
   eval_slice sc;
   let lo = sc.sc_lo and key = sc.sc_key and d = sc.sc_dim in
   let n = sc.sc_hi - lo + 1 in
   if Array.length src <> n then
-    ex.ex_set
+    sc.sc_ex.ex_set
       (Array.mapi
          (fun i k ->
            match k with
@@ -502,20 +729,99 @@ let write_slice ex fa sc src =
            | Krange _ -> Crange (lo, sc.sc_hi))
          sc.sc_ks)
       (Vvec src)
-  else
-    for k = 0 to n - 1 do
+  else begin
+    let m =
+      match sc.sc_fa.fa_dense with
+      | None -> 0
+      | Some dn ->
+          let m = dense_prefix sc dn n in
+          let data = dn.dn_data and base = sc.sc_base
+          and st = dn.dn_strides.(d) in
+          for k = 0 to m - 1 do
+            data.(base + (k * st)) <- src.(k)
+          done;
+          m
+    in
+    for k = m to n - 1 do
       key.(d) <- lo + k;
-      fa.fa_set key src.(k)
+      sc.sc_fa.fa_set key src.(k)
     done
+  end
+
+(* a fresh vector result stored into a vector variable: refilled in
+   place when the variable's array is its own and of the same length *)
+let store_vec c r =
+  let n = Array.length r in
+  if c.vshared || Array.length c.va <> n then begin
+    c.va <- Array.copy r;
+    c.vshared <- false
+  end
+  else begin
+    let a = c.va in
+    for i = 0 to n - 1 do
+      a.(i) <- r.(i)
+    done
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* unboxed scalar code *)
-type num = I of (unit -> int) | F of (unit -> float)
+(* Unboxed scalar code: an int node returns its value; a float node
+   runs, then its result is in its cell.  A cell belongs to its node
+   (or is a variable's own), and only its owner writes it. *)
+type num = I of (unit -> int) | F of fcell * (unit -> unit)
 
-let as_float = function F f -> f | I f -> fun () -> float_of_int (f ())
+(* A statically-vector expression: a vector variable, whose array an
+   assignment shares, or a node whose result is its own scratch array,
+   which an assignment copies and a boxed value must not keep. *)
+type vnode = Vlocal of slot * vcell | Vfresh of (unit -> float array)
+
+(* the run of a float node with nothing to do — a constant, or a
+   variable certainly defined; a parent then skips the call *)
+let noop () = ()
+
+let as_fnode = function
+  | F (c, r) -> (c, r)
+  | I f ->
+      let out = { cv = 0.0 } in
+      (out, fun () -> out.cv <- float_of_int (f ()))
+
+let fnode1 op (a, ra) =
+  let out = { cv = 0.0 } in
+  F
+    ( out,
+      if ra == noop then fun () -> float_fun1 op a out
+      else fun () ->
+        ra ();
+        float_fun1 op a out )
+
+(* a vector operand: a variable's array read without a call, or a
+   node's run *)
+type vsrc = Vcell of vcell | Vrun of (unit -> float array)
+
+let[@inline] vget = function Vcell c -> c.va | Vrun f -> f ()
+
+let box_num = function
+  | I f -> fun () -> Vint (f ())
+  | F (c, r) ->
+      fun () ->
+        r ();
+        Vfloat c.cv
+
+let vec_src ctx = function
+  | Vlocal (s, c) ->
+      if known ctx s then Vcell c
+      else
+        Vrun
+          (fun () ->
+            check_defined s;
+            c.va)
+  | Vfresh f -> Vrun f
+
+let box_vec = function
+  | Vlocal (s, _) -> fun () -> slot_get s
+  | Vfresh f -> fun () -> Vvec (Array.copy (f ()))
 
 let rec compile_expr ctx (e : expr) : unit -> Value.t =
   match e with
@@ -531,11 +837,9 @@ let rec compile_expr ctx (e : expr) : unit -> Value.t =
   | String_lit s ->
       let v = Vstring s in
       fun () -> v
-  | Var v -> (
+  | Var v ->
       let s = slot ctx v in
-      match s.sl_cell with
-      | Some c -> fun () -> Vfloat c.cv
-      | None -> fun () -> slot_get s)
+      fun () -> slot_get s
   | Binop (And, a, b) ->
       let ca = compile_expr ctx a in
       let cb = compile_expr ctx b in
@@ -545,22 +849,18 @@ let rec compile_expr ctx (e : expr) : unit -> Value.t =
       let cb = compile_expr ctx b in
       fun () -> if to_bool (ca ()) then Vbool true else Vbool (to_bool (cb ()))
   | Binop (op, a, b) -> (
-      match compile_num ctx ~fallback:false ~hookfree:false e with
-      | Some (I f) -> fun () -> Vint (f ())
-      | Some (F f) -> fun () -> Vfloat (f ())
-      | None -> (
-          match compile_vec ctx e with
-          | Some f -> fun () -> Vvec (f ())
-          | None ->
-              let ca = compile_expr ctx a in
-              let cb = compile_expr ctx b in
-              fun () ->
-                let va = ca () in
-                let vb = cb () in
-                Interp.eval_binop op va vb))
+      match compile_typed ctx e with
+      | Some f -> f
+      | None ->
+          let ca = compile_expr ctx a in
+          let cb = compile_expr ctx b in
+          fun () ->
+            let va = ca () in
+            let vb = cb () in
+            Interp.eval_binop op va vb)
   | Unop (Neg, a) -> (
-      match compile_vec ctx e with
-      | Some f -> fun () -> Vvec (f ())
+      match compile_typed ctx e with
+      | Some f -> f
       | None ->
           let ca = compile_expr ctx a in
           fun () -> (
@@ -575,8 +875,32 @@ let rec compile_expr ctx (e : expr) : unit -> Value.t =
   | Tuple es ->
       let cs = List.map (compile_expr ctx) es in
       fun () -> Vtuple (eval_list cs)
-  | Call (f, args) -> compile_call ctx f args
-  | Index (base, subs) -> compile_index ctx base subs
+  | Call (f, args) -> (
+      match compile_typed ctx e with
+      | Some c -> c
+      | None ->
+          (* everything else (size, sum, fill, println, host builtins, …)
+             goes through the interpreter's single dispatch point with
+             the same left-to-right argument order *)
+          let env = ctx.env in
+          let cargs = List.map (compile_expr ctx) args in
+          fun () -> Interp.eval_builtin env f (eval_list cargs))
+  | Index (base, subs) -> (
+      match compile_typed ctx e with
+      | Some f -> f
+      | None ->
+          let env = ctx.env in
+          let cb =
+            match base with
+            | Var v ->
+                let s = slot ctx v in
+                fun () -> slot_peek s
+            | _ -> compile_expr ctx base
+          in
+          let ks = Array.of_list (List.map (compile_csub ctx) subs) in
+          fun () ->
+            let v = cb () in
+            index_value env v ks)
 
 and eval_list cs =
   match cs with
@@ -585,186 +909,104 @@ and eval_list cs =
       let v = c () in
       v :: eval_list tl
 
-(* ---- builtin devirtualization ------------------------------------ *)
-
-and compile_call ctx f args : unit -> Value.t =
-  let env = ctx.env in
-  let cargs = List.map (compile_expr ctx) args in
-  match (f, cargs) with
-  | "int", [ c ] -> fun () -> Vint (to_int (c ()))
-  | "float", [ c ] -> fun () -> Vfloat (to_float (c ()))
-  | "exp", [ c ] -> fun () -> Vfloat (exp (to_float (c ())))
-  | "log", [ c ] -> fun () -> Vfloat (log (to_float (c ())))
-  | "sqrt", [ c ] -> fun () -> Vfloat (sqrt (to_float (c ())))
-  | "sigmoid", [ c ] ->
-      fun () ->
-        let x = to_float (c ()) in
-        Vfloat (1.0 /. (1.0 +. exp (-.x)))
-  | "abs2", [ c ] ->
-      fun () ->
-        let x = to_float (c ()) in
-        Vfloat (x *. x)
-  | "abs", [ c ] ->
-      fun () -> (
-        match c () with
-        | Vint n -> Vint (abs n)
-        | v -> Vfloat (Float.abs (to_float v)))
-  | "floor", [ c ] -> fun () -> Vint (int_of_float (Float.floor (to_float (c ()))))
-  | "ceil", [ c ] -> fun () -> Vint (int_of_float (Float.ceil (to_float (c ()))))
-  | "round", [ c ] -> fun () -> Vint (int_of_float (Float.round (to_float (c ()))))
-  | "rand", [] -> fun () -> Vfloat (Interp.Rng.float env.Interp.rng)
-  | "randn", [] -> fun () -> Vfloat (Interp.Rng.gaussian env.Interp.rng)
-  | "rand_int", [ c ] ->
-      fun () ->
-        let n = to_int (c ()) in
-        if n <= 0 then
-          raise (Interp.Runtime_error "rand_int expects a positive bound")
-        else Vint (int_of_float (Interp.Rng.float env.Interp.rng *. float_of_int n))
-  | "min", [ a; b ] ->
-      fun () ->
-        let va = a () in
-        let vb = b () in
-        (match (va, vb) with
-        | Vint x, Vint y -> Vint (min x y)
-        | _ ->
-            let x = to_float va in
-            let y = to_float vb in
-            Vfloat (Float.min x y))
-  | "max", [ a; b ] ->
-      fun () ->
-        let va = a () in
-        let vb = b () in
-        (match (va, vb) with
-        | Vint x, Vint y -> Vint (max x y)
-        | _ ->
-            let x = to_float va in
-            let y = to_float vb in
-            Vfloat (Float.max x y))
-  | "dot", [ _; _ ] ->
-      let f = compile_dot ctx args in
-      fun () -> Vfloat (f ())
-  | "norm", [ c ] ->
-      fun () ->
-        let x = to_vec (c ()) in
-        Vfloat (sqrt (Array.fold_left (fun s v -> s +. (v *. v)) 0.0 x))
-  | "zeros", [ c ] -> fun () -> Vvec (Array.make (to_int (c ())) 0.0)
-  | "length", [ c ] ->
-      fun () -> (
-        match c () with
-        | Vvec v -> Vint (Array.length v)
-        | Vextern ex -> Vint (ex.ex_count ())
-        | Vtuple vs -> Vint (List.length vs)
-        | Vindex idx -> Vint (Array.length idx)
-        | v -> Interp.eval_builtin env "length" [ v ])
-  | _ ->
-      (* everything else (size, sum, fill, println, host builtins, …)
-         goes through the interpreter's single dispatch point with the
-         same left-to-right argument order *)
-      fun () -> Interp.eval_builtin env f (eval_list cargs)
+(* [e] through its unboxed scalar or vector node, boxed at the end;
+   never the generic path, so [compile_expr] cannot recurse on [e] *)
+and compile_typed ctx e : (unit -> Value.t) option =
+  match compile_num ctx ~fallback:false e with
+  | Some n -> Some (box_num n)
+  | None -> Option.map box_vec (compile_vec ctx e)
 
 (* ---- unboxed scalar compilation ----------------------------------- *)
 
-(* [compile_num ctx ~fallback ~hookfree e] compiles [e] to an unboxed
-   int/float closure when its static type allows.  [hookfree] kernels
-   may skip profile/access-hook records (they only ever run under a
-   dynamic no-hooks check); non-hookfree ones are valid anywhere.
-   [fallback] permits wrapping the generic boxed closure when no
-   structural specialization applies (must be [false] when called from
-   [compile_expr] on the same node, to avoid mutual recursion). *)
-and compile_num ctx ~fallback ~hookfree (e : expr) : num option =
-  let num_arg = float_arg ctx ~hookfree in
+(* [compile_num ctx ~fallback e] compiles [e] to an unboxed int or
+   float node when its static type allows.  A DistArray read inside
+   checks for hooks itself and takes the boxed, recording path when one
+   is attached.  [fallback] permits wrapping the generic boxed closure
+   when no structural specialization applies (must be [false] when
+   called from [compile_expr] on the same node, to avoid mutual
+   recursion). *)
+and compile_num ctx ~fallback (e : expr) : num option =
+  let env = ctx.env in
+  let num_arg = float_arg ctx in
   match e with
   | Int_lit n -> Some (I (fun () -> n))
-  | Float_lit f -> Some (F (fun () -> f))
+  | Float_lit f -> Some (F ({ cv = f }, noop))
   | Var v -> (
       let s = slot ctx v in
-      match s.sl_ty with
-      | Tint -> Some (I (fun () -> slot_int s))
-      | Tfloat -> (
-          match s.sl_cell with
-          | Some c -> Some (F (fun () -> c.cv))
-          | None -> Some (F (fun () -> slot_float s)))
-      | _ -> None)
+      match s.sl_rep with
+      | Rint c ->
+          if known ctx s then Some (I (fun () -> c.ci))
+          else
+            Some
+              (I
+                 (fun () ->
+                   check_defined s;
+                   c.ci))
+      | Rfloat c ->
+          Some (F (c, if known ctx s then noop else fun () -> check_defined s))
+      | Rbox | Rvec _ | Rindex _ -> None)
   | Unop (Neg, a) -> (
-      match compile_num ctx ~fallback:true ~hookfree a with
+      match compile_num ctx ~fallback:true a with
       | Some (I f) -> Some (I (fun () -> -f ()))
-      | Some (F f) -> Some (F (fun () -> -.(f ())))
+      | Some (F (c, r)) -> Some (fnode1 Fneg (c, r))
       | None -> None)
   | Binop (op, a, b) -> (
       match
-        ( compile_num ctx ~fallback:true ~hookfree a,
-          compile_num ctx ~fallback:true ~hookfree b )
+        ( compile_num ctx ~fallback:true a,
+          compile_num ctx ~fallback:true b )
       with
       | Some na, Some nb -> compile_num_binop op na nb
       | _ -> None)
   | Call ("int", [ a ]) ->
       Some
         (I
-           (match compile_num ctx ~fallback:true ~hookfree a with
+           (match compile_num ctx ~fallback:true a with
            | Some (I f) -> f
-           | Some (F f) ->
+           | Some (F (c, r)) ->
                fun () ->
-                 let x = f () in
-                 if Float.is_integer x then int_of_float x
-                 else raise (Type_error "expected an int, got float")
+                 r ();
+                 int_of_cell c
            | None ->
                let c = compile_expr ctx a in
                fun () -> to_int (c ())))
-  | Call ("float", [ a ]) -> Some (F (num_arg a))
-  | Call ("exp", [ a ]) ->
-      let f = num_arg a in
-      Some (F (fun () -> exp (f ())))
-  | Call ("log", [ a ]) ->
-      let f = num_arg a in
-      Some (F (fun () -> log (f ())))
-  | Call ("sqrt", [ a ]) ->
-      let f = num_arg a in
-      Some (F (fun () -> sqrt (f ())))
-  | Call ("sigmoid", [ a ]) ->
-      let f = num_arg a in
-      Some
-        (F
-           (fun () ->
-             let x = f () in
-             1.0 /. (1.0 +. exp (-.x))))
-  | Call ("abs2", [ a ]) ->
-      let f = num_arg a in
-      Some
-        (F
-           (fun () ->
-             let x = f () in
-             x *. x))
+  | Call ("float", [ a ]) ->
+      let c, r = num_arg a in
+      Some (F (c, r))
+  | Call ("exp", [ a ]) -> Some (fnode1 Fexp (num_arg a))
+  | Call ("log", [ a ]) -> Some (fnode1 Flog (num_arg a))
+  | Call ("sqrt", [ a ]) -> Some (fnode1 Fsqrt (num_arg a))
+  | Call ("sigmoid", [ a ]) -> Some (fnode1 Fsigmoid (num_arg a))
+  | Call ("abs2", [ a ]) -> Some (fnode1 Fabs2 (num_arg a))
   | Call ("abs", [ a ]) -> (
-      match compile_num ctx ~fallback:true ~hookfree a with
+      match compile_num ctx ~fallback:true a with
       | Some (I f) -> Some (I (fun () -> abs (f ())))
-      | Some (F f) -> Some (F (fun () -> Float.abs (f ())))
+      | Some (F (c, r)) -> Some (fnode1 Fabs (c, r))
       | None -> None)
   | Call (("floor" | "ceil" | "round") as fn, [ a ]) ->
-      let f = num_arg a in
-      let op =
-        match fn with
-        | "floor" -> Float.floor
-        | "ceil" -> Float.ceil
-        | _ -> Float.round
-      in
-      Some (I (fun () -> int_of_float (op (f ()))))
+      let c, r = num_arg a in
+      Some
+        (I
+           (match fn with
+           | "floor" ->
+               fun () ->
+                 r ();
+                 int_of_float (Float.floor c.cv)
+           | "ceil" ->
+               fun () ->
+                 r ();
+                 int_of_float (Float.ceil c.cv)
+           | _ ->
+               fun () ->
+                 r ();
+                 int_of_float (Float.round c.cv)))
   | Call ("rand", []) ->
-      Some (F (fun () -> Interp.Rng.float ctx.env.Interp.rng))
+      let out = { cv = 0.0 } in
+      Some (F (out, fun () -> out.cv <- Interp.Rng.float env.Interp.rng))
   | Call ("randn", []) ->
-      Some (F (fun () -> Interp.Rng.gaussian ctx.env.Interp.rng))
+      let out = { cv = 0.0 } in
+      Some (F (out, fun () -> out.cv <- Interp.Rng.gaussian env.Interp.rng))
   | Call ("rand_int", [ a ]) ->
-      let c =
-        match compile_num ctx ~fallback:true ~hookfree a with
-        | Some (I f) -> f
-        | Some (F f) ->
-            fun () ->
-              let x = f () in
-              if Float.is_integer x then int_of_float x
-              else raise (Type_error "expected an int, got float")
-        | None ->
-            let g = compile_expr ctx a in
-            fun () -> to_int (g ())
-      in
+      let c = compile_int_arg ctx a in
       Some
         (I
            (fun () ->
@@ -772,12 +1014,11 @@ and compile_num ctx ~fallback ~hookfree (e : expr) : num option =
              if n <= 0 then
                raise (Interp.Runtime_error "rand_int expects a positive bound")
              else
-               int_of_float
-                 (Interp.Rng.float ctx.env.Interp.rng *. float_of_int n)))
+               int_of_float (Interp.Rng.float env.Interp.rng *. float_of_int n)))
   | Call (("min" | "max") as fn, [ a; b ]) -> (
       match
-        ( compile_num ctx ~fallback:true ~hookfree a,
-          compile_num ctx ~fallback:true ~hookfree b )
+        ( compile_num ctx ~fallback:true a,
+          compile_num ctx ~fallback:true b )
       with
       | Some (I fa), Some (I fb) ->
           let op = if fn = "min" then min else max in
@@ -788,85 +1029,121 @@ and compile_num ctx ~fallback ~hookfree (e : expr) : num option =
                  let y = fb () in
                  op x y))
       | Some na, Some nb ->
-          let fa = as_float na and fb = as_float nb in
-          let op = if fn = "min" then Float.min else Float.max in
+          let ca, ra = as_fnode na and cb, rb = as_fnode nb in
+          let out = { cv = 0.0 } in
           Some
             (F
-               (fun () ->
-                 let x = fa () in
-                 let y = fb () in
-                 op x y))
+               ( out,
+                 if fn = "min" then (fun () ->
+                   ra ();
+                   rb ();
+                   out.cv <- Float.min ca.cv cb.cv)
+                 else fun () ->
+                   ra ();
+                   rb ();
+                   out.cv <- Float.max ca.cv cb.cv ))
       | _ -> None)
-  | Call ("dot", ([ _; _ ] as args)) -> Some (F (compile_dot ctx args))
+  | Call ("dot", ([ _; _ ] as args)) ->
+      let c, r = compile_dot ctx args in
+      Some (F (c, r))
   | Call ("norm", [ a ]) ->
       let c = compile_expr ctx a in
+      let out = { cv = 0.0 } in
       Some
         (F
-           (fun () ->
-             let x = to_vec (c ()) in
-             sqrt (Array.fold_left (fun s v -> s +. (v *. v)) 0.0 x)))
-  | Index ((Var v as base), [ Sub_expr i ]) when infer ctx base = Tindex ->
+           ( out,
+             fun () ->
+               let x = to_vec (c ()) in
+               out.cv <- sqrt (Array.fold_left (fun s v -> s +. (v *. v)) 0.0 x)
+           ))
+  | Index (Var v, [ Sub_expr i ]) when (slot ctx v).sl_ty = Tindex -> (
       (* [key[i]]: the base is looked up before the subscript runs *)
       let s = slot ctx v in
       let p = compile_point ctx i in
-      Some
-        (I
-           (fun () ->
-             match slot_get s with
-             | Vindex idx -> idx.(p ()) + 1
-             | _ -> infer_bug ("index slot " ^ v)))
-  | Index (base, subs) when hookfree -> (
-      match fast_extern_read ctx base subs with
-      | Some (_, _, fa) ->
-          let ps =
-            Array.of_list
-              (List.map
-                 (function
-                   | Sub_expr e -> compile_point ctx e
-                   | _ -> assert false)
-                 subs)
-          in
-          let n = Array.length ps in
-          let buf = Array.make n 0 in
+      match s.sl_rep with
+      | Rindex c ->
+          Some
+            (I
+               (fun () ->
+                 check_defined s;
+                 let k = iget p in
+                 c.ix.(k) + 1))
+      | _ -> infer_bug ("index slot " ^ v))
+  | Index (Var v, [ Sub_expr i ]) when (slot ctx v).sl_ty = Tvec -> (
+      let s = slot ctx v in
+      let p = compile_point ctx i in
+      let out = { cv = 0.0 } in
+      match s.sl_rep with
+      | Rvec c ->
           Some
             (F
-               (fun () ->
-                 for i = 0 to n - 1 do
-                   buf.(i) <- ps.(i) ()
-                 done;
-                 fa.fa_get buf))
+               ( out,
+                 fun () ->
+                   check_defined s;
+                   let k = iget p in
+                   out.cv <- c.va.(k) ))
+      | _ -> infer_bug ("vector slot " ^ v))
+  | Index (base, subs) -> (
+      match fast_point ctx base subs with
+      | Some (s, pt) ->
+          let out = { cv = 0.0 } in
+          Some
+            (F
+               ( out,
+                 fun () ->
+                   if no_hooks env then point_get pt out
+                   else
+                     match index_value env (slot_peek s) pt.pt_ks with
+                     | Vfloat x -> out.cv <- x
+                     | _ -> infer_bug ("extern read " ^ pt.pt_ex.ex_name) ))
       | None -> num_fallback ctx ~fallback e)
   | _ -> num_fallback ctx ~fallback e
 
 (* an argument compiled unboxed-or-boxed, converted like [to_float] *)
-and float_arg ctx ~hookfree a : unit -> float =
-  match compile_num ctx ~fallback:true ~hookfree a with
-  | Some n -> as_float n
+and float_arg ctx a : fcell * (unit -> unit) =
+  match compile_num ctx ~fallback:true a with
+  | Some n -> as_fnode n
   | None ->
       let c = compile_expr ctx a in
-      fun () -> to_float (c ())
+      let out = { cv = 0.0 } in
+      (out, fun () -> out.cv <- to_float (c ()))
+
+(* an argument converted like [to_int] *)
+and compile_int_arg ctx a : unit -> int =
+  match compile_num ctx ~fallback:true a with
+  | Some (I f) -> f
+  | Some (F (c, r)) ->
+      fun () ->
+        r ();
+        int_of_cell c
+  | None ->
+      let g = compile_expr ctx a in
+      fun () -> to_int (g ())
 
 (* [dot(a, b)]: a plain loop when both arguments are statically
    vectors; otherwise both values first, then each converted like
    [to_vec], as the interpreter does *)
-and compile_dot ctx args : unit -> float =
+and compile_dot ctx args : fcell * (unit -> unit) =
+  let out = { cv = 0.0 } in
   match args with
   | [ a; b ] when infer ctx a = Tvec && infer ctx b = Tvec ->
-      let fa = vec_operand ctx a in
-      let fb = vec_operand ctx b in
-      fun () ->
-        let x = fa () in
-        let y = fb () in
-        Interp.vec_dot x y
+      let xa = vec_operand ctx a in
+      let xb = vec_operand ctx b in
+      ( out,
+        fun () ->
+          let x = vget xa in
+          let y = vget xb in
+          Interp.vec_dot_into x y out )
   | [ a; b ] ->
       let ca = compile_expr ctx a in
       let cb = compile_expr ctx b in
-      fun () ->
-        let va = ca () in
-        let vb = cb () in
-        let x = to_vec va in
-        let y = to_vec vb in
-        Interp.vec_dot x y
+      ( out,
+        fun () ->
+          let va = ca () in
+          let vb = cb () in
+          let x = to_vec va in
+          let y = to_vec vb in
+          Interp.vec_dot_into x y out )
   | _ -> infer_bug "dot arity"
 
 and num_fallback ctx ~fallback e : num option =
@@ -883,12 +1160,14 @@ and num_fallback ctx ~fallback e : num option =
                | _ -> infer_bug "int expression"))
     | Tfloat ->
         let c = compile_expr ctx e in
+        let out = { cv = 0.0 } in
         Some
           (F
-             (fun () ->
-               match c () with
-               | Vfloat f -> f
-               | _ -> infer_bug "float expression"))
+             ( out,
+               fun () ->
+                 match c () with
+                 | Vfloat f -> out.cv <- f
+                 | _ -> infer_bug "float expression" ))
     | _ -> None
 
 and compile_num_binop op na nb : num option =
@@ -903,22 +1182,35 @@ and compile_num_binop op na nb : num option =
                iop x y))
     | _ -> None
   in
-  let float_op fop =
-    let fa = as_float na and fb = as_float nb in
+  let float_op () =
+    let ca, ra = as_fnode na and cb, rb = as_fnode nb in
+    let out = { cv = 0.0 } in
     Some
       (F
-         (fun () ->
-           let x = fa () in
-           let y = fb () in
-           fop x y))
+         ( out,
+           match (ra == noop, rb == noop) with
+           | true, true -> fun () -> float_binop op ca cb out
+           | true, false ->
+               fun () ->
+                 rb ();
+                 float_binop op ca cb out
+           | false, true ->
+               fun () ->
+                 ra ();
+                 float_binop op ca cb out
+           | false, false ->
+               fun () ->
+                 ra ();
+                 rb ();
+                 float_binop op ca cb out ))
   in
-  let arith iop fop =
-    match int_op iop with Some _ as r -> r | None -> float_op fop
+  let arith iop =
+    match int_op iop with Some _ as r -> r | None -> float_op ()
   in
   match op with
-  | Add -> arith ( + ) ( +. )
-  | Sub -> arith ( - ) ( -. )
-  | Mul -> arith ( * ) ( *. )
+  | Add -> arith ( + )
+  | Sub -> arith ( - )
+  | Mul -> arith ( * )
   | Div -> (
       match (na, nb) with
       | I fa, I fb ->
@@ -929,7 +1221,7 @@ and compile_num_binop op na nb : num option =
                  let y = fb () in
                  if y = 0 then raise (Interp.Runtime_error "division by zero")
                  else x / y))
-      | _ -> float_op ( /. ))
+      | _ -> float_op ())
   | Mod -> (
       match (na, nb) with
       | I fa, I fb ->
@@ -940,146 +1232,146 @@ and compile_num_binop op na nb : num option =
                  let y = fb () in
                  if y = 0 then raise (Interp.Runtime_error "mod by zero")
                  else ((x mod y) + y) mod y))
-      | _ -> float_op Float.rem)
+      | _ -> float_op ())
   | Pow -> (
       (* Vint ^ Vint is Vint only for non-negative exponents — a runtime
          property, so int^int stays on the generic path *)
       match (na, nb) with
       | I _, I _ -> None
-      | _ -> float_op Float.pow)
+      | _ -> float_op ())
   | Eq | Ne | Lt | Le | Gt | Ge | And | Or -> None
 
 (* ---- vector compilation ------------------------------------------- *)
 
-(* [compile_vec ctx e] compiles a statically-vector [e] to a closure
-   returning its elements, when [e] is an extern slice, a vector
-   variable, or [+ - * /] / negation over vector and scalar operands.
-   Arithmetic returns a fresh array; a variable returns the array it
-   holds, so [b = a] still aliases, as in the interpreter.  [None]
-   leaves [e] to the boxed path (never called by [compile_expr] on a
-   node it would hand back, so the two cannot recurse forever). *)
-and compile_vec ctx (e : expr) : (unit -> float array) option =
-  let scalar = float_arg ctx ~hookfree:false in
+(* [compile_vec ctx e] compiles a statically-vector [e] when it is an
+   extern slice, a vector variable, or [+ - * /] / negation over vector
+   and scalar operands, evaluated in the interpreter's operand order.
+   [None] leaves [e] to the boxed path (never called by [compile_expr]
+   on a node it would hand back, so the two cannot recurse forever). *)
+and compile_vec ctx (e : expr) : vnode option =
+  let fresh f = Some (Vfresh f) in
+  let buf = { vb = [||] } in
   match e with
-  | Var v ->
+  | Var v -> (
       let s = slot ctx v in
-      if s.sl_ty <> Tvec then None
-      else
-        Some
-          (fun () ->
-            match slot_get s with
-            | Vvec x -> x
-            | _ -> infer_bug ("vector slot " ^ v))
+      match s.sl_rep with Rvec c -> Some (Vlocal (s, c)) | _ -> None)
   | Index (base, subs) -> compile_slice_read ctx base subs
   | Unop (Neg, a) when infer ctx a = Tvec ->
-      let fa = vec_operand ctx a in
-      Some (fun () -> Interp.vec_neg (fa ()))
+      let xa = vec_operand ctx a in
+      fresh (fun () ->
+          let x = vget xa in
+          let r = vbuf_for buf (Array.length x) in
+          Interp.vec_neg_into x r;
+          r)
   | Binop ((Add | Sub | Mul | Div) as op, a, b) -> (
       match (infer ctx a, infer ctx b) with
       | Tvec, Tvec ->
-          let fa = vec_operand ctx a in
-          let fb = vec_operand ctx b in
-          Some
-            (fun () ->
-              let x = fa () in
-              let y = fb () in
-              Interp.vec_vec op x y)
+          let xa = vec_operand ctx a in
+          let xb = vec_operand ctx b in
+          fresh (fun () ->
+              let x = vget xa in
+              let y = vget xb in
+              let r = vbuf_for buf (Array.length x) in
+              Interp.vec_vec_into op x y r;
+              r)
       | Tvec, (Tint | Tfloat) ->
-          let fa = vec_operand ctx a in
-          let fb = scalar b in
-          Some
-            (fun () ->
-              let x = fa () in
-              let y = fb () in
-              Interp.vec_scalar op x y)
+          let xa = vec_operand ctx a in
+          let cs, rs = float_arg ctx b in
+          fresh (fun () ->
+              let x = vget xa in
+              if rs != noop then rs ();
+              let r = vbuf_for buf (Array.length x) in
+              Interp.vec_scalar_into op x cs r;
+              r)
       | (Tint | Tfloat), Tvec ->
-          let fa = scalar a in
-          let fb = vec_operand ctx b in
-          Some
-            (fun () ->
-              let x = fa () in
-              let y = fb () in
-              Interp.scalar_vec op x y)
+          let cs, rs = float_arg ctx a in
+          let xb = vec_operand ctx b in
+          fresh (fun () ->
+              if rs != noop then rs ();
+              let y = vget xb in
+              let r = vbuf_for buf (Array.length y) in
+              Interp.scalar_vec_into op cs y r;
+              r)
       | _ -> None)
   | _ -> None
 
-(* a statically-vector operand: structurally when possible, else boxed
-   and unwrapped *)
-and vec_operand ctx (e : expr) : unit -> float array =
+(* a statically-vector operand, read only: structurally when possible,
+   else boxed and unwrapped *)
+and vec_operand ctx (e : expr) : vsrc =
   match compile_vec ctx e with
-  | Some f -> f
-  | None -> (
+  | Some vn -> vec_src ctx vn
+  | None ->
       let c = compile_expr ctx e in
-      fun () -> match c () with Vvec x -> x | _ -> infer_bug "vector expression")
+      Vrun
+        (fun () ->
+          match c () with Vvec x -> x | _ -> infer_bug "vector expression")
 
-(* a slice of a fast extern: element by element through the unboxed
-   accessor, or the boxed read whenever a hook is attached *)
-and compile_slice_read ctx base subs : (unit -> float array) option =
+(* a slice of a fast extern into the node's buffer, or the boxed read
+   whenever a hook is attached *)
+and compile_slice_read ctx base subs : vnode option =
   match fast_extern_slice ctx base subs with
   | None -> None
   | Some (s, ex, fa) ->
       let env = ctx.env in
       let ks = Array.of_list (List.map (compile_csub ctx) subs) in
-      let sc = make_slice ex ks in
+      let sc = make_slice ex fa ks in
       Some
-        (fun () ->
-          if no_hooks env then read_slice fa sc
-          else
-            match index_value env (slot_get s) ks with
-            | Vvec x -> x
-            | _ -> infer_bug ("extern slice " ^ ex.ex_name))
+        (Vfresh
+           (fun () ->
+             if no_hooks env then read_slice sc
+             else
+               match index_value env (slot_peek s) ks with
+               | Vvec x -> x
+               | _ -> infer_bug ("extern slice " ^ ex.ex_name)))
 
-(* ---- subscripts --------------------------------------------------- *)
-
-(* a point subscript as a 0-based int closure; [to_int]'s exact
-   acceptance (integers and integer-valued floats) and error text *)
-and compile_point ctx (e : expr) : unit -> int =
-  match compile_num ctx ~fallback:true ~hookfree:false e with
-  | Some (I f) -> fun () -> f () - 1
-  | Some (F f) ->
-      fun () ->
-        let x = f () in
-        if Float.is_integer x then int_of_float x - 1
-        else raise (Type_error "expected an int, got float")
-  | None ->
-      let c = compile_expr ctx e in
-      fun () -> to_int (c ()) - 1
-
-and compile_csub ctx = function
-  | Sub_all -> Kall
-  | Sub_expr e -> Kpoint (compile_point ctx e)
-  | Sub_range (lo, hi) -> Krange (compile_point ctx lo, compile_point ctx hi)
-
-(* ---- indexing ----------------------------------------------------- *)
-
-and compile_index ctx base subs : unit -> Value.t =
-  let env = ctx.env in
-  match (compile_slice_read ctx base subs, fast_extern_read ctx base subs) with
-  | Some f, _ -> fun () -> Vvec (f ())
-  | None, Some (s, _, fa) ->
+(* the point subscripts of a fast extern read or store *)
+and fast_point ctx base subs : (slot * point) option =
+  match fast_extern_read ctx base subs with
+  | Some (s, ex, fa) ->
       let ps =
         Array.of_list
           (List.map
              (function Sub_expr e -> compile_point ctx e | _ -> assert false)
              subs)
       in
-      let n = Array.length ps in
-      let buf = Array.make n 0 in
-      let ks = Array.map (fun p -> Kpoint p) ps in
-      fun () ->
-        if no_hooks env then begin
-          for i = 0 to n - 1 do
-            buf.(i) <- ps.(i) ()
-          done;
-          Vfloat (fa.fa_get buf)
-        end
-        else index_value env (slot_get s) ks
-  | None, None ->
-      let cb = compile_expr ctx base in
-      let ks = Array.of_list (List.map (compile_csub ctx) subs) in
-      fun () ->
-        let v = cb () in
-        index_value env v ks
+      Some
+        ( s,
+          {
+            pt_ex = ex;
+            pt_fa = fa;
+            pt_ps = ps;
+            pt_key = Array.make (Array.length ps) 0;
+            pt_ks = Array.map (fun p -> Kpoint p) ps;
+          } )
+  | None -> None
+
+(* ---- subscripts --------------------------------------------------- *)
+
+(* a point subscript as a 0-based position; [to_int]'s exact
+   acceptance (integers and integer-valued floats) and error text *)
+and compile_point ctx (e : expr) : isrc =
+  match e with
+  | Int_lit n -> Iconst (n - 1)
+  | Var v -> (
+      let s = slot ctx v in
+      match s.sl_rep with
+      | Rint c when known ctx s -> Iint c
+      | _ -> point_run ctx e)
+  | Index (Var v, [ Sub_expr (Int_lit k) ]) -> (
+      let s = slot ctx v in
+      match s.sl_rep with
+      | Rindex c when known ctx s -> Ikey (c, k - 1)
+      | _ -> point_run ctx e)
+  | _ -> point_run ctx e
+
+and point_run ctx e =
+  let f = compile_int_arg ctx e in
+  Irun (fun () -> f () - 1)
+
+and compile_csub ctx = function
+  | Sub_all -> Kall
+  | Sub_expr e -> Kpoint (compile_point ctx e)
+  | Sub_range (lo, hi) -> Krange (compile_point ctx lo, compile_point ctx hi)
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation                                               *)
@@ -1087,114 +1379,113 @@ and compile_index ctx base subs : unit -> Value.t =
 
 let is_arith = function Add | Sub | Mul | Div | Mod | Pow -> true | _ -> false
 
-let arith_float_op = function
-  | Add -> ( +. )
-  | Sub -> ( -. )
-  | Mul -> ( *. )
-  | Div -> ( /. )
-  | Mod -> Float.rem
-  | Pow -> Float.pow
-  | _ -> assert false
+(* the error a statement at [pos] raised, prefixed with that position
+   unless a nested statement's already is: the innermost wins *)
+let positioned (pos : pos) e =
+  match e with
+  | Interp.Runtime_error msg
+    when pos.line > 0 && not (Interp.has_pos_prefix msg) ->
+      Interp.Runtime_error (Printf.sprintf "%d:%d: %s" pos.line pos.col msg)
+  | Type_error msg when pos.line > 0 && not (Interp.has_pos_prefix msg) ->
+      Type_error (Printf.sprintf "%d:%d: %s" pos.line pos.col msg)
+  | e -> e
 
-(* the fast-path pieces of an [Lindex] on a captured DistArray with
-   point subscripts and an unboxed accessor *)
-type fast_store = {
-  fs_fa : Value.fast_access;
-  fs_ps : (unit -> int) array;
-  fs_buf : int array;
-  fs_ks : csub array;
-}
-
-let fast_store ctx name subs =
-  match fast_extern_read ctx (Var name) subs with
-  | Some (_, _, fa) ->
-      let ps =
-        Array.of_list
-          (List.map
-             (function Sub_expr e -> compile_point ctx e | _ -> assert false)
-             subs)
-      in
-      Some
-        {
-          fs_fa = fa;
-          fs_ps = ps;
-          fs_buf = Array.make (Array.length ps) 0;
-          fs_ks = Array.map (fun p -> Kpoint p) ps;
-        }
-  | None -> None
-
-let fill_buf fs =
-  for i = 0 to Array.length fs.fs_ps - 1 do
-    fs.fs_buf.(i) <- fs.fs_ps.(i) ()
-  done
-
-let rec compile_stmt ctx (stmt : stmt) : unit -> unit =
-  let kind = compile_stmt_kind ctx stmt in
-  let env = ctx.env in
-  let pos = stmt.spos in
-  fun () ->
-    try
-      match env.Interp.profile with
-      | None -> kind ()
-      | Some p ->
+(* The statements in order, each timed when a profile is attached.  One
+   handler per block, not per statement, positions an error: [i] is the
+   statement that raised it. *)
+let run_block cb =
+  let stmts = cb.cb_stmts and n = Array.length cb.cb_stmts in
+  let i = ref 0 in
+  try
+    match cb.cb_env.Interp.profile with
+    | None ->
+        while !i < n do
+          stmts.(!i) ();
+          incr i
+        done
+    | Some p ->
+        while !i < n do
+          let line = cb.cb_pos.(!i).line in
           let t0 = Unix.gettimeofday () in
           Fun.protect
             ~finally:(fun () ->
-              Profile.record_line p ~line:pos.line
+              Profile.record_line p ~line
                 ~seconds:(Unix.gettimeofday () -. t0))
-            kind
-    with
-    | Interp.Runtime_error msg
-      when pos.line > 0 && not (Interp.has_pos_prefix msg) ->
-        raise
-          (Interp.Runtime_error
-             (Printf.sprintf "%d:%d: %s" pos.line pos.col msg))
-    | Type_error msg when pos.line > 0 && not (Interp.has_pos_prefix msg) ->
-        raise
-          (Type_error (Printf.sprintf "%d:%d: %s" pos.line pos.col msg))
+            stmts.(!i);
+          incr i
+        done
+  with (Interp.Runtime_error _ | Type_error _) as e ->
+    raise (positioned cb.cb_pos.(!i) e)
 
-and compile_block ctx (b : block) : (unit -> unit) array =
-  Array.of_list (List.map (compile_stmt ctx) b)
+(* statements in order, so that each sees what the earlier ones
+   certainly assign *)
+let rec compile_block ctx (b : block) : cblock =
+  let rec go = function
+    | [] -> []
+    | st :: rest ->
+        let c = compile_stmt ctx st in
+        c :: go rest
+  in
+  {
+    cb_env = ctx.env;
+    cb_stmts = Array.of_list (go b);
+    cb_pos = Array.of_list (List.map (fun st -> st.spos) b);
+  }
 
-and run_block cb = Array.iter (fun f -> f ()) cb
+(* a nested block, which may run zero times or be skipped: what it
+   assigns is certain only inside it; returns what it assigned *)
+and compile_nested ctx ?(extra = []) (b : block) =
+  let before = ctx.assigned in
+  ctx.assigned <- List.fold_right Names.add extra before;
+  let cb = compile_block ctx b in
+  let after = ctx.assigned in
+  ctx.assigned <- before;
+  (cb, after)
 
-and compile_stmt_kind ctx stmt : unit -> unit =
+and assign ctx name = ctx.assigned <- Names.add name ctx.assigned
+
+and compile_stmt ctx stmt : unit -> unit =
   let env = ctx.env in
   match stmt.sk with
   | Assign (Lvar v, e) ->
+      let c = compile_assign_var ctx (slot ctx v) e in
+      assign ctx v;
+      c
+  | Assign (Lindex (v, subs), e) ->
+      let c =
+        match compile_slice_store ctx v subs e with
+        | Some f -> f
+        | None -> compile_assign_index ctx v subs e
+      in
+      (* the store raised unless [v] was defined *)
+      assign ctx v;
+      c
+  | Op_assign (op, Lvar v, e) when is_arith op ->
+      (* [v op= e] reads [v] before [e], exactly as [v = v op e] *)
+      let c = compile_assign_var ctx (slot ctx v) (Binop (op, Var v, e)) in
+      assign ctx v;
+      c
+  | Op_assign (op, Lvar v, e) ->
       let s = slot ctx v in
       let c = compile_expr ctx e in
-      fun () -> slot_set s (c ())
-  | Assign (Lindex (v, subs), e) -> (
-      match compile_slice_store ctx v subs e with
-      | Some f -> f
-      | None -> compile_assign_index ctx v subs e)
-  | Op_assign (op, Lvar v, e) -> (
-      let s = slot ctx v in
-      (* [v op= e] reads [v] before [e], as [v = v op e] does *)
-      let vec =
-        match op with
-        | Add | Sub | Mul | Div -> compile_vec ctx (Binop (op, Var v, e))
-        | _ -> None
-      in
-      match vec with
-      | Some f -> fun () -> slot_set s (Vvec (f ()))
-      | None ->
-          let c = compile_expr ctx e in
-          fun () ->
-            let cur = slot_get s in
-            let rhs = c () in
-            slot_set s (Interp.eval_binop op cur rhs))
+      assign ctx v;
+      fun () ->
+        let cur = slot_get s in
+        let rhs = c () in
+        slot_set s (Interp.eval_binop op cur rhs)
   | Op_assign (op, Lindex (v, subs), e) ->
-      compile_op_assign_index ctx op v subs e
+      let c = compile_op_assign_index ctx op v subs e in
+      assign ctx v;
+      c
   | If (c, then_b, else_b) ->
       let cc = compile_expr ctx c in
-      let ct = compile_block ctx then_b in
-      let cf = compile_block ctx else_b in
+      let ct, at = compile_nested ctx then_b in
+      let cf, af = compile_nested ctx else_b in
+      ctx.assigned <- Names.inter at af;
       fun () -> if to_bool (cc ()) then run_block ct else run_block cf
   | While (c, body) ->
       let cc = compile_expr ctx c in
-      let cb = compile_block ctx body in
+      let cb, _ = compile_nested ctx body in
       fun () -> (
         try
           while to_bool (cc ()) do
@@ -1208,15 +1499,24 @@ and compile_stmt_kind ctx stmt : unit -> unit =
       raise Unsupported
   | For { kind = Range_loop { var; lo; hi }; body; parallel = None } ->
       let s = slot ctx var in
-      let clo = compile_loop_bound ctx lo in
-      let chi = compile_loop_bound ctx hi in
-      let cb = compile_block ctx body in
+      (* 1-based bounds, converted like [to_int] *)
+      let clo = compile_int_arg ctx lo in
+      let chi = compile_int_arg ctx hi in
+      let cb, _ = compile_nested ctx ~extra:[ var ] body in
+      let set_var =
+        match s.sl_rep with
+        | Rint c ->
+            fun i ->
+              c.ci <- i;
+              s.sl_defined <- true
+        | _ -> fun i -> slot_set s (Vint i)
+      in
       fun () ->
         let l = clo () in
         let h = chi () in
         (try
            for i = l to h do
-             slot_set s (Vint i);
+             set_var i;
              try run_block cb with Interp.Continue_exc -> ()
            done
          with Interp.Break_exc -> ())
@@ -1224,9 +1524,9 @@ and compile_stmt_kind ctx stmt : unit -> unit =
       let sa = slot ctx arr in
       let sk = slot ctx key in
       let sv = slot ctx value in
-      let cb = compile_block ctx body in
+      let cb, _ = compile_nested ctx ~extra:[ key; value ] body in
       fun () -> (
-        match slot_get sa with
+        match slot_peek sa with
         | Vextern ex -> (
             try
               ex.ex_iter (fun idx v ->
@@ -1237,7 +1537,7 @@ and compile_stmt_kind ctx stmt : unit -> unit =
                   | Some f ->
                       f ex ~write:false (Array.map (fun i -> Cpoint i) idx)
                   | None -> ());
-                  slot_set sk (Vindex idx);
+                  set_index sk idx;
                   slot_set sv v;
                   try run_block cb with Interp.Continue_exc -> ())
             with Interp.Break_exc -> ())
@@ -1252,24 +1552,50 @@ and compile_stmt_kind ctx stmt : unit -> unit =
   | Break -> fun () -> raise Interp.Break_exc
   | Continue -> fun () -> raise Interp.Continue_exc
 
-(* a 1-based loop bound, converted like [to_int] *)
-and compile_loop_bound ctx e : unit -> int =
-  match compile_num ctx ~fallback:true ~hookfree:false e with
-  | Some (I f) -> f
-  | Some (F f) ->
-      fun () ->
-        let x = f () in
-        if Float.is_integer x then int_of_float x
-        else raise (Type_error "expected an int, got float")
-  | None ->
-      let c = compile_expr ctx e in
-      fun () -> to_int (c ())
+(* [v = e]: the value goes straight into [v]'s unboxed representation;
+   [b = a] makes both vector variables hold one (now shared) array *)
+and compile_assign_var ctx s e : unit -> unit =
+  let generic () =
+    let c = compile_expr ctx e in
+    fun () -> slot_set s (c ())
+  in
+  match s.sl_rep with
+  | Rint c -> (
+      match compile_num ctx ~fallback:true e with
+      | Some (I f) ->
+          fun () ->
+            c.ci <- f ();
+            s.sl_defined <- true
+      | _ -> generic ())
+  | Rfloat c -> (
+      match compile_num ctx ~fallback:true e with
+      | Some (F (x, r)) ->
+          if r == noop then fun () ->
+            c.cv <- x.cv;
+            s.sl_defined <- true
+          else fun () ->
+            r ();
+            c.cv <- x.cv;
+            s.sl_defined <- true
+      | _ -> generic ())
+  | Rvec c -> (
+      match compile_vec ctx e with
+      | Some (Vlocal (s', c')) ->
+          fun () ->
+            check_defined s';
+            c.va <- c'.va;
+            c.vshared <- true;
+            c'.vshared <- true;
+            s.sl_defined <- true
+      | Some (Vfresh f) ->
+          fun () ->
+            store_vec c (f ());
+            s.sl_defined <- true
+      | None -> generic ())
+  | Rbox | Rindex _ -> generic ()
 
-(* A[i, j] = e
-   interpreter order: RHS value; base lookup; profile write record;
-   subscripts; store; access hook *)
 (* W[:, j] = e for a statically-vector e: element by element through
-   the unboxed setter, same order as the boxed store (RHS, then
+   the fast accessor, same order as the boxed store (RHS, then
    subscripts) *)
 and compile_slice_store ctx name subs e : (unit -> unit) option =
   match fast_extern_slice ctx (Var name) subs with
@@ -1277,63 +1603,66 @@ and compile_slice_store ctx name subs e : (unit -> unit) option =
       let env = ctx.env in
       let cv = vec_operand ctx e in
       let ks = Array.of_list (List.map (compile_csub ctx) subs) in
-      let sc = make_slice ex ks in
+      let sc = make_slice ex fa ks in
       Some
         (fun () ->
-          if no_hooks env then write_slice ex fa sc (cv ())
+          if no_hooks env then write_slice sc (vget cv)
           else
-            let v = Vvec (cv ()) in
+            let v = Vvec (vget cv) in
             assign_index_value env s ks v)
   | _ -> None
 
+(* A[i, j] = e
+   interpreter order: RHS value; base lookup; profile write record;
+   subscripts; store; access hook *)
 and compile_assign_index ctx name subs e : unit -> unit =
   let env = ctx.env in
   let s = slot ctx name in
   let ce = compile_expr ctx e in
-  match fast_store ctx name subs with
-  | Some fs -> (
-      let generic () =
-        let v = ce () in
-        assign_index_value env s fs.fs_ks v
-      in
-      (* statically-float RHS stores straight through the unboxed
+  let generic ks () =
+    let v = ce () in
+    assign_index_value env s ks v
+  in
+  match (fast_point ctx (Var name) subs, s.sl_rep, subs) with
+  | Some (_, pt), _, _ -> (
+      (* a statically-float RHS stores straight through the fast
          accessor; otherwise box, then pick the path per value *)
       match
-        if infer ctx e = Tfloat then
-          compile_num ctx ~fallback:true ~hookfree:true e
+        if infer ctx e = Tfloat then compile_num ctx ~fallback:true e
         else None
       with
-      | Some (F fe) ->
+      | Some (F (x, r)) ->
           fun () ->
             if no_hooks env then begin
-              let x = fe () in
-              fill_buf fs;
-              fs.fs_fa.fa_set fs.fs_buf x
+              r ();
+              point_set pt x
             end
-            else generic ()
+            else generic pt.pt_ks ()
       | _ ->
+          let tmp = { cv = 0.0 } in
           fun () ->
             if no_hooks env then begin
-              let v = ce () in
-              match v with
+              match ce () with
               | Vfloat x ->
-                  fill_buf fs;
-                  fs.fs_fa.fa_set fs.fs_buf x
+                  tmp.cv <- x;
+                  point_set pt tmp
               | v ->
                   (* non-float store: the boxed setter owns the
                      conversion/error semantics *)
-                  write_extern env
-                    (match slot_get s with
-                    | Vextern ex -> ex
-                    | _ -> infer_bug "extern slot")
-                    fs.fs_ks v
+                  write_extern env pt.pt_ex pt.pt_ks v
             end
-            else generic ())
-  | None ->
-      let ks = Array.of_list (List.map (compile_csub ctx) subs) in
+            else generic pt.pt_ks ())
+  | None, Rvec c, [ Sub_expr i ] when infer ctx e = Tfloat || infer ctx e = Tint
+    ->
+      (* [a[i] = x] on a vector variable writes its array in place *)
+      let x, r = float_arg ctx e in
+      let p = compile_point ctx i in
       fun () ->
-        let v = ce () in
-        assign_index_value env s ks v
+        r ();
+        check_defined s;
+        let k = iget p in
+        c.va.(k) <- x.cv
+  | None, _, _ -> generic (Array.of_list (List.map (compile_csub ctx) subs))
 
 (* A[i, j] op= e
    interpreter order: full read (record, subscripts #1, get, hook);
@@ -1344,52 +1673,43 @@ and compile_op_assign_index ctx op name subs e : unit -> unit =
   let s = slot ctx name in
   let ce = compile_expr ctx e in
   let generic ks () =
-    let cur = index_value env (slot_get s) ks in
+    let cur = index_value env (slot_peek s) ks in
     let rhs = ce () in
     let nv = Interp.eval_binop op cur rhs in
     assign_index_value env s ks nv
   in
-  match fast_store ctx name subs with
-  | Some fs -> (
+  match fast_point ctx (Var name) subs with
+  | Some (_, pt) -> (
       let rhs_ty = infer ctx e in
+      let cur = { cv = 0.0 } and res = { cv = 0.0 } in
       match
         if is_arith op && (rhs_ty = Tint || rhs_ty = Tfloat) then
-          compile_num ctx ~fallback:true ~hookfree:true e
+          compile_num ctx ~fallback:true e
         else None
       with
       | Some n ->
-          let fe = as_float n in
-          let fop = arith_float_op op in
+          let x, r = as_fnode n in
           fun () ->
             if no_hooks env then begin
-              fill_buf fs;
-              let cur = fs.fs_fa.fa_get fs.fs_buf in
-              let r = fe () in
-              fill_buf fs;
-              fs.fs_fa.fa_set fs.fs_buf (fop cur r)
+              point_get pt cur;
+              r ();
+              float_binop op cur x res;
+              point_set pt res
             end
-            else generic fs.fs_ks ()
+            else generic pt.pt_ks ()
       | None ->
           fun () ->
             if no_hooks env then begin
-              fill_buf fs;
-              let cur = fs.fs_fa.fa_get fs.fs_buf in
+              point_get pt cur;
               let rhs = ce () in
-              let nv = Interp.eval_binop op (Vfloat cur) rhs in
-              fill_buf fs;
-              match nv with
-              | Vfloat x -> fs.fs_fa.fa_set fs.fs_buf x
-              | nv ->
-                  write_extern env
-                    (match slot_get s with
-                    | Vextern ex -> ex
-                    | _ -> infer_bug "extern slot")
-                    fs.fs_ks nv
+              match Interp.eval_binop op (Vfloat cur.cv) rhs with
+              | Vfloat y ->
+                  res.cv <- y;
+                  point_set pt res
+              | nv -> write_extern env pt.pt_ex pt.pt_ks nv
             end
-            else generic fs.fs_ks ())
-  | None ->
-      let ks = Array.of_list (List.map (compile_csub ctx) subs) in
-      generic ks
+            else generic pt.pt_ks ())
+  | None -> generic (Array.of_list (List.map (compile_csub ctx) subs))
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -1403,28 +1723,28 @@ let compile_body (env : Interp.env) ?(value_float = false) ~key_var ~value_var
     let locals =
       List.sort_uniq String.compare (key_var :: value_var :: rebound)
     in
-    let value_cell =
-      if value_float && not (List.mem value_var rebound) then
-        Some { cv = 0.0 }
-      else None
+    (* the kernel sets its key and value before the body runs *)
+    let ctx =
+      {
+        env;
+        slots = Hashtbl.create 32;
+        assigned = Names.of_list [ key_var; value_var ];
+      }
     in
-    let ctx = { env; slots = Hashtbl.create 32 } in
     List.iter
       (fun name ->
         let captured = Hashtbl.find_opt env.Interp.vars name in
         let v, defined =
           match captured with Some v -> (v, true) | None -> (Vunit, false)
         in
-        let cell = if name = value_var then value_cell else None in
         Hashtbl.replace ctx.slots name
           {
             sl_name = name;
             sl_local = List.mem name locals;
             sl_v = v;
-            (* a cell is defined by the first [run_float] *)
-            sl_defined = defined && cell = None;
+            sl_defined = defined;
             sl_ty = (if defined then ty_of_value v else Tbot);
-            sl_cell = cell;
+            sl_rep = Rbox;
           })
       (List.sort_uniq String.compare (key_var :: value_var :: names));
     let sk = slot ctx key_var in
@@ -1436,6 +1756,7 @@ let compile_body (env : Interp.env) ?(value_float = false) ~key_var ~value_var
     while infer_pass ctx body && !guard < 100 do
       incr guard
     done;
+    Hashtbl.iter (fun _ s -> fix_rep s) ctx.slots;
     let cbody = compile_block ctx body in
     let locals_slots = List.map (slot ctx) locals in
     Some
@@ -1454,17 +1775,17 @@ let run t ~key ~value =
     invalid_arg
       "Compile.run: a kernel compiled with ~value_float:true runs on unboxed \
        values (Compile.run_float)";
-  slot_set t.c_key (Vindex key);
+  set_index t.c_key key;
   slot_set t.c_value value;
   try run_block t.c_body with Interp.Continue_exc -> ()
 
 let run_float t ~key values i =
-  slot_set t.c_key (Vindex key);
-  (match t.c_value.sl_cell with
-  | Some c ->
+  set_index t.c_key key;
+  (match t.c_value.sl_rep with
+  | Rfloat c ->
       c.cv <- values.(i);
       t.c_value.sl_defined <- true
-  | None -> slot_set t.c_value (Vfloat values.(i)));
+  | _ -> slot_set t.c_value (Vfloat values.(i)));
   try run_block t.c_body with Interp.Continue_exc -> ()
 
 let flush_locals t =

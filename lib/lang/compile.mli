@@ -1,15 +1,15 @@
 (** One-time loop-body compiler for [@parallel_for] bodies.
 
-    [compile_body] lowers a body block to a closure kernel: variables
-    resolve to mutable slots instead of per-access hashtable lookups,
-    DistArray point subscripts and one-dimensional slices resolve to
-    the host's unboxed {!Value.fast_access} accessors when available,
-    scalar floats run unboxed, vector slices and element-wise vector
-    arithmetic ([+ - * /], negation, [dot]) run as [float array]
-    loops, and builtins devirtualize to direct OCaml closures.  A
-    captured DistArray takes the accessor paths unless the body
-    rebinds it ([v = ...], [v op= ...], a loop variable); index writes
-    do not rebind.  The kernel is observationally identical to
+    [compile_body] lowers a body block to a closure kernel that passes
+    results by destination: variables resolve to slots that hold typed
+    values unboxed, float nodes write cells, vector slices and
+    element-wise vector arithmetic ([+ - * /], negation, [dot]) fill
+    reused [float array] buffers, DistArray point subscripts and
+    one-dimensional slices go through the host's {!Value.fast_access}
+    (a dense array's flat storage in place) when available, and
+    builtins devirtualize to direct OCaml closures.  A captured
+    DistArray takes the fast paths unless the body rebinds it ([v =
+    ...], [v op= ...], a loop variable); index writes do not rebind.  The kernel is observationally identical to
     {!Interp.eval_body_for} — same values bitwise, same exceptions with
     the same positioned messages, same RNG consumption, same profile /
     access-hook callbacks in the same order — which the differential
@@ -18,7 +18,8 @@
     An extern carrying {!Value.fast_access} must answer a slice query
     as [Dist_array.to_extern] does: element by element in ascending
     position through the same get/set, so the compiled slice paths
-    raise the same exceptions after the same prefix of writes.
+    raise the same exceptions after the same prefix of writes; its
+    [fa_dense] storage must be the array [fa_get]/[fa_set] access.
 
     Compilation is conservative: any construct whose semantics the
     compiler cannot reproduce exactly (a nested [@parallel_for], a free

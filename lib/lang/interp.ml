@@ -94,59 +94,82 @@ let check_same_length a b =
          (Printf.sprintf "vector length mismatch: %d vs %d" (Array.length a)
             (Array.length b)))
 
+(* An unboxed float: a record of one float field is stored flat, so
+   writing it allocates nothing. *)
+type fcell = { mutable cv : float }
+
 (* Element-wise vector arithmetic, one loop per operator: calling a
    [float -> float -> float] closure would box every element.  Each
-   result is a fresh array.  {!Compile}'s kernels call these same
-   loops, so both paths run one piece of machine code per operator:
-   when both operands of an instruction are NaN, which one's sign
-   survives depends on the instruction's operand order, and separately
-   compiled loops need not agree on it. *)
-let vec_vec op x y =
+   [_into] loop writes its result into [r], which must have the
+   operands' length; a scalar operand comes in a cell, since a float
+   argument would be boxed.  The interpreter wraps each in a fresh
+   array, and {!Compile}'s kernels pass their own reused buffers, so
+   both paths run one piece of machine code per operator: when both
+   operands of an instruction are NaN, which one's sign survives
+   depends on the instruction's operand order, and separately compiled
+   loops need not agree on it. *)
+let vec_vec_into op x y r =
   check_same_length x y;
   let n = Array.length x in
-  let r = Array.create_float n in
-  (match op with
+  match op with
   | Add -> for i = 0 to n - 1 do r.(i) <- x.(i) +. y.(i) done
   | Sub -> for i = 0 to n - 1 do r.(i) <- x.(i) -. y.(i) done
   | Mul -> for i = 0 to n - 1 do r.(i) <- x.(i) *. y.(i) done
-  | _ -> for i = 0 to n - 1 do r.(i) <- x.(i) /. y.(i) done);
-  r
+  | _ -> for i = 0 to n - 1 do r.(i) <- x.(i) /. y.(i) done
 
-let vec_scalar op x s =
-  let n = Array.length x in
-  let r = Array.create_float n in
-  (match op with
+let vec_scalar_into op x (c : fcell) r =
+  let n = Array.length x and s = c.cv in
+  match op with
   | Add -> for i = 0 to n - 1 do r.(i) <- x.(i) +. s done
   | Sub -> for i = 0 to n - 1 do r.(i) <- x.(i) -. s done
   | Mul -> for i = 0 to n - 1 do r.(i) <- x.(i) *. s done
-  | _ -> for i = 0 to n - 1 do r.(i) <- x.(i) /. s done);
-  r
+  | _ -> for i = 0 to n - 1 do r.(i) <- x.(i) /. s done
 
-let scalar_vec op s y =
-  let n = Array.length y in
-  let r = Array.create_float n in
-  (match op with
+let scalar_vec_into op (c : fcell) y r =
+  let n = Array.length y and s = c.cv in
+  match op with
   | Add -> for i = 0 to n - 1 do r.(i) <- s +. y.(i) done
   | Sub -> for i = 0 to n - 1 do r.(i) <- s -. y.(i) done
   | Mul -> for i = 0 to n - 1 do r.(i) <- s *. y.(i) done
-  | _ -> for i = 0 to n - 1 do r.(i) <- s /. y.(i) done);
-  r
+  | _ -> for i = 0 to n - 1 do r.(i) <- s /. y.(i) done
 
-let vec_neg x =
-  let n = Array.length x in
-  let r = Array.create_float n in
-  for i = 0 to n - 1 do
+let vec_neg_into x r =
+  for i = 0 to Array.length x - 1 do
     r.(i) <- -.x.(i)
-  done;
-  r
+  done
 
-let vec_dot x y =
+let vec_dot_into x y (out : fcell) =
   check_same_length x y;
   let acc = ref 0.0 in
   for i = 0 to Array.length x - 1 do
     acc := !acc +. (x.(i) *. y.(i))
   done;
-  !acc
+  out.cv <- !acc
+
+let vec_vec op x y =
+  let r = Array.create_float (Array.length x) in
+  vec_vec_into op x y r;
+  r
+
+let vec_scalar op x s =
+  let r = Array.create_float (Array.length x) in
+  vec_scalar_into op x { cv = s } r;
+  r
+
+let scalar_vec op s y =
+  let r = Array.create_float (Array.length y) in
+  scalar_vec_into op { cv = s } y r;
+  r
+
+let vec_neg x =
+  let r = Array.create_float (Array.length x) in
+  vec_neg_into x r;
+  r
+
+let vec_dot x y =
+  let c = { cv = 0.0 } in
+  vec_dot_into x y c;
+  c.cv
 
 let num_binop op op_int op_float a b =
   match (a, b) with

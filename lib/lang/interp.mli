@@ -73,26 +73,33 @@ val eval_binop : Ast.binop -> Value.t -> Value.t -> Value.t
     two vectors have the same length. *)
 val check_same_length : float array -> float array -> unit
 
-(** Element-wise [x op y] for [op] one of [Add], [Sub], [Mul] or
-    [Div] (any other operator divides), into a fresh array.  These
-    four loops are the only vector arithmetic: the interpreter and
-    {!Compile}'s kernels both call them, which keeps the two paths
+(** An unboxed float: one mutable float field, stored flat, so a write
+    allocates nothing.  {!Compile}'s numeric nodes write their results
+    into these. *)
+type fcell = { mutable cv : float }
+
+(** [vec_vec_into op x y r] writes the element-wise [x op y] into [r]
+    (of [x]'s length), for [op] one of [Add], [Sub], [Mul] or [Div]
+    (any other operator divides).  These loops are the only vector
+    arithmetic: the interpreter runs them into fresh arrays and
+    {!Compile}'s kernels into reused buffers, which keeps the two paths
     bitwise-equal down to the sign of a NaN.
+    @raise Runtime_error as {!check_same_length}, before writing. *)
+val vec_vec_into : Ast.binop -> float array -> float array -> float array -> unit
+
+(** [x op s] for every element [x] of the vector, into [r]. *)
+val vec_scalar_into : Ast.binop -> float array -> fcell -> float array -> unit
+
+(** [s op y] for every element [y] of the vector, into [r]. *)
+val scalar_vec_into : Ast.binop -> fcell -> float array -> float array -> unit
+
+(** Element-wise negation, into [r]. *)
+val vec_neg_into : float array -> float array -> unit
+
+(** The dot product of two equal-length vectors, summed left to right,
+    into the cell.
     @raise Runtime_error as {!check_same_length}. *)
-val vec_vec : Ast.binop -> float array -> float array -> float array
-
-(** [x op s] for every element [x] of the vector. *)
-val vec_scalar : Ast.binop -> float array -> float -> float array
-
-(** [s op y] for every element [y] of the vector. *)
-val scalar_vec : Ast.binop -> float -> float array -> float array
-
-(** Element-wise negation, into a fresh array. *)
-val vec_neg : float array -> float array
-
-(** The dot product of two equal-length vectors, summed left to right.
-    @raise Runtime_error as {!check_same_length}. *)
-val vec_dot : float array -> float array -> float
+val vec_dot_into : float array -> float array -> fcell -> unit
 
 (** Evaluate a builtin (or host-supplied) function call on evaluated
     arguments — the single dispatch point {!Compile} devirtualizes

@@ -65,7 +65,16 @@ and extern = {
 and fast_access = {
   fa_get : int array -> float;
   fa_set : int array -> float -> unit;
+  fa_dense : dense option;
+      (** a dense array's flat storage, which compiled code reads and
+          writes in place; it checks every key against [ex_dims] first
+          and leaves an out-of-bounds key to [fa_get]/[fa_set], which
+          raise the array's own error *)
 }
+
+(** Row-major storage: the element at 0-based key [k] is
+    [dn_data.(sum_i k.(i) * dn_strides.(i))]. *)
+and dense = { dn_data : float array; dn_strides : int array }
 
 exception Type_error of string
 

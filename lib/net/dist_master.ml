@@ -1,15 +1,16 @@
 (** The distributed backend of [Orion.Engine.run ~mode:(`Distributed _)].
 
     Protocol, in order: spawn [procs] workers (fork for in-tree tests,
-    exec of [orion_worker] for the CLI); answer each Hello with the
-    Plan.  Each worker builds its instance and at once announces itself
-    (Listening, then Prefetch_request) while this process compiles the
-    schedule.  Ranks beyond the space cut then get Shutdown; every
-    other rank gets, back to back and with no round trip, its
-    Schedule_row header, the row's payload as one raw frame (its blocks'
-    entries and its local, rotated and replicated arrays' regions,
-    built in one buffer), its Prefetch_response, and the Peers table
-    once every rank has announced.  During execution each worker may
+    exec of [orion_worker] for the CLI); plan and compile the schedule
+    while their processes start; answer each Hello with the Plan.  Each
+    worker builds its instance and at once announces itself (Listening,
+    then Prefetch_request).  Ranks beyond the space cut then get
+    Shutdown; every other rank gets, back to back and with no round
+    trip, its Schedule_row header, the row's payload as one raw frame
+    (its blocks' entries and its local, rotated and replicated arrays'
+    regions, built in one buffer) as soon as it is encoded, its
+    Prefetch_response, and the Peers table once every rank has
+    announced.  During execution each worker may
     send Pass_telemetry and, when the run checkpoints, one Pass_report
     per pass; at the end Block_report, Buffer_flush and Done, answered
     by Shutdown.  A worker crash, broken socket or hang
@@ -157,6 +158,9 @@ let kill_workers (pids : (int * int) list) =
 type worker_state = {
   mutable st_conn : Transport.conn option;
   mutable st_addr : string option;  (** from Listening *)
+  mutable st_records : bool option;
+      (** from Listening: whether the worker holds records, and so
+          needs the space digest in its row header *)
   mutable st_prefetch : string list option;  (** from Prefetch_request *)
   mutable st_report : (Wire.part_payload list * Wire.block_writes list) option;
       (** owned regions and own journal, from Block_report *)
@@ -204,6 +208,7 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
         {
           st_conn = None;
           st_addr = None;
+          st_records = None;
           st_prefetch = None;
           st_report = None;
           st_flush = None;
@@ -211,10 +216,10 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
           st_fatal = None;
         })
   in
-  (* Workers start first: they rebuild their instances from the plan
-     while this process plans and compiles the schedule.  The space cut
-     is not known yet, so [procs] workers start; the ranks the cut
-     leaves without blocks get [Shutdown] instead of a schedule row. *)
+  (* Workers start first: their processes start while this one plans
+     and compiles the schedule.  The space cut is not known yet, so
+     [procs] workers start; the ranks the cut leaves without blocks get
+     [Shutdown] instead of a schedule row. *)
   let pids =
     List.init procs (fun rank ->
         (rank, spawn_worker spawn ~materialize ~listener ~rank ~master_addr))
@@ -334,6 +339,30 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
   in
   (* -- analysis, while the workers start; the plan carries it ------- *)
   let plan = Lazy.force plan in
+  (* Master start-up spans, per rank, on the run's telemetry clock.
+     They are held back and merged by start time into the rank's first
+     shipped spans, so each worker's lane stays one timeline. *)
+  let tel_now () = if telemetry then Telemetry.now mtel else 0.0 in
+  let startup_spans : Trace.span list array = Array.make procs [] in
+  let startup_span rank ~category ~label ?(bytes = 0.0) ?finish ~start () =
+    if telemetry then
+      startup_spans.(rank) <-
+        {
+          Trace.worker = rank;
+          category;
+          label;
+          start_sec = start;
+          duration_sec = Option.value finish ~default:(tel_now ()) -. start;
+          bytes;
+        }
+        :: startup_spans.(rank)
+  in
+  (* -- the schedule build, while the workers' processes start: they
+     wait for their plans, which go out once it is done, so the build
+     and the instance builds never compete for the cores ------------- *)
+  let build_start = tel_now () in
+  let compiled, model = Lazy.force schedule in
+  let build_end = tel_now () in
   (* -- accept + hello, each answered with its plan ------------------- *)
   let connected = ref 0 in
   while !connected < procs do
@@ -378,27 +407,6 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
     | Some c -> c
     | None -> fail_cleanup ~rank "no connection"
   in
-  (* Master start-up spans, per rank, on the run's telemetry clock.
-     They are held back and merged by start time into the rank's first
-     shipped spans, so each worker's lane stays one timeline. *)
-  let tel_now () = if telemetry then Telemetry.now mtel else 0.0 in
-  let startup_spans : Trace.span list array = Array.make procs [] in
-  let startup_span rank ~category ~label ?(bytes = 0.0) ~start () =
-    if telemetry then
-      startup_spans.(rank) <-
-        {
-          Trace.worker = rank;
-          category;
-          label;
-          start_sec = start;
-          duration_sec = tel_now () -. start;
-          bytes;
-        }
-        :: startup_spans.(rank)
-  in
-  (* -- compile, while the workers build their instances ------------- *)
-  let build_start = tel_now () in
-  let compiled, model = Lazy.force schedule in
   let sched = compiled.Orion.schedule in
   let sp = sched.Schedule.space_parts and tp = sched.Schedule.time_parts in
   (* the partitioner may produce fewer space partitions than workers
@@ -407,7 +415,7 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
   let nw = sp in
   for rank = 0 to nw - 1 do
     startup_span rank ~category:Trace.Compute ~label:"schedule build"
-      ~start:build_start ()
+      ~start:build_start ~finish:build_end ()
   done;
   (* -- row frames -----------------------------------------------------
      Each rank's row payload is built in one buffer: its blocks' entries
@@ -416,8 +424,9 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
      its own, then the packed regions that fill its placed arrays — its
      local partition, and the whole rotated and replicated arrays,
      packed once for every row.  The row's header carries the
-     iteration space's dims, entry count and digest, which a worker
-     checks its instance against, and the spans of the payload. *)
+     iteration space's dims and entry count, which a worker checks its
+     instance against, the spans of the payload, and — only for a rank
+     that announced records of its own — the space's digest. *)
   let iter = inst.Orion.App.inst_iter in
   let arrays = inst.Orion.App.inst_arrays in
   let packer =
@@ -461,22 +470,20 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
           | Some Plan.Server | None -> None)
       arrays
   in
-  let digest = ref 0 in
-  let frames =
-    Array.init nw (fun rank ->
-        let start = tel_now () in
-        let regions = regions_for rank in
-        let frame, blocks, spans, d =
-          Wire.row_frame sched.Schedule.blocks.(rank)
-            (List.map (fun (_, b, _) -> b) regions)
-        in
-        digest := !digest + d;
-        startup_span rank ~category:Trace.Marshal ~label:"row encode"
-          ~bytes:(float_of_int (Bytes.length frame))
-          ~start ();
-        (frame, blocks, spans, regions))
+  let encode_row rank =
+    let start = tel_now () in
+    let regions = regions_for rank in
+    let frame, blocks, spans =
+      Wire.row_frame sched.Schedule.blocks.(rank)
+        (List.map (fun (_, b, _) -> b) regions)
+    in
+    startup_span rank ~category:Trace.Marshal ~label:"row encode"
+      ~bytes:(float_of_int (Bytes.length frame))
+      ~start ();
+    (frame, blocks, spans, regions)
   in
-  let row_header (_, blocks, spans, _) =
+  let digest = lazy (Wire.space_digest iter) in
+  let row_header ~records (_, blocks, spans, _) =
     {
       Wire.sr_sp = sp;
       sr_tp = tp;
@@ -485,7 +492,7 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
       sr_time_boundaries = sched.Schedule.time_boundaries;
       sr_dims = Dist_array.dims iter;
       sr_entries = Dist_array.count iter;
-      sr_digest = !digest;
+      sr_digest = (if records then Lazy.force digest else 0);
       sr_blocks = blocks;
       sr_regions = spans;
     }
@@ -511,15 +518,15 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
   in
   (* -- start-up sends --------------------------------------------------
      Every rank announces its listener and prefetch request as soon as
-     its instance is built, usually while this process still compiles.
-     Each rank's frames then go out in order, with no round trip in
-     between: the row's header and payload, the prefetch response (once
-     requested) and the peers table (once every rank listens).  They
-     are written as far as each rank reads, so a rank still starting
-     holds up only its own frames, under the same supervision as the
-     other start-up waits.  A rank beyond the space cut gets Shutdown
-     at once; its connection stays open until the run ends, so that
-     its announcement, still on its way, is not refused. *)
+     its instance is built.  Each rank's frames then go out in order,
+     with no round trip in between: the row's header and payload, the
+     prefetch response (once requested) and the peers table (once every
+     rank listens).  They are written as far as each rank reads, so a
+     rank still starting holds up only its own frames, under the same
+     supervision as the other start-up waits.  A rank beyond the space
+     cut gets Shutdown at once; its connection stays open until the run
+     ends, so that its announcement, still on its way, is not
+     refused. *)
   for rank = nw to procs - 1 do
     Transport.send (conn rank) Wire.Shutdown
   done;
@@ -539,19 +546,6 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
   let outbox : (unit -> bool) list array = Array.make nw [] in
   let queue rank push = outbox.(rank) <- outbox.(rank) @ [ push ] in
   let message rank m = Transport.start_send (conn rank) m in
-  for rank = 0 to nw - 1 do
-    let ((frame, _, _, regions) as row) = frames.(rank) in
-    let start = tel_now () in
-    let sent () =
-      startup_span rank ~category:Trace.Transfer ~label:"row send"
-        ~bytes:(float_of_int (Bytes.length frame))
-        ~start ();
-      ship ~rank regions
-    in
-    let push = Transport.start_send_frame (conn rank) frame in
-    queue rank (message rank (Wire.Schedule_row (row_header row)));
-    queue rank (fun () -> push () && (sent (); true))
-  done;
   (* write [rank]'s frames as far as its socket takes them *)
   let pump rank =
     let rec go () =
@@ -582,36 +576,75 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
     check_deadline "worker startup";
     List.iter pump ranks
   in
-  (* until every rank has announced itself: push, and read *)
-  while List.exists (fun rank -> states.(rank).st_prefetch = None) ranks do
-    step ();
-    List.iter
-      (function
-        | Event_loop.Message (rank, Wire.Listening { l_addr; _ }) ->
-            states.(rank).st_addr <- Some l_addr
-        | Event_loop.Message (rank, Wire.Prefetch_request { pr_arrays; _ }) ->
-            states.(rank).st_prefetch <- Some pr_arrays;
-            (* Listening is guaranteed first on this FIFO channel *)
-            if states.(rank).st_addr = None then
-              fail_cleanup ~rank "prefetch request before listening";
-            let regions =
-              List.filter_map
-                (fun name ->
-                  Option.map (whole name) (List.assoc_opt name arrays))
-                pr_arrays
-            in
-            ship ~rank regions;
-            queue rank
-              (message rank
-                 (Wire.Prefetch_response
-                    (List.map (fun (_, b, _) -> b) regions)))
-        | Event_loop.Message (rank, Wire.Fatal { f_reason; _ }) ->
-            fail_cleanup ~rank "%s" f_reason
-        | Event_loop.Message (rank, m) ->
-            fail_cleanup ~rank "unexpected %s during startup" (Wire.tag m)
-        | Event_loop.Closed rank ->
-            fail_cleanup ~rank "worker disconnected during startup")
-      (Event_loop.poll handshake ~writing:(writing ()) ~timeout:0.05)
+  (* the prefetch response follows the row, whichever came first: the
+     row's encoding or the request *)
+  let row_queued = Array.make nw false in
+  let respond_prefetch rank =
+    match states.(rank).st_prefetch with
+    | Some pr_arrays ->
+        let regions =
+          List.filter_map
+            (fun name -> Option.map (whole name) (List.assoc_opt name arrays))
+            pr_arrays
+        in
+        ship ~rank regions;
+        queue rank
+          (message rank
+             (Wire.Prefetch_response (List.map (fun (_, b, _) -> b) regions)))
+    | None -> ()
+  in
+  let handle = function
+    | Event_loop.Message (rank, Wire.Listening { l_addr; l_records }) ->
+        states.(rank).st_addr <- Some l_addr;
+        states.(rank).st_records <- Some l_records
+    | Event_loop.Message (rank, Wire.Prefetch_request { pr_arrays; _ }) ->
+        states.(rank).st_prefetch <- Some pr_arrays;
+        (* Listening is guaranteed first on this FIFO channel *)
+        if states.(rank).st_addr = None then
+          fail_cleanup ~rank "prefetch request before listening";
+        if row_queued.(rank) then respond_prefetch rank
+    | Event_loop.Message (rank, Wire.Fatal { f_reason; _ }) ->
+        fail_cleanup ~rank "%s" f_reason
+    | Event_loop.Message (rank, m) ->
+        fail_cleanup ~rank "unexpected %s during startup" (Wire.tag m)
+    | Event_loop.Closed rank ->
+        fail_cleanup ~rank "worker disconnected during startup"
+  in
+  (* Until every rank has announced itself and has its row: push, and
+     read.  Each rank's row is encoded once the rank has announced
+     itself, in the order the ranks announce, and goes out at once: its
+     header, with the digest only for a rank that holds records, then
+     its payload.  Until a rank is ready this process waits, leaving
+     the cores to the workers still building their instances. *)
+  let unsent = ref ranks in
+  while
+    !unsent <> []
+    || List.exists (fun rank -> states.(rank).st_prefetch = None) ranks
+  do
+    match List.find_opt (fun r -> states.(r).st_records <> None) !unsent with
+    | Some rank ->
+        unsent := List.filter (fun r -> r <> rank) !unsent;
+        let ((frame, _, _, regions) as row) = encode_row rank in
+        let start = tel_now () in
+        let records = states.(rank).st_records = Some true in
+        queue rank (message rank (Wire.Schedule_row (row_header ~records row)));
+        let push = Transport.start_send_frame (conn rank) frame in
+        queue rank (fun () ->
+            push ()
+            && begin
+                 startup_span rank ~category:Trace.Transfer ~label:"row send"
+                   ~bytes:(float_of_int (Bytes.length frame))
+                   ~start ();
+                 ship ~rank regions;
+                 true
+               end);
+        row_queued.(rank) <- true;
+        respond_prefetch rank;
+        pump rank
+    | None ->
+        step ();
+        List.iter handle
+          (Event_loop.poll handshake ~writing:(writing ()) ~timeout:0.05)
   done;
   let peers =
     Array.init nw (fun rank ->

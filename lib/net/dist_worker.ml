@@ -295,23 +295,18 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   let managed name =
     (not (List.mem name buffered)) && placement name <> None
   in
-  (* zero every managed array before its contents arrive: they must
-     come over the wire, which makes the start-up shipment
-     load-bearing *)
-  List.iter
-    (fun (n, a) ->
-      if managed n then
-        Array.iter
-          (fun lin -> Dist_array.set_lin a lin 0.0)
-          (Dist_array.sorted_keys a))
-    arrays;
   (* -- announce: own listener + prefetch request ---------------------
      Both need only the plan, so they go out before the row arrives:
      the master then sends the row, the prefetch response and the peers
-     table back to back, with no round trip in between. *)
+     table back to back, with no round trip in between.  The listener
+     announcement also says whether this instance holds records, the
+     only case in which the row carries a digest to check them by. *)
   Transport.send master
     (Wire.Listening
-       { l_addr = Transport.addr_to_string listener.Transport.laddr });
+       {
+         l_addr = Transport.addr_to_string listener.Transport.laddr;
+         l_records = Dist_array.count inst.Orion.App.inst_iter > 0;
+       });
   let prefetch_names =
     List.filter_map
       (fun (n, _) ->
@@ -322,6 +317,17 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
      exercised every run *)
   Transport.send master
     (Wire.Prefetch_request { pr_arrays = prefetch_names });
+  (* zero every managed array before its contents arrive: they must
+     come over the wire, which makes the start-up shipment
+     load-bearing.  Done after the announcement, while the master
+     still encodes the row. *)
+  List.iter
+    (fun (n, a) ->
+      if managed n then
+        Array.iter
+          (fun lin -> Dist_array.set_lin a lin 0.0)
+          (Dist_array.sorted_keys a))
+    arrays;
   (* -- the compiled kernel, while the row is in flight -----------------
      Compiled after the shadow rebinding above (the kernel captures
      env's current array bindings), for the iteration space's kind

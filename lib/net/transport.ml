@@ -170,11 +170,23 @@ let start_send (c : conn) (m : Wire.msg) : unit -> bool =
   let len = Bytes.length payload in
   start_write c [ (Frame.header len, 0, Frame.header_bytes); (payload, 0, len) ]
 
+(* the largest send buffer a frame asks for; the kernel caps it lower
+   still where its own limit is lower *)
+let max_frame_sndbuf = 1 lsl 20
+
 (** Start writing [frame], a buffer built with {!Frame.header_bytes}
     free at its start and the payload after them, as one frame: the
-    length prefix is filled in place, so the payload is never copied. *)
+    length prefix is filled in place, so the payload is never copied.
+    The socket's send buffer is first raised to hold the frame whole
+    (up to {!max_frame_sndbuf}), so that the writer queues it in one go
+    and need not run again while the reader drains it. *)
 let start_send_frame (c : conn) (frame : bytes) : unit -> bool =
   Frame.seal frame;
+  let want = min (Bytes.length frame) max_frame_sndbuf in
+  (try
+     if Unix.getsockopt_int c.fd Unix.SO_SNDBUF < want then
+       Unix.setsockopt_int c.fd Unix.SO_SNDBUF want
+   with Unix.Unix_error _ -> ());
   start_write c [ (frame, 0, Bytes.length frame) ]
 
 let push_blocking push fd =

@@ -16,12 +16,14 @@
     Protocol outline (master-centric):
 
     {v
+                      ... the master compiles the schedule while the
+                      worker processes start ...
     worker → master   Hello
     master → worker   Plan                 (app, scale, shape, rank, flags,
                                             the master's loop plan)
-                      ... the master compiles the schedule while the
-                      workers build their instances from shapes ...
-    worker → master   Listening            (the worker's own peer addr)
+                      ... the workers build their instances ...
+    worker → master   Listening            (the worker's own peer addr,
+                                            whether it holds records)
     worker → master   Prefetch_request     (Server-placed arrays)
     master → worker   Schedule_row         (the row's header, then its
                                             payload as the next frame:
@@ -81,8 +83,12 @@
        partitions; a flush carries its per-array totals (the separate
        accumulator message is gone); worker stats carry one raw-layout
        byte total; no message carries its sender's rank, which the
-       master knows from the connection *)
-let version = 12
+       master knows from the connection
+   v13: a worker's announcement says whether its instance holds records
+       of the iteration space, and only such a rank's row header
+       carries the master's space digest; the row payload carries
+       none *)
+let version = 13
 
 (** One journaled DistArray element write, in execution order (only
     arrays with no single owner are journaled). *)
@@ -160,8 +166,9 @@ type row = {
   sr_dims : int array;  (** dims of the master's iteration space *)
   sr_entries : int;  (** entries of the master's iteration space *)
   sr_digest : int;
-      (** {!entry_digest} summed over the master's iteration space; a
-          worker whose instance holds records must hold these *)
+      (** {!space_digest} of the master's iteration space, for a rank
+          that announced records of its own, which must be these; 0 for
+          any other rank, which checks none *)
   sr_blocks : span array;
       (** per time partition, the receiving rank's block: its entries
           in scheduled order *)
@@ -176,7 +183,10 @@ type msg =
   | Schedule_row of row
       (** the header of the receiving rank's row of the master's
           compiled schedule; the row's payload is the next frame *)
-  | Listening of { l_addr : string }
+  | Listening of { l_addr : string; l_records : bool }
+      (** the worker's own peer address, and whether its instance holds
+          records of the iteration space (which it checks against the
+          row's digest) *)
   | Prefetch_request of { pr_arrays : string list }
   | Prefetch_response of part_payload list
   | Peers of string array  (** peer address, indexed by rank *)
@@ -472,20 +482,25 @@ let rec value_hash (v : V.t) =
 
 (** One iteration-space entry's share of a space digest.  Digests are
     sums of these, so they do not depend on the order entries are
-    visited in: the master sums its schedule rows, a worker its own
-    space, and the two agree exactly when both hold the same entries. *)
+    visited in: the master and a worker each sum their own space, and
+    the two agree exactly when both hold the same entries. *)
 let entry_digest lin v = mix (mix lin + value_hash v)
 
 (** [entry_digest lin (Vfloat f)], with no value boxed. *)
 let[@inline] float_entry_digest lin f =
   mix (mix lin + mix (3 + Int64.to_int (Int64.bits_of_float f)))
 
-(** {!entry_digest} summed over [iter]'s stored entries. *)
+(** {!entry_digest} summed over [iter]'s stored entries; a float view
+    ({!Orion_dsm.Dist_array.float_view}) is summed unboxed. *)
 let space_digest (iter : V.t Orion_dsm.Dist_array.t) =
-  Orion_dsm.Dist_array.fold
-    (fun acc key v ->
-      acc + entry_digest (Orion_dsm.Dist_array.linearize iter key) v)
-    0 iter
+  let module D = Orion_dsm.Dist_array in
+  match D.floats_of_view iter with
+  | Some src ->
+      D.fold
+        (fun acc key f -> acc + float_entry_digest (D.linearize src key) f)
+        0 src
+  | None ->
+      D.fold (fun acc key v -> acc + entry_digest (D.linearize iter key) v) 0 iter
 
 (* Entries in the tagged codec: per entry its linearized key (8 bytes)
    and its value. *)
@@ -559,9 +574,8 @@ let kind_tagged = 1
 (** One rank's row payload, built in one buffer: {!Frame.header_bytes}
     free for the transport's length prefix, then [blocks] in order,
     then the packed [regions] appended as they are.  Returns the
-    buffer (for {!Transport.start_send_frame}), the blocks' and the
-    regions' spans in the payload, and the blocks' summed
-    {!entry_digest}.
+    buffer (for {!Transport.start_send_frame}) and the blocks' and the
+    regions' spans in the payload.
     @raise Invalid_argument on a DistArray handle, which cannot travel *)
 let row_frame (blocks : V.t Orion_runtime.Schedule.block array)
     (regions : bytes list) =
@@ -578,7 +592,7 @@ let row_frame (blocks : V.t Orion_runtime.Schedule.block array)
   in
   let h = Frame.header_bytes in
   let b = Bytes.create (h + payload) in
-  let digest = ref 0 and pos = ref h in
+  let pos = ref h in
   let block_spans =
     Array.mapi
       (fun i blk ->
@@ -588,18 +602,13 @@ let row_frame (blocks : V.t Orion_runtime.Schedule.block array)
         | Some values ->
             Bytes.set_uint8 b (p + 4) kind_float;
             let keys = S.keys blk and kpos = p + 5 and vpos = p + 5 + (8 * n) in
-            let d = ref 0 in
             for j = 0 to n - 1 do
-              let lin = Array.unsafe_get keys j
-              and f = Array.unsafe_get values j in
-              set_int b (kpos + (8 * j)) lin;
-              set_float b (vpos + (8 * j)) f;
-              d := !d + float_entry_digest lin f
-            done;
-            digest := !digest + !d
+              set_int b (kpos + (8 * j)) (Array.unsafe_get keys j);
+              set_float b (vpos + (8 * j)) (Array.unsafe_get values j)
+            done
         | None ->
             Bytes.set_uint8 b (p + 4) kind_tagged;
-            digest := !digest + write_tagged b (p + 5) blk);
+            ignore (write_tagged b (p + 5) blk));
         pos := p + block_lens.(i);
         { sp_off = p - h; sp_len = block_lens.(i) })
       blocks
@@ -613,7 +622,7 @@ let row_frame (blocks : V.t Orion_runtime.Schedule.block array)
         { sp_off = p - h; sp_len = len })
       regions
   in
-  (b, block_spans, Array.of_list region_spans, !digest)
+  (b, block_spans, Array.of_list region_spans)
 
 (* Fail unless [spans] tile [payload] exactly: each inside it, none
    overlapping another, no byte outside all of them. *)

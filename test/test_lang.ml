@@ -1047,7 +1047,7 @@ let make_kernel_env ~seed () =
           (fun f ->
             Array.iteri (fun i x -> f [| i |] (Value.Vfloat x)) data);
         ex_count = (fun () -> kernel_len);
-        ex_fast = Some { fa_get = get_f; fa_set = set_f };
+        ex_fast = Some { fa_get = get_f; fa_set = set_f; fa_dense = None };
       }
   in
   let env = Interp.create_env ~seed () in
@@ -1191,8 +1191,9 @@ let test_compile_handwritten_bodies () =
     ]
 
 (* random bodies from a tiny grammar: scalar float/int expressions over
-   the key, value, W, a float accumulator and an int counter, under
-   if/for control flow — enough to cover the compiler's fast and
+   the key, value, W, a float accumulator, an int counter and a float
+   [u] that only some paths assign (so a read may find it undefined),
+   under if/for control flow — enough to cover the compiler's fast and
    generic paths *)
 let gen_kernel_body : string QCheck.Gen.t =
   let open QCheck.Gen in
@@ -1217,6 +1218,7 @@ let gen_kernel_body : string QCheck.Gen.t =
         map (Printf.sprintf "%.3f") (float_bound_inclusive 2.0);
         return "v";
         return "t";
+        return "u";
         return "rand()";
         map (fun i -> "W[" ^ i ^ "]") idx;
       ]
@@ -1246,6 +1248,7 @@ let gen_kernel_body : string QCheck.Gen.t =
     oneof
       [
         map (fun e -> "t = " ^ e) float_expr;
+        map (fun e -> "u = " ^ e) float_expr;
         map (fun e -> "t += " ^ e) float_expr;
         map (fun e -> "t *= " ^ e) float_atom;
         map (fun e -> "n = " ^ e) int_expr;
@@ -1469,7 +1472,8 @@ let test_compile_vector_bodies () =
 
 (* random vector bodies over W's slices, the locals a/b and the scalar
    t: every vector shape the compiler handles, out-of-range and
-   reversed bounds (0 and 4 lie outside 1..3), length mismatches *)
+   reversed bounds (0 and 4 lie outside 1..3), length mismatches,
+   buffers refilled in a loop or at a changing length, and aliases *)
 let gen_vector_body : string QCheck.Gen.t =
   let open QCheck.Gen in
   let bound = map string_of_int (int_range 0 4) in
@@ -1517,6 +1521,16 @@ let gen_vector_body : string QCheck.Gen.t =
         map (fun e -> "W[:, k] = " ^ e) vexpr;
         map3 (fun lo hi e -> "W[" ^ lo ^ ":" ^ hi ^ ", j] = " ^ e) bound bound vexpr;
         return "W[1, k] = t";
+        (* reassigned inside an inner loop: the same buffers refilled *)
+        map2
+          (fun e s -> "for i = 1:2\n  a = " ^ e ^ "\n  b = a * " ^ s ^ "\nend")
+          vexpr scalar;
+        (* a slice whose length changes from entry to entry *)
+        map (fun c -> "a = W[1:((k % 3) + 1), " ^ c ^ "]") col;
+        (* after b = a, an index write through either shows in both *)
+        map2
+          (fun v s -> "b = a\n" ^ v ^ "[1] = " ^ s)
+          (oneofl [ "a"; "b" ]) scalar;
       ]
   in
   let* n = int_range 1 6 in
@@ -1531,8 +1545,21 @@ let test_compile_random_vector_bodies_qcheck () =
       check_vector_kernel body_src;
       true)
 
-(* The mf kernel's allocation per entry: fresh arrays for its slices
-   and vector results, no per-element boxing. *)
+(* Minor words a compiled kernel allocates per entry over one pass of
+   [keys], after a warm-up pass (which sizes every scratch buffer).
+   The keys and values exist beforehand, so only the kernel counts. *)
+let kernel_words_per_entry kernel keys values =
+  let pass () =
+    Array.iteri (fun i key -> Compile.run_float kernel ~key values i) keys
+  in
+  pass ();
+  let w0 = Gc.minor_words () in
+  pass ();
+  (Gc.minor_words () -. w0) /. float_of_int (Array.length keys)
+
+(* The mf kernel writes its scalars into cells and its vectors into
+   reused buffers, and reads and writes the dense W and H in place, so
+   an entry allocates nothing. *)
 let test_mf_kernel_allocation () =
   let inst =
     match
@@ -1549,20 +1576,57 @@ let test_mf_kernel_allocation () =
   in
   let entries = Dist_array.entries inst.Orion.App.inst_iter in
   let values = Array.map (fun (_, v) -> Value.to_float v) entries in
-  let pass () =
-    Array.iteri
-      (fun i (key, _) -> Compile.run_float kernel ~key values i)
-      entries
-  in
-  pass ();
-  let w0 = Gc.minor_words () in
-  pass ();
   let per_entry =
-    (Gc.minor_words () -. w0) /. float_of_int (Array.length entries)
+    kernel_words_per_entry kernel (Array.map fst entries) values
   in
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per entry <= 150" per_entry)
-    true (per_entry <= 150.0)
+    (Printf.sprintf "%.1f minor words per entry <= 4" per_entry)
+    true (per_entry <= 4.0)
+
+(* A scalar read-modify-write body over dense arrays, shaped like lda's:
+   int and float locals live in cells, and point reads and writes go
+   straight to the flat storage. *)
+let test_scalar_kernel_allocation () =
+  let body =
+    parse
+      "old_t = int(token_topic[key[1], key[2]])\n\
+       doc_topic[key[1], old_t] = doc_topic[key[1], old_t] - cnt\n\
+       word_topic[key[2], old_t] -= cnt\n\
+       new_t = ((old_t + key[2]) % 3) + 1\n\
+       w = 0.5 * cnt\n\
+       doc_topic[key[1], new_t] = doc_topic[key[1], new_t] + w\n\
+       word_topic[key[2], new_t] += w\n\
+       token_topic[key[1], key[2]] = float(new_t)"
+  in
+  let docs = 4 and words = 5 and topics = 3 in
+  let env = Interp.create_env () in
+  List.iter
+    (fun a ->
+      Interp.set_var env (Dist_array.name a)
+        (Value.Vextern (Dist_array.to_extern a)))
+    [
+      Dist_array.fill_dense ~name:"doc_topic" ~dims:[| docs; topics |] 5.0;
+      Dist_array.fill_dense ~name:"word_topic" ~dims:[| words; topics |] 4.0;
+      Dist_array.init_dense ~name:"token_topic" ~dims:[| docs; words |]
+        ~f:(fun k -> float_of_int (((k.(0) + k.(1)) mod topics) + 1));
+    ];
+  let kernel =
+    match
+      Compile.compile_body env ~value_float:true ~key_var:"key"
+        ~value_var:"cnt" body
+    with
+    | Some k -> k
+    | None -> Alcotest.fail "lda-shaped body did not compile"
+  in
+  let keys =
+    Array.init (docs * words) (fun i -> [| i / words; i mod words |])
+  in
+  let per_entry =
+    kernel_words_per_entry kernel keys (Array.make (docs * words) 1.0)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per entry <= 4" per_entry)
+    true (per_entry <= 4.0)
 
 (* An lda-shaped body writes every array it reads by index.  Index
    writes do not rebind the array, so each access still goes through
@@ -1603,6 +1667,9 @@ let test_index_written_array_takes_fast_path () =
                 (fun k x ->
                   incr fast;
                   fa.Value.fa_set k x);
+              (* hide the flat storage, so that every unboxed access
+                 goes through the counted accessors *)
+              fa_dense = None;
             })
           ex.Value.ex_fast;
     }
@@ -1739,6 +1806,7 @@ let () =
           tc "vector bodies" `Quick test_compile_vector_bodies;
           qc (test_compile_random_vector_bodies_qcheck ());
           tc "mf kernel allocation" `Quick test_mf_kernel_allocation;
+          tc "scalar kernel allocation" `Quick test_scalar_kernel_allocation;
           tc "index-written array takes fast path" `Quick
             test_index_written_array_takes_fast_path;
         ] );
