@@ -612,8 +612,8 @@ module Engine = struct
   (** Compile [inst]'s loop body against [env] (call {e after} any
       shadow rebinding — the kernel captures the environment's current
       array bindings).  Over a float iteration space
-      ({!Dist_array.float_view}) the kernel takes its values unboxed
-      ({!Compile.run_float}); no value is looked at here.  [None] when
+      ({!Dist_array.float_view}) the kernel takes a block's values
+      unboxed ({!Compile.run_floats}); no value is looked at here.  [None] when
       compilation is disabled ([ORION_NO_COMPILE]) or the body uses an
       unsupported construct; callers fall back to {!interp_body}. *)
   let compile_kernel (inst : App.instance) (env : Interp.env) :
@@ -635,7 +635,9 @@ module Engine = struct
           {
             Schedule.boxed = (fun ~key ~value -> Compile.run k ~key ~value);
             unboxed =
-              Some (fun ~key values i -> Compile.run_float k ~key values i);
+              Some
+                (fun ~dims ~strides keys values ->
+                  Compile.run_floats k ~dims ~strides keys values);
           } )
     | None ->
         ( None,

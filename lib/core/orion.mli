@@ -337,16 +337,16 @@ module Engine : sig
       {e after} any shadow rebinding — the kernel captures the
       environment's current array bindings).  Over a float iteration
       space ({!Dist_array.float_view}, on a distributed worker as on
-      the master) the kernel takes each value unboxed through
-      {!Compile.run_float}; no value is looked at to decide.  [None]
+      the master) the kernel takes a whole block, its values unboxed,
+      through {!Compile.run_floats}; no value is looked at to decide.  [None]
       when compilation is disabled ([ORION_NO_COMPILE]) or the body
       uses an unsupported construct; callers fall back to the
       interpreter. *)
   val compile_kernel : App.instance -> Interp.env -> Compile.t option
 
   (** [inst]'s loop body over [env]: its {!compile_kernel} kernel (kept
-      for [Compile.flush_locals] at the end), taking a float block's
-      values unboxed, or the interpreter, which boxes each, when the
+      for [Compile.flush_locals] at the end), taking a float block whole
+      with its values unboxed, or the interpreter, which boxes each, when the
       body does not compile.  The pool and the distributed worker both
       build their bodies here. *)
   val loop_body :

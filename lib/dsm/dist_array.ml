@@ -195,31 +195,7 @@ let linearize t key =
   done;
   !acc
 
-(* key arithmetic only: one fresh key array, no closure; keys of up to
-   three dims are allocated inline, without a call into the runtime,
-   and their innermost index (stride 1) needs no division *)
-let delinearize_in ~dims ~strides lin =
-  let n = Array.length dims in
-  if n = 2 then
-    [|
-      lin / Array.unsafe_get strides 0 mod Array.unsafe_get dims 0;
-      lin mod Array.unsafe_get dims 1;
-    |]
-  else if n = 1 then [| lin mod Array.unsafe_get dims 0 |]
-  else if n = 3 then
-    [|
-      lin / Array.unsafe_get strides 0 mod Array.unsafe_get dims 0;
-      lin / Array.unsafe_get strides 1 mod Array.unsafe_get dims 1;
-      lin mod Array.unsafe_get dims 2;
-    |]
-  else begin
-    let key = Array.make n 0 in
-    for i = 0 to n - 1 do
-      Array.unsafe_set key i
-        (lin / Array.unsafe_get strides i mod Array.unsafe_get dims i)
-    done;
-    key
-  end
+let delinearize_in = Orion_lang.Value.delinearize_in
 
 let delinearize t lin = delinearize_in ~dims:t.dims ~strides:t.strides lin
 

@@ -16,14 +16,19 @@
     - vector expressions (extern slices, [+ - * /] and negation over
       vectors and scalars) fill a scratch [float array] owned by their
       node, reallocated only when the length changes, with
-      {!Interp}'s element-wise loops; a vector local copies a result
-      into an array of its own;
+      {!Interp}'s element-wise loops; assigned to a vector local, they
+      fill the local's own array instead;
     - DistArray point subscripts and one-dimensional slices
       ([W\[:, j\]], [W\[lo:hi, j\]]) resolve through the host's
       {!Value.fast_access}, when no profile or access hook needs to
       observe the access: a dense array's flat storage with the
-      bounds checked first, else the unboxed point accessors;
-    - builtins devirtualize to direct closures at compile time.
+      bounds checked first, else the unboxed point accessors.  A
+      slice lying wholly inside dense storage is one strided loop, and
+      a store [W\[:, j\] = x - g * s] into it runs as one loop;
+    - builtins devirtualize to direct closures at compile time;
+    - a block of float entries runs as one call ({!run_floats}): one
+      handler for the block, and a key that the body only subscripts
+      delinearized into one array the kernel owns.
 
     Observational equivalence with {!Interp.eval_body_for} is the
     contract: same values bitwise, same exceptions with the same
@@ -206,6 +211,10 @@ type cblock = {
 type t = {
   c_env : Interp.env;
   c_key : slot;
+  c_key_local : bool;
+      (** the key is only subscripted by points ({!key_stays_local}):
+          a block's keys are delinearized into [c_key_buf] *)
+  c_key_buf : xcell;
   c_value : slot;
   c_value_float : bool;  (** runs only through [run_float] *)
   c_body : cblock;
@@ -216,47 +225,50 @@ type t = {
 (* Name collection                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* every expression the body evaluates, with each assignment target as
+   the variable or the read [v[subs]] it names, and each loop variable
+   and iterated array as a variable *)
+let body_exprs body =
+  Ast.fold_stmts
+    (fun acc stmt ->
+      match stmt.sk with
+      | Assign (lv, e) | Op_assign (_, lv, e) ->
+          (match lv with
+          | Lvar v -> Var v
+          | Lindex (v, subs) -> Index (Var v, subs))
+          :: e :: acc
+      | If (c, _, _) | While (c, _) -> c :: acc
+      | For { kind = Range_loop { var; lo; hi }; _ } -> Var var :: lo :: hi :: acc
+      | For { kind = Each_loop { key; value; arr }; _ } ->
+          Var key :: Var value :: Var arr :: acc
+      | Expr_stmt e -> e :: acc
+      | Break | Continue -> acc)
+    [] body
+
+(* [f acc e] over every (sub-)expression the body evaluates *)
+let fold_body f acc body =
+  List.fold_left (Ast.fold_expr f) acc (body_exprs body)
+
 (* every variable the body reads or writes, including array bases,
    subscript expressions and loop variables *)
 let referenced_names body =
-  let names = ref [] in
-  let add n = names := n :: !names in
-  let expr e =
-    ignore
-      (Ast.fold_expr
-         (fun () e -> match e with Var v -> add v | _ -> ())
-         () e)
+  fold_body (fun acc e -> match e with Var v -> v :: acc | _ -> acc) [] body
+  |> List.sort_uniq String.compare
+
+(* Does the body do no more with [key] than subscript it by one point
+   ([key[1]])?  Then no value holds the key array past its entry, and a
+   block's keys may all be written into one array. *)
+let key_stays_local key body =
+  let uses, points =
+    fold_body
+      (fun (uses, points) e ->
+        match e with
+        | Var v when v = key -> (uses + 1, points)
+        | Index (Var v, [ Sub_expr _ ]) when v = key -> (uses, points + 1)
+        | _ -> (uses, points))
+      (0, 0) body
   in
-  let sub s =
-    ignore
-      (Ast.fold_subscript
-         (fun () e -> match e with Var v -> add v | _ -> ())
-         () s)
-  in
-  ignore
-    (Ast.fold_stmts
-       (fun () stmt ->
-         match stmt.sk with
-         | Assign (Lvar v, e) -> add v; expr e
-         | Assign (Lindex (v, subs), e) ->
-             add v;
-             List.iter sub subs;
-             expr e
-         | Op_assign (_, Lvar v, e) -> add v; expr e
-         | Op_assign (_, Lindex (v, subs), e) ->
-             add v;
-             List.iter sub subs;
-             expr e
-         | If (c, _, _) -> expr c
-         | While (c, _) -> expr c
-         | For { kind = Range_loop { var; lo; hi }; _ } ->
-             add var; expr lo; expr hi
-         | For { kind = Each_loop { key; value; arr }; _ } ->
-             add key; add value; add arr
-         | Expr_stmt e -> expr e
-         | Break | Continue -> ())
-       () body);
-  List.sort_uniq String.compare !names
+  uses = points
 
 (* the names a statement rebinds: [v = e], [v op= e] and loop
    variables.  An index write [A[i] = e] changes what [A] holds, never
@@ -528,7 +540,7 @@ let no_hooks env =
 (* Float operators over cells: a float passed to or returned from a
    function that is not inlined is boxed, a cell is not.  One rounding
    per operation, as [Interp.eval_binop]. *)
-let float_binop op (a : fcell) (b : fcell) (out : fcell) =
+let[@inline] float_binop op (a : fcell) (b : fcell) (out : fcell) =
   let x = a.cv and y = b.cv in
   match op with
   | Add -> out.cv <- x +. y
@@ -622,7 +634,9 @@ let vbuf_for b n =
 
 (* [A[p1, .., lo:hi, .., pn]] on a fast extern: the compiled
    subscripts, the sliced dimension, a key buffer that holds the point
-   positions and walks the sliced one, and the node's result buffer *)
+   positions and walks the sliced one, and the node's result buffer.
+   On dense storage the flat array and the sliced dimension's stride
+   are fixed at compile time. *)
 type slice = {
   sc_ex : extern;
   sc_fa : fast_access;
@@ -631,15 +645,26 @@ type slice = {
   sc_extent : int;  (** the sliced dimension's size: the bounds of [:] *)
   sc_key : int array;
   sc_buf : vbuf;
+  sc_dense : bool;
+  sc_data : float array;  (** the dense storage, or [[||]] *)
+  sc_strides : int array;  (** its strides *)
+  sc_step : int;  (** the sliced dimension's *)
   mutable sc_lo : int;
   mutable sc_hi : int;
-  mutable sc_base : int;  (** dense offset of key [sc_lo] *)
+  mutable sc_base : int;
+      (** dense offset of key [sc_lo], or -1 when the slice does not lie
+          wholly inside a dense array *)
 }
 
 let make_slice ex fa ks =
   let n = Array.length ks in
   let dim = ref 0 in
   Array.iteri (fun i k -> match k with Kpoint _ -> () | _ -> dim := i) ks;
+  let data, strides =
+    match fa.fa_dense with
+    | Some dn -> (dn.dn_data, dn.dn_strides)
+    | None -> ([||], Array.make n 0)
+  in
   {
     sc_ex = ex;
     sc_fa = fa;
@@ -648,120 +673,141 @@ let make_slice ex fa ks =
     sc_extent = ex.ex_dims.(!dim);
     sc_key = Array.make n 0;
     sc_buf = { vb = [||] };
+    sc_dense = Option.is_some fa.fa_dense;
+    sc_data = data;
+    sc_strides = strides;
+    sc_step = strides.(!dim);
     sc_lo = 0;
-    sc_hi = 0;
-    sc_base = 0;
+    sc_hi = ex.ex_dims.(!dim) - 1;
+    sc_base = -1;
   }
 
-(* the subscripts, left to right with lo before hi, as [eval_csubs] *)
-let eval_slice sc =
-  for i = 0 to Array.length sc.sc_ks - 1 do
-    match sc.sc_ks.(i) with
-    | Kpoint p -> sc.sc_key.(i) <- iget p
-    | Kall ->
-        sc.sc_lo <- 0;
-        sc.sc_hi <- sc.sc_extent - 1
+(* Evaluate the subscripts, left to right with lo before hi, as
+   [eval_csubs], and locate the slice in dense storage ([sc_base]) as
+   they come ([key], [dims] and [strides] are as long as the
+   subscripts; [:] keeps the bounds {!make_slice} set).  Returns the
+   slice's length, negative for a reversed range. *)
+let[@inline] locate_slice sc =
+  let ks = sc.sc_ks and key = sc.sc_key and dims = sc.sc_ex.ex_dims
+  and strides = sc.sc_strides in
+  let base = ref 0 and inside = ref sc.sc_dense in
+  for i = 0 to Array.length ks - 1 do
+    match Array.unsafe_get ks i with
+    | Kpoint p ->
+        let v = iget p in
+        Array.unsafe_set key i v;
+        if v < 0 || v >= Array.unsafe_get dims i then inside := false
+        else base := !base + (v * Array.unsafe_get strides i)
+    | Kall -> ()
     | Krange (l, h) ->
         let lo = iget l in
         sc.sc_lo <- lo;
         sc.sc_hi <- iget h
-  done
-
-(* how many of the slice's first [n] keys (ascending along the sliced
-   dimension) lie in a dense array's bounds, with the first one's
-   offset in [sc_base] *)
-let dense_prefix sc d n =
-  if n = 0 then 0
-  else begin
-    sc.sc_key.(sc.sc_dim) <- sc.sc_lo;
-    let lin = dense_offset sc.sc_ex.ex_dims d.dn_strides sc.sc_key in
-    if lin < 0 then 0
-    else begin
-      sc.sc_base <- lin;
-      let room = sc.sc_extent - sc.sc_lo in
-      if room < n then room else n
-    end
-  end
+  done;
+  let lo = sc.sc_lo and hi = sc.sc_hi in
+  sc.sc_base <-
+    (if !inside && lo >= 0 && hi < sc.sc_extent then
+       !base + (lo * sc.sc_step)
+     else -1);
+  hi - lo + 1
 
 (* An extern with a fast accessor answers a slice element by element,
    as [Dist_array.slice_vec] / [set_slice_vec] do: ascending positions,
-   so an out-of-range element raises after the same prefix, and a
-   reversed range fails as their [Array.init] does.  A dense array
-   runs its in-bounds prefix as one strided loop and leaves the rest to
-   the point accessor, which raises at the first key. *)
-let read_slice sc =
-  eval_slice sc;
-  let lo = sc.sc_lo and key = sc.sc_key and d = sc.sc_dim in
-  let n = sc.sc_hi - lo + 1 in
-  if n < 0 then invalid_arg "Array.init";
-  let r = vbuf_for sc.sc_buf n in
-  let m =
-    match sc.sc_fa.fa_dense with
-    | None -> 0
-    | Some dn ->
-        let m = dense_prefix sc dn n in
-        let data = dn.dn_data and base = sc.sc_base
-        and st = dn.dn_strides.(d) in
-        for k = 0 to m - 1 do
-          r.(k) <- data.(base + (k * st))
-        done;
-        m
-  in
-  for k = m to n - 1 do
-    key.(d) <- lo + k;
-    r.(k) <- sc.sc_fa.fa_get key
-  done;
-  r
+   so an out-of-range element raises after the same prefix.  A located
+   slice is one strided loop over dense storage; any other goes to the
+   point accessor from its first element, which raises at the first key
+   out of bounds. *)
+let[@inline] gather sc r n =
+  let base = sc.sc_base in
+  if base >= 0 then begin
+    let data = sc.sc_data and st = sc.sc_step in
+    for k = 0 to n - 1 do
+      r.(k) <- data.(base + (k * st))
+    done
+  end
+  else begin
+    let key = sc.sc_key and d = sc.sc_dim and lo = sc.sc_lo in
+    for k = 0 to n - 1 do
+      key.(d) <- lo + k;
+      r.(k) <- sc.sc_fa.fa_get key
+    done
+  end
 
-(* a store of the wrong length goes to the boxed setter, which owns
-   that error *)
-let write_slice sc src =
-  eval_slice sc;
-  let lo = sc.sc_lo and key = sc.sc_key and d = sc.sc_dim in
-  let n = sc.sc_hi - lo + 1 in
+(* [src] into a located slice of length [n]; a store of another length
+   goes to the boxed setter, which owns that error *)
+let scatter sc src n =
   if Array.length src <> n then
     sc.sc_ex.ex_set
       (Array.mapi
          (fun i k ->
            match k with
-           | Kpoint _ -> Cpoint key.(i)
+           | Kpoint _ -> Cpoint sc.sc_key.(i)
            | Kall -> Call_dim
-           | Krange _ -> Crange (lo, sc.sc_hi))
+           | Krange _ -> Crange (sc.sc_lo, sc.sc_hi))
          sc.sc_ks)
       (Vvec src)
+  else
+    let base = sc.sc_base in
+    if base >= 0 then begin
+      let data = sc.sc_data and st = sc.sc_step in
+      for k = 0 to n - 1 do
+        data.(base + (k * st)) <- src.(k)
+      done
+    end
+    else begin
+      let key = sc.sc_key and d = sc.sc_dim and lo = sc.sc_lo in
+      for k = 0 to n - 1 do
+        key.(d) <- lo + k;
+        sc.sc_fa.fa_set key src.(k)
+      done
+    end
+
+(* a reversed range fails as [Dist_array.slice_vec]'s [Array.init] *)
+let[@inline] located_length sc =
+  let n = locate_slice sc in
+  if n < 0 then invalid_arg "Array.init";
+  n
+
+let read_slice sc =
+  let n = located_length sc in
+  let r = vbuf_for sc.sc_buf n in
+  gather sc r n;
+  r
+
+let write_slice sc src = scatter sc src (locate_slice sc)
+
+(* the array a vector variable [c] takes a result of length [n] in: its
+   own when unshared and of that length, else a fresh one it owns from
+   now on.  Called only once nothing can raise before the result is
+   complete, so a failed statement leaves the variable as it was. *)
+let[@inline] own_array c n =
+  if (not c.vshared) && Array.length c.va = n then c.va
   else begin
-    let m =
-      match sc.sc_fa.fa_dense with
-      | None -> 0
-      | Some dn ->
-          let m = dense_prefix sc dn n in
-          let data = dn.dn_data and base = sc.sc_base
-          and st = dn.dn_strides.(d) in
-          for k = 0 to m - 1 do
-            data.(base + (k * st)) <- src.(k)
-          done;
-          m
-    in
-    for k = m to n - 1 do
-      key.(d) <- lo + k;
-      sc.sc_fa.fa_set key src.(k)
-    done
+    let a = Array.create_float n in
+    c.va <- a;
+    c.vshared <- false;
+    a
   end
 
-(* a fresh vector result stored into a vector variable: refilled in
-   place when the variable's array is its own and of the same length *)
+(* a result in a node's buffer, copied into a vector variable *)
 let store_vec c r =
   let n = Array.length r in
-  if c.vshared || Array.length c.va <> n then begin
-    c.va <- Array.copy r;
-    c.vshared <- false
-  end
-  else begin
-    let a = c.va in
-    for i = 0 to n - 1 do
-      a.(i) <- r.(i)
-    done
-  end
+  let a = own_array c n in
+  for i = 0 to n - 1 do
+    a.(i) <- r.(i)
+  done
+
+(* [data.(base + k * step) <- x.(k) op (y.(k) op' s)] over a located
+   slice as long as [x] and [y] *)
+let[@inline] arith op a b =
+  match op with Add -> a +. b | Sub -> a -. b | Mul -> a *. b | _ -> a /. b
+
+let fused_into sc op x op' y (s : fcell) =
+  let data = sc.sc_data and base = sc.sc_base and st = sc.sc_step
+  and sv = s.cv in
+  for k = 0 to Array.length x - 1 do
+    data.(base + (k * st)) <- arith op x.(k) (arith op' y.(k) sv)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation                                              *)
@@ -773,9 +819,14 @@ let store_vec c r =
 type num = I of (unit -> int) | F of fcell * (unit -> unit)
 
 (* A statically-vector expression: a vector variable, whose array an
-   assignment shares, or a node whose result is its own scratch array,
-   which an assignment copies and a boxed value must not keep. *)
-type vnode = Vlocal of slot * vcell | Vfresh of (unit -> float array)
+   assignment shares, or a node.  A node's run leaves its result in a
+   scratch array of its own, which a boxed value must not keep; given a
+   vector variable's slot and cell, its [into] builds the statement that
+   assigns the result to that variable, computed straight into the
+   variable's own array. *)
+type vnode =
+  | Vlocal of slot * vcell
+  | Vfresh of (unit -> float array) * (slot -> vcell -> unit -> unit)
 
 (* the run of a float node with nothing to do — a constant, or a
    variable certainly defined; a parent then skips the call *)
@@ -817,11 +868,11 @@ let vec_src ctx = function
           (fun () ->
             check_defined s;
             c.va)
-  | Vfresh f -> Vrun f
+  | Vfresh (f, _) -> Vrun f
 
 let box_vec = function
   | Vlocal (s, _) -> fun () -> slot_get s
-  | Vfresh f -> fun () -> Vvec (Array.copy (f ()))
+  | Vfresh (f, _) -> fun () -> Vvec (Array.copy (f ()))
 
 let rec compile_expr ctx (e : expr) : unit -> Value.t =
   match e with
@@ -1249,8 +1300,20 @@ and compile_num_binop op na nb : num option =
    [None] leaves [e] to the boxed path (never called by [compile_expr]
    on a node it would hand back, so the two cannot recurse forever). *)
 and compile_vec ctx (e : expr) : vnode option =
-  let fresh f = Some (Vfresh f) in
-  let buf = { vb = [||] } in
+  (* [f dst] computes the result into [dst n], for a result of length
+     [n], once nothing is left that can raise *)
+  let fresh f =
+    let buf = { vb = [||] } in
+    let to_buf n = vbuf_for buf n in
+    Some
+      (Vfresh
+         ( (fun () -> f to_buf),
+           fun s c ->
+             let to_var n = own_array c n in
+             fun () ->
+               ignore (f to_var);
+               s.sl_defined <- true ))
+  in
   match e with
   | Var v -> (
       let s = slot ctx v in
@@ -1258,9 +1321,9 @@ and compile_vec ctx (e : expr) : vnode option =
   | Index (base, subs) -> compile_slice_read ctx base subs
   | Unop (Neg, a) when infer ctx a = Tvec ->
       let xa = vec_operand ctx a in
-      fresh (fun () ->
+      fresh (fun dst ->
           let x = vget xa in
-          let r = vbuf_for buf (Array.length x) in
+          let r = dst (Array.length x) in
           Interp.vec_neg_into x r;
           r)
   | Binop ((Add | Sub | Mul | Div) as op, a, b) -> (
@@ -1268,28 +1331,29 @@ and compile_vec ctx (e : expr) : vnode option =
       | Tvec, Tvec ->
           let xa = vec_operand ctx a in
           let xb = vec_operand ctx b in
-          fresh (fun () ->
+          fresh (fun dst ->
               let x = vget xa in
               let y = vget xb in
-              let r = vbuf_for buf (Array.length x) in
+              Interp.check_same_length x y;
+              let r = dst (Array.length x) in
               Interp.vec_vec_into op x y r;
               r)
       | Tvec, (Tint | Tfloat) ->
           let xa = vec_operand ctx a in
           let cs, rs = float_arg ctx b in
-          fresh (fun () ->
+          fresh (fun dst ->
               let x = vget xa in
               if rs != noop then rs ();
-              let r = vbuf_for buf (Array.length x) in
+              let r = dst (Array.length x) in
               Interp.vec_scalar_into op x cs r;
               r)
       | (Tint | Tfloat), Tvec ->
           let cs, rs = float_arg ctx a in
           let xb = vec_operand ctx b in
-          fresh (fun () ->
+          fresh (fun dst ->
               if rs != noop then rs ();
               let y = vget xb in
-              let r = vbuf_for buf (Array.length y) in
+              let r = dst (Array.length y) in
               Interp.scalar_vec_into op cs y r;
               r)
       | _ -> None)
@@ -1306,8 +1370,9 @@ and vec_operand ctx (e : expr) : vsrc =
         (fun () ->
           match c () with Vvec x -> x | _ -> infer_bug "vector expression")
 
-(* a slice of a fast extern into the node's buffer, or the boxed read
-   whenever a hook is attached *)
+(* a slice of a fast extern, or the boxed read whenever a hook is
+   attached; assigned to a vector local, a located dense slice is read
+   straight into the local's own array *)
 and compile_slice_read ctx base subs : vnode option =
   match fast_extern_slice ctx base subs with
   | None -> None
@@ -1315,14 +1380,28 @@ and compile_slice_read ctx base subs : vnode option =
       let env = ctx.env in
       let ks = Array.of_list (List.map (compile_csub ctx) subs) in
       let sc = make_slice ex fa ks in
+      let run () =
+        if no_hooks env then read_slice sc
+        else
+          match index_value env (slot_peek s) ks with
+          | Vvec x -> x
+          | _ -> infer_bug ("extern slice " ^ ex.ex_name)
+      in
       Some
         (Vfresh
-           (fun () ->
-             if no_hooks env then read_slice sc
-             else
-               match index_value env (slot_peek s) ks with
-               | Vvec x -> x
-               | _ -> infer_bug ("extern slice " ^ ex.ex_name)))
+           ( run,
+             fun sl c () ->
+               (if no_hooks env then begin
+                  let n = located_length sc in
+                  if sc.sc_base >= 0 then gather sc (own_array c n) n
+                  else begin
+                    let r = vbuf_for sc.sc_buf n in
+                    gather sc r n;
+                    store_vec c r
+                  end
+                end
+                else store_vec c (run ()));
+               sl.sl_defined <- true ))
 
 (* the point subscripts of a fast extern read or store *)
 and fast_point ctx base subs : (slot * point) option =
@@ -1587,29 +1666,64 @@ and compile_assign_var ctx s e : unit -> unit =
             c.vshared <- true;
             c'.vshared <- true;
             s.sl_defined <- true
-      | Some (Vfresh f) ->
-          fun () ->
-            store_vec c (f ());
-            s.sl_defined <- true
+      | Some (Vfresh (_, into)) -> into s c
       | None -> generic ())
   | Rbox | Rindex _ -> generic ()
 
-(* W[:, j] = e for a statically-vector e: element by element through
-   the fast accessor, same order as the boxed store (RHS, then
-   subscripts) *)
+(* W[:, j] = e for a statically-vector e: the RHS, then the subscripts,
+   as the boxed store.  [x op (y op' s)] into a located dense slice of
+   its length runs as one loop, each operation rounded on its own, in
+   the interpreter's order. *)
 and compile_slice_store ctx name subs e : (unit -> unit) option =
   match fast_extern_slice ctx (Var name) subs with
-  | Some (s, ex, fa) when infer ctx e = Tvec ->
+  | Some (s, ex, fa) when infer ctx e = Tvec -> (
       let env = ctx.env in
-      let cv = vec_operand ctx e in
       let ks = Array.of_list (List.map (compile_csub ctx) subs) in
       let sc = make_slice ex fa ks in
-      Some
-        (fun () ->
-          if no_hooks env then write_slice sc (vget cv)
-          else
-            let v = Vvec (vget cv) in
-            assign_index_value env s ks v)
+      let store x =
+        if no_hooks env then write_slice sc x
+        else assign_index_value env s ks (Vvec x)
+      in
+      match fused_rhs ctx e with
+      | Some (op, xa, op', xb, cs, rs) ->
+          let tmp = { vb = [||] } and res = { vb = [||] } in
+          let compute x y =
+            let t = vbuf_for tmp (Array.length y) in
+            Interp.vec_scalar_into op' y cs t;
+            let r = vbuf_for res (Array.length x) in
+            Interp.vec_vec_into op x t r;
+            r
+          in
+          Some
+            (fun () ->
+              let x = vget xa in
+              let y = vget xb in
+              if rs != noop then rs ();
+              let n = Array.length x in
+              if no_hooks env && Array.length y = n then begin
+                let m = locate_slice sc in
+                if sc.sc_base >= 0 && m = n then fused_into sc op x op' y cs
+                else scatter sc (compute x y) m
+              end
+              else store (compute x y))
+      | None ->
+          let cv = vec_operand ctx e in
+          Some (fun () -> store (vget cv)))
+  | _ -> None
+
+(* [x op (y op' s)] over vectors [x], [y] and a scalar [s] *)
+and fused_rhs ctx e =
+  match e with
+  | Binop
+      ( ((Add | Sub | Mul | Div) as op),
+        a,
+        Binop (((Add | Sub | Mul | Div) as op'), b, c) )
+    when infer ctx a = Tvec && infer ctx b = Tvec
+         && (match infer ctx c with Tint | Tfloat -> true | _ -> false) ->
+      let xa = vec_operand ctx a in
+      let xb = vec_operand ctx b in
+      let cs, rs = float_arg ctx c in
+      Some (op, xa, op', xb, cs, rs)
   | _ -> None
 
 (* A[i, j] = e
@@ -1763,6 +1877,8 @@ let compile_body (env : Interp.env) ?(value_float = false) ~key_var ~value_var
       {
         c_env = env;
         c_key = sk;
+        c_key_local = key_stays_local key_var body;
+        c_key_buf = { ix = [||] };
         c_value = sv;
         c_value_float = value_float;
         c_body = cbody;
@@ -1779,18 +1895,78 @@ let run t ~key ~value =
   slot_set t.c_value value;
   try run_block t.c_body with Interp.Continue_exc -> ()
 
-let run_float t ~key values i =
-  set_index t.c_key key;
-  (match t.c_value.sl_rep with
+(* the value variable set to [values.(i)], read where it is stored: a
+   float passed to a function is boxed *)
+let set_float_value t values i =
+  match t.c_value.sl_rep with
   | Rfloat c ->
       c.cv <- values.(i);
       t.c_value.sl_defined <- true
-  | _ -> slot_set t.c_value (Vfloat values.(i)));
+  | _ -> slot_set t.c_value (Vfloat values.(i))
+
+let run_float t ~key values i =
+  set_index t.c_key key;
+  set_float_value t values i;
   try run_block t.c_body with Interp.Continue_exc -> ()
 
+(* The block loop, with no hook attached: the body's statements for
+   each entry in turn, under one handler that positions an error and
+   one that moves on at a [continue].  A local key is written into the
+   kernel's own array, anything else gets a fresh key per entry. *)
+let run_entries t ~dims ~strides keys values =
+  let sk = t.c_key and cb = t.c_body in
+  let local = t.c_key_local in
+  let kbuf =
+    if not local then [||]
+    else begin
+      if Array.length t.c_key_buf.ix <> Array.length dims then
+        t.c_key_buf.ix <- Array.make (Array.length dims) 0;
+      t.c_key_buf.ix
+    end
+  in
+  let n = Array.length keys in
+  if local && n > 0 then set_index sk kbuf;
+  let stmts = cb.cb_stmts and ns = Array.length cb.cb_stmts in
+  let e = ref 0 and s = ref 0 in
+  let rec go () =
+    match
+      while !e < n do
+        let i = !e in
+        if local then delinearize_into kbuf ~dims ~strides keys.(i)
+        else set_index sk (delinearize_in ~dims ~strides keys.(i));
+        set_float_value t values i;
+        s := 0;
+        while !s < ns do
+          stmts.(!s) ();
+          incr s
+        done;
+        e := i + 1
+      done
+    with
+    | () -> ()
+    | exception Interp.Continue_exc ->
+        incr e;
+        go ()
+  in
+  try go ()
+  with (Interp.Runtime_error _ | Type_error _) as ex ->
+    raise (positioned cb.cb_pos.(!s) ex)
+
+let run_floats t ~dims ~strides keys values =
+  if no_hooks t.c_env then run_entries t ~dims ~strides keys values
+  else
+    for i = 0 to Array.length keys - 1 do
+      run_float t ~key:(delinearize_in ~dims ~strides keys.(i)) values i
+    done
+
+(* a key array handed out may be the kernel's own, refilled by the next
+   block, so the environment gets a copy *)
 let flush_locals t =
   List.iter
     (fun s ->
       if s.sl_defined then
-        Hashtbl.replace t.c_env.Interp.vars s.sl_name (slot_get s))
+        Hashtbl.replace t.c_env.Interp.vars s.sl_name
+          (match s.sl_rep with
+          | Rindex c -> Vindex (Array.copy c.ix)
+          | _ -> slot_get s))
     t.c_locals

@@ -9,7 +9,9 @@
     (a dense array's flat storage in place) when available, and
     builtins devirtualize to direct OCaml closures.  A captured
     DistArray takes the fast paths unless the body rebinds it ([v =
-    ...], [v op= ...], a loop variable); index writes do not rebind.  The kernel is observationally identical to
+    ...], [v op= ...], a loop variable); index writes do not rebind.
+    A float block runs in one call ({!run_floats}).  The kernel is
+    observationally identical to
     {!Interp.eval_body_for} — same values bitwise, same exceptions with
     the same positioned messages, same RNG consumption, same profile /
     access-hook callbacks in the same order — which the differential
@@ -52,8 +54,23 @@ val run : t -> key:int array -> value:Value.t -> unit
 
 (** [run_float t ~key values i] runs the kernel for one iteration
     whose value is [Vfloat values.(i)]: a [~value_float:true] kernel
-    reads it unboxed, any other boxes it. *)
+    reads it unboxed, any other boxes it.  {!run_floats}'s one-entry
+    case, with a profile or access hook honoured per entry. *)
 val run_float : t -> key:int array -> float array -> int -> unit
+
+(** [run_floats t ~dims ~strides keys values] runs the kernel for a
+    block of float entries in order: entry [i] has the linearized key
+    [keys.(i)] (row-major against [dims], whose strides are [strides])
+    and the value [Vfloat values.(i)].  The same as {!run_float} on
+    each entry with its delinearized key, and so as
+    {!Interp.eval_body_for}, including where an error stops the block.
+    With no hook attached the block runs under one handler; a body that
+    only subscripts its key by points ([key[1]]) reads every entry's key
+    from one array the kernel owns, so nothing is allocated per entry.
+    With a profile or access hook attached, each entry runs through
+    {!run_float}. *)
+val run_floats :
+  t -> dims:int array -> strides:int array -> int array -> float array -> unit
 
 (** Write the kernel's local slots back into the environment's
     variable table, so post-loop code observing leaked loop locals

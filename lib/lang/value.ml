@@ -33,6 +33,56 @@ let keys_of_subs (dims : int array) (subs : concrete_sub array) :
     in
     List.map Array.of_list (cart 0)
 
+(** Row-major key arithmetic, shared by the DSM layer and compiled
+    kernels.  [delinearize_into key ~dims ~strides lin] writes the
+    components of the linearized key [lin] (row-major against [dims],
+    whose strides are [strides]) into [key], as long as [dims].  A key
+    inside the array takes one division per dimension but the last;
+    any other wraps around each dimension, [lin / strides.(i) mod
+    dims.(i)]. *)
+let delinearize_into key ~dims ~strides lin =
+  let last = Array.length key - 1 in
+  if last >= 0 && lin >= 0
+     && lin < Array.unsafe_get dims 0 * Array.unsafe_get strides 0
+  then begin
+    let r = ref lin in
+    for d = 0 to last - 1 do
+      let st = Array.unsafe_get strides d in
+      let q = !r / st in
+      Array.unsafe_set key d q;
+      r := !r - (q * st)
+    done;
+    Array.unsafe_set key last !r
+  end
+  else
+    for d = 0 to last do
+      Array.unsafe_set key d
+        (lin / Array.unsafe_get strides d mod Array.unsafe_get dims d)
+    done
+
+(** {!delinearize_into} a fresh key.  Keys of up to three dims are
+    allocated inline, without a call into the runtime, and their
+    innermost index (stride 1) needs no division. *)
+let delinearize_in ~dims ~strides lin =
+  let n = Array.length dims in
+  if n = 2 then
+    [|
+      lin / Array.unsafe_get strides 0 mod Array.unsafe_get dims 0;
+      lin mod Array.unsafe_get dims 1;
+    |]
+  else if n = 1 then [| lin mod Array.unsafe_get dims 0 |]
+  else if n = 3 then
+    [|
+      lin / Array.unsafe_get strides 0 mod Array.unsafe_get dims 0;
+      lin / Array.unsafe_get strides 1 mod Array.unsafe_get dims 1;
+      lin mod Array.unsafe_get dims 2;
+    |]
+  else begin
+    let key = Array.make n 0 in
+    delinearize_into key ~dims ~strides lin;
+    key
+  end
+
 type t =
   | Vunit
   | Vint of int

@@ -87,25 +87,21 @@ let iter_lin f b =
 
 type 'v body = {
   boxed : key:int array -> value:'v -> unit;
-  unboxed : (key:int array -> float array -> int -> unit) option;
+  unboxed :
+    (dims:int array -> strides:int array -> int array -> float array -> unit)
+    option;
 }
 
 let boxed_body f = { boxed = f; unboxed = None }
 
-(* The per-entry loop of every backend that runs blocks (the domain
-   pool and the distributed worker): a fresh key per entry, and for a
-   float block under an [unboxed] body nothing else. *)
+(* The block loop of every backend that runs blocks (the domain pool
+   and the distributed worker): a float block goes to an [unboxed] body
+   whole, anything else entry by entry with a fresh key. *)
 let run_block : type v. v body -> v block -> unit =
  fun body b ->
-  let dims = b.b_dims and strides = b.b_strides and keys = b.b_keys in
   match (b.b_values, body.unboxed) with
   | Floats values, Some run ->
-      for i = 0 to Array.length keys - 1 do
-        run
-          ~key:(Dist_array.delinearize_in ~dims ~strides
-                  (Array.unsafe_get keys i))
-          values i
-      done
+      run ~dims:b.b_dims ~strides:b.b_strides b.b_keys values
   | _ -> iter_block (fun key value -> body.boxed ~key ~value) b
 
 (* Deterministic Fisher–Yates over an int array, in place.  SGD

@@ -52,22 +52,27 @@ val iter_block : (int array -> 'v -> unit) -> 'v block -> unit
     visited. *)
 val iter_lin : (int -> 'v -> unit) -> 'v block -> unit
 
-(** A loop body as a block's entries reach it.  [boxed] takes a value
-    as the block holds it.  [unboxed], when given, takes entry [i] of a
-    float block as [values.(i)], unboxed; without it a float block's
-    values are boxed for [boxed]. *)
+(** A loop body as a block reaches it.  [boxed] takes one entry, its
+    value as the block holds it.  [unboxed], when given, takes a whole
+    float block: its linearized keys (row-major against [dims], whose
+    strides are [strides]) and its values, unboxed, both in scheduled
+    order (do not mutate either); without it a float block's values
+    are boxed for [boxed]. *)
 type 'v body = {
   boxed : key:int array -> value:'v -> unit;
-  unboxed : (key:int array -> float array -> int -> unit) option;
+  unboxed :
+    (dims:int array -> strides:int array -> int array -> float array -> unit)
+    option;
 }
 
 (** A body with no unboxed entry. *)
 val boxed_body : (key:int array -> value:'v -> unit) -> 'v body
 
-(** Run [body] on every entry of the block in scheduled order, each
-    with a fresh key array: the per-entry loop of the domain pool and
-    the distributed worker.  A float block under an [unboxed] body
-    allocates nothing else per entry. *)
+(** Run [body] on every entry of the block in scheduled order: the
+    block loop of the domain pool and the distributed worker.  A float
+    block under an [unboxed] body is handed to it in one call, with
+    nothing allocated; any other goes to [boxed] entry by entry, each
+    with a fresh key array. *)
 val run_block : 'v body -> 'v block -> unit
 
 (** Deterministic Fisher–Yates (SGD sample-order shuffling). *)

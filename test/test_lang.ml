@@ -1360,44 +1360,36 @@ let csub_to_string = function
   | Value.Crange (a, b) -> Printf.sprintf "%d:%d" a b
   | Value.Call_dim -> ":"
 
-(* Everything one side of a differential run shows: how the run ended,
-   W bitwise, the leaked locals bitwise, and (when [hooked]) every
-   access the hook saw. *)
-let run_vector_kernel ~compiled ~hooked body =
-  let env, w = make_vec_env () in
+(* an access hook on [env] that logs every access it sees, newest
+   first *)
+let log_accesses env =
   let log = ref [] in
-  if hooked then
-    env.Interp.on_array_access <-
-      Some
-        (fun ex ~write subs ->
-          log :=
-            Printf.sprintf "%s%s[%s]" ex.Value.ex_name
-              (if write then "<-" else "")
-              (String.concat "," (Array.to_list (Array.map csub_to_string subs)))
-            :: !log);
-  let kernel =
-    if compiled then
-      match
-        Compile.compile_body env ~value_float:true ~key_var:"key"
-          ~value_var:"v" body
-      with
-      | Some k -> Some k
-      | None -> Alcotest.fail "vector body did not compile"
-    else None
-  in
-  let step key value =
-    match kernel with
-    | Some k -> Compile.run_float k ~key [| Value.to_float value |] 0
-    | None ->
-        Interp.eval_body_for env ~key_var:"key" ~value_var:"v" ~key ~value
-          body
-  in
-  let outcome =
+  env.Interp.on_array_access <-
+    Some
+      (fun ex ~write subs ->
+        log :=
+          Printf.sprintf "%s%s[%s]" ex.Value.ex_name
+            (if write then "<-" else "")
+            (String.concat "," (Array.to_list (Array.map csub_to_string subs)))
+          :: !log);
+  log
+
+(* [body] compiled against [env], or [None] to interpret it *)
+let vector_kernel ~compiled env body =
+  if not compiled then None
+  else
     match
-      for c = 0 to vec_cols - 1 do
-        step [| c |] (Value.Vfloat (0.75 +. (0.5 *. float_of_int c)))
-      done
+      Compile.compile_body env ~value_float:true ~key_var:"key"
+        ~value_var:"v" body
     with
+    | Some k -> Some k
+    | None -> Alcotest.fail "vector body did not compile"
+
+(* What one side of a differential run shows: how [run] ended, W
+   bitwise and the [locals] it leaked, bitwise. *)
+let observe env w kernel ~locals run =
+  let outcome =
+    match run () with
     | () -> "ok"
     | exception Interp.Runtime_error m -> "runtime: " ^ m
     | exception Value.Type_error m -> "type: " ^ m
@@ -1406,17 +1398,31 @@ let run_vector_kernel ~compiled ~hooked body =
     | exception Invalid_argument m -> "invalid argument: " ^ m
   in
   Option.iter Compile.flush_locals kernel;
+  ("outcome " ^ outcome)
+  :: ("W "
+     ^ String.concat ","
+         (Array.to_list
+            (Array.map (fun (_, x) -> float_bits x) (Dist_array.entries w))))
+  :: List.map (fun n -> n ^ " " ^ value_bits (Interp.var_opt env n)) locals
+
+(* Everything one side of a differential run shows, and (when
+   [hooked]) every access the hook saw. *)
+let run_vector_kernel ~compiled ~hooked body =
+  let env, w = make_vec_env () in
+  let log = if hooked then log_accesses env else ref [] in
+  let kernel = vector_kernel ~compiled env body in
+  let step key value =
+    match kernel with
+    | Some k -> Compile.run_float k ~key [| Value.to_float value |] 0
+    | None ->
+        Interp.eval_body_for env ~key_var:"key" ~value_var:"v" ~key ~value
+          body
+  in
   String.concat "\n"
-    ([
-       "outcome " ^ outcome;
-       "W "
-       ^ String.concat ","
-           (Array.to_list
-              (Array.map (fun (_, x) -> float_bits x) (Dist_array.entries w)));
-     ]
-    @ List.map
-        (fun n -> n ^ " " ^ value_bits (Interp.var_opt env n))
-        [ "a"; "b"; "t" ]
+    (observe env w kernel ~locals:[ "a"; "b"; "t" ] (fun () ->
+         for c = 0 to vec_cols - 1 do
+           step [| c |] (Value.Vfloat (0.75 +. (0.5 *. float_of_int c)))
+         done)
     @ List.rev !log)
 
 let check_vector_kernel body_src =
@@ -1456,6 +1462,11 @@ let test_compile_vector_bodies () =
       (* stores: out of range after a written prefix, wrong length *)
       "W[2:4, j] = b";
       "W[1:2, k] = b";
+      (* positions that run code: a range bound, and a point out of
+         range at the last entry, read and stored *)
+      "a = W[(k % 3) + 1:3, k]\nW[2:3, j] = W[2:3, k]";
+      "t = v + 0.5\nW[:, k + 1] = b";
+      "a = W[:, k + 1]";
       (* length mismatches in arithmetic and dot *)
       "a = W[2:3, k]\nb = a + b";
       "t = dot(b, W[2:3, k])";
@@ -1474,7 +1485,7 @@ let test_compile_vector_bodies () =
    t: every vector shape the compiler handles, out-of-range and
    reversed bounds (0 and 4 lie outside 1..3), length mismatches,
    buffers refilled in a loop or at a changing length, and aliases *)
-let gen_vector_body : string QCheck.Gen.t =
+let gen_vector_stmt : string QCheck.Gen.t =
   let open QCheck.Gen in
   let bound = map string_of_int (int_range 0 4) in
   let col = oneofl [ "k"; "j" ] in
@@ -1506,10 +1517,13 @@ let gen_vector_body : string QCheck.Gen.t =
         map3 paren3 scalar op vatom;
         map (fun x -> "-" ^ x) vatom;
         map3 (fun x y s -> paren3 (paren3 x "-" y) "*" s) vatom vatom scalar;
+        (* the shape a slice store runs as one loop *)
+        map3
+          (fun (x, o) (y, o') s -> paren3 x o (paren3 y o' s))
+          (pair vatom op) (pair vatom op) scalar;
       ]
   in
-  let stmt =
-    oneof
+  oneof
       [
         map (fun e -> "a = " ^ e) vexpr;
         map (fun e -> "b = " ^ e) vexpr;
@@ -1532,9 +1546,11 @@ let gen_vector_body : string QCheck.Gen.t =
           (fun v s -> "b = a\n" ^ v ^ "[1] = " ^ s)
           (oneofl [ "a"; "b" ]) scalar;
       ]
-  in
+
+let gen_vector_body : string QCheck.Gen.t =
+  let open QCheck.Gen in
   let* n = int_range 1 6 in
-  let+ stmts = list_repeat n stmt in
+  let+ stmts = list_repeat n gen_vector_stmt in
   String.concat "\n" (vector_prelude :: stmts)
 
 let test_compile_random_vector_bodies_qcheck () =
@@ -1543,6 +1559,134 @@ let test_compile_random_vector_bodies_qcheck () =
     (QCheck.make ~print:(fun s -> s) gen_vector_body)
     (fun body_src ->
       check_vector_kernel body_src;
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* Block kernels match the interpreter entry by entry                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The iteration space of the block tests has W's own 3 x 5 shape; its
+   entries run in a fixed scrambled order, cut into two blocks, each
+   with a value of its own. *)
+let block_dims = [| vec_rows; vec_cols |]
+let block_strides = [| vec_cols; 1 |]
+let block_keys = Array.init (vec_rows * vec_cols) (fun i -> ((i * 7) + 3) mod 15)
+
+let block_values =
+  Array.map
+    (fun lin ->
+      0.75 +. (0.5 *. float_of_int (lin mod 7)) -. (0.25 *. float_of_int (lin / 5)))
+    block_keys
+
+(* Everything one side of a block run shows, with the leaked key, and
+   what an attached hook saw: the access log, or the profile's line
+   hits and array counts. *)
+let run_block_kernel ~compiled ~hook body =
+  let env, w = make_vec_env () in
+  let profile = Profile.create () in
+  let log =
+    match hook with
+    | `None -> ref []
+    | `Access -> log_accesses env
+    | `Profile ->
+        env.Interp.profile <- Some profile;
+        ref []
+  in
+  let kernel = vector_kernel ~compiled env body in
+  let run () =
+    match kernel with
+    | Some k ->
+        let block lo n =
+          Compile.run_floats k ~dims:block_dims ~strides:block_strides
+            (Array.sub block_keys lo n) (Array.sub block_values lo n)
+        in
+        block 0 6;
+        block 6 (Array.length block_keys - 6)
+    | None ->
+        Array.iteri
+          (fun i lin ->
+            Interp.eval_body_for env ~key_var:"key" ~value_var:"v"
+              ~key:[| lin / vec_cols; lin mod vec_cols |]
+              ~value:(Value.Vfloat block_values.(i)) body)
+          block_keys
+  in
+  String.concat "\n"
+    (observe env w kernel ~locals:[ "a"; "b"; "t"; "n"; "kk"; "key" ] run
+    @ List.rev !log
+    @ List.map
+        (fun (line, hits, _) -> Printf.sprintf "line %d: %d" line hits)
+        (Profile.line_stats profile)
+    @ List.map
+        (fun (name, r, w) -> Printf.sprintf "%s: %d reads %d writes" name r w)
+        (Profile.array_stats profile))
+
+let check_block_kernel body_src =
+  let body = parse body_src in
+  List.iter
+    (fun (hook, name) ->
+      Alcotest.(check string)
+        (Printf.sprintf "block kernel = interpreter (%s) for:\n%s" name body_src)
+        (run_block_kernel ~compiled:false ~hook body)
+        (run_block_kernel ~compiled:true ~hook body))
+    [ (`None, "no hook"); (`Access, "access hook"); (`Profile, "profile") ]
+
+let block_prelude =
+  "r = key[1]\nk = key[2] + 1\nj = (k % 5) + 1\na = W[:, k]\nb = a * 1.0\nt = v"
+
+(* statements that act on the block loop itself: [continue] on some
+   entries, an error at a mid-block entry, and a key that escapes into a
+   local, read at a later entry *)
+let block_control_stmts =
+  [
+    "if v > 2.0\n  continue\nend";
+    "if r == 1\n  t = t * 2.0\n  continue\nend";
+    "if k == 4\n  n = 1 / (r - 2)\nend";
+    "W[:, k + r] = a";
+    "if r == 0\n  kk = key\nend\nif r == 2\n  W[kk[1], kk[2]] = v\nend";
+    "kk = key\nW[1, kk[2]] = t";
+  ]
+
+let test_block_kernel_bodies () =
+  List.iter
+    (fun stmts -> check_block_kernel (block_prelude ^ "\n" ^ stmts))
+    (block_control_stmts
+    @ [
+        (* the mf update *)
+        "h = W[:, j]\n\
+         t = dot(a, h)\n\
+         d = v - t\n\
+         g = -2.0 * d * h\n\
+         W[:, k] = a - g * 0.01\n\
+         W[:, j] = h - (d * a) * 0.01";
+      ]
+    (* NaNs of both signs meet in each operation of a store run as one
+       loop: [-a] holds positive NaNs, [a op s] negative ones *)
+    @ List.concat_map
+        (fun op ->
+          List.map
+            (fun op' ->
+              Printf.sprintf
+                "b = ((b - b) * 2)\na += (b / b)\nW[:, j] = (-a) %s (a %s v)"
+                op op')
+            [ "+"; "-"; "*"; "/" ])
+        [ "+"; "-"; "*"; "/" ])
+
+(* random vector bodies with block-level control flow mixed in *)
+let gen_block_body : string QCheck.Gen.t =
+  let open QCheck.Gen in
+  let stmt =
+    frequency [ (3, gen_vector_stmt); (1, oneofl block_control_stmts) ]
+  in
+  let* n = int_range 1 6 in
+  let+ stmts = list_repeat n stmt in
+  String.concat "\n" (block_prelude :: stmts)
+
+let test_block_kernel_random_qcheck () =
+  QCheck.Test.make ~count:300
+    ~name:"block kernel bitwise-matches interpreter entry by entry"
+    (QCheck.make ~print:(fun s -> s) gen_block_body)
+    (fun body_src ->
+      check_block_kernel body_src;
       true)
 
 (* Minor words a compiled kernel allocates per entry over one pass of
@@ -1557,10 +1701,14 @@ let kernel_words_per_entry kernel keys values =
   pass ();
   (Gc.minor_words () -. w0) /. float_of_int (Array.length keys)
 
-(* The mf kernel writes its scalars into cells and its vectors into
-   reused buffers, and reads and writes the dense W and H in place, so
-   an entry allocates nothing. *)
+(* The mf kernel through the block loop of the pool and the worker
+   ([Schedule.run_block]), over mf's own schedule: it writes its
+   scalars into cells and its vectors into its locals' own arrays,
+   reads and writes the dense W and H in place, and takes every entry's
+   key in one array of its own, so an entry allocates nothing.  A
+   warm-up pass sizes every buffer. *)
 let test_mf_kernel_allocation () =
+  let module Schedule = Orion.Schedule in
   let inst =
     match
       Orion_apps.Registry.materialize "mf" ~scale:4.0 ~num_machines:1
@@ -1569,19 +1717,35 @@ let test_mf_kernel_allocation () =
     | Some i -> i
     | None -> Alcotest.fail "no mf app"
   in
-  let kernel =
-    match Orion.Engine.compile_kernel inst inst.Orion.App.inst_env with
-    | Some k -> k
-    | None -> Alcotest.fail "mf kernel did not compile"
+  let session = inst.Orion.App.inst_session in
+  let plan = Orion.analyze_loop session inst.Orion.App.inst_loop in
+  let sched =
+    (Orion.compile session ~plan ~iter:inst.Orion.App.inst_iter ())
+      .Orion.schedule
   in
-  let entries = Dist_array.entries inst.Orion.App.inst_iter in
-  let values = Array.map (fun (_, v) -> Value.to_float v) entries in
+  let body =
+    match Orion.Engine.loop_body inst inst.Orion.App.inst_env with
+    | Some _, body ->
+        {
+          body with
+          Schedule.boxed =
+            (fun ~key:_ ~value:_ -> Alcotest.fail "a value was boxed");
+        }
+    | None, _ -> Alcotest.fail "mf kernel did not compile"
+  in
+  let pass () =
+    Array.iter (Array.iter (Schedule.run_block body)) sched.Schedule.blocks
+  in
+  pass ();
+  let w0 = Gc.minor_words () in
+  pass ();
   let per_entry =
-    kernel_words_per_entry kernel (Array.map fst entries) values
+    (Gc.minor_words () -. w0)
+    /. float_of_int (Schedule.total_entries sched)
   in
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per entry <= 4" per_entry)
-    true (per_entry <= 4.0)
+    (Printf.sprintf "%.2f minor words per entry <= 1" per_entry)
+    true (per_entry <= 1.0)
 
 (* A scalar read-modify-write body over dense arrays, shaped like lda's:
    int and float locals live in cells, and point reads and writes go
@@ -1805,6 +1969,8 @@ let () =
             test_dot_length_mismatch_positioned;
           tc "vector bodies" `Quick test_compile_vector_bodies;
           qc (test_compile_random_vector_bodies_qcheck ());
+          tc "block kernel bodies" `Quick test_block_kernel_bodies;
+          qc (test_block_kernel_random_qcheck ());
           tc "mf kernel allocation" `Quick test_mf_kernel_allocation;
           tc "scalar kernel allocation" `Quick test_scalar_kernel_allocation;
           tc "index-written array takes fast path" `Quick
