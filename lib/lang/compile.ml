@@ -28,7 +28,14 @@
     - builtins devirtualize to direct closures at compile time;
     - a block of float entries runs as one call ({!run_floats}): one
       handler for the block, and a key that the body only subscripts
-      delinearized into one array the kernel owns.
+      delinearized into one array the kernel owns;
+    - the body is compiled twice: the generic closure tree above, which
+      runs whenever a hook is attached, and a fast body for hook-free
+      runs, in which the key's components live in int cells and each
+      common straight-line statement is one closure whose operands
+      (cells, dense storage with its strides and extents, the
+      operator's loop) were all fixed when the kernel was built
+      ({!fast_assign}, {!fast_store}, {!fast_op_store}).
 
     Observational equivalence with {!Interp.eval_body_for} is the
     contract: same values bitwise, same exceptions with the same
@@ -189,6 +196,13 @@ type ctx = {
   mutable assigned : Names.t;
       (** while compiling, the locals assigned on every path from the
           body's start to the current statement *)
+  fast : bool;
+      (** compiling the body that runs with no hook attached: common
+          statements become one closure each ({!fast_assign}) *)
+  key_var : string;
+  key_cells : icell array;
+      (** in the fast body, [key[c]]'s value for a literal [c] (empty
+          unless the key stays local) *)
 }
 
 let slot ctx name =
@@ -211,13 +225,16 @@ type cblock = {
 type t = {
   c_env : Interp.env;
   c_key : slot;
+  c_key_cells : icell array;
+      (** what [c_fast] reads [key[1]], [key[2]], … from, set per entry *)
   c_key_local : bool;
       (** the key is only subscripted by points ({!key_stays_local}):
           a block's keys are delinearized into [c_key_buf] *)
   c_key_buf : xcell;
   c_value : slot;
   c_value_float : bool;  (** runs only through [run_float] *)
-  c_body : cblock;
+  c_body : cblock;  (** every statement generic: runs when a hook is attached *)
+  c_fast : cblock;  (** the same statements, common ones specialized *)
   c_locals : slot list;
 }
 
@@ -269,6 +286,16 @@ let key_stays_local key body =
       (0, 0) body
   in
   uses = points
+
+(* how many components the body reads from [key] by a literal,
+   [key[1]] to [key[n]]: the cells a local key's components go in *)
+let key_width key body =
+  fold_body
+    (fun n e ->
+      match e with
+      | Index (Var v, [ Sub_expr (Int_lit c) ]) when v = key -> max n c
+      | _ -> n)
+    0 body
 
 (* the names a statement rebinds: [v = e], [v op= e] and loop
    variables.  An index write [A[i] = e] changes what [A] holds, never
@@ -427,6 +454,12 @@ type isrc =
   | Iint of icell  (** [ci - 1] *)
   | Irun of (unit -> int)
 
+(* the cell the fast body reads [key[c]] from *)
+let key_cell ctx v c =
+  if ctx.fast && v = ctx.key_var && c >= 1 && c <= Array.length ctx.key_cells
+  then Some ctx.key_cells.(c - 1)
+  else None
+
 let[@inline] iget = function
   | Iconst k -> k
   | Ikey (c, p) -> c.ix.(p)
@@ -537,18 +570,18 @@ let no_hooks env =
 
 (* ---- unboxed scalar arithmetic ------------------------------------ *)
 
-(* Float operators over cells: a float passed to or returned from a
-   function that is not inlined is boxed, a cell is not.  One rounding
-   per operation, as [Interp.eval_binop]. *)
-let[@inline] float_binop op (a : fcell) (b : fcell) (out : fcell) =
-  let x = a.cv and y = b.cv in
+(* The float operator [op] over cells, taken once when a kernel is
+   built: a float passed to or returned from a function that is not
+   inlined is boxed, a cell is not.  One rounding per operation, as
+   [Interp.eval_binop]. *)
+let float_op_fn op : fcell -> fcell -> fcell -> unit =
   match op with
-  | Add -> out.cv <- x +. y
-  | Sub -> out.cv <- x -. y
-  | Mul -> out.cv <- x *. y
-  | Div -> out.cv <- x /. y
-  | Mod -> out.cv <- Float.rem x y
-  | Pow -> out.cv <- Float.pow x y
+  | Add -> fun a b o -> let x = a.cv and y = b.cv in o.cv <- x +. y
+  | Sub -> fun a b o -> let x = a.cv and y = b.cv in o.cv <- x -. y
+  | Mul -> fun a b o -> let x = a.cv and y = b.cv in o.cv <- x *. y
+  | Div -> fun a b o -> let x = a.cv and y = b.cv in o.cv <- x /. y
+  | Mod -> fun a b o -> let x = a.cv and y = b.cv in o.cv <- Float.rem x y
+  | Pow -> fun a b o -> let x = a.cv and y = b.cv in o.cv <- Float.pow x y
   | _ -> infer_bug "float operator"
 
 type fun1 = Fneg | Fexp | Flog | Fsqrt | Fsigmoid | Fabs2 | Fabs
@@ -763,13 +796,9 @@ let scatter sc src n =
     end
 
 (* a reversed range fails as [Dist_array.slice_vec]'s [Array.init] *)
-let[@inline] located_length sc =
+let read_slice sc =
   let n = locate_slice sc in
   if n < 0 then invalid_arg "Array.init";
-  n
-
-let read_slice sc =
-  let n = located_length sc in
   let r = vbuf_for sc.sc_buf n in
   gather sc r n;
   r
@@ -797,17 +826,32 @@ let store_vec c r =
     a.(i) <- r.(i)
   done
 
-(* [data.(base + k * step) <- x.(k) op (y.(k) op' s)] over a located
-   slice as long as [x] and [y] *)
-let[@inline] arith op a b =
-  match op with Add -> a +. b | Sub -> a -. b | Mul -> a *. b | _ -> a /. b
-
-let fused_into sc op x op' y (s : fcell) =
-  let data = sc.sc_data and base = sc.sc_base and st = sc.sc_step
-  and sv = s.cv in
-  for k = 0 to Array.length x - 1 do
-    data.(base + (k * st)) <- arith op x.(k) (arith op' y.(k) sv)
-  done
+(* [data.(base + k * st) <- x.(k) op (y.(k) op' s)] for every [k] of
+   [x], which [y] and the slice must be as long as: each operation
+   rounded on its own, with its operands in the order of [Interp]'s
+   loops ([y op' s] as [vec_scalar_fn], then [x op t] as
+   [vec_vec_fn]), so a NaN meeting a NaN keeps the same sign.  The
+   operators are taken once, when the kernel is built. *)
+let fused_fn op op' :
+    float array -> int -> int -> float array -> float array -> fcell -> unit =
+  let n x = Array.length x - 1 in
+  match (op, op') with
+  | Add, Add -> fun d b st x y c -> let s = c.cv in for k = 0 to n x do let a = x.(k) in d.(b + (k * st)) <- a +. (y.(k) +. s) done
+  | Add, Sub -> fun d b st x y c -> let s = c.cv in for k = 0 to n x do let a = x.(k) in d.(b + (k * st)) <- a +. (y.(k) -. s) done
+  | Add, Mul -> fun d b st x y c -> let s = c.cv in for k = 0 to n x do let a = x.(k) in d.(b + (k * st)) <- a +. (y.(k) *. s) done
+  | Add, _ -> fun d b st x y c -> let s = c.cv in for k = 0 to n x do let a = x.(k) in d.(b + (k * st)) <- a +. (y.(k) /. s) done
+  | Sub, Add -> fun d b st x y c -> let s = c.cv in for k = 0 to n x do let a = x.(k) in d.(b + (k * st)) <- a -. (y.(k) +. s) done
+  | Sub, Sub -> fun d b st x y c -> let s = c.cv in for k = 0 to n x do let a = x.(k) in d.(b + (k * st)) <- a -. (y.(k) -. s) done
+  | Sub, Mul -> fun d b st x y c -> let s = c.cv in for k = 0 to n x do let a = x.(k) in d.(b + (k * st)) <- a -. (y.(k) *. s) done
+  | Sub, _ -> fun d b st x y c -> let s = c.cv in for k = 0 to n x do let a = x.(k) in d.(b + (k * st)) <- a -. (y.(k) /. s) done
+  | Mul, Add -> fun d b st x y c -> let s = c.cv in for k = 0 to n x do let a = x.(k) in d.(b + (k * st)) <- a *. (y.(k) +. s) done
+  | Mul, Sub -> fun d b st x y c -> let s = c.cv in for k = 0 to n x do let a = x.(k) in d.(b + (k * st)) <- a *. (y.(k) -. s) done
+  | Mul, Mul -> fun d b st x y c -> let s = c.cv in for k = 0 to n x do let a = x.(k) in d.(b + (k * st)) <- a *. (y.(k) *. s) done
+  | Mul, _ -> fun d b st x y c -> let s = c.cv in for k = 0 to n x do let a = x.(k) in d.(b + (k * st)) <- a *. (y.(k) /. s) done
+  | _, Add -> fun d b st x y c -> let s = c.cv in for k = 0 to n x do let a = x.(k) in d.(b + (k * st)) <- a /. (y.(k) +. s) done
+  | _, Sub -> fun d b st x y c -> let s = c.cv in for k = 0 to n x do let a = x.(k) in d.(b + (k * st)) <- a /. (y.(k) -. s) done
+  | _, Mul -> fun d b st x y c -> let s = c.cv in for k = 0 to n x do let a = x.(k) in d.(b + (k * st)) <- a /. (y.(k) *. s) done
+  | _, _ -> fun d b st x y c -> let s = c.cv in for k = 0 to n x do let a = x.(k) in d.(b + (k * st)) <- a /. (y.(k) /. s) done
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation                                              *)
@@ -820,13 +864,9 @@ type num = I of (unit -> int) | F of fcell * (unit -> unit)
 
 (* A statically-vector expression: a vector variable, whose array an
    assignment shares, or a node.  A node's run leaves its result in a
-   scratch array of its own, which a boxed value must not keep; given a
-   vector variable's slot and cell, its [into] builds the statement that
-   assigns the result to that variable, computed straight into the
-   variable's own array. *)
-type vnode =
-  | Vlocal of slot * vcell
-  | Vfresh of (unit -> float array) * (slot -> vcell -> unit -> unit)
+   scratch array of its own, which a boxed value must not keep and an
+   assignment copies into the variable's own array. *)
+type vnode = Vlocal of slot * vcell | Vfresh of (unit -> float array)
 
 (* the run of a float node with nothing to do — a constant, or a
    variable certainly defined; a parent then skips the call *)
@@ -868,11 +908,11 @@ let vec_src ctx = function
           (fun () ->
             check_defined s;
             c.va)
-  | Vfresh (f, _) -> Vrun f
+  | Vfresh f -> Vrun f
 
 let box_vec = function
   | Vlocal (s, _) -> fun () -> slot_get s
-  | Vfresh (f, _) -> fun () -> Vvec (Array.copy (f ()))
+  | Vfresh f -> fun () -> Vvec (Array.copy (f ()))
 
 let rec compile_expr ctx (e : expr) : unit -> Value.t =
   match e with
@@ -1107,6 +1147,9 @@ and compile_num ctx ~fallback (e : expr) : num option =
                let x = to_vec (c ()) in
                out.cv <- sqrt (Array.fold_left (fun s v -> s +. (v *. v)) 0.0 x)
            ))
+  | Index (Var v, [ Sub_expr (Int_lit k) ]) when key_cell ctx v k <> None ->
+      let c = Option.get (key_cell ctx v k) in
+      Some (I (fun () -> c.ci))
   | Index (Var v, [ Sub_expr i ]) when (slot ctx v).sl_ty = Tindex -> (
       (* [key[i]]: the base is looked up before the subscript runs *)
       let s = slot ctx v in
@@ -1235,25 +1278,25 @@ and compile_num_binop op na nb : num option =
   in
   let float_op () =
     let ca, ra = as_fnode na and cb, rb = as_fnode nb in
-    let out = { cv = 0.0 } in
+    let out = { cv = 0.0 } and f = float_op_fn op in
     Some
       (F
          ( out,
            match (ra == noop, rb == noop) with
-           | true, true -> fun () -> float_binop op ca cb out
+           | true, true -> fun () -> f ca cb out
            | true, false ->
                fun () ->
                  rb ();
-                 float_binop op ca cb out
+                 f ca cb out
            | false, true ->
                fun () ->
                  ra ();
-                 float_binop op ca cb out
+                 f ca cb out
            | false, false ->
                fun () ->
                  ra ();
                  rb ();
-                 float_binop op ca cb out ))
+                 f ca cb out ))
   in
   let arith iop =
     match int_op iop with Some _ as r -> r | None -> float_op ()
@@ -1305,14 +1348,7 @@ and compile_vec ctx (e : expr) : vnode option =
   let fresh f =
     let buf = { vb = [||] } in
     let to_buf n = vbuf_for buf n in
-    Some
-      (Vfresh
-         ( (fun () -> f to_buf),
-           fun s c ->
-             let to_var n = own_array c n in
-             fun () ->
-               ignore (f to_var);
-               s.sl_defined <- true ))
+    Some (Vfresh (fun () -> f to_buf))
   in
   match e with
   | Var v -> (
@@ -1331,30 +1367,33 @@ and compile_vec ctx (e : expr) : vnode option =
       | Tvec, Tvec ->
           let xa = vec_operand ctx a in
           let xb = vec_operand ctx b in
+          let f = Interp.vec_vec_fn op in
           fresh (fun dst ->
               let x = vget xa in
               let y = vget xb in
               Interp.check_same_length x y;
               let r = dst (Array.length x) in
-              Interp.vec_vec_into op x y r;
+              f x y r;
               r)
       | Tvec, (Tint | Tfloat) ->
           let xa = vec_operand ctx a in
           let cs, rs = float_arg ctx b in
+          let f = Interp.vec_scalar_fn op in
           fresh (fun dst ->
               let x = vget xa in
               if rs != noop then rs ();
               let r = dst (Array.length x) in
-              Interp.vec_scalar_into op x cs r;
+              f x cs r;
               r)
       | (Tint | Tfloat), Tvec ->
           let cs, rs = float_arg ctx a in
           let xb = vec_operand ctx b in
+          let f = Interp.scalar_vec_fn op in
           fresh (fun dst ->
               if rs != noop then rs ();
               let y = vget xb in
               let r = dst (Array.length y) in
-              Interp.scalar_vec_into op cs y r;
+              f cs y r;
               r)
       | _ -> None)
   | _ -> None
@@ -1387,21 +1426,7 @@ and compile_slice_read ctx base subs : vnode option =
           | Vvec x -> x
           | _ -> infer_bug ("extern slice " ^ ex.ex_name)
       in
-      Some
-        (Vfresh
-           ( run,
-             fun sl c () ->
-               (if no_hooks env then begin
-                  let n = located_length sc in
-                  if sc.sc_base >= 0 then gather sc (own_array c n) n
-                  else begin
-                    let r = vbuf_for sc.sc_buf n in
-                    gather sc r n;
-                    store_vec c r
-                  end
-                end
-                else store_vec c (run ()));
-               sl.sl_defined <- true ))
+      Some (Vfresh run)
 
 (* the point subscripts of a fast extern read or store *)
 and fast_point ctx base subs : (slot * point) option =
@@ -1438,9 +1463,10 @@ and compile_point ctx (e : expr) : isrc =
       | _ -> point_run ctx e)
   | Index (Var v, [ Sub_expr (Int_lit k) ]) -> (
       let s = slot ctx v in
-      match s.sl_rep with
-      | Rindex c when known ctx s -> Ikey (c, k - 1)
-      | _ -> point_run ctx e)
+      match (key_cell ctx v k, s.sl_rep) with
+      | Some c, _ -> Iint c
+      | None, Rindex c when known ctx s -> Ikey (c, k - 1)
+      | None, _ -> point_run ctx e)
   | _ -> point_run ctx e
 
 and point_run ctx e =
@@ -1453,10 +1479,306 @@ and compile_csub ctx = function
   | Sub_range (lo, hi) -> Krange (compile_point ctx lo, compile_point ctx hi)
 
 (* ------------------------------------------------------------------ *)
-(* Statement compilation                                               *)
+(* Statements with every operand fixed at build time                   *)
 (* ------------------------------------------------------------------ *)
 
+(* In the fast body (no hook attached, the key's components in cells),
+   the common straight-line statements compile to one closure each,
+   whose operands are all resolved when the kernel is built: float
+   cells, vector variables' cells, and dense storage located by int
+   cells, with the operator's loop or function taken once.  Every such
+   operand is read without effects, so a statement that meets anything
+   but the common case (a position outside the array or held boxed and
+   not an int, vectors of different lengths, a float that is not an
+   integer) hands itself whole to its generic closure [slow], which
+   evaluates it again from the start and raises what the interpreter
+   raises, after the same writes. *)
+
 let is_arith = function Add | Sub | Mul | Div | Mod | Pow -> true | _ -> false
+
+(* a float operand read from a cell: a literal, negated or not, or a
+   float variable certainly defined.  An int literal is converted as an
+   operation with a float operand converts it. *)
+let fleaf ctx e : fcell option =
+  match e with
+  | Float_lit f -> Some { cv = f }
+  | Int_lit n -> Some { cv = float_of_int n }
+  | Unop (Neg, Float_lit f) -> Some { cv = -.f }
+  | Unop (Neg, Int_lit n) -> Some { cv = float_of_int (-n) }
+  | Var v -> (
+      let s = slot ctx v in
+      match s.sl_rep with Rfloat c when known ctx s -> Some c | _ -> None)
+  | _ -> None
+
+(* A statement's float scalar operand: a leaf, or [a op b] over two
+   leaves, computed into a cell of the statement's own.  As the
+   function computing it (nothing to do for a leaf), its two operands
+   and its result's cell. *)
+type scalar = (fcell -> fcell -> fcell -> unit) * fcell * fcell * fcell
+
+let leaf_fn (_ : fcell) (_ : fcell) (_ : fcell) = ()
+
+let scalar_operand ctx e : scalar option =
+  match (fleaf ctx e, e) with
+  | Some c, _ -> Some (leaf_fn, c, c, c)
+  | None, Binop (op, a, b) when is_arith op && infer ctx e = Tfloat -> (
+      match (fleaf ctx a, fleaf ctx b) with
+      | Some x, Some y -> Some (float_op_fn op, x, y, { cv = 0.0 })
+      | _ -> None)
+  | None, _ -> None
+
+(* a vector variable certainly defined *)
+let vleaf ctx e : vcell option =
+  match e with
+  | Var v -> (
+      let s = slot ctx v in
+      match s.sl_rep with Rvec c when known ctx s -> Some c | _ -> None)
+  | _ -> None
+
+(* a 0-based position read from an int cell, as [ci - 1]: a literal, an
+   int variable certainly defined or a key component *)
+let ipos ctx e : icell option =
+  match e with
+  | Int_lit _ | Var _ | Index (Var _, [ Sub_expr (Int_lit _) ]) -> (
+      match compile_point ctx e with
+      | Iint c -> Some c
+      | Iconst k -> Some { ci = k + 1 }
+      | Ikey _ | Irun _ -> None)
+  | _ -> None
+
+(* [A[p1, .., pn]], or the same with one [:], over a dense DistArray,
+   every point in a cell or in a variable held boxed (an lda topic drawn
+   by a host builtin), whose value a statement first moves to a cell *)
+type dloc = {
+  dl_data : float array;
+  dl_pos : icell array;  (** the points' positions *)
+  dl_boxed : (slot * icell) array;  (** the boxed variables among them *)
+  dl_dims : int array;  (** their extents *)
+  dl_strides : int array;  (** their strides *)
+  dl_slice : bool;  (** one subscript is [:] *)
+  dl_step : int;  (** its stride *)
+  dl_len : int;  (** its extent *)
+}
+
+let dense_loc ctx base subs : dloc option =
+  match fast_extern ctx base subs with
+  | Some (_, ex, { fa_dense = Some d; _ }) ->
+      let rec go i pos boxed alls step len = function
+        | [] ->
+            if alls > 1 then None
+            else
+              let pos = Array.of_list (List.rev pos) in
+              Some
+                {
+                  dl_data = d.dn_data;
+                  dl_pos = Array.map (fun (c, _, _) -> c) pos;
+                  dl_boxed = Array.of_list boxed;
+                  dl_dims = Array.map (fun (_, n, _) -> n) pos;
+                  dl_strides = Array.map (fun (_, _, st) -> st) pos;
+                  dl_slice = alls = 1;
+                  dl_step = step;
+                  dl_len = len;
+                }
+        | Sub_all :: rest ->
+            go (i + 1) pos boxed (alls + 1) d.dn_strides.(i) ex.ex_dims.(i)
+              rest
+        | Sub_range _ :: _ -> None
+        | Sub_expr e :: rest -> (
+            let at c boxed =
+              go (i + 1)
+                ((c, ex.ex_dims.(i), d.dn_strides.(i)) :: pos)
+                boxed alls step len rest
+            in
+            match (ipos ctx e, e) with
+            | Some c, _ -> at c boxed
+            | None, Var v -> (
+                let s = slot ctx v in
+                match s.sl_rep with
+                | Rbox when known ctx s ->
+                    let c = { ci = 0 } in
+                    at c ((s, c) :: boxed)
+                | _ -> None)
+            | None, _ -> None)
+      in
+      go 0 [] [] 0 0 1 subs
+  | _ -> None
+
+(* move [l]'s boxed positions to their cells; false when one is not an
+   int, which [to_int] may convert or reject *)
+let unbox_positions l =
+  Array.for_all
+    (fun (s, c) ->
+      match s.sl_v with
+      | Vint n ->
+          c.ci <- n;
+          true
+      | _ -> false)
+    l.dl_boxed
+
+(* the dense offset of [l]'s first element, or -1 when a point lies
+   outside its extent or is held boxed and not an int *)
+let[@inline] dloc_base l =
+  let pos = l.dl_pos in
+  let base = ref 0
+  and inside = ref (Array.length l.dl_boxed = 0 || unbox_positions l) in
+  for i = 0 to Array.length pos - 1 do
+    let v = (Array.unsafe_get pos i).ci - 1 in
+    if v < 0 || v >= Array.unsafe_get l.dl_dims i then inside := false
+    else base := !base + (v * Array.unsafe_get l.dl_strides i)
+  done;
+  if !inside then !base else -1
+
+(* [dst = src op s] over two dense points: the source read, the scalar,
+   then the destination located and written, as the interpreter orders
+   them *)
+let point_update ~slow src dst op ((sf, sa, sb, so) : scalar) =
+  let f = float_op_fn op and cur = { cv = 0.0 } and res = { cv = 0.0 } in
+  let sd = src.dl_data and dd = dst.dl_data in
+  fun () ->
+    let o = dloc_base src in
+    if o < 0 then slow ()
+    else begin
+      sf sa sb so;
+      let o' = dloc_base dst in
+      if o' < 0 then slow ()
+      else begin
+        cur.cv <- sd.(o);
+        f cur so res;
+        dd.(o') <- res.cv
+      end
+    end
+
+let is_vec_op = function Add | Sub | Mul | Div -> true | _ -> false
+
+(* [v = e] for a variable [s] *)
+let fast_assign ctx s e ~slow : (unit -> unit) option =
+  match (s.sl_rep, e) with
+  | Rvec c, Index (base, subs) -> (
+      match dense_loc ctx base subs with
+      | Some ({ dl_slice = true; dl_data = data; dl_step = st; dl_len = n; _ }
+              as l) ->
+          Some
+            (fun () ->
+              let b = dloc_base l in
+              if b < 0 then slow ()
+              else begin
+                let r = own_array c n in
+                for k = 0 to n - 1 do
+                  r.(k) <- data.(b + (k * st))
+                done;
+                s.sl_defined <- true
+              end)
+      | _ -> None)
+  | Rvec c, Binop (op, a, b) when is_vec_op op -> (
+      match (vleaf ctx a, vleaf ctx b) with
+      | Some x, Some y ->
+          let f = Interp.vec_vec_fn op in
+          Some
+            (fun () ->
+              let xa = x.va and ya = y.va in
+              let n = Array.length xa in
+              if Array.length ya <> n then slow ()
+              else begin
+                f xa ya (own_array c n);
+                s.sl_defined <- true
+              end)
+      | Some x, None ->
+          Option.map
+            (fun (sf, sa, sb, so) ->
+              let f = Interp.vec_scalar_fn op in
+              fun () ->
+                sf sa sb so;
+                let xa = x.va in
+                f xa so (own_array c (Array.length xa));
+                s.sl_defined <- true)
+            (scalar_operand ctx b)
+      | None, Some y ->
+          Option.map
+            (fun (sf, sa, sb, so) ->
+              let f = Interp.scalar_vec_fn op in
+              fun () ->
+                sf sa sb so;
+                let ya = y.va in
+                f so ya (own_array c (Array.length ya));
+                s.sl_defined <- true)
+            (scalar_operand ctx a)
+      | None, None -> None)
+  | Rfloat c, Call ("dot", [ a; b ]) -> (
+      match (vleaf ctx a, vleaf ctx b) with
+      | Some x, Some y ->
+          Some
+            (fun () ->
+              Interp.vec_dot_into x.va y.va c;
+              s.sl_defined <- true)
+      | _ -> None)
+  | Rfloat c, Binop (op, a, b) when is_arith op && infer ctx e = Tfloat -> (
+      match (fleaf ctx a, fleaf ctx b) with
+      | Some x, Some y ->
+          let f = float_op_fn op in
+          Some
+            (fun () ->
+              f x y c;
+              s.sl_defined <- true)
+      | _ -> None)
+  | Rint c, Call ("int", [ Index (base, subs) ]) -> (
+      match dense_loc ctx base subs with
+      | Some ({ dl_slice = false; dl_data = data; _ } as l) ->
+          Some
+            (fun () ->
+              let o = dloc_base l in
+              if o < 0 then slow ()
+              else
+                (* [int_of_cell]'s test; [slow] raises its error *)
+                let x = data.(o) in
+                if x = Float.trunc x && x -. x = 0.0 then begin
+                  c.ci <- int_of_float x;
+                  s.sl_defined <- true
+                end
+                else slow ())
+      | _ -> None)
+  | _ -> None
+
+(* [A[subs] = e] *)
+let fast_store ctx name subs e ~slow : (unit -> unit) option =
+  match (dense_loc ctx (Var name) subs, e) with
+  | Some ({ dl_slice = true; _ } as l), Binop (op, x, Binop (op', y, sc))
+    when is_vec_op op && is_vec_op op' -> (
+      match (vleaf ctx x, vleaf ctx y, scalar_operand ctx sc) with
+      | Some xc, Some yc, Some (sf, sa, sb, so) ->
+          let f = fused_fn op op' and data = l.dl_data and st = l.dl_step
+          and n = l.dl_len in
+          Some
+            (fun () ->
+              sf sa sb so;
+              let xa = xc.va and ya = yc.va in
+              let b = dloc_base l in
+              if b < 0 || Array.length xa <> n || Array.length ya <> n then
+                slow ()
+              else f data b st xa ya so)
+      | _ -> None)
+  | Some ({ dl_slice = false; _ } as dst), Binop (op, Index (src, ssubs), sc)
+    when is_arith op -> (
+      match (dense_loc ctx src ssubs, scalar_operand ctx sc) with
+      | Some ({ dl_slice = false; _ } as srcl), Some sco ->
+          Some (point_update ~slow srcl dst op sco)
+      | _ -> None)
+  | _ -> None
+
+(* [A[subs] op= e]: the element read, [e], then the element written *)
+let fast_op_store ctx op name subs e ~slow : (unit -> unit) option =
+  match (dense_loc ctx (Var name) subs, scalar_operand ctx e) with
+  | Some ({ dl_slice = false; _ } as l), Some sco when is_arith op ->
+      Some (point_update ~slow l l op sco)
+  | _ -> None
+
+(* the fast body's closure for a statement whose generic closure is
+   [slow], when [fast] specializes it *)
+let specialize ctx slow fast =
+  if ctx.fast then Option.value (fast ~slow) ~default:slow else slow
+
+(* ------------------------------------------------------------------ *)
+(* Statement compilation                                               *)
+(* ------------------------------------------------------------------ *)
 
 (* the error a statement at [pos] raised, prefixed with that position
    unless a nested statement's already is: the innermost wins *)
@@ -1527,7 +1849,8 @@ and compile_stmt ctx stmt : unit -> unit =
   let env = ctx.env in
   match stmt.sk with
   | Assign (Lvar v, e) ->
-      let c = compile_assign_var ctx (slot ctx v) e in
+      let s = slot ctx v in
+      let c = specialize ctx (compile_assign_var ctx s e) (fast_assign ctx s e) in
       assign ctx v;
       c
   | Assign (Lindex (v, subs), e) ->
@@ -1536,12 +1859,14 @@ and compile_stmt ctx stmt : unit -> unit =
         | Some f -> f
         | None -> compile_assign_index ctx v subs e
       in
+      let c = specialize ctx c (fast_store ctx v subs e) in
       (* the store raised unless [v] was defined *)
       assign ctx v;
       c
   | Op_assign (op, Lvar v, e) when is_arith op ->
       (* [v op= e] reads [v] before [e], exactly as [v = v op e] *)
-      let c = compile_assign_var ctx (slot ctx v) (Binop (op, Var v, e)) in
+      let s = slot ctx v and e = Binop (op, Var v, e) in
+      let c = specialize ctx (compile_assign_var ctx s e) (fast_assign ctx s e) in
       assign ctx v;
       c
   | Op_assign (op, Lvar v, e) ->
@@ -1553,7 +1878,11 @@ and compile_stmt ctx stmt : unit -> unit =
         let rhs = c () in
         slot_set s (Interp.eval_binop op cur rhs)
   | Op_assign (op, Lindex (v, subs), e) ->
-      let c = compile_op_assign_index ctx op v subs e in
+      let c =
+        specialize ctx
+          (compile_op_assign_index ctx op v subs e)
+          (fast_op_store ctx op v subs e)
+      in
       assign ctx v;
       c
   | If (c, then_b, else_b) ->
@@ -1666,64 +1995,27 @@ and compile_assign_var ctx s e : unit -> unit =
             c.vshared <- true;
             c'.vshared <- true;
             s.sl_defined <- true
-      | Some (Vfresh (_, into)) -> into s c
+      | Some (Vfresh f) ->
+          fun () ->
+            store_vec c (f ());
+            s.sl_defined <- true
       | None -> generic ())
   | Rbox | Rindex _ -> generic ()
 
 (* W[:, j] = e for a statically-vector e: the RHS, then the subscripts,
-   as the boxed store.  [x op (y op' s)] into a located dense slice of
-   its length runs as one loop, each operation rounded on its own, in
-   the interpreter's order. *)
+   as the boxed store *)
 and compile_slice_store ctx name subs e : (unit -> unit) option =
   match fast_extern_slice ctx (Var name) subs with
   | Some (s, ex, fa) when infer ctx e = Tvec -> (
       let env = ctx.env in
       let ks = Array.of_list (List.map (compile_csub ctx) subs) in
       let sc = make_slice ex fa ks in
-      let store x =
-        if no_hooks env then write_slice sc x
-        else assign_index_value env s ks (Vvec x)
-      in
-      match fused_rhs ctx e with
-      | Some (op, xa, op', xb, cs, rs) ->
-          let tmp = { vb = [||] } and res = { vb = [||] } in
-          let compute x y =
-            let t = vbuf_for tmp (Array.length y) in
-            Interp.vec_scalar_into op' y cs t;
-            let r = vbuf_for res (Array.length x) in
-            Interp.vec_vec_into op x t r;
-            r
-          in
-          Some
-            (fun () ->
-              let x = vget xa in
-              let y = vget xb in
-              if rs != noop then rs ();
-              let n = Array.length x in
-              if no_hooks env && Array.length y = n then begin
-                let m = locate_slice sc in
-                if sc.sc_base >= 0 && m = n then fused_into sc op x op' y cs
-                else scatter sc (compute x y) m
-              end
-              else store (compute x y))
-      | None ->
-          let cv = vec_operand ctx e in
-          Some (fun () -> store (vget cv)))
-  | _ -> None
-
-(* [x op (y op' s)] over vectors [x], [y] and a scalar [s] *)
-and fused_rhs ctx e =
-  match e with
-  | Binop
-      ( ((Add | Sub | Mul | Div) as op),
-        a,
-        Binop (((Add | Sub | Mul | Div) as op'), b, c) )
-    when infer ctx a = Tvec && infer ctx b = Tvec
-         && (match infer ctx c with Tint | Tfloat -> true | _ -> false) ->
-      let xa = vec_operand ctx a in
-      let xb = vec_operand ctx b in
-      let cs, rs = float_arg ctx c in
-      Some (op, xa, op', xb, cs, rs)
+      let cv = vec_operand ctx e in
+      Some
+        (fun () ->
+          let x = vget cv in
+          if no_hooks env then write_slice sc x
+          else assign_index_value env s ks (Vvec x)))
   | _ -> None
 
 (* A[i, j] = e
@@ -1802,12 +2094,12 @@ and compile_op_assign_index ctx op name subs e : unit -> unit =
         else None
       with
       | Some n ->
-          let x, r = as_fnode n in
+          let x, r = as_fnode n and f = float_op_fn op in
           fun () ->
             if no_hooks env then begin
               point_get pt cur;
               r ();
-              float_binop op cur x res;
+              f cur x res;
               point_set pt res
             end
             else generic pt.pt_ks ()
@@ -1838,11 +2130,19 @@ let compile_body (env : Interp.env) ?(value_float = false) ~key_var ~value_var
       List.sort_uniq String.compare (key_var :: value_var :: rebound)
     in
     (* the kernel sets its key and value before the body runs *)
+    let set_first = Names.of_list [ key_var; value_var ] in
+    let key_local = key_stays_local key_var body in
     let ctx =
       {
         env;
         slots = Hashtbl.create 32;
-        assigned = Names.of_list [ key_var; value_var ];
+        assigned = set_first;
+        fast = false;
+        key_var;
+        key_cells =
+          (if key_local then
+             Array.init (key_width key_var body) (fun _ -> { ci = 0 })
+           else [||]);
       }
     in
     List.iter
@@ -1872,19 +2172,35 @@ let compile_body (env : Interp.env) ?(value_float = false) ~key_var ~value_var
     done;
     Hashtbl.iter (fun _ s -> fix_rep s) ctx.slots;
     let cbody = compile_block ctx body in
+    let cfast = compile_block { ctx with fast = true; assigned = set_first } body in
     let locals_slots = List.map (slot ctx) locals in
     Some
       {
         c_env = env;
         c_key = sk;
-        c_key_local = key_stays_local key_var body;
+        c_key_cells = ctx.key_cells;
+        c_key_local = key_local;
         c_key_buf = { ix = [||] };
         c_value = sv;
         c_value_float = value_float;
         c_body = cbody;
+        c_fast = cfast;
         c_locals = locals_slots;
       }
   with Unsupported -> None
+
+(* the body an entry with [key] runs: the fast one when no hook is
+   attached and [key] has every component the body reads from a cell,
+   which are then set from it *)
+let body_for t key =
+  let cells = t.c_key_cells in
+  if no_hooks t.c_env && Array.length key >= Array.length cells then begin
+    for d = 0 to Array.length cells - 1 do
+      cells.(d).ci <- key.(d) + 1
+    done;
+    t.c_fast
+  end
+  else t.c_body
 
 let run t ~key ~value =
   if t.c_value_float then
@@ -1893,7 +2209,7 @@ let run t ~key ~value =
        values (Compile.run_float)";
   set_index t.c_key key;
   slot_set t.c_value value;
-  try run_block t.c_body with Interp.Continue_exc -> ()
+  try run_block (body_for t key) with Interp.Continue_exc -> ()
 
 (* the value variable set to [values.(i)], read where it is stored: a
    float passed to a function is boxed *)
@@ -1907,15 +2223,18 @@ let set_float_value t values i =
 let run_float t ~key values i =
   set_index t.c_key key;
   set_float_value t values i;
-  try run_block t.c_body with Interp.Continue_exc -> ()
+  try run_block (body_for t key) with Interp.Continue_exc -> ()
 
 (* The block loop, with no hook attached: the body's statements for
    each entry in turn, under one handler that positions an error and
    one that moves on at a [continue].  A local key is written into the
-   kernel's own array, anything else gets a fresh key per entry. *)
+   kernel's own array and, for the fast body, its cells; anything else
+   gets a fresh key per entry. *)
 let run_entries t ~dims ~strides keys values =
-  let sk = t.c_key and cb = t.c_body in
-  let local = t.c_key_local in
+  let sk = t.c_key and local = t.c_key_local in
+  let fast = Array.length dims >= Array.length t.c_key_cells in
+  let cb = if fast then t.c_fast else t.c_body in
+  let cells = if fast then t.c_key_cells else [||] in
   let kbuf =
     if not local then [||]
     else begin
@@ -1932,7 +2251,12 @@ let run_entries t ~dims ~strides keys values =
     match
       while !e < n do
         let i = !e in
-        if local then delinearize_into kbuf ~dims ~strides keys.(i)
+        if local then begin
+          delinearize_into kbuf ~dims ~strides keys.(i);
+          for d = 0 to Array.length cells - 1 do
+            cells.(d).ci <- kbuf.(d) + 1
+          done
+        end
         else set_index sk (delinearize_in ~dims ~strides keys.(i));
         set_float_value t values i;
         s := 0;

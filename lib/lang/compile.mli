@@ -7,7 +7,11 @@
     reused [float array] buffers, DistArray point subscripts and
     one-dimensional slices go through the host's {!Value.fast_access}
     (a dense array's flat storage in place) when available, and
-    builtins devirtualize to direct OCaml closures.  A captured
+    builtins devirtualize to direct OCaml closures.  With no profile or
+    access hook attached, a second body runs instead, in which each
+    common straight-line statement (mf's vector statements, lda's
+    scalar read-modify-writes on dense arrays) is one closure whose
+    operands were all resolved when the kernel was built.  A captured
     DistArray takes the fast paths unless the body rebinds it ([v =
     ...], [v op= ...], a loop variable); index writes do not rebind.
     A float block runs in one call ({!run_floats}).  The kernel is

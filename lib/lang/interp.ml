@@ -100,38 +100,71 @@ type fcell = { mutable cv : float }
 
 (* Element-wise vector arithmetic, one loop per operator: calling a
    [float -> float -> float] closure would box every element.  Each
-   [_into] loop writes its result into [r], which must have the
-   operands' length; a scalar operand comes in a cell, since a float
-   argument would be boxed.  The interpreter wraps each in a fresh
-   array, and {!Compile}'s kernels pass their own reused buffers, so
-   both paths run one piece of machine code per operator: when both
-   operands of an instruction are NaN, which one's sign survives
-   depends on the instruction's operand order, and separately compiled
-   loops need not agree on it. *)
-let vec_vec_into op x y r =
-  check_same_length x y;
-  let n = Array.length x in
+   loop writes its result into [r], which must have the operands'
+   length; a scalar operand comes in a cell, since a float argument
+   would be boxed.  The interpreter wraps each in a fresh array, and
+   {!Compile}'s kernels take the operator's loop once, when they are
+   built, and pass their own reused buffers, so both paths run one
+   piece of machine code per operator: when both operands of an
+   instruction are NaN, which one's sign survives depends on the
+   instruction's operand order, and separately compiled loops need not
+   agree on it. *)
+let vec_vec_fn op : float array -> float array -> float array -> unit =
   match op with
-  | Add -> for i = 0 to n - 1 do r.(i) <- x.(i) +. y.(i) done
-  | Sub -> for i = 0 to n - 1 do r.(i) <- x.(i) -. y.(i) done
-  | Mul -> for i = 0 to n - 1 do r.(i) <- x.(i) *. y.(i) done
-  | _ -> for i = 0 to n - 1 do r.(i) <- x.(i) /. y.(i) done
+  | Add ->
+      fun x y r ->
+        check_same_length x y;
+        for i = 0 to Array.length x - 1 do r.(i) <- x.(i) +. y.(i) done
+  | Sub ->
+      fun x y r ->
+        check_same_length x y;
+        for i = 0 to Array.length x - 1 do r.(i) <- x.(i) -. y.(i) done
+  | Mul ->
+      fun x y r ->
+        check_same_length x y;
+        for i = 0 to Array.length x - 1 do r.(i) <- x.(i) *. y.(i) done
+  | _ ->
+      fun x y r ->
+        check_same_length x y;
+        for i = 0 to Array.length x - 1 do r.(i) <- x.(i) /. y.(i) done
 
-let vec_scalar_into op x (c : fcell) r =
-  let n = Array.length x and s = c.cv in
+let vec_scalar_fn op : float array -> fcell -> float array -> unit =
   match op with
-  | Add -> for i = 0 to n - 1 do r.(i) <- x.(i) +. s done
-  | Sub -> for i = 0 to n - 1 do r.(i) <- x.(i) -. s done
-  | Mul -> for i = 0 to n - 1 do r.(i) <- x.(i) *. s done
-  | _ -> for i = 0 to n - 1 do r.(i) <- x.(i) /. s done
+  | Add ->
+      fun x c r ->
+        let s = c.cv in
+        for i = 0 to Array.length x - 1 do r.(i) <- x.(i) +. s done
+  | Sub ->
+      fun x c r ->
+        let s = c.cv in
+        for i = 0 to Array.length x - 1 do r.(i) <- x.(i) -. s done
+  | Mul ->
+      fun x c r ->
+        let s = c.cv in
+        for i = 0 to Array.length x - 1 do r.(i) <- x.(i) *. s done
+  | _ ->
+      fun x c r ->
+        let s = c.cv in
+        for i = 0 to Array.length x - 1 do r.(i) <- x.(i) /. s done
 
-let scalar_vec_into op (c : fcell) y r =
-  let n = Array.length y and s = c.cv in
+let scalar_vec_fn op : fcell -> float array -> float array -> unit =
   match op with
-  | Add -> for i = 0 to n - 1 do r.(i) <- s +. y.(i) done
-  | Sub -> for i = 0 to n - 1 do r.(i) <- s -. y.(i) done
-  | Mul -> for i = 0 to n - 1 do r.(i) <- s *. y.(i) done
-  | _ -> for i = 0 to n - 1 do r.(i) <- s /. y.(i) done
+  | Add ->
+      fun c y r ->
+        let s = c.cv in
+        for i = 0 to Array.length y - 1 do r.(i) <- s +. y.(i) done
+  | Sub ->
+      fun c y r ->
+        let s = c.cv in
+        for i = 0 to Array.length y - 1 do r.(i) <- s -. y.(i) done
+  | Mul ->
+      fun c y r ->
+        let s = c.cv in
+        for i = 0 to Array.length y - 1 do r.(i) <- s *. y.(i) done
+  | _ ->
+      fun c y r ->
+        let s = c.cv in
+        for i = 0 to Array.length y - 1 do r.(i) <- s /. y.(i) done
 
 let vec_neg_into x r =
   for i = 0 to Array.length x - 1 do
@@ -148,17 +181,17 @@ let vec_dot_into x y (out : fcell) =
 
 let vec_vec op x y =
   let r = Array.create_float (Array.length x) in
-  vec_vec_into op x y r;
+  vec_vec_fn op x y r;
   r
 
 let vec_scalar op x s =
   let r = Array.create_float (Array.length x) in
-  vec_scalar_into op x { cv = s } r;
+  vec_scalar_fn op x { cv = s } r;
   r
 
 let scalar_vec op s y =
   let r = Array.create_float (Array.length y) in
-  scalar_vec_into op { cv = s } y r;
+  scalar_vec_fn op { cv = s } y r;
   r
 
 let vec_neg x =

@@ -78,20 +78,23 @@ val check_same_length : float array -> float array -> unit
     into these. *)
 type fcell = { mutable cv : float }
 
-(** [vec_vec_into op x y r] writes the element-wise [x op y] into [r]
-    (of [x]'s length), for [op] one of [Add], [Sub], [Mul] or [Div]
-    (any other operator divides).  These loops are the only vector
-    arithmetic: the interpreter runs them into fresh arrays and
-    {!Compile}'s kernels into reused buffers, which keeps the two paths
+(** [vec_vec_fn op] is the loop that writes the element-wise [x op y]
+    into [r] (of [x]'s length), for [op] one of [Add], [Sub], [Mul] or
+    [Div] (any other operator divides).  These loops are the only
+    vector arithmetic: the interpreter runs them into fresh arrays and
+    {!Compile}'s kernels, which take an operator's loop once when they
+    are built, into reused buffers, which keeps the two paths
     bitwise-equal down to the sign of a NaN.
     @raise Runtime_error as {!check_same_length}, before writing. *)
-val vec_vec_into : Ast.binop -> float array -> float array -> float array -> unit
+val vec_vec_fn : Ast.binop -> float array -> float array -> float array -> unit
 
-(** [x op s] for every element [x] of the vector, into [r]. *)
-val vec_scalar_into : Ast.binop -> float array -> fcell -> float array -> unit
+(** [vec_scalar_fn op x s r]: [x op s] for every element [x] of the
+    vector, into [r]. *)
+val vec_scalar_fn : Ast.binop -> float array -> fcell -> float array -> unit
 
-(** [s op y] for every element [y] of the vector, into [r]. *)
-val scalar_vec_into : Ast.binop -> fcell -> float array -> float array -> unit
+(** [scalar_vec_fn op s y r]: [s op y] for every element [y] of the
+    vector, into [r]. *)
+val scalar_vec_fn : Ast.binop -> fcell -> float array -> float array -> unit
 
 (** Element-wise negation, into [r]. *)
 val vec_neg_into : float array -> float array -> unit

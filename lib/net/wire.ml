@@ -539,26 +539,6 @@ let read_tagged c ~n =
     decode_error c.c_pos "%d bytes after the last entry" (c.c_end - c.c_pos);
   (keys, values)
 
-(** A block's entries as one payload in the tagged codec: a 4-byte
-    count, then per entry its linearized key (8 bytes) and its value: a
-    tag byte, then 8-byte little-endian ints and float bits, 4-byte
-    little-endian counts.
-    Returns the payload and the entries' summed {!entry_digest}. *)
-let encode_block (blk : V.t Orion_runtime.Schedule.block) =
-  let n = Orion_runtime.Schedule.length blk in
-  let b = Bytes.create (count_size n + tagged_size blk) in
-  set_count b 0 n;
-  (b, write_tagged b 4 blk)
-
-(** A payload of {!encode_block} back as a block over an iteration
-    space of [dims].
-    @raise Decode_error on a truncated or over-long payload *)
-let decode_block ~dims b =
-  let c = { c_bytes = b; c_pos = 4; c_end = Bytes.length b } in
-  let n = get_count c 0 "entry count" in
-  let keys, values = read_tagged c ~n in
-  Orion_runtime.Schedule.make_block ~dims keys values
-
 (* ------------------------------------------------------------------ *)
 (* Row payloads: one frame of blocks and regions                       *)
 (* ------------------------------------------------------------------ *)

@@ -200,19 +200,51 @@ let qcheck_natural_order_linearizes =
 (* Frame + wire round-trip over a real socketpair                      *)
 (* ------------------------------------------------------------------ *)
 
-let encode_block entries =
-  fst
-    (Orion_net.Wire.encode_block
-       (Schedule.make_block ~dims:[| max_int |] (Array.map fst entries)
-          (Array.map snd entries)))
+module Wire = Orion_net.Wire
 
-(* a row block's entries, decoded, as (linearized key, value) in order *)
-let decode_block b =
+let row_dims = [| max_int |]
+
+(* a row header over a payload's spans *)
+let row_of ?(digest = 0) blocks regions =
+  {
+    Wire.sr_sp = 2;
+    sr_tp = Array.length blocks;
+    sr_model = Domain_exec.M_2d_unordered { depth = 2 };
+    sr_space_boundaries = [| 0; 3; 6 |];
+    sr_time_boundaries = Some [| 0; 1; 2; 4; 5 |];
+    sr_dims = row_dims;
+    sr_entries = 9;
+    sr_digest = digest;
+    sr_blocks = blocks;
+    sr_regions = regions;
+  }
+
+(* a decoded row block's entries as (linearized key, boxed value) *)
+let row_entries (blk : Orion.Value.t Schedule.block) =
   let out = ref [] in
-  Schedule.iter_lin
-    (fun lin v -> out := (lin, v) :: !out)
-    (Orion_net.Wire.decode_block ~dims:[| max_int |] b);
-  List.rev !out
+  Schedule.iter_lin (fun lin v -> out := (lin, v) :: !out) blk;
+  Array.of_list (List.rev !out)
+
+(* [entries] as the payload of a row frame holding them in one block of
+   the tagged value codec: the count (4 bytes), the kind byte, then per
+   entry its linearized key (8 bytes) and its value *)
+let encode_block entries =
+  let frame, _, _ =
+    Wire.row_frame
+      [|
+        Schedule.make_block ~dims:row_dims (Array.map fst entries)
+          (Array.map snd entries);
+      |]
+      []
+  in
+  let h = Orion_net.Frame.header_bytes in
+  Bytes.sub frame h (Bytes.length frame - h)
+
+(* such a payload (or a cut or padded one) decoded as the one block of a
+   row spanning it whole, as (linearized key, value) in order *)
+let decode_block b =
+  let row = row_of [| { Wire.sp_off = 0; sp_len = Bytes.length b } |] [||] in
+  Array.to_list (row_entries (Wire.decode_row row b).(0))
 
 let test_addr_roundtrip () =
   List.iter
@@ -295,8 +327,8 @@ let gen_value =
 let arb_value =
   QCheck.make gen_value ~print:(fun v -> Format.asprintf "%a" V.pp v)
 
-(* [v] as a one-entry block: the count (4 bytes), the key (8), then
-   the value, whose tag byte is at offset 12 *)
+(* [v] as a one-entry tagged block: the count (4 bytes), the kind (1),
+   the key (8), then the value, whose tag byte is at offset 13 *)
 let value_block v = encode_block [| (0, v) |]
 
 let block_value b =
@@ -326,7 +358,7 @@ let qcheck_value_codec_faults =
       let truncated = Bytes.sub b 0 (cut mod len) in
       let over_long = Bytes.cat b (Bytes.make (1 + (cut mod 3)) '\000') in
       let unknown = Bytes.copy b in
-      Bytes.set_uint8 unknown 12 tag;
+      Bytes.set_uint8 unknown 13 tag;
       positioned_error ~len (fun () -> block_value truncated)
       && positioned_error ~len:(len + 3) (fun () -> block_value over_long)
       && positioned_error ~len (fun () -> block_value unknown))
@@ -392,10 +424,6 @@ let qcheck_block_codec =
 (* Row frames: a rank's blocks and regions as one raw payload          *)
 (* ------------------------------------------------------------------ *)
 
-module Wire = Orion_net.Wire
-
-let row_dims = [| max_int |]
-
 (* float-only entries as a float block, as a float iteration space's
    schedule holds them; any others boxed *)
 let row_block entries =
@@ -404,27 +432,6 @@ let row_block entries =
     Schedule.make_float_block ~dims:row_dims keys
       (Array.map (function _, V.Vfloat f -> f | _ -> assert false) entries)
   else Schedule.make_block ~dims:row_dims keys (Array.map snd entries)
-
-(* a row header over a payload's spans *)
-let row_of ?(digest = 0) blocks regions =
-  {
-    Wire.sr_sp = 2;
-    sr_tp = Array.length blocks;
-    sr_model = Domain_exec.M_2d_unordered { depth = 2 };
-    sr_space_boundaries = [| 0; 3; 6 |];
-    sr_time_boundaries = Some [| 0; 1; 2; 4; 5 |];
-    sr_dims = row_dims;
-    sr_entries = 9;
-    sr_digest = digest;
-    sr_blocks = blocks;
-    sr_regions = regions;
-  }
-
-(* a decoded row block's entries as (linearized key, boxed value) *)
-let row_entries (blk : V.t Schedule.block) =
-  let out = ref [] in
-  Schedule.iter_lin (fun lin v -> out := (lin, v) :: !out) blk;
-  Array.of_list (List.rev !out)
 
 let same_entries a b =
   Array.length a = Array.length b

@@ -1484,11 +1484,16 @@ let test_compile_vector_bodies () =
 (* random vector bodies over W's slices, the locals a/b and the scalar
    t: every vector shape the compiler handles, out-of-range and
    reversed bounds (0 and 4 lie outside 1..3), length mismatches,
-   buffers refilled in a loop or at a changing length, and aliases *)
+   buffers refilled in a loop or at a changing length, and aliases.
+   Every operator meets each operand order of a statement compiled to
+   one closure ([s op v], [v op s], [v op v], [(s1 op s2) op v], a
+   slice store [x op (y op' s)]), with negated literals, slices at a
+   key component, and scalars and vectors that hold NaNs of either
+   sign. *)
 let gen_vector_stmt : string QCheck.Gen.t =
   let open QCheck.Gen in
   let bound = map string_of_int (int_range 0 4) in
-  let col = oneofl [ "k"; "j" ] in
+  let col = oneofl [ "k"; "j"; "key[1]" ] in
   let slice =
     oneof
       [
@@ -1497,17 +1502,20 @@ let gen_vector_stmt : string QCheck.Gen.t =
       ]
   in
   let vatom = oneof [ return "a"; return "b"; slice ] in
-  let scalar =
+  let op = oneofl [ "+"; "-"; "*"; "/" ] in
+  let paren3 x o y = "(" ^ x ^ " " ^ o ^ " " ^ y ^ ")" in
+  let leaf =
     oneof
       [
         return "v";
         return "t";
         return "2";
+        return "-3";
+        return "-2.0";
         map (Printf.sprintf "%.2f") (float_range (-2.0) 2.0);
       ]
   in
-  let op = oneofl [ "+"; "-"; "*"; "/" ] in
-  let paren3 x o y = "(" ^ x ^ " " ^ o ^ " " ^ y ^ ")" in
+  let scalar = frequency [ (3, leaf); (1, map3 paren3 leaf op leaf) ] in
   let vexpr =
     oneof
       [
@@ -1523,6 +1531,7 @@ let gen_vector_stmt : string QCheck.Gen.t =
           (pair vatom op) (pair vatom op) scalar;
       ]
   in
+  let var = oneofl [ "a"; "b" ] in
   oneof
       [
         map (fun e -> "a = " ^ e) vexpr;
@@ -1533,6 +1542,37 @@ let gen_vector_stmt : string QCheck.Gen.t =
         map (fun s -> "a *= " ^ s) scalar;
         map2 (fun x y -> "t = dot(" ^ x ^ ", " ^ y ^ ")") vexpr vexpr;
         map (fun e -> "W[:, k] = " ^ e) vexpr;
+        (* a store of variables, as mf's: one loop over the slice *)
+        map3
+          (fun (c, x, o) (y, o') s ->
+            "W[:, " ^ c ^ "] = " ^ paren3 x o (paren3 y o' s))
+          (triple col var op) (pair var op) scalar;
+        (* scalars and vectors holding NaNs: [0.0 / 0.0] has the sign
+           bit set, its negation not *)
+        oneofl
+          [
+            "t = 0.0 / 0.0";
+            "t = -t";
+            "b = (a - a) / (a - a)";
+            "a = -b";
+          ];
+        map3 (fun x o s -> "t = " ^ paren3 x o s) leaf op leaf;
+        (* points read, updated and written in place; [k] leaves W's
+           3 rows in the vector test *)
+        map2 (fun o s -> "W[1, k] = W[1, k] " ^ o ^ " " ^ s) op scalar;
+        map2 (fun o s -> "W[k, 1] = W[2, j] " ^ o ^ " " ^ s) op scalar;
+        map2 (fun o s -> "W[1, j] " ^ o ^ "= " ^ s) op scalar;
+        map (fun c -> "t = W[2, " ^ c ^ "]") col;
+        oneofl [ "W[2, k] = 3.0\nn = int(W[2, k])"; "n = int(W[1, j])" ];
+        (* a position in a variable held boxed: [n] takes an int and a
+           float in one body; [to_int] accepts 2.0 and rejects 2.5 *)
+        oneofl
+          [
+            "n = (k % 3) + 1\nW[n, j] = W[n, k] - v\nn = v";
+            "n = 2.0\nW[1, n] += t";
+            "n = 2.5\nW[n, k] = W[1, n] * t";
+            "if v > 1.5\n  n = 2.0\nelse\n  n = 3\nend\nW[1, n] += t";
+          ];
         map3 (fun lo hi e -> "W[" ^ lo ^ ":" ^ hi ^ ", j] = " ^ e) bound bound vexpr;
         return "W[1, k] = t";
         (* reassigned inside an inner loop: the same buffers refilled *)
@@ -1545,6 +1585,8 @@ let gen_vector_stmt : string QCheck.Gen.t =
         map2
           (fun v s -> "b = a\n" ^ v ^ "[1] = " ^ s)
           (oneofl [ "a"; "b" ]) scalar;
+        (* after b = a, a refill of either leaves the other as it was *)
+        map2 (fun v e -> "b = a\n" ^ v ^ " = " ^ e) var vexpr;
       ]
 
 let gen_vector_body : string QCheck.Gen.t =
@@ -1554,7 +1596,7 @@ let gen_vector_body : string QCheck.Gen.t =
   String.concat "\n" (vector_prelude :: stmts)
 
 let test_compile_random_vector_bodies_qcheck () =
-  QCheck.Test.make ~count:300
+  QCheck.Test.make ~count:300 ~long_factor:10
     ~name:"compiled vector kernel bitwise-matches interpreter"
     (QCheck.make ~print:(fun s -> s) gen_vector_body)
     (fun body_src ->
@@ -1644,6 +1686,9 @@ let block_control_stmts =
     "W[:, k + r] = a";
     "if r == 0\n  kk = key\nend\nif r == 2\n  W[kk[1], kk[2]] = v\nend";
     "kk = key\nW[1, kk[2]] = t";
+    (* a slice at a key component that leaves W's 3 rows on the first
+       block's last entry (key (1, 3)), the first this guard admits *)
+    "if v < 1.2\n  a = W[key[2], :]\nend";
   ]
 
 let test_block_kernel_bodies () =
@@ -1659,6 +1704,32 @@ let test_block_kernel_bodies () =
          W[:, k] = a - g * 0.01\n\
          W[:, j] = h - (d * a) * 0.01";
       ]
+    (* NaNs of both signs meet in every operator of each statement
+       compiled to one closure: [t] and [b] hold negative NaNs, [u] and
+       [a] positive ones *)
+    @ List.concat_map
+        (fun op ->
+          List.map
+            (fun op' ->
+              Printf.sprintf
+                "h = W[:, j]\n\
+                 t = 0.0 / 0.0\n\
+                 u = -t\n\
+                 b = (a - a) / (a - a)\n\
+                 a = -b\n\
+                 W[:, k] = h %s (a %s t)\n\
+                 W[:, j] = b %s (h %s u)\n\
+                 n = t %s u\n\
+                 b = (u %s t) %s a\n\
+                 W[r, j] = W[r, k] %s t\n\
+                 W[1, k] %s= u\n\
+                 a = a %s t\n\
+                 b = t %s b\n\
+                 t = u %s -2.0\n\
+                 a = a %s b"
+                op op' op op' op op op' op op op op op op)
+            [ "+"; "-"; "*"; "/" ])
+        [ "+"; "-"; "*"; "/" ]
     (* NaNs of both signs meet in each operation of a store run as one
        loop: [-a] holds positive NaNs, [a op s] negative ones *)
     @ List.concat_map
@@ -1682,7 +1753,7 @@ let gen_block_body : string QCheck.Gen.t =
   String.concat "\n" (block_prelude :: stmts)
 
 let test_block_kernel_random_qcheck () =
-  QCheck.Test.make ~count:300
+  QCheck.Test.make ~count:300 ~long_factor:10
     ~name:"block kernel bitwise-matches interpreter entry by entry"
     (QCheck.make ~print:(fun s -> s) gen_block_body)
     (fun body_src ->

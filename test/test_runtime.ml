@@ -649,11 +649,14 @@ let test_schedule_golden (name, shuffled, ordered) () =
   Alcotest.(check int) "ascending" ordered (Schedule.fingerprint (build None))
 
 (* Value goldens: [fingerprint] hashes keys only, so these pin what a
-   schedule row carries.  One running CRC-32 over every block's
-   [Wire.encode_block] payload (linearized key and value of each entry
-   in scheduled order), blocks in [space][time] order, for the shuffled
-   and the ascending build of each app at the fingerprints' scale.
-   Recorded from the per-entry tuple schedule. *)
+   schedule row carries.  One running CRC-32 over every block's entries
+   in the tagged value codec of [Wire.row_frame]: the block's entries
+   boxed into one tagged block, and the CRC taken over its count and
+   then its entries (linearized key and value of each entry in
+   scheduled order), skipping the kind byte between them.  Blocks in
+   [space][time] order, for the shuffled and the ascending build of
+   each app at the fingerprints' scale.  Recorded from the per-entry
+   tuple schedule. *)
 let value_goldens =
   [
     ("mf", 448545231l, -2092929277l);
@@ -664,10 +667,20 @@ let value_goldens =
 
 let schedule_crc (s : Orion.Value.t Schedule.t) =
   let crc = Orion_store.Crc32.create () in
+  let h = Orion_net.Frame.header_bytes in
   Array.iter
     (Array.iter (fun b ->
-         let bytes, _ = Orion_net.Wire.encode_block b in
-         Orion_store.Crc32.update crc bytes ~pos:0 ~len:(Bytes.length bytes)))
+         let entries = ref [] in
+         Schedule.iter_lin (fun lin v -> entries := (lin, v) :: !entries) b;
+         let lins, values = List.split (List.rev !entries) in
+         let tagged =
+           Schedule.make_block ~dims:[| max_int |] (Array.of_list lins)
+             (Array.of_list values)
+         in
+         let frame, _, _ = Orion_net.Wire.row_frame [| tagged |] [] in
+         Orion_store.Crc32.update crc frame ~pos:h ~len:4;
+         Orion_store.Crc32.update crc frame ~pos:(h + 5)
+           ~len:(Bytes.length frame - h - 5)))
     s.Schedule.blocks;
   Orion_store.Crc32.value crc
 
