@@ -38,7 +38,6 @@ module Clock = Orion_obs.Clock
 module Telemetry = Orion_obs.Telemetry
 module Dist_array = Orion_dsm.Dist_array
 module Partitioner = Orion_dsm.Partitioner
-module Pipeline = Orion_dsm.Pipeline
 module Dist_buffer = Orion_dsm.Buffer
 module Accumulator = Orion_dsm.Accumulator
 module Param_server = Orion_dsm.Param_server
@@ -614,8 +613,9 @@ module Engine = struct
       array bindings).  Over a float iteration space
       ({!Dist_array.float_view}) the kernel takes a block's values
       unboxed ({!Compile.run_floats}); no value is looked at here.  [None] when
-      compilation is disabled ([ORION_NO_COMPILE]) or the body uses an
-      unsupported construct; callers fall back to {!interp_body}. *)
+      compilation is disabled ([ORION_NO_COMPILE]), a profile or an
+      access hook is attached to [env], or the body uses an unsupported
+      construct; callers fall back to {!interp_body}. *)
   let compile_kernel (inst : App.instance) (env : Interp.env) :
       Compile.t option =
     if not (Compile.enabled ()) then None
@@ -627,7 +627,7 @@ module Engine = struct
 
   (** [inst]'s loop body over [env]: its compiled kernel, or the
       interpreter, which boxes each value, when the body does not
-      compile. *)
+      compile (a hooked [env] among the reasons). *)
   let loop_body inst env : Compile.t option * Value.t Schedule.body =
     match compile_kernel inst env with
     | Some k ->

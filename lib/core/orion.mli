@@ -35,7 +35,6 @@ module Clock = Orion_obs.Clock
 module Telemetry = Orion_obs.Telemetry
 module Dist_array = Orion_dsm.Dist_array
 module Partitioner = Orion_dsm.Partitioner
-module Pipeline = Orion_dsm.Pipeline
 module Dist_buffer = Orion_dsm.Buffer
 module Accumulator = Orion_dsm.Accumulator
 module Param_server = Orion_dsm.Param_server
@@ -339,9 +338,10 @@ module Engine : sig
       space ({!Dist_array.float_view}, on a distributed worker as on
       the master) the kernel takes a whole block, its values unboxed,
       through {!Compile.run_floats}; no value is looked at to decide.  [None]
-      when compilation is disabled ([ORION_NO_COMPILE]) or the body
-      uses an unsupported construct; callers fall back to the
-      interpreter. *)
+      when compilation is disabled ([ORION_NO_COMPILE]), a profile or
+      an access hook is attached to [env] (hooks are observed by the
+      interpreter only), or the body uses an unsupported construct;
+      callers fall back to the interpreter. *)
   val compile_kernel : App.instance -> Interp.env -> Compile.t option
 
   (** [inst]'s loop body over [env]: its {!compile_kernel} kernel (kept

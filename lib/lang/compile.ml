@@ -20,33 +20,29 @@
       fill the local's own array instead;
     - DistArray point subscripts and one-dimensional slices
       ([W\[:, j\]], [W\[lo:hi, j\]]) resolve through the host's
-      {!Value.fast_access}, when no profile or access hook needs to
-      observe the access: a dense array's flat storage with the
+      {!Value.fast_access}: a dense array's flat storage with the
       bounds checked first, else the unboxed point accessors.  A
-      slice lying wholly inside dense storage is one strided loop, and
-      a store [W\[:, j\] = x - g * s] into it runs as one loop;
+      slice lying wholly inside dense storage is one strided loop;
     - builtins devirtualize to direct closures at compile time;
     - a block of float entries runs as one call ({!run_floats}): one
       handler for the block, and a key that the body only subscripts
-      delinearized into one array the kernel owns;
-    - the body is compiled twice: the generic closure tree above, which
-      runs whenever a hook is attached, and a fast body for hook-free
-      runs, in which the key's components live in int cells and each
-      common straight-line statement is one closure whose operands
-      (cells, dense storage with its strides and extents, the
+      delinearized into one array the kernel owns, with its components
+      also in int cells;
+    - each common straight-line statement is one closure whose
+      operands (cells, dense storage with its strides and extents, the
       operator's loop) were all fixed when the kernel was built
-      ({!fast_assign}, {!fast_store}, {!fast_op_store}).
+      ({!fast_assign}, {!fast_store}, {!fast_op_store}); it hands any
+      uncommon case to the statement's generic closure.
 
     Observational equivalence with {!Interp.eval_body_for} is the
     contract: same values bitwise, same exceptions with the same
-    positioned messages, same RNG consumption order, and — whenever
-    [env.profile] or [env.on_array_access] is set — the same records in
-    the same order (every access site dynamically falls back to the
-    boxed, hook-calling path when either is set, so one kernel serves
-    both the multicore engine and the journaling distributed worker).
-    Vectors keep the interpreter's reference semantics: [b = a] makes
-    both locals hold one array, so an index write through either shows
-    in both, and an array another holder may see (a second local, or a
+    positioned messages, same RNG consumption order.  Hooks belong to
+    the interpreter: a kernel is compiled for, and runs in, an
+    environment with no profile and no access hook only ({!hooked}),
+    so a caller that observes accesses interprets the body.  Vectors
+    keep the interpreter's reference semantics: [b = a] makes both
+    locals hold one array, so an index write through either shows in
+    both, and an array another holder may see (a second local, or a
     boxed value handed out) is never refilled in place.
 
     Known (documented) semantic hole: globals are captured from
@@ -63,6 +59,12 @@ let enabled () =
   match Sys.getenv_opt "ORION_NO_COMPILE" with
   | None | Some "" | Some "0" -> true
   | Some _ -> false
+
+(* is a profile or an access hook attached to [env]?  Only the
+   interpreter records to them, so no kernel is compiled for, or runs
+   in, such an environment *)
+let hooked (env : Interp.env) =
+  Option.is_some env.Interp.profile || Option.is_some env.Interp.on_array_access
 
 (* raised (at compile time only) on constructs whose semantics we
    cannot reproduce exactly; [compile_body] turns it into [None] *)
@@ -196,13 +198,10 @@ type ctx = {
   mutable assigned : Names.t;
       (** while compiling, the locals assigned on every path from the
           body's start to the current statement *)
-  fast : bool;
-      (** compiling the body that runs with no hook attached: common
-          statements become one closure each ({!fast_assign}) *)
   key_var : string;
   key_cells : icell array;
-      (** in the fast body, [key[c]]'s value for a literal [c] (empty
-          unless the key stays local) *)
+      (** [key[c]]'s value for a literal [c], as a statement compiled to
+          one closure reads it (empty unless the key stays local) *)
 }
 
 let slot ctx name =
@@ -217,7 +216,6 @@ let known ctx s = s.sl_defined || Names.mem s.sl_name ctx.assigned
 
 (* A compiled block: its statements and their source positions. *)
 type cblock = {
-  cb_env : Interp.env;
   cb_stmts : (unit -> unit) array;
   cb_pos : pos array;
 }
@@ -226,15 +224,16 @@ type t = {
   c_env : Interp.env;
   c_key : slot;
   c_key_cells : icell array;
-      (** what [c_fast] reads [key[1]], [key[2]], … from, set per entry *)
+      (** what a statement compiled to one closure reads [key[1]],
+          [key[2]], … from, set per entry: 0 (a position outside every
+          array) past the key's last component *)
   c_key_local : bool;
       (** the key is only subscripted by points ({!key_stays_local}):
           a block's keys are delinearized into [c_key_buf] *)
   c_key_buf : xcell;
   c_value : slot;
-  c_value_float : bool;  (** runs only through [run_float] *)
-  c_body : cblock;  (** every statement generic: runs when a hook is attached *)
-  c_fast : cblock;  (** the same statements, common ones specialized *)
+  c_value_float : bool;  (** runs only through [run_floats] *)
+  c_block : cblock;
   c_locals : slot list;
 }
 
@@ -332,9 +331,9 @@ let fast_extern ctx base subs =
   match base with
   | Var v -> (
       match Hashtbl.find_opt ctx.slots v with
-      | Some ({ sl_local = false; sl_defined = true; sl_v = Vextern ex; _ } as s)
+      | Some { sl_local = false; sl_defined = true; sl_v = Vextern ex; _ }
         when List.length subs = Array.length ex.ex_dims ->
-          Option.map (fun fa -> (s, ex, fa)) ex.ex_fast
+          Option.map (fun fa -> (ex, fa)) ex.ex_fast
       | _ -> None)
   | _ -> None
 
@@ -454,12 +453,6 @@ type isrc =
   | Iint of icell  (** [ci - 1] *)
   | Irun of (unit -> int)
 
-(* the cell the fast body reads [key[c]] from *)
-let key_cell ctx v c =
-  if ctx.fast && v = ctx.key_var && c >= 1 && c <= Array.length ctx.key_cells
-  then Some ctx.key_cells.(c - 1)
-  else None
-
 let[@inline] iget = function
   | Iconst k -> k
   | Ikey (c, p) -> c.ix.(p)
@@ -469,8 +462,7 @@ let[@inline] iget = function
 (* a compiled subscript, producing 0-based concrete positions *)
 type csub = Kall | Kpoint of isrc | Krange of isrc * isrc
 
-(* evaluate compiled subscripts to a FRESH concrete-subscript array
-   (fresh because access hooks retain what they are handed), in
+(* evaluate compiled subscripts to a concrete-subscript array, in
    left-to-right order with lo-before-hi, as the interpreter does *)
 let eval_csubs (ks : csub array) : Value.concrete_sub array =
   let n = Array.length ks in
@@ -490,30 +482,9 @@ let eval_csubs (ks : csub array) : Value.concrete_sub array =
 (* Shared runtime fragments (mirrors of the interpreter's dispatch)    *)
 (* ------------------------------------------------------------------ *)
 
-let read_extern env ex ks =
-  (match env.Interp.profile with
-  | Some p -> Profile.record_array_read p ex.ex_name
-  | None -> ());
-  let cs = eval_csubs ks in
-  let r = ex.ex_get cs in
-  (match env.Interp.on_array_access with
-  | Some f -> f ex ~write:false cs
-  | None -> ());
-  r
-
-let write_extern env ex ks v =
-  (match env.Interp.profile with
-  | Some p -> Profile.record_array_write p ex.ex_name
-  | None -> ());
-  let cs = eval_csubs ks in
-  ex.ex_set cs v;
-  match env.Interp.on_array_access with
-  | Some f -> f ex ~write:true cs
-  | None -> ()
-
-let index_value env v (ks : csub array) =
+let index_value v (ks : csub array) =
   match v with
-  | Vextern ex -> read_extern env ex ks
+  | Vextern ex -> ex.ex_get (eval_csubs ks)
   | Vvec arr -> (
       match ks with
       | [| Kpoint p |] -> Vfloat arr.(iget p)
@@ -537,9 +508,9 @@ let index_value env v (ks : csub array) =
 
 (* a vector's elements are written in place, so every holder of the
    array sees the store *)
-let assign_index_value env s (ks : csub array) v =
+let assign_index_value s (ks : csub array) v =
   match slot_peek s with
-  | Vextern ex -> write_extern env ex ks v
+  | Vextern ex -> ex.ex_set (eval_csubs ks) v
   | Vvec arr -> (
       match ks with
       | [| Kpoint p |] ->
@@ -560,13 +531,6 @@ let assign_index_value env s (ks : csub array) v =
           else Array.blit src 0 arr lo (hi - lo + 1)
       | _ -> raise (Interp.Runtime_error "unsupported vector assignment"))
   | other -> raise (Type_error ("cannot assign into a " ^ type_name other))
-
-(* hooks-off test: the fast unboxed paths are only legal when neither
-   the profiler nor the access hook needs to observe the access *)
-let no_hooks env =
-  match (env.Interp.profile, env.Interp.on_array_access) with
-  | None, None -> true
-  | _ -> false
 
 (* ---- unboxed scalar arithmetic ------------------------------------ *)
 
@@ -619,7 +583,7 @@ let dense_offset dims strides key =
 
 (* [A[p1, .., pn]] on a fast extern: compiled positions, a reused key
    buffer they fill, and the same positions as subscripts for the boxed
-   path *)
+   setter *)
 type point = {
   pt_ex : extern;
   pt_fa : fast_access;
@@ -652,6 +616,10 @@ let point_set pt (src : fcell) =
       let lin = dense_offset pt.pt_ex.ex_dims d.dn_strides key in
       if lin >= 0 then d.dn_data.(lin) <- x else pt.pt_fa.fa_set key x
   | None -> pt.pt_fa.fa_set key x
+
+(* a store of a value that is not a float: the boxed setter owns its
+   conversion and its error *)
+let point_set_boxed pt v = pt.pt_ex.ex_set (eval_csubs pt.pt_ks) v
 
 (* a vector node's scratch array, reallocated only when the length
    changes *)
@@ -980,7 +948,6 @@ let rec compile_expr ctx (e : expr) : unit -> Value.t =
       match compile_typed ctx e with
       | Some f -> f
       | None ->
-          let env = ctx.env in
           let cb =
             match base with
             | Var v ->
@@ -991,7 +958,7 @@ let rec compile_expr ctx (e : expr) : unit -> Value.t =
           let ks = Array.of_list (List.map (compile_csub ctx) subs) in
           fun () ->
             let v = cb () in
-            index_value env v ks)
+            index_value v ks)
 
 and eval_list cs =
   match cs with
@@ -1010,12 +977,10 @@ and compile_typed ctx e : (unit -> Value.t) option =
 (* ---- unboxed scalar compilation ----------------------------------- *)
 
 (* [compile_num ctx ~fallback e] compiles [e] to an unboxed int or
-   float node when its static type allows.  A DistArray read inside
-   checks for hooks itself and takes the boxed, recording path when one
-   is attached.  [fallback] permits wrapping the generic boxed closure
-   when no structural specialization applies (must be [false] when
-   called from [compile_expr] on the same node, to avoid mutual
-   recursion). *)
+   float node when its static type allows.  [fallback] permits
+   wrapping the generic boxed closure when no structural specialization
+   applies (must be [false] when called from [compile_expr] on the same
+   node, to avoid mutual recursion). *)
 and compile_num ctx ~fallback (e : expr) : num option =
   let env = ctx.env in
   let num_arg = float_arg ctx in
@@ -1147,9 +1112,6 @@ and compile_num ctx ~fallback (e : expr) : num option =
                let x = to_vec (c ()) in
                out.cv <- sqrt (Array.fold_left (fun s v -> s +. (v *. v)) 0.0 x)
            ))
-  | Index (Var v, [ Sub_expr (Int_lit k) ]) when key_cell ctx v k <> None ->
-      let c = Option.get (key_cell ctx v k) in
-      Some (I (fun () -> c.ci))
   | Index (Var v, [ Sub_expr i ]) when (slot ctx v).sl_ty = Tindex -> (
       (* [key[i]]: the base is looked up before the subscript runs *)
       let s = slot ctx v in
@@ -1179,17 +1141,9 @@ and compile_num ctx ~fallback (e : expr) : num option =
       | _ -> infer_bug ("vector slot " ^ v))
   | Index (base, subs) -> (
       match fast_point ctx base subs with
-      | Some (s, pt) ->
+      | Some pt ->
           let out = { cv = 0.0 } in
-          Some
-            (F
-               ( out,
-                 fun () ->
-                   if no_hooks env then point_get pt out
-                   else
-                     match index_value env (slot_peek s) pt.pt_ks with
-                     | Vfloat x -> out.cv <- x
-                     | _ -> infer_bug ("extern read " ^ pt.pt_ex.ex_name) ))
+          Some (F (out, fun () -> point_get pt out))
       | None -> num_fallback ctx ~fallback e)
   | _ -> num_fallback ctx ~fallback e
 
@@ -1409,29 +1363,19 @@ and vec_operand ctx (e : expr) : vsrc =
         (fun () ->
           match c () with Vvec x -> x | _ -> infer_bug "vector expression")
 
-(* a slice of a fast extern, or the boxed read whenever a hook is
-   attached; assigned to a vector local, a located dense slice is read
-   straight into the local's own array *)
+(* a slice of a fast extern, read into the node's buffer *)
 and compile_slice_read ctx base subs : vnode option =
   match fast_extern_slice ctx base subs with
   | None -> None
-  | Some (s, ex, fa) ->
-      let env = ctx.env in
+  | Some (ex, fa) ->
       let ks = Array.of_list (List.map (compile_csub ctx) subs) in
       let sc = make_slice ex fa ks in
-      let run () =
-        if no_hooks env then read_slice sc
-        else
-          match index_value env (slot_peek s) ks with
-          | Vvec x -> x
-          | _ -> infer_bug ("extern slice " ^ ex.ex_name)
-      in
-      Some (Vfresh run)
+      Some (Vfresh (fun () -> read_slice sc))
 
 (* the point subscripts of a fast extern read or store *)
-and fast_point ctx base subs : (slot * point) option =
+and fast_point ctx base subs : point option =
   match fast_extern_read ctx base subs with
-  | Some (s, ex, fa) ->
+  | Some (ex, fa) ->
       let ps =
         Array.of_list
           (List.map
@@ -1439,14 +1383,13 @@ and fast_point ctx base subs : (slot * point) option =
              subs)
       in
       Some
-        ( s,
-          {
-            pt_ex = ex;
-            pt_fa = fa;
-            pt_ps = ps;
-            pt_key = Array.make (Array.length ps) 0;
-            pt_ks = Array.map (fun p -> Kpoint p) ps;
-          } )
+        {
+          pt_ex = ex;
+          pt_fa = fa;
+          pt_ps = ps;
+          pt_key = Array.make (Array.length ps) 0;
+          pt_ks = Array.map (fun p -> Kpoint p) ps;
+        }
   | None -> None
 
 (* ---- subscripts --------------------------------------------------- *)
@@ -1463,10 +1406,9 @@ and compile_point ctx (e : expr) : isrc =
       | _ -> point_run ctx e)
   | Index (Var v, [ Sub_expr (Int_lit k) ]) -> (
       let s = slot ctx v in
-      match (key_cell ctx v k, s.sl_rep) with
-      | Some c, _ -> Iint c
-      | None, Rindex c when known ctx s -> Ikey (c, k - 1)
-      | None, _ -> point_run ctx e)
+      match s.sl_rep with
+      | Rindex c when known ctx s -> Ikey (c, k - 1)
+      | _ -> point_run ctx e)
   | _ -> point_run ctx e
 
 and point_run ctx e =
@@ -1482,17 +1424,17 @@ and compile_csub ctx = function
 (* Statements with every operand fixed at build time                   *)
 (* ------------------------------------------------------------------ *)
 
-(* In the fast body (no hook attached, the key's components in cells),
-   the common straight-line statements compile to one closure each,
+(* The common straight-line statements compile to one closure each,
    whose operands are all resolved when the kernel is built: float
    cells, vector variables' cells, and dense storage located by int
-   cells, with the operator's loop or function taken once.  Every such
-   operand is read without effects, so a statement that meets anything
-   but the common case (a position outside the array or held boxed and
-   not an int, vectors of different lengths, a float that is not an
-   integer) hands itself whole to its generic closure [slow], which
-   evaluates it again from the start and raises what the interpreter
-   raises, after the same writes. *)
+   cells (a key component's among them), with the operator's loop or
+   function taken once.  Every such operand is read without effects,
+   so a statement that meets anything but the common case (a position
+   outside the array or held boxed and not an int, a key component
+   past the key's end, vectors of different lengths, a float that is
+   not an integer) hands itself whole to its generic closure [slow],
+   which evaluates it again from the start and raises what the
+   interpreter raises, after the same writes. *)
 
 let is_arith = function Add | Sub | Mul | Div | Mod | Pow -> true | _ -> false
 
@@ -1536,10 +1478,14 @@ let vleaf ctx e : vcell option =
   | _ -> None
 
 (* a 0-based position read from an int cell, as [ci - 1]: a literal, an
-   int variable certainly defined or a key component *)
+   int variable certainly defined or a key component (its cell) *)
 let ipos ctx e : icell option =
   match e with
-  | Int_lit _ | Var _ | Index (Var _, [ Sub_expr (Int_lit _) ]) -> (
+  | Index (Var v, [ Sub_expr (Int_lit c) ]) ->
+      if v = ctx.key_var && c >= 1 && c <= Array.length ctx.key_cells then
+        Some ctx.key_cells.(c - 1)
+      else None
+  | Int_lit _ | Var _ -> (
       match compile_point ctx e with
       | Iint c -> Some c
       | Iconst k -> Some { ci = k + 1 }
@@ -1562,7 +1508,7 @@ type dloc = {
 
 let dense_loc ctx base subs : dloc option =
   match fast_extern ctx base subs with
-  | Some (_, ex, { fa_dense = Some d; _ }) ->
+  | Some (ex, { fa_dense = Some d; _ }) ->
       let rec go i pos boxed alls step len = function
         | [] ->
             if alls > 1 then None
@@ -1771,10 +1717,9 @@ let fast_op_store ctx op name subs e ~slow : (unit -> unit) option =
       Some (point_update ~slow l l op sco)
   | _ -> None
 
-(* the fast body's closure for a statement whose generic closure is
-   [slow], when [fast] specializes it *)
-let specialize ctx slow fast =
-  if ctx.fast then Option.value (fast ~slow) ~default:slow else slow
+(* the closure of a statement whose generic closure is [slow]: [fast]'s
+   one closure when it specializes the statement *)
+let specialize slow fast = Option.value (fast ~slow) ~default:slow
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation                                               *)
@@ -1791,30 +1736,16 @@ let positioned (pos : pos) e =
       Type_error (Printf.sprintf "%d:%d: %s" pos.line pos.col msg)
   | e -> e
 
-(* The statements in order, each timed when a profile is attached.  One
-   handler per block, not per statement, positions an error: [i] is the
-   statement that raised it. *)
+(* The statements in order.  One handler per block, not per statement,
+   positions an error: [i] is the statement that raised it. *)
 let run_block cb =
   let stmts = cb.cb_stmts and n = Array.length cb.cb_stmts in
   let i = ref 0 in
   try
-    match cb.cb_env.Interp.profile with
-    | None ->
-        while !i < n do
-          stmts.(!i) ();
-          incr i
-        done
-    | Some p ->
-        while !i < n do
-          let line = cb.cb_pos.(!i).line in
-          let t0 = Unix.gettimeofday () in
-          Fun.protect
-            ~finally:(fun () ->
-              Profile.record_line p ~line
-                ~seconds:(Unix.gettimeofday () -. t0))
-            stmts.(!i);
-          incr i
-        done
+    while !i < n do
+      stmts.(!i) ();
+      incr i
+    done
   with (Interp.Runtime_error _ | Type_error _) as e ->
     raise (positioned cb.cb_pos.(!i) e)
 
@@ -1828,7 +1759,6 @@ let rec compile_block ctx (b : block) : cblock =
         c :: go rest
   in
   {
-    cb_env = ctx.env;
     cb_stmts = Array.of_list (go b);
     cb_pos = Array.of_list (List.map (fun st -> st.spos) b);
   }
@@ -1846,11 +1776,10 @@ and compile_nested ctx ?(extra = []) (b : block) =
 and assign ctx name = ctx.assigned <- Names.add name ctx.assigned
 
 and compile_stmt ctx stmt : unit -> unit =
-  let env = ctx.env in
   match stmt.sk with
   | Assign (Lvar v, e) ->
       let s = slot ctx v in
-      let c = specialize ctx (compile_assign_var ctx s e) (fast_assign ctx s e) in
+      let c = specialize (compile_assign_var ctx s e) (fast_assign ctx s e) in
       assign ctx v;
       c
   | Assign (Lindex (v, subs), e) ->
@@ -1859,14 +1788,14 @@ and compile_stmt ctx stmt : unit -> unit =
         | Some f -> f
         | None -> compile_assign_index ctx v subs e
       in
-      let c = specialize ctx c (fast_store ctx v subs e) in
+      let c = specialize c (fast_store ctx v subs e) in
       (* the store raised unless [v] was defined *)
       assign ctx v;
       c
   | Op_assign (op, Lvar v, e) when is_arith op ->
       (* [v op= e] reads [v] before [e], exactly as [v = v op e] *)
       let s = slot ctx v and e = Binop (op, Var v, e) in
-      let c = specialize ctx (compile_assign_var ctx s e) (fast_assign ctx s e) in
+      let c = specialize (compile_assign_var ctx s e) (fast_assign ctx s e) in
       assign ctx v;
       c
   | Op_assign (op, Lvar v, e) ->
@@ -1879,7 +1808,7 @@ and compile_stmt ctx stmt : unit -> unit =
         slot_set s (Interp.eval_binop op cur rhs)
   | Op_assign (op, Lindex (v, subs), e) ->
       let c =
-        specialize ctx
+        specialize
           (compile_op_assign_index ctx op v subs e)
           (fast_op_store ctx op v subs e)
       in
@@ -1938,13 +1867,6 @@ and compile_stmt ctx stmt : unit -> unit =
         | Vextern ex -> (
             try
               ex.ex_iter (fun idx v ->
-                  (match env.Interp.profile with
-                  | Some p -> Profile.record_array_read p ex.ex_name
-                  | None -> ());
-                  (match env.Interp.on_array_access with
-                  | Some f ->
-                      f ex ~write:false (Array.map (fun i -> Cpoint i) idx)
-                  | None -> ());
                   set_index sk idx;
                   slot_set sv v;
                   try run_block cb with Interp.Continue_exc -> ())
@@ -2006,31 +1928,20 @@ and compile_assign_var ctx s e : unit -> unit =
    as the boxed store *)
 and compile_slice_store ctx name subs e : (unit -> unit) option =
   match fast_extern_slice ctx (Var name) subs with
-  | Some (s, ex, fa) when infer ctx e = Tvec -> (
-      let env = ctx.env in
+  | Some (ex, fa) when infer ctx e = Tvec ->
       let ks = Array.of_list (List.map (compile_csub ctx) subs) in
       let sc = make_slice ex fa ks in
       let cv = vec_operand ctx e in
-      Some
-        (fun () ->
-          let x = vget cv in
-          if no_hooks env then write_slice sc x
-          else assign_index_value env s ks (Vvec x)))
+      Some (fun () -> write_slice sc (vget cv))
   | _ -> None
 
 (* A[i, j] = e
-   interpreter order: RHS value; base lookup; profile write record;
-   subscripts; store; access hook *)
+   interpreter order: RHS value; base lookup; subscripts; store *)
 and compile_assign_index ctx name subs e : unit -> unit =
-  let env = ctx.env in
   let s = slot ctx name in
   let ce = compile_expr ctx e in
-  let generic ks () =
-    let v = ce () in
-    assign_index_value env s ks v
-  in
   match (fast_point ctx (Var name) subs, s.sl_rep, subs) with
-  | Some (_, pt), _, _ -> (
+  | Some pt, _, _ -> (
       (* a statically-float RHS stores straight through the fast
          accessor; otherwise box, then pick the path per value *)
       match
@@ -2039,25 +1950,16 @@ and compile_assign_index ctx name subs e : unit -> unit =
       with
       | Some (F (x, r)) ->
           fun () ->
-            if no_hooks env then begin
-              r ();
-              point_set pt x
-            end
-            else generic pt.pt_ks ()
+            r ();
+            point_set pt x
       | _ ->
           let tmp = { cv = 0.0 } in
           fun () ->
-            if no_hooks env then begin
-              match ce () with
-              | Vfloat x ->
-                  tmp.cv <- x;
-                  point_set pt tmp
-              | v ->
-                  (* non-float store: the boxed setter owns the
-                     conversion/error semantics *)
-                  write_extern env pt.pt_ex pt.pt_ks v
-            end
-            else generic pt.pt_ks ())
+            match ce () with
+            | Vfloat x ->
+                tmp.cv <- x;
+                point_set pt tmp
+            | v -> point_set_boxed pt v)
   | None, Rvec c, [ Sub_expr i ] when infer ctx e = Tfloat || infer ctx e = Tint
     ->
       (* [a[i] = x] on a vector variable writes its array in place *)
@@ -2068,24 +1970,21 @@ and compile_assign_index ctx name subs e : unit -> unit =
         check_defined s;
         let k = iget p in
         c.va.(k) <- x.cv
-  | None, _, _ -> generic (Array.of_list (List.map (compile_csub ctx) subs))
+  | None, _, _ ->
+      let ks = Array.of_list (List.map (compile_csub ctx) subs) in
+      fun () ->
+        let v = ce () in
+        assign_index_value s ks v
 
 (* A[i, j] op= e
-   interpreter order: full read (record, subscripts #1, get, hook);
-   RHS; combine; full write (record, subscripts #2, set, hook) — the
-   subscripts are evaluated twice, and the compiled paths keep that *)
+   interpreter order: full read (subscripts #1, get); RHS; combine; full
+   write (subscripts #2, set) — the subscripts are evaluated twice, and
+   the compiled paths keep that *)
 and compile_op_assign_index ctx op name subs e : unit -> unit =
-  let env = ctx.env in
   let s = slot ctx name in
   let ce = compile_expr ctx e in
-  let generic ks () =
-    let cur = index_value env (slot_peek s) ks in
-    let rhs = ce () in
-    let nv = Interp.eval_binop op cur rhs in
-    assign_index_value env s ks nv
-  in
   match fast_point ctx (Var name) subs with
-  | Some (_, pt) -> (
+  | Some pt -> (
       let rhs_ty = infer ctx e in
       let cur = { cv = 0.0 } and res = { cv = 0.0 } in
       match
@@ -2096,26 +1995,26 @@ and compile_op_assign_index ctx op name subs e : unit -> unit =
       | Some n ->
           let x, r = as_fnode n and f = float_op_fn op in
           fun () ->
-            if no_hooks env then begin
-              point_get pt cur;
-              r ();
-              f cur x res;
-              point_set pt res
-            end
-            else generic pt.pt_ks ()
+            point_get pt cur;
+            r ();
+            f cur x res;
+            point_set pt res
       | None ->
           fun () ->
-            if no_hooks env then begin
-              point_get pt cur;
-              let rhs = ce () in
-              match Interp.eval_binop op (Vfloat cur.cv) rhs with
-              | Vfloat y ->
-                  res.cv <- y;
-                  point_set pt res
-              | nv -> write_extern env pt.pt_ex pt.pt_ks nv
-            end
-            else generic pt.pt_ks ())
-  | None -> generic (Array.of_list (List.map (compile_csub ctx) subs))
+            point_get pt cur;
+            let rhs = ce () in
+            match Interp.eval_binop op (Vfloat cur.cv) rhs with
+            | Vfloat y ->
+                res.cv <- y;
+                point_set pt res
+            | nv -> point_set_boxed pt nv)
+  | None ->
+      let ks = Array.of_list (List.map (compile_csub ctx) subs) in
+      fun () ->
+        let cur = index_value (slot_peek s) ks in
+        let rhs = ce () in
+        let nv = Interp.eval_binop op cur rhs in
+        assign_index_value s ks nv
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -2123,93 +2022,98 @@ and compile_op_assign_index ctx op name subs e : unit -> unit =
 
 let compile_body (env : Interp.env) ?(value_float = false) ~key_var ~value_var
     (body : Ast.block) : t option =
-  try
-    let names = referenced_names body in
-    let rebound = rebound_names body in
-    let locals =
-      List.sort_uniq String.compare (key_var :: value_var :: rebound)
-    in
-    (* the kernel sets its key and value before the body runs *)
-    let set_first = Names.of_list [ key_var; value_var ] in
-    let key_local = key_stays_local key_var body in
-    let ctx =
-      {
-        env;
-        slots = Hashtbl.create 32;
-        assigned = set_first;
-        fast = false;
-        key_var;
-        key_cells =
-          (if key_local then
-             Array.init (key_width key_var body) (fun _ -> { ci = 0 })
-           else [||]);
-      }
-    in
-    List.iter
-      (fun name ->
-        let captured = Hashtbl.find_opt env.Interp.vars name in
-        let v, defined =
-          match captured with Some v -> (v, true) | None -> (Vunit, false)
-        in
-        Hashtbl.replace ctx.slots name
-          {
-            sl_name = name;
-            sl_local = List.mem name locals;
-            sl_v = v;
-            sl_defined = defined;
-            sl_ty = (if defined then ty_of_value v else Tbot);
-            sl_rep = Rbox;
-          })
-      (List.sort_uniq String.compare (key_var :: value_var :: names));
-    let sk = slot ctx key_var in
-    let sv = slot ctx value_var in
-    sk.sl_ty <- Tindex;
-    sv.sl_ty <- (if value_float then Tfloat else Tany);
-    (* fixpoint: join-only widening over a finite lattice terminates *)
-    let guard = ref 0 in
-    while infer_pass ctx body && !guard < 100 do
-      incr guard
-    done;
-    Hashtbl.iter (fun _ s -> fix_rep s) ctx.slots;
-    let cbody = compile_block ctx body in
-    let cfast = compile_block { ctx with fast = true; assigned = set_first } body in
-    let locals_slots = List.map (slot ctx) locals in
-    Some
-      {
-        c_env = env;
-        c_key = sk;
-        c_key_cells = ctx.key_cells;
-        c_key_local = key_local;
-        c_key_buf = { ix = [||] };
-        c_value = sv;
-        c_value_float = value_float;
-        c_body = cbody;
-        c_fast = cfast;
-        c_locals = locals_slots;
-      }
-  with Unsupported -> None
+  if hooked env then None
+  else
+    try
+      let names = referenced_names body in
+      let rebound = rebound_names body in
+      let locals =
+        List.sort_uniq String.compare (key_var :: value_var :: rebound)
+      in
+      let key_local = key_stays_local key_var body in
+      let ctx =
+        {
+          env;
+          slots = Hashtbl.create 32;
+          (* the kernel sets its key and value before the body runs *)
+          assigned = Names.of_list [ key_var; value_var ];
+          key_var;
+          key_cells =
+            (if key_local then
+               Array.init (key_width key_var body) (fun _ -> { ci = 0 })
+             else [||]);
+        }
+      in
+      List.iter
+        (fun name ->
+          let captured = Hashtbl.find_opt env.Interp.vars name in
+          let v, defined =
+            match captured with Some v -> (v, true) | None -> (Vunit, false)
+          in
+          Hashtbl.replace ctx.slots name
+            {
+              sl_name = name;
+              sl_local = List.mem name locals;
+              sl_v = v;
+              sl_defined = defined;
+              sl_ty = (if defined then ty_of_value v else Tbot);
+              sl_rep = Rbox;
+            })
+        (List.sort_uniq String.compare (key_var :: value_var :: names));
+      let sk = slot ctx key_var in
+      let sv = slot ctx value_var in
+      sk.sl_ty <- Tindex;
+      sv.sl_ty <- (if value_float then Tfloat else Tany);
+      (* fixpoint: join-only widening over a finite lattice terminates *)
+      let guard = ref 0 in
+      while infer_pass ctx body && !guard < 100 do
+        incr guard
+      done;
+      Hashtbl.iter (fun _ s -> fix_rep s) ctx.slots;
+      let block = compile_block ctx body in
+      Some
+        {
+          c_env = env;
+          c_key = sk;
+          c_key_cells = ctx.key_cells;
+          c_key_local = key_local;
+          c_key_buf = { ix = [||] };
+          c_value = sv;
+          c_value_float = value_float;
+          c_block = block;
+          c_locals = List.map (slot ctx) locals;
+        }
+    with Unsupported -> None
 
-(* the body an entry with [key] runs: the fast one when no hook is
-   attached and [key] has every component the body reads from a cell,
-   which are then set from it *)
-let body_for t key =
-  let cells = t.c_key_cells in
-  if no_hooks t.c_env && Array.length key >= Array.length cells then begin
-    for d = 0 to Array.length cells - 1 do
-      cells.(d).ci <- key.(d) + 1
-    done;
-    t.c_fast
-  end
-  else t.c_body
+(* a hook attached after compiling would go unobserved: refuse to run *)
+let check_unhooked t entry =
+  if hooked t.c_env then
+    invalid_arg
+      (entry
+     ^ ": a profile or access hook was attached after the kernel was \
+        compiled; hooks are observed by the interpreter only")
+
+(* the key cells from [key]'s components; a cell past the key's last
+   one holds 0, a position outside every array *)
+let[@inline] set_key_cells cells key =
+  let n = min (Array.length cells) (Array.length key) in
+  for d = 0 to n - 1 do
+    cells.(d).ci <- key.(d) + 1
+  done;
+  for d = n to Array.length cells - 1 do
+    cells.(d).ci <- 0
+  done
 
 let run t ~key ~value =
   if t.c_value_float then
     invalid_arg
       "Compile.run: a kernel compiled with ~value_float:true runs on unboxed \
-       values (Compile.run_float)";
+       values (Compile.run_floats)";
+  check_unhooked t "Compile.run";
   set_index t.c_key key;
+  set_key_cells t.c_key_cells key;
   slot_set t.c_value value;
-  try run_block (body_for t key) with Interp.Continue_exc -> ()
+  try run_block t.c_block with Interp.Continue_exc -> ()
 
 (* the value variable set to [values.(i)], read where it is stored: a
    float passed to a function is boxed *)
@@ -2220,21 +2124,13 @@ let set_float_value t values i =
       t.c_value.sl_defined <- true
   | _ -> slot_set t.c_value (Vfloat values.(i))
 
-let run_float t ~key values i =
-  set_index t.c_key key;
-  set_float_value t values i;
-  try run_block (body_for t key) with Interp.Continue_exc -> ()
-
-(* The block loop, with no hook attached: the body's statements for
-   each entry in turn, under one handler that positions an error and
-   one that moves on at a [continue].  A local key is written into the
-   kernel's own array and, for the fast body, its cells; anything else
-   gets a fresh key per entry. *)
-let run_entries t ~dims ~strides keys values =
-  let sk = t.c_key and local = t.c_key_local in
-  let fast = Array.length dims >= Array.length t.c_key_cells in
-  let cb = if fast then t.c_fast else t.c_body in
-  let cells = if fast then t.c_key_cells else [||] in
+(* The block loop: the body's statements for each entry in turn, under
+   one handler that positions an error and one that moves on at a
+   [continue].  A local key is written into the kernel's own array and
+   its cells; anything else gets a fresh key per entry. *)
+let run_floats t ~dims ~strides keys values =
+  check_unhooked t "Compile.run_floats";
+  let sk = t.c_key and local = t.c_key_local and cells = t.c_key_cells in
   let kbuf =
     if not local then [||]
     else begin
@@ -2245,6 +2141,7 @@ let run_entries t ~dims ~strides keys values =
   in
   let n = Array.length keys in
   if local && n > 0 then set_index sk kbuf;
+  let cb = t.c_block in
   let stmts = cb.cb_stmts and ns = Array.length cb.cb_stmts in
   let e = ref 0 and s = ref 0 in
   let rec go () =
@@ -2253,9 +2150,7 @@ let run_entries t ~dims ~strides keys values =
         let i = !e in
         if local then begin
           delinearize_into kbuf ~dims ~strides keys.(i);
-          for d = 0 to Array.length cells - 1 do
-            cells.(d).ci <- kbuf.(d) + 1
-          done
+          set_key_cells cells kbuf
         end
         else set_index sk (delinearize_in ~dims ~strides keys.(i));
         set_float_value t values i;
@@ -2275,13 +2170,6 @@ let run_entries t ~dims ~strides keys values =
   try go ()
   with (Interp.Runtime_error _ | Type_error _) as ex ->
     raise (positioned cb.cb_pos.(!s) ex)
-
-let run_floats t ~dims ~strides keys values =
-  if no_hooks t.c_env then run_entries t ~dims ~strides keys values
-  else
-    for i = 0 to Array.length keys - 1 do
-      run_float t ~key:(delinearize_in ~dims ~strides keys.(i)) values i
-    done
 
 (* a key array handed out may be the kernel's own, refilled by the next
    block, so the environment gets a copy *)

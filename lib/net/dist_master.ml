@@ -954,9 +954,10 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
       Orion.Engine.no_outcome with
       o_domains = nw;
       o_entries = sum (fun s -> s.Wire.ws_entries);
-      (* workers compile their own kernels (falling back per-worker if a
-         body is unsupported); report the master-side switch *)
-      o_compiled = Orion.Compile.enabled ();
+      (* each worker compiles its own kernel, or interprets (a body the
+         compiler does not support, or a journaled array): compiled
+         when every rank was, as on the domain pool *)
+      o_compiled = Array.for_all (fun s -> s.Wire.ws_compiled) stats;
       o_bytes_by_array = sorted bytes_by_array;
       o_bytes_full = !bytes_full;
       o_policy_by_array = sorted policy_by_array;

@@ -36,11 +36,12 @@
       installs it just before running [dst].  A pass ends with an
       all-to-all {!Wire.Pass_sync} broadcasting the slices each rank
       held last.  No access hook is installed for these arrays, so
-      when every written array is exclusive the compiled kernel runs
-      its unboxed, hook-free path.
+      when every written array is exclusive the rank runs its compiled
+      kernel, as the domain pool does.
     - Everything else (time-major models, written server-hosted
       arrays) is {e journaled}: every element write is recorded via
-      the interpreter's access hook, in execution order, and each
+      the interpreter's access hook, in execution order — so a rank
+      with a journaled array interprets its body — and each
       token carries {e all} block write logs this worker knows and the
       destination has not seen — its own and relayed ones — so a
       receiver learns everything that happens-before the sending
@@ -332,12 +333,10 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
      Compiled after the shadow rebinding above (the kernel captures
      env's current array bindings), for the iteration space's kind
      alone: a float space's kernel takes the row's float blocks
-     unboxed.  The write-journal hook, installed below only when some
-     array is journaled, is checked dynamically inside the kernel: while
-     it is attached every DistArray access routes through the boxed,
-     hook-calling path, so the journal sees exactly what it would see
-     under the interpreter.  Without it the kernel runs the same
-     unboxed path as the domain pool. *)
+     unboxed, as on the domain pool.  Only the row says whether some
+     array is journaled; if one is, the write-journal hook installed
+     below replaces this kernel, before it runs, with the interpreted
+     body, which the hook observes. *)
   let start = tel_now () in
   let kernel, body = Orion.Engine.loop_body inst env in
   tel_span ~category:Orion_obs.Trace.Compute ~label:"kernel compile"
@@ -506,6 +505,11 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
                       :: !current)
                   (Value.keys_of_subs ex.Value.ex_dims subs)
             | None -> ());
+  (* hooks belong to the interpreter: with the journal attached,
+     [loop_body] compiles nothing and interprets *)
+  let kernel, body =
+    if journaled = [] then (kernel, body) else Orion.Engine.loop_body inst env
+  in
   (* -- happens-before bookkeeping ----------------------------------- *)
   let owner blk = blk / tp in
   let incoming : (int, int list) Hashtbl.t = Hashtbl.create 16 in
@@ -899,6 +903,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     (Wire.Done
        {
          ws_entries = !entries_done;
+         ws_compiled = Option.is_some kernel;
          ws_bytes_by_array = sorted_bindings bytes_by_array;
          ws_bytes_full = !bytes_full;
          ws_policy_by_array = Policy.decisions sender;

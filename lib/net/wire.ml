@@ -87,8 +87,10 @@
    v13: a worker's announcement says whether its instance holds records
        of the iteration space, and only such a rank's row header
        carries the master's space digest; the row payload carries
-       none *)
-let version = 13
+       none
+   v14: worker stats say whether the rank ran its compiled kernel (a
+       rank that journals interprets its body) *)
+let version = 14
 
 (** One journaled DistArray element write, in execution order (only
     arrays with no single owner are journaled). *)
@@ -109,6 +111,8 @@ type entries_payload = bytes
 
 type worker_stats = {
   ws_entries : int;
+  ws_compiled : bool;
+      (** the rank ran its compiled kernel, not the interpreter *)
   ws_bytes_by_array : (string * float) list;
       (** slice and journal bytes shipped to peers, per DistArray, as
           encoded *)

@@ -966,6 +966,9 @@ let distributed_matches_sim ?pipeline_depth name procs () =
     "workers executed every entry twice" true
     (report.Orion.Engine.ep_entries > 0
     && report.Orion.Engine.ep_entries mod 2 = 0);
+  (* no registered app journals: every rank runs its compiled kernel *)
+  Alcotest.(check bool) "every rank ran its compiled kernel" true
+    report.Orion.Engine.ep_compiled;
   Alcotest.(check bool)
     "some DistArray state travelled the wire" true
     (report.Orion.Engine.ep_bytes_shipped > 0.0
@@ -1186,10 +1189,16 @@ let custom_run make ~procs =
     ~tolerance:None sim.Orion.App.inst_outputs dist.Orion.App.inst_outputs;
   report
 
-(* [model] pins the execution model the case exists to cover *)
-let custom_matches_sim make ~model ~procs () =
+(* [model] pins the execution model the case exists to cover, and
+   [compiled] whether every rank ran its compiled kernel *)
+let custom_matches_sim ?compiled make ~model ~procs () =
   let report = custom_run make ~procs in
-  Alcotest.(check string) "execution model" model report.Orion.Engine.ep_model
+  Alcotest.(check string) "execution model" model report.Orion.Engine.ep_model;
+  Option.iter
+    (fun c ->
+      Alcotest.(check bool) "every rank ran its compiled kernel" c
+        report.Orion.Engine.ep_compiled)
+    compiled
 
 (* every worker this process spawned has been reaped *)
 let no_children_left () =
@@ -1685,8 +1694,11 @@ let () =
             (distributed_matches_sim ~pipeline_depth:2 "mf" 2);
           tc "mf 2d-ordered procs=2" `Slow
             (custom_matches_sim mf_ordered_make ~model:"2d-ordered" ~procs:2);
+          (* a journaling rank interprets its body, which the journal
+             hook observes *)
           tc "stencil time-major procs=2 (journal)" `Quick
-            (custom_matches_sim stencil_make ~model:"time-major" ~procs:2);
+            (custom_matches_sim ~compiled:false stencil_make
+               ~model:"time-major" ~procs:2);
           tc "fewer space partitions than workers" `Quick
             fewer_partitions_than_workers;
         ] );

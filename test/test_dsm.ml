@@ -387,107 +387,6 @@ let test_qcheck_float_view () =
              Orion_net.Wire.float_entry_digest lin x
              = Orion_net.Wire.entry_digest lin (V.Vfloat x)))
 
-(* ------------------------------------------------------------------ *)
-(* Lazy pipelines                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_pipeline_laziness () =
-  (* the map function must not run until materialize *)
-  let runs = ref 0 in
-  let p =
-    Pipeline.of_entries ~name:"p" ~dims:[| 4 |]
-      [ ([| 0 |], 1.0); ([| 2 |], 2.0) ]
-    |> Pipeline.map ~f:(fun _ v ->
-           incr runs;
-           v *. 10.0)
-  in
-  Alcotest.(check int) "not evaluated yet" 0 !runs;
-  Alcotest.(check int) "one recorded op" 1 (Pipeline.recorded_ops p);
-  let a = Pipeline.materialize ~default:0.0 p in
-  Alcotest.(check int) "evaluated once per entry" 2 !runs;
-  Alcotest.(check (float 0.0)) "mapped" 20.0 (Dist_array.get a [| 2 |])
-
-let test_pipeline_fusion_single_pass () =
-  (* chained maps fuse: each entry visits the chain exactly once *)
-  let first = ref 0 and second = ref 0 in
-  let p =
-    Pipeline.of_entries ~name:"p" ~dims:[| 3 |]
-      [ ([| 0 |], 1.0); ([| 1 |], 2.0); ([| 2 |], 3.0) ]
-    |> Pipeline.map ~f:(fun _ v ->
-           incr first;
-           v +. 1.0)
-    |> Pipeline.map ~f:(fun _ v ->
-           incr second;
-           v *. 2.0)
-  in
-  let a = Pipeline.materialize ~default:0.0 p in
-  Alcotest.(check int) "first ran 3x" 3 !first;
-  Alcotest.(check int) "second ran 3x" 3 !second;
-  Alcotest.(check (float 0.0)) "composed" 8.0 (Dist_array.get a [| 2 |])
-
-let test_pipeline_filter () =
-  let p =
-    Pipeline.of_entries ~name:"p" ~dims:[| 10 |]
-      (List.init 10 (fun i -> ([| i |], float_of_int i)))
-    |> Pipeline.filter ~f:(fun _ v -> v >= 5.0)
-    |> Pipeline.map ~f:(fun _ v -> v *. 2.0)
-  in
-  let a = Pipeline.materialize ~default:0.0 p in
-  Alcotest.(check int) "filtered count" 5 (Dist_array.count a);
-  Alcotest.(check (float 0.0)) "kept and mapped" 18.0 (Dist_array.get a [| 9 |])
-
-let test_pipeline_text_file () =
-  let path = Filename.temp_file "orion" ".txt" in
-  let oc = open_out path in
-  output_string oc "0 1.5
-1 -2.0
-2 3.0
-";
-  close_out oc;
-  let parse_line line =
-    match String.split_on_char ' ' (String.trim line) with
-    | [ i; v ] -> Some ([| int_of_string i |], float_of_string v)
-    | _ -> None
-  in
-  let a =
-    Pipeline.text_file ~name:"t" ~dims:[| 3 |] ~parse_line path
-    |> Pipeline.filter ~f:(fun _ v -> v > 0.0)
-    |> Pipeline.map ~f:(fun key v -> v +. float_of_int key.(0))
-    |> Pipeline.materialize ~default:0.0
-  in
-  Sys.remove path;
-  Alcotest.(check int) "two survive" 2 (Dist_array.count a);
-  Alcotest.(check (float 0.0)) "keyed map" 5.0 (Dist_array.get a [| 2 |])
-
-let test_pipeline_of_dist_array () =
-  let base = Dist_array.fill_dense ~name:"b" ~dims:[| 2; 2 |] 3.0 in
-  let a =
-    Pipeline.of_dist_array base
-    |> Pipeline.map ~f:(fun _ v -> v *. v)
-    |> Pipeline.materialize ~default:0.0
-  in
-  Alcotest.(check (float 0.0)) "squared" 9.0 (Dist_array.get a [| 1; 1 |])
-
-let test_pipeline_fusion_law_qcheck () =
-  (* materialize (map f (map g p)) = materialize (map (f . g) p) *)
-  QCheck.Test.make ~count:200 ~name:"pipeline map fusion law"
-    QCheck.(list_of_size (Gen.int_range 1 20) (float_range (-100.0) 100.0))
-    (fun values ->
-      let entries = List.mapi (fun i v -> ([| i |], v)) values in
-      let dims = [| List.length values |] in
-      let f _ v = (v *. 2.0) +. 1.0 and g _ v = v -. 3.0 in
-      let chained =
-        Pipeline.of_entries ~name:"p" ~dims entries
-        |> Pipeline.map ~f:g |> Pipeline.map ~f
-        |> Pipeline.materialize ~default:0.0
-      in
-      let composed =
-        Pipeline.of_entries ~name:"p" ~dims entries
-        |> Pipeline.map ~f:(fun k v -> f k (g k v))
-        |> Pipeline.materialize ~default:0.0
-      in
-      Dist_array.entries chained = Dist_array.entries composed)
-
 let test_group_by_partitions_entries_qcheck () =
   QCheck.Test.make ~count:200 ~name:"group_by partitions the entries"
     QCheck.(
@@ -647,42 +546,6 @@ let test_accumulator_nonneutral_init () =
   Alcotest.(check (float 0.0)) "max aggregate" 7.0
     (Accumulator.aggregated m ~op:max)
 
-let test_pipeline_rejects_bad_keys () =
-  (* a malformed source entry fails at materialize with a message
-     naming the pipeline, key and dims — not later inside the
-     partitioner *)
-  let expect_invalid msg p =
-    Alcotest.check_raises "materialize rejects" (Invalid_argument msg)
-      (fun () -> ignore (Pipeline.materialize ~default:0.0 p))
-  in
-  expect_invalid
-    "Pipeline.materialize(oob): key (3, 99) out of bounds for declared dims \
-     10x5"
-    (Pipeline.of_entries ~name:"oob" ~dims:[| 10; 5 |]
-       [ ([| 0; 0 |], 1.0); ([| 3; 99 |], 2.0) ]);
-  expect_invalid
-    "Pipeline.materialize(neg): key (-1) out of bounds for declared dims 4"
-    (Pipeline.of_entries ~name:"neg" ~dims:[| 4 |] [ ([| -1 |], 1.0) ]);
-  expect_invalid
-    "Pipeline.materialize(arity): key (1, 2) out of bounds for declared dims 4"
-    (Pipeline.of_entries ~name:"arity" ~dims:[| 4 |] [ ([| 1; 2 |], 1.0) ]);
-  (* a parser emitting out-of-range keys is caught too *)
-  let path = Filename.temp_file "orion_pipe" ".txt" in
-  let oc = open_out path in
-  output_string oc "0 1.0\n9 2.0\n";
-  close_out oc;
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      expect_invalid
-        "Pipeline.materialize(t): key (9) out of bounds for declared dims 3"
-        (Pipeline.text_file ~name:"t" ~dims:[| 3 |]
-           ~parse_line:(fun line ->
-             match String.split_on_char ' ' line with
-             | [ k; v ] -> Some ([| int_of_string k |], float_of_string v)
-             | _ -> None)
-           path))
-
 (* ------------------------------------------------------------------ *)
 (* Parameter server                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -774,16 +637,6 @@ let () =
           qc (test_qcheck_sparse_store_model ());
           qc (test_qcheck_sorted_keys ());
           qc (test_qcheck_float_view ());
-        ] );
-      ( "pipeline",
-        [
-          tc "laziness" `Quick test_pipeline_laziness;
-          tc "fusion single pass" `Quick test_pipeline_fusion_single_pass;
-          tc "filter" `Quick test_pipeline_filter;
-          tc "text file" `Quick test_pipeline_text_file;
-          tc "of dist array" `Quick test_pipeline_of_dist_array;
-          tc "rejects bad keys" `Quick test_pipeline_rejects_bad_keys;
-          qc (test_pipeline_fusion_law_qcheck ());
           qc (test_group_by_partitions_entries_qcheck ());
         ] );
       ( "partitioner",

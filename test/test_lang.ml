@@ -1062,9 +1062,10 @@ let outcome_to_string = function
   | Ok () -> "ok"
   | Error msg -> "error: " ^ msg
 
-(* Run [body] over keys 1..kernel_len interpreted and compiled, and
-   demand identical observable behavior: same exception (or none), same
-   final array contents bitwise, same leaked locals, same RNG state. *)
+(* Run [body] over keys 1..kernel_len interpreted and compiled (one
+   block of all the keys), and demand identical observable behavior:
+   same exception (or none), same final array contents bitwise, same
+   leaked locals, same RNG state. *)
 let check_compiled_matches_interpreted body_src =
   let body = parse body_src in
   let keys = Array.init kernel_len (fun i -> [| i + 1 |]) in
@@ -1096,9 +1097,9 @@ let check_compiled_matches_interpreted body_src =
   in
   let outcome_c =
     try
-      Array.iteri
-        (fun i key -> Compile.run_float kernel ~key floats i)
-        keys;
+      Compile.run_floats kernel ~dims:[| kernel_len + 1 |] ~strides:[| 1 |]
+        (Array.map (fun key -> key.(0)) keys)
+        floats;
       Ok ()
     with
     | Interp.Runtime_error m -> Error ("runtime: " ^ m)
@@ -1405,36 +1406,31 @@ let observe env w kernel ~locals run =
             (Array.map (fun (_, x) -> float_bits x) (Dist_array.entries w))))
   :: List.map (fun n -> n ^ " " ^ value_bits (Interp.var_opt env n)) locals
 
-(* Everything one side of a differential run shows, and (when
-   [hooked]) every access the hook saw. *)
-let run_vector_kernel ~compiled ~hooked body =
+(* Everything one side of a differential run over keys [c] of W's
+   columns shows; the kernel runs them as one block. *)
+let run_vector_kernel ~compiled body =
   let env, w = make_vec_env () in
-  let log = if hooked then log_accesses env else ref [] in
   let kernel = vector_kernel ~compiled env body in
-  let step key value =
-    match kernel with
-    | Some k -> Compile.run_float k ~key [| Value.to_float value |] 0
-    | None ->
-        Interp.eval_body_for env ~key_var:"key" ~value_var:"v" ~key ~value
-          body
-  in
+  let values = Array.init vec_cols (fun c -> 0.75 +. (0.5 *. float_of_int c)) in
   String.concat "\n"
     (observe env w kernel ~locals:[ "a"; "b"; "t" ] (fun () ->
-         for c = 0 to vec_cols - 1 do
-           step [| c |] (Value.Vfloat (0.75 +. (0.5 *. float_of_int c)))
-         done)
-    @ List.rev !log)
+         match kernel with
+         | Some k ->
+             Compile.run_floats k ~dims:[| vec_cols |] ~strides:[| 1 |]
+               (Array.init vec_cols Fun.id) values
+         | None ->
+             Array.iteri
+               (fun c x ->
+                 Interp.eval_body_for env ~key_var:"key" ~value_var:"v"
+                   ~key:[| c |] ~value:(Value.Vfloat x) body)
+               values))
 
 let check_vector_kernel body_src =
   let body = parse body_src in
-  List.iter
-    (fun hooked ->
-      Alcotest.(check string)
-        (Printf.sprintf "compiled = interpreted (hooked %b) for:\n%s" hooked
-           body_src)
-        (run_vector_kernel ~compiled:false ~hooked body)
-        (run_vector_kernel ~compiled:true ~hooked body))
-    [ false; true ]
+  Alcotest.(check string)
+    (Printf.sprintf "compiled = interpreted for:\n%s" body_src)
+    (run_vector_kernel ~compiled:false body)
+    (run_vector_kernel ~compiled:true body)
 
 let vector_prelude = "k = key[1]\nj = (k % 5) + 1\na = W[:, k]\nb = a * 1.0\nt = v"
 
@@ -1471,6 +1467,12 @@ let test_compile_vector_bodies () =
       "a = W[2:3, k]\nb = a + b";
       "t = dot(b, W[2:3, k])";
       "t = dot(W[1:1, k], b)";
+      (* a key with fewer components than the body reads: the read of
+         [key[2]] raises as the interpreter's does, after the same
+         writes, in a statement run as one closure or a generic one *)
+      "W[1, k] = t\nb = W[:, key[2]]";
+      "W[2, k] = v\nW[key[2], k] += v";
+      "W[3, j] = v\nt = float(key[2])";
       (* NaNs of both signs meet in one multiply: 0/0 makes a negative
          NaN, negating it a positive one, and [t * a] multiplies the
          two, where the surviving sign follows the operand order *)
@@ -1480,6 +1482,111 @@ let test_compile_vector_bodies () =
        t = dot(W[1:3, j], -a)\n\
        t = dot((v * W[:, j]), (t * a))";
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Hooks belong to the interpreter                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* attach a profile or an access hook to [env] *)
+let attach hook (env : Interp.env) =
+  match hook with
+  | `Profile -> env.Interp.profile <- Some (Profile.create ())
+  | `Access -> ignore (log_accesses env)
+
+let hooks = [ (`Profile, "profile"); (`Access, "access hook") ]
+
+(* no kernel is compiled for an environment a hook observes *)
+let test_hooked_env_does_not_compile () =
+  let body = parse (vector_prelude ^ "\nW[:, k] = a") in
+  List.iter
+    (fun (hook, name) ->
+      let env, _ = make_vec_env () in
+      attach hook env;
+      Alcotest.(check bool)
+        (name ^ ": compile_body returns None")
+        true
+        (Option.is_none
+           (Compile.compile_body env ~value_float:true ~key_var:"key"
+              ~value_var:"v" body)))
+    hooks
+
+(* a kernel whose environment gains a hook after compiling refuses to
+   run, rather than run unobserved *)
+let test_hook_after_compile_refuses () =
+  let body = parse (vector_prelude ^ "\nW[:, k] = a") in
+  let refuses what f =
+    match f () with
+    | () -> Alcotest.failf "%s ran with a hook attached" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (hook, name) ->
+      let kernel ~value_float =
+        let env, _ = make_vec_env () in
+        match
+          Compile.compile_body env ~value_float ~key_var:"key" ~value_var:"v"
+            body
+        with
+        | Some k ->
+            attach hook env;
+            k
+        | None -> Alcotest.fail "body did not compile"
+      in
+      let k = kernel ~value_float:true in
+      refuses ("run_floats, " ^ name) (fun () ->
+          Compile.run_floats k ~dims:[| vec_cols |] ~strides:[| 1 |] [| 0 |]
+            [| 1.0 |]);
+      let k = kernel ~value_float:false in
+      refuses ("run, " ^ name) (fun () ->
+          Compile.run k ~key:[| 0 |] ~value:(Value.Vfloat 1.0)))
+    hooks
+
+(* over a hooked environment [Engine.loop_body] compiles no kernel, and
+   its body is the interpreter's: the same accesses in the same order,
+   and the same arrays bitwise *)
+let test_loop_body_hooked_interprets () =
+  let module Schedule = Orion.Schedule in
+  let run ~engine =
+    let inst =
+      match
+        Orion_apps.Registry.materialize "mf" ~scale:1.0 ~num_machines:1
+          ~workers_per_machine:1
+      with
+      | Some i -> i
+      | None -> Alcotest.fail "no mf app"
+    in
+    let env = inst.Orion.App.inst_env in
+    let log = log_accesses env in
+    let body =
+      if engine then
+        match Orion.Engine.loop_body inst env with
+        | None, body -> body
+        | Some _, _ -> Alcotest.fail "a kernel was compiled over a hooked env"
+      else
+        Schedule.boxed_body (fun ~key ~value ->
+            Interp.eval_body_for env ~key_var:inst.Orion.App.inst_key_var
+              ~value_var:inst.Orion.App.inst_value_var ~key ~value
+              inst.Orion.App.inst_body)
+    in
+    let session = inst.Orion.App.inst_session in
+    let plan = Orion.analyze_loop session inst.Orion.App.inst_loop in
+    let sched =
+      (Orion.compile session ~plan ~iter:inst.Orion.App.inst_iter ())
+        .Orion.schedule
+    in
+    Array.iter (Array.iter (Schedule.run_block body)) sched.Schedule.blocks;
+    List.rev !log
+    @ List.concat_map
+        (fun (_, a) ->
+          Array.to_list
+            (Array.map (fun (_, x) -> float_bits x) (Dist_array.entries a)))
+        inst.Orion.App.inst_outputs
+  in
+  let interpreted = run ~engine:false in
+  Alcotest.(check bool) "the hook saw accesses" true
+    (List.exists (fun l -> String.length l > 0 && l.[0] = 'W') interpreted);
+  Alcotest.(check (list string))
+    "loop_body = interpreter" interpreted (run ~engine:true)
 
 (* random vector bodies over W's slices, the locals a/b and the scalar
    t: every vector shape the compiler handles, out-of-range and
@@ -1620,20 +1727,9 @@ let block_values =
       0.75 +. (0.5 *. float_of_int (lin mod 7)) -. (0.25 *. float_of_int (lin / 5)))
     block_keys
 
-(* Everything one side of a block run shows, with the leaked key, and
-   what an attached hook saw: the access log, or the profile's line
-   hits and array counts. *)
-let run_block_kernel ~compiled ~hook body =
+(* Everything one side of a block run shows, with the leaked key. *)
+let run_block_kernel ~compiled body =
   let env, w = make_vec_env () in
-  let profile = Profile.create () in
-  let log =
-    match hook with
-    | `None -> ref []
-    | `Access -> log_accesses env
-    | `Profile ->
-        env.Interp.profile <- Some profile;
-        ref []
-  in
   let kernel = vector_kernel ~compiled env body in
   let run () =
     match kernel with
@@ -1653,24 +1749,14 @@ let run_block_kernel ~compiled ~hook body =
           block_keys
   in
   String.concat "\n"
-    (observe env w kernel ~locals:[ "a"; "b"; "t"; "n"; "kk"; "key" ] run
-    @ List.rev !log
-    @ List.map
-        (fun (line, hits, _) -> Printf.sprintf "line %d: %d" line hits)
-        (Profile.line_stats profile)
-    @ List.map
-        (fun (name, r, w) -> Printf.sprintf "%s: %d reads %d writes" name r w)
-        (Profile.array_stats profile))
+    (observe env w kernel ~locals:[ "a"; "b"; "t"; "n"; "kk"; "key" ] run)
 
 let check_block_kernel body_src =
   let body = parse body_src in
-  List.iter
-    (fun (hook, name) ->
-      Alcotest.(check string)
-        (Printf.sprintf "block kernel = interpreter (%s) for:\n%s" name body_src)
-        (run_block_kernel ~compiled:false ~hook body)
-        (run_block_kernel ~compiled:true ~hook body))
-    [ (`None, "no hook"); (`Access, "access hook"); (`Profile, "profile") ]
+  Alcotest.(check string)
+    (Printf.sprintf "block kernel = interpreter for:\n%s" body_src)
+    (run_block_kernel ~compiled:false body)
+    (run_block_kernel ~compiled:true body)
 
 let block_prelude =
   "r = key[1]\nk = key[2] + 1\nj = (k % 5) + 1\na = W[:, k]\nb = a * 1.0\nt = v"
@@ -1761,12 +1847,11 @@ let test_block_kernel_random_qcheck () =
       true)
 
 (* Minor words a compiled kernel allocates per entry over one pass of
-   [keys], after a warm-up pass (which sizes every scratch buffer).
-   The keys and values exist beforehand, so only the kernel counts. *)
-let kernel_words_per_entry kernel keys values =
-  let pass () =
-    Array.iteri (fun i key -> Compile.run_float kernel ~key values i) keys
-  in
+   [keys] (linearized against [dims]) as one block, after a warm-up pass
+   (which sizes every scratch buffer).  The keys and values exist
+   beforehand, so only the kernel counts. *)
+let kernel_words_per_entry kernel ~dims ~strides keys values =
+  let pass () = Compile.run_floats kernel ~dims ~strides keys values in
   pass ();
   let w0 = Gc.minor_words () in
   pass ();
@@ -1853,11 +1938,11 @@ let test_scalar_kernel_allocation () =
     | Some k -> k
     | None -> Alcotest.fail "lda-shaped body did not compile"
   in
-  let keys =
-    Array.init (docs * words) (fun i -> [| i / words; i mod words |])
-  in
   let per_entry =
-    kernel_words_per_entry kernel keys (Array.make (docs * words) 1.0)
+    kernel_words_per_entry kernel ~dims:[| docs; words |]
+      ~strides:[| words; 1 |]
+      (Array.init (docs * words) Fun.id)
+      (Array.make (docs * words) 1.0)
   in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f minor words per entry <= 4" per_entry)
@@ -1923,25 +2008,23 @@ let test_index_written_array_takes_fast_path () =
         Interp.set_var env (Dist_array.name a)
           (Value.Vextern (if compiled then counted ex else ex)))
       [ dt; wt; tt ];
-    let step =
-      if compiled then
-        match
-          Compile.compile_body env ~value_float:true ~key_var:"key"
-            ~value_var:"cnt" body
-        with
-        | Some k ->
-            fun key value ->
-              Compile.run_float k ~key [| Value.to_float value |] 0
-        | None -> Alcotest.fail "lda-shaped body did not compile"
-      else fun key value ->
-        Interp.eval_body_for env ~key_var:"key" ~value_var:"cnt" ~key ~value
-          body
-    in
-    for d = 0 to docs - 1 do
-      for w = 0 to words - 1 do
-        step [| d; w |] (Value.Vfloat 1.0)
-      done
-    done;
+    (if compiled then
+       match
+         Compile.compile_body env ~value_float:true ~key_var:"key"
+           ~value_var:"cnt" body
+       with
+       | Some k ->
+           Compile.run_floats k ~dims:[| docs; words |] ~strides:[| words; 1 |]
+             (Array.init (docs * words) Fun.id)
+             (Array.make (docs * words) 1.0)
+       | None -> Alcotest.fail "lda-shaped body did not compile"
+     else
+       for d = 0 to docs - 1 do
+         for w = 0 to words - 1 do
+           Interp.eval_body_for env ~key_var:"key" ~value_var:"cnt"
+             ~key:[| d; w |] ~value:(Value.Vfloat 1.0) body
+         done
+       done);
     List.concat_map
       (fun a -> Array.to_list (Array.map (fun (_, x) -> float_bits x) (Dist_array.entries a)))
       [ dt; wt; tt ]
@@ -2039,6 +2122,12 @@ let () =
           tc "dot length mismatch positioned" `Quick
             test_dot_length_mismatch_positioned;
           tc "vector bodies" `Quick test_compile_vector_bodies;
+          tc "hooked env does not compile" `Quick
+            test_hooked_env_does_not_compile;
+          tc "hook after compile refuses to run" `Quick
+            test_hook_after_compile_refuses;
+          tc "loop_body over a hooked env interprets" `Quick
+            test_loop_body_hooked_interprets;
           qc (test_compile_random_vector_bodies_qcheck ());
           tc "block kernel bodies" `Quick test_block_kernel_bodies;
           qc (test_block_kernel_random_qcheck ());
