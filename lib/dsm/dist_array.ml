@@ -35,7 +35,7 @@ module Lin_table = struct
 
   let length t = t.size
 
-  let hash k =
+  let[@inline] hash k =
     let k = (k lxor (k lsr 31)) * 0x3F58476D1CE4E5B9 in
     let k = (k lxor (k lsr 29)) * 0x14D049BB133111EB in
     k lxor (k lsr 32)
@@ -60,38 +60,46 @@ module Lin_table = struct
 
   let mem t k = k <> free && Array.unsafe_get t.keys (slot t.keys k) = k
 
+  (* Values move with a one-element [Array.blit], which copies a float
+     array's cell as raw bits: [Array.unsafe_get] on an array of
+     unknown element type would box every float it moves. *)
   let grow t =
     let keys = t.keys and values = t.values in
     let n = 2 * Array.length keys in
     t.keys <- Array.make n free;
     t.values <- Array.make n t.fill;
-    Array.iteri
-      (fun j k ->
-        if k <> free then begin
-          let i = slot t.keys k in
-          Array.unsafe_set t.keys i k;
-          Array.unsafe_set t.values i (Array.unsafe_get values j)
-        end)
-      keys
+    for j = 0 to Array.length keys - 1 do
+      let k = Array.unsafe_get keys j in
+      if k <> free then begin
+        let i = slot t.keys k in
+        Array.unsafe_set t.keys i k;
+        Array.blit values j t.values i 1
+      end
+    done
 
-  (* store [v] at [k]; true when [k] was not stored before *)
-  let rec replace t k v =
+  (* The slot that stores [k], claimed (holding [fill]) when [k] is
+     new: the one place a store probes and the table grows.  A caller
+     that knows the element type writes [values.(slot)] unboxed. *)
+  let rec insert t k =
     if k < 0 then invalid_arg "Dist_array: negative linearized key";
     let i = slot t.keys k in
-    if Array.unsafe_get t.keys i = k then begin
-      Array.unsafe_set t.values i v;
-      false
-    end
+    if Array.unsafe_get t.keys i = k then i
     else if 2 * (t.size + 1) > Array.length t.keys then begin
       grow t;
-      replace t k v
+      insert t k
     end
     else begin
       Array.unsafe_set t.keys i k;
-      Array.unsafe_set t.values i v;
       t.size <- t.size + 1;
-      true
+      i
     end
+
+  (* store [v] at [k]; true when [k] was not stored before *)
+  let replace t k v =
+    let size = t.size in
+    let i = insert t k in
+    Array.unsafe_set t.values i v;
+    t.size <> size
 
   (* storage order, not key order *)
   let iter f t =
@@ -332,18 +340,40 @@ let check_sparse_insert t lin =
              section (pre-populate sparse keys before running in parallel)"
             t.name lin))
 
-(* Store at an in-range linearized key.  Outside a parallel section
-   this is one table operation, which reports whether the key was new
-   (invalidating the sorted-key cache).  Inside one, a new key is
-   refused before the table is touched. *)
+(* The index of [slot_values t] that stores in-range linearized key
+   [lin]: the key itself for dense storage; for a sparse table, its
+   slot, inserted (holding the default) when new.  Outside a parallel
+   section this is one table operation, and a new key invalidates the
+   sorted-key cache.  Inside one, a new key is refused before the table
+   is touched. *)
+let[@inline] slot_in : type a. a t -> int -> int =
+ fun t lin ->
+  match t.storage with
+  | Dense _ -> lin
+  | Sparse s ->
+      if Atomic.get parallel_mode && not (Lin_table.mem s.table lin) then
+        check_sparse_insert t lin;
+      let size = Lin_table.length s.table in
+      let i = Lin_table.insert s.table lin in
+      if Lin_table.length s.table <> size then s.order <- None;
+      i
+  | Floats _ -> read_only t
+
+let slot_values : type a. a t -> a array =
+ fun t ->
+  match t.storage with
+  | Dense d -> d
+  | Sparse s -> s.table.Lin_table.values
+  | Floats _ -> read_only t
+
+(* store at an in-range linearized key *)
 let replace_lin : type a. a t -> int -> a -> unit =
  fun t lin v ->
   match t.storage with
   | Dense d -> d.(lin) <- v
   | Sparse s ->
-      if Atomic.get parallel_mode && not (Lin_table.mem s.table lin) then
-        check_sparse_insert t lin;
-      if Lin_table.replace s.table lin v then s.order <- None
+      let i = slot_in t lin in
+      Array.unsafe_set s.table.Lin_table.values i v
   | Floats _ -> read_only t
 
 (* refuse a write to a view before any entry is looked at, so that even
@@ -354,12 +384,19 @@ let writable : type a. a t -> unit =
 
 let set t key v = replace_lin t (linearize t key) v
 
-let set_lin t lin v =
+let[@inline] check_lin t lin =
   if lin < 0 || lin >= t.strides.(0) * t.dims.(0) then
     raise
       (Out_of_bounds
-         (Printf.sprintf "%s: linearized key %d out of bounds" t.name lin));
+         (Printf.sprintf "%s: linearized key %d out of bounds" t.name lin))
+
+let set_lin t lin v =
+  check_lin t lin;
   replace_lin t lin v
+
+let slot_lin t lin =
+  check_lin t lin;
+  slot_in t lin
 
 let rec find_lin : type a. a t -> int -> a =
  fun t lin ->

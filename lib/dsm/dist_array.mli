@@ -117,6 +117,20 @@ val update : 'a t -> int array -> ('a -> 'a) -> unit
     @raise Out_of_bounds when [lin] is outside the array. *)
 val set_lin : 'a t -> int -> 'a -> unit
 
+(** [set_lin] in two steps, for a caller that writes the value itself:
+    [slot_lin t lin] is the index of [slot_values t] that stores [lin]
+    (the key itself for dense storage; a sparse table inserts a new key
+    holding the default), under [set_lin]'s rules.  A sparse table's
+    array is replaced when it grows, so take [slot_values] after the
+    [slot_lin] it indexes.  On a [float t], a value written there by
+    code that knows the type is stored unboxed, which is how
+    [lib/store]'s loaders insert records without allocating.
+    @raise Out_of_bounds when [lin] is outside the array.
+    @raise Read_only on a {!float_view}. *)
+val slot_lin : 'a t -> int -> int
+
+val slot_values : 'a t -> 'a array
+
 (** The stored value at a linearized key.
     @raise Not_found when no entry is stored there. *)
 val find_lin : 'a t -> int -> 'a

@@ -1,6 +1,7 @@
 (** CRC-32 (IEEE 802.3, the zlib/PNG polynomial), computed incrementally
     so shard writers and readers can checksum streams without buffering
-    them.  Self-contained — no external compression library. *)
+    them.  The byte loop is a C stub (slicing-by-8) that allocates
+    nothing; it is self-contained — no external compression library. *)
 
 type t
 

@@ -3,6 +3,7 @@
    contract. *)
 
 module Rng = Orion_data.Rng
+module Dist_array = Orion_dsm.Dist_array
 
 type spec =
   | Ratings of {
@@ -76,25 +77,57 @@ let spec_kind = function
 (* Record codecs                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let bad path what =
-  raise (Shard.Corrupt { path; offset = 0; reason = "undecodable " ^ what ^ " record" })
+let bad ~path ~offset what =
+  raise
+    (Shard.Corrupt { path; offset; reason = "undecodable " ^ what ^ " record" })
+
+let key_outside ~path ~offset what i size =
+  raise
+    (Shard.Corrupt
+       {
+         path;
+         offset;
+         reason = Printf.sprintf "record %s %d outside [0, %d)" what i size;
+       })
+
+let[@inline] check_key ~path ~offset what i size =
+  if i < 0 || i >= size then key_outside ~path ~offset what i size
 
 type rating = { r_user : int; r_item : int; r_value : float }
 
-let encode_rating r =
-  let b = Bytes.create 16 in
-  Bytes.set_int32_le b 0 (Int32.of_int r.r_user);
-  Bytes.set_int32_le b 4 (Int32.of_int r.r_item);
-  Bytes.set_int64_le b 8 (Int64.bits_of_float r.r_value);
+(* ratings and tokens share one layout: two u32 key components, then
+   the f64 value *)
+let pair_len = 16
+
+let encode_pair first second v =
+  let b = Bytes.create pair_len in
+  Bytes.set_int32_le b 0 (Int32.of_int first);
+  Bytes.set_int32_le b 4 (Int32.of_int second);
+  Bytes.set_int64_le b 8 (Int64.bits_of_float v);
   b
 
-let decode_rating ~path b ~pos ~len =
-  if len <> 16 then bad path "rating";
-  {
-    r_user = Int32.to_int (Bytes.get_int32_le b pos);
-    r_item = Int32.to_int (Bytes.get_int32_le b (pos + 4));
-    r_value = Int64.float_of_bits (Bytes.get_int64_le b (pos + 8));
-  }
+let encode_rating r = encode_pair r.r_user r.r_item r.r_value
+
+(* Each record is read where the reader holds it, and its value goes
+   straight into the float table's slot: no record, no boxed float,
+   and no call per field, since a call makes the loop spill every live
+   value around it (the default build is [-opaque], so no other
+   module's function is inlined here). *)
+let read_pairs path ~what ~first ~second (arr : float Dist_array.t) =
+  let dims = Dist_array.dims arr in
+  let rows = dims.(0) and cols = dims.(1) in
+  let total = ref 0 in
+  Shard.iter path ~f:(fun offset b ~pos ~len ->
+      if len <> pair_len then bad ~path ~offset what;
+      let i = Int32.to_int (Bytes.get_int32_le b pos) in
+      let j = Int32.to_int (Bytes.get_int32_le b (pos + 4)) in
+      check_key ~path ~offset first i rows;
+      check_key ~path ~offset second j cols;
+      let slot = Dist_array.slot_lin arr ((i * cols) + j) in
+      let values = Dist_array.slot_values arr in
+      values.(slot) <- Int64.float_of_bits (Bytes.get_int64_le b (pos + 8));
+      total := !total + int_of_float values.(slot));
+  !total
 
 type sample = {
   fs_index : int;
@@ -119,10 +152,10 @@ let encode_sample s =
     s.fs_features;
   b
 
-let decode_sample ~path b ~pos ~len =
-  if len < 16 then bad path "sample";
+let decode_sample ~path ~offset b ~pos ~len =
+  if len < 16 then bad ~path ~offset "sample";
   let n = Int32.to_int (Bytes.get_int32_le b (pos + 12)) in
-  if n < 0 || len <> 16 + (12 * n) then bad path "sample";
+  if n < 0 || len <> 16 + (12 * n) then bad ~path ~offset "sample";
   {
     fs_index = Int32.to_int (Bytes.get_int32_le b pos);
     fs_label = Int64.float_of_bits (Bytes.get_int64_le b (pos + 4));
@@ -136,20 +169,7 @@ let decode_sample ~path b ~pos ~len =
 
 type token = { tk_doc : int; tk_word : int; tk_count : float }
 
-let encode_token t =
-  let b = Bytes.create 16 in
-  Bytes.set_int32_le b 0 (Int32.of_int t.tk_doc);
-  Bytes.set_int32_le b 4 (Int32.of_int t.tk_word);
-  Bytes.set_int64_le b 8 (Int64.bits_of_float t.tk_count);
-  b
-
-let decode_token ~path b ~pos ~len =
-  if len <> 16 then bad path "token";
-  {
-    tk_doc = Int32.to_int (Bytes.get_int32_le b pos);
-    tk_word = Int32.to_int (Bytes.get_int32_le b (pos + 4));
-    tk_count = Int64.float_of_bits (Bytes.get_int64_le b (pos + 8));
-  }
+let encode_token t = encode_pair t.tk_doc t.tk_word t.tk_count
 
 (* ------------------------------------------------------------------ *)
 (* Stateless planted structure                                         *)
@@ -220,8 +240,7 @@ let generate_shard ~dir ~seed ~shards ~shard:k spec =
                    *. hash_gaussian ~seed:(seed lxor 0x5EED2) ~index:((r * num_items) + i)
             done;
             let value = (scale *. !v) +. (noise *. Rng.gaussian rng) in
-            Shard.write_record w
-              (encode_rating { r_user = u; r_item = i; r_value = value })
+            Shard.write_record w (encode_pair u i value)
           done;
           Shard.close_writer w)
   | Features { num_samples; num_features; nnz_per_sample; skew; noise } ->
@@ -314,9 +333,7 @@ let generate_shard ~dir ~seed ~shards ~shard:k spec =
             Hashtbl.fold (fun wd c acc -> (wd, c) :: acc) counts []
             |> List.sort compare
             |> List.iter (fun (wd, c) ->
-                   Shard.write_record w
-                     (encode_token
-                        { tk_doc = d; tk_word = wd; tk_count = float_of_int c }))
+                   Shard.write_record w (encode_pair d wd (float_of_int c)))
           done;
           Shard.close_writer w)
 

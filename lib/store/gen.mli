@@ -53,13 +53,13 @@ val schema_of_spec : spec -> string
 val spec_kind : spec -> string
 
 (** {1 Record codecs} (fixed little-endian layouts, bitwise stable).
-    Each decoder reads the record [b.\[pos, pos + len)] and raises
-    {!Shard.Corrupt} when it is not well-formed. *)
+    A reader takes the record [b.\[pos, pos + len)] and raises
+    {!Shard.Corrupt} at [offset], the record's byte offset in [path],
+    when it is not well-formed. *)
 
 type rating = { r_user : int; r_item : int; r_value : float }
 
 val encode_rating : rating -> bytes
-val decode_rating : path:string -> bytes -> pos:int -> len:int -> rating
 
 type sample = {
   fs_index : int;  (** global sample index *)
@@ -69,12 +69,41 @@ type sample = {
 }
 
 val encode_sample : sample -> bytes
-val decode_sample : path:string -> bytes -> pos:int -> len:int -> sample
+
+val decode_sample :
+  path:string -> offset:int -> bytes -> pos:int -> len:int -> sample
 
 type token = { tk_doc : int; tk_word : int; tk_count : float }
 
 val encode_token : token -> bytes
-val decode_token : path:string -> bytes -> pos:int -> len:int -> token
+
+(** {2 Ratings and tokens, read in place}
+
+    A rating and a token are one 16-byte layout: two u32 key components
+    (user and item, or doc and word), then the f64 value. *)
+
+(** [read_pairs path ~what ~first ~second arr] streams the rating or
+    token records of shard [path] into the float table [arr], whose two
+    dims are named [first] and [second] (e.g. ["user"] and ["item"]):
+    each record's value is stored at its linearized key, last write
+    winning, read where the shard reader holds it, with no record built
+    and no float boxed.  Returns the sum of the values' integer parts
+    (a corpus' token count).
+    @raise Shard.Corrupt at a record's offset when it is not 16 bytes
+    ([what] names the record) or a key component lies outside [arr]'s
+    dims, and as {!Shard.iter} raises on a damaged shard *)
+val read_pairs :
+  string ->
+  what:string ->
+  first:string ->
+  second:string ->
+  float Orion_dsm.Dist_array.t ->
+  int
+
+(** [check_key ~path ~offset what i size] accepts a record's key
+    component [i] in [\[0, size)].
+    @raise Shard.Corrupt at [offset] naming [what] otherwise *)
+val check_key : path:string -> offset:int -> string -> int -> int -> unit
 
 (** {1 Generation} *)
 

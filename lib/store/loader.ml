@@ -1,8 +1,9 @@
 (* Shard directory -> in-memory dataset, streaming: each record is
-   decoded and stored at its linearized key in the target Dist_array as
-   it comes off the reader, one table operation per record.  With
-   [~records:false] only the shard headers are read: the dataset comes
-   back at its dimensions, with no entries. *)
+   read where the shard reader holds it and stored at its linearized
+   key in the target Dist_array, one table operation per record;
+   ratings and tokens with no allocation at all ([Gen.read_pairs]).
+   With [~records:false] only the shard headers are read: the dataset
+   comes back at its dimensions, with no entries. *)
 
 open Orion_dsm
 
@@ -43,15 +44,16 @@ let open_dataset dir ~schema ~keys =
     paths headers;
   (paths, fun key -> List.assoc key values)
 
-(* a record's key component [i] must lie in [0, size); [offset] is the
-   record's position in its shard, for the error *)
-let check_index ~path ~offset what i size =
-  if i < 0 || i >= size then
-    corrupt ~offset path "record %s %d outside [0, %d)" what i size
-
 (* stream every shard's records through [f path offset buf ~pos ~len] *)
 let each_record paths f =
   List.iter (fun path -> Shard.iter path ~f:(f path)) paths
+
+(* every rating or token record of [paths] into the float table [arr]
+   ({!Gen.read_pairs}); the sum of the values' integer parts *)
+let load_pairs paths ~what ~first ~second arr =
+  List.fold_left
+    (fun total path -> total + Gen.read_pairs path ~what ~first ~second arr)
+    0 paths
 
 let dataset_count dir =
   Shard.dataset_headers dir
@@ -67,13 +69,8 @@ let ratings ?(records = true) dir =
       ~default:0.0
   in
   if records then
-    each_record paths (fun path offset b ~pos ~len ->
-        let r = Gen.decode_rating ~path b ~pos ~len in
-        check_index ~path ~offset "user" r.Gen.r_user num_users;
-        check_index ~path ~offset "item" r.Gen.r_item num_items;
-        Dist_array.set_lin arr
-          ((r.Gen.r_user * num_items) + r.Gen.r_item)
-          r.Gen.r_value);
+    ignore
+      (load_pairs paths ~what:"rating" ~first:"user" ~second:"item" arr);
   {
     Orion_data.Ratings.ratings = arr;
     num_users;
@@ -100,8 +97,8 @@ let features ?(records = true) dir =
   let nnz = ref 0 in
   if records then
     each_record paths (fun path offset b ~pos ~len ->
-        let s = Gen.decode_sample ~path b ~pos ~len in
-        check_index ~path ~offset "sample" s.Gen.fs_index num_samples;
+        let s = Gen.decode_sample ~path ~offset b ~pos ~len in
+        Gen.check_key ~path ~offset "sample" s.Gen.fs_index num_samples;
         nnz := !nnz + Array.length s.Gen.fs_features;
         Dist_array.set_lin arr s.Gen.fs_index
           {
@@ -127,19 +124,13 @@ let corpus dir =
     Dist_array.create_sparse ~name:"tokens" ~dims:[| num_docs; vocab_size |]
       ~default:0.0
   in
-  let tokens = ref 0 in
-  each_record paths (fun path offset b ~pos ~len ->
-      let t = Gen.decode_token ~path b ~pos ~len in
-      tokens := !tokens + int_of_float t.Gen.tk_count;
-      check_index ~path ~offset "doc" t.Gen.tk_doc num_docs;
-      check_index ~path ~offset "word" t.Gen.tk_word vocab_size;
-      Dist_array.set_lin arr
-        ((t.Gen.tk_doc * vocab_size) + t.Gen.tk_word)
-        t.Gen.tk_count);
+  let tokens =
+    load_pairs paths ~what:"token" ~first:"doc" ~second:"word" arr
+  in
   {
     Orion_data.Corpus.tokens = arr;
     num_docs;
     vocab_size;
-    num_tokens = !tokens;
+    num_tokens = tokens;
     num_topics_truth = meta "num_topics";
   }

@@ -80,14 +80,11 @@ val discard_writer : writer -> unit
 val read_header : string -> header
 
 (** Stream every record through [f] in write order, then verify record
-    count and CRC.
-    @raise Corrupt on truncation, bad framing, count or CRC mismatch *)
-val fold : string -> init:'a -> f:('a -> bytes -> 'a) -> 'a
-
-(** [fold] without the copy: [f offset buf ~pos ~len] sees the record
-    as [buf.\[pos, pos + len)], a view into the reader's buffer that is
+    count and CRC.  [f offset buf ~pos ~len] sees the record as
+    [buf.\[pos, pos + len)], a view into the reader's buffer that is
     valid only during the call.  [offset] is the record's byte offset in
-    the file (the offset of its length prefix), for positioned errors. *)
+    the file (the offset of its length prefix), for positioned errors.
+    @raise Corrupt on truncation, bad framing, count or CRC mismatch *)
 val iter : string -> f:(int -> bytes -> pos:int -> len:int -> unit) -> unit
 
 (** Headers of every shard in a dataset directory, in shard order.

@@ -80,6 +80,18 @@ let write_shard ~dir ?(shard = 0) ?(num_shards = 1) ?(meta = []) records =
   List.iter (fun r -> Shard.write_record w (Bytes.of_string r)) records;
   (path, Shard.close_writer w)
 
+(* a shard's records, copied out of the reader's buffer *)
+let records_of path =
+  let acc = ref [] in
+  Shard.iter path ~f:(fun _ b ~pos ~len ->
+      acc := Bytes.sub_string b pos len :: !acc);
+  List.rev !acc
+
+let count_records path =
+  let n = ref 0 in
+  Shard.iter path ~f:(fun _ _ ~pos:_ ~len:_ -> incr n);
+  !n
+
 let qcheck_shard_roundtrip =
   QCheck.Test.make ~count:100 ~name:"shard codec round-trip (bitwise)"
     QCheck.(small_list string)
@@ -89,11 +101,7 @@ let qcheck_shard_roundtrip =
           hdr.Shard.h_count = List.length records
           && (Shard.read_header path).Shard.h_meta = [ ("k", "v") ]
           &&
-          let got =
-            List.rev
-              (Shard.fold path ~init:[] ~f:(fun acc b ->
-                   Bytes.to_string b :: acc))
-          in
+          let got = records_of path in
           got = records))
 
 let test_shard_header () =
@@ -138,7 +146,7 @@ let test_shard_corruption () =
           write_file p (String.sub image 0 keep);
           expect_corrupt
             (Printf.sprintf "truncated to %d/%d bytes" keep len)
-            (fun () -> Shard.fold p ~init:0 ~f:(fun n _ -> n + 1)))
+            (fun () -> count_records p))
         [ len - 1; len - 8; len - 15; 10 ];
       (* bit flip in a record body: caught by the CRC *)
       let flipped = Bytes.of_string image in
@@ -146,8 +154,7 @@ let test_shard_corruption () =
       Bytes.set flipped mid (Char.chr (Char.code (Bytes.get flipped mid) lxor 1));
       let p = Filename.concat dir "flip.orshard" in
       write_file p (Bytes.to_string flipped);
-      expect_corrupt "bit flip" (fun () ->
-          Shard.fold p ~init:0 ~f:(fun n _ -> n + 1));
+      expect_corrupt "bit flip" (fun () -> count_records p);
       (* wrong magic: rejected before any record is decoded *)
       let p2 = Filename.concat dir "magic.orshard" in
       write_file p2 ("XXXX" ^ String.sub image 4 (len - 4));
@@ -183,8 +190,7 @@ let test_shard_bytes_pinned () =
       Alcotest.(check (list string))
         "records read back"
         [ "hello"; "world"; ""; "again" ]
-        (List.rev
-           (Shard.fold path ~init:[] ~f:(fun acc b -> Bytes.to_string b :: acc))))
+        (records_of path))
 
 (* ------------------------------------------------------------------ *)
 (* CRC-32: the zlib value, however the input is split                  *)
@@ -200,7 +206,8 @@ let test_crc_known_answers () =
     (Crc32.digest (Bytes.of_string "The quick brown fox jumps over the lazy dog"))
 
 let qcheck_crc_split =
-  QCheck.Test.make ~count:300 ~name:"any split of update calls equals digest"
+  QCheck.Test.make ~count:300 ~long_factor:10
+    ~name:"any split of update calls equals digest"
     QCheck.(pair string (small_list small_nat))
     (fun (s, cuts) ->
       let b = Bytes.of_string s in
@@ -232,13 +239,20 @@ let crc_reference b ~pos ~len =
   Int32.of_int (!c lxor 0xFFFFFFFF)
 
 (* every byte value (bytes >= 0x80 set bit 31 of both 32-bit words the
-   eight-byte step reads), unaligned offsets, short and split inputs *)
+   eight-byte step reads), every start offset mod 8, split inputs, and
+   lengths both short and up to 4 KiB, over which the eight-byte step
+   runs hundreds of times *)
 let qcheck_crc_reference =
-  QCheck.Test.make ~count:500 ~name:"slicing-by-8 equals the bitwise reference"
+  QCheck.Test.make ~count:500 ~long_factor:10
+    ~name:"slicing-by-8 equals the bitwise reference"
     QCheck.(
       quad
-        (string_gen_of_size (Gen.int_range 0 48) Gen.char)
-        (int_range 0 7) (int_range 0 40) (small_list small_nat))
+        (string_gen_of_size
+           (Gen.oneof [ Gen.int_range 0 48; Gen.int_range 0 4096 ])
+           Gen.char)
+        (int_range 0 7)
+        (oneof [ int_range 0 40; int_range 0 4096 ])
+        (small_list small_nat))
     (fun (s, pos, len, cuts) ->
       let b = Bytes.of_string (s ^ String.make 48 '\xff') in
       let pos = min pos (Bytes.length b) in
@@ -444,6 +458,96 @@ let test_loader_bad_metadata () =
       expect_corrupt_at ~path:(Shard.shard_path ~dir 0) "an item out of range"
         (fun () -> Loader.ratings dir))
 
+(* A record that does not decode is reported at its own byte offset:
+   the shard's framing, count and CRC are valid, and a good record
+   precedes the bad one. *)
+let expect_undecodable ~schema ~meta ~good ~bad load =
+  with_dir "undecodable" (fun dir ->
+      write_dataset ~dir ~schema ~meta:(fun _ -> meta) [ [ good; bad ] ];
+      let path = Shard.shard_path ~dir 0 in
+      let last = ref (-1) in
+      Shard.iter path ~f:(fun offset _ ~pos:_ ~len:_ -> last := offset);
+      match load dir with
+      | () -> Alcotest.failf "%s: undecodable record accepted" schema
+      | exception Shard.Corrupt c ->
+          Alcotest.(check string) (schema ^ ": names the shard") path c.path;
+          Alcotest.(check int) (schema ^ ": at the bad record") !last c.offset)
+
+let test_undecodable_rating () =
+  expect_undecodable ~schema:"ratings-v1"
+    ~meta:(ratings_meta ~users:4 ~items:5)
+    ~good:(rating 0 0 1.0)
+    ~bad:(Bytes.cat (rating 1 1 2.0) (Bytes.of_string "x"))
+    (fun dir -> ignore (Loader.ratings dir))
+
+let test_undecodable_token () =
+  let token d w c = Gen.encode_token { Gen.tk_doc = d; tk_word = w; tk_count = c } in
+  expect_undecodable ~schema:"corpus-v1"
+    ~meta:[ ("num_docs", "3"); ("vocab_size", "4"); ("num_topics", "2") ]
+    ~good:(token 0 0 1.0)
+    ~bad:(Bytes.sub (token 1 1 2.0) 0 15)
+    (fun dir -> ignore (Loader.corpus dir))
+
+let test_undecodable_sample () =
+  let sample i n =
+    Gen.encode_sample
+      {
+        Gen.fs_index = i;
+        fs_label = 1.0;
+        fs_features = Array.init n Fun.id;
+        fs_values = Array.make n 1.0;
+      }
+  in
+  (* two features' bytes, but a count of three *)
+  let bad = sample 1 2 in
+  Bytes.set_int32_le bad 12 3l;
+  expect_undecodable ~schema:"features-v1"
+    ~meta:[ ("num_samples", "4"); ("num_features", "5") ]
+    ~good:(sample 0 2) ~bad
+    (fun dir -> ignore (Loader.features dir))
+
+(* Ratings and tokens load without allocating per record: fields are
+   read in place and each value is stored unboxed, so the minor heap
+   grows by a constant (headers, the table's first small arrays), never
+   by the record count. *)
+let test_loader_allocation () =
+  let check what spec load =
+    with_dir "alloc" (fun dir ->
+        ignore (Gen.generate ~dir ~seed:5 ~shards:2 spec);
+        let records = Loader.dataset_count dir in
+        load dir;
+        let before = Gc.minor_words () in
+        load dir;
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %.0f minor words for %d records" what words
+             records)
+          true
+          (records >= 15_000
+          && words <= (0.1 *. float_of_int records) +. 8192.))
+  in
+  check "ratings"
+    (Gen.Ratings
+       {
+         num_users = 2_000;
+         num_items = 500;
+         num_ratings = 20_000;
+         skew = 1.1;
+         rank = 4;
+         noise = 0.1;
+       })
+    (fun dir -> ignore (Loader.ratings dir));
+  check "corpus"
+    (Gen.Corpus
+       {
+         num_docs = 1_100;
+         vocab_size = 2_000;
+         avg_doc_len = 20;
+         num_topics = 5;
+         skew = 1.05;
+       })
+    (fun dir -> ignore (Loader.corpus dir))
+
 (* Loader equivalence: random shards with duplicate keys load exactly
    as a record-order [Dist_array.set] build of the same records. *)
 
@@ -479,7 +583,8 @@ let qcheck_loader_ratings =
       in
       return (users, items, shards))
   in
-  QCheck.Test.make ~count:100 ~name:"ratings load as a record-order set build"
+  QCheck.Test.make ~count:100 ~long_factor:10
+    ~name:"ratings load as a record-order set build"
     (QCheck.make ~print:(fun (_, _, s) -> print_shards s) gen)
     (fun (users, items, shards) ->
       with_dir "eq-r" (fun dir ->
@@ -523,7 +628,8 @@ let qcheck_loader_features =
     && Array.for_all2 same_bits a.Orion_data.Sparse_features.values
          b.Orion_data.Sparse_features.values
   in
-  QCheck.Test.make ~count:100 ~name:"features load as a record-order set build"
+  QCheck.Test.make ~count:100 ~long_factor:10
+    ~name:"features load as a record-order set build"
     (QCheck.make ~print:(fun (_, s) -> print_shards s) gen)
     (fun (samples, shards) ->
       with_dir "eq-f" (fun dir ->
@@ -567,7 +673,8 @@ let qcheck_loader_corpus =
       in
       return (docs, vocab, shards))
   in
-  QCheck.Test.make ~count:100 ~name:"corpus loads as a record-order set build"
+  QCheck.Test.make ~count:100 ~long_factor:10
+    ~name:"corpus loads as a record-order set build"
     (QCheck.make ~print:(fun (_, _, s) -> print_shards s) gen)
     (fun (docs, vocab, shards) ->
       with_dir "eq-c" (fun dir ->
@@ -901,6 +1008,14 @@ let () =
             test_store_backed_app;
           tc "bad metadata and keys are positioned errors" `Quick
             test_loader_bad_metadata;
+          tc "a rating of 17 bytes is a positioned error" `Quick
+            test_undecodable_rating;
+          tc "a token of 15 bytes is a positioned error" `Quick
+            test_undecodable_token;
+          tc "a sample overrunning its record is positioned" `Quick
+            test_undecodable_sample;
+          tc "ratings and tokens load without allocating" `Quick
+            test_loader_allocation;
           qc qcheck_loader_ratings;
           qc qcheck_loader_features;
           qc qcheck_loader_corpus;
