@@ -47,7 +47,7 @@ let scaled scale n = max 2 (int_of_float (Float.round (float_of_int n *. scale))
 
 (* When set, [app_make] loads the dataset from a sharded directory
    ([lib/store]) instead of generating it in memory.  Environment
-   variables — not parameters — so forked/exec'd distributed workers
+   variables — not parameters — so the exec'd distributed workers
    find the same shards: they read the headers for the array shapes,
    and the records only where a host builtin needs them. *)
 let ratings_dir_env = "ORION_DATA_RATINGS"
@@ -674,8 +674,10 @@ let materialize ?records name ~scale ~num_machines ~workers_per_machine =
 (* Installing the distributed master here ties the knot: Orion.Engine
    dispatches [`Distributed] through a hook so the core library stays
    free of socket/process dependencies, and any program that links the
-   apps (CLI, worker, tests, benches) gets the runner for free. *)
-let () = Orion_net.Dist_master.install ~materialize:(materialize ~records:false)
+   apps (CLI, tests, benches) gets the runner for free.  Its workers
+   are [orion-worker] processes, which build their instances through
+   [materialize ~records:false]. *)
+let () = Orion_net.Dist_master.install ()
 
 (** Force this module's initializer (and thus app registration and the
     distributed-runner installation) to run.  Call before the first

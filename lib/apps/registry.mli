@@ -8,7 +8,7 @@
 (** When these environment variables name a sharded dataset directory
     ({!Orion_store.Gen}), [app_make] streams the dataset from the shards
     instead of generating it in memory — environment (not parameters) so
-    forked/exec'd distributed workers find the same shards (they read
+    the exec'd distributed workers find the same shards (they read
     only the headers, except lda's, which load the corpus). *)
 
 val ratings_dir_env : string

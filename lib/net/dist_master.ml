@@ -1,8 +1,8 @@
 (** The distributed backend of [Orion.Engine.run ~mode:(`Distributed _)].
 
-    Protocol, in order: spawn [procs] workers (fork for in-tree tests,
-    exec of [orion_worker] for the CLI); plan and compile the schedule
-    while their processes start; answer each Hello with the Plan.  Each
+    Protocol, in order: start [procs] worker processes, each an exec of
+    the worker executable ({!worker_exe}); plan and compile the schedule
+    while they start; answer each Hello with the Plan.  Each
     worker builds its instance and at once announces itself (Listening,
     then Prefetch_request).  Ranks beyond the space cut then get
     Shutdown; every other rank gets, back to back and with no round
@@ -21,7 +21,12 @@
     the final state is assembled from the wire: owned regions as they
     are, journals in (pass, natural-order) order, then buffered shadows
     through [Engine.merge_part] in ascending rank order, cross-checked
-    against the totals each flush carries. *)
+    against the totals each flush carries.
+
+    A worker rebuilds the app by name from the registry
+    ([orion-worker]); a host with apps of its own is its own worker
+    executable, calling {!Dist_worker.main} with its materializer when
+    started with [--rank], and names itself in [ORION_WORKER_EXE]. *)
 
 module Dist_array = Orion_dsm.Dist_array
 module Partitioner = Orion_dsm.Partitioner
@@ -32,39 +37,40 @@ module Trace = Orion_obs.Trace
 module Cluster = Orion_sim.Cluster
 module Telemetry = Orion_obs.Telemetry
 
-type spawn = [ `Fork | `Exec of string ]
-
-let spawn_env = "ORION_DIST_SPAWN"  (* "fork" or "exec:<path>" *)
-let worker_exe_env = "ORION_WORKER_EXE"
-
-(** Pick how to start workers: [ORION_DIST_SPAWN] override, then
-    [ORION_WORKER_EXE], then the [orion_worker] executable next to the
-    running binary, else fork this very process (always available — the
-    in-tree tests and any host linking [orion_net] rely on it). *)
-let default_spawn () : spawn =
-  match Sys.getenv_opt spawn_env with
-  | Some "fork" -> `Fork
-  | Some s
-    when String.length s > 5 && String.sub s 0 5 = "exec:"
-         && Sys.file_exists (String.sub s 5 (String.length s - 5)) ->
-      `Exec (String.sub s 5 (String.length s - 5))
-  | _ -> (
-      match Sys.getenv_opt worker_exe_env with
-      | Some path when Sys.file_exists path -> `Exec path
-      | _ ->
-          let sibling =
-            Filename.concat
-              (Filename.dirname Sys.executable_name)
-              "orion_worker.exe"
-          in
-          if Sys.file_exists sibling then `Exec sibling else `Fork)
-
 let err ?rank fmt =
   Printf.ksprintf
     (fun s ->
       raise
         (Orion.Engine.Distributed_error { de_rank = rank; de_reason = s }))
     fmt
+
+let worker_exe_env = "ORION_WORKER_EXE"
+
+let executable path =
+  match Unix.access path [ Unix.X_OK ] with
+  | () -> true
+  | exception Unix.Unix_error _ -> false
+
+(** The worker executable: [ORION_WORKER_EXE] when it is set and not
+    empty, else the one beside the running binary ([orion_worker.exe]
+    in the build tree, [orion-worker] when installed).  None there is
+    a {!Orion.Engine.Distributed_error} naming where it looked. *)
+let worker_exe () =
+  match Sys.getenv_opt worker_exe_env with
+  | Some path when path <> "" ->
+      if executable path then path
+      else err "%s=%s: no such worker executable" worker_exe_env path
+  | _ -> (
+      let dir = Filename.dirname Sys.executable_name in
+      let beside =
+        List.map (Filename.concat dir) [ "orion_worker.exe"; "orion-worker" ]
+      in
+      match List.find_opt executable beside with
+      | Some path -> path
+      | None ->
+          err "no worker executable: %s unset, and none of %s is one"
+            worker_exe_env
+            (String.concat ", " beside))
 
 let status_reason = function
   | Unix.WEXITED c -> Printf.sprintf "worker exited with code %d" c
@@ -104,27 +110,10 @@ let wait_exit ~seconds pid =
   in
   go 0.0002
 
-let spawn_worker (spawn : spawn) ~(materialize : Dist_worker.materialize)
-    ~(listener : Transport.listener) ~rank ~master_addr : int =
-  match spawn with
-  | `Exec path ->
-      Unix.create_process path
-        [| path; "--rank"; string_of_int rank; "--master"; master_addr |]
-        Unix.stdin Unix.stdout Unix.stderr
-  | `Fork -> (
-      match Unix.fork () with
-      | 0 ->
-          (* the child must not touch the master's listener or buffers;
-             _exit skips at_exit / flushing inherited channels *)
-          (try Unix.close listener.Transport.lfd with Unix.Unix_error _ -> ());
-          let code =
-            try
-              Dist_worker.connect_and_serve ~materialize ~rank ~master_addr;
-              0
-            with _ -> 2
-          in
-          Unix._exit code
-      | pid -> pid)
+let spawn_worker exe ~rank ~master_addr : int =
+  Unix.create_process exe
+    [| exe; "--rank"; string_of_int rank; "--master"; master_addr |]
+    Unix.stdin Unix.stdout Unix.stderr
 
 (** Terminate every still-running worker: SIGTERM, a short grace
     period, then SIGKILL; reap all of them, and remove the socket file
@@ -170,10 +159,10 @@ type worker_state = {
   mutable st_fatal : string option;  (** from Fatal, once it is read *)
 }
 
-let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
-    (inst : Orion.App.instance) ~procs ~(transport : Orion.Engine.transport)
-    ~passes ~scale ~telemetry:(mtel : Telemetry.t) ~report_passes ~plan
-    ~schedule : Orion.Engine.backend =
+let start (session : Orion.session) (inst : Orion.App.instance) ~procs
+    ~(transport : Orion.Engine.transport) ~passes ~scale
+    ~telemetry:(mtel : Telemetry.t) ~report_passes ~plan ~schedule :
+    Orion.Engine.backend =
   if procs < 1 then err "procs must be >= 1, got %d" procs;
   let timeout = Dist_worker.timeout_seconds ~default:120.0 in
   (* a worker dying mid-run must surface as EPIPE on our next send to
@@ -199,9 +188,9 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
     | `Unix -> `Unix ""
     | `Tcp -> `Tcp ("127.0.0.1", 0)
   in
+  let exe = worker_exe () in
   let listener = Transport.listen (Transport.fresh_addr ~like) in
   let master_addr = Transport.addr_to_string listener.Transport.laddr in
-  let spawn = default_spawn () in
   let trace = session.Orion.cluster.Cluster.trace in
   let states =
     Array.init procs (fun _ ->
@@ -222,7 +211,7 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
      [Shutdown] instead of a schedule row. *)
   let pids =
     List.init procs (fun rank ->
-        (rank, spawn_worker spawn ~materialize ~listener ~rank ~master_addr))
+        (rank, spawn_worker exe ~rank ~master_addr))
   in
   let cleanup () =
     Array.iter
@@ -373,7 +362,7 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
     | _ -> (
         let c = Transport.accept listener in
         match Transport.recv c with
-        | Some (Wire.Hello { h_rank; h_pid = _; h_version })
+        | Some (Wire.Hello { h_rank; h_version })
           when h_version = Wire.version
                && h_rank >= 0 && h_rank < procs
                && states.(h_rank).st_conn = None ->
@@ -394,7 +383,7 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
                    p_report_passes = report_passes;
                    p_plan = plan;
                  })
-        | Some (Wire.Hello { h_rank; h_version; _ }) ->
+        | Some (Wire.Hello { h_rank; h_version }) ->
             fail_cleanup ~rank:h_rank
               "bad hello (rank %d, protocol version %d, expected %d)" h_rank
               h_version Wire.version
@@ -973,5 +962,4 @@ let start ~(materialize : Dist_worker.materialize) (session : Orion.session)
   }
 
 (** Install {!start} as [Orion.Engine]'s distributed backend. *)
-let install ~(materialize : Dist_worker.materialize) =
-  Orion.Engine.distributed_runner := Some (start ~materialize)
+let install () = Orion.Engine.distributed_runner := Some start

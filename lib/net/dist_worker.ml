@@ -926,8 +926,7 @@ let connect_and_serve ~(materialize : materialize) ~rank ~master_addr : unit =
   let like = Transport.addr_of_string master_addr in
   let master = Transport.connect like in
   Transport.send master
-    (Wire.Hello
-       { h_rank = rank; h_pid = Unix.getpid (); h_version = Wire.version });
+    (Wire.Hello { h_rank = rank; h_version = Wire.version });
   (* this worker's peer listener, removed however the worker ends *)
   let listener = Transport.listen (Transport.fresh_addr ~like) in
   Fun.protect ~finally:(fun () -> Transport.close_listener listener)
@@ -945,3 +944,27 @@ let connect_and_serve ~(materialize : materialize) ~rank ~master_addr : unit =
        with _ -> ());
       Transport.close_conn master;
       raise e
+
+(** The worker executable's entry point: [--rank N --master ADDR] in
+    [Sys.argv], then {!connect_and_serve}.  Exits 0 on a clean
+    shutdown, and 2, with the message on stderr, on a bad argument or
+    a failure. *)
+let main ~(materialize : materialize) =
+  let usage = "orion_worker --rank N --master ADDR" in
+  let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt in
+  let rec parse rank master = function
+    | [] -> (rank, master)
+    | "--rank" :: v :: rest -> (
+        match int_of_string_opt v with
+        | Some r -> parse r master rest
+        | None -> fail "orion_worker: bad rank: %s" v)
+    | "--master" :: v :: rest -> parse rank v rest
+    | arg :: _ -> fail "orion_worker: unknown argument: %s\n%s" arg usage
+  in
+  match parse (-1) "" (List.tl (Array.to_list Sys.argv)) with
+  | rank, master when rank < 0 || master = "" -> fail "%s" usage
+  | rank, master_addr -> (
+      match connect_and_serve ~materialize ~rank ~master_addr with
+      | () -> exit 0
+      | exception e ->
+          fail "orion_worker (rank %d): %s" rank (Printexc.to_string e))

@@ -68,7 +68,9 @@ let listen (addr : addr) : listener =
   let domain =
     match addr with `Unix _ -> Unix.PF_UNIX | `Tcp _ -> Unix.PF_INET
   in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  (* close-on-exec, as every socket here: an exec'd worker must not
+     inherit its master's listener or connections *)
+  let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
   (match addr with
   | `Unix _ -> ()
   | `Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
@@ -89,7 +91,7 @@ let listen (addr : addr) : listener =
 
 let accept (l : listener) : conn =
   let rec go () =
-    match Unix.accept l.lfd with
+    match Unix.accept ~cloexec:true l.lfd with
     | fd, _ -> wrap fd
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
   in
@@ -103,7 +105,7 @@ let connect ?(retries = 200) ?(retry_delay = 0.025) (addr : addr) : conn =
     match addr with `Unix _ -> Unix.PF_UNIX | `Tcp _ -> Unix.PF_INET
   in
   let rec go attempt =
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+    let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
     match Unix.connect fd (sockaddr_of_addr addr) with
     | () -> wrap fd
     | exception

@@ -89,8 +89,10 @@
        carries the master's space digest; the row payload carries
        none
    v14: worker stats say whether the rank ran its compiled kernel (a
-       rank that journals interprets its body) *)
-let version = 14
+       rank that journals interprets its body)
+   v15: a hello carries no pid: the master knows each worker's pid
+       from starting it *)
+let version = 15
 
 (** One journaled DistArray element write, in execution order (only
     arrays with no single owner are journaled). *)
@@ -182,7 +184,7 @@ type row = {
 }
 
 type msg =
-  | Hello of { h_rank : int; h_pid : int; h_version : int }
+  | Hello of { h_rank : int; h_version : int }
   | Plan of plan
   | Schedule_row of row
       (** the header of the receiving rank's row of the master's

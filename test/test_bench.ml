@@ -7,17 +7,12 @@ module Bench = Orion_apps.Bench
 let tc = Alcotest.test_case
 let () = Orion_apps.Registry.ensure ()
 
-(* the parallel suites start domains, after which a process may not
-   fork: spawn distributed workers from the orion_worker executable
-   (a declared dep, one directory over), with bounded waits *)
+(* distributed workers: the orion_worker executable (a declared dep,
+   one directory over), with bounded waits *)
 let () =
-  Unix.putenv Orion_net.Dist_master.spawn_env
-    ("exec:"
-    ^ Filename.concat
-        (Filename.dirname Sys.executable_name)
-        "../bin/orion_worker.exe")
-
-let () = Unix.putenv Orion_net.Dist_worker.timeout_env "60"
+  Unix.putenv Orion_net.Dist_master.worker_exe_env
+    (Filename.dirname Sys.executable_name ^ "/../bin/orion_worker.exe");
+  Unix.putenv Orion_net.Dist_worker.timeout_env "60"
 
 let read_file path =
   let ic = open_in_bin path in

@@ -1,8 +1,8 @@
 (* Tests for the multi-process distributed runtime (lib/net): partition
    serialization, wire framing, happens-before acyclicity, end-to-end
    equivalence of [`Distributed] runs against the simulated executor
-   for every registered app, transport/spawn variants, determinism, and
-   the structured failure path under fault injection. *)
+   for every registered app, both transports, determinism, and the
+   structured failure path under fault injection. *)
 
 open Orion_dsm
 open Orion_runtime
@@ -11,10 +11,6 @@ module Verify = Orion_verify.Verify
 let tc = Alcotest.test_case
 let qc = QCheck_alcotest.to_alcotest
 let () = Orion_apps.Registry.ensure ()
-
-(* keep the suite hermetic: in-process fork workers, bounded waits *)
-let () = Unix.putenv Orion_net.Dist_master.spawn_env "fork"
-let () = Unix.putenv Orion_net.Dist_worker.timeout_env "60"
 
 (* ------------------------------------------------------------------ *)
 (* Partitions and their packed layout (shared by lib/net and           *)
@@ -477,8 +473,7 @@ let test_wire_roundtrip () =
   let row = row_of ~digest:(-17) blocks regions in
   let msgs =
     [
-      Orion_net.Wire.Hello
-        { h_rank = 3; h_pid = 42; h_version = Orion_net.Wire.version };
+      Orion_net.Wire.Hello { h_rank = 3; h_version = Orion_net.Wire.version };
       Orion_net.Wire.Plan
         {
           p_app = "mf";
@@ -1017,36 +1012,48 @@ let tcp_smoke () =
   let dist, _ = run_dist ~transport:`Tcp app ~procs:2 ~passes:1 in
   check_outputs ~what:"mf over tcp vs sim" ~tolerance:None sim dist
 
-(* spawn through the real orion_worker executable (exec path) *)
+(* [f ()] with [var] set to [value], then to [restore] *)
+let with_env var value ~restore f =
+  Unix.putenv var value;
+  Fun.protect ~finally:(fun () -> Unix.putenv var restore) f
+
+(* the shipped orion_worker executable (a declared dep, one directory
+   over) as the workers, instead of this one *)
 let exec_spawn_smoke () =
-  let exe =
-    (* the test binary lives in _build/default/test; the worker is a
-       declared dep one directory over *)
-    let candidates =
-      [
-        Filename.concat
-          (Filename.dirname Sys.executable_name)
-          "../bin/orion_worker.exe";
-        Filename.concat (Sys.getcwd ()) "../bin/orion_worker.exe";
-        Filename.concat (Sys.getcwd ())
-          "_build/default/bin/orion_worker.exe";
-      ]
-    in
-    match List.find_opt Sys.file_exists candidates with
-    | Some p -> p
-    | None ->
-        Alcotest.failf "orion_worker.exe not found near %s"
-          Sys.executable_name
-  in
-  Unix.putenv Orion_net.Dist_master.spawn_env ("exec:" ^ exe);
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv Orion_net.Dist_master.spawn_env "fork")
-    (fun () ->
-      let app = find_app "mf" in
-      let sim = run_sim app ~procs:2 ~passes:1 in
-      let dist, _ = run_dist app ~procs:2 ~passes:1 in
-      check_outputs ~what:"mf via exec'd workers vs sim" ~tolerance:None sim
-        dist)
+  with_env Orion_net.Dist_master.worker_exe_env
+    (Filename.dirname Sys.executable_name ^ "/../bin/orion_worker.exe")
+    ~restore:Sys.executable_name
+  @@ fun () ->
+  let app = find_app "mf" in
+  let sim = run_sim app ~procs:2 ~passes:1 in
+  let dist, _ = run_dist app ~procs:2 ~passes:1 in
+  check_outputs ~what:"mf via orion_worker.exe vs sim" ~tolerance:None sim
+    dist
+
+(* [Transport]'s sockets are close-on-exec: no process a master or
+   worker starts inherits its listener or a connection.  A file
+   descriptor is its number on Unix. *)
+let sockets_close_on_exec () =
+  let module T = Orion_net.Transport in
+  let listener = T.listen (T.fresh_addr ~like:(`Unix "")) in
+  let client = T.connect listener.T.laddr in
+  let server = T.accept listener in
+  Fun.protect ~finally:(fun () ->
+      List.iter T.close_conn [ client; server ];
+      T.close_listener listener)
+  @@ fun () ->
+  List.iter
+    (fun (what, fd) ->
+      let n : int = Obj.magic fd in
+      Alcotest.(check int)
+        (Printf.sprintf "%s (fd %d) is not open in a shell" what n)
+        1
+        (Sys.command (Printf.sprintf "test -e /proc/self/fd/%d" n)))
+    [
+      ("listener", listener.T.lfd);
+      ("connecting end", T.fd client);
+      ("accepted end", T.fd server);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Test-side instances: the 2D-ordered mf script and the time-major    *)
@@ -1162,17 +1169,24 @@ let test_materialize name ~scale ~num_machines ~workers_per_machine =
       Orion_apps.Registry.materialize ~records:false name ~scale ~num_machines
         ~workers_per_machine
 
-(* the distributed backend over [test_materialize] for one run, then
-   the registry's again *)
+(* This executable is its own worker executable.  Started with [--rank]
+   by a master, it serves [test_materialize]'s instances and exits,
+   before the settings below: it inherits its master's, which a
+   failure test may have changed. *)
+let () =
+  if Array.length Sys.argv > 1 && Sys.argv.(1) = "--rank" then
+    Orion_net.Dist_worker.main ~materialize:test_materialize
+
+(* every run starts this executable as its workers, with bounded waits *)
+let () =
+  Unix.putenv Orion_net.Dist_master.worker_exe_env Sys.executable_name;
+  Unix.putenv Orion_net.Dist_worker.timeout_env "60"
+
+(* a test-side instance, over workers that rebuild it by name *)
 let run_custom (inst : Orion.App.instance) ~procs ~passes =
-  let installed = !Orion.Engine.distributed_runner in
-  Orion_net.Dist_master.install ~materialize:test_materialize;
-  Fun.protect
-    ~finally:(fun () -> Orion.Engine.distributed_runner := installed)
-    (fun () ->
-      Orion.Engine.run inst.Orion.App.inst_session inst
-        ~mode:(`Distributed { Orion.Engine.procs; transport = `Unix })
-        ~passes ~telemetry:false ())
+  Orion.Engine.run inst.Orion.App.inst_session inst
+    ~mode:(`Distributed { Orion.Engine.procs; transport = `Unix })
+    ~passes ~telemetry:false ()
 
 (* a test-side instance, distributed over [procs] workers, against
    [`Sim] on the same shape, bitwise *)
@@ -1310,59 +1324,83 @@ let distributed_telemetry_merged_timeline () =
 (* error within a bounded time, with no leftover workers               *)
 (* ------------------------------------------------------------------ *)
 
-let fault_injection () =
-  Unix.putenv Orion_net.Dist_worker.abort_rank_env "1";
-  Unix.putenv Orion_net.Dist_worker.timeout_env "30";
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv Orion_net.Dist_worker.abort_rank_env "";
-      Unix.putenv Orion_net.Dist_worker.timeout_env "60")
-    (fun () ->
-      let app = find_app "mf" in
-      let t0 = Unix.gettimeofday () in
-      (match run_dist app ~procs:2 ~passes:2 with
-      | _ -> Alcotest.fail "aborting worker did not fail the run"
-      | exception Orion.Engine.Distributed_error { de_rank; de_reason } ->
-          Alcotest.(check (option int)) "failing rank identified" (Some 1)
-            de_rank;
-          Alcotest.(check bool)
-            (Printf.sprintf "reason names the abort: %S" de_reason)
-            true
-            (de_reason <> ""));
+(* [run ()] fails with a structured error naming a rank, within its
+   30 s deadline, and leaves no worker behind: that rank and reason *)
+let fails_fast run =
+  with_env Orion_net.Dist_worker.timeout_env "30" ~restore:"60" @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  match run () with
+  | _ -> Alcotest.fail "the run completed"
+  | exception Orion.Engine.Distributed_error { de_rank; de_reason } ->
       let elapsed = Unix.gettimeofday () -. t0 in
       Alcotest.(check bool)
         (Printf.sprintf "failed fast (%.1fs)" elapsed)
-        true (elapsed < 25.0))
+        true (elapsed < 25.0);
+      no_children_left ();
+      match de_rank with
+      | Some rank -> (rank, de_reason)
+      | None -> Alcotest.failf "no rank named: %s" de_reason
+
+(* [reason] contains every one of [words] *)
+let check_names reason words =
+  List.iter
+    (fun word ->
+      Alcotest.(check bool)
+        (Printf.sprintf "reason names %s: %S" word reason)
+        true (contains reason word))
+    words
+
+let fault_injection () =
+  with_env Orion_net.Dist_worker.abort_rank_env "1" ~restore:"" @@ fun () ->
+  let rank, reason =
+    fails_fast (fun () -> run_dist (find_app "mf") ~procs:2 ~passes:2)
+  in
+  Alcotest.(check int) "failing rank identified" 1 rank;
+  Alcotest.(check bool)
+    (Printf.sprintf "reason names the abort: %S" reason)
+    true (reason <> "")
+
+(* the worker executable is found before any socket or process exists:
+   a missing or non-executable one is a structured error with no rank,
+   naming where it was looked for *)
+let missing_worker_exe () =
+  let env = Orion_net.Dist_master.worker_exe_env in
+  let beside = Filename.concat (Filename.dirname Sys.executable_name) in
+  List.iter
+    (fun (value, words) ->
+      with_env env value ~restore:Sys.executable_name @@ fun () ->
+      match run_dist (find_app "gbt") ~procs:2 ~passes:1 with
+      | _ -> Alcotest.failf "%s=%S: ran without workers" env value
+      | exception Orion.Engine.Distributed_error { de_rank; de_reason } ->
+          Alcotest.(check (option int)) "no rank" None de_rank;
+          check_names de_reason words)
+    [
+      ("/nonexistent", [ env; "/nonexistent" ]);
+      ("/dev/null", [ env; "/dev/null" ]);
+      (* nothing named, and no worker beside this executable *)
+      ("", [ env; beside "orion_worker.exe"; beside "orion-worker" ]);
+    ];
+  no_children_left ()
+
+(* a worker that exits before its hello fails the run, naming its rank
+   and exit code *)
+let worker_dies_before_hello () =
+  with_env Orion_net.Dist_master.worker_exe_env "/bin/false"
+    ~restore:Sys.executable_name
+  @@ fun () ->
+  let _, reason =
+    fails_fast (fun () -> run_dist (find_app "mf") ~procs:2 ~passes:1)
+  in
+  Alcotest.(check string) "reason" "worker exited with code 1" reason
 
 (* workers that rebuild other data than the master's instance cannot
    run the master's blocks: the run ends in a structured error naming a
    rank, within the deadline — never a hang or a silently different
    result *)
 let worker_data_drift name () =
-  Unix.putenv Orion_net.Dist_worker.timeout_env "30";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv Orion_net.Dist_worker.timeout_env "60")
-    (fun () ->
-      let inst =
-        renamed name (mf_make ~num_machines:2 ~workers_per_machine:1 ())
-      in
-      let t0 = Unix.gettimeofday () in
-      (match run_custom inst ~procs:2 ~passes:2 with
-      | _ -> Alcotest.fail "workers over other data ran to completion"
-      | exception Orion.Engine.Distributed_error { de_rank; de_reason } ->
-          Alcotest.(check bool)
-            (Printf.sprintf "a rank is named (%s)"
-               (Option.fold ~none:"none" ~some:string_of_int de_rank))
-            true (de_rank <> None);
-          Alcotest.(check bool)
-            (Printf.sprintf "reason names the iteration space: %S" de_reason)
-            true
-            (contains de_reason "iteration space"));
-      let elapsed = Unix.gettimeofday () -. t0 in
-      Alcotest.(check bool)
-        (Printf.sprintf "failed fast (%.1fs)" elapsed)
-        true (elapsed < 25.0);
-      no_children_left ())
+  let inst = renamed name (mf_make ~num_machines:2 ~workers_per_machine:1 ()) in
+  let _, reason = fails_fast (fun () -> run_custom inst ~procs:2 ~passes:2) in
+  check_names reason [ "iteration space" ]
 
 (* ------------------------------------------------------------------ *)
 (* Workers read no records: schedule rows carry the entries            *)
@@ -1391,13 +1429,8 @@ let with_shards ~env_var ~tag spec f =
   rm_rf dir;
   rm_rf moved;
   ignore (Gen.generate ~dir ~seed:5 ~shards:2 spec);
-  Unix.putenv env_var dir;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv env_var "";
-      rm_rf dir;
-      rm_rf moved)
-    (fun () -> f dir moved)
+  Fun.protect ~finally:(fun () -> List.iter rm_rf [ dir; moved ]) @@ fun () ->
+  with_env env_var dir ~restore:"" (fun () -> f dir moved)
 
 (* [src]'s shards cut down to their front headers and footers, at
    [dst]: the dataset still describes itself, but reading any record
@@ -1452,45 +1485,28 @@ let workers_read_no_records name ~env_var spec () =
    workers still load the corpus: with the shards gone the run ends in
    a structured error naming a rank and the missing directory *)
 let lda_workers_need_the_corpus () =
-  Unix.putenv Orion_net.Dist_worker.timeout_env "30";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv Orion_net.Dist_worker.timeout_env "60")
-    (fun () ->
-      with_shards ~env_var:Orion_apps.Registry.corpus_dir_env ~tag:"lda"
-        (Gen.Corpus
-           {
-             num_docs = 16;
-             vocab_size = 20;
-             avg_doc_len = 12;
-             num_topics = 4;
-             skew = 1.05;
-           })
-        (fun dir moved ->
-          let inst =
-            (find_app "lda").Orion.App.app_make ~num_machines:2
-              ~workers_per_machine:1 ()
-          in
-          Sys.rename dir moved;
-          let t0 = Unix.gettimeofday () in
-          (match
-             Orion.Engine.run inst.Orion.App.inst_session inst
-               ~mode:(`Distributed { Orion.Engine.procs = 2; transport = `Unix })
-               ~passes:1 ()
-           with
-          | _ -> Alcotest.fail "lda workers ran without their corpus"
-          | exception Orion.Engine.Distributed_error { de_rank; de_reason } ->
-              Alcotest.(check bool)
-                (Printf.sprintf "a rank is named (%s)"
-                   (Option.fold ~none:"none" ~some:string_of_int de_rank))
-                true (de_rank <> None);
-              Alcotest.(check bool)
-                (Printf.sprintf "reason names the directory: %S" de_reason)
-                true (contains de_reason dir));
-          let elapsed = Unix.gettimeofday () -. t0 in
-          Alcotest.(check bool)
-            (Printf.sprintf "failed fast (%.1fs)" elapsed)
-            true (elapsed < 25.0);
-          no_children_left ()))
+  with_shards ~env_var:Orion_apps.Registry.corpus_dir_env ~tag:"lda"
+    (Gen.Corpus
+       {
+         num_docs = 16;
+         vocab_size = 20;
+         avg_doc_len = 12;
+         num_topics = 4;
+         skew = 1.05;
+       })
+    (fun dir moved ->
+      let inst =
+        (find_app "lda").Orion.App.app_make ~num_machines:2
+          ~workers_per_machine:1 ()
+      in
+      Sys.rename dir moved;
+      let _, reason =
+        fails_fast (fun () ->
+            Orion.Engine.run inst.Orion.App.inst_session inst
+              ~mode:(`Distributed { Orion.Engine.procs = 2; transport = `Unix })
+              ~passes:1 ())
+      in
+      check_names reason [ dir ])
 
 (* a deadline that is already past would misreport "timed out", and
    [nan] would disable it altogether: both, and any malformed value,
@@ -1556,58 +1572,49 @@ let dist_kill_and_resume name ~tolerance () =
       (Printf.sprintf "orion-dist-resume-%d-%s" (Unix.getpid ()) name)
   in
   rm_rf dir;
-  Fun.protect
-    ~finally:(fun () ->
-      rm_rf dir;
-      Unix.putenv Orion_net.Dist_worker.abort_rank_env "";
-      Unix.putenv Orion_net.Dist_worker.abort_after_env "")
-    (fun () ->
-      (* killed run: rank 1 exits just before its first block of pass 2,
-         after its pass-0 and pass-1 reports reached the master *)
-      Unix.putenv Orion_net.Dist_worker.abort_rank_env "1";
-      Unix.putenv Orion_net.Dist_worker.abort_after_env
-        (string_of_int (2 * blocks_per_pass));
-      let inst1 = make () in
-      let sink ~pass_done arrays =
-        ignore
-          (Checkpoint.save ~dir
-             (Checkpoint.snapshot ~app:name ~scale:1.0 ~pass:pass_done
-                ~total_passes:passes
-                ~rng:
-                  (Orion.Interp.Rng.state
-                     inst1.Orion.App.inst_env.Orion.Interp.rng)
-                arrays))
-      in
-      (match
-         Orion.Engine.run inst1.Orion.App.inst_session inst1 ~mode ~passes
-           ~checkpoint:(1, sink) ()
-       with
-      | _ -> Alcotest.fail "aborting worker did not fail the run"
-      | exception Orion.Engine.Distributed_error _ -> ());
-      Unix.putenv Orion_net.Dist_worker.abort_rank_env "";
-      Unix.putenv Orion_net.Dist_worker.abort_after_env "";
-      (* resume from whatever the master managed to checkpoint before
-         the crash surfaced (at least pass 1) *)
-      match Checkpoint.latest dir with
-      | None -> Alcotest.fail "killed run left no checkpoint"
-      | Some (_, s) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "checkpoint is mid-run (pass %d)"
-               s.Checkpoint.ck_pass)
-            true
-            (s.Checkpoint.ck_pass >= 1 && s.Checkpoint.ck_pass < passes);
-          let inst2 = make () in
-          Checkpoint.restore s inst2.Orion.App.inst_arrays;
-          Orion.Interp.Rng.set_state
-            inst2.Orion.App.inst_env.Orion.Interp.rng s.Checkpoint.ck_rng;
-          ignore
-            (Orion.Engine.run inst2.Orion.App.inst_session inst2 ~mode
-               ~passes:(passes - s.Checkpoint.ck_pass) ());
-          check_outputs
-            ~what:(Printf.sprintf "%s killed-and-resumed vs uninterrupted"
-                     name)
-            ~tolerance truth.Orion.App.inst_outputs
-            inst2.Orion.App.inst_outputs)
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let inst1 = make () in
+  let sink ~pass_done arrays =
+    ignore
+      (Checkpoint.save ~dir
+         (Checkpoint.snapshot ~app:name ~scale:1.0 ~pass:pass_done
+            ~total_passes:passes
+            ~rng:
+              (Orion.Interp.Rng.state inst1.Orion.App.inst_env.Orion.Interp.rng)
+            arrays))
+  in
+  (* killed run: rank 1 exits just before its first block of pass 2,
+     after its pass-0 and pass-1 reports reached the master *)
+  (with_env Orion_net.Dist_worker.abort_rank_env "1" ~restore:"" @@ fun () ->
+   with_env Orion_net.Dist_worker.abort_after_env
+     (string_of_int (2 * blocks_per_pass))
+     ~restore:""
+   @@ fun () ->
+   match
+     Orion.Engine.run inst1.Orion.App.inst_session inst1 ~mode ~passes
+       ~checkpoint:(1, sink) ()
+   with
+   | _ -> Alcotest.fail "aborting worker did not fail the run"
+   | exception Orion.Engine.Distributed_error _ -> ());
+  (* resume from whatever the master managed to checkpoint before the
+     crash surfaced (at least pass 1) *)
+  match Checkpoint.latest dir with
+  | None -> Alcotest.fail "killed run left no checkpoint"
+  | Some (_, s) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "checkpoint is mid-run (pass %d)" s.Checkpoint.ck_pass)
+        true
+        (s.Checkpoint.ck_pass >= 1 && s.Checkpoint.ck_pass < passes);
+      let inst2 = make () in
+      Checkpoint.restore s inst2.Orion.App.inst_arrays;
+      Orion.Interp.Rng.set_state inst2.Orion.App.inst_env.Orion.Interp.rng
+        s.Checkpoint.ck_rng;
+      ignore
+        (Orion.Engine.run inst2.Orion.App.inst_session inst2 ~mode
+           ~passes:(passes - s.Checkpoint.ck_pass) ());
+      check_outputs
+        ~what:(Printf.sprintf "%s killed-and-resumed vs uninterrupted" name)
+        ~tolerance truth.Orion.App.inst_outputs inst2.Orion.App.inst_outputs
 
 (* ------------------------------------------------------------------ *)
 (* Socket files: a killed or aborted worker leaves none behind         *)
@@ -1711,6 +1718,7 @@ let () =
         [
           tc "mf over tcp" `Slow tcp_smoke;
           tc "mf via exec'd workers" `Slow exec_spawn_smoke;
+          tc "sockets are close-on-exec" `Quick sockets_close_on_exec;
         ] );
       ( "telemetry",
         [
@@ -1720,6 +1728,9 @@ let () =
       ( "failure",
         [
           tc_sockets "worker abort mid-pass" `Quick fault_injection;
+          tc_sockets "missing worker executable" `Quick missing_worker_exe;
+          tc_sockets "worker exits before its hello" `Quick
+            worker_dies_before_hello;
           tc_sockets "ORION_DIST_TIMEOUT is validated" `Quick
             timeout_validation;
           tc_sockets "worker data drift: entry count" `Quick

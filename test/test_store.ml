@@ -15,23 +15,11 @@ let tc = Alcotest.test_case
 let qc = QCheck_alcotest.to_alcotest
 let () = Orion_apps.Registry.ensure ()
 
-(* distributed rows: exec'd workers (this suite also starts domains,
-   after which a process may not fork), bounded waits.  The test binary
-   lives in _build/default/test; the worker is a declared dep one
-   directory over. *)
+(* distributed rows: the orion_worker executable (a declared dep, one
+   directory over), with bounded waits *)
 let () =
-  let candidates =
-    [
-      Filename.concat
-        (Filename.dirname Sys.executable_name)
-        "../bin/orion_worker.exe";
-      Filename.concat (Sys.getcwd ()) "../bin/orion_worker.exe";
-      Filename.concat (Sys.getcwd ()) "_build/default/bin/orion_worker.exe";
-    ]
-  in
-  Option.iter
-    (fun exe -> Unix.putenv Orion_net.Dist_master.spawn_env ("exec:" ^ exe))
-    (List.find_opt Sys.file_exists candidates);
+  Unix.putenv Orion_net.Dist_master.worker_exe_env
+    (Filename.dirname Sys.executable_name ^ "/../bin/orion_worker.exe");
   Unix.putenv Orion_net.Dist_worker.timeout_env "60"
 
 (* every test gets its own scratch directory under the system temp dir *)
