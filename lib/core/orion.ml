@@ -588,7 +588,8 @@ module Engine = struct
     ep_sim_time : float;  (** virtual cluster time ([`Sim] only) *)
     ep_bytes_shipped : float;
         (** wire bytes of serialized DistArray state ([`Distributed]
-            only: start-up regions + prefetch + tokens + flushes) *)
+            only: start-up regions + tokens and pass syncs + final
+            buffered shadows) *)
     ep_bytes_by_array : (string * float) list;
         (** [ep_bytes_shipped] broken down per DistArray *)
     ep_bytes_full : float;

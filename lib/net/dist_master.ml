@@ -2,26 +2,25 @@
 
     Protocol, in order: start [procs] worker processes, each an exec of
     the worker executable ({!worker_exe}); plan and compile the schedule
-    while they start; answer each Hello with the Plan.  Each
-    worker builds its instance and at once announces itself (Listening,
-    then Prefetch_request).  Ranks beyond the space cut then get
-    Shutdown; every other rank gets, back to back and with no round
-    trip, its Schedule_row header, the row's payload as one raw frame
-    (its blocks' entries and its local, rotated and replicated arrays'
-    regions, built in one buffer) as soon as it is encoded, its
-    Prefetch_response, and the Peers table once every rank has
-    announced.  During execution each worker may
-    send Pass_telemetry and, when the run checkpoints, one Pass_report
-    per pass; at the end Block_report, Buffer_flush and Done, answered
-    by Shutdown.  A worker crash, broken socket or hang
-    surfaces as a structured {!Orion.Engine.Distributed_error}, never as
-    a hang.
+    while they start; answer each Hello with the Plan, which carries
+    what this side decided: each managed array's {!Wire.sharing} and
+    the schedule's shape.  A rank beyond the space cut exits on its
+    plan.  Each other worker builds its instance and at once announces
+    itself (Listening), and gets back to back, with no round trip, its
+    Schedule_row header, the row's payload as one raw frame (its
+    blocks' entries and its managed arrays' start-up regions, built in
+    one buffer) as soon as it is encoded, and the Peers table once
+    every rank has announced.  During execution each worker may send
+    Pass_telemetry and, when the run checkpoints, one Pass_report per
+    pass; at the end one Done, answered by Shutdown.  A failure to
+    start a worker, a worker crash, broken socket or hang surfaces as a
+    structured {!Orion.Engine.Distributed_error}, never as a hang.
 
     The master's own instance stays untouched while the workers run;
-    the final state is assembled from the wire: owned regions as they
-    are, journals in (pass, natural-order) order, then buffered shadows
-    through [Engine.merge_part] in ascending rank order, cross-checked
-    against the totals each flush carries.
+    the final state is assembled from each rank's Done: owned regions
+    as they are, journals in (pass, natural-order) order, then buffered
+    shadows through [Engine.merge_part] in ascending rank order,
+    cross-checked against the totals each Done carries.
 
     A worker rebuilds the app by name from the registry
     ([orion-worker]); a host with apps of its own is its own worker
@@ -110,6 +109,23 @@ let wait_exit ~seconds pid =
   in
   go 0.0002
 
+(** [name]'s sharing, from its [placement] in [plan] under [model]. *)
+let sharing (plan : Plan.t) (model : Domain_exec.model) name placement :
+    Wire.sharing =
+  let written =
+    List.exists
+      (fun (r : Orion_analysis.Refs.ref_info) -> r.array = name && r.is_write)
+      plan.Plan.loop.Orion_analysis.Refs.refs
+  in
+  match (placement, model) with
+  | _ when not written -> Unwritten
+  | ( Plan.Local_partitioned { array_dim },
+      (Domain_exec.M_1d | M_2d_ordered | M_2d_unordered _) ) ->
+      Local array_dim
+  | Plan.Rotated { array_dim }, (M_2d_ordered | M_2d_unordered _) ->
+      Rotating array_dim
+  | _ -> Journaled
+
 let spawn_worker exe ~rank ~master_addr : int =
   Unix.create_process exe
     [| exe; "--rank"; string_of_int rank; "--master"; master_addr |]
@@ -150,12 +166,7 @@ type worker_state = {
   mutable st_records : bool option;
       (** from Listening: whether the worker holds records, and so
           needs the space digest in its row header *)
-  mutable st_prefetch : string list option;  (** from Prefetch_request *)
-  mutable st_report : (Wire.part_payload list * Wire.block_writes list) option;
-      (** owned regions and own journal, from Block_report *)
-  mutable st_flush : (Wire.part_payload list * (string * float) list) option;
-      (** packed shadows and their totals, from Buffer_flush *)
-  mutable st_done : Wire.worker_stats option;
+  mutable st_done : Wire.final option;
   mutable st_fatal : string option;  (** from Fatal, once it is read *)
 }
 
@@ -198,21 +209,12 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
           st_conn = None;
           st_addr = None;
           st_records = None;
-          st_prefetch = None;
-          st_report = None;
-          st_flush = None;
           st_done = None;
           st_fatal = None;
         })
   in
-  (* Workers start first: their processes start while this one plans
-     and compiles the schedule.  The space cut is not known yet, so
-     [procs] workers start; the ranks the cut leaves without blocks get
-     [Shutdown] instead of a schedule row. *)
-  let pids =
-    List.init procs (fun rank ->
-        (rank, spawn_worker exe ~rank ~master_addr))
-  in
+  (* the workers started so far, as (rank, pid) *)
+  let pids = ref [] in
   let cleanup () =
     Array.iter
       (fun st ->
@@ -221,7 +223,7 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
         | None -> ())
       states;
     Transport.close_listener listener;
-    kill_workers pids
+    kill_workers !pids
   in
   (* Set once execution is supervised: before a failure tears the run
      down, read the pass reports already on the wire, so a checkpoint
@@ -250,6 +252,17 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
              { de_rank = None; de_reason = Printexc.to_string e })
   in
   guard @@ fun () ->
+  (* Workers start first: their processes start while this one plans
+     and compiles the schedule.  The space cut is not known yet, so
+     [procs] workers start; the ranks the cut leaves without blocks
+     exit on their plan. *)
+  for rank = 0 to procs - 1 do
+    match spawn_worker exe ~rank ~master_addr with
+    | pid -> pids := !pids @ [ (rank, pid) ]
+    | exception Unix.Unix_error (e, _, _) ->
+        fail_cleanup "cannot start worker %s: %s" exe (Unix.error_message e)
+  done;
+  let pids = !pids in
   (* why [rank] exited with [status]: for a guarded exit, the reason
      in the [Fatal] it sent first, already read or still on the wire *)
   let exit_reason rank status =
@@ -352,6 +365,26 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
   let build_start = tel_now () in
   let compiled, model = Lazy.force schedule in
   let build_end = tel_now () in
+  let sched = compiled.Orion.schedule in
+  let sp = sched.Schedule.space_parts and tp = sched.Schedule.time_parts in
+  let iter = inst.Orion.App.inst_iter in
+  let arrays = inst.Orion.App.inst_arrays in
+  (* the arrays whose contents the wire carries: placed, not buffered *)
+  let managed =
+    List.filter_map
+      (fun (name, arr) ->
+        if List.mem name inst.Orion.App.inst_buffered then None
+        else
+          Option.map
+            (fun placement -> (name, arr, placement))
+            (List.assoc_opt name plan.Plan.placements))
+      arrays
+  in
+  let p_sharing =
+    List.map
+      (fun (name, _, placement) -> (name, sharing plan model name placement))
+      managed
+  in
   (* -- accept + hello, each answered with its plan ------------------- *)
   let connected = ref 0 in
   while !connected < procs do
@@ -381,8 +414,17 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
                    p_passes = passes;
                    p_telemetry = telemetry;
                    p_report_passes = report_passes;
-                   p_plan = plan;
-                 })
+                   p_sharing;
+                   p_sp = sp;
+                   p_tp = tp;
+                   p_model = model;
+                   p_space_boundaries = sched.Schedule.space_boundaries;
+                   p_time_boundaries = sched.Schedule.time_boundaries;
+                   p_dims = Dist_array.dims iter;
+                   p_entries = Dist_array.count iter;
+                 });
+            (* a rank beyond the space cut exits on its plan *)
+            if h_rank >= sp then Transport.close_conn c
         | Some (Wire.Hello { h_rank; h_version }) ->
             fail_cleanup ~rank:h_rank
               "bad hello (rank %d, protocol version %d, expected %d)" h_rank
@@ -396,8 +438,6 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
     | Some c -> c
     | None -> fail_cleanup ~rank "no connection"
   in
-  let sched = compiled.Orion.schedule in
-  let sp = sched.Schedule.space_parts and tp = sched.Schedule.time_parts in
   (* the partitioner may produce fewer space partitions than workers
      on tiny data (never more: the session has [procs] workers); one
      worker runs per partition *)
@@ -410,14 +450,11 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
      Each rank's row payload is built in one buffer: its blocks' entries
      in scheduled order (float blocks as keys and IEEE bits, the others
      in the wire's tagged value codec), so a worker needs no records of
-     its own, then the packed regions that fill its placed arrays — its
-     local partition, and the whole rotated and replicated arrays,
-     packed once for every row.  The row's header carries the
-     iteration space's dims and entry count, which a worker checks its
-     instance against, the spans of the payload, and — only for a rank
-     that announced records of its own — the space's digest. *)
-  let iter = inst.Orion.App.inst_iter in
-  let arrays = inst.Orion.App.inst_arrays in
+     its own, then the packed regions that fill its managed arrays — its
+     local partition, and the whole rotated, replicated and
+     server-placed arrays, packed once for every row.  The row's header
+     carries the spans of the payload and — only for a rank that
+     announced records of its own — the space's digest. *)
   let packer =
     Policy.sender
       ~linearize:(fun name key ->
@@ -444,20 +481,17 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
         r
   in
   let regions_for rank =
-    List.filter_map
-      (fun (name, arr) ->
-        if List.mem name inst.Orion.App.inst_buffered then None
-        else
-          match List.assoc_opt name plan.Plan.placements with
-          | Some (Plan.Local_partitioned { array_dim }) ->
-              let lo, hi =
-                Dist_worker.part_range sched.Schedule.space_boundaries rank
-                  ~size:(Dist_array.dims arr).(array_dim)
-              in
-              Some (pack arr (Dist_array.region arr ~dim:array_dim ~lo ~hi))
-          | Some (Plan.Rotated _ | Plan.Replicated) -> Some (whole name arr)
-          | Some Plan.Server | None -> None)
-      arrays
+    List.map
+      (fun (name, arr, placement) ->
+        match placement with
+        | Plan.Local_partitioned { array_dim } ->
+            let lo, hi =
+              Dist_worker.part_range sched.Schedule.space_boundaries rank
+                ~size:(Dist_array.dims arr).(array_dim)
+            in
+            pack arr (Dist_array.region arr ~dim:array_dim ~lo ~hi)
+        | Plan.Rotated _ | Plan.Replicated | Plan.Server -> whole name arr)
+      managed
   in
   let encode_row rank =
     let start = tel_now () in
@@ -474,14 +508,7 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
   let digest = lazy (Wire.space_digest iter) in
   let row_header ~records (_, blocks, spans, _) =
     {
-      Wire.sr_sp = sp;
-      sr_tp = tp;
-      sr_model = model;
-      sr_space_boundaries = sched.Schedule.space_boundaries;
-      sr_time_boundaries = sched.Schedule.time_boundaries;
-      sr_dims = Dist_array.dims iter;
-      sr_entries = Dist_array.count iter;
-      sr_digest = (if records then Lazy.force digest else 0);
+      Wire.sr_digest = (if records then Lazy.force digest else 0);
       sr_blocks = blocks;
       sr_regions = spans;
     }
@@ -506,19 +533,12 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
       ~duration_sec:0.0
   in
   (* -- start-up sends --------------------------------------------------
-     Every rank announces its listener and prefetch request as soon as
-     its instance is built.  Each rank's frames then go out in order,
-     with no round trip in between: the row's header and payload, the
-     prefetch response (once requested) and the peers table (once every
-     rank listens).  They are written as far as each rank reads, so a
-     rank still starting holds up only its own frames, under the same
-     supervision as the other start-up waits.  A rank beyond the space
-     cut gets Shutdown at once; its connection stays open until the run
-     ends, so that its announcement, still on its way, is not
-     refused. *)
-  for rank = nw to procs - 1 do
-    Transport.send (conn rank) Wire.Shutdown
-  done;
+     Every rank announces its listener as soon as its instance is
+     built.  Each rank's frames then go out in order, with no round
+     trip in between: the row's header and payload, and the peers table
+     (once every rank listens).  They are written as far as each rank
+     reads, so a rank still starting holds up only its own frames,
+     under the same supervision as the other start-up waits. *)
   let ship ~rank regions =
     List.iter
       (fun (name, b, n) ->
@@ -565,33 +585,10 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
     check_deadline "worker startup";
     List.iter pump ranks
   in
-  (* the prefetch response follows the row, whichever came first: the
-     row's encoding or the request *)
-  let row_queued = Array.make nw false in
-  let respond_prefetch rank =
-    match states.(rank).st_prefetch with
-    | Some pr_arrays ->
-        let regions =
-          List.filter_map
-            (fun name -> Option.map (whole name) (List.assoc_opt name arrays))
-            pr_arrays
-        in
-        ship ~rank regions;
-        queue rank
-          (message rank
-             (Wire.Prefetch_response (List.map (fun (_, b, _) -> b) regions)))
-    | None -> ()
-  in
   let handle = function
     | Event_loop.Message (rank, Wire.Listening { l_addr; l_records }) ->
         states.(rank).st_addr <- Some l_addr;
         states.(rank).st_records <- Some l_records
-    | Event_loop.Message (rank, Wire.Prefetch_request { pr_arrays; _ }) ->
-        states.(rank).st_prefetch <- Some pr_arrays;
-        (* Listening is guaranteed first on this FIFO channel *)
-        if states.(rank).st_addr = None then
-          fail_cleanup ~rank "prefetch request before listening";
-        if row_queued.(rank) then respond_prefetch rank
     | Event_loop.Message (rank, Wire.Fatal { f_reason; _ }) ->
         fail_cleanup ~rank "%s" f_reason
     | Event_loop.Message (rank, m) ->
@@ -606,10 +603,7 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
      its payload.  Until a rank is ready this process waits, leaving
      the cores to the workers still building their instances. *)
   let unsent = ref ranks in
-  while
-    !unsent <> []
-    || List.exists (fun rank -> states.(rank).st_prefetch = None) ranks
-  do
+  while !unsent <> [] do
     match List.find_opt (fun r -> states.(r).st_records <> None) !unsent with
     | Some rank ->
         unsent := List.filter (fun r -> r <> rank) !unsent;
@@ -627,8 +621,6 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
                  ship ~rank regions;
                  true
                end);
-        row_queued.(rank) <- true;
-        respond_prefetch rank;
         pump rank
     | None ->
         step ();
@@ -665,20 +657,21 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
      pass boundary into its copies.  [unknown] handles a name [arrays]
      does not hold. *)
   let assemble (arrays : (string, float Dist_array.t) Hashtbl.t) ~unknown
-      (regions : Wire.part_payload list) (entries : Wire.block_writes list) =
+      (reports : Wire.report array) =
+    let reports = Array.to_list reports in
     List.iter
       (fun payload ->
         let p = Orion_dsm.Codec.decode_part payload in
         match Hashtbl.find_opt arrays p.pt_array with
         | Some arr -> Dist_array.apply_partition arr p
         | None -> unknown p.pt_array)
-      regions;
+      (List.concat_map (fun (r : Wire.report) -> r.r_regions) reports);
     List.sort
       (fun (a : Wire.block_writes) (b : Wire.block_writes) ->
         compare
           (a.bw_pass, Hashtbl.find pos a.bw_block)
           (b.bw_pass, Hashtbl.find pos b.bw_block))
-      entries
+      (List.concat_map (fun (r : Wire.report) -> r.r_entries) reports)
     |> List.iter (fun (bw : Wire.block_writes) ->
            Array.iter
              (fun (w : Wire.write) ->
@@ -708,12 +701,11 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
     Queue.push report reported.(rank);
     while Array.for_all (fun q -> not (Queue.is_empty q)) reported do
       let pass = Array.map Queue.pop reported in
-      assemble copies ~unknown:ignore
-        (List.concat_map (fun (regions, _, _) -> regions) (Array.to_list pass))
-        (List.concat_map (fun (_, entries, _) -> entries) (Array.to_list pass));
+      assemble copies ~unknown:ignore pass;
       Array.iteri
-        (fun r (_, _, parts) ->
-          latest_shadows.(r) <- List.map Orion_dsm.Codec.decode_part parts)
+        (fun r (report : Wire.report) ->
+          latest_shadows.(r) <-
+            List.map Orion_dsm.Codec.decode_part report.r_buffered)
         pass;
       incr boundaries;
       boundary !boundaries
@@ -728,10 +720,8 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
   (* -- supervise execution ------------------------------------------ *)
   let supervise ~boundary =
     let pass_report = function
-      | Event_loop.Message
-          ( rank,
-            Wire.Pass_report { pp_regions; pp_entries; pp_buffered; _ } ) ->
-          note_pass_report ~boundary rank (pp_regions, pp_entries, pp_buffered);
+      | Event_loop.Message (rank, Wire.Pass_report { pp_report; _ }) ->
+          note_pass_report ~boundary rank pp_report;
           true
       | _ -> false
     in
@@ -759,12 +749,6 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
         (fun event ->
           if not (pass_report event) then
             match event with
-            | Event_loop.Message
-                (rank, Wire.Block_report { br_regions; br_entries; _ }) ->
-                states.(rank).st_report <- Some (br_regions, br_entries)
-            | Event_loop.Message
-                (rank, Wire.Buffer_flush { bf_parts; bf_totals; _ }) ->
-                states.(rank).st_flush <- Some (bf_parts, bf_totals)
             | Event_loop.Message
                 ( rank,
                   Wire.Pass_telemetry
@@ -802,12 +786,8 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
                     | Some (s0, f0) -> (Float.min s0 s, Float.max f0 f)
                     | None -> (s, f))
                 end
-            | Event_loop.Message (rank, Wire.Done stats) ->
-                if
-                  states.(rank).st_report = None
-                  || states.(rank).st_flush = None
-                then fail_cleanup ~rank "done before final reports";
-                states.(rank).st_done <- Some stats
+            | Event_loop.Message (rank, Wire.Done final) ->
+                states.(rank).st_done <- Some final
             | Event_loop.Message (rank, Wire.Fatal { f_reason; _ }) -> (
                 (* a crashed worker makes its peers complain about closed
                    sockets; blame the crash, not the collateral — and a
@@ -867,10 +847,14 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
         | `Exited status ->
             err ~rank "%s after completion" (status_reason status))
       pids;
-    (* the ranks beyond the space cut have exited too *)
-    for rank = nw to procs - 1 do
-      Transport.close_conn (conn rank)
-    done;
+    let finals =
+      Array.mapi
+        (fun rank st ->
+          match st.st_done with
+          | Some final -> final
+          | None -> err ~rank "missing final report")
+        states
+    in
     let arr_tbl : (string, float Dist_array.t) Hashtbl.t = Hashtbl.create 8 in
     List.iter
       (fun (n, a) -> Hashtbl.replace arr_tbl n a)
@@ -879,23 +863,18 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
        (pass, natural-order) order — a serialization of the
        happens-before order, reproducing the serial element values
        bitwise *)
-    let reports =
-      Array.to_list states |> List.filter_map (fun st -> st.st_report)
-    in
-    assemble arr_tbl ~unknown:(err "block report for unknown array %S")
-      (List.concat_map fst reports)
-      (List.concat_map snd reports);
+    assemble arr_tbl ~unknown:(err "final report for unknown array %S")
+      (Array.map (fun (f : Wire.final) -> f.d_report) finals);
     (* buffered arrays: every rank's shadows, in ascending rank order *)
     Array.iteri
-      (fun rank st ->
-        let payloads, totals = Option.value st.st_flush ~default:([], []) in
+      (fun rank { Wire.d_report; d_totals; _ } ->
         List.iter
           (fun payload ->
             let part = Orion_dsm.Codec.decode_part payload in
             let name = part.Dist_array.pt_array in
             (match Hashtbl.find_opt arr_tbl name with
             | Some arr -> Orion.Engine.merge_part arr part
-            | None -> err "buffer flush for unknown array %S" name);
+            | None -> err "buffered shadow of unknown array %S" name);
             let flushed_total =
               Array.fold_left ( +. ) 0.0 part.Dist_array.pt_values
             in
@@ -905,24 +884,17 @@ let start (session : Orion.session) (inst : Orion.App.instance) ~procs
             net_span ~rank name bytes;
             (* the worker computed its accumulator total over the same
                entries in the same order: must match bitwise *)
-            match List.assoc_opt name totals with
+            match List.assoc_opt name d_totals with
             | Some reported when reported = flushed_total -> ()
             | Some reported ->
                 err ~rank
                   "accumulator total mismatch for %S: reported %h, flushed %h"
                   name reported flushed_total
             | None -> err ~rank "no accumulator total for %S" name)
-          payloads)
-      states;
+          d_report.r_buffered)
+      finals;
     (* token traffic, as reported per worker *)
-    let stats =
-      Array.mapi
-        (fun rank st ->
-          match st.st_done with
-          | Some s -> s
-          | None -> err ~rank "missing worker stats")
-        states
-    in
+    let stats = Array.map (fun (f : Wire.final) -> f.d_stats) finals in
     Array.iteri
       (fun rank (s : Wire.worker_stats) ->
         List.iter

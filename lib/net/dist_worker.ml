@@ -5,27 +5,27 @@
 
     A worker never receives code: it rebuilds the app instance
     deterministically from the registry ([materialize]) — host builtins
-    are closures and cannot travel over the wire — while the master
-    compiles the schedule.  It builds that instance from shapes only
+    are closures and cannot travel over the wire.  It builds that
+    instance from shapes only
     and reads no dataset record, unless a host builtin closes over the
-    records; it takes the master's plan from the {!Wire.Plan} message
-    instead of analysing the loop itself.  It never compiles the
-    schedule either: its row arrives as its blocks' entries, keys and
-    values ({!Wire.Schedule_row}, then the row's payload, decoded in
-    place), so it runs exactly the master's blocks.  Float-valued
-    blocks stay unboxed from the wire to the kernel, which it compiles
-    while its row is still in flight.  DistArray {e contents} do
-    travel: every placed non-buffered array is zeroed locally and
-    refilled from the wire (regions in the row's payload for
-    local/rotated/replicated placements, a bulk prefetch for
-    server-hosted ones), so the shipping path is load-bearing, not
-    decorative.
+    records.  It neither analyses the loop nor compiles the schedule:
+    the {!Wire.Plan} message carries the master's decisions — each
+    managed array's {!Wire.sharing} and the schedule's shape — and its
+    row arrives as its blocks' entries, keys and values
+    ({!Wire.Schedule_row}, then the row's payload, decoded in place),
+    so it runs exactly the master's blocks.  A rank beyond the space
+    cut has no blocks and exits on its plan.  Float-valued blocks stay
+    unboxed from the wire to the kernel, which it compiles once, while
+    its row is still in flight.  DistArray {e contents} do travel:
+    every managed array is zeroed locally and refilled from the regions
+    in the row's payload (a rank's local region, whole rotated,
+    replicated and server-placed arrays), so the shipping path is
+    load-bearing, not decorative.
 
-    Every written, non-buffered DistArray is kept consistent in one of
-    two ways, chosen from its placement under the execution model
-    ({!sharing}):
+    Every written, managed DistArray is kept consistent in one of two
+    ways, by its sharing:
 
-    - {e Owner-exclusive} placements move as whole regions.  A
+    - {e Owner-exclusive} arrays move as whole regions.  A
       locally-partitioned array under a 1D or 2D model belongs to the
       space-partition owner, and its region never leaves that worker
       during a pass.  A rotated array under a 2D model belongs to
@@ -53,17 +53,16 @@
       different peers interleave.  The pass sync flushes the rest.
 
     Blocks that wrote nothing still send tokens — edge satisfaction is
-    tracked by token arrival, not by payload content.  The final
-    {!Wire.Block_report} ships each rank's owned regions and last-held
-    slices (plus its own journal), which the master sets as they are.
+    tracked by token arrival, not by payload content.
 
     Buffered arrays get a local zero shadow (exactly the domain pool's
-    per-domain shadows); the nonzero entries are flushed to the master
-    at the end and merged in rank order. *)
+    per-domain shadows).  The run ends in one {!Wire.Done}: the rank's
+    owned regions and last-held slices, which the master sets as they
+    are, its own journal, and its shadows' nonzero entries with their
+    totals, which the master merges in rank order. *)
 
 open Orion_lang
 module Dist_array = Orion_dsm.Dist_array
-module Plan = Orion_analysis.Plan
 module Domain_exec = Orion_runtime.Domain_exec
 module Schedule = Orion_runtime.Schedule
 module Telemetry = Orion_obs.Telemetry
@@ -157,38 +156,6 @@ let accept_with_deadline (l : Transport.listener) ~deadline ~what :
   wait_readable l.Transport.lfd ~deadline ~what;
   Transport.accept l
 
-(* ------------------------------------------------------------------ *)
-(* Owner-exclusive placements vs journaled ones                        *)
-(* ------------------------------------------------------------------ *)
-
-(** How the wire keeps one non-buffered DistArray consistent. *)
-type sharing =
-  | Local of int
-      (** exclusive to the space-partition owner: the region along
-          this array dimension that the space cut gives a rank *)
-  | Rotating of int
-      (** exclusive to the holder of a time partition: the slice along
-          this array dimension that the time cut gives partition [t]
-          moves whole along every same-[t] happens-before edge *)
-  | Journaled  (** written with no single owner: every write journaled *)
-  | Unwritten  (** never written by the loop: nothing travels back *)
-
-(** [name]'s sharing, from its placement in [plan] under [model]. *)
-let sharing (plan : Plan.t) (model : Domain_exec.model) name =
-  let written =
-    List.exists
-      (fun (r : Orion_analysis.Refs.ref_info) -> r.array = name && r.is_write)
-      plan.Plan.loop.Orion_analysis.Refs.refs
-  in
-  match (List.assoc_opt name plan.Plan.placements, model) with
-  | _ when not written -> Unwritten
-  | ( Some (Plan.Local_partitioned { array_dim }),
-      (Domain_exec.M_1d | M_2d_ordered | M_2d_unordered _) ) ->
-      Local array_dim
-  | Some (Plan.Rotated { array_dim }), (M_2d_ordered | M_2d_unordered _) ->
-      Rotating array_dim
-  | _ -> Journaled
-
 (** The index range [\[lo, hi)] of partition [p] of a cut along a
     dimension of [size] — the inverse of
     {!Orion_dsm.Partitioner.part_of}, whose first and last partitions
@@ -201,27 +168,24 @@ let part_range (b : Orion_dsm.Partitioner.boundaries) p ~size =
 (* The worker protocol                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** The master sent [Shutdown] instead of a schedule row: the space cut
-    has fewer partitions than workers were spawned, and this rank has
-    no blocks. *)
-exception No_row
-
-(** Fail unless [iter] can run [row]: it must have the dims of the
-    master's iteration space (keys are delinearized against them), and
-    when it holds records of its own — which the app's host builtins
-    read — exactly the master's entries, by count and by digest. *)
-let check_space (iter : Value.t Dist_array.t) (row : Wire.row) =
+(** Fail unless [iter] can run the plan's schedule: it must have the
+    dims of the master's iteration space (keys are delinearized against
+    them), and when it holds records of its own — which the app's host
+    builtins read — exactly the master's entries, by count and by the
+    digest in its [row]. *)
+let check_space (iter : Value.t Dist_array.t) (p : Wire.plan) (row : Wire.row)
+    =
   let name = Dist_array.name iter in
   let dims d = String.concat "x" (Array.to_list (Array.map string_of_int d)) in
-  if Dist_array.dims iter <> row.Wire.sr_dims then
+  if Dist_array.dims iter <> p.Wire.p_dims then
     fail "iteration space %S has dims %s, the master's has %s" name
       (dims (Dist_array.dims iter))
-      (dims row.Wire.sr_dims);
+      (dims p.Wire.p_dims);
   let count = Dist_array.count iter in
   if count > 0 then begin
-    if count <> row.Wire.sr_entries then
+    if count <> p.Wire.p_entries then
       fail "iteration space %S has %d entries, the master's has %d" name count
-        row.Wire.sr_entries;
+        p.Wire.p_entries;
     if Wire.space_digest iter <> row.Wire.sr_digest then
       fail "iteration space %S holds other entries than the master's" name
   end
@@ -230,26 +194,19 @@ let check_space (iter : Value.t Dist_array.t) (row : Wire.row) =
     install, so that a malformed row fails there, not mid-pass.  They
     are all a worker keeps of its iteration space: every pass runs them
     as the pool runs its own. *)
-let decode_blocks ~tp (row : Wire.row) payload =
-  if Array.length row.Wire.sr_blocks <> tp then
+let decode_blocks (p : Wire.plan) (row : Wire.row) payload =
+  if Array.length row.Wire.sr_blocks <> p.Wire.p_tp then
     fail "schedule row has %d blocks, expected %d"
       (Array.length row.Wire.sr_blocks)
-      tp;
-  Wire.decode_row row payload
+      p.Wire.p_tp;
+  Wire.decode_row ~dims:p.Wire.p_dims row payload
 
-let serve (master : Transport.conn) ~(materialize : materialize) ~rank
-    ~(listener : Transport.listener) : unit =
-  let deadline = Unix.gettimeofday () +. timeout_seconds ~default:300.0 in
+(* Run rank [rank]'s share of plan [p]'s schedule, from its instance to
+   its final report. *)
+let run (master : Transport.conn) ~(materialize : materialize) ~rank
+    ~(listener : Transport.listener) ~deadline (p : Wire.plan) : unit =
   let recv_master what = recv_with_deadline master ~deadline ~what in
-  (* -- plan ------------------------------------------------------- *)
-  let p =
-    match recv_master "plan" with
-    | Wire.Plan p -> p
-    | m -> fail "expected plan, got %s" (Wire.tag m)
-  in
-  if p.p_rank <> rank then fail "plan for rank %d sent to rank %d" p.p_rank rank;
-  if rank < 0 || rank >= p.p_procs then
-    fail "rank %d out of range (%d workers)" rank p.p_procs;
+  let sp = p.p_sp and tp = p.p_tp and model = p.p_model in
   (* -- telemetry ----------------------------------------------------
      One local shard (this process is one worker).  Spans are recorded
      on this process's monotonic clock and drained to the master after
@@ -265,9 +222,8 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
         ~finish:(tel_now ())
   in
   (* -- start-up: everything that needs only the plan ------------------
-     Building the instance from shapes runs while the master compiles
-     the schedule; the schedule itself arrives afterwards as this
-     rank's row, with the entries the kernel is compiled for. *)
+     The instance, built from shapes; this rank's share of the schedule
+     arrives afterwards as its row, with the entries the kernel runs. *)
   let start = tel_now () in
   let inst =
     match
@@ -279,9 +235,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   in
   tel_span ~category:Orion_obs.Trace.Compute ~label:"materialize" ~bytes:0.0
     ~start;
-  let plan = p.p_plan in
   let arrays = inst.Orion.App.inst_arrays in
-  let buffered = inst.Orion.App.inst_buffered in
   (* -- shadows for buffered arrays, as every backend makes them ----- *)
   let env = inst.Orion.App.inst_env in
   let shadows = Orion.Engine.make_shadows inst env in
@@ -291,58 +245,114 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   let packed parts =
     List.map (fun p -> fst (Orion_dsm.Codec.encode_part p)) parts
   in
-  let placement name = List.assoc_opt name plan.Plan.placements in
-  (* arrays whose contents the wire is responsible for *)
-  let managed name =
-    (not (List.mem name buffered)) && placement name <> None
-  in
-  (* -- announce: own listener + prefetch request ---------------------
-     Both need only the plan, so they go out before the row arrives:
-     the master then sends the row, the prefetch response and the peers
-     table back to back, with no round trip in between.  The listener
-     announcement also says whether this instance holds records, the
-     only case in which the row carries a digest to check them by. *)
+  (* -- announce: own listener ------------------------------------------
+     It goes out before the row arrives: the master then sends the row
+     and the peers table back to back, with no round trip in between.
+     The announcement also says whether this instance holds records,
+     the only case in which the row carries a digest to check them
+     by. *)
   Transport.send master
     (Wire.Listening
        {
          l_addr = Transport.addr_to_string listener.Transport.laddr;
          l_records = Dist_array.count inst.Orion.App.inst_iter > 0;
        });
-  let prefetch_names =
+  (* the arrays whose contents the wire carries, with their sharing, in
+     the instance's order *)
+  let managed =
     List.filter_map
-      (fun (n, _) ->
-        if managed n && placement n = Some Plan.Server then Some n else None)
+      (fun (n, a) ->
+        Option.map (fun s -> (n, a, s)) (List.assoc_opt n p.p_sharing))
       arrays
   in
-  (* always sent, possibly empty, so the master's serving path is
-     exercised every run *)
-  Transport.send master
-    (Wire.Prefetch_request { pr_arrays = prefetch_names });
   (* zero every managed array before its contents arrive: they must
      come over the wire, which makes the start-up shipment
      load-bearing.  Done after the announcement, while the master
      still encodes the row. *)
   List.iter
-    (fun (n, a) ->
-      if managed n then
-        Array.iter
-          (fun lin -> Dist_array.set_lin a lin 0.0)
-          (Dist_array.sorted_keys a))
-    arrays;
-  (* -- the compiled kernel, while the row is in flight -----------------
-     Compiled after the shadow rebinding above (the kernel captures
-     env's current array bindings), for the iteration space's kind
-     alone: a float space's kernel takes the row's float blocks
-     unboxed, as on the domain pool.  Only the row says whether some
-     array is journaled; if one is, the write-journal hook installed
-     below replaces this kernel, before it runs, with the interpreted
-     body, which the hook observes. *)
+    (fun (_, a, _) ->
+      Array.iter
+        (fun lin -> Dist_array.set_lin a lin 0.0)
+        (Dist_array.sorted_keys a))
+    managed;
+  let locals =
+    List.filter_map
+      (function n, a, Wire.Local d -> Some (n, a, d) | _ -> None)
+      managed
+  and rotating =
+    List.filter_map
+      (function n, a, Wire.Rotating d -> Some (n, a, d) | _ -> None)
+      managed
+  and journaled =
+    List.filter_map
+      (function n, _, Wire.Journaled -> Some n | _ -> None)
+      managed
+  in
+  let arr_tbl : (string, float Dist_array.t) Hashtbl.t = Hashtbl.create 8 in
+  List.iter (fun (n, a) -> Hashtbl.replace arr_tbl n a) arrays;
+  (* -- write journal (arrays with no single owner) ------------------ *)
+  let order = Domain_exec.natural_order model ~sp ~tp in
+  let natpos : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  Array.iteri (fun i (s, t) -> Hashtbl.replace natpos ((s * tp) + t) i) order;
+  let pos blk = try Hashtbl.find natpos blk with Not_found -> max_int in
+  (* Version of the last write applied to each element, as
+     (pass, natural-order position of the writing block).  The analysis
+     guarantees all writers of one element are happens-before-ordered,
+     and natural order linearizes happens-before, so last-writer-wins by
+     version applies remote writes correctly regardless of the order
+     tokens from different peers arrive in. *)
+  let versions : (string * int array, int * int) Hashtbl.t =
+    Hashtbl.create 256
+  in
+  let apply_write ~version (w : Wire.write) =
+    match Hashtbl.find_opt arr_tbl w.w_array with
+    | None -> ()
+    | Some arr ->
+        let stale =
+          match Hashtbl.find_opt versions (w.w_array, w.w_key) with
+          | Some v -> v > version
+          | None -> false
+        in
+        if not stale then begin
+          Hashtbl.replace versions (w.w_array, w.w_key) version;
+          Dist_array.set arr w.w_key w.w_value
+        end
+  in
+  let cur_version = ref (0, 0) in
+  let current : Wire.write list ref = ref [] (* newest first *) in
+  if journaled <> [] then
+    env.Interp.on_array_access <-
+      Some
+        (fun ex ~write subs ->
+          if write && List.mem ex.Value.ex_name journaled then
+            match Hashtbl.find_opt arr_tbl ex.Value.ex_name with
+            | Some arr ->
+                (* the hook fires after the write: [get] reads the
+                   just-written value *)
+                List.iter
+                  (fun key ->
+                    Hashtbl.replace versions (ex.Value.ex_name, key)
+                      !cur_version;
+                    current :=
+                      {
+                        Wire.w_array = ex.Value.ex_name;
+                        w_key = key;
+                        w_value = Dist_array.get arr key;
+                      }
+                      :: !current)
+                  (Value.keys_of_subs ex.Value.ex_dims subs)
+            | None -> ());
+  (* -- the loop body, while the row is in flight -----------------------
+     Built once, after the shadow rebinding above (the kernel captures
+     env's current array bindings) and the journal hook: with the hook
+     attached, [loop_body] compiles nothing and interprets, which the
+     hook observes; otherwise it compiles for the iteration space's
+     kind alone, so a float space's kernel takes the row's float blocks
+     unboxed, as on the domain pool. *)
   let start = tel_now () in
   let kernel, body = Orion.Engine.loop_body inst env in
   tel_span ~category:Orion_obs.Trace.Compute ~label:"kernel compile"
     ~bytes:0.0 ~start;
-  let arr_tbl : (string, float Dist_array.t) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun (n, a) -> Hashtbl.replace arr_tbl n a) arrays;
   let apply_region ?pos ?len what payload =
     let p = Orion_dsm.Codec.decode_part ?pos ?len payload in
     match Hashtbl.find_opt arr_tbl p.pt_array with
@@ -350,27 +360,20 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     | None -> fail "%s for unknown array %S" what p.pt_array
   in
   (* -- schedule row ----------------------------------------------------
-     Check the row's header against this instance, then decode its
-     payload in place: the blocks, and the regions that fill this
-     rank's local, rotated and replicated arrays. *)
-  let iter = inst.Orion.App.inst_iter in
+     Check the row's header and the plan's shape against this instance,
+     then decode its payload in place: the blocks, and the regions that
+     fill this rank's managed arrays. *)
   let row =
     match recv_master "schedule row" with
     | Wire.Schedule_row row -> row
-    | Wire.Shutdown -> raise No_row
     | m -> fail "expected schedule-row, got %s" (Wire.tag m)
   in
-  let sp = row.Wire.sr_sp and tp = row.Wire.sr_tp in
-  let model = row.Wire.sr_model in
-  if sp > p.p_procs || rank >= sp then
-    fail "schedule row for rank %d of %d space partitions (%d workers)" rank
-      sp p.p_procs;
-  check_space iter row;
+  check_space inst.Orion.App.inst_iter p row;
   let payload =
     recv_frame_with_deadline master ~deadline ~what:"schedule row payload"
   in
   let start = tel_now () in
-  let blocks = decode_blocks ~tp row payload in
+  let blocks = decode_blocks p row payload in
   Array.iter
     (fun { Wire.sp_off; sp_len } ->
       apply_region ~pos:sp_off ~len:sp_len "schedule row" payload)
@@ -378,10 +381,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   tel_span ~category:Orion_obs.Trace.Marshal ~label:"row install"
     ~bytes:(float_of_int (Bytes.length payload))
     ~start;
-  (match recv_master "prefetch response" with
-  | Wire.Prefetch_response parts ->
-      List.iter (apply_region "prefetch response") parts
-  | m -> fail "expected prefetch-response, got %s" (Wire.tag m));
   let peer_addrs =
     match recv_master "peers" with
     | Wire.Peers a -> a
@@ -436,80 +435,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     let a = hello_from (peer b) ~what:"peer hello answer" in
     if a <> b then fail "peer %d answered for rank %d" b a
   done;
-  let classified =
-    List.filter_map
-      (fun (n, a) ->
-        if managed n then Some (n, a, sharing plan model n) else None)
-      arrays
-  in
-  let locals =
-    List.filter_map
-      (function n, a, Local d -> Some (n, a, d) | _ -> None)
-      classified
-  and rotating =
-    List.filter_map
-      (function n, a, Rotating d -> Some (n, a, d) | _ -> None)
-      classified
-  and journaled =
-    List.filter_map (function n, _, Journaled -> Some n | _ -> None) classified
-  in
-  (* -- write journal (arrays with no single owner) ------------------ *)
-  let order = Domain_exec.natural_order model ~sp ~tp in
-  let natpos : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri (fun i (s, t) -> Hashtbl.replace natpos ((s * tp) + t) i) order;
-  let pos blk = try Hashtbl.find natpos blk with Not_found -> max_int in
-  (* Version of the last write applied to each element, as
-     (pass, natural-order position of the writing block).  The analysis
-     guarantees all writers of one element are happens-before-ordered,
-     and natural order linearizes happens-before, so last-writer-wins by
-     version applies remote writes correctly regardless of the order
-     tokens from different peers arrive in. *)
-  let versions : (string * int array, int * int) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let apply_write ~version (w : Wire.write) =
-    match Hashtbl.find_opt arr_tbl w.w_array with
-    | None -> ()
-    | Some arr ->
-        let stale =
-          match Hashtbl.find_opt versions (w.w_array, w.w_key) with
-          | Some v -> v > version
-          | None -> false
-        in
-        if not stale then begin
-          Hashtbl.replace versions (w.w_array, w.w_key) version;
-          Dist_array.set arr w.w_key w.w_value
-        end
-  in
-  let cur_version = ref (0, 0) in
-  let current : Wire.write list ref = ref [] (* newest first *) in
-  if journaled <> [] then
-    env.Interp.on_array_access <-
-      Some
-        (fun ex ~write subs ->
-          if write && List.mem ex.Value.ex_name journaled then
-            match Hashtbl.find_opt arr_tbl ex.Value.ex_name with
-            | Some arr ->
-                (* the hook fires after the write: [get] reads the
-                   just-written value *)
-                List.iter
-                  (fun key ->
-                    Hashtbl.replace versions (ex.Value.ex_name, key)
-                      !cur_version;
-                    current :=
-                      {
-                        Wire.w_array = ex.Value.ex_name;
-                        w_key = key;
-                        w_value = Dist_array.get arr key;
-                      }
-                      :: !current)
-                  (Value.keys_of_subs ex.Value.ex_dims subs)
-            | None -> ());
-  (* hooks belong to the interpreter: with the journal attached,
-     [loop_body] compiles nothing and interprets *)
-  let kernel, body =
-    if journaled = [] then (kernel, body) else Orion.Engine.loop_body inst env
-  in
   (* -- happens-before bookkeeping ----------------------------------- *)
   let owner blk = blk / tp in
   let incoming : (int, int list) Hashtbl.t = Hashtbl.create 16 in
@@ -527,7 +452,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     (Domain_exec.block_edges model ~sp ~tp);
   (* arrived tokens, keyed (pass, src, dst): the sending rank and its
      slices, installed when [dst] is about to run; arrived syncs, keyed
-     (pass, rank), installed at the pass barrier.  Applying slices at
+     (pass, sending rank), installed at the pass barrier.  Applying slices at
      consumption, not on arrival, keeps a faster peer's next-pass
      slices from being overwritten by this pass's barrier state. *)
   let tokens : (int * int * int, int * Wire.part_payload list) Hashtbl.t =
@@ -595,7 +520,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   in
   (* the rotated arrays' slices of time partition [t] *)
   let slices t =
-    match (rotating, row.Wire.sr_time_boundaries) with
+    match (rotating, p.p_time_boundaries) with
     | [], _ -> []
     | _, Some boundaries -> List.map (fun r -> region r ~boundaries t) rotating
     | (name, _, _) :: _, None ->
@@ -615,14 +540,20 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     bytes_full := !bytes_full +. Policy.raw_bytes (Array.length keys);
     (b, (arr.Dist_array.name, float_of_int (Bytes.length b)))
   in
-  (* what this rank owns at a pass boundary: its local regions under
-     the current space cut and the slices it held last *)
-  let owned_regions () =
-    List.map pack
-      (List.map
-         (fun r -> region r ~boundaries:row.Wire.sr_space_boundaries rank)
-         locals
-      @ held_last ())
+  (* this rank's state at a pass boundary: what it owns (its local
+     regions under the space cut and the slices it held last), its own
+     journal [entries], and its buffered shadows' [parts] *)
+  let report entries parts =
+    {
+      Wire.r_regions =
+        List.map pack
+          (List.map
+             (fun r -> region r ~boundaries:p.p_space_boundaries rank)
+             locals
+          @ held_last ());
+      r_entries = entries;
+      r_buffered = packed parts;
+    }
   in
   let apply_slices what q payloads =
     if payloads <> [] then begin
@@ -655,10 +586,10 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
             { rt_pass; rt_src; rt_dst; rt_slices; rt_entries } ) ->
         if journaled <> [] then Queue.push (q, rt_entries) journal_in;
         Hashtbl.replace tokens (rt_pass, rt_src, rt_dst) (q, rt_slices)
-    | Event_loop.Message
-        (q, Wire.Pass_sync { ps_pass; ps_rank; ps_slices; ps_entries }) ->
+    | Event_loop.Message (q, Wire.Pass_sync { ps_pass; ps_slices; ps_entries })
+      ->
         if journaled <> [] then Queue.push (q, ps_entries) journal_in;
-        Hashtbl.replace syncs (ps_pass, ps_rank) ps_slices
+        Hashtbl.replace syncs (ps_pass, q) ps_slices
     | Event_loop.Message (q, m) ->
         fail "unexpected %s from peer %d" (Wire.tag m) q
     | Event_loop.Closed q -> fail "peer %d closed its connection mid-run" q
@@ -814,12 +745,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
         let send_start = tel_now () in
         send_peer q
           (Wire.Pass_sync
-             {
-               ps_pass = pass;
-               ps_rank = rank;
-               ps_slices = held;
-               ps_entries = entries;
-             });
+             { ps_pass = pass; ps_slices = held; ps_entries = entries });
         tel_span ~category:Orion_obs.Trace.Transfer
           ~label:(Printf.sprintf "sync->%d" q)
           ~bytes ~start:send_start
@@ -858,55 +784,46 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
              pt_costs = costs;
            })
     end;
-    (* ship the pass-boundary state for master-side checkpoints: the
-       owned regions, this pass's own journal and the cumulative
-       buffered shadows *)
-    if p.p_report_passes then begin
-      let entries =
-        List.filter
-          (fun (bw : Wire.block_writes) -> bw.bw_pass = pass)
-          (List.rev !own)
-      in
+    (* ship the pass-boundary state for master-side checkpoints: this
+       pass's own journal *)
+    if p.p_report_passes then
       Transport.send master
         (Wire.Pass_report
            {
              pp_pass = pass;
-             pp_regions = owned_regions ();
-             pp_entries = entries;
-             pp_buffered = packed (shadow_parts ());
+             pp_report =
+               report
+                 (List.filter
+                    (fun (bw : Wire.block_writes) -> bw.bw_pass = pass)
+                    (List.rev !own))
+                 (shadow_parts ());
            })
-    end;
   done;
   (* leak loop locals back into the env, as the interpreter would *)
   Option.iter Orion.Compile.flush_locals kernel;
-  (* -- final reports ------------------------------------------------ *)
-  Transport.send master
-    (Wire.Block_report
-       { br_regions = owned_regions (); br_entries = List.rev !own });
+  (* -- the final report: every pass's own journal, and each shadow's
+     total, summed in entry order as the master re-sums it ----------- *)
   let parts = shadow_parts () in
-  Transport.send master
-    (Wire.Buffer_flush
-       {
-         bf_parts = packed parts;
-         (* each shadow's total, summed in entry order as the master
-            re-sums it *)
-         bf_totals =
-           List.map
-             (fun (p : Dist_array.partition) ->
-               (p.pt_array, Array.fold_left ( +. ) 0.0 p.pt_values))
-             parts;
-       });
   let sorted_bindings tbl =
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
   in
   Transport.send master
     (Wire.Done
        {
-         ws_entries = !entries_done;
-         ws_compiled = Option.is_some kernel;
-         ws_bytes_by_array = sorted_bindings bytes_by_array;
-         ws_bytes_full = !bytes_full;
-         ws_policy_by_array = Policy.decisions sender;
+         d_report = report (List.rev !own) parts;
+         d_totals =
+           List.map
+             (fun (p : Dist_array.partition) ->
+               (p.pt_array, Array.fold_left ( +. ) 0.0 p.pt_values))
+             parts;
+         d_stats =
+           {
+             ws_entries = !entries_done;
+             ws_compiled = Option.is_some kernel;
+             ws_bytes_by_array = sorted_bindings bytes_by_array;
+             ws_bytes_full = !bytes_full;
+             ws_policy_by_array = Policy.decisions sender;
+           };
        });
   (* keep peer connections open until the master confirms every worker
      is done — closing earlier would surface as a peer failure there *)
@@ -914,6 +831,23 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   | Wire.Shutdown -> ()
   | m -> fail "expected shutdown, got %s" (Wire.tag m));
   Array.iter (function Some c -> Transport.close_conn c | None -> ()) peers
+
+let serve (master : Transport.conn) ~(materialize : materialize) ~rank
+    ~(listener : Transport.listener) : unit =
+  let deadline = Unix.gettimeofday () +. timeout_seconds ~default:300.0 in
+  let p =
+    match recv_with_deadline master ~deadline ~what:"plan" with
+    | Wire.Plan p -> p
+    | m -> fail "expected plan, got %s" (Wire.tag m)
+  in
+  if p.p_rank <> rank then
+    fail "plan for rank %d sent to rank %d" p.p_rank rank;
+  if rank < 0 || rank >= p.p_procs then
+    fail "rank %d out of range (%d workers)" rank p.p_procs;
+  if p.p_sp > p.p_procs then
+    fail "schedule of %d space partitions for %d workers" p.p_sp p.p_procs;
+  (* a rank beyond the space cut has no blocks: it is done *)
+  if rank < p.p_sp then run master ~materialize ~rank ~listener ~deadline p
 
 (** Connect to the master, run the whole worker protocol, and return on
     a clean shutdown.  Any failure is reported to the master as a
@@ -932,7 +866,7 @@ let connect_and_serve ~(materialize : materialize) ~rank ~master_addr : unit =
   Fun.protect ~finally:(fun () -> Transport.close_listener listener)
   @@ fun () ->
   match serve master ~materialize ~rank ~listener with
-  | () | (exception No_row) -> Transport.close_conn master
+  | () -> Transport.close_conn master
   | exception e ->
       let reason =
         match e with

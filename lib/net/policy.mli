@@ -1,8 +1,8 @@
 (** The one wire encoding of DistArray state in the distributed runtime.
 
-    Rotation tokens, pass syncs, final and pass-boundary reports, the
-    regions in a schedule row and prefetch responses all travel in the
-    packed layout of {!Orion_dsm.Codec}:
+    Rotation tokens, pass syncs, final and pass-boundary reports and the
+    regions in a schedule row all travel in the packed layout of
+    {!Orion_dsm.Codec}:
 
     - owner-exclusive arrays travel as regions: the slab one worker
       owns (its local partition, or a rotated array's slice for one
@@ -62,9 +62,9 @@ val decode_entries :
 (** {1 Regions}
 
     The owner-exclusive arrays' traffic, and the master's start-up
-    shipment of every placed array (a rank's local region, whole
-    rotated, replicated and prefetched arrays).  A receiver unpacks
-    one with {!Orion_dsm.Codec.decode_part}. *)
+    shipment of every managed array in a schedule row (a rank's local
+    region, whole rotated, replicated and server-placed arrays).  A
+    receiver unpacks one with {!Orion_dsm.Codec.decode_part}. *)
 
 (** Pack the entries [keys] (ascending, linearized) / [values] of
     [arr] as one part, noting the key mode used. *)

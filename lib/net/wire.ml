@@ -1,17 +1,20 @@
 (** The typed master ↔ worker / worker ↔ worker protocol.  Messages are
-    plain (closure-free) OCaml values encoded with [Marshal] inside a
-    {!Frame}; both ends are always the same binary built from the same
-    sources, which is the one regime where [Marshal] is sound.  A
-    [version] field in the handshake catches accidental mixes.  The
-    envelopes stay [Marshal] because the plan carries the loop's
-    analysed AST ([Plan.t]); only a codec for that AST would remove
-    them.  No DistArray state is marshalled: every slice inside a
-    message (regions, journals, buffered shadows) is packed bytes of
-    {!Orion_dsm.Codec}'s layout, and a schedule row's payload — the
-    rank's blocks and initial array regions — follows its header as a
-    raw frame of this module's own layout ({!row_frame}), which the
-    master writes in one pass and the worker decodes in place.  Every
-    decoder of those bytes names the byte offset of any fault.
+    plain data — records, variants, numbers, strings and byte buffers,
+    no closure and no analysed AST — encoded with [Marshal] inside a
+    {!Frame}.  [orion] and [orion-worker] are two executables built from
+    the same sources, so both ends share these types; the [version] in
+    the handshake catches a mix of builds.  No DistArray state is
+    marshalled: every slice inside a message (regions, journals,
+    buffered shadows) is packed bytes of {!Orion_dsm.Codec}'s layout,
+    and a schedule row's payload — the rank's blocks and initial array
+    regions — follows its header as a raw frame of this module's own
+    layout ({!row_frame}), which the master writes in one pass and the
+    worker decodes in place.  Every decoder of those bytes names the
+    byte offset of any fault.
+
+    Each fact crosses the wire once, sent by the side that decides it:
+    the master decides the schedule and where every array lives, and
+    its plan carries both; a worker reports only what it computed.
 
     Protocol outline (master-centric):
 
@@ -19,21 +22,21 @@
                       ... the master compiles the schedule while the
                       worker processes start ...
     worker → master   Hello
-    master → worker   Plan                 (app, scale, shape, rank, flags,
-                                            the master's loop plan)
-                      ... the workers build their instances ...
+    master → worker   Plan                 (app, scale, rank, flags, each
+                                            managed array's sharing, the
+                                            schedule's shape)
+                      ... a rank beyond the space cut exits; the others
+                      build their instances ...
     worker → master   Listening            (the worker's own peer addr,
                                             whether it holds records)
-    worker → master   Prefetch_request     (Server-placed arrays)
     master → worker   Schedule_row         (the row's header, then its
                                             payload as the next frame:
                                             blocks and regions)
-                    | Shutdown             (rank beyond the space cut)
-    master → worker   Prefetch_response
     master → worker   Peers                (addr per rank)
     worker ↔ worker   Peer_hello (answered), Rotation_token, Pass_sync
     worker → master   Pass_telemetry       (per-pass spans + block costs)
-    worker → master   Block_report, Buffer_flush, Done
+    worker → master   Pass_report          (per pass, when checkpointing)
+    worker → master   Done                 (final state, totals, stats)
     master → worker   Shutdown
     any    → master   Fatal
     v} *)
@@ -91,8 +94,17 @@
    v14: worker stats say whether the rank ran its compiled kernel (a
        rank that journals interprets its body)
    v15: a hello carries no pid: the master knows each worker's pid
-       from starting it *)
-let version = 15
+       from starting it
+   v16: each fact once — the plan carries each managed array's sharing
+       and the schedule's shape in place of the analysed loop, so no
+       AST crosses the wire and a rank beyond the space cut exits on
+       its plan (the start-up [Shutdown] is gone); a row header keeps
+       only its spans and digest; server-placed arrays ship whole in
+       the row payload (the prefetch request and response are gone);
+       one [Done] carries a rank's final state, shadow totals and
+       stats (block reports and buffer flushes are gone); a pass sync
+       carries no rank *)
+let version = 16
 
 (** One journaled DistArray element write, in execution order (only
     arrays with no single owner are journaled). *)
@@ -131,9 +143,23 @@ type worker_stats = {
     ({!Orion_dsm.Codec}). *)
 type part_payload = bytes
 
-(** What a worker needs to build its instance and classify its arrays,
-    all known before the master compiles the schedule (a named record
-    so workers can pass it around whole). *)
+(** How the wire keeps one non-buffered DistArray consistent, decided
+    by the master from the array's placement under the execution
+    model. *)
+type sharing =
+  | Local of int
+      (** exclusive to the space-partition owner: the region along
+          this array dimension that the space cut gives a rank *)
+  | Rotating of int
+      (** exclusive to the holder of a time partition: the slice along
+          this array dimension that the time cut gives partition [t]
+          moves whole along every same-[t] happens-before edge *)
+  | Journaled  (** written with no single owner: every write journaled *)
+  | Unwritten  (** never written by the loop: nothing travels back *)
+
+(** What a worker needs to build its instance and run its share of the
+    master's compiled schedule, except its row (a named record so
+    workers can pass it around whole). *)
 type plan = {
   p_app : string;
   p_scale : float;
@@ -141,8 +167,8 @@ type plan = {
   p_workers_per_machine : int;
   p_rank : int;
   p_procs : int;
-      (** workers spawned; the ranks at or beyond the schedule's space
-          partitions get [Shutdown] instead of a row *)
+      (** workers spawned; the ranks at or beyond [p_sp] exit on their
+          plan *)
   p_passes : int;
   p_telemetry : bool;
       (** record wall-clock telemetry and ship {!Pass_telemetry}
@@ -150,27 +176,25 @@ type plan = {
   p_report_passes : bool;
       (** ship a {!Pass_report} after each pass barrier so the master
           can assemble pass-boundary checkpoints *)
-  p_plan : Orion_analysis.Plan.t;
-      (** the master's analysis of the loop: workers take their array
-          placements from it instead of re-analysing an instance whose
-          iteration space may hold no records *)
+  p_sharing : (string * sharing) list;
+      (** every array whose contents the wire carries (placed, not
+          buffered), with its sharing *)
+  p_sp : int;
+  p_tp : int;
+  p_model : Orion_runtime.Domain_exec.model;
+  p_space_boundaries : Orion_dsm.Partitioner.boundaries;
+  p_time_boundaries : Orion_dsm.Partitioner.boundaries option;
+  p_dims : int array;  (** dims of the master's iteration space *)
+  p_entries : int;  (** entries of the master's iteration space *)
 }
 
 (** A byte range of a row's payload: [sp_off] from the payload's
     first byte, [sp_len] bytes long. *)
 type span = { sp_off : int; sp_len : int }
 
-(** The header of one rank's row of the master's compiled schedule,
-    with everything the worker checks its own instance against.  The
-    row's payload ({!row_frame}) follows it as the next frame. *)
+(** The header of one rank's row of the master's compiled schedule.
+    The row's payload ({!row_frame}) follows it as the next frame. *)
 type row = {
-  sr_sp : int;
-  sr_tp : int;
-  sr_model : Orion_runtime.Domain_exec.model;
-  sr_space_boundaries : Orion_dsm.Partitioner.boundaries;
-  sr_time_boundaries : Orion_dsm.Partitioner.boundaries option;
-  sr_dims : int array;  (** dims of the master's iteration space *)
-  sr_entries : int;  (** entries of the master's iteration space *)
   sr_digest : int;
       (** {!space_digest} of the master's iteration space, for a rank
           that announced records of its own, which must be these; 0 for
@@ -179,8 +203,34 @@ type row = {
       (** per time partition, the receiving rank's block: its entries
           in scheduled order *)
   sr_regions : span array;
-      (** the receiving rank's initial contents of its local, rotated
-          and replicated arrays, each a {!Policy}-packed region *)
+      (** the receiving rank's initial contents of its managed arrays
+          (its region of a locally-partitioned one; whole rotated,
+          replicated and server-placed ones), each a {!Policy}-packed
+          region *)
+}
+
+(** A rank's DistArray state, at a pass boundary or at the end. *)
+type report = {
+  r_regions : part_payload list;
+      (** the owned local regions and last-held rotated slices
+          (disjoint across ranks; the master sets them as they are) *)
+  r_entries : block_writes list;
+      (** the rank's own-block write log of journaled arrays: the
+          pass's at a boundary, every pass's at the end (the master
+          applies them in natural block order) *)
+  r_buffered : part_payload list;
+      (** the {e cumulative} nonzero entries of each buffered array's
+          local shadow (shadows persist across passes, so a later
+          report supersedes an earlier one) *)
+}
+
+(** A rank's last message. *)
+type final = {
+  d_report : report;  (** the rank's final state *)
+  d_totals : (string * float) list;
+      (** each buffered shadow's values summed in entry order, which the
+          master checks against the parts it decodes *)
+  d_stats : worker_stats;
 }
 
 type msg =
@@ -193,8 +243,6 @@ type msg =
       (** the worker's own peer address, and whether its instance holds
           records of the iteration space (which it checks against the
           row's digest) *)
-  | Prefetch_request of { pr_arrays : string list }
-  | Prefetch_response of part_payload list
   | Peers of string array  (** peer address, indexed by rank *)
   | Peer_hello of { ph_rank : int; ph_version : int }
       (** the sender's rank and protocol version: the connecting worker
@@ -217,7 +265,6 @@ type msg =
     }
   | Pass_sync of {
       ps_pass : int;
-      ps_rank : int;
       ps_slices : part_payload list;
           (** the rotated-array slices whose last holder this pass was
               the sender *)
@@ -241,37 +288,10 @@ type msg =
     }
       (** the worker's telemetry shard for one pass, drained and
           shipped to the master right after the pass barrier *)
-  | Pass_report of {
-      pp_pass : int;
-      pp_regions : part_payload list;
-          (** this worker's owned local regions and last-held rotated
-              slices at the boundary (disjoint across ranks; the
-              master sets them as they are) *)
-      pp_entries : block_writes list;
-          (** this worker's own-block write log of journaled arrays for
-              the pass just finished (the master applies them in
-              natural block order, so checkpoints match an
-              uninterrupted run) *)
-      pp_buffered : part_payload list;
-          (** the {e cumulative} nonzero entries of each buffered
-              array's local shadow at this boundary (shadows persist
-              across passes, so later reports supersede earlier) *)
-    }
-  | Block_report of {
-      br_regions : part_payload list;
-          (** the final owned local regions and last-held rotated
-              slices, as in {!Pass_report} *)
-      br_entries : block_writes list;
-          (** the complete own-block write log of journaled arrays, all
-              passes *)
-    }
-  | Buffer_flush of {
-      bf_parts : part_payload list;  (** each buffered shadow's nonzeros *)
-      bf_totals : (string * float) list;
-          (** each part's values summed in entry order, which the
-              master checks against the parts it decodes *)
-    }
-  | Done of worker_stats
+  | Pass_report of { pp_pass : int; pp_report : report }
+      (** the rank's state at a pass barrier, for the master's
+          checkpoints *)
+  | Done of final
   | Fatal of { f_reason : string }
   | Shutdown
 
@@ -280,16 +300,12 @@ let tag = function
   | Plan _ -> "plan"
   | Schedule_row _ -> "schedule-row"
   | Listening _ -> "listening"
-  | Prefetch_request _ -> "prefetch-request"
-  | Prefetch_response _ -> "prefetch-response"
   | Peers _ -> "peers"
   | Peer_hello _ -> "peer-hello"
   | Rotation_token _ -> "rotation-token"
   | Pass_sync _ -> "pass-sync"
   | Pass_telemetry _ -> "pass-telemetry"
   | Pass_report _ -> "pass-report"
-  | Block_report _ -> "block-report"
-  | Buffer_flush _ -> "buffer-flush"
   | Done _ -> "done"
   | Fatal _ -> "fatal"
   | Shutdown -> "shutdown"
@@ -662,10 +678,11 @@ let decode_row_block ~dims payload { sp_off; sp_len } =
   end
   else decode_error (sp_off + 4) "unknown block kind %d" kind
 
-(** The blocks of [row] from its [payload], decoded in place, after
-    checking that the row's block and region spans tile the payload.
+(** The blocks of [row] from its [payload], decoded in place against
+    the iteration space's [dims], after checking that the row's block
+    and region spans tile the payload.
     @raise Decode_error on a span outside the payload, overlapping
     spans, stray bytes, or a malformed block *)
-let decode_row (row : row) payload =
+let decode_row ~dims (row : row) payload =
   check_spans (Array.append row.sr_blocks row.sr_regions) payload;
-  Array.map (decode_row_block ~dims:row.sr_dims payload) row.sr_blocks
+  Array.map (decode_row_block ~dims payload) row.sr_blocks

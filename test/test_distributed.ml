@@ -202,18 +202,7 @@ let row_dims = [| max_int |]
 
 (* a row header over a payload's spans *)
 let row_of ?(digest = 0) blocks regions =
-  {
-    Wire.sr_sp = 2;
-    sr_tp = Array.length blocks;
-    sr_model = Domain_exec.M_2d_unordered { depth = 2 };
-    sr_space_boundaries = [| 0; 3; 6 |];
-    sr_time_boundaries = Some [| 0; 1; 2; 4; 5 |];
-    sr_dims = row_dims;
-    sr_entries = 9;
-    sr_digest = digest;
-    sr_blocks = blocks;
-    sr_regions = regions;
-  }
+  { Wire.sr_digest = digest; sr_blocks = blocks; sr_regions = regions }
 
 (* a decoded row block's entries as (linearized key, boxed value) *)
 let row_entries (blk : Orion.Value.t Schedule.block) =
@@ -240,7 +229,7 @@ let encode_block entries =
    row spanning it whole, as (linearized key, value) in order *)
 let decode_block b =
   let row = row_of [| { Wire.sp_off = 0; sp_len = Bytes.length b } |] [||] in
-  Array.to_list (row_entries (Wire.decode_row row b).(0))
+  Array.to_list (row_entries (Wire.decode_row ~dims:row_dims row b).(0))
 
 let test_addr_roundtrip () =
   List.iter
@@ -448,13 +437,129 @@ let payload_of frame =
     (Orion_net.Frame.length (Bytes.sub frame 0 h));
   payload
 
+(* The message after [prev] in a tour of every message kind, [None]
+   after the last: one sample per kind, built in one exhaustive match,
+   so a new variant does not compile until it has its sample here.
+   [row] is the schedule row's header; [part] a packed region. *)
+let next_message ~row ~part (prev : Wire.msg option) : Wire.msg option =
+  let journal =
+    [
+      {
+        Wire.bw_pass = 1;
+        bw_block = 3;
+        bw_writes =
+          [| { Wire.w_array = "W"; w_key = [| 2; 0 |]; w_value = -0.5 } |];
+      };
+    ]
+  in
+  let report =
+    { Wire.r_regions = [ part ]; r_entries = journal; r_buffered = [ part ] }
+  in
+  match prev with
+  | None -> Some (Wire.Hello { h_rank = 3; h_version = Wire.version })
+  | Some (Wire.Hello _) ->
+      Some
+        (Wire.Plan
+           {
+             p_app = "mf";
+             p_scale = 0.5;
+             p_num_machines = 3;
+             p_workers_per_machine = 1;
+             p_rank = 2;
+             p_procs = 3;
+             p_passes = 2;
+             p_telemetry = true;
+             p_report_passes = false;
+             p_sharing =
+               [
+                 ("W", Wire.Local 0);
+                 ("H", Wire.Rotating 1);
+                 ("S", Wire.Journaled);
+                 ("R", Wire.Unwritten);
+               ];
+             p_sp = 2;
+             p_tp = 4;
+             p_model = Domain_exec.M_2d_unordered { depth = 2 };
+             p_space_boundaries = [| 0; 3; 6 |];
+             p_time_boundaries = Some [| 0; 1; 2; 4; 5 |];
+             p_dims = row_dims;
+             p_entries = 9;
+           })
+  | Some (Wire.Plan _) ->
+      Some (Wire.Listening { l_addr = "unix:/tmp/w2"; l_records = true })
+  | Some (Wire.Listening _) -> Some (Wire.Schedule_row row)
+  | Some (Wire.Schedule_row _) ->
+      Some (Wire.Peers [| "unix:/tmp/w0"; "tcp:127.0.0.1:9999" |])
+  | Some (Wire.Peers _) ->
+      Some (Wire.Peer_hello { ph_rank = 1; ph_version = Wire.version })
+  | Some (Wire.Peer_hello _) ->
+      Some
+        (Wire.Rotation_token
+           {
+             rt_pass = 1;
+             rt_src = 5;
+             rt_dst = 6;
+             rt_slices = [ part ];
+             rt_entries = Bytes.of_string "\001\000abc";
+           })
+  | Some (Wire.Rotation_token _) ->
+      Some
+        (Wire.Pass_sync
+           { ps_pass = 0; ps_slices = []; ps_entries = Bytes.of_string "xyz" })
+  | Some (Wire.Pass_sync _) ->
+      Some
+        (Wire.Pass_telemetry
+           {
+             pt_pass = 1;
+             pt_epoch = 12.5;
+             pt_window = (0.25, 0.75);
+             pt_dropped = 2;
+             pt_spans =
+               [|
+                 {
+                   Orion.Trace.worker = 1;
+                   category = Orion.Trace.Transfer;
+                   label = "token->0";
+                   start_sec = 0.5;
+                   duration_sec = 0.125;
+                   bytes = 64.0;
+                 };
+               |];
+             pt_costs =
+               [
+                 {
+                   Orion.Telemetry.bc_pass = 1;
+                   bc_space = 1;
+                   bc_time = 3;
+                   bc_seconds = 0.0625;
+                   bc_entries = 40;
+                 };
+               ];
+           })
+  | Some (Wire.Pass_telemetry _) ->
+      Some (Wire.Pass_report { pp_pass = 1; pp_report = report })
+  | Some (Wire.Pass_report _) ->
+      Some
+        (Wire.Done
+           {
+             d_report = report;
+             d_totals = [ ("W", 1.5) ];
+             d_stats =
+               {
+                 ws_entries = 40;
+                 ws_compiled = true;
+                 ws_bytes_by_array = [ ("H", 96.0) ];
+                 ws_bytes_full = 160.0;
+                 ws_policy_by_array = [ ("H", "dense") ];
+               };
+           })
+  | Some (Wire.Done _) -> Some (Wire.Fatal { f_reason = "peer 0 closed" })
+  | Some (Wire.Fatal _) -> Some Wire.Shutdown
+  | Some Wire.Shutdown -> None
+
 let test_wire_roundtrip () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let ca = Orion_net.Transport.wrap a and cb = Orion_net.Transport.wrap b in
-  let mf =
-    (Option.get (Orion.App.find "mf")).Orion.App.app_make ~num_machines:3
-      ~workers_per_machine:1 ()
-  in
   let entries =
     [|
       [| (5, Orion.Value.Vfloat 1.5); (0, Orion.Value.Vint 2) |];
@@ -471,46 +576,20 @@ let test_wire_roundtrip () =
     Wire.row_frame (Array.map row_block entries) [ Bytes.of_string "\002H\001" ]
   in
   let row = row_of ~digest:(-17) blocks regions in
-  let msgs =
-    [
-      Orion_net.Wire.Hello { h_rank = 3; h_version = Orion_net.Wire.version };
-      Orion_net.Wire.Plan
-        {
-          p_app = "mf";
-          p_scale = 0.5;
-          p_num_machines = 3;
-          p_workers_per_machine = 1;
-          p_rank = 2;
-          p_procs = 3;
-          p_passes = 2;
-          p_telemetry = true;
-          p_report_passes = false;
-          p_plan =
-            Orion.analyze_loop mf.Orion.App.inst_session
-              mf.Orion.App.inst_loop;
-        };
-      Orion_net.Wire.Schedule_row row;
-      Orion_net.Wire.Peers [| "unix:/tmp/w0"; "tcp:127.0.0.1:9999" |];
-      Orion_net.Wire.Peer_hello
-        { ph_rank = 1; ph_version = Orion_net.Wire.version };
-      Orion_net.Wire.Rotation_token
-        {
-          rt_pass = 1;
-          rt_src = 5;
-          rt_dst = 6;
-          rt_slices = [ Bytes.of_string "\002H\001" ];
-          rt_entries = Bytes.of_string "\001\000abc";
-        };
-      Orion_net.Wire.Pass_sync
-        {
-          ps_pass = 0;
-          ps_rank = 1;
-          ps_slices = [];
-          ps_entries = Bytes.of_string "xyz";
-        };
-      Orion_net.Wire.Shutdown;
-    ]
+  let part =
+    let a = Dist_array.fill_dense ~name:"W" ~dims:[| 3; 2 |] 0.25 in
+    Dist_array.set a [| 2; 0 |] (-0.5);
+    fst (Codec.encode_part (Dist_array.to_partition a))
   in
+  let rec tour prev =
+    match next_message ~row ~part prev with
+    | Some m -> m :: tour (Some m)
+    | None -> []
+  in
+  let msgs = tour None in
+  Alcotest.(check int)
+    "13 message kinds" 13
+    (List.length (List.sort_uniq compare (List.map Wire.tag msgs)));
   List.iter (fun m -> Orion_net.Transport.send ca m) msgs;
   List.iter
     (fun sent ->
@@ -532,7 +611,7 @@ let test_wire_roundtrip () =
   send_frame frame;
   (match Orion_net.Transport.recv_frame cb with
   | Some payload ->
-      let back = Wire.decode_row row payload in
+      let back = Wire.decode_row ~dims:row_dims row payload in
       Alcotest.(check int) "blocks" (Array.length entries) (Array.length back);
       Array.iteri
         (fun i e ->
@@ -572,7 +651,9 @@ let test_wire_roundtrip () =
     | `Eof -> Alcotest.fail "unexpected EOF")
   done;
   Alcotest.(check bool) "the frame took several steps" true (!steps > 0);
-  let back = Wire.decode_row (row_of blocks regions) (Option.get !got) in
+  let back =
+    Wire.decode_row ~dims:row_dims (row_of blocks regions) (Option.get !got)
+  in
   if Schedule.float_values back.(0) = None then
     Alcotest.fail "a float block decoded boxed";
   Alcotest.(check bool)
@@ -612,8 +693,9 @@ let test_row_block_loop_allocation () =
   let frame, spans, regions =
     Wire.row_frame [| Schedule.make_float_block ~dims keys values |] []
   in
-  let row = { (row_of spans regions) with Wire.sr_dims = dims } in
-  let blk = (Wire.decode_row row (payload_of frame)).(0) in
+  let blk =
+    (Wire.decode_row ~dims (row_of spans regions) (payload_of frame)).(0)
+  in
   let body =
     {
       Schedule.boxed =
@@ -681,7 +763,7 @@ let qcheck_row_frame =
       let row = row_of bspans rspans in
       let payload = payload_of frame in
       let len = Bytes.length payload in
-      let back = Wire.decode_row row payload in
+      let back = Wire.decode_row ~dims:row_dims row payload in
       let roundtrip =
         Array.length back = Array.length entries
         && Array.for_all2
@@ -697,7 +779,8 @@ let qcheck_row_frame =
              regions (Array.to_list rspans)
       in
       let fails ?(len = len) row payload =
-        positioned_error ~len (fun () -> Wire.decode_row row payload)
+        positioned_error ~len (fun () ->
+            Wire.decode_row ~dims:row_dims row payload)
       in
       let first = bspans.(0) in
       let with_block0 span =
@@ -1362,10 +1445,17 @@ let fault_injection () =
 
 (* the worker executable is found before any socket or process exists:
    a missing or non-executable one is a structured error with no rank,
-   naming where it was looked for *)
+   naming where it was looked for; one the system cannot start (an
+   executable file that holds no program) is one too, naming the file
+   and the system's error *)
 let missing_worker_exe () =
   let env = Orion_net.Dist_master.worker_exe_env in
   let beside = Filename.concat (Filename.dirname Sys.executable_name) in
+  let no_program = Filename.temp_file "orion-no-program" ".exe" in
+  Fun.protect ~finally:(fun () -> Sys.remove no_program) @@ fun () ->
+  Out_channel.with_open_bin no_program (fun oc ->
+      Out_channel.output_string oc "\000\001\002 no program\n");
+  Unix.chmod no_program 0o755;
   List.iter
     (fun (value, words) ->
       with_env env value ~restore:Sys.executable_name @@ fun () ->
@@ -1377,6 +1467,7 @@ let missing_worker_exe () =
     [
       ("/nonexistent", [ env; "/nonexistent" ]);
       ("/dev/null", [ env; "/dev/null" ]);
+      (no_program, [ no_program; Unix.error_message Unix.ENOEXEC ]);
       (* nothing named, and no worker beside this executable *)
       ("", [ env; beside "orion_worker.exe"; beside "orion-worker" ]);
     ];
