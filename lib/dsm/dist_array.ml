@@ -19,7 +19,9 @@ exception Dimension_mismatch of string
    OCaml's 63-bit ints), so a lookup never calls into the runtime's
    generic hash or compare and allocates nothing.  The capacity is a
    power of two at least twice the entry count, and no entry is ever
-   removed, so every probe sequence ends at a free slot. *)
+   removed, so every probe sequence ends at a free slot.  The two hot
+   loops are C (lin_table_stubs.c, with the same hash): the rehash of
+   every table, and the bulk store of (key, float) pairs. *)
 module Lin_table = struct
   type 'a t = {
     mutable keys : int array;  (** [free] marks an empty slot *)
@@ -60,26 +62,19 @@ module Lin_table = struct
 
   let mem t k = k <> free && Array.unsafe_get t.keys (slot t.keys k) = k
 
-  (* Values move with a one-element [Array.blit], which copies a float
-     array's cell as raw bits: [Array.unsafe_get] on an array of
-     unknown element type would box every float it moves. *)
+  external rehash : int array -> 'a array -> int array -> 'a array -> unit
+    = "orion_lin_rehash"
+
   let grow t =
-    let keys = t.keys and values = t.values in
-    let n = 2 * Array.length keys in
-    t.keys <- Array.make n free;
-    t.values <- Array.make n t.fill;
-    for j = 0 to Array.length keys - 1 do
-      let k = Array.unsafe_get keys j in
-      if k <> free then begin
-        let i = slot t.keys k in
-        Array.unsafe_set t.keys i k;
-        Array.blit values j t.values i 1
-      end
-    done
+    let n = 2 * Array.length t.keys in
+    let keys = Array.make n free and values = Array.make n t.fill in
+    rehash t.keys t.values keys values;
+    t.keys <- keys;
+    t.values <- values
 
   (* The slot that stores [k], claimed (holding [fill]) when [k] is
-     new: the one place a store probes and the table grows.  A caller
-     that knows the element type writes [values.(slot)] unboxed. *)
+     new; a new key that would fill the table past half grows it
+     first.  [store_floats] follows the same rule in C. *)
   let rec insert t k =
     if k < 0 then invalid_arg "Dist_array: negative linearized key";
     let i = slot t.keys k in
@@ -100,6 +95,15 @@ module Lin_table = struct
     let i = insert t k in
     Array.unsafe_set t.values i v;
     t.size <> size
+
+  (* [insert] and a value write for pairs [pos, n) of [keys] and
+     [values], in order, stopping before the first key outside
+     [0, limit) or the first new key that needs the table to grow; the
+     index of that pair, or [n] *)
+  external store_floats :
+    float t -> int array -> float array -> int -> int -> int -> int
+    = "orion_lin_store_floats_byte" "orion_lin_store_floats"
+  [@@noalloc]
 
   (* storage order, not key order *)
   let iter f t =
@@ -340,40 +344,18 @@ let check_sparse_insert t lin =
              section (pre-populate sparse keys before running in parallel)"
             t.name lin))
 
-(* The index of [slot_values t] that stores in-range linearized key
-   [lin]: the key itself for dense storage; for a sparse table, its
-   slot, inserted (holding the default) when new.  Outside a parallel
-   section this is one table operation, and a new key invalidates the
+(* Store at an in-range linearized key.  Outside a parallel section a
+   sparse store is one table operation, and a new key invalidates the
    sorted-key cache.  Inside one, a new key is refused before the table
    is touched. *)
-let[@inline] slot_in : type a. a t -> int -> int =
- fun t lin ->
-  match t.storage with
-  | Dense _ -> lin
-  | Sparse s ->
-      if Atomic.get parallel_mode && not (Lin_table.mem s.table lin) then
-        check_sparse_insert t lin;
-      let size = Lin_table.length s.table in
-      let i = Lin_table.insert s.table lin in
-      if Lin_table.length s.table <> size then s.order <- None;
-      i
-  | Floats _ -> read_only t
-
-let slot_values : type a. a t -> a array =
- fun t ->
-  match t.storage with
-  | Dense d -> d
-  | Sparse s -> s.table.Lin_table.values
-  | Floats _ -> read_only t
-
-(* store at an in-range linearized key *)
 let replace_lin : type a. a t -> int -> a -> unit =
  fun t lin v ->
   match t.storage with
   | Dense d -> d.(lin) <- v
   | Sparse s ->
-      let i = slot_in t lin in
-      Array.unsafe_set s.table.Lin_table.values i v
+      if Atomic.get parallel_mode && not (Lin_table.mem s.table lin) then
+        check_sparse_insert t lin;
+      if Lin_table.replace s.table lin v then s.order <- None
   | Floats _ -> read_only t
 
 (* refuse a write to a view before any entry is looked at, so that even
@@ -394,9 +376,29 @@ let set_lin t lin v =
   check_lin t lin;
   replace_lin t lin v
 
-let slot_lin t lin =
-  check_lin t lin;
-  slot_in t lin
+(* [set_lin] of the first [n] pairs, in order.  A sparse table outside
+   a parallel section takes them in C runs ([Lin_table.store_floats]),
+   each ending at the end, at a key out of range, or at a growth step. *)
+let store_floats (t : float t) keys values n =
+  if n < 0 || n > Array.length keys || n > Array.length values then
+    invalid_arg "Dist_array.store_floats: count outside the arrays";
+  match t.storage with
+  | Sparse s when not (Atomic.get parallel_mode) ->
+      let limit = t.strides.(0) * t.dims.(0) in
+      let i = ref 0 in
+      while !i < n do
+        let size = Lin_table.length s.table in
+        i := Lin_table.store_floats s.table keys values !i n limit;
+        if Lin_table.length s.table <> size then s.order <- None;
+        if !i < n then begin
+          check_lin t (Array.unsafe_get keys !i);
+          Lin_table.grow s.table
+        end
+      done
+  | Dense _ | Sparse _ ->
+      for i = 0 to n - 1 do
+        set_lin t (Array.unsafe_get keys i) (Array.unsafe_get values i)
+      done
 
 let rec find_lin : type a. a t -> int -> a =
  fun t lin ->

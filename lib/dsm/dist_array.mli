@@ -10,7 +10,8 @@
 exception Out_of_bounds of string
 exception Dimension_mismatch of string
 
-(** Open-addressing hash table from linearized keys to values. *)
+(** Open-addressing hash table from linearized keys to values; its
+    rehash and its bulk float store ({!store_floats}) are C. *)
 module Lin_table : sig
   type 'a t
 
@@ -117,19 +118,17 @@ val update : 'a t -> int array -> ('a -> 'a) -> unit
     @raise Out_of_bounds when [lin] is outside the array. *)
 val set_lin : 'a t -> int -> 'a -> unit
 
-(** [set_lin] in two steps, for a caller that writes the value itself:
-    [slot_lin t lin] is the index of [slot_values t] that stores [lin]
-    (the key itself for dense storage; a sparse table inserts a new key
-    holding the default), under [set_lin]'s rules.  A sparse table's
-    array is replaced when it grows, so take [slot_values] after the
-    [slot_lin] it indexes.  On a [float t], a value written there by
-    code that knows the type is stored unboxed, which is how
-    [lib/store]'s loaders insert records without allocating.
-    @raise Out_of_bounds when [lin] is outside the array.
-    @raise Read_only on a {!float_view}. *)
-val slot_lin : 'a t -> int -> int
-
-val slot_values : 'a t -> 'a array
+(** [store_floats t keys values n] is [set_lin t keys.(i) values.(i)]
+    for [i] from [0] to [n - 1], in order (last write wins; each key
+    gets the slot and the sorted position those calls would give it).
+    Outside a parallel section a sparse table takes the pairs in one C
+    loop, which boxes no float, allocates nothing and prefetches the
+    slots ahead; the table grows between its runs.  This is how
+    [lib/store]'s loaders insert records.
+    @raise Out_of_bounds at the first key outside the array, with every
+    pair before it stored.
+    @raise Invalid_argument when [n] exceeds either array. *)
+val store_floats : float t -> int array -> float array -> int -> unit
 
 (** The stored value at a linearized key.
     @raise Not_found when no entry is stored there. *)

@@ -1,6 +1,8 @@
 (* Streaming generators: records go straight from the per-shard RNG
    stream into the shard writer.  See gen.mli for the determinism
-   contract. *)
+   contract.  The record codecs live here too, with [read_pairs], the
+   rating and token loader: it decodes and checks each record in
+   place and hands the float table batches of (key, value) pairs. *)
 
 module Rng = Orion_data.Rng
 module Dist_array = Orion_dsm.Dist_array
@@ -108,25 +110,37 @@ let encode_pair first second v =
 
 let encode_rating r = encode_pair r.r_user r.r_item r.r_value
 
-(* Each record is read where the reader holds it, and its value goes
-   straight into the float table's slot: no record, no boxed float,
-   and no call per field, since a call makes the loop spill every live
-   value around it (the default build is [-opaque], so no other
-   module's function is inlined here). *)
+(* pairs per [Dist_array.store_floats] call: 64 KiB of keys and values *)
+let batch = 4096
+
+(* Each record is read where the reader holds it and checked, and its
+   linearized key and value are staged, unboxed, in a batch that the
+   float table takes in one C loop when it is full and at the end: no
+   record, no boxed float, and no call per field, since a call makes
+   the loop spill every live value around it (the default build is
+   [-opaque], so no other module's function is inlined here). *)
 let read_pairs path ~what ~first ~second (arr : float Dist_array.t) =
   let dims = Dist_array.dims arr in
   let rows = dims.(0) and cols = dims.(1) in
-  let total = ref 0 in
+  let keys = Array.make batch 0 and values = Array.create_float batch in
+  let staged = ref 0 and total = ref 0 in
   Shard.iter path ~f:(fun offset b ~pos ~len ->
       if len <> pair_len then bad ~path ~offset what;
       let i = Int32.to_int (Bytes.get_int32_le b pos) in
       let j = Int32.to_int (Bytes.get_int32_le b (pos + 4)) in
       check_key ~path ~offset first i rows;
       check_key ~path ~offset second j cols;
-      let slot = Dist_array.slot_lin arr ((i * cols) + j) in
-      let values = Dist_array.slot_values arr in
-      values.(slot) <- Int64.float_of_bits (Bytes.get_int64_le b (pos + 8));
-      total := !total + int_of_float values.(slot));
+      let v = Int64.float_of_bits (Bytes.get_int64_le b (pos + 8)) in
+      let n = !staged in
+      Array.unsafe_set keys n ((i * cols) + j);
+      Array.unsafe_set values n v;
+      total := !total + int_of_float v;
+      if n + 1 = batch then begin
+        Dist_array.store_floats arr keys values batch;
+        staged := 0
+      end
+      else staged := n + 1);
+  Dist_array.store_floats arr keys values !staged;
   !total
 
 type sample = {

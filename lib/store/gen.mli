@@ -87,8 +87,11 @@ val encode_token : token -> bytes
     dims are named [first] and [second] (e.g. ["user"] and ["item"]):
     each record's value is stored at its linearized key, last write
     winning, read where the shard reader holds it, with no record built
-    and no float boxed.  Returns the sum of the values' integer parts
-    (a corpus' token count).
+    and no float boxed.  Checked records are staged in a batch of 4,096
+    and stored by {!Orion_dsm.Dist_array.store_floats} when it is full
+    and at the end, so on an error the records staged since the last
+    full batch are not stored.  Returns the sum of the values' integer
+    parts (a corpus' token count).
     @raise Shard.Corrupt at a record's offset when it is not 16 bytes
     ([what] names the record) or a key component lies outside [arr]'s
     dims, and as {!Shard.iter} raises on a damaged shard *)

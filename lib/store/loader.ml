@@ -1,7 +1,9 @@
 (* Shard directory -> in-memory dataset, streaming: each record is
    read where the shard reader holds it and stored at its linearized
-   key in the target Dist_array, one table operation per record;
-   ratings and tokens with no allocation at all ([Gen.read_pairs]).
+   key in the target Dist_array.  A sample is one table operation;
+   ratings and tokens are checked one by one and stored a batch at a
+   time through the float table's C bulk store, with no allocation per
+   record ([Gen.read_pairs]).
    With [~records:false] only the shard headers are read: the dataset
    comes back at its dimensions, with no entries. *)
 

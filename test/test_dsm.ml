@@ -258,6 +258,168 @@ let test_qcheck_sorted_keys () =
       && Dist_array.sorted_values dense (Array.init cells Fun.id)
          = Array.map (Dist_array.find_lin dense) (Array.init cells Fun.id))
 
+(* The bulk store against [set_lin]: several [store_floats] calls of 0
+   to a few thousand pairs each (so the table grows from its first 64
+   slots in the middle of a call), keys drawn with heavy duplicates
+   from dims whose product reaches ~2^62 (keys above 2^32 and near the
+   top), values with NaN payloads.  After every call both arrays hold
+   the same count, sorted keys, table slots and value bits, and
+   [find_lin] (OCaml's probe) finds every key the C loop placed.  A
+   call may carry a key outside the array: both raise the same
+   [Out_of_bounds] after storing the same prefix. *)
+let test_qcheck_store_floats () =
+  let gen =
+    QCheck.Gen.(
+      let* dims =
+        let* n = int_range 1 3 and* huge = bool in
+        let* small = array_repeat n (int_range 1 50) in
+        if not huge then return small
+        else
+          let* top = int_range 32 62 in
+          let cap = if top = 62 then max_int else 1 lsl top in
+          let rest = Array.fold_left ( * ) 1 (Array.sub small 0 (n - 1)) in
+          return
+            (Array.mapi (fun i d -> if i = n - 1 then cap / rest else d) small)
+      in
+      let size = Array.fold_left ( * ) 1 dims in
+      let lin =
+        (* near the top of the array, or anywhere in it *)
+        let* near = bool and* r = map (fun r -> r land max_int) int in
+        return (if near then size - 1 - (r mod min size 16) else r mod size)
+      in
+      let* pool = array_size (int_range 1 3000) lin in
+      let pair =
+        let* k = map (fun i -> pool.(i)) (int_bound (Array.length pool - 1))
+        and* bits = oneof [ map Int64.of_int int; ui64 ] in
+        return (k, Int64.float_of_bits bits)
+      in
+      let* calls =
+        list_size (int_range 1 6)
+          (let* n = oneof [ int_range 0 8; int_range 0 3000 ] in
+           let* pairs = array_repeat n pair and* slack = int_bound 3 in
+           let* bad =
+             frequency
+               [
+                 (4, return None);
+                 ( 1,
+                   let* at = int_bound (max 0 (n - 1))
+                   and* k = oneofl [ -1; size; size + 7; min_int; max_int ] in
+                   return (if n = 0 then None else Some (at, k)) );
+               ]
+           in
+           return (pairs, slack, bad))
+      in
+      return (dims, calls))
+  in
+  let print (dims, calls) =
+    Printf.sprintf "dims [%s], calls of %s pairs"
+      (String.concat ";" (Array.to_list (Array.map string_of_int dims)))
+      (String.concat ","
+         (List.map (fun (p, _, _) -> string_of_int (Array.length p)) calls))
+  in
+  let bits = Int64.bits_of_float in
+  let slots (a : float Dist_array.t) =
+    ignore (Dist_array.sorted_keys a);
+    match a.Dist_array.storage with
+    | Dist_array.Sparse { order = Some (_, s); _ } -> s
+    | _ -> [||]
+  in
+  QCheck.Test.make ~count:100 ~long_factor:10
+    ~name:"bulk store equals set_lin" (QCheck.make ~print gen)
+    (fun (dims, calls) ->
+      let bulk = Dist_array.create_sparse ~name:"b" ~dims ~default:0.0 in
+      let model = Dist_array.create_sparse ~name:"b" ~dims ~default:0.0 in
+      let outcome f =
+        match f () with
+        | () -> None
+        | exception Dist_array.Out_of_bounds m -> Some m
+      in
+      List.for_all
+        (fun (pairs, slack, bad) ->
+          let n = Array.length pairs in
+          (* the arrays may be longer than [n]: the tail is not stored *)
+          let keys = Array.make (n + slack) 0
+          and values = Array.make (n + slack) nan in
+          Array.iteri
+            (fun i (k, v) ->
+              keys.(i) <- k;
+              values.(i) <- v)
+            pairs;
+          Option.iter (fun (at, k) -> keys.(at) <- k) bad;
+          let got =
+            outcome (fun () -> Dist_array.store_floats bulk keys values n)
+          in
+          let want =
+            outcome (fun () ->
+                for i = 0 to n - 1 do
+                  Dist_array.set_lin model keys.(i) values.(i)
+                done)
+          in
+          let stored = Dist_array.sorted_keys model in
+          got = want
+          && Dist_array.count bulk = Dist_array.count model
+          && Dist_array.sorted_keys bulk = stored
+          && slots bulk = slots model
+          && Array.for_all
+               (fun k ->
+                 bits (Dist_array.find_lin bulk k)
+                 = bits (Dist_array.find_lin model k))
+               stored)
+        calls)
+
+(* Growth of a table of boxed values keeps every value alive and in
+   place: fresh strings, still in the minor heap when the table they
+   are in doubles, through 10 doublings, with a full major collection
+   after each round of inserts and a compaction before every value is
+   read back. *)
+let test_boxed_growth_gc () =
+  let a = Dist_array.create_sparse ~name:"g" ~dims:[| 1 lsl 40 |] ~default:"" in
+  let key i = (i * 0x9E3779B1) land ((1 lsl 40) - 1) in
+  let value i =
+    String.make (1 + (i mod 7)) (Char.chr (97 + (i mod 26))) ^ string_of_int i
+  in
+  let total = 40_000 in
+  let round = ref 1 and i = ref 0 in
+  while !i < total do
+    (* up to and past the next growth step *)
+    let stop = min total ((32 lsl !round) + 5) in
+    while !i < stop do
+      Dist_array.set_lin a (key !i) (value !i);
+      incr i
+    done;
+    incr round;
+    Gc.full_major ()
+  done;
+  Gc.compact ();
+  Alcotest.(check int) "count" total (Dist_array.count a);
+  for i = 0 to total - 1 do
+    let v = Dist_array.find_lin a (key i) in
+    if v <> value i then
+      Alcotest.failf "key %d holds %S, not %S" (key i) v (value i)
+  done
+
+(* The bulk store keeps [set_lin]'s other rules: inside a parallel
+   section it overwrites stored keys and refuses a new one, and dense
+   storage takes pairs by their key. *)
+let test_store_floats_rules () =
+  let a = Dist_array.create_sparse ~name:"p" ~dims:[| 10; 10 |] ~default:0.0 in
+  Dist_array.store_floats a [| 3; 42 |] [| 1.0; 2.0 |] 2;
+  Dist_array.enter_parallel ();
+  Fun.protect ~finally:Dist_array.exit_parallel (fun () ->
+      Dist_array.store_floats a [| 42; 3 |] [| 5.0; 6.0 |] 2;
+      match Dist_array.store_floats a [| 3; 7 |] [| 8.0; 9.0 |] 2 with
+      | () -> Alcotest.fail "a new key was inserted in a parallel section"
+      | exception Dist_array.Parallel_sparse_insert _ -> ());
+  Alcotest.(check (list (pair int (float 0.0))))
+    "stored keys" [ (3, 8.0); (42, 5.0) ]
+    (List.map
+       (fun k -> (k, Dist_array.find_lin a k))
+       (Array.to_list (Dist_array.sorted_keys a)));
+  let d = Dist_array.fill_dense ~name:"d" ~dims:[| 4 |] 0.0 in
+  Dist_array.store_floats d [| 2; 0; 2 |] [| 1.0; 2.0; 3.0 |] 3;
+  Alcotest.(check (array (float 0.0))) "dense cells" [| 2.0; 0.0; 3.0; 0.0 |]
+    (Array.init 4 (Dist_array.find_lin d))
+
 (* A float view reads exactly like the boxed copy it replaces: a
    random sparse or dense float array of 1–3 dims (values include NaN
    payloads and signed zeros, compared by their bits), seen both as
@@ -638,6 +800,9 @@ let () =
           qc (test_qcheck_sorted_keys ());
           qc (test_qcheck_float_view ());
           qc (test_group_by_partitions_entries_qcheck ());
+          qc (test_qcheck_store_floats ());
+          tc "bulk store rules" `Quick test_store_floats_rules;
+          tc "boxed growth survives the GC" `Quick test_boxed_growth_gc;
         ] );
       ( "partitioner",
         [

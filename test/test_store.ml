@@ -494,6 +494,40 @@ let test_undecodable_sample () =
     ~good:(sample 0 2) ~bad
     (fun dir -> ignore (Loader.features dir))
 
+(* A bad record after the pair loader's first full batch (4,096
+   records) is reported as one in the first batch is: at its own
+   offset, with its own reason.  5,000 good ratings precede it. *)
+let test_error_after_a_batch () =
+  let good =
+    List.init 5_000 (fun k -> rating (k mod 4) (k * 7 mod 5) (float_of_int k))
+  in
+  List.iter
+    (fun (what, bad, reason) ->
+      with_dir "late-error" (fun dir ->
+          write_dataset ~dir ~schema:"ratings-v1"
+            ~meta:(fun _ -> ratings_meta ~users:4 ~items:5)
+            [ good @ [ bad; rating 0 0 1.0 ] ];
+          let path = Shard.shard_path ~dir 0 in
+          let offsets = ref [] in
+          Shard.iter path ~f:(fun offset _ ~pos:_ ~len:_ ->
+              offsets := offset :: !offsets);
+          match Loader.ratings dir with
+          | _ -> Alcotest.failf "%s accepted" what
+          | exception Shard.Corrupt c ->
+              Alcotest.(check string) (what ^ ": names the shard") path c.path;
+              Alcotest.(check int) (what ^ ": at the bad record")
+                (List.nth !offsets 1) c.offset;
+              Alcotest.(check string) (what ^ ": reason") reason c.reason))
+    [
+      ("an item out of range", rating 1 5 2.0, "record item 5 outside [0, 5)");
+      ( "a user of 0xFFFFFFFF",
+        rating 0xFFFFFFFF 0 2.0,
+        "record user -1 outside [0, 4)" );
+      ( "a rating of 17 bytes",
+        Bytes.cat (rating 1 1 2.0) (Bytes.of_string "x"),
+        "undecodable rating record" );
+    ]
+
 (* Ratings and tokens load without allocating per record: fields are
    read in place and each value is stored unboxed, so the minor heap
    grows by a constant (headers, the table's first small arrays), never
@@ -555,6 +589,41 @@ let same_array eq loaded reference =
 let gen_shards gen_record =
   QCheck.Gen.(list_size (int_range 1 3) (list_size (int_range 0 40) gen_record))
 
+(* The large case: up to ~5,000 records over 1–3 shards, one shard
+   holding up to 5,000 of them, so a load crosses table growth steps,
+   the pair loader's 4,096-record batch and a 64 KiB chunk boundary. *)
+let gen_large_shards gen_record =
+  QCheck.Gen.(
+    let* n = int_range 1 3 and* big = int_range 0 5_000 in
+    let* small = list_repeat (n - 1) (int_range 0 200) in
+    let* sizes = shuffle_l (big :: small) in
+    flatten_l (List.map (fun k -> list_repeat k gen_record) sizes))
+
+(* A dimension of the large case, up to 2^31 - 1, and a key component
+   of it: near the top, from a small pool (so keys repeat), or
+   anywhere. *)
+let gen_large_dim =
+  QCheck.Gen.(map (fun r -> 1 + ((r land max_int) mod ((1 lsl 31) - 1))) int)
+
+let gen_pool =
+  QCheck.Gen.(array_size (int_range 1 64) (map (fun r -> r land max_int) int))
+
+let gen_large_index d pool =
+  QCheck.Gen.(
+    let* r = map (fun r -> r land max_int) int in
+    oneofl
+      [
+        d - 1 - (r mod min d 3); pool.(r mod Array.length pool) mod d; r mod d;
+      ])
+
+(* keys of the large case: two dims, and a generator of one key *)
+let gen_large_pairs =
+  QCheck.Gen.(
+    let* rows = gen_large_dim and* cols = gen_large_dim in
+    let* pool = gen_pool in
+    return
+      (rows, cols, pair (gen_large_index rows pool) (gen_large_index cols pool)))
+
 let print_shards shards =
   Printf.sprintf "%d shards, %s records" (List.length shards)
     (String.concat "+" (List.map (fun l -> string_of_int (List.length l)) shards))
@@ -562,14 +631,26 @@ let print_shards shards =
 let qcheck_loader_ratings =
   let gen =
     QCheck.Gen.(
-      let* users = int_range 1 6 and* items = int_range 1 6 in
-      let* shards =
-        gen_shards
-          (let* u = int_bound (users - 1) and* i = int_bound (items - 1)
-           and* v = float in
-           return (u, i, v))
+      let small =
+        let* users = int_range 1 6 and* items = int_range 1 6 in
+        let* shards =
+          gen_shards
+            (let* u = int_bound (users - 1) and* i = int_bound (items - 1)
+             and* v = float in
+             return (u, i, v))
+        in
+        return (users, items, shards)
       in
-      return (users, items, shards))
+      let large =
+        let* users, items, key = gen_large_pairs in
+        let* shards =
+          gen_large_shards
+            (let* u, i = key and* v = float in
+             return (u, i, v))
+        in
+        return (users, items, shards)
+      in
+      frequency [ (3, small); (1, large) ])
   in
   QCheck.Test.make ~count:100 ~long_factor:10
     ~name:"ratings load as a record-order set build"
@@ -593,22 +674,30 @@ let qcheck_loader_ratings =
 let qcheck_loader_features =
   let gen =
     QCheck.Gen.(
-      let* samples = int_range 1 8 in
-      let* shards =
-        gen_shards
-          (let* index = int_bound (samples - 1) and* label = float
-           and* nnz = int_bound 4 in
-           let* features = array_repeat nnz (int_bound 20)
-           and* values = array_repeat nnz float in
-           return
-             {
-               Gen.fs_index = index;
-               fs_label = label;
-               fs_features = features;
-               fs_values = values;
-             })
+      let sample index =
+        let* index = index and* label = float and* nnz = int_bound 4 in
+        let* features = array_repeat nnz (int_bound 20)
+        and* values = array_repeat nnz float in
+        return
+          {
+            Gen.fs_index = index;
+            fs_label = label;
+            fs_features = features;
+            fs_values = values;
+          }
       in
-      return (samples, shards))
+      let small =
+        let* samples = int_range 1 8 in
+        let* shards = gen_shards (sample (int_bound (samples - 1))) in
+        return (samples, shards)
+      in
+      let large =
+        let* samples = gen_large_dim
+        and* pool = gen_pool in
+        let* shards = gen_large_shards (sample (gen_large_index samples pool)) in
+        return (samples, shards)
+      in
+      frequency [ (3, small); (1, large) ])
   in
   let same_sample a b =
     same_bits a.Orion_data.Sparse_features.label b.Orion_data.Sparse_features.label
@@ -652,14 +741,24 @@ let qcheck_loader_features =
 let qcheck_loader_corpus =
   let gen =
     QCheck.Gen.(
-      let* docs = int_range 1 6 and* vocab = int_range 1 6 in
-      let* shards =
-        gen_shards
-          (let* d = int_bound (docs - 1) and* w = int_bound (vocab - 1)
-           and* c = int_range 1 9 in
-           return { Gen.tk_doc = d; tk_word = w; tk_count = float_of_int c })
+      let token key =
+        let* d, w = key and* c = int_range 1 9 in
+        return { Gen.tk_doc = d; tk_word = w; tk_count = float_of_int c }
       in
-      return (docs, vocab, shards))
+      let small =
+        let* docs = int_range 1 6 and* vocab = int_range 1 6 in
+        let* shards =
+          gen_shards
+            (token (pair (int_bound (docs - 1)) (int_bound (vocab - 1))))
+        in
+        return (docs, vocab, shards)
+      in
+      let large =
+        let* docs, vocab, key = gen_large_pairs in
+        let* shards = gen_large_shards (token key) in
+        return (docs, vocab, shards)
+      in
+      frequency [ (3, small); (1, large) ])
   in
   QCheck.Test.make ~count:100 ~long_factor:10
     ~name:"corpus loads as a record-order set build"
@@ -1007,6 +1106,7 @@ let () =
           qc qcheck_loader_ratings;
           qc qcheck_loader_features;
           qc qcheck_loader_corpus;
+          tc "a late bad record is positioned" `Quick test_error_after_a_batch;
         ] );
       ( "checkpoint",
         [
