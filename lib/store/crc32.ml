@@ -1,7 +1,8 @@
 (* CRC-32 (IEEE 802.3), bit-identical to zlib's crc32().  The byte loop
-   is a C stub (crc32_stubs.c, slicing-by-8); the remainder lives in
-   the low 32 bits of a native int, so an update neither boxes nor
-   allocates. *)
+   is a C stub (crc32_stubs.c): carry-less multiply folding, 64 bytes a
+   step, where the CPU has PCLMULQDQ, and slicing-by-8 for short
+   buffers, tails and other CPUs.  The remainder lives in the low 32
+   bits of a native int, so an update neither boxes nor allocates. *)
 
 external init_tables : unit -> unit = "orion_crc32_init"
 

@@ -1,11 +1,10 @@
 (* Streaming generators: records go straight from the per-shard RNG
    stream into the shard writer.  See gen.mli for the determinism
    contract.  The record codecs live here too, with [read_pairs], the
-   rating and token loader: it decodes and checks each record in
-   place and hands the float table batches of (key, value) pairs. *)
+   rating and token decode loop: it checks each record in place and
+   hands its caller batches of (key, value) pairs. *)
 
 module Rng = Orion_data.Rng
-module Dist_array = Orion_dsm.Dist_array
 
 type spec =
   | Ratings of {
@@ -110,37 +109,44 @@ let encode_pair first second v =
 
 let encode_rating r = encode_pair r.r_user r.r_item r.r_value
 
-(* pairs per [Dist_array.store_floats] call: 64 KiB of keys and values *)
-let batch = 4096
+(* A batch of (linearized key, value) pairs: 4,096 of them, 64 KiB of
+   keys and values *)
+type batch = { keys : int array; values : float array }
+
+let batch_len = 4096
+let batch () =
+  { keys = Array.make batch_len 0; values = Array.create_float batch_len }
 
 (* Each record is read where the reader holds it and checked, and its
-   linearized key and value are staged, unboxed, in a batch that the
-   float table takes in one C loop when it is full and at the end: no
-   record, no boxed float, and no call per field, since a call makes
-   the loop spill every live value around it (the default build is
-   [-opaque], so no other module's function is inlined here). *)
-let read_pairs path ~what ~first ~second (arr : float Dist_array.t) =
-  let dims = Dist_array.dims arr in
-  let rows = dims.(0) and cols = dims.(1) in
-  let keys = Array.make batch 0 and values = Array.create_float batch in
-  let staged = ref 0 and total = ref 0 in
-  Shard.iter path ~f:(fun offset b ~pos ~len ->
-      if len <> pair_len then bad ~path ~offset what;
-      let i = Int32.to_int (Bytes.get_int32_le b pos) in
-      let j = Int32.to_int (Bytes.get_int32_le b (pos + 4)) in
-      check_key ~path ~offset first i rows;
-      check_key ~path ~offset second j cols;
-      let v = Int64.float_of_bits (Bytes.get_int64_le b (pos + 8)) in
-      let n = !staged in
-      Array.unsafe_set keys n ((i * cols) + j);
-      Array.unsafe_set values n v;
-      total := !total + int_of_float v;
-      if n + 1 = batch then begin
-        Dist_array.store_floats arr keys values batch;
-        staged := 0
-      end
-      else staged := n + 1);
-  Dist_array.store_floats arr keys values !staged;
+   linearized key and value are staged, unboxed, in the batch that
+   [flush] takes when it is full and at the end: no record, no boxed
+   float, and no call per field, since a call makes the loop spill
+   every live value around it (the default build is [-opaque], so no
+   other module's function is inlined here).  The staging state runs
+   across shards, so a batch can hold the end of one shard and the
+   start of the next. *)
+let read_pairs shards ~chunk ~what ~first ~second ~rows ~cols b ~flush =
+  let cur = ref b and staged = ref 0 and total = ref 0 in
+  List.iter
+    (fun (path, ic) ->
+      Shard.iter_channel path ic chunk ~f:(fun offset buf ~pos ~len ->
+          if len <> pair_len then bad ~path ~offset what;
+          let i = Int32.to_int (Bytes.get_int32_le buf pos) in
+          let j = Int32.to_int (Bytes.get_int32_le buf (pos + 4)) in
+          check_key ~path ~offset first i rows;
+          check_key ~path ~offset second j cols;
+          let v = Int64.float_of_bits (Bytes.get_int64_le buf (pos + 8)) in
+          let n = !staged and b = !cur in
+          Array.unsafe_set b.keys n ((i * cols) + j);
+          Array.unsafe_set b.values n v;
+          total := !total + int_of_float v;
+          if n + 1 = batch_len then begin
+            cur := flush b batch_len;
+            staged := 0
+          end
+          else staged := n + 1))
+    shards;
+  if !staged > 0 then ignore (flush !cur !staged);
   !total
 
 type sample = {

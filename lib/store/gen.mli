@@ -82,25 +82,41 @@ val encode_token : token -> bytes
     A rating and a token are one 16-byte layout: two u32 key components
     (user and item, or doc and word), then the f64 value. *)
 
-(** [read_pairs path ~what ~first ~second arr] streams the rating or
-    token records of shard [path] into the float table [arr], whose two
-    dims are named [first] and [second] (e.g. ["user"] and ["item"]):
-    each record's value is stored at its linearized key, last write
-    winning, read where the shard reader holds it, with no record built
-    and no float boxed.  Checked records are staged in a batch of 4,096
-    and stored by {!Orion_dsm.Dist_array.store_floats} when it is full
-    and at the end, so on an error the records staged since the last
-    full batch are not stored.  Returns the sum of the values' integer
+(** A batch of (linearized key, value) pairs, 4,096 of each. *)
+type batch = { keys : int array; values : float array }
+
+(** The pairs a batch holds (4,096). *)
+val batch_len : int
+
+(** A fresh batch. *)
+val batch : unit -> batch
+
+(** [read_pairs shards ~chunk ~what ~first ~second ~rows ~cols b
+    ~flush] reads the rating or token records of [shards] (each a path
+    and a channel open on it, from {!Shard.open_shard}), in order,
+    through the buffer [chunk] ({!Shard.iter_channel}).  Each record's
+    key components, named [first] and [second] (e.g. ["user"] and
+    ["item"]), must lie in [\[0, rows)] and [\[0, cols)]; its
+    linearized key and its value are staged, with no record built and
+    no float boxed, in [b].  [flush b n] takes the [n] pairs staged in
+    [b], in record order, when [b] is full and once at the end (when
+    any are staged), and returns the batch the next pairs go to.  A
+    batch can span shards.  On an error the pairs staged since the
+    last flush are not flushed.  Returns the sum of the values' integer
     parts (a corpus' token count).
     @raise Shard.Corrupt at a record's offset when it is not 16 bytes
-    ([what] names the record) or a key component lies outside [arr]'s
-    dims, and as {!Shard.iter} raises on a damaged shard *)
+    ([what] names the record) or a key component lies outside the dims,
+    and as {!Shard.iter} raises on a damaged shard *)
 val read_pairs :
-  string ->
+  (string * in_channel) list ->
+  chunk:bytes ->
   what:string ->
   first:string ->
   second:string ->
-  float Orion_dsm.Dist_array.t ->
+  rows:int ->
+  cols:int ->
+  batch ->
+  flush:(batch -> int -> batch) ->
   int
 
 (** [check_key ~path ~offset what i size] accepts a record's key

@@ -228,8 +228,11 @@ let parse_front ?crc c =
     h_meta = meta;
   }
 
+let open_shard path =
+  try open_in_bin path with Sys_error e -> corrupt path 0 "%s" e
+
 let with_file path f =
-  let ic = try open_in_bin path with Sys_error e -> corrupt path 0 "%s" e in
+  let ic = open_shard path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
 
 let parse_footer path ic =
@@ -258,76 +261,78 @@ let chunk_len = 65536
 
 (* [f offset buf ~pos ~len]: the record is [buf.[pos, pos + len)],
    [offset] its file offset; [buf] is reused once [f] returns *)
-let iter path ~f =
-  with_file path (fun ic ->
-      let count, want_crc, body_end = parse_footer path ic in
-      seek_in ic 0;
-      let c = { c_path = path; c_ic = ic; c_off = 0 } in
-      let crc = Crc32.create () in
-      let _h = parse_front ~crc c in
-      (* The record body is read in chunks up to the footer, each chunk
-         folded into the CRC as it arrives.  [buf.[0, hi)] holds the
-         body from file offset [base]; the records before [lo] are
-         done.  The inner loop hands over every record that [buf] holds
-         whole, then a refill keeps the unconsumed tail and reads on. *)
-      let buf = ref (Bytes.create chunk_len) in
-      let base = ref c.c_off and lo = ref 0 and hi = ref 0 in
-      let seen = ref 0 in
-      while !base + !lo < body_end do
-        let b = !buf in
-        (* bytes the record at [lo] needs, or 0 once it has been handed
-           over *)
-        let need = ref 0 in
-        while !need = 0 && !base + !lo < body_end do
-          let p = !lo in
-          let off0 = !base + p in
-          if off0 + 4 > body_end then
-            corrupt path off0
-              "truncated while reading record length (%d bytes before the \
-               footer)"
-              (body_end - off0);
-          if p + 4 > !hi then need := 4
-          else begin
-            let n = Int32.to_int (Bytes.get_int32_le b p) land 0xFFFFFFFF in
-            if n > max_record_len then
-              corrupt path off0 "implausible record length %d" n;
-            if off0 + 4 + n > body_end then
-              corrupt path off0
-                "record of %d bytes runs past the footer (truncated shard?)" n;
-            if p + 4 + n > !hi then need := 4 + n
-            else begin
-              f off0 b ~pos:(p + 4) ~len:n;
-              lo := p + 4 + n;
-              incr seen
-            end
-          end
-        done;
-        if !need > 0 then begin
-          let have = !hi - !lo in
-          let dst =
-            if !need > Bytes.length b then
-              Bytes.create (max !need (2 * Bytes.length b))
-            else b
-          in
-          Bytes.blit b !lo dst 0 have;
-          base := !base + !lo;
-          let want = min (Bytes.length dst - have) (body_end - !base - have) in
-          (try really_input ic dst have want
-           with End_of_file ->
-             corrupt path (!base + have) "truncated record body");
-          Crc32.update crc dst ~pos:have ~len:want;
-          buf := dst;
-          lo := 0;
-          hi := have + want
+let iter_channel path ic chunk ~f =
+  let count, want_crc, body_end = parse_footer path ic in
+  seek_in ic 0;
+  let c = { c_path = path; c_ic = ic; c_off = 0 } in
+  let crc = Crc32.create () in
+  let _h = parse_front ~crc c in
+  (* The record body is read in chunks up to the footer, each chunk
+     folded into the CRC as it arrives.  [buf.[0, hi)] holds the
+     body from file offset [base]; the records before [lo] are
+     done.  The inner loop hands over every record that [buf] holds
+     whole, then a refill keeps the unconsumed tail and reads on. *)
+  let buf = ref chunk in
+  let base = ref c.c_off and lo = ref 0 and hi = ref 0 in
+  let seen = ref 0 in
+  while !base + !lo < body_end do
+    let b = !buf in
+    (* bytes the record at [lo] needs, or 0 once it has been handed
+       over *)
+    let need = ref 0 in
+    while !need = 0 && !base + !lo < body_end do
+      let p = !lo in
+      let off0 = !base + p in
+      if off0 + 4 > body_end then
+        corrupt path off0
+          "truncated while reading record length (%d bytes before the \
+           footer)"
+          (body_end - off0);
+      if p + 4 > !hi then need := 4
+      else begin
+        let n = Int32.to_int (Bytes.get_int32_le b p) land 0xFFFFFFFF in
+        if n > max_record_len then
+          corrupt path off0 "implausible record length %d" n;
+        if off0 + 4 + n > body_end then
+          corrupt path off0
+            "record of %d bytes runs past the footer (truncated shard?)" n;
+        if p + 4 + n > !hi then need := 4 + n
+        else begin
+          f off0 b ~pos:(p + 4) ~len:n;
+          lo := p + 4 + n;
+          incr seen
         end
-      done;
-      if !seen <> count then
-        corrupt path body_end "footer promises %d records, found %d" count
-          !seen;
-      let got = Crc32.value crc in
-      if got <> want_crc then
-        corrupt path body_end "CRC mismatch (stored %08lx, computed %08lx)"
-          want_crc got)
+      end
+    done;
+    if !need > 0 then begin
+      let have = !hi - !lo in
+      let dst =
+        if !need > Bytes.length b then
+          Bytes.create (max !need (2 * Bytes.length b))
+        else b
+      in
+      Bytes.blit b !lo dst 0 have;
+      base := !base + !lo;
+      let want = min (Bytes.length dst - have) (body_end - !base - have) in
+      (try really_input ic dst have want
+       with End_of_file ->
+         corrupt path (!base + have) "truncated record body");
+      Crc32.update crc dst ~pos:have ~len:want;
+      buf := dst;
+      lo := 0;
+      hi := have + want
+    end
+  done;
+  if !seen <> count then
+    corrupt path body_end "footer promises %d records, found %d" count
+      !seen;
+  let got = Crc32.value crc in
+  if got <> want_crc then
+    corrupt path body_end "CRC mismatch (stored %08lx, computed %08lx)"
+      want_crc got
+
+let iter path ~f =
+  with_file path (fun ic -> iter_channel path ic (Bytes.create chunk_len) ~f)
 
 let dataset_headers dir =
   let paths = list_shards dir in

@@ -87,6 +87,27 @@ val read_header : string -> header
     @raise Corrupt on truncation, bad framing, count or CRC mismatch *)
 val iter : string -> f:(int -> bytes -> pos:int -> len:int -> unit) -> unit
 
+(** [open_shard path] opens a shard for {!iter_channel}.
+    @raise Corrupt at offset 0 when the file cannot be opened *)
+val open_shard : string -> in_channel
+
+(** The length of the buffer {!iter} reads a record body through
+    (64 KiB). *)
+val chunk_len : int
+
+(** [iter_channel path ic chunk ~f] is {!iter} over the shard [path],
+    open on [ic] at any position, reading the record body through
+    [chunk] (a record longer than [chunk] gets a larger buffer).  For a
+    caller that opens its shards and allocates the buffer once, so that
+    a reader running on another domain allocates neither; [ic] stays
+    open. *)
+val iter_channel :
+  string ->
+  in_channel ->
+  bytes ->
+  f:(int -> bytes -> pos:int -> len:int -> unit) ->
+  unit
+
 (** Headers of every shard in a dataset directory, in shard order.
     @raise Corrupt when the directory holds no shards, an index is
     missing, or shards disagree on schema / seed / shard count *)

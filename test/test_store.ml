@@ -191,7 +191,14 @@ let test_crc_known_answers () =
     (Crc32.digest (Bytes.of_string "123456789"));
   Alcotest.(check int32) "empty" 0l (Crc32.digest Bytes.empty);
   Alcotest.(check int32) "pangram" 0x414FA339l
-    (Crc32.digest (Bytes.of_string "The quick brown fox jumps over the lazy dog"))
+    (Crc32.digest (Bytes.of_string "The quick brown fox jumps over the lazy dog"));
+  (* long enough for the folded path, values from Python's zlib.crc32 *)
+  let mib = Bytes.init (1 lsl 20) (fun i -> Char.chr (i land 0xFF)) in
+  Alcotest.(check int32) "bytes 0..255 x 4096" 0x04D0E435l (Crc32.digest mib);
+  Alcotest.(check int32) "64 KiB of 0xFF" 0xDEAB7E4El
+    (Crc32.digest (Bytes.make 65536 '\xff'));
+  Alcotest.(check int32) "1 MiB then abc" 0xAB458281l
+    (Crc32.digest (Bytes.cat mib (Bytes.of_string "abc")))
 
 let qcheck_crc_split =
   QCheck.Test.make ~count:300 ~long_factor:10
@@ -248,6 +255,49 @@ let qcheck_crc_reference =
       let cuts =
         List.sort_uniq compare (List.map (fun c -> pos + (c mod (len + 1))) cuts)
       in
+      let t = Crc32.create () in
+      let last =
+        List.fold_left
+          (fun p cut ->
+            Crc32.update t b ~pos:p ~len:(cut - p);
+            cut)
+          pos cuts
+      in
+      Crc32.update t b ~pos:last ~len:(pos + len - last);
+      Crc32.value t = crc_reference b ~pos ~len)
+
+(* the folded path: lengths around its 64-byte floor and its 16-byte
+   lanes, and up to 70,000 bytes; a start offset anywhere in a lane;
+   split points inside and on lane boundaries, so one buffer's prefix
+   is folded and its tail goes through the tables *)
+let qcheck_crc_folded =
+  let lane_edge =
+    QCheck.Gen.(
+      map2 (fun k d -> max 0 ((16 * k) + d)) (int_range 4 4375) (int_range (-1) 1))
+  in
+  QCheck.Test.make ~count:200 ~long_factor:10
+    ~name:"folded CRC equals the bitwise reference"
+    QCheck.(
+      make
+        ~print:(fun (len, pos, cuts, _) ->
+          Printf.sprintf "len %d, pos %d, cuts [%s]" len pos
+            (String.concat "; " (List.map string_of_int cuts)))
+        Gen.(
+          quad
+            (oneof
+               [
+                 oneofl [ 63; 64; 65; 127; 128; 129 ];
+                 lane_edge;
+                 int_range 0 70_000;
+               ])
+            (int_range 0 15)
+            (list_size (int_range 0 3)
+               (oneof [ map (( * ) 16) (int_range 0 4375); int_range 0 70_000 ]))
+            int))
+    (fun (len, pos, cuts, seed) ->
+      let st = Random.State.make [| seed |] in
+      let b = Bytes.init (pos + len) (fun _ -> Char.chr (Random.State.int st 256)) in
+      let cuts = List.sort_uniq compare (List.map (fun c -> pos + (c mod (len + 1))) cuts) in
       let t = Crc32.create () in
       let last =
         List.fold_left
@@ -528,19 +578,111 @@ let test_error_after_a_batch () =
         "undecodable rating record" );
     ]
 
+(* a rating record [k] of [n] good ones, over a 4 x 5 key space *)
+let good_ratings n =
+  List.init n (fun k -> rating (k mod 4) (k * 7 mod 5) (float_of_int k))
+
+(* the byte offsets of shard [path]'s records, in order *)
+let record_offsets path =
+  let offsets = ref [] in
+  Shard.iter path ~f:(fun offset _ ~pos:_ ~len:_ -> offsets := offset :: !offsets);
+  Array.of_list (List.rev !offsets)
+
+let expect_corrupt_record ~path ~offset what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Shard.Corrupt c ->
+      Alcotest.(check string) (what ^ ": names the shard") path c.path;
+      Alcotest.(check int) (what ^ ": at the bad record") offset c.offset
+
+(* Shards are read in index order, so with damage in shard 0 (late in
+   it, past two batches) and in shard 2 (at its first record), the
+   error is shard 0's, as a serial load of shard after shard raises. *)
+let test_first_shard_error_wins () =
+  with_dir "two-errors" (fun dir ->
+      let bad = rating 1 5 2.0 in
+      write_dataset ~dir ~schema:"ratings-v1"
+        ~meta:(fun _ -> ratings_meta ~users:4 ~items:5)
+        [
+          good_ratings 9_000 @ [ bad ];
+          good_ratings 100;
+          bad :: good_ratings 100;
+        ];
+      let path = Shard.shard_path ~dir 0 in
+      expect_corrupt_record ~path ~offset:(record_offsets path).(9_000)
+        "damage in shards 0 and 2" (fun () -> Loader.ratings dir))
+
+(* Damage only in the last shard, after more than two full batches of
+   records before it, is reported at its own offset. *)
+let test_last_shard_error () =
+  with_dir "last-error" (fun dir ->
+      write_dataset ~dir ~schema:"ratings-v1"
+        ~meta:(fun _ -> ratings_meta ~users:4 ~items:5)
+        [
+          good_ratings 3_000;
+          good_ratings 3_000;
+          good_ratings 2_500 @ [ rating 4 0 2.0; rating 0 0 1.0 ];
+        ];
+      let path = Shard.shard_path ~dir 2 in
+      expect_corrupt_record ~path ~offset:(record_offsets path).(2_500)
+        "damage in the last shard" (fun () -> Loader.ratings dir))
+
+(* the process' threads, where Linux lists them *)
+let threads () =
+  match Sys.readdir "/proc/self/task" with
+  | tasks -> Some (Array.length tasks)
+  | exception Sys_error _ -> None
+
+(* 300 failing loads in a row, each raising its own error: a bad record
+   (the reader's side), or, inside a parallel section, the table's
+   refusal of a new key (the storing side, which stops the reader's
+   job, which may be waiting on a full ring).  A job left waiting
+   would hang the next load, and a domain started per load and left
+   running would exhaust OCaml's 128 domains; the process' threads are
+   counted after the first load, which starts the reader, and after
+   the last. *)
+let test_failing_loads_join () =
+  let before = ref None in
+  with_dir "failing" (fun dir ->
+      write_dataset ~dir ~schema:"ratings-v1"
+        ~meta:(fun _ -> ratings_meta ~users:4 ~items:5)
+        [ good_ratings 20_000 @ [ rating 0 9 1.0 ] ];
+      let path = Shard.shard_path ~dir 0 in
+      let offset = (record_offsets path).(20_000) in
+      for k = 1 to 300 do
+        if k mod 2 = 0 then
+          expect_corrupt_record ~path ~offset
+            (Printf.sprintf "load %d" k)
+            (fun () -> Loader.ratings dir)
+        else begin
+          Dist_array.enter_parallel ();
+          match
+            Fun.protect ~finally:Dist_array.exit_parallel (fun () ->
+                Loader.ratings dir)
+          with
+          | _ -> Alcotest.failf "load %d: a new key was stored in parallel" k
+          | exception Dist_array.Parallel_sparse_insert _ -> ()
+        end;
+        if k = 1 then before := threads ()
+      done);
+  Alcotest.(check (option int)) "threads after the loads" !before (threads ())
+
 (* Ratings and tokens load without allocating per record: fields are
    read in place and each value is stored unboxed, so the minor heap
    grows by a constant (headers, the table's first small arrays), never
-   by the record count. *)
+   by the record count.  The words are [Gc.quick_stat]'s, which count
+   every domain's, the reader domain's too; [Gc.minor_words] counts
+   only the calling domain's. *)
 let test_loader_allocation () =
   let check what spec load =
     with_dir "alloc" (fun dir ->
         ignore (Gen.generate ~dir ~seed:5 ~shards:2 spec);
         let records = Loader.dataset_count dir in
         load dir;
-        let before = Gc.minor_words () in
+        let minor_words () = (Gc.quick_stat ()).Gc.minor_words in
+        let before = minor_words () in
         load dir;
-        let words = Gc.minor_words () -. before in
+        let words = minor_words () -. before in
         Alcotest.(check bool)
           (Printf.sprintf "%s: %.0f minor words for %d records" what words
              records)
@@ -584,17 +726,22 @@ let same_array eq loaded reference =
        (fun (k, v) (k', v') -> k = k' && eq v v')
        (Dist_array.entries loaded) (Dist_array.entries reference)
 
-(* 1–3 shards of records drawn over a small key space, so duplicates
-   are common *)
+(* 1–4 shards of records drawn over a small key space, so duplicates
+   are common, within a shard and across shards (the last write wins
+   across shards too), and the pair loader's last batch holds records
+   of every shard *)
 let gen_shards gen_record =
-  QCheck.Gen.(list_size (int_range 1 3) (list_size (int_range 0 40) gen_record))
+  QCheck.Gen.(list_size (int_range 1 4) (list_size (int_range 0 40) gen_record))
 
-(* The large case: up to ~5,000 records over 1–3 shards, one shard
+(* The large case: up to ~5,600 records over 1–4 shards, one shard
    holding up to 5,000 of them, so a load crosses table growth steps,
-   the pair loader's 4,096-record batch and a 64 KiB chunk boundary. *)
+   the pair loader's 4,096-record batch (which then holds the end of
+   one shard and the start of the next) and a 64 KiB chunk boundary.
+   Keys are drawn from one pool for every shard, so they repeat across
+   shards. *)
 let gen_large_shards gen_record =
   QCheck.Gen.(
-    let* n = int_range 1 3 and* big = int_range 0 5_000 in
+    let* n = int_range 1 4 and* big = int_range 0 5_000 in
     let* small = list_repeat (n - 1) (int_range 0 200) in
     let* sizes = shuffle_l (big :: small) in
     flatten_l (List.map (fun k -> list_repeat k gen_record) sizes))
@@ -1075,6 +1222,7 @@ let () =
           tc "known answers" `Quick test_crc_known_answers;
           qc qcheck_crc_split;
           qc qcheck_crc_reference;
+          qc qcheck_crc_folded;
           tc "high bytes" `Quick test_crc_high_bytes;
         ]
       );
@@ -1107,6 +1255,12 @@ let () =
           qc qcheck_loader_features;
           qc qcheck_loader_corpus;
           tc "a late bad record is positioned" `Quick test_error_after_a_batch;
+          tc "shard 0's error comes before shard 2's" `Quick
+            test_first_shard_error_wins;
+          tc "an error in the last shard is positioned" `Quick
+            test_last_shard_error;
+          tc "300 failing loads each raise and join" `Quick
+            test_failing_loads_join;
         ] );
       ( "checkpoint",
         [
