@@ -171,6 +171,74 @@ let build_graph model ~sp ~tp =
     (block_edges model ~sp ~tp);
   (succs, pending)
 
+(* The crew: helper domains, parked between calls of [parallel].
+   Helper [i] runs the job in its slot and leaves the outcome there.  On
+   OCaml 5.1 heap is kept after each spawn and join: a domain per
+   shard load raised perfbench's [mf-dist] peak RSS from 43 MB to
+   73-77 MB over 45 s (an empty domain as much), while one parked
+   domain kept it level.  So a helper is never joined.  [lock] guards
+   the slots; [moved] tells helpers of a job and the caller of an
+   outcome. *)
+type slot =
+  | Job of (unit -> unit)
+  | Done of (exn * Printexc.raw_backtrace) option
+
+let callers = Mutex.create ()
+let lock = Mutex.create ()
+let moved = Condition.create ()
+let slots = ref [||]
+
+let outcome f x =
+  match f x with
+  | () -> None
+  | exception e -> Some (e, Printexc.get_raw_backtrace ())
+
+(* under [lock]: wait until helper [i]'s slot holds what [pick] takes *)
+let rec await i pick =
+  match pick !slots.(i) with
+  | Some v -> v
+  | None ->
+      Condition.wait moved lock;
+      await i pick
+
+let rec serve i =
+  let job =
+    Mutex.protect lock (fun () ->
+        await i (function Job f -> Some f | _ -> None))
+  in
+  let o = outcome job () in
+  Mutex.protect lock (fun () ->
+      !slots.(i) <- Done o;
+      Condition.broadcast moved);
+  serve i
+
+(* helpers follow the caller's backtrace setting, per domain on 5.1 *)
+let parallel n f =
+  let record = Printexc.backtrace_status () in
+  let job i () =
+    Printexc.record_backtrace record;
+    f i
+  in
+  let outcomes =
+    Mutex.protect callers @@ fun () ->
+    Mutex.protect lock (fun () ->
+        for i = Array.length !slots to n - 2 do
+          ignore (Domain.spawn (fun () -> serve i));
+          slots := Array.append !slots [| Done None |]
+        done;
+        for i = 0 to n - 2 do
+          !slots.(i) <- Job (job (i + 1))
+        done;
+        if n > 1 then Condition.broadcast moved);
+    let mine = outcome f 0 in
+    Mutex.protect lock (fun () ->
+        mine
+        :: List.init (max 0 (n - 1)) (fun i ->
+               await i (function Done o -> Some o | _ -> None)))
+  in
+  List.find_map Fun.id outcomes
+  |> Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+
 (* ------------------------------------------------------------------ *)
 (* The pool                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -183,21 +251,6 @@ type stats = {
   wall_seconds : float;  (** real elapsed time of the parallel section *)
 }
 
-(** Execute [sched] under [model] on [domains] domains.  [bodies] must
-    have at least [domains] elements; [bodies.(d)] is the loop body run
-    by domain [d] (give each domain its own closure/state — see the
-    module comment).  Blocks execute their entries in scheduled order;
-    the pass returns only when every block has completed.  An exception
-    raised by any body cancels the pass and is re-raised here.
-
-    When [telemetry] is enabled (and sized for at least [domains]
-    shards), each domain records into its own shard: a Compute span
-    plus a measured-cost entry per block (tagged with [pass] and the
-    block's space/time indices), an Idle span for each wait on the pool
-    (labeled ["steal"] when it ended by taking another domain's work),
-    and a Barrier_wait span labeled ["join"] for the final wait until
-    the pass completes.  Disabled telemetry costs nothing — the hot
-    path never reads the clock. *)
 let run_schedule ?(telemetry = Orion_obs.Telemetry.disabled) ?(pass = 0)
     ~domains ~model (sched : 'v Schedule.t)
     ~(bodies : 'v Schedule.body array) : stats =
@@ -225,7 +278,7 @@ let run_schedule ?(telemetry = Orion_obs.Telemetry.disabled) ?(pass = 0)
   let m = Mutex.create () in
   let cv = Condition.create () in
   let stacks = Array.make domains [] in
-  let failed : exn option ref = ref None in
+  let failed = ref false in
   let push_ready ~who ids =
     if ids <> [] then begin
       Mutex.lock m;
@@ -267,7 +320,7 @@ let run_schedule ?(telemetry = Orion_obs.Telemetry.disabled) ?(pass = 0)
     let wait_start = tel_now () in
     Mutex.lock m;
     let rec loop () =
-      if !failed <> None || finished () then None
+      if !failed || finished () then None
       else
         match take who with
         | Some r -> Some r
@@ -291,12 +344,6 @@ let run_schedule ?(telemetry = Orion_obs.Telemetry.disabled) ?(pass = 0)
             ~start:wait_start ~finish
     end;
     Option.map fst r
-  in
-  let fail e =
-    Mutex.lock m;
-    if !failed = None then failed := Some e;
-    Condition.broadcast cv;
-    Mutex.unlock m
   in
   (* Run one block and return the successors it made ready.  The
      entry loop accounts into the domain's private shard (one add per
@@ -343,7 +390,14 @@ let run_schedule ?(telemetry = Orion_obs.Telemetry.disabled) ?(pass = 0)
       match next who with
       | None -> ()
       | Some id ->
-          (match drain id with () -> () | exception e -> fail e);
+          (match drain id with
+          | () -> ()
+          | exception e ->
+              let bt = Printexc.get_raw_backtrace () in
+              Mutex.protect m (fun () ->
+                  failed := true;
+                  Condition.broadcast cv);
+              Printexc.raise_with_backtrace e bt);
           loop ()
     in
     loop ()
@@ -357,14 +411,10 @@ let run_schedule ?(telemetry = Orion_obs.Telemetry.disabled) ?(pass = 0)
   done;
   Array.iteri (fun d ids -> stacks.(d) <- ids) seeds;
   let t0 = Orion_obs.Clock.now () in
-  let spawned =
-    Array.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
-  in
-  (* the calling domain is worker 0 *)
-  worker 0;
-  Array.iter Domain.join spawned;
+  (* the calling domain is worker 0; a body's exception ends its
+     worker and cancels the pass, and [parallel] re-raises it *)
+  parallel domains worker;
   let wall = Orion_obs.Clock.elapsed t0 in
-  (match !failed with Some e -> raise e | None -> ());
   {
     domains;
     blocks_run = n;

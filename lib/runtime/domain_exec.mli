@@ -41,6 +41,17 @@ val barrier_per_step : model -> bool
     tokens enforce.  Acyclic for every model and shape. *)
 val block_edges : model -> sp:int -> tp:int -> (int * int) list
 
+(** [parallel n f] runs [f 0] on the caller and [f 1] … [f (n-1)] on
+    the process' crew of helper domains, and returns when all have
+    returned.  A helper is spawned when first needed, then parked
+    between calls and never joined (OCaml 5.1 keeps heap after each
+    spawn and join), so the crew grows to the largest [n - 1] asked
+    for.  Callers are serialised.  The caller's exception, else the
+    lowest-index helper's, is then re-raised with its own backtrace
+    (helpers run under the caller's backtrace setting).  A job must
+    not call [parallel]. *)
+val parallel : int -> (int -> unit) -> unit
+
 type stats = {
   domains : int;
   blocks_run : int;
@@ -55,7 +66,7 @@ type stats = {
     runs on domain [d] (one closure per domain — interpreter
     environments are single-writer).  Returns after all blocks
     complete; an exception from any body cancels the pass and is
-    re-raised.
+    re-raised with its own backtrace ({!parallel}'s order).
 
     With [telemetry] enabled (sized for ≥ [domains] shards), each
     domain records into its own shard: a Compute span + measured-cost

@@ -4,7 +4,8 @@
    ratings and tokens are checked one by one ([Gen.read_pairs]) and
    stored a batch at a time through the float table's C bulk store,
    with no allocation per record.  With two cores or more, the checks
-   run on a reader domain while the caller stores ([load_pairs]).
+   run on the crew's helper domain while the caller stores
+   ([load_pairs]).
    With [~records:false] only the shard headers are read: the dataset
    comes back at its dimensions, with no entries. *)
 
@@ -72,7 +73,6 @@ type ring = {
   mutable stored : int;
   mutable finished : bool;
   mutable stop : bool;
-  mutable result : (int, exn) result;  (** the reader's, once [finished] *)
 }
 
 let signal r f =
@@ -113,69 +113,16 @@ let rec drain r store =
     drain r store
   end
 
-(* the reader's result, once it has finished *)
-let await r =
-  Mutex.protect r.lock (fun () ->
-      while not r.finished do
-        Condition.wait r.moved r.lock
-      done);
-  match r.result with Ok total -> total | Error e -> raise e
-
-(* The reader domain: one per process, spawned by the first load that
-   has two cores, then parked on [wake] between loads; a load at a time
-   gives it a job ([loading] is held for the whole load).  A domain per
-   load, joined at its end, raised perfbench's [mf-dist] peak RSS from
-   43 MB to 73-77 MB over 45 s (OCaml 5.1: heap kept after each spawn
-   and join; a spawn and join of an empty domain per load did the
-   same), and one parked domain keeps it level. *)
-type reader = {
-  loading : Mutex.t;
-  jobs : Mutex.t;
-  wake : Condition.t;
-  mutable job : (unit -> unit) option;
-  mutable started : bool;
-}
-
-let reader =
-  {
-    loading = Mutex.create ();
-    jobs = Mutex.create ();
-    wake = Condition.create ();
-    job = None;
-    started = false;
-  }
-
-let rec serve () =
-  let job =
-    Mutex.protect reader.jobs (fun () ->
-        while reader.job = None do
-          Condition.wait reader.wake reader.jobs
-        done;
-        let job = Option.get reader.job in
-        reader.job <- None;
-        job)
-  in
-  job ();
-  serve ()
-
-let on_reader job =
-  Mutex.protect reader.jobs (fun () ->
-      if not reader.started then begin
-        ignore (Domain.spawn serve);
-        reader.started <- true
-      end;
-      reader.job <- Some job;
-      Condition.signal reader.wake)
-
 (* Every rating or token record of [paths] into the float table [arr],
    in record order; the sum of the values' integer parts.  The channels
    and the chunk buffer are the caller's, so that the reader allocates
    neither.  With one core the decode loop runs here and its [flush] is
-   the store.  Otherwise it runs on the reader, which goes through the
-   shards in order, so the first error it raises is the one the inline
-   loop would: the caller stores every batch published before it, then
-   raises it.  When the caller's side raises, [stop] ends the reader's
-   job at its next batch, and the load waits for that before the
+   the store.  Otherwise it runs on the crew's helper 1
+   ([Domain_exec.parallel]), which goes through the shards in order, so
+   the first error it raises is the one the inline loop would: the
+   caller stores every batch published before it, then [parallel]
+   raises it.  When the caller's side raises, [stop] ends the reader at
+   its next batch, and [parallel] waits for that before the caller's
    exception goes on. *)
 let load_pairs paths ~what ~first ~second arr =
   let dims = Dist_array.dims arr in
@@ -193,7 +140,6 @@ let load_pairs paths ~what ~first ~second arr =
         store b n;
         b)
   else
-    Mutex.protect reader.loading @@ fun () ->
     let r =
       {
         batches = Array.init in_flight (fun _ -> Gen.batch ());
@@ -204,25 +150,17 @@ let load_pairs paths ~what ~first ~second arr =
         stored = 0;
         finished = false;
         stop = false;
-        result = Error Stopped;
       }
-    in
-    on_reader (fun () ->
-        let result =
-          match read r.batches.(0) ~flush:(publish r) with
-          | total -> Ok total
-          | exception e -> Error e
-        in
-        signal r (fun () ->
-            r.result <- result;
-            r.finished <- true));
-    match drain r store with
-    | () -> await r
-    | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        signal r (fun () -> r.stop <- true);
-        (try ignore (await r) with _ -> ());
-        Printexc.raise_with_backtrace e bt
+    and total = ref 0 in
+    Orion_runtime.Domain_exec.parallel 2 (fun job ->
+        Fun.protect
+          ~finally:(fun () ->
+            signal r (fun () ->
+                if job = 0 then r.stop <- true else r.finished <- true))
+          (fun () ->
+            if job = 0 then drain r store
+            else total := read r.batches.(0) ~flush:(publish r)));
+    !total
 
 let dataset_count dir =
   Shard.dataset_headers dir

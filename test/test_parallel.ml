@@ -183,6 +183,99 @@ let test_exception_propagates () =
         (Domain_exec.run_schedule ~domains:4 ~model:Domain_exec.M_1d sched
            ~bodies:(Array.make 4 (Schedule.boxed_body body))))
 
+(* A body's exception keeps the backtrace of its raise: the first slot
+   lies in this file, not in the pool, on whichever domain raised. *)
+let test_exception_backtrace () =
+  Printexc.record_backtrace true;
+  let iter = mk_iter () in
+  let sched = Schedule.partition_1d iter ~space_dim:0 ~space_parts:4 in
+  let body ~key:_ ~value:_ = raise (Failure "body") in
+  match
+    Domain_exec.run_schedule ~domains:2 ~model:Domain_exec.M_1d sched
+      ~bodies:(Array.make 2 (Schedule.boxed_body body))
+  with
+  | _ -> Alcotest.fail "the pass ended normally"
+  | exception Failure _ ->
+      let first =
+        Option.bind
+          (Printexc.backtrace_slots (Printexc.get_raw_backtrace ()))
+          (fun slots ->
+            Array.to_list slots
+            |> List.find_map Printexc.Slot.location)
+      in
+      Alcotest.(check (option string))
+        "first slot's file" (Some "test/test_parallel.ml")
+        (Option.map (fun l -> l.Printexc.filename) first)
+
+(* The pool's passes reuse the crew's helpers: over 50 passes of two
+   and three domains, at most two domains besides the caller run a
+   body. *)
+let test_crew_reused () =
+  let iter = mk_iter () in
+  let sched = Schedule.partition_1d iter ~space_dim:0 ~space_parts:6 in
+  let m = Mutex.create () and seen = Hashtbl.create 8 in
+  let body ~key:_ ~value:_ =
+    Mutex.protect m (fun () ->
+        Hashtbl.replace seen (Domain.self () :> int) ())
+  in
+  for k = 1 to 50 do
+    let domains = 2 + (k mod 2) in
+    ignore
+      (Domain_exec.run_schedule ~domains ~model:Domain_exec.M_1d sched
+         ~bodies:(Array.make domains (Schedule.boxed_body body)))
+  done;
+  Hashtbl.remove seen (Domain.self () :> int);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d helper domains ran bodies" (Hashtbl.length seen))
+    true
+    (Hashtbl.length seen <= 2)
+
+(* A shard load directly after a pool pass, and a pass directly after a
+   load, give the arrays each gives alone. *)
+let test_load_and_pass_share_the_crew () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "orion-parallel-test-%d" (Unix.getpid ()))
+  in
+  let module Store = Orion_store in
+  ignore
+    (Store.Gen.generate ~dir ~seed:3 ~shards:2
+       (Store.Gen.Ratings
+          {
+            num_users = 500;
+            num_items = 200;
+            num_ratings = 20_000;
+            skew = 1.1;
+            rank = 4;
+            noise = 0.1;
+          }));
+  let load () =
+    Dist_array.entries (Store.Loader.ratings dir).Orion_data.Ratings.ratings
+  in
+  let iter = mk_iter () in
+  let sched = Schedule.partition_1d iter ~space_dim:0 ~space_parts:4 in
+  let pass () =
+    let out = Array.make (16 * 15) 0.0 in
+    let body ~key ~value = out.((key.(0) * 15) + key.(1)) <- 2.0 *. value in
+    ignore
+      (Domain_exec.run_schedule ~domains:2 ~model:Domain_exec.M_1d sched
+         ~bodies:(Array.make 2 (Schedule.boxed_body body)));
+    out
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  let loaded = load () and passed = pass () in
+  let pass_then_load = (pass (), load ()) in
+  let load_then_pass = (load (), pass ()) in
+  Alcotest.(check bool) "load after a pass" true (snd pass_then_load = loaded);
+  Alcotest.(check bool) "pass before a load" true (fst pass_then_load = passed);
+  Alcotest.(check bool) "load before a pass" true (fst load_then_pass = loaded);
+  Alcotest.(check bool) "pass after a load" true (snd load_then_pass = passed)
+
 (* The pool's entry loop over float blocks allocates nothing per
    entry: mf's schedule, from its float view, run on one domain with a
    no-op unboxed body, which takes each block whole.  A fixed allowance
@@ -415,6 +508,10 @@ let () =
           tc "unordered serializes time partitions" `Quick
             test_2d_unordered_serializes_time_partitions;
           tc "exception propagates" `Quick test_exception_propagates;
+          tc "exception keeps its backtrace" `Quick test_exception_backtrace;
+          tc "passes reuse the crew" `Quick test_crew_reused;
+          tc "loads and passes share the crew" `Quick
+            test_load_and_pass_share_the_crew;
           tc "domains clamped to bodies" `Quick test_domains_clamped_to_bodies;
           tc "float entry loop allocates only the key" `Quick
             test_float_entry_loop_allocation;

@@ -639,8 +639,8 @@ let threads () =
    job, which may be waiting on a full ring).  A job left waiting
    would hang the next load, and a domain started per load and left
    running would exhaust OCaml's 128 domains; the process' threads are
-   counted after the first load, which starts the reader, and after
-   the last. *)
+   counted after the first load, which starts the crew's helper if no
+   earlier test has, and after the last. *)
 let test_failing_loads_join () =
   let before = ref None in
   with_dir "failing" (fun dir ->
@@ -671,7 +671,7 @@ let test_failing_loads_join () =
    read in place and each value is stored unboxed, so the minor heap
    grows by a constant (headers, the table's first small arrays), never
    by the record count.  The words are [Gc.quick_stat]'s, which count
-   every domain's, the reader domain's too; [Gc.minor_words] counts
+   every domain's, the crew's helper's too; [Gc.minor_words] counts
    only the calling domain's. *)
 let test_loader_allocation () =
   let check what spec load =
